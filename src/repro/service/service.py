@@ -318,9 +318,14 @@ class GraphService:
         )
 
     def _stats(self) -> Dict[str, Any]:
+        session = self.session.counters()
+        # JSON object keys are strings: (kind, algorithm) -> "kind/algorithm".
+        session["plans_chosen"] = {
+            "/".join(key): count for key, count in session["plans_chosen"].items()
+        }
         return ok_envelope(
             version=self.session.graph.version,
-            session=self.session.counters(),
+            session=session,
             store=self.session.store_stats(),
             service={**self.counters, "inflight": self._inflight,
                      "watches": len(self._watches)},
@@ -388,16 +393,23 @@ class GraphService:
                     batch.append(self._queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
-            # Pin in the loop thread: updates also apply here, so the pin
-            # always observes a fully applied (or not yet applied) batch.
-            snapshot = self.session.pin()
-            self.counters["batches"] += 1
             try:
-                results = await self._loop.run_in_executor(
-                    self._executor, self._execute_batch, snapshot, batch
-                )
-            finally:
-                snapshot.release()
+                # Pin in the loop thread: updates also apply here, so the pin
+                # always observes a fully applied (or not yet applied) batch.
+                snapshot = self.session.pin()
+                self.counters["batches"] += 1
+                try:
+                    results = await self._loop.run_in_executor(
+                        self._executor, self._execute_batch, snapshot, batch
+                    )
+                finally:
+                    snapshot.release()
+            except Exception as exc:  # noqa: BLE001 - reported to every waiter
+                # The pin or the executor hand-off failed: the whole batch
+                # fails with it, and the dispatcher lives on — no request is
+                # left awaiting a future nobody will resolve.
+                self.counters["errors"] += 1
+                results = [exc] * len(batch)
             for (_, _, future), outcome in zip(batch, results):
                 if future.cancelled():
                     continue

@@ -84,7 +84,7 @@ class QueryResult:
         from the session's :class:`~repro.session.semantic_cache.SemanticCache`).
     cache_stats:
         Snapshot of the executing matcher's cache counters (empty for
-        result-cache hits and pruned plans).
+        result-cache hits).
     """
 
     answer: Any

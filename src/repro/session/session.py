@@ -50,7 +50,6 @@ from repro.matching.result import PatternMatchResult
 from repro.matching.split_match import split_match
 from repro.query.canonical import CanonicalQuery, canonicalize_query
 from repro.query.pq import PatternQuery
-from repro.query.rq import ReachabilityQuery
 from repro.session.defaults import (
     DEFAULT_CACHE_CAPACITY,
     DEFAULT_ENGINE,
@@ -135,54 +134,19 @@ class PreparedQuery:
                 )
             if self._plan_key != key:
                 self.replan()
-            cache = session.semantic_cache
-            probing = (
-                self.canonical is not None
-                and cache.enabled
-                and not self.plan.unsatisfiable
+            if self.plan.use_matrix:
+                matcher = session._matrix_path_matcher()
+            else:
+                matcher = session.matcher(self.plan.engine)
+            result = _run_read_pipeline(
+                self.query, self.plan, self.canonical, matcher, key, session.semantic_cache, started
             )
-            if probing:
-                probe = cache.probe(key, self.canonical, self.query)
-                if probe.decision != "evaluate":
-                    matcher = session.matcher(self.plan.engine)
-                    served = cache.serve(probe, self.query, session.graph, matcher)
-                    if served is not None:
-                        if probe.decision == "cache-containment":
-                            # Promote the derived answer to its own entry:
-                            # the next equivalent query hits exactly.
-                            cache.insert(key, self.canonical, self.query, served)
-                        self.plan = with_cache_decision(
-                            self.plan, probe.decision, probe.reason
-                        )
-                        self._memo_key = key
-                        self._memo_answer = served.copy()
-                        return QueryResult(
-                            answer=served,
-                            plan=self.plan,
-                            engine=getattr(served, "engine", self.plan.engine),
-                            elapsed_seconds=time.perf_counter() - started,
-                            cache_decision=probe.decision,
-                            cache_stats=dict(matcher.cache_stats),
-                        )
-                cache.record_miss()
-            if self.plan.cache != "evaluate":
-                # The decision did not hold this time (entry evicted, graph
-                # moved on, or serving declined) — the plan says so again.
-                self.plan = with_cache_decision(self.plan, "evaluate")
-            answer, cache_stats = session._run_plan(self.query, self.plan)
-            if probing:
-                cache.insert(key, self.canonical, self.query, answer)
+            self.plan = result.plan
             # Memoise a private copy so callers mutating the returned answer
             # can never poison later hits.
-            self._memo_key = session._version_key()
-            self._memo_answer = answer.copy()
-            return QueryResult(
-                answer=answer,
-                plan=self.plan,
-                engine=getattr(answer, "engine", self.plan.engine),
-                elapsed_seconds=time.perf_counter() - started,
-                cache_stats=cache_stats,
-            )
+            self._memo_key = key
+            self._memo_answer = result.answer.copy()
+            return result
 
     def execute_many(self, batch: Iterable[Iterable[Tuple]]) -> List[QueryResult]:
         """Execute across a batch of update streams.
@@ -280,13 +244,73 @@ _PQ_ALGORITHMS = {
 }
 
 
-def _empty_answer_for(plan: QueryPlan):
-    """The kind-shaped empty answer of one pruned (unsatisfiable) plan."""
+def _evaluate(query: Any, plan: QueryPlan, matcher: PathMatcher) -> Any:
+    """The one dispatch from a plan to the paper's evaluators (Sections 4-5).
+
+    ``matcher`` carries the graph view to read and, for a ``use_matrix``
+    plan, the distance matrix to walk.
+    """
+    if plan.unsatisfiable:
+        if plan.kind == "rq":
+            return ReachabilityResult(pairs=set(), method="pruned", engine=plan.engine)
+        if plan.kind == "general_rq":
+            return GeneralReachabilityResult()
+        return PatternMatchResult.empty("pruned", engine=plan.engine)
     if plan.kind == "rq":
-        return ReachabilityResult(pairs=set(), method="pruned", engine=plan.engine)
+        return evaluate_rq(
+            query, matcher.graph, distance_matrix=matcher.matrix, method=plan.method, matcher=matcher
+        )
     if plan.kind == "general_rq":
-        return GeneralReachabilityResult()
-    return PatternMatchResult.empty("pruned", engine=plan.engine)
+        return evaluate_general_rq(query, matcher.graph, engine=plan.engine)
+    return _PQ_ALGORITHMS[plan.algorithm](query, matcher.graph, matcher=matcher)
+
+
+def _run_read_pipeline(
+    query: Any,
+    plan: QueryPlan,
+    canonical: Optional[CanonicalQuery],
+    matcher: PathMatcher,
+    key: Tuple[int, int],
+    cache: SemanticCache,
+    started: float,
+) -> QueryResult:
+    """The one read pipeline: probe -> serve -> evaluate -> insert -> envelope.
+
+    Section 3 containment (the semantic cache) in front of the Section 4-5
+    evaluators, for live and pinned reads alike.  The caller supplies what
+    differs: ``matcher``, the warm matcher over the graph view to read, and
+    ``key``, the ``(version, attrs_version)`` pair that view stands at —
+    the only cache entries consulted or written.  ``canonical`` is ``None``
+    for a query the cache cannot key; elapsed time counts from ``started``.
+    """
+    probing = canonical is not None and cache.enabled and not plan.unsatisfiable
+    answer, decision, reason = None, "evaluate", None
+    if probing:
+        probe = cache.probe(key, canonical, query)
+        if probe.decision != "evaluate":
+            answer = cache.serve(probe, query, matcher.graph, matcher)
+        if answer is None:
+            cache.record_miss()
+        else:
+            decision, reason = probe.decision, probe.reason
+    if answer is None:
+        answer = _evaluate(query, plan, matcher)
+    if probing and decision != "cache-exact":
+        # An evaluated answer becomes an entry, and so does one derived by
+        # containment: the next equivalent query hits exactly.
+        cache.insert(key, canonical, query, answer)
+    if decision != "evaluate" or plan.cache != "evaluate":
+        # Also resets a prepare-time annotation that did not hold (entry
+        # evicted, graph moved on, or serving declined).
+        plan = with_cache_decision(plan, decision, reason)
+    return QueryResult(
+        answer=answer,
+        plan=plan,
+        engine=getattr(answer, "engine", plan.engine),
+        elapsed_seconds=time.perf_counter() - started,
+        cache_decision=decision,
+        cache_stats=dict(matcher.cache_stats),
+    )
 
 
 class SessionSnapshot:
@@ -297,9 +321,11 @@ class SessionSnapshot:
     :class:`~repro.storage.snapshot.SnapshotGraph` facade plus a private
     dict-engine matcher over it, so :meth:`execute` answers **exactly as the
     graph stood at** :attr:`version` — later writer mutations (and overlay
-    compactions) can never reach it.  Execution takes no session lock: many
-    snapshots evaluate concurrently while the writer appends, which is the
-    MVCC contract the serving layer is built on.
+    compactions) can never reach it.  The matcher is the snapshot's own; the
+    statistics it plans against are the session's memo of the pinned version,
+    shared by every pin of that version.  Execution takes no session lock:
+    many snapshots evaluate concurrently while the writer appends, which is
+    the MVCC contract the serving layer is built on.
 
     A snapshot is single-threaded *itself* (its matcher caches are plain
     LRUs); share the underlying store snapshot, not this wrapper, across
@@ -314,14 +340,16 @@ class SessionSnapshot:
         self._matcher = PathMatcher(
             self.graph, cache_capacity=session.cache_capacity, engine="dict"
         )
-        self._stats: Optional[GraphStats] = None
-        # The session's semantic cache, keyed at *this* pin's version pair:
-        # captured under the session lock (pin() holds it), so later writer
-        # mutations make new keys and can never reach this snapshot's
-        # entries — while concurrent pins of the same version share warmth.
-        self._semantic_cache = session.semantic_cache
+        # Captured under the session lock (pin() holds it) at the pinned
+        # version: the session's per-version statistics memo, and the key
+        # this pin's semantic-cache entries live under — later writer
+        # mutations make new keys and can never reach them, while
+        # concurrent pins of the same version share warmth.
+        self._pinned_stats = session.stats
         self._semantic_key = session._version_key()
+        # Tallied lock-free; release() folds them into the session's.
         self.executed_queries = 0
+        self.plans_chosen: Counter = Counter()
         self._released = False
 
     @property
@@ -335,10 +363,8 @@ class SessionSnapshot:
 
     @property
     def stats(self) -> GraphStats:
-        """Statistics of the *pinned* graph (computed once per snapshot)."""
-        if self._stats is None:
-            self._stats = compute_stats(self.graph)
-        return self._stats
+        """Statistics of the *pinned* graph (the session's memo of this version)."""
+        return self._pinned_stats
 
     def _plan(self, query: Any, overrides: Dict[str, Any]) -> QueryPlan:
         if overrides.get("method") == "matrix":
@@ -372,46 +398,16 @@ class SessionSnapshot:
         started = time.perf_counter()
         plan = self._plan(query, overrides)
         self.executed_queries += 1
-        cache = self._semantic_cache
+        self.plans_chosen[(plan.kind, plan.algorithm)] += 1
+        cache = self.session.semantic_cache
         canonical: Optional[CanonicalQuery] = None
         if cache.enabled and not plan.unsatisfiable:
             try:
                 canonical = canonicalize_query(query)
             except QueryError:
                 canonical = None
-        if canonical is not None:
-            probe = cache.probe(self._semantic_key, canonical, query)
-            if probe.decision != "evaluate":
-                served = cache.serve(probe, query, self.graph, self._matcher)
-                if served is not None:
-                    if probe.decision == "cache-containment":
-                        cache.insert(self._semantic_key, canonical, query, served)
-                    return QueryResult(
-                        answer=served,
-                        plan=with_cache_decision(plan, probe.decision, probe.reason),
-                        engine="dict",
-                        elapsed_seconds=time.perf_counter() - started,
-                        cache_decision=probe.decision,
-                        cache_stats=dict(self._matcher.cache_stats),
-                    )
-            cache.record_miss()
-        if plan.unsatisfiable:
-            answer = _empty_answer_for(plan)
-        elif plan.kind == "rq":
-            method = plan.method if plan.method in ("bidirectional", "bfs") else "bidirectional"
-            answer = evaluate_rq(query, self.graph, method=method, matcher=self._matcher)
-        elif plan.kind == "general_rq":
-            answer = evaluate_general_rq(query, self.graph, engine="dict")
-        else:
-            answer = _PQ_ALGORITHMS[plan.algorithm](query, self.graph, matcher=self._matcher)
-        if canonical is not None:
-            cache.insert(self._semantic_key, canonical, query, answer)
-        return QueryResult(
-            answer=answer,
-            plan=plan,
-            engine="dict",
-            elapsed_seconds=time.perf_counter() - started,
-            cache_stats=dict(self._matcher.cache_stats),
+        return _run_read_pipeline(
+            query, plan, canonical, self._matcher, self._semantic_key, cache, started
         )
 
     def execute_many(self, queries: Iterable[Any], **overrides: Any) -> List[QueryResult]:
@@ -419,12 +415,18 @@ class SessionSnapshot:
         return [self.execute(query, **overrides) for query in queries]
 
     def release(self) -> None:
-        """Drop the pin (idempotent); the store may then forget the version."""
+        """Drop the pin (idempotent); the store may then forget the version.
+
+        Also folds this snapshot's execution tallies into the session's
+        counters, under the session lock the release takes anyway.
+        """
         if not self._released:
             self._released = True
             session = self.session
             with session._lock:
                 session.graph.overlay_store().release_snapshot(self.store)
+                session.executed_queries += self.executed_queries
+                session.plans_chosen.update(self.plans_chosen)
 
     def __enter__(self) -> "SessionSnapshot":
         return self
@@ -588,7 +590,7 @@ class GraphSession:
     @property
     def stats(self) -> GraphStats:
         """Statistics of the current graph, cached per version counters."""
-        key = (self.graph.version, self.graph.attrs_version)
+        key = self._version_key()
         if self._stats is None or self._stats_key != key:
             self._stats = compute_stats(self.graph)
             self._stats_key = key
@@ -787,54 +789,14 @@ class GraphSession:
         *as it is now*, with its own matcher, whose :meth:`~SessionSnapshot.execute`
         never takes the session lock — many pinned readers proceed while the
         writer keeps mutating through :meth:`apply_updates`.  Pins at the
-        same version share one storage snapshot (refcounted); release each
-        snapshot when done.  This is the MVCC entry point the serving layer
-        (:mod:`repro.service`) batches its reads through.
+        same version share one storage snapshot (refcounted) and the
+        session's statistics of that version (:attr:`stats`, computed at most
+        once per version); release each snapshot when done.  This is the MVCC
+        entry point the serving layer (:mod:`repro.service`) batches its
+        reads through.
         """
         with self._lock:
             return SessionSnapshot(self, self.graph.overlay_store().pin_snapshot())
-
-    def _run_plan(self, query: Any, plan: QueryPlan) -> Tuple[Any, Dict[str, float]]:
-        """Dispatch one plan to the underlying evaluation machinery."""
-        if plan.unsatisfiable:
-            return self._empty_answer(plan), {}
-        if plan.kind == "rq":
-            return self._run_rq(query, plan)
-        if plan.kind == "general_rq":
-            answer = evaluate_general_rq(query, self.graph, engine=plan.engine)
-            return answer, {}
-        return self._run_pq(query, plan)
-
-    def _empty_answer(self, plan: QueryPlan):
-        return _empty_answer_for(plan)
-
-    def _run_rq(self, query: ReachabilityQuery, plan: QueryPlan):
-        if plan.use_matrix:
-            matcher = self._matrix_path_matcher()
-            answer = evaluate_rq(
-                query,
-                self.graph,
-                distance_matrix=self._matrix,
-                method="matrix",
-                matcher=matcher,
-            )
-            return answer, dict(matcher.cache_stats)
-        # One warm version-aware matcher per engine; its storage adapter
-        # decides how frontiers expand (the CSR matcher reads through the
-        # graph's overlay store, so interleaved mutations never force a
-        # recompile inside the session).
-        matcher = self.matcher(plan.engine)
-        answer = evaluate_rq(query, self.graph, method=plan.method, matcher=matcher)
-        return answer, dict(matcher.cache_stats)
-
-    def _run_pq(self, query: PatternQuery, plan: QueryPlan):
-        if plan.use_matrix:
-            matcher = self._matrix_path_matcher()
-        else:
-            matcher = self.matcher(plan.engine)
-        evaluate = _PQ_ALGORITHMS[plan.algorithm]
-        answer = evaluate(query, self.graph, matcher=matcher)
-        return answer, dict(matcher.cache_stats)
 
     # -- incremental maintenance -------------------------------------------------
 

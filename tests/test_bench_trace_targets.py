@@ -1,0 +1,60 @@
+"""The per-layer benchmark patches ``src/`` by name; the names must resolve.
+
+``bench/trace.py`` wraps layer callables from outside the program: functions
+by ``(module, name)`` — rebinding the name in every ``repro`` module that
+imported it and in upper-case registry dicts — and methods by ``(module,
+class, method)`` looked up in the class's own ``vars()``.  A refactor that
+renames a target, moves a method onto a base class or captures an evaluator
+in a local would leave that layer's spans silently empty.
+"""
+
+import importlib
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from bench import trace  # noqa: E402  (read-only: nothing under bench/ changes)
+
+_FUNCTION_TARGETS = sorted({target for targets in trace._FUNCTIONS.values() for target in targets})
+_METHOD_TARGETS = [
+    (module, cls, tuple(methods) if methods is not None else None)
+    for targets in trace._METHODS.values()
+    for module, cls, methods in targets
+]
+
+
+@pytest.mark.parametrize("module_name, attribute", _FUNCTION_TARGETS)
+def test_function_target_resolves(module_name, attribute):
+    assert callable(getattr(importlib.import_module(module_name), attribute))
+
+
+@pytest.mark.parametrize("module_name, class_name, methods", _METHOD_TARGETS)
+def test_method_target_is_defined_on_the_class_itself(module_name, class_name, methods):
+    own = vars(getattr(importlib.import_module(module_name), class_name))
+    if methods is None:  # every public method: there must be some to wrap
+        methods = [key for key, value in own.items()
+                   if not key.startswith("_") and isinstance(value, types.FunctionType)]
+        assert methods
+    for method in methods:
+        assert isinstance(own.get(method), types.FunctionType), (class_name, method)
+
+
+def test_session_reaches_the_traced_layers_through_patchable_names():
+    """The session module calls the statistics, planner, canonicaliser and
+    evaluators through its own module globals — or, for the PQ algorithms,
+    the upper-case registry — which is where the tracer rebinds them."""
+    session = importlib.import_module("repro.session.session")
+    by_name = {"compute_stats", "plan_query", "canonicalize_query", "evaluate_rq", "evaluate_general_rq"}
+    for span in ("graph.stats", "session.plan", "query.canonical", "matching.eval"):
+        for module_name, attribute in trace._FUNCTIONS[span]:
+            original = getattr(importlib.import_module(module_name), attribute)
+            if attribute in by_name:
+                assert vars(session).get(attribute) is original, attribute
+            else:
+                assert original in session._PQ_ALGORITHMS.values(), attribute

@@ -210,6 +210,13 @@ class TestCiWorkflow:
         )
         assert "bench-semcache.json" in paths
 
+    def test_benchmark_job_runs_repo_benchmark_smoke(self, workflow):
+        # bench/test_smoke.py is outside pytest's testpaths (tier-1 never
+        # collects it), so the benchmark job must run it by path.
+        job = workflow["jobs"]["benchmark-smoke"]
+        commands = [step.get("run", "").strip() for step in job["steps"]]
+        assert "python -m pytest bench -q" in commands
+
     def test_primary_leg_runs_reprolint_and_uploads_report(self, workflow):
         # reprolint gates the primary leg: `repro lint` exits 1 on any
         # non-baseline finding, and the JSON report must upload even when

@@ -99,8 +99,12 @@ class TestEndpoints:
         assert stats["service"]["queries"] >= 3
         assert stats["service"]["requests"] >= 2
         assert stats["service"]["batches"] >= 2
-        # Snapshot executions deliberately bypass the session counters (they
-        # run lock-free); the store must report no leaked pins at rest.
+        # Snapshot executions run lock-free and fold their tallies into the
+        # session counters on release, so served reads are counted.
+        assert stats["session"]["executed_queries"] == 3
+        assert sum(stats["session"]["plans_chosen"].values()) == 3
+        assert any(key.startswith("rq/") for key in stats["session"]["plans_chosen"])
+        # The store must report no leaked pins at rest.
         assert stats["store"].get("pinned_snapshots", 0) == 0
 
 
@@ -146,6 +150,40 @@ class TestErrors:
             client.query({"kind": "rq", "regex": "fc", "schema_version": 99})
         assert info.value.code == "repro.service.protocol"
         assert "schema_version" in str(info.value)
+
+
+class TestDispatcherFailure:
+    def test_failed_pin_fails_the_batch_and_the_dispatcher_lives_on(self, graph):
+        """A raising ``session.pin()`` must not strand the batch: the request
+        gets a 500 envelope, the error is counted and the next read is served."""
+        session = GraphSession(graph)
+        real_pin, failures = session.pin, []
+
+        def flaky_pin():
+            if not failures:
+                failures.append(RuntimeError("pin failed (injected)"))
+                raise failures[0]
+            return real_pin()
+
+        session.pin = flaky_pin
+        svc = GraphService(session, ServiceConfig(port=0, read_concurrency=1))
+        handle = svc.run_in_thread()
+        try:
+            # A stranded batch would block the client: bound the wait.
+            with ServiceClient(*handle.address, timeout=5.0) as c:
+                with pytest.raises(ServiceCallError) as info:
+                    c.query(RQ)
+                assert info.value.status == 500
+                assert "pin failed (injected)" in str(info.value)
+                version, answer = c.query(RQ)
+                assert version == graph.version
+                assert answer.pairs == evaluate_rq(RQ, graph, matcher=PathMatcher(graph)).pairs
+                stats = c.stats()
+            assert stats["service"]["errors"] >= 1
+            assert stats["service"]["inflight"] == 0
+            assert stats["store"].get("pinned_snapshots", 0) == 0
+        finally:
+            handle.shutdown()
 
 
 class TestAdmissionControl:

@@ -12,6 +12,8 @@ provably exact there (the colour-blind relaxation of a colour-blind
 constraint is the identity); the random patterns exercise that equivalence.
 """
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,9 +22,11 @@ from repro.graph.data_graph import DataGraph
 from repro.matching.general_rq import GeneralReachabilityQuery, evaluate_general_rq
 from repro.matching.join_match import join_match
 from repro.matching.reachability import evaluate_rq
+from repro.matching.result import PatternMatchResult
 from repro.query.pq import PatternQuery
 from repro.query.rq import ReachabilityQuery
 from repro.regex.fclass import FRegex, RegexAtom
+from repro.session import session as session_module
 from repro.session.session import GraphSession
 
 _COLORS = ("r", "g", "b")
@@ -176,3 +180,113 @@ def test_property_watch_parity_under_updates(case, updates):
     watch = session.watch(query)
     session.apply_updates(updates)
     assert watch.pairs == evaluate_rq(query, graph, engine="dict").pairs
+
+
+# -- one read pipeline: live and pinned execution are the same function -----------
+
+_SESSION_SOURCES = Path(__file__).resolve().parents[1] / "src" / "repro" / "session"
+
+
+def _ring_graph():
+    graph = DataGraph(name="pipeline-parity")
+    for index in range(8):
+        graph.add_node(f"n{index}", group=f"g{index % 2}")
+    for index in range(8):
+        graph.add_edge(f"n{index}", f"n{(index + 1) % 8}", "ab"[index % 2])
+        graph.add_edge(f"n{index}", f"n{(index + 3) % 8}", "b")
+    return graph
+
+
+def _edge_pattern(name, source, target):
+    pattern = PatternQuery(name=name)
+    pattern.add_node(source, None)
+    pattern.add_node(target, "group = 'g1'")
+    pattern.add_edge(source, target, "a.b^+")
+    return pattern
+
+
+def _pipeline_queries():
+    """(query, expected cache decision) in order: each decision depends on
+    the entries the queries before it left in the semantic cache."""
+    return [
+        (ReachabilityQuery("", "group = 'g1'", "a.b^2.b"), "evaluate"),
+        (ReachabilityQuery("", "group = 'g1'", "a.b.b^2"), "cache-exact"),  # respelt
+        (ReachabilityQuery("group = 'g0'", "group = 'g1'", "a.b^2.b"), "cache-containment"),
+        (_edge_pattern("base", "X", "Y"), "evaluate"),
+        (_edge_pattern("respelt", "P", "Q"), "cache-exact"),
+        (GeneralReachabilityQuery("group = 'g0'", "", "(a|b)*.b"), "evaluate"),
+        (ReachabilityQuery("", "", "a.zz"), "evaluate"),  # colour absent: pruned
+    ]
+
+
+def _envelope_view(result):
+    answer = result.answer
+    body = (
+        {edge: frozenset(pairs) for edge, pairs in answer}
+        if isinstance(answer, PatternMatchResult)
+        else frozenset(answer.pairs)
+    )
+    return {
+        "answer": body,
+        "cache_decision": result.cache_decision,
+        "plan.cache": result.plan.cache,
+        "plan": (result.plan.kind, result.plan.algorithm, result.plan.unsatisfiable),
+        "engine": result.engine,
+        "from_result_cache": result.from_result_cache,
+        "cache_stats": sorted(result.cache_stats),
+    }
+
+
+def test_live_and_pinned_envelopes_agree():
+    queries = _pipeline_queries()
+    live = GraphSession(_ring_graph(), engine="dict")
+    live_views = [_envelope_view(live.execute(query)) for query, _ in queries]
+    with GraphSession(_ring_graph(), engine="dict").pin() as snapshot:
+        pinned_views = [_envelope_view(snapshot.execute(query)) for query, _ in queries]
+    assert live_views == pinned_views
+    assert [view["cache_decision"] for view in live_views] == [d for _, d in queries]
+    for view in live_views:
+        assert view["plan.cache"] == view["cache_decision"]
+        assert view["engine"] == "dict"
+        assert view["cache_stats"]  # the executing matcher's counters, pruned plans too
+    assert live_views[-1]["plan"][2] and live_views[-1]["answer"] == frozenset()
+
+
+def _call_sites(needle):
+    return [
+        (path.name, number)
+        for path in sorted(_SESSION_SOURCES.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if needle in line and not line.lstrip().startswith(("def ", "#"))
+    ]
+
+
+@pytest.mark.parametrize("needle", [".serve(", "record_miss("])
+def test_semantic_cache_is_consulted_from_one_place(needle):
+    """A second copy of the probe -> serve -> evaluate pipeline would need
+    its own ``serve`` / ``record_miss`` call."""
+    sites = _call_sites(needle)
+    assert len(sites) == 1 and sites[0][0] == "session.py", sites
+
+
+def test_stats_computed_once_per_version_across_pins(monkeypatch):
+    calls = []
+    original = session_module.compute_stats
+
+    def counting(graph):
+        calls.append(graph.version)
+        return original(graph)
+
+    monkeypatch.setattr(session_module, "compute_stats", counting)
+    session = GraphSession(_ring_graph())
+    query = ReachabilityQuery("", "group = 'g1'", "a.b")
+    for _ in range(5):
+        with session.pin() as snapshot:
+            assert snapshot.stats is session.stats
+            snapshot.execute(query)
+    assert len(calls) == 1
+    session.add_edge("n0", "n5", "a")
+    for _ in range(3):
+        with session.pin() as snapshot:
+            snapshot.execute(query)
+    assert len(calls) == 2 and calls[0] != calls[1]

@@ -321,11 +321,12 @@ class SessionSnapshot:
     :class:`~repro.storage.snapshot.SnapshotGraph` facade plus a private
     dict-engine matcher over it, so :meth:`execute` answers **exactly as the
     graph stood at** :attr:`version` — later writer mutations (and overlay
-    compactions) can never reach it.  The matcher is the snapshot's own; the
-    statistics it plans against are the session's memo of the pinned version,
-    shared by every pin of that version.  Execution takes no session lock:
-    many snapshots evaluate concurrently while the writer appends, which is
-    the MVCC contract the serving layer is built on.
+    compactions) can never reach it.  The matcher and the statistics it plans
+    against are the snapshot's own, the latter computed from the pinned view
+    on first use — in the reader's thread, never under the session lock.
+    Execution takes no session lock: many snapshots evaluate concurrently
+    while the writer appends, which is the MVCC contract the serving layer is
+    built on.
 
     A snapshot is single-threaded *itself* (its matcher caches are plain
     LRUs); share the underlying store snapshot, not this wrapper, across
@@ -340,12 +341,11 @@ class SessionSnapshot:
         self._matcher = PathMatcher(
             self.graph, cache_capacity=session.cache_capacity, engine="dict"
         )
+        self._stats: Optional[GraphStats] = None
         # Captured under the session lock (pin() holds it) at the pinned
-        # version: the session's per-version statistics memo, and the key
-        # this pin's semantic-cache entries live under — later writer
-        # mutations make new keys and can never reach them, while
-        # concurrent pins of the same version share warmth.
-        self._pinned_stats = session.stats
+        # version: the key this pin's semantic-cache entries live under —
+        # later writer mutations make new keys and can never reach them,
+        # while concurrent pins of the same version share warmth.
         self._semantic_key = session._version_key()
         # Tallied lock-free; release() folds them into the session's.
         self.executed_queries = 0
@@ -363,8 +363,10 @@ class SessionSnapshot:
 
     @property
     def stats(self) -> GraphStats:
-        """Statistics of the *pinned* graph (the session's memo of this version)."""
-        return self._pinned_stats
+        """Statistics of the *pinned* graph (computed once per snapshot)."""
+        if self._stats is None:
+            self._stats = compute_stats(self.graph)
+        return self._stats
 
     def _plan(self, query: Any, overrides: Dict[str, Any]) -> QueryPlan:
         if overrides.get("method") == "matrix":
@@ -786,14 +788,13 @@ class GraphSession:
         """Pin the current graph version for lock-free concurrent reads.
 
         Returns a :class:`SessionSnapshot`: an immutable view of the graph
-        *as it is now*, with its own matcher, whose :meth:`~SessionSnapshot.execute`
-        never takes the session lock — many pinned readers proceed while the
-        writer keeps mutating through :meth:`apply_updates`.  Pins at the
-        same version share one storage snapshot (refcounted) and the
-        session's statistics of that version (:attr:`stats`, computed at most
-        once per version); release each snapshot when done.  This is the MVCC
-        entry point the serving layer (:mod:`repro.service`) batches its
-        reads through.
+        *as it is now*, with its own matcher and statistics, whose
+        :meth:`~SessionSnapshot.execute` never takes the session lock — many
+        pinned readers proceed while the writer keeps mutating through
+        :meth:`apply_updates`.  Pins at the same version share one storage
+        snapshot (refcounted); release each snapshot when done.  This is the
+        MVCC entry point the serving layer (:mod:`repro.service`) batches
+        its reads through.
         """
         with self._lock:
             return SessionSnapshot(self, self.graph.overlay_store().pin_snapshot())

@@ -26,6 +26,7 @@ from repro.query.predicates import Predicate
 from repro.query.rq import PredicateLike, coerce_predicate
 from repro.regex.general import GeneralRegex
 from repro.session.defaults import DEFAULT_ENGINE, ENGINES
+from repro.storage.snapshot import SnapshotGraph
 
 NodeId = Hashable
 NodePair = Tuple[NodeId, NodeId]
@@ -188,6 +189,39 @@ def _partitioned_regex_reachable(store, source: NodeId, nfa) -> Set[NodeId]:
     return reachable
 
 
+def _csr_candidates(query: GeneralReachabilityQuery, graph):
+    """The compiled graph to run the NFA product on, plus both endpoint
+    candidate lists in its index space — ``None`` when ``graph`` has none.
+
+    A live graph compiles (or reuses) its cached snapshot and scans the live
+    attribute views.  A pinned :class:`SnapshotGraph` reads the CSR base its
+    store snapshot holds, which equals the pinned adjacency only while the
+    pinned overlay is empty (``None`` otherwise), and scans the *pinned*
+    attribute table; nodes created since the base have no edges under an
+    empty overlay, so dropping them loses no non-empty path.
+    """
+    if not isinstance(graph, SnapshotGraph):
+        compiled = compiled_snapshot(graph)
+        return (
+            compiled,
+            compiled.matching_indices(query.source_predicate),
+            compiled.matching_indices(query.target_predicate),
+        )
+    pinned = graph.store
+    if not pinned.is_clean(None):
+        return None
+    compiled = pinned.base()
+
+    def scan(predicate) -> List[int]:
+        return [
+            compiled.node_index(node)
+            for node in pinned.matching_nodes(predicate)
+            if compiled.has_node(node)
+        ]
+
+    return compiled, scan(query.source_predicate), scan(query.target_predicate)
+
+
 def evaluate_general_rq(
     query: GeneralReachabilityQuery,
     graph: DataGraph,
@@ -200,7 +234,10 @@ def evaluate_general_rq(
     :meth:`repro.matching.csr_engine.CsrEngine.nfa_product_pairs` (``"csr"``,
     the default resolution of ``"auto"``), and the shard-at-a-time product
     worklist over the graph's partitioned store (``"partitioned"``, opt-in).
-    All return identical pair sets.
+    All return identical pair sets.  On a pinned
+    :class:`~repro.storage.snapshot.SnapshotGraph` the compiled path runs on
+    the pinned CSR base while the pinned overlay is empty, and falls back to
+    the product search over the facade otherwise.
     """
     if engine not in ENGINES:
         raise EvaluationError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -227,15 +264,13 @@ def evaluate_general_rq(
             pairs=pairs, elapsed_seconds=time.perf_counter() - started
         )
 
-    if engine in ("auto", "csr"):
-        snapshot = compiled_snapshot(graph)
-        csr = snapshot.default_engine()
-        source_indices = snapshot.matching_indices(query.source_predicate)
-        target_indices = snapshot.matching_indices(query.target_predicate)
+    candidates = _csr_candidates(query, graph) if engine in ("auto", "csr") else None
+    if candidates is not None:
+        snapshot, source_indices, target_indices = candidates
         pairs: Set[NodePair] = set()
         if source_indices and target_indices:
             ids = snapshot.ids
-            index_pairs = csr.nfa_product_pairs(
+            index_pairs = snapshot.default_engine().nfa_product_pairs(
                 query.regex.to_nfa(), source_indices, target_indices
             )
             pairs = {(ids[a], ids[b]) for a, b in index_pairs}

@@ -9,7 +9,9 @@ shapes).  The concurrency contract is the point of the module:
   ``(compiled CSR base, overlay slice)`` pair in a worker thread, and
   releases the pin.  Compaction rebinds the live store's base — it never
   mutates the arrays a pinned snapshot holds — so many readers proceed
-  while the writer moves the graph forward.
+  while the writer moves the graph forward.  Batches pinned at one version
+  share the session's read state of that version (one store snapshot, one
+  set of warm matchers); its lock lets their evaluations run one at a time.
 * **One writer.**  Updates apply in the event-loop thread, serialised by
   the loop itself (and by the session lock against in-process callers).
   Pinning also happens in the loop thread, so a pin can never observe a

@@ -28,6 +28,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter
+from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import QueryError, SnapshotError
@@ -313,44 +314,90 @@ def _run_read_pipeline(
     )
 
 
+class _ReadState:
+    """What every pinned read of one graph version shares.
+
+    One :class:`~repro.storage.snapshot.StoreSnapshot`, its
+    :class:`~repro.storage.snapshot.SnapshotGraph` facade and the warm
+    matchers over it (one per engine a plan has asked for — a served session
+    only ever asks for one), built by the first :meth:`GraphSession.pin` at a
+    ``(version, attrs_version)`` and handed to every later pin of it.  The
+    facade's version counters are frozen, so the matchers' memos never go
+    stale: the 120th request at a version finds the frontiers of the first
+    119 warm.
+
+    Batches of one version can execute on different worker threads, and the
+    matchers' LRUs and the CSR engine's memos are plain dicts, so
+    :attr:`lock` serialises evaluation on one state (pure-Python evaluation
+    does not overlap under the GIL anyway).  No statistics live here: each
+    :class:`SessionSnapshot` still computes its own, lazily.
+    """
+
+    def __init__(self, store_snapshot: StoreSnapshot, cache_capacity: Optional[int]):
+        self.store = store_snapshot
+        self.graph = SnapshotGraph(store_snapshot)
+        self.lock = threading.Lock()
+        self._cache_capacity = cache_capacity
+        self._matchers: Dict[str, PathMatcher] = {}
+
+    def matcher(self, engine: str) -> PathMatcher:
+        """The state's matcher for ``engine`` (call with :attr:`lock` held).
+
+        ``csr`` reads through the pinned snapshot's array-path surface —
+        clean colours on the kernels over the pinned base, dirty colours as
+        merged frontiers; ``dict`` walks the facade's merged adjacency.
+        """
+        matcher = self._matchers.get(engine)
+        if matcher is None:
+            matcher = PathMatcher(self.graph, cache_capacity=self._cache_capacity, engine=engine)
+            self._matchers[engine] = matcher
+        return matcher
+
+
 class SessionSnapshot:
     """Read-only query execution pinned at one graph version.
 
-    Created by :meth:`GraphSession.pin`.  Holds a refcounted
-    :class:`~repro.storage.snapshot.StoreSnapshot` wrapped in a
-    :class:`~repro.storage.snapshot.SnapshotGraph` facade plus a private
-    dict-engine matcher over it, so :meth:`execute` answers **exactly as the
-    graph stood at** :attr:`version` — later writer mutations (and overlay
-    compactions) can never reach it.  The matcher and the statistics it plans
-    against are the snapshot's own, the latter computed from the pinned view
-    on first use — in the reader's thread, never under the session lock.
-    Execution takes no session lock: many snapshots evaluate concurrently
-    while the writer appends, which is the MVCC contract the serving layer is
-    built on.
+    Created by :meth:`GraphSession.pin`.  A snapshot is a released-guard, its
+    own execution tallies and a reference to the session's read state of the
+    pinned version (:class:`_ReadState`: store snapshot, facade, matchers),
+    which it shares with every other pin of that version — so
+    :meth:`execute` answers **exactly as the graph stood at**
+    :attr:`version`, later writer mutations and overlay compactions can never
+    reach it, and what one pin's evaluation memoised the next pin finds warm.
+    Plans follow the session's engine preference: an ``auto`` or ``csr``
+    session reads the pin on the CSR array path, a ``dict`` or
+    ``partitioned`` session through the dict engine over the facade (the
+    partitioned store keeps no snapshots).
 
-    A snapshot is single-threaded *itself* (its matcher caches are plain
-    LRUs); share the underlying store snapshot, not this wrapper, across
-    threads.  Use as a context manager, or call :meth:`release` when done —
-    executing after release raises :class:`~repro.exceptions.SnapshotError`.
+    Execution takes no session lock: pinned readers proceed while the writer
+    appends, which is the MVCC contract the serving layer is built on.
+    Snapshots of one version may execute from different threads; evaluation
+    on their shared state is serialised by the state's own lock, while
+    planning — and the statistics it needs, computed from the pinned view on
+    first use, once per snapshot, in the reader's thread — stays outside it.
+    Use as a context manager, or call :meth:`release` when done — executing
+    after release raises :class:`~repro.exceptions.SnapshotError`.
     """
 
     def __init__(self, session: "GraphSession", store_snapshot: StoreSnapshot):
         self.session = session
-        self.store = store_snapshot
-        self.graph = SnapshotGraph(store_snapshot)
-        self._matcher = PathMatcher(
-            self.graph, cache_capacity=session.cache_capacity, engine="dict"
-        )
+        # pin() holds the session lock while it constructs this.
+        self._state = session._read_state_for(store_snapshot)
         self._stats: Optional[GraphStats] = None
-        # Captured under the session lock (pin() holds it) at the pinned
-        # version: the key this pin's semantic-cache entries live under —
-        # later writer mutations make new keys and can never reach them,
-        # while concurrent pins of the same version share warmth.
-        self._semantic_key = session._version_key()
         # Tallied lock-free; release() folds them into the session's.
         self.executed_queries = 0
         self.plans_chosen: Counter = Counter()
         self._released = False
+
+    @property
+    def store(self) -> StoreSnapshot:
+        """The pinned storage snapshot (shared with the version's other pins)."""
+        return self._state.store
+
+    @property
+    def graph(self) -> SnapshotGraph:
+        """The read-only graph facade over :attr:`store`."""
+        return self._state.graph
 
     @property
     def version(self) -> int:
@@ -374,25 +421,45 @@ class SessionSnapshot:
                 "matrix evaluation is unavailable on a pinned snapshot; "
                 "use a search method"
             )
-        if overrides.get("engine") not in (None, "auto", "dict"):
+        engine = overrides.get("engine")
+        if engine == "partitioned":
             raise QueryError(
-                "pinned snapshots evaluate on the dict engine over the "
-                "snapshot facade; drop the engine override"
+                "the partitioned store keeps no snapshots; pinned reads run "
+                "on the dict or csr engine — drop the engine override"
             )
+        if engine is None:
+            engine = self.session.engine
+            if engine == "partitioned":
+                engine = "dict"
         # Planned against the *pinned* statistics (never the live graph's):
         # unsatisfiable pruning must reflect the colours of this version.
-        return plan_query(
+        plan = plan_query(
             query,
             self.stats,
             has_matrix=False,
-            engine="dict",
+            engine=engine,
             method=overrides.get("method"),
             algorithm=overrides.get("algorithm"),
             strategy=overrides.get("strategy"),
         )
+        if plan.kind == "general_rq" and plan.engine == "csr" and not self.store.is_clean(None):
+            # The NFA product needs whole CSR layers, and a pin cannot
+            # recompile: with changes pending in the pinned overlay it walks
+            # the facade instead, and the plan says so.
+            plan = replace(
+                plan,
+                engine="dict",
+                store="dict",
+                reasons=plan.reasons
+                + (
+                    "pinned overlay is not empty: the NFA product walks the "
+                    "snapshot facade on the dict engine instead of the CSR base",
+                ),
+            )
+        return plan
 
     def execute(self, query: Any, **overrides: Any) -> QueryResult:
-        """Evaluate ``query`` against the pinned version (lock-free)."""
+        """Evaluate ``query`` against the pinned version (no session lock)."""
         if self._released:
             raise SnapshotError(
                 f"snapshot at version {self.version} has been released"
@@ -408,27 +475,43 @@ class SessionSnapshot:
                 canonical = canonicalize_query(query)
             except QueryError:
                 canonical = None
-        return _run_read_pipeline(
-            query, plan, canonical, self._matcher, self._semantic_key, cache, started
-        )
+        state = self._state
+        # The semantic cache is consulted and written under the *pinned*
+        # version pair only: later writer mutations make new keys and can
+        # never reach these entries, while pins of one version share them.
+        key = state.store.version_key
+        with state.lock:
+            return _run_read_pipeline(
+                query, plan, canonical, state.matcher(plan.engine), key, cache, started
+            )
 
     def execute_many(self, queries: Iterable[Any], **overrides: Any) -> List[QueryResult]:
-        """Evaluate a batch of queries on this snapshot's warm matcher."""
+        """Evaluate a batch of queries on the pinned version's warm matchers."""
         return [self.execute(query, **overrides) for query in queries]
 
     def release(self) -> None:
         """Drop the pin (idempotent); the store may then forget the version.
 
         Also folds this snapshot's execution tallies into the session's
-        counters, under the session lock the release takes anyway.
+        counters, under the session lock the release takes anyway.  The
+        session keeps the read state for the next pin while the graph still
+        stands at its version; once the version has moved, the last release
+        lets go of it.
         """
         if not self._released:
             self._released = True
             session = self.session
+            state = self._state
             with session._lock:
-                session.graph.overlay_store().release_snapshot(self.store)
+                session.graph.overlay_store().release_snapshot(state.store)
                 session.executed_queries += self.executed_queries
                 session.plans_chosen.update(self.plans_chosen)
+                if (
+                    session._read_state_memo is state
+                    and state.store.pins <= 0
+                    and state.store.version_key != session._version_key()
+                ):
+                    session._read_state_memo = None
 
     def __enter__(self) -> "SessionSnapshot":
         return self
@@ -532,6 +615,10 @@ class GraphSession:
         self._matchers: Dict[str, PathMatcher] = {}
         self._stats: Optional[GraphStats] = None
         self._stats_key: Optional[Tuple[int, int]] = None
+        # What pins of the current version share (see pin()): the store
+        # checks its snapshot against the version pair on every pin, and
+        # release() drops it once that pair has moved.
+        self._read_state_memo: Optional[_ReadState] = None
         self._watches: List[SessionWatch] = []
         # The semantic result cache (shared with pinned snapshots and, via
         # the service layer, across clients) and the canonical-keyed plan
@@ -788,16 +875,41 @@ class GraphSession:
         """Pin the current graph version for lock-free concurrent reads.
 
         Returns a :class:`SessionSnapshot`: an immutable view of the graph
-        *as it is now*, with its own matcher and statistics, whose
-        :meth:`~SessionSnapshot.execute` never takes the session lock — many
-        pinned readers proceed while the writer keeps mutating through
-        :meth:`apply_updates`.  Pins at the same version share one storage
-        snapshot (refcounted); release each snapshot when done.  This is the
-        MVCC entry point the serving layer (:mod:`repro.service`) batches
-        its reads through.
+        *as it is now* whose :meth:`~SessionSnapshot.execute` never takes the
+        session lock — many pinned readers proceed while the writer keeps
+        mutating through :meth:`apply_updates`.  The first pin at a
+        ``(version, attrs_version)`` builds the session's read state for it
+        — one storage snapshot (the only copy of the overlay slice and the
+        attribute table that version ever costs), its graph facade and,
+        lazily, its matchers — and every later pin of that version gets the
+        same state, also after all earlier pins were released: pinning again
+        is a refcount, and the matchers stay warm across batches.  The state
+        is replaced by the first pin after the version moves and lives on for
+        as long as a snapshot of its version does.  Release each snapshot
+        when done.  This is the MVCC entry point the serving layer
+        (:mod:`repro.service`) batches its reads through.
         """
         with self._lock:
-            return SessionSnapshot(self, self.graph.overlay_store().pin_snapshot())
+            state = self._read_state_memo
+            return SessionSnapshot(
+                self,
+                self.graph.overlay_store().pin_snapshot(
+                    retained=None if state is None else state.store
+                ),
+            )
+
+    def _read_state_for(self, store_snapshot: StoreSnapshot) -> _ReadState:
+        """The read state around a freshly pinned snapshot (lock held).
+
+        The memoised state when the store pinned its snapshot again;
+        otherwise the version moved (the store ignores a stale ``retained``)
+        or another session's snapshot of this version is registered with the
+        store, and a new state around what was pinned replaces it.
+        """
+        state = self._read_state_memo
+        if state is None or state.store is not store_snapshot:
+            state = self._read_state_memo = _ReadState(store_snapshot, self.cache_capacity)
+        return state
 
     # -- incremental maintenance -------------------------------------------------
 

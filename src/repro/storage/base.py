@@ -123,7 +123,7 @@ class GraphStore(ABC):
 
     # -- snapshot pinning --------------------------------------------------------
 
-    def pin_snapshot(self, version: Optional[int] = None):
+    def pin_snapshot(self, version: Optional[int] = None, retained=None):
         """Pin an immutable snapshot of the store at its current version.
 
         MVCC backends (the overlay store) return a refcounted
@@ -131,7 +131,9 @@ class GraphStore(ABC):
         from any thread and which later mutations — including compactions —
         can never invalidate.  ``version`` may assert the expected graph
         version; only the *current* one can be pinned (stores keep no
-        history).  Backends without MVCC support raise
+        history).  ``retained`` hands back a snapshot the caller kept past
+        its last release, to be pinned again if it is still current.
+        Backends without MVCC support raise
         :class:`~repro.exceptions.SnapshotError` — this default.
         """
         from repro.exceptions import SnapshotError

@@ -33,7 +33,7 @@ costs O(delta) per mutation instead of a recompile
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.exceptions import GraphError
 from repro.kernels import active_kernel_name
@@ -105,13 +105,15 @@ class OverlayCsrStore(GraphStore):
         self._overlay_edges = 0
         # Nodes created since the base was compiled (absent from its index).
         self._new_nodes: Set[NodeId] = set()
-        # Refcounted pinned snapshots, shared per graph version (MVCC reads).
-        self._pins: Dict[int, Any] = {}
+        # Refcounted pinned snapshots, shared per (version, attrs_version)
+        # pair (MVCC reads); an entry leaves with its last pin.
+        self._pins: Dict[Tuple[int, int], Any] = {}
         # Lifetime counters, surfaced by overlay_stats().
         self.compactions = 0
         self.syncs = 0
         self.replayed_ops = 0
         self.snapshots_pinned = 0
+        self.snapshots_built = 0
 
     # -- properties --------------------------------------------------------------
 
@@ -252,15 +254,23 @@ class OverlayCsrStore(GraphStore):
 
     # -- snapshot pinning --------------------------------------------------------
 
-    def pin_snapshot(self, version: Optional[int] = None):
+    def pin_snapshot(self, version: Optional[int] = None, retained=None):
         """Pin an immutable :class:`~repro.storage.snapshot.StoreSnapshot`.
 
         Syncs first, then captures (or re-references) the snapshot of the
-        graph's *current* version: pins at the same version share one
-        refcounted snapshot object.  The snapshot's base is held by
+        graph's *current* ``(version, attrs_version)``: pins of the same pair
+        share one refcounted snapshot object.  The snapshot's base is held by
         reference — a later compaction rebinds this store's base without
-        touching the pinned object — and its overlay slice is a private deep
-        copy, so nothing the store does afterwards can reach a reader.
+        touching the pinned object — and its overlay slice and attribute
+        table are private copies, so nothing the store does afterwards can
+        reach a reader.
+
+        ``retained`` is a snapshot this store built earlier that the caller
+        kept after its last pin was released (the pin table forgets a
+        snapshot at refcount zero).  When nobody else holds a pin and
+        ``retained`` still stands at the current pair it is pinned again
+        instead of building — and copying — a new one; a stale ``retained``
+        is ignored.  The returned snapshot is the one to read and release.
 
         ``version`` may assert the expected version (a reader that planned
         against version *v* can demand exactly *v*); pinning a version other
@@ -273,18 +283,22 @@ class OverlayCsrStore(GraphStore):
         from repro.storage.snapshot import StoreSnapshot
 
         self.sync()
-        current = self._graph.version
-        if version is not None and version != current:
+        graph = self._graph
+        if version is not None and version != graph.version:
             raise SnapshotError(
                 f"cannot pin version {version}: the store is at version "
-                f"{current} and keeps no history"
+                f"{graph.version} and keeps no history"
             )
-        snapshot = self._pins.get(current)
-        if snapshot is None:
-            snapshot = StoreSnapshot(self)
-            self._pins[current] = snapshot
-        else:
+        key = (graph.version, graph.attrs_version)
+        snapshot = self._pins.get(key)
+        if snapshot is not None:
             snapshot.pins += 1
+        elif retained is not None and retained.version_key == key:
+            snapshot = self._pins[key] = retained
+            snapshot.pins = 1
+        else:
+            snapshot = self._pins[key] = StoreSnapshot(self)
+            self.snapshots_built += 1
         self.snapshots_pinned += 1
         return snapshot
 
@@ -295,8 +309,8 @@ class OverlayCsrStore(GraphStore):
         exactly once per pin (the session snapshot wrapper enforces this).
         """
         snapshot.pins -= 1
-        if snapshot.pins <= 0 and self._pins.get(snapshot.version) is snapshot:
-            del self._pins[snapshot.version]
+        if snapshot.pins <= 0 and self._pins.get(snapshot.version_key) is snapshot:
+            del self._pins[snapshot.version_key]
 
     def _compact(self) -> None:
         # Imported lazily to avoid the import cycle
@@ -487,6 +501,7 @@ class OverlayCsrStore(GraphStore):
                 "compaction_fraction": self.compaction_fraction,
                 "pinned_snapshots": len(self._pins),
                 "snapshots_pinned": self.snapshots_pinned,
+                "snapshots_built": self.snapshots_built,
             }
         self.sync()
         base_edges = self._base.num_edges
@@ -505,6 +520,7 @@ class OverlayCsrStore(GraphStore):
             "compaction_fraction": self.compaction_fraction,
             "pinned_snapshots": len(self._pins),
             "snapshots_pinned": self.snapshots_pinned,
+            "snapshots_built": self.snapshots_built,
         }
 
     def __repr__(self) -> str:

@@ -16,17 +16,35 @@ locks.  That is the property the serving layer leans on: the writer keeps
 appending to the journal (and the store keeps syncing and compacting) while
 any number of readers evaluate against their pinned snapshots.
 
+It also answers the small surface
+:class:`~repro.storage.adapter.OverlayCsrAdapter` reads a store through
+(:meth:`~StoreSnapshot.base`, :meth:`~StoreSnapshot.is_clean`,
+:meth:`~StoreSnapshot.in_base`, the inherited no-op ``sync`` and
+:meth:`~StoreSnapshot.matching_nodes`), so a ``csr``
+:class:`~repro.matching.paths.PathMatcher` evaluates *through the pin*: colours
+whose overlay slice is empty run on the array kernels over the pinned base,
+dirty colours as merged frontiers over base and copied overlay.  The one thing
+a pinned read must never take from the base is a predicate scan — a
+:class:`~repro.graph.csr.CompiledGraph` shares the *live* attribute views —
+so scans always come from the copied attribute table.
+
 :class:`SnapshotGraph` wraps a snapshot in a read-only
 :class:`~repro.graph.data_graph.DataGraph` facade (duck-typed: nodes,
-attributes, merged adjacency, frozen version counters), which is what lets an
-unmodified dict-engine :class:`~repro.matching.paths.PathMatcher` — and the
-whole RQ/PQ fixpoint stack above it — evaluate at the pinned version with no
-snapshot-specific branches.
+attributes, merged adjacency, frozen version counters, ``overlay_store()``
+returning the snapshot), which is what lets an unmodified
+:class:`~repro.matching.paths.PathMatcher` of either engine — and the whole
+RQ/PQ fixpoint stack above it — evaluate at the pinned version with no
+snapshot-specific branches.  Because the version counters are frozen, every
+matcher memo over the facade stays valid for its whole lifetime: one matcher
+per version serves every pin of that version (the session's per-version read
+state, :mod:`repro.session.session`).
 
-Pins are refcounted and shared per version by the owning store
-(:meth:`OverlayCsrStore.pin_snapshot` / :meth:`release_snapshot`); the
-thread contract is: pin/release/mutate from the owner thread, read from
-anywhere.
+A snapshot is built at most once per ``(version, attrs_version)`` while
+somebody holds on to it: pins of one version share the refcounted object in
+the store's pin table, and a retainer that kept the object after its last pin
+was released hands it back to :meth:`OverlayCsrStore.pin_snapshot` instead of
+paying the copy again.  The thread contract is: pin/release/mutate from the
+owner thread, read from anywhere.
 """
 
 from __future__ import annotations
@@ -67,6 +85,7 @@ class StoreSnapshot(GraphStore):
         self._removed = _copy_overlay(store._removed)
         self._new_nodes = frozenset(store._new_nodes)
         self._overlay_edges = store._overlay_edges
+        self._dirty_colors = frozenset(store.dirty_colors())
         # The attribute table at pin time (values shared, rows copied): the
         # live table mutates under add_node(**attrs) / remove_node.
         self._attrs: Dict[NodeId, Dict[str, Any]] = {
@@ -78,6 +97,9 @@ class StoreSnapshot(GraphStore):
         self.name = f"{graph.name}@v{graph.version}"
         self.version = graph.version
         self.attrs_version = graph.attrs_version
+        #: What the snapshot is a copy *of*: pin tables and version-keyed
+        #: caches file it under this pair.
+        self.version_key = (graph.version, graph.attrs_version)
         self.edges_version = graph.edges_version
         self._color_versions = {c: graph.color_version(c) for c in graph.colors}
         self.colors = frozenset(graph.colors)
@@ -102,6 +124,23 @@ class StoreSnapshot(GraphStore):
 
     def color_version(self, color: str) -> int:
         return self._color_versions.get(color, 0)
+
+    # -- the overlay store's array-path surface (read by OverlayCsrAdapter) ------
+
+    def base(self):
+        """The pinned base :class:`~repro.graph.csr.CompiledGraph`."""
+        return self._base
+
+    def is_clean(self, color: Optional[str] = None) -> bool:
+        """True when the pinned overlay slice holds no change of ``color``
+        (``None``: no change at all), so its reads equal the base arrays'."""
+        if color is None:
+            return self._overlay_edges == 0
+        return color not in self._dirty_colors
+
+    def in_base(self, node: NodeId) -> bool:
+        """True when ``node`` has an index in the pinned base."""
+        return self._base.has_node(node)
 
     # -- merged reads (mirroring OverlayCsrStore, minus sync) --------------------
 
@@ -210,8 +249,9 @@ class StoreSnapshot(GraphStore):
 class SnapshotGraph:
     """A read-only :class:`DataGraph` facade over one :class:`StoreSnapshot`.
 
-    Duck-typed to the surface the dict-engine evaluation stack reads
-    (:class:`~repro.storage.adapter.DictEngineAdapter`, the general-regex
+    Duck-typed to the surface the evaluation stack reads
+    (:class:`~repro.storage.adapter.DictEngineAdapter` and
+    :class:`~repro.storage.adapter.OverlayCsrAdapter`, the general-regex
     NFA-product evaluator and :func:`~repro.graph.stats.compute_stats`):
     node iteration, attribute views, merged adjacency and the version
     counters — all frozen at the pinned version, so every matcher memo keyed
@@ -228,6 +268,11 @@ class SnapshotGraph:
     @property
     def store(self) -> StoreSnapshot:
         """The pinned snapshot (closures and frontier expansion read here)."""
+        return self._snapshot
+
+    def overlay_store(self) -> StoreSnapshot:
+        """The pinned snapshot again, under the name a ``csr`` matcher's
+        storage adapter asks a graph for its overlay store by."""
         return self._snapshot
 
     # -- frozen version counters -------------------------------------------------

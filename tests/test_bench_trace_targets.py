@@ -58,3 +58,44 @@ def test_session_reaches_the_traced_layers_through_patchable_names():
                 assert vars(session).get(attribute) is original, attribute
             else:
                 assert original in session._PQ_ALGORITHMS.values(), attribute
+
+
+def test_pinned_read_on_auto_session_reaches_traced_kernels_and_overlay_adapter():
+    """Served reads run on the CSR array path: with the tracer installed as
+    ``bench/run.py --trace 1`` installs it, one pinned read on an ``auto``
+    session of 64+ nodes must record array-kernel spans nested in spans of an
+    ``OverlayCsrAdapter`` method, nested in ``SessionSnapshot.execute`` — or
+    ``kernels.calls_per_op`` and ``storage.adapter_*`` go blind to them."""
+    from repro.datasets.youtube import generate_youtube_graph
+    from repro.query.rq import ReachabilityQuery
+    from repro.session.session import GraphSession
+    from repro.storage.adapter import OverlayCsrAdapter
+
+    overlay_methods = [
+        methods for _, cls, methods in trace._METHODS["storage.adapter"] if cls == "OverlayCsrAdapter"
+    ]
+    assert overlay_methods == [None]  # every public method of the class is wrapped
+
+    session = GraphSession(generate_youtube_graph(num_nodes=150, num_edges=500, seed=7))
+    tracer = trace.Tracer()
+    with trace.installed(tracer):
+        # The wrappers sit in the class's own vars(), where the matcher finds them.
+        assert hasattr(vars(OverlayCsrAdapter)["query_pairs"], "__wrapped__")
+        with session.pin() as snapshot:
+            result = snapshot.execute(ReachabilityQuery("cat = 'Comedy'", "cat = 'Music'", "fc.sr^+"))
+            adapter = snapshot._state.matcher("csr")._adapter
+    assert result.engine == "csr" and result.answer.pairs
+    assert type(adapter) is OverlayCsrAdapter
+
+    def ancestors(index):
+        parent = tracer.spans[index][3]
+        while parent >= 0:
+            yield tracer.spans[parent][0]
+            parent = tracer.spans[parent][3]
+
+    kernel_spans = [i for i, span in enumerate(tracer.spans) if span[0] == "kernels.array"]
+    assert kernel_spans
+    for index in kernel_spans:
+        chain = list(ancestors(index))
+        assert "storage.adapter" in chain and "session.execute" in chain, chain
+    assert not [span for span in tracer.spans if span[0] == "kernels.generic_bfs"]

@@ -8,6 +8,7 @@ status codes are all under test.
 
 import http.client
 import json
+import sys
 import threading
 import time
 
@@ -22,6 +23,7 @@ from repro.query.pq import PatternQuery
 from repro.query.rq import ReachabilityQuery
 from repro.service import GraphService, ServiceClient, ServiceConfig
 from repro.service.client import ServiceCallError
+from repro.service.loadgen import _normalise, _Observation, build_update_plan, verify_observations
 from repro.session.session import GraphSession
 
 RQ = ReachabilityQuery("cat = 'Comedy'", "cat = 'Music'", "fc.sr^+")
@@ -291,3 +293,147 @@ class TestConcurrentReaders:
         with ServiceClient(*handle.address) as c:
             store = c.stats()["store"]
             assert store.get("pinned_snapshots", 0) == 0
+
+
+# -- one read state per version, executed from several worker threads --------------
+
+_CATEGORIES = ("Comedy", "Music", "Sports", "Entertainment")
+_COLORS = ("fc", "fr", "sc", "sr")
+
+
+def _client_probes(index):
+    """Three queries (RQ, PQ, general RQ) no other client sends."""
+    source = f"cat = '{_CATEGORIES[index % 4]}'"
+    target = f"cat = '{_CATEGORIES[(index + 1 + index // 4) % 4]}'"
+    first, second = _COLORS[index % 4], _COLORS[(index + 1 + index // 4) % 4]
+    pattern = PatternQuery(name=f"client{index}")
+    pattern.add_node("A", source)
+    pattern.add_node("B", target)
+    pattern.add_edge("A", "B", f"{first}^2.{second}^+")
+    return [
+        ("rq", ReachabilityQuery(source, target, f"{first}.{second}^{2 + index % 2}")),
+        ("pq", pattern),
+        ("general_rq", GeneralReachabilityQuery(source, target, f"{first}.({second}|{first})")),
+    ]
+
+
+class TestSharedReadStateUnderConcurrency:
+    def test_eight_clients_four_workers_replay_verified(self, graph):
+        """Batches of one version run on different worker threads against one
+        shared read state (store snapshot, facade, csr matcher): every answer
+        must equal from-scratch evaluation at the version it was served for —
+        first with the version standing still, then while a writer moves it."""
+        initial = graph.copy()
+        session = GraphSession(graph)  # 150 nodes: auto plans csr
+        service = GraphService(session, ServiceConfig(port=0, read_concurrency=4, batch_max=2))
+        handle = service.run_in_thread()
+        clients = 8
+        probes = [probe for index in range(clients) for probe in _client_probes(index)]
+        observations, update_log, errors = [], [], []
+        lock = threading.Lock()
+        writing = threading.Event()
+
+        def read(index, rounds, until=None):
+            mine = range(3 * index, 3 * index + 3)
+            try:
+                with ServiceClient(*handle.address, timeout=30.0) as c:
+                    done = 0
+                    while done < rounds or (until is not None and not until.is_set()):
+                        done += 1
+                        for probe_index in mine:
+                            kind, query = probes[probe_index]
+                            version, answer = c.query(query)
+                            with lock:
+                                observations.append(
+                                    _Observation(version, probe_index, _normalise(kind, answer))
+                                )
+            except Exception as exc:  # noqa: BLE001 - surfaced by the assert below
+                errors.append(exc)
+
+        def write():
+            try:
+                with ServiceClient(*handle.address, timeout=30.0) as c:
+                    for batch in build_update_plan(initial, batches=6, seed=11):
+                        version, _ = c.update(batch)
+                        update_log.append((version, batch))
+                        time.sleep(0.02)
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+            finally:
+                writing.set()
+
+        def run(threads):
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+                assert not thread.is_alive()
+
+        try:
+            with ServiceClient(*handle.address) as control:
+                initial_version = int(control.health()["version"])
+            # Phase 1: one version, so all four workers share one read state.
+            run([threading.Thread(target=read, args=(index, 2)) for index in range(clients)])
+            assert {obs.version for obs in observations} == {initial_version}
+            store = graph.overlay_store().overlay_stats()
+            assert store["snapshots_built"] == 1 and store["snapshots_pinned"] >= clients
+            # Phase 2: the same readers while a writer moves the version.
+            run(
+                [threading.Thread(target=write)]
+                + [threading.Thread(target=read, args=(index, 1, writing)) for index in range(clients)]
+            )
+            assert not errors
+            assert len({obs.version for obs in observations}) >= 2
+            assert verify_observations(initial, initial_version, update_log, probes, observations) == []
+            with ServiceClient(*handle.address) as control:
+                stats = control.stats()
+            assert stats["service"]["errors"] == 0
+            assert stats["service"]["inflight"] == 0
+            assert stats["store"]["pinned_snapshots"] == 0
+            assert stats["store"]["snapshots_built"] <= 1 + len(update_log)
+            assert any(key.startswith("general_rq/") for key in stats["session"]["plans_chosen"])
+        finally:
+            handle.shutdown()
+
+    def test_two_snapshots_of_one_version_from_two_threads(self, graph):
+        """Two pins of one version share matchers and CSR-engine memos; run
+        from two threads at once (short switch interval) they must still give
+        the oracle's answers — the read state's lock keeps its LRUs whole."""
+        session = GraphSession(graph, cache_capacity=32)  # small LRUs: evictions interleave
+        queries = [probe for index in range(4) for probe in _client_probes(index)]
+        oracle = GraphSession(graph.copy(), engine="dict")
+        expected = [_normalise(kind, oracle.execute(query).answer) for kind, query in queries]
+        first, second = session.pin(), session.pin()
+        assert first.store is second.store
+        outcomes, errors = {}, []
+
+        def run(name, snapshot, order):
+            try:
+                for _ in range(3):
+                    for index in order:
+                        kind, query = queries[index]
+                        result = snapshot.execute(query)
+                        outcomes[(name, index)] = _normalise(kind, result.answer)
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=run, args=("first", first, range(len(queries)))),
+                threading.Thread(target=run, args=("second", second, range(len(queries) - 1, -1, -1))),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            first.release()
+            second.release()
+        assert not errors
+        for name in ("first", "second"):
+            assert [outcomes[(name, index)] for index in range(len(queries))] == expected
+        assert graph.overlay_store().overlay_stats()["pinned_snapshots"] == 0

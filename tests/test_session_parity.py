@@ -188,13 +188,13 @@ def test_property_watch_parity_under_updates(case, updates):
 _SESSION_SOURCES = Path(__file__).resolve().parents[1] / "src" / "repro" / "session"
 
 
-def _ring_graph():
+def _ring_graph(size=8):
     graph = DataGraph(name="pipeline-parity")
-    for index in range(8):
+    for index in range(size):
         graph.add_node(f"n{index}", group=f"g{index % 2}")
-    for index in range(8):
-        graph.add_edge(f"n{index}", f"n{(index + 1) % 8}", "ab"[index % 2])
-        graph.add_edge(f"n{index}", f"n{(index + 3) % 8}", "b")
+    for index in range(size):
+        graph.add_edge(f"n{index}", f"n{(index + 1) % size}", "ab"[index % 2])
+        graph.add_edge(f"n{index}", f"n{(index + 3) % size}", "b")
     return graph
 
 
@@ -251,6 +251,27 @@ def test_live_and_pinned_envelopes_agree():
         assert view["engine"] == "dict"
         assert view["cache_stats"]  # the executing matcher's counters, pruned plans too
     assert live_views[-1]["plan"][2] and live_views[-1]["answer"] == frozenset()
+
+
+def test_live_and_pinned_envelopes_agree_on_the_array_path():
+    """The same comparison on ``auto`` sessions of a graph large enough to
+    plan ``csr``: a pin now runs what the live session runs, and says so."""
+    queries = _pipeline_queries()
+    live = GraphSession(_ring_graph(72))
+    live_results = [live.execute(query) for query, _ in queries]
+    with GraphSession(_ring_graph(72)).pin() as snapshot:
+        pinned_results = [snapshot.execute(query) for query, _ in queries]
+    live_views = [_envelope_view(result) for result in live_results]
+    assert live_views == [_envelope_view(result) for result in pinned_results]
+    assert [view["cache_decision"] for view in live_views] == [d for _, d in queries]
+    for live_result, pinned_result in zip(live_results, pinned_results):
+        # Only the plan pruned without evaluation has no engine to name.
+        expected = "dict" if live_result.plan.unsatisfiable else "csr"
+        for result in (live_result, pinned_result):
+            assert result.engine == result.plan.engine == expected
+            assert f"engine={expected}" in result.plan.explain()
+            assert result.to_dict()["engine"] == expected  # the wire envelope's label
+    assert live_views[0]["answer"]  # the ring does have a.b^2.b paths
 
 
 def _call_sites(needle):

@@ -8,17 +8,24 @@ The MVCC contract under test (storage + session layers):
 * :meth:`GraphSession.pin` wraps that into a :class:`SessionSnapshot` whose
   ``execute`` equals from-scratch evaluation of the graph as it stood at
   pin time, for every query kind;
-* pins are refcounted and release cleanly (no leaked registry entries).
+* pins are refcounted and release cleanly (no leaked registry entries);
+* pins of one ``(version, attrs_version)`` share one read state — store
+  snapshot, facade, matchers — that the session keeps between pins while the
+  version stands and lets go of once it has moved; on ``auto`` sessions of
+  64+ nodes that state evaluates on the CSR array path *through the pin*.
 
-The hypothesis suite drives random update streams with pins taken at random
+The hypothesis suites drive random update streams with pins taken at random
 points (and forced compactions in between); each pinned snapshot must keep
-answering like the deep copy taken at its pin instant.  The threaded test
+answering like the deep copy taken at its pin instant.  The array-path suite
+also overwrites attributes of existing nodes and creates nodes after a pin.  The threaded test
 replays the loadgen verification in-process: concurrent pinned readers
 against one writer, verified post hoc against update-log reconstruction.
 """
 
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -237,6 +244,221 @@ class TestHypothesisIsolation:
         finally:
             for snapshot, _ in snapshots:
                 snapshot.release()
+
+
+# -- the per-version read state, on the CSR array path -----------------------------
+
+#: Enough nodes for an ``auto`` session to plan ``csr`` (SMALL_GRAPH_NODES = 64).
+N_BIG = 72
+#: Updates draw their endpoints here, so random edges actually form paths;
+#: indices from N_BIG on name nodes that do not exist before the update.
+N_ACTIVE = 10
+
+PATTERN = _pattern()
+
+
+def big_graph(edges=()):
+    """``N_BIG`` attributed nodes on an a/b ring, plus ``edges``."""
+    graph = DataGraph(name="iso-big")
+    for index in range(N_BIG):
+        graph.add_node(f"n{index}", group=f"g{index % 2}")
+    for index in range(N_BIG):
+        graph.add_edge(f"n{index}", f"n{(index + 1) % N_BIG}", COLORS[index % 2])
+    for source, target, color in edges:
+        graph.add_edge(f"n{source}", f"n{target}", color)
+    return graph
+
+
+def oracle_answers(graph):
+    """Dict-engine answers of the three query kinds on a deep copy taken now."""
+    frozen = graph.copy()
+    return (
+        evaluate_rq(RQ, frozen, matcher=PathMatcher(frozen)).pairs,
+        join_match(PATTERN, frozen, matcher=PathMatcher(frozen)),
+        evaluate_general_rq(GRQ, frozen, engine="dict").pairs,
+    )
+
+
+def assert_pin_answers(snapshot, expected):
+    rq_pairs, pattern_result, grq_pairs = expected
+    result = snapshot.execute(RQ)
+    assert result.engine == "csr" and result.answer.pairs == rq_pairs
+    result = snapshot.execute(PATTERN)
+    assert result.engine == "csr" and result.answer.same_matches(pattern_result)
+    result = snapshot.execute(GRQ)
+    # The NFA product needs whole CSR layers: the array path while the
+    # pinned overlay is empty, the facade (and an honest label) otherwise.
+    assert result.engine == ("csr" if snapshot.store.is_clean(None) else "dict")
+    assert result.plan.engine == result.engine
+    assert result.answer.pairs == grq_pairs
+
+
+active_node_st = st.integers(0, N_ACTIVE - 1)
+#: Edge endpoints: mostly the active nodes, sometimes a node created by the edge.
+endpoint_st = st.one_of(active_node_st, active_node_st, st.integers(N_BIG, N_BIG + 2))
+mixed_update_st = st.one_of(
+    st.tuples(st.just("add"), endpoint_st, endpoint_st, st.sampled_from(COLORS)),
+    st.tuples(st.just("remove"), active_node_st, active_node_st, st.sampled_from(COLORS)),
+    # Overwrite an existing node's attributes (bumps attrs_version only) ...
+    st.tuples(st.just("attrs"), active_node_st, st.sampled_from(["g0", "g1"])),
+    # ... or create an attributed node (a no-op overwrite if it exists by now).
+    st.tuples(st.just("node"), st.integers(N_BIG, N_BIG + 4), st.sampled_from(["g0", "g1"])),
+)
+
+
+def apply_mixed(session, update):
+    if update[0] in ("add", "remove"):
+        op, source, target, color = update
+        session.apply_updates([(op, f"n{source}", f"n{target}", color)])
+    else:
+        _, node, group = update
+        session.add_node(f"n{node}", group=group)
+
+
+class TestReadStatePerVersion:
+    def test_n_pins_build_one_snapshot_and_an_update_builds_one_more(self):
+        session = GraphSession(tiny_graph([(0, 1, "a"), (1, 2, "b")]))
+        store = session.graph.overlay_store()
+
+        def built_pinned_held():
+            stats = store.overlay_stats()
+            return stats["snapshots_built"], stats["snapshots_pinned"], stats["pinned_snapshots"]
+
+        with session.pin() as first, session.pin() as second:
+            assert first.store is second.store and first.graph is second.graph
+            assert built_pinned_held() == (1, 2, 1)
+        # Nobody holds a pin: the store's table is empty, yet later pins of
+        # the unchanged version still cost no copy.
+        assert built_pinned_held() == (1, 2, 0)
+        for _ in range(3):
+            with session.pin() as again:
+                assert again.store is first.store
+        assert built_pinned_held() == (1, 5, 0)
+        session.apply_updates([("add", "n2", "n3", "b")])
+        with session.pin() as moved, session.pin() as moved_again:
+            assert moved.store is moved_again.store is not first.store
+            assert built_pinned_held() == (2, 7, 1)
+        # An attribute overwrite alone is a new version pair too.
+        session.add_node("n3", group="g0")
+        with session.pin() as reattributed:
+            assert reattributed.store is not moved.store
+            assert reattributed.graph.get_attribute("n3", "group") == "g0"
+            assert moved.graph.get_attribute("n3", "group") == "g1"
+        assert built_pinned_held() == (3, 8, 0)
+
+    def test_stale_attribute_pin_is_not_shared_while_held(self):
+        """Pins are keyed by (version, attrs_version): an attribute overwrite
+        bumps only the second, and must not hand out the older snapshot."""
+        session = GraphSession(tiny_graph([(0, 1, "a"), (1, 3, "b")]))
+        with session.pin() as before:
+            assert ("n0", "n3") in before.execute(RQ).answer.pairs
+            session.add_node("n3", group="g0")  # n3 leaves the target set
+            with session.pin() as after:
+                assert after.store is not before.store
+                assert ("n0", "n3") not in after.execute(RQ).answer.pairs
+            assert ("n0", "n3") in before.execute(RQ).answer.pairs
+        assert session.graph.overlay_store().overlay_stats()["pinned_snapshots"] == 0
+
+    def test_old_state_outlives_update_and_compaction_then_is_collectable(self):
+        graph = big_graph([(0, 2, "a"), (2, 5, "b")])
+        session = GraphSession(graph)
+        store = graph.overlay_store()
+        old = session.pin()
+        expected_old = oracle_answers(graph)
+        assert_pin_answers(old, expected_old)
+        old_store = weakref.ref(old.store)
+
+        session.apply_updates([("add", "n5", "n7", "b"), ("remove", "n0", "n2", "a")])
+        store.compact()
+        expected_new = oracle_answers(graph)
+        first, second = session.pin(), session.pin()
+        assert first.store is second.store is not old.store
+        assert_pin_answers(first, expected_new)
+        assert_pin_answers(second, expected_new)
+        assert_pin_answers(old, expected_old)  # across the update and the compaction
+
+        for snapshot in (old, first, second):
+            snapshot.release()
+        assert store.overlay_stats()["pinned_snapshots"] == 0
+        del old, snapshot
+        gc.collect()
+        assert old_store() is None  # nothing retains the superseded state
+        assert session._read_state_memo.store is first.store  # the current one is kept
+
+    def test_last_release_after_the_version_moved_drops_the_state(self):
+        session = GraphSession(tiny_graph([(0, 1, "a")]))
+        snapshot = session.pin()
+        pinned_store = weakref.ref(snapshot.store)
+        snapshot.release()
+        assert session._read_state_memo is not None  # version stands: kept for the next pin
+        snapshot = session.pin()
+        assert snapshot.store is pinned_store()
+        session.apply_updates([("add", "n1", "n2", "b")])
+        snapshot.release()
+        assert session._read_state_memo is None
+        del snapshot
+        gc.collect()
+        assert pinned_store() is None
+
+    def test_override_validation_matches_what_a_pin_can_run(self):
+        from repro.exceptions import QueryError
+
+        # No semantic cache: a cached answer keeps the label of the engine
+        # that evaluated it, and every override here should evaluate.
+        session = GraphSession(tiny_graph([(0, 1, "a"), (1, 3, "b")]), semantic_cache_capacity=0)
+        with session.pin() as snap:
+            expected = snap.execute(RQ).answer.pairs
+            for engine, label in (("auto", "dict"), ("dict", "dict"), ("csr", "csr")):
+                result = snap.execute(RQ, engine=engine)
+                assert (result.engine, result.plan.engine) == (label, label)
+                assert result.answer.pairs == expected
+            with pytest.raises(QueryError, match="partitioned store keeps no snapshots"):
+                snap.execute(RQ, engine="partitioned")
+            with pytest.raises(QueryError, match="matrix evaluation is unavailable"):
+                snap.execute(RQ, method="matrix")
+
+    @pytest.mark.parametrize("engine, expected", [("dict", "dict"), ("partitioned", "dict"), ("csr", "csr")])
+    def test_pins_follow_the_sessions_engine_preference(self, engine, expected):
+        session = GraphSession(big_graph([(0, 2, "a"), (2, 5, "b")]), engine=engine)
+        with session.pin() as snap:
+            result = snap.execute(RQ)
+            assert result.engine == expected
+            assert f"engine={expected}" in result.plan.explain()
+
+
+class TestHypothesisArrayPathIsolation:
+    @given(
+        initial=st.lists(
+            st.tuples(active_node_st, active_node_st, st.sampled_from(COLORS)), max_size=12
+        ),
+        rounds=st.lists(st.lists(mixed_update_st, min_size=1, max_size=4), min_size=1, max_size=5),
+        compact_after=st.sets(st.integers(0, 4)),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_csr_pins_frozen_under_edges_attributes_and_new_nodes(
+        self, initial, rounds, compact_after
+    ):
+        """RQ, PQ and general RQ on every pin of an ``auto`` session equal
+        dict evaluation of the deep copy taken at pin time — whatever edge
+        changes, attribute overwrites, node creations and compactions follow."""
+        graph = big_graph(initial)
+        session = GraphSession(graph)
+        pinned = []  # (snapshot, oracle answers at pin time)
+        try:
+            for round_index, batch in enumerate(rounds):
+                for update in batch:
+                    apply_mixed(session, update)
+                pinned.append((session.pin(), oracle_answers(graph)))
+                if round_index in compact_after:
+                    graph.overlay_store().compact()
+                for snapshot, expected in pinned:
+                    assert_pin_answers(snapshot, expected)
+        finally:
+            for snapshot, _ in pinned:
+                snapshot.release()
+        stats = graph.overlay_store().overlay_stats()
+        assert stats["pinned_snapshots"] == 0
+        assert stats["snapshots_built"] <= len(rounds)
 
 
 class TestConcurrentPinnedReaders:

@@ -67,14 +67,6 @@ class LruCache:
             self._store.popitem(last=False)
             self.evictions += 1
 
-    def peek(self, key: Hashable, default: Any = None) -> Any:
-        """Look up ``key`` without touching recency or hit/miss statistics.
-
-        Used when consulting a *retired* cache (e.g. a donor from a previous
-        CSR snapshot) whose stats no longer describe live traffic.
-        """
-        return self._store.get(key, default)
-
     def __contains__(self, key: Hashable) -> bool:
         return key in self._store
 

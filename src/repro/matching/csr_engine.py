@@ -23,15 +23,21 @@ pipeline.  It operates entirely in the dense integer index space of a
   a :class:`~repro.regex.nfa.LazyDfa` over the graph's colour alphabet is
   walked in product with the CSR layers.
 
-Results are translated back to original node ids only at the very end, in
-:meth:`CsrEngine.evaluate`.
+Results stay in index space: the storage adapter
+(:class:`~repro.storage.adapter.OverlayCsrAdapter`) translates them back to
+original node ids once, at the very end.
+
+Both memos are valid for one reason: the engine is bound to one immutable
+:class:`~repro.graph.csr.CompiledGraph`, and its owner
+(:meth:`OverlayCsrAdapter.engine_handle`) replaces the engine — memos and all —
+whenever the store's base is a different object.  A compaction therefore
+starts the next engine cold.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.exceptions import EvaluationError
 from repro.graph.csr import ANY_COLOR, CompiledGraph
 from repro.kernels import closure_frontier, expand_frontier
 from repro.matching.cache import (
@@ -44,12 +50,7 @@ from repro.query.canonical import canonical_regex
 from repro.regex.fclass import FRegex, RegexAtom
 from repro.regex.nfa import LazyDfa, Nfa
 
-NodeId = Hashable
 IndexPair = Tuple[int, int]
-NodePair = Tuple[NodeId, NodeId]
-
-#: Query evaluation strategies the engine understands.
-METHODS = ("bidirectional", "bfs")
 
 
 class CsrEngine:
@@ -67,7 +68,6 @@ class CsrEngine:
         self,
         compiled: CompiledGraph,
         cache_capacity: Optional[int] = DEFAULT_SEARCH_CACHE_CAPACITY,
-        donor: Optional["CsrEngine"] = None,
     ):
         self.compiled = compiled
         self._cache = LruCache(cache_capacity)
@@ -79,90 +79,6 @@ class CsrEngine:
             if cache_capacity is None
             else min(cache_capacity, SET_FRONTIER_CACHE_CAPACITY)
         )
-        #: Entries promoted from the donor's caches (still-valid warm state).
-        self.promoted = 0
-        self._donor_cache: Optional[LruCache] = None
-        self._donor_set_cache: Optional[LruCache] = None
-        self._donor_untouched: frozenset = frozenset()
-        self._donor_same_edges = False
-        self._donor_old_id: Dict[int, int] = {}
-        self._donor_regex_ok: Dict[FRegex, bool] = {}
-        if donor is not None:
-            self._install_donor(donor)
-
-    # -- lazy cache migration across snapshot recompiles -------------------------
-
-    def _install_donor(self, donor: "CsrEngine") -> None:
-        """Keep the previous snapshot's caches as a validate-on-lookup donor.
-
-        An entry for colour ``c`` is still valid when the node index space is
-        unchanged (same ``ids`` tuple) and no edge of ``c`` was added or
-        removed since the old snapshot (per-colour edge versions); wildcard /
-        whole-expression entries additionally require the relevant edge set
-        untouched.  Validation happens per *miss* — O(1) per lookup — so a
-        recompile never pays a scan proportional to cache occupancy.  Only
-        one donor generation is kept: the donor's own donor is severed here,
-        bounding both memory and lookup chains.
-        """
-        old_compiled = donor.compiled
-        new_compiled = self.compiled
-        donor._donor_cache = donor._donor_set_cache = None
-        if old_compiled is new_compiled or old_compiled.ids != new_compiled.ids:
-            return
-        self._donor_cache = donor._cache
-        self._donor_set_cache = donor._set_cache
-        self._donor_same_edges = (
-            old_compiled.source_edges_version == new_compiled.source_edges_version
-        )
-        self._donor_untouched = frozenset(
-            color
-            for color in new_compiled.colors
-            if old_compiled.source_color_version(color)
-            == new_compiled.source_color_version(color)
-        )
-        # New colour id -> the donor snapshot's id for the same colour.
-        self._donor_old_id = {}
-        for old_id, color in enumerate(old_compiled.colors):
-            if color in self._donor_untouched:
-                new_id = new_compiled.color_id(color)
-                if new_id is not None:
-                    self._donor_old_id[new_id] = old_id
-
-    def _donor_regex_untouched(self, regex: FRegex) -> bool:
-        """A whole-expression memo stays valid when every colour the
-        expression can traverse is untouched since the donor snapshot."""
-        valid = self._donor_regex_ok.get(regex)
-        if valid is None:
-            valid = (
-                self._donor_same_edges
-                if regex.has_wildcard
-                else self._donor_untouched.issuperset(regex.colors)
-            )
-            self._donor_regex_ok[regex] = valid
-        return valid
-
-    def _donor_atom_entry(
-        self, start: int, color_id: int, bound: Optional[int], reverse: bool
-    ) -> Optional[Tuple[int, ...]]:
-        """A still-valid memoised expansion from the donor, or ``None``."""
-        if self._donor_cache is None:
-            return None
-        if color_id == ANY_COLOR:
-            if not self._donor_same_edges:
-                return None
-            old_id = ANY_COLOR
-        else:
-            old_id = self._donor_old_id.get(color_id)
-            if old_id is None:
-                return None
-        return self._donor_cache.peek((start, old_id, bound, reverse))
-
-    def _donor_expression_entry(self, cache: LruCache, key: Tuple) -> Optional[frozenset]:
-        """A still-valid `"expr"`/`"bwd"`/`"pairs"` entry from the donor."""
-        donor = self._donor_cache if cache is self._cache else self._donor_set_cache
-        if donor is None or not self._donor_regex_untouched(key[1]):
-            return None
-        return donor.peek(key)
 
     # -- per-atom expansion (the hot loop) --------------------------------------
 
@@ -179,12 +95,6 @@ class CsrEngine:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        promoted = self._donor_atom_entry(start, color_id, bound, reverse)
-        if promoted is not None:
-            self._cache.put(key, promoted)
-            self.promoted += 1
-            return promoted
-
         layer = self.compiled.layer(color_id, reverse)
         if not layer.mask[start]:
             self._cache.put(key, ())
@@ -291,11 +201,6 @@ class CsrEngine:
         cached = self._set_cache.get(key)
         if cached is not None:
             return cached
-        promoted = self._donor_expression_entry(self._set_cache, key)
-        if promoted is not None:
-            self._set_cache.put(key, promoted)
-            self.promoted += 1
-            return promoted
         frontier: Iterable[int] = target_set
         for item in reversed(regex.atoms):
             frontier = self.set_sources_indices(frontier, item)
@@ -307,30 +212,26 @@ class CsrEngine:
 
     # -- full expressions (index space) -----------------------------------------
 
-    def targets_from(self, index: int, regex: FRegex) -> FrozenSet[int]:
-        """All indices ``j`` such that ``(index, j)`` matches ``regex``.
+    def _expression(self, index: int, regex: FRegex, reverse: bool) -> FrozenSet[int]:
+        """The whole-expression frontier of ``index``, forwards or backwards.
 
-        Whole-expression frontiers are memoised per ``(index, regex)`` on top
-        of the per-atom memo — repeated sweeps over stable candidate sets
-        (the result-assembly loop of JoinMatch/SplitMatch, re-run per update
-        by the incremental maintainer) collapse to one cache lookup.
+        Memoised per ``(index, regex, direction)`` on top of the per-atom
+        memo — repeated sweeps over stable candidate sets (the
+        result-assembly loop of JoinMatch/SplitMatch, re-run per update by
+        the incremental maintainer) collapse to one cache lookup.
         Language-equal spellings share entries via the canonical form.
         """
         regex = canonical_regex(regex)
-        key = ("expr", regex, index, False)
+        key = ("expr", regex, index, reverse)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        promoted = self._donor_expression_entry(self._cache, key)
-        if promoted is not None:
-            self._cache.put(key, promoted)
-            self.promoted += 1
-            return promoted
+        expand = self.atom_sources if reverse else self.atom_targets
         frontier: Set[int] = {index}
-        for item in regex.atoms:
+        for item in reversed(regex.atoms) if reverse else regex.atoms:
             advanced: Set[int] = set()
             for node in frontier:
-                advanced.update(self.atom_targets(node, item))
+                advanced.update(expand(node, item))
             frontier = advanced
             if not frontier:
                 break
@@ -338,29 +239,13 @@ class CsrEngine:
         self._cache.put(key, result)
         return result
 
+    def targets_from(self, index: int, regex: FRegex) -> FrozenSet[int]:
+        """All indices ``j`` such that ``(index, j)`` matches ``regex``."""
+        return self._expression(index, regex, reverse=False)
+
     def sources_to(self, index: int, regex: FRegex) -> FrozenSet[int]:
         """All indices ``j`` such that ``(j, index)`` matches ``regex``."""
-        regex = canonical_regex(regex)
-        key = ("expr", regex, index, True)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        promoted = self._donor_expression_entry(self._cache, key)
-        if promoted is not None:
-            self._cache.put(key, promoted)
-            self.promoted += 1
-            return promoted
-        frontier: Set[int] = {index}
-        for item in reversed(regex.atoms):
-            advanced: Set[int] = set()
-            for node in frontier:
-                advanced.update(self.atom_sources(node, item))
-            frontier = advanced
-            if not frontier:
-                break
-        result = frozenset(frontier)
-        self._cache.put(key, result)
-        return result
+        return self._expression(index, regex, reverse=True)
 
     def matching_pairs(
         self,
@@ -376,11 +261,6 @@ class CsrEngine:
         cached = self._set_cache.get(key)
         if cached is not None:
             return cached
-        promoted = self._donor_expression_entry(self._set_cache, key)
-        if promoted is not None:
-            self._set_cache.put(key, promoted)
-            self.promoted += 1
-            return promoted
         result = frozenset(
             forward_sweep(self, regex, list(source_indices), target_indices)
         )
@@ -399,20 +279,14 @@ class CsrEngine:
         The RQ counterpart of :meth:`matching_pairs`: repeated executions of
         the same query on an unchanged snapshot (interleaved read/write
         streams re-ask after every irrelevant mutation) collapse to one
-        frozenset hash, and still-valid entries are promoted across snapshot
-        recompiles when no colour the expression can traverse changed.
-        Language-equal spellings share entries via the canonical form.
+        frozenset hash.  Language-equal spellings share entries via the
+        canonical form.
         """
         regex = canonical_regex(regex)
         key = ("qpairs", regex, source_indices, target_indices, method)
         cached = self._set_cache.get(key)
         if cached is not None:
             return cached
-        promoted = self._donor_expression_entry(self._set_cache, key)
-        if promoted is not None:
-            self._set_cache.put(key, promoted)
-            self.promoted += 1
-            return promoted
         if method == "bidirectional":
             pairs = self.bidirectional_pairs(regex, list(source_indices), target_indices)
         else:
@@ -494,37 +368,13 @@ class CsrEngine:
                 frontier = advanced
         return pairs
 
-    # -- query-level entry point -------------------------------------------------
-
-    def candidate_indices(self, query) -> Tuple[List[int], List[int]]:
-        """Compiled attribute-predicate scan for the two endpoint predicates."""
-        return (
-            self.compiled.matching_indices(query.source_predicate),
-            self.compiled.matching_indices(query.target_predicate),
-        )
-
-    def evaluate(self, query, method: str = "bidirectional") -> Set[NodePair]:
-        """Evaluate a :class:`~repro.query.rq.ReachabilityQuery`; id-space pairs."""
-        if method not in METHODS:
-            raise EvaluationError(
-                f"unknown CSR method {method!r}; expected one of {METHODS}"
-            )
-        source_indices, target_indices = self.candidate_indices(query)
-        if not source_indices or not target_indices:
-            return set()
-        if method == "bidirectional":
-            index_pairs = self.bidirectional_pairs(query.regex, source_indices, target_indices)
-        else:
-            index_pairs = self.forward_sweep_pairs(query.regex, source_indices, target_indices)
-        ids = self.compiled.ids
-        return {(ids[a], ids[b]) for a, b in index_pairs}
-
     @property
     def cache_stats(self) -> Dict[str, float]:
-        """Hit-rate statistics of the expansion and set-level caches."""
+        """Hit-rate statistics of the expansion and set-level caches, under
+        the keys :attr:`PathMatcher.cache_stats` reports them by."""
         return {
-            "hit_rate": self._cache.hit_rate,
-            "entries": float(len(self._cache)),
-            "set_hit_rate": self._set_cache.hit_rate,
-            "set_entries": float(len(self._set_cache)),
+            "csr_hit_rate": self._cache.hit_rate,
+            "csr_entries": float(len(self._cache)),
+            "csr_set_hit_rate": self._set_cache.hit_rate,
+            "csr_set_entries": float(len(self._set_cache)),
         }

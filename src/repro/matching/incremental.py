@@ -33,9 +33,10 @@ both engines); the benefit is that updates touch only the affected area.
 
 One :class:`~repro.matching.paths.PathMatcher` is created up front and reused
 across the entire update stream: its caches are version-aware (dict-mode BFS
-memos are tagged with per-colour edge versions, CSR expansions are carried
-into fresh snapshots when their colour is untouched), so warm state survives
-every update that cannot affect it instead of being rebuilt per update.
+memos and dirty-colour CSR frontiers are tagged with per-colour edge versions,
+clean-colour CSR expansions live until the overlay store compacts), so warm
+state survives every update that cannot affect it instead of being rebuilt
+per update.
 """
 
 from __future__ import annotations
@@ -72,31 +73,15 @@ EdgeTriple = Tuple[NodeId, NodeId, str]
 #
 # Pure insertions are maintained without ever touching the compiled snapshot
 # (whose per-update recompile would dominate the delta win): the affected
-# frontiers are small bounded BFS runs straight over the graph's adjacency
-# dicts, with the same block semantics as PathMatcher's dict engine.
+# frontiers are small bounded BFS runs straight over the graph's authoritative
+# adjacency store, whose ``frontier`` is the one block-semantics definition
+# every backend shares (:func:`repro.kernels.bfs_block_frontier`).
 
 
 def _expand_atom(graph: DataGraph, starts: Iterable[NodeId], atom: RegexAtom, reverse: bool) -> Set[NodeId]:
     """Nodes linked to ``starts`` by one non-empty block matching ``atom``."""
     color = None if atom.is_wildcard else atom.color
-    bound = atom.max_count
-    neighbours = graph.predecessors if reverse else graph.successors
-    visited = set(starts)
-    frontier = list(visited)
-    reached: Set[NodeId] = set()
-    depth = 0
-    while frontier and (bound is None or depth < bound):
-        depth += 1
-        advanced: List[NodeId] = []
-        for node in frontier:
-            for nxt in neighbours(node, color):
-                if nxt not in reached:
-                    reached.add(nxt)
-                if nxt not in visited:
-                    visited.add(nxt)
-                    advanced.append(nxt)
-        frontier = advanced
-    return reached
+    return graph.store.frontier(starts, color, atom.max_count, reverse)
 
 
 def _expand_chain(
@@ -272,8 +257,9 @@ class IncrementalPatternMatcher:
         Path-matching engine for the maintained fixpoint: ``"dict"``,
         ``"csr"`` or ``"auto"`` (the default, which picks CSR).  On CSR the
         refinement's set-level reachability checks run as batched flat-array
-        expansions over the graph's compiled snapshot, recompiled per
-        topology change with still-valid memos carried over.
+        expansions over the overlay store's base snapshot; topology changes
+        land in the store's overlay, and a compaction starts the engine's
+        memos cold.
     cache_capacity:
         LRU capacity of the shared matcher's search caches.
     strategy:
@@ -820,8 +806,9 @@ class IncrementalPatternMatcher:
         }
 
     def cache_statistics(self) -> Dict[str, float]:
-        """The shared matcher's cache statistics (hit rates, stale
-        invalidations, CSR entries carried across snapshot recompiles)."""
+        """The shared matcher's cache statistics (hit rates and entry
+        counts of the version-tagged LRUs and the CSR engine's memos, stale
+        invalidations)."""
         return self._matcher.cache_stats
 
     def __repr__(self) -> str:

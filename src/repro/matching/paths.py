@@ -202,20 +202,13 @@ class PathMatcher:
         return self._adapter.memoises_scans
 
     @property
-    def csr_entries_carried(self) -> int:
-        """Memoised CSR expansions that stayed warm across store compactions
-        — validated per lookup against per-colour edge versions and promoted
-        from the retired engine's caches on a hit."""
-        return self._adapter.csr_entries_carried
-
-    @property
     def _csr_engine(self):
         """The CSR engine over the overlay store's current base snapshot.
 
         Exposed for tests and diagnostics; only meaningful on the ``csr``
         engine.  The engine's expansion caches belong to this matcher and
-        honour ``cache_capacity``; the engine is rebuilt (keeping the old
-        caches as a validate-on-lookup donor) only when the store compacts.
+        honour ``cache_capacity``; the engine is replaced, by a cold one,
+        only when the store compacts.
         """
         return self._adapter.engine_handle()
 
@@ -344,12 +337,17 @@ class PathMatcher:
 
     @property
     def cache_stats(self) -> Dict[str, float]:
-        """Hit-rate statistics of the two LRU caches (search mode only).
+        """Hit-rate statistics of the matcher's memos (search mode only).
 
-        A lookup that finds an entry whose version tag is stale still counts
-        as an LRU hit; ``stale_invalidations`` counts how many of those were
-        discarded and recomputed.  ``csr_entries_carried`` counts memoised
-        CSR expansions migrated into fresh bases across store compactions.
+        ``forward_*`` / ``backward_*`` describe the two version-tagged LRU
+        caches (the dict and partitioned engines' BFS memos; on ``csr`` the
+        dirty-colour frontiers).  A lookup that finds an entry whose version
+        tag is stale still counts as an LRU hit; ``stale_invalidations``
+        counts how many of those were discarded and recomputed.  ``csr_*``
+        describe the CSR engine's expansion memo and ``csr_set_*`` its
+        set-level memo — where a ``csr`` matcher's clean-colour lookups go;
+        0.0 on the other engines and until a clean-colour read built the
+        engine.
         """
         return {
             "forward_hit_rate": self._forward_cache.hit_rate,
@@ -357,5 +355,5 @@ class PathMatcher:
             "forward_entries": float(len(self._forward_cache)),
             "backward_entries": float(len(self._backward_cache)),
             "stale_invalidations": float(self.stale_invalidations),
-            "csr_entries_carried": float(self.csr_entries_carried),
+            **self._adapter.engine_stats,
         }

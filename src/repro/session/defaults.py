@@ -131,11 +131,6 @@ SEMANTIC_CACHE_SCAN_LIMIT = 32
 #: needs no per-pair path checks, has no such cap).
 SEMANTIC_CACHE_VERIFY_LIMIT = 4096
 
-#: Bounded memo of (canonical query, version pair) -> plan decisions kept by
-#: a session.  Plans are tiny; the bound only guards a pathological stream of
-#: distinct queries.
-PLAN_MEMO_CAPACITY = 256
-
 # -- partitioned-store defaults -------------------------------------------------
 #
 # Knobs of the vertex-partitioned store (repro.storage.partition) and the

@@ -57,7 +57,6 @@ from repro.session.defaults import (
     DEFAULT_SEMANTIC_CACHE_CAPACITY,
     DEFAULT_SESSION_REGISTRY_CAPACITY,
     ENGINES,
-    PLAN_MEMO_CAPACITY,
 )
 from repro.session.planner import QueryPlan, plan_query, with_cache_decision
 from repro.session.result import QueryResult
@@ -103,7 +102,7 @@ class PreparedQuery:
 
     def replan(self) -> QueryPlan:
         """Re-run the cost model against the graph's *current* statistics."""
-        self.plan = self.session._plan_for(self.query, self.canonical, self._overrides)
+        self.plan = self.session._plan(self.query, self._overrides)
         self._plan_key = self.session._version_key()
         self._memo_key = None
         self._memo_answer = None
@@ -561,7 +560,9 @@ class GraphSession:
         :class:`~repro.storage.overlay.OverlayCsrStore` folds its overlay
         into a fresh CSR base.  ``None`` keeps the store's policy
         (:data:`~repro.session.defaults.OVERLAY_COMPACTION_FRACTION` for a
-        fresh store); an explicit value configures the store eagerly.
+        fresh store); an explicit value configures the store eagerly.  Every
+        compaction starts the CSR engine's memos cold, so ``0.0`` (compact on
+        every mutation) re-warms the engine after every mutation.
     semantic_cache_capacity:
         Entry capacity of the session's
         :class:`~repro.session.semantic_cache.SemanticCache` (``0``
@@ -621,8 +622,8 @@ class GraphSession:
         self._read_state_memo: Optional[_ReadState] = None
         self._watches: List[SessionWatch] = []
         # The semantic result cache (shared with pinned snapshots and, via
-        # the service layer, across clients) and the canonical-keyed plan
-        # memo — two equivalent queries plan once and share warm answers.
+        # the service layer, across clients): equivalent queries share warm
+        # answers.
         self.semantic_cache = SemanticCache(
             capacity=(
                 DEFAULT_SEMANTIC_CACHE_CAPACITY
@@ -630,13 +631,11 @@ class GraphSession:
                 else semantic_cache_capacity
             )
         )
-        self._plan_memo = LruCache(PLAN_MEMO_CAPACITY)
         # Counters (surfaced by .counters()).
         self.prepared_queries = 0
         self.executed_queries = 0
         self.result_cache_hits = 0
         self.updates_applied = 0
-        self.plan_memo_hits = 0
         self.plans_chosen: Counter = Counter()
 
     # -- warm state --------------------------------------------------------------
@@ -773,49 +772,6 @@ class GraphSession:
             overlay_stats=overlay_stats,
         )
 
-    @staticmethod
-    def _plan_reusable_for(plan: QueryPlan, query: Any) -> bool:
-        """Whether a canonical-key memoised plan is safe for ``query``.
-
-        Equivalent queries share every planner decision except one:
-        bounded simulation is only exact when *this* query's edges are all
-        single wildcard atoms — an equivalent spelling may carry a redundant
-        multi-atom edge the minimised form dropped.
-        """
-        if plan.kind != "pq" or plan.algorithm != "bounded-simulation":
-            return True
-        edges = list(query.edges())
-        return bool(edges) and all(
-            edge.regex.num_atoms == 1 and edge.regex.atoms[0].is_wildcard
-            for edge in edges
-        )
-
-    def _plan_for(
-        self, query: Any, canonical: Optional[CanonicalQuery], overrides: Dict[str, Any]
-    ) -> QueryPlan:
-        """Plan through the canonical-keyed memo (falls back to planning).
-
-        Keyed on the graph version, matrix freshness, the query's canonical
-        cache key and the caller overrides — so two equivalent queries (the
-        near-duplicate streams the serving layer sees) run the cost model
-        once per graph version.
-        """
-        if canonical is None:
-            return self._plan(query, overrides)
-        memo_key = (
-            self._version_key(),
-            self._matrix_is_fresh(),
-            canonical.key,
-            tuple(sorted(overrides.items())),
-        )
-        plan = self._plan_memo.get(memo_key)
-        if plan is not None and self._plan_reusable_for(plan, query):
-            self.plan_memo_hits += 1
-            return plan
-        plan = self._plan(query, overrides)
-        self._plan_memo.put(memo_key, plan)
-        return plan
-
     def prepare(
         self,
         query: Any,
@@ -849,7 +805,7 @@ class GraphSession:
                 # Unplannable objects fall through to the planner, which
                 # raises its own (kind-enumerating) error below.
                 canonical = None
-            plan = self._plan_for(query, canonical, overrides)
+            plan = self._plan(query, overrides)
             if canonical is not None and not plan.unsatisfiable:
                 # Annotate the plan with the cache decision as it stands
                 # now, so explain() tells the whole story; execution
@@ -1019,7 +975,6 @@ class GraphSession:
             "updates_applied": self.updates_applied,
             "watches": len(self._watches),
             "plans_chosen": dict(self.plans_chosen),
-            "plan_memo_hits": self.plan_memo_hits,
             "semantic_cache": self.semantic_cache.stats(),
         }
 

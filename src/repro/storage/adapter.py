@@ -1,9 +1,8 @@
 """Storage adapters: the one place that branches on the evaluation backend.
 
 :class:`~repro.matching.paths.PathMatcher` exposes the expansion surface the
-RQ/PQ fixpoints drive (``atom_targets`` … ``edge_pairs``).  Every method used
-to branch on ``engine == "csr"`` inline; those branches now live here, behind
-three adapters sharing one interface:
+RQ/PQ fixpoints drive (``atom_targets`` … ``edge_pairs``) and delegates every
+method of it to one of three adapters sharing that interface:
 
 * :class:`DictEngineAdapter` — expansion over the authoritative
   :class:`~repro.storage.dict_store.DictStore` (or the caller's distance
@@ -11,13 +10,26 @@ three adapters sharing one interface:
 * :class:`OverlayCsrAdapter` — expansion through the graph's
   :class:`~repro.storage.overlay.OverlayCsrStore`: colours untouched since
   the base snapshot run on the memoised flat-array
-  :class:`~repro.matching.csr_engine.CsrEngine` (rebuilt, with donor cache
-  promotion, only when the store compacts), dirty colours run as merged
-  read-through frontiers with per-colour version-tagged memos;
+  :class:`~repro.matching.csr_engine.CsrEngine` (replaced by a cold one when
+  the store compacts), dirty colours run as merged read-through frontiers
+  with per-colour version-tagged memos;
 * :class:`PartitionedAdapter` — expansion through the graph's sharded
   :class:`~repro.storage.partition.PartitionedStore`: every frontier is a
   cross-shard exchange over per-shard CSR kernels, memoised under the same
   per-colour version tags as the dict engine.
+
+What they share is written once, in two private bases: the version-tagged
+memo, the atom-by-atom fold and the search-method choice (:class:`_Adapter`),
+and expansion through any store's ``frontier`` (:class:`_StoreAdapter` — all
+of the partitioned adapter, the dirty-colour half of the overlay one).  Each
+public method is still *defined on each adapter class itself*, if only as a
+one-line call of the shared helper: the benchmark's tracer wraps the public
+functions it finds in a class's own ``vars()``.  Every memo here is valid for
+one of two reasons: its version tag is compared on lookup
+(:meth:`_Adapter._tagged`; :meth:`DictEngineAdapter.positive_distances` has
+the depth-reusing variant), or it belongs to a ``CsrEngine`` bound to one
+immutable base, which :meth:`OverlayCsrAdapter.engine_handle` replaces when
+the store's base is a different object.
 
 The adapters are deliberately the *only* modules that know both worlds; the
 fixpoint bodies above them are engine-free (asserted by
@@ -26,7 +38,7 @@ fixpoint bodies above them are engine-free (asserted by
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Optional, Set, Tuple
 
 from repro.exceptions import GraphError
 from repro.storage.base import scan_nodes
@@ -43,7 +55,84 @@ def make_adapter(matcher):
     return DictEngineAdapter(matcher)
 
 
-class DictEngineAdapter:
+def _fold_atoms(frontier: Set[NodeId], atoms: Iterable, step: Callable) -> Set[NodeId]:
+    """Advance ``frontier`` through ``atoms``, one non-empty block per atom
+    (``step`` is a set-level one-atom expansion); an empty frontier ends it."""
+    for item in atoms:
+        frontier = step(frontier, item)
+        if not frontier:
+            break
+    return frontier
+
+
+class _Adapter:
+    """What every adapter shares, over the matcher's graph and one store."""
+
+    #: No snapshot to memoise predicate scans on: the live attribute table is
+    #: scanned per call, and callers restrict scans to their affected area.
+    memoises_scans = False
+
+    def __init__(self, matcher, store):
+        self.matcher = matcher
+        self.store = store
+
+    @property
+    def engine_stats(self) -> Dict[str, float]:
+        """Memo statistics of the adapter's CSR engine — zeros here, where
+        there is none (a property, so the tracer does not count it a call)."""
+        return {"csr_hit_rate": 0.0, "csr_entries": 0.0, "csr_set_hit_rate": 0.0, "csr_set_entries": 0.0}
+
+    # -- the version-tagged memo -------------------------------------------------
+
+    def _atom_version(self, color: Optional[str]) -> int:
+        graph = self.matcher.graph
+        return graph.edges_version if color is None else graph.color_version(color)
+
+    def _tagged(self, cache, key, version, compute: Callable):
+        """``cache[key]`` while its tag equals ``version``, else recomputed.
+
+        Entries are ``(version, value)``: a tag mismatch means an edge the
+        value depends on changed since, so the entry is counted in
+        ``stale_invalidations`` and overwritten — one matcher therefore
+        survives graph mutations, with memos of untouched colours warm.
+        """
+        cached = cache.get(key)
+        if cached is not None:
+            if cached[0] == version:
+                return cached[1]
+            self.matcher.stale_invalidations += 1
+        value = compute()
+        cache.put(key, (version, value))
+        return value
+
+    # -- closures, whole queries, predicate scans --------------------------------
+
+    def _live_nodes(self, nodes: Iterable[NodeId]) -> Set[NodeId]:
+        graph = self.matcher.graph
+        return {node for node in nodes if graph.has_node(node)}
+
+    def _closure(self, start_set: Set[NodeId], colors: Optional[Iterable[str]]) -> Set[NodeId]:
+        # Never the distance matrix — the closure must reflect the *current*
+        # topology, so it walks the store.
+        return self.store.closure(start_set, colors, reverse=True) if start_set else set()
+
+    def _search_pairs(self, regex, sources, targets, method: str) -> Set[Tuple[NodeId, NodeId]]:
+        """One RQ between two candidate lists: ``"bidirectional"`` meets in
+        the middle (Section 4); anything else is the plain forward sweep — the
+        BFS baseline of Exp-3 and the PQ algorithms' per-edge result assembly
+        (with a distance matrix, the paper's nested-loop row walks)."""
+        from repro.matching.frontiers import forward_sweep, meet_in_the_middle
+
+        if method == "bidirectional":
+            return meet_in_the_middle(self.matcher, regex, sources, targets)
+        return forward_sweep(self.matcher, regex, sources, targets)
+
+    def _scan_live(self, predicate):
+        graph = self.matcher.graph
+        return scan_nodes(predicate, graph.nodes(), graph.attributes)
+
+
+class DictEngineAdapter(_Adapter):
     """Expansion over the adjacency dicts (and the optional distance matrix).
 
     This is the parity reference: every other adapter must return exactly
@@ -53,13 +142,9 @@ class DictEngineAdapter:
     """
 
     engine = "dict"
-    #: The dict engine scans the live attribute table per call (no snapshot
-    #: to memoise scans on); callers restrict scans to their affected area.
-    memoises_scans = False
-    csr_entries_carried = 0
 
     def __init__(self, matcher):
-        self.matcher = matcher
+        super().__init__(matcher, matcher.graph.store)
 
     # -- per-atom distance maps ------------------------------------------------
 
@@ -210,82 +295,85 @@ class DictEngineAdapter:
     def backward_closure(
         self, starts: Iterable[NodeId], colors: Optional[Iterable[str]] = None
     ) -> Set[NodeId]:
-        graph = self.matcher.graph
-        start_set = {node for node in starts if graph.has_node(node)}
-        if not start_set:
-            return set()
-        # Never the distance matrix — the closure must reflect the *current*
-        # topology, so it walks the authoritative store.
-        return graph.store.closure(start_set, colors, reverse=True)
+        return self._closure(self._live_nodes(starts), colors)
 
     def backward_reachable(self, targets: Set[NodeId], regex) -> Set[NodeId]:
-        frontier = set(targets)
-        for item in reversed(regex.atoms):
-            frontier = self.set_sources(frontier, item)
-            if not frontier:
-                break
-        return frontier
+        return _fold_atoms(set(targets), reversed(regex.atoms), self.set_sources)
 
     def targets_from(self, source: NodeId, regex) -> Set[NodeId]:
-        frontier: Set[NodeId] = {source}
-        for item in regex.atoms:
-            next_frontier: Set[NodeId] = set()
-            for node in frontier:
-                next_frontier |= self.atom_targets(node, item)
-            frontier = next_frontier
-            if not frontier:
-                break
-        return frontier
+        return _fold_atoms({source}, regex.atoms, self.set_targets)
 
     def sources_to(self, target: NodeId, regex) -> Set[NodeId]:
-        frontier: Set[NodeId] = {target}
-        for item in reversed(regex.atoms):
-            next_frontier: Set[NodeId] = set()
-            for node in frontier:
-                next_frontier |= self.atom_sources(node, item)
-            frontier = next_frontier
-            if not frontier:
-                break
-        return frontier
+        return _fold_atoms({target}, reversed(regex.atoms), self.set_sources)
 
     def edge_pairs(
         self, sources: Set[NodeId], targets: Set[NodeId], regex
     ) -> Set[Tuple[NodeId, NodeId]]:
-        from repro.matching.frontiers import forward_sweep
-
-        return forward_sweep(self.matcher, regex, list(sources), targets)
+        return self._search_pairs(regex, list(sources), targets, "bfs")
 
     def query_pairs(
         self, regex, sources, targets, method: str
     ) -> Set[Tuple[NodeId, NodeId]]:
-        from repro.matching.frontiers import forward_sweep, meet_in_the_middle
-
-        if method == "bidirectional":
-            return meet_in_the_middle(self.matcher, regex, sources, targets)
-        # With a distance matrix each expansion is a sequence of row walks
-        # (the paper's nested-loop matrix method); without one this is the
-        # plain forward BFS baseline of Exp-3.
-        return forward_sweep(self.matcher, regex, sources, targets)
+        return self._search_pairs(regex, sources, targets, method)
 
     # -- predicate scans ---------------------------------------------------------
 
     def matching_nodes(self, predicate):
-        graph = self.matcher.graph
-        return scan_nodes(predicate, graph.nodes(), graph.attributes)
+        return self._scan_live(predicate)
 
 
-class OverlayCsrAdapter:
+class _StoreAdapter(_Adapter):
+    """Expansion through ``self.store.frontier``, for any ``GraphStore``.
+
+    The whole of :class:`PartitionedAdapter` and the dirty-colour half of
+    :class:`OverlayCsrAdapter`: per-node atom blocks are memoised in the
+    matcher's LRU caches under the exact per-colour version tags the dict
+    engine uses, set-level blocks are one multi-source store frontier.
+    """
+
+    def _atom_frontier(self, node: NodeId, item, reverse: bool) -> Set[NodeId]:
+        matcher = self.matcher
+        if not matcher.graph.has_node(node):
+            raise GraphError(f"node {node!r} does not exist")
+        color = None if item.is_wildcard else item.color
+        frontier = self._tagged(
+            matcher._backward_cache if reverse else matcher._forward_cache,
+            (node, color, item.max_count),
+            self._atom_version(color),
+            lambda: frozenset(self.store.frontier((node,), color, item.max_count, reverse)),
+        )
+        return set(frontier)
+
+    def _set_frontier(self, nodes: Set[NodeId], item, reverse: bool) -> Set[NodeId]:
+        if len(nodes) == 1:
+            # Singletons go through the memoised per-node path, which stays
+            # warm across repeated fixpoint sweeps.
+            (node,) = nodes
+            return self._atom_frontier(node, item, reverse)
+        color = None if item.is_wildcard else item.color
+        return self.store.frontier(nodes, color, item.max_count, reverse)
+
+    def _expression(self, node: NodeId, regex, reverse: bool) -> Set[NodeId]:
+        if not self.matcher.graph.has_node(node):
+            raise GraphError(f"node {node!r} does not exist")
+        return _fold_atoms(
+            {node},
+            reversed(regex.atoms) if reverse else regex.atoms,
+            lambda frontier, item: self._set_frontier(frontier, item, reverse),
+        )
+
+
+class OverlayCsrAdapter(_StoreAdapter):
     """Expansion through the graph's overlay-CSR store.
 
     Colours whose overlay is empty ("clean") run on the per-matcher
     :class:`~repro.matching.csr_engine.CsrEngine` over the store's base
     snapshot — full flat-array speed with memoised expansions that stay warm
-    across mutations of *other* colours, because the engine is rebuilt only
-    when the store compacts (old caches then serve as a validate-on-lookup
-    donor, counted in ``csr_entries_carried``).  Dirty colours are expanded
-    with the store's merged read-through frontiers, memoised in the
-    matcher's LRU caches under the same per-colour version tags the dict
-    engine uses.
+    across mutations of *other* colours, because the engine is replaced only
+    when the store compacts (the next one starts cold).  Dirty colours are
+    expanded with the store's merged read-through frontiers
+    (:class:`_StoreAdapter`), memoised in the matcher's LRU caches under the
+    same per-colour version tags the dict engine uses.
     """
 
     engine = "csr"
@@ -294,56 +382,43 @@ class OverlayCsrAdapter:
     memoises_scans = True
 
     def __init__(self, matcher):
-        self.matcher = matcher
-        self.store = matcher.graph.overlay_store()
+        super().__init__(matcher, matcher.graph.overlay_store())
         self._engine = None
-        self._engine_base = None
-        self._promoted_base = 0
 
     # -- engine lifecycle --------------------------------------------------------
 
     def engine_handle(self):
         """This matcher's CSR engine over the store's current base.
 
-        The base only changes when the store compacts; the retiring engine's
-        caches then serve as a validate-on-lookup donor, so memoised
-        expansions of colours the compaction did not rebuild stay warm
-        (promotions are counted in :attr:`csr_entries_carried`).
+        The engine's memos are valid because it is bound to one immutable
+        base snapshot; the base only changes when the store compacts, and an
+        engine whose base is no longer the store's is replaced here — memos
+        and all — by a cold one.
         """
         from repro.matching.csr_engine import CsrEngine
 
         base = self.store.base()
         engine = self._engine
-        if engine is not None and self._engine_base is base:
-            return engine
-        if engine is not None:
-            self._promoted_base += engine.promoted
-        fresh = CsrEngine(base, self.matcher._cache_capacity, donor=engine)
-        self._engine = fresh
-        self._engine_base = base
-        return fresh
+        if engine is None or engine.compiled is not base:
+            engine = self._engine = CsrEngine(base, self.matcher._cache_capacity)
+        return engine
 
     @property
-    def csr_entries_carried(self) -> int:
-        engine = self._engine
-        current = engine.promoted if engine is not None else 0
-        return self._promoted_base + current
+    def engine_stats(self) -> Dict[str, float]:
+        """The current engine's memo statistics (zeros until a clean-colour
+        read has built one — reporting never builds it)."""
+        return super().engine_stats if self._engine is None else self._engine.cache_stats
 
     # -- cleanliness helpers -----------------------------------------------------
 
-    def _regex_clean(self, regex) -> bool:
+    def _clean(self, colors: Optional[Iterable[str]]) -> bool:
+        """True when reads of every colour (``None``: of the wildcard layer)
+        can be served from the base arrays."""
         store = self.store
-        if regex.has_wildcard:
-            return store.is_clean(None)
-        return all(store.is_clean(color) for color in regex.colors)
+        return store.is_clean(None) if colors is None else all(store.is_clean(color) for color in colors)
 
-    def _all_in_base(self, nodes: Iterable[NodeId]) -> bool:
-        new_nodes = self.store._new_nodes
-        return not new_nodes or new_nodes.isdisjoint(nodes)
-
-    def _atom_version(self, color: Optional[str]) -> int:
-        graph = self.matcher.graph
-        return graph.edges_version if color is None else graph.color_version(color)
+    def _regex_clean(self, regex) -> bool:
+        return self._clean(None if regex.has_wildcard else regex.colors)
 
     def _regex_version(self, regex):
         graph = self.matcher.graph
@@ -356,7 +431,6 @@ class OverlayCsrAdapter:
     def _atom_frontier(self, node: NodeId, item, reverse: bool) -> Set[NodeId]:
         store = self.store
         store.sync()
-        matcher = self.matcher
         color = None if item.is_wildcard else item.color
         if store.is_clean(color) and store.in_base(node):
             engine = self.engine_handle()
@@ -365,22 +439,9 @@ class OverlayCsrAdapter:
             expand = engine.atom_sources if reverse else engine.atom_targets
             ids = compiled.ids
             return {ids[j] for j in expand(index, item)}
-        if not matcher.graph.has_node(node):
-            raise GraphError(f"node {node!r} does not exist")
         # Dirty colour (or a node the base has not seen): merged read-through
         # expansion, memoised under the same version tags as the dict engine.
-        cache = matcher._backward_cache if reverse else matcher._forward_cache
-        key = (node, color, item.max_count)
-        version = self._atom_version(color)
-        cached = cache.get(key)
-        if cached is not None:
-            cached_version, frontier = cached
-            if cached_version == version:
-                return set(frontier)
-            matcher.stale_invalidations += 1
-        frontier = frozenset(store.frontier((node,), color, item.max_count, reverse))
-        cache.put(key, (version, frontier))
-        return set(frontier)
+        return super()._atom_frontier(node, item, reverse)
 
     def atom_targets(self, source: NodeId, item) -> Set[NodeId]:
         return self._atom_frontier(source, item, reverse=False)
@@ -394,12 +455,7 @@ class OverlayCsrAdapter:
         store = self.store
         store.sync()
         color = None if item.is_wildcard else item.color
-        if len(nodes) == 1:
-            # Singletons go through the memoised per-node path, which stays
-            # warm across repeated fixpoint sweeps.
-            (node,) = nodes
-            return self._atom_frontier(node, item, reverse)
-        if store.is_clean(color) and self._all_in_base(nodes):
+        if len(nodes) > 1 and store.is_clean(color) and store.all_in_base(nodes):
             engine = self.engine_handle()
             compiled = engine.compiled
             node_index = compiled.node_index
@@ -407,7 +463,8 @@ class OverlayCsrAdapter:
             expand = engine.set_sources_indices if reverse else engine.set_targets_indices
             ids = compiled.ids
             return {ids[j] for j in expand(indices, item)}
-        return store.frontier(nodes, color, item.max_count, reverse)
+        # A singleton (memoised per node, clean or dirty) or a dirty colour.
+        return super()._set_frontier(nodes, item, reverse)
 
     def set_targets(self, sources: Set[NodeId], item) -> Set[NodeId]:
         if not sources:
@@ -426,17 +483,11 @@ class OverlayCsrAdapter:
     ) -> Set[NodeId]:
         store = self.store
         store.sync()
-        graph = self.matcher.graph
-        start_set = {node for node in starts if graph.has_node(node)}
+        start_set = self._live_nodes(starts)
         if not start_set:
             return set()
         color_list = None if colors is None else list(colors)
-        clean = (
-            store.is_clean(None)
-            if color_list is None
-            else all(store.is_clean(color) for color in color_list)
-        )
-        if clean and self._all_in_base(start_set):
+        if self._clean(color_list) and store.all_in_base(start_set):
             engine = self.engine_handle()
             compiled = engine.compiled
             node_index = compiled.node_index
@@ -452,7 +503,7 @@ class OverlayCsrAdapter:
             )
             ids = compiled.ids
             return start_set | {ids[j] for j in indices}
-        return store.closure(start_set, color_list, reverse=True)
+        return self._closure(start_set, color_list)
 
     # -- whole expressions -------------------------------------------------------
 
@@ -461,7 +512,7 @@ class OverlayCsrAdapter:
         store.sync()
         if not targets:
             return set()
-        if self._regex_clean(regex) and self._all_in_base(targets):
+        if self._regex_clean(regex) and store.all_in_base(targets):
             engine = self.engine_handle()
             compiled = engine.compiled
             node_index = compiled.node_index
@@ -473,24 +524,14 @@ class OverlayCsrAdapter:
         # Dirty path: fold the merged set-level frontiers right-to-left,
         # memoised per (regex, target set) under the regex's version vector —
         # the refinement fixpoints keep asking for stabilised sets.
-        matcher = self.matcher
         target_set = frozenset(targets)
-        key = ("bwd", regex, target_set)
-        version = self._regex_version(regex)
-        cached = matcher._backward_cache.get(key)
-        if cached is not None:
-            cached_version, frontier = cached
-            if cached_version == version:
-                return set(frontier)
-            matcher.stale_invalidations += 1
-        frontier: Set[NodeId] = set(target_set)
-        for item in reversed(regex.atoms):
-            frontier = self.set_sources(frontier, item)
-            if not frontier:
-                break
-        result = frozenset(frontier)
-        matcher._backward_cache.put(key, (version, result))
-        return set(result)
+        frontier = self._tagged(
+            self.matcher._backward_cache,
+            ("bwd", regex, target_set),
+            self._regex_version(regex),
+            lambda: frozenset(_fold_atoms(set(target_set), reversed(regex.atoms), self.set_sources)),
+        )
+        return set(frontier)
 
     def _expression(self, node: NodeId, regex, reverse: bool) -> Set[NodeId]:
         store = self.store
@@ -502,15 +543,90 @@ class OverlayCsrAdapter:
             index = compiled.node_index(node)
             indices = engine.sources_to(index, regex) if reverse else engine.targets_from(index, regex)
             return {ids[j] for j in indices}
-        if not self.matcher.graph.has_node(node):
-            raise GraphError(f"node {node!r} does not exist")
-        frontier: Set[NodeId] = {node}
-        atoms = reversed(regex.atoms) if reverse else regex.atoms
-        for item in atoms:
-            frontier = self._set_frontier(frontier, item, reverse) if frontier else frontier
-            if not frontier:
-                break
-        return frontier
+        return super()._expression(node, regex, reverse)
+
+    def targets_from(self, source: NodeId, regex) -> Set[NodeId]:
+        return self._expression(source, regex, reverse=False)
+
+    def sources_to(self, target: NodeId, regex) -> Set[NodeId]:
+        return self._expression(target, regex, reverse=True)
+
+    def _index_space(self, regex, sources, targets) -> Optional[Tuple]:
+        """``(engine, source indices, target indices)`` when a whole query
+        can run in dense index space — every colour it may traverse is clean
+        and both candidate sets lie in the base — else ``None``."""
+        store = self.store
+        store.sync()
+        if not (self._regex_clean(regex) and store.all_in_base(sources) and store.all_in_base(targets)):
+            return None
+        engine = self.engine_handle()
+        node_index = engine.compiled.node_index
+        return engine, frozenset(map(node_index, sources)), frozenset(map(node_index, targets))
+
+    def edge_pairs(
+        self, sources: Set[NodeId], targets: Set[NodeId], regex
+    ) -> Set[Tuple[NodeId, NodeId]]:
+        dense = self._index_space(regex, sources, targets)
+        if dense is None:
+            return self._search_pairs(regex, list(sources), targets, "bfs")
+        engine, source_indices, target_indices = dense
+        ids = engine.compiled.ids
+        return {(ids[a], ids[b]) for a, b in engine.matching_pairs(regex, source_indices, target_indices)}
+
+    def query_pairs(
+        self, regex, sources, targets, method: str
+    ) -> Set[Tuple[NodeId, NodeId]]:
+        dense = self._index_space(regex, sources, targets)
+        if dense is None:
+            return self._search_pairs(regex, sources, targets, method)
+        # Entirely in dense index space, translating once at the end; the
+        # engine memoises the whole query per candidate sets, so an unchanged
+        # clean query is one frozenset hash on re-execution.
+        engine, source_indices, target_indices = dense
+        ids = engine.compiled.ids
+        return {(ids[a], ids[b]) for a, b in engine.query_pairs(regex, source_indices, target_indices, method)}
+
+    # -- predicate scans ---------------------------------------------------------
+
+    def matching_nodes(self, predicate):
+        return self.store.matching_nodes(predicate)
+
+
+class PartitionedAdapter(_StoreAdapter):
+    """Expansion through the graph's sharded :class:`PartitionedStore`.
+
+    Every frontier call becomes a boundary exchange over per-shard CSR
+    kernels (see :mod:`repro.storage.partition`); answers are memoised in
+    the matcher's LRU caches under the exact per-colour version tags the
+    dict engine uses (:class:`_StoreAdapter`), so the engine-free fixpoints
+    above see identical staleness behaviour.  Predicate scans walk the live
+    attribute table — shard compiles deliberately carry no attribute copies.
+    """
+
+    engine = "partitioned"
+
+    def __init__(self, matcher):
+        super().__init__(matcher, matcher.graph.partitioned_store())
+
+    def atom_targets(self, source: NodeId, item) -> Set[NodeId]:
+        return self._atom_frontier(source, item, reverse=False)
+
+    def atom_sources(self, target: NodeId, item) -> Set[NodeId]:
+        return self._atom_frontier(target, item, reverse=True)
+
+    def set_targets(self, sources: Set[NodeId], item) -> Set[NodeId]:
+        return self._set_frontier(sources, item, reverse=False) if sources else set()
+
+    def set_sources(self, targets: Set[NodeId], item) -> Set[NodeId]:
+        return self._set_frontier(targets, item, reverse=True) if targets else set()
+
+    def backward_closure(
+        self, starts: Iterable[NodeId], colors: Optional[Iterable[str]] = None
+    ) -> Set[NodeId]:
+        return self._closure(self._live_nodes(starts), colors)
+
+    def backward_reachable(self, targets: Set[NodeId], regex) -> Set[NodeId]:
+        return _fold_atoms(set(targets), reversed(regex.atoms), self.set_sources)
 
     def targets_from(self, source: NodeId, regex) -> Set[NodeId]:
         return self._expression(source, regex, reverse=False)
@@ -521,188 +637,12 @@ class OverlayCsrAdapter:
     def edge_pairs(
         self, sources: Set[NodeId], targets: Set[NodeId], regex
     ) -> Set[Tuple[NodeId, NodeId]]:
-        store = self.store
-        store.sync()
-        if (
-            self._regex_clean(regex)
-            and self._all_in_base(sources)
-            and self._all_in_base(targets)
-        ):
-            engine = self.engine_handle()
-            compiled = engine.compiled
-            node_index = compiled.node_index
-            index_pairs = engine.matching_pairs(
-                regex,
-                frozenset(node_index(node) for node in sources),
-                frozenset(node_index(node) for node in targets),
-            )
-            ids = compiled.ids
-            return {(ids[a], ids[b]) for a, b in index_pairs}
-        from repro.matching.frontiers import forward_sweep
-
-        return forward_sweep(self.matcher, regex, list(sources), targets)
+        return self._search_pairs(regex, list(sources), targets, "bfs")
 
     def query_pairs(
         self, regex, sources, targets, method: str
     ) -> Set[Tuple[NodeId, NodeId]]:
-        from repro.matching.frontiers import forward_sweep, meet_in_the_middle
-
-        store = self.store
-        store.sync()
-        if (
-            self._regex_clean(regex)
-            and self._all_in_base(sources)
-            and self._all_in_base(targets)
-        ):
-            # Entirely in dense index space, translating once at the end;
-            # the engine memoises the whole query per candidate sets, so an
-            # unchanged clean query is one frozenset hash on re-execution.
-            engine = self.engine_handle()
-            compiled = engine.compiled
-            node_index = compiled.node_index
-            index_pairs = engine.query_pairs(
-                regex,
-                frozenset(node_index(node) for node in sources),
-                frozenset(node_index(node) for node in targets),
-                method,
-            )
-            ids = compiled.ids
-            return {(ids[a], ids[b]) for a, b in index_pairs}
-        if method == "bidirectional":
-            return meet_in_the_middle(self.matcher, regex, sources, targets)
-        return forward_sweep(self.matcher, regex, sources, targets)
-
-    # -- predicate scans ---------------------------------------------------------
+        return self._search_pairs(regex, sources, targets, method)
 
     def matching_nodes(self, predicate):
-        return self.store.matching_nodes(predicate)
-
-
-class PartitionedAdapter:
-    """Expansion through the graph's sharded :class:`PartitionedStore`.
-
-    Every frontier call becomes a boundary exchange over per-shard CSR
-    kernels (see :mod:`repro.storage.partition`); answers are memoised in
-    the matcher's LRU caches under the exact per-colour version tags the
-    dict engine uses, so the engine-free fixpoints above see identical
-    staleness behaviour.  Predicate scans walk the live attribute table —
-    shard compiles deliberately carry no attribute copies.
-    """
-
-    engine = "partitioned"
-    #: Like the dict engine: no snapshot to memoise scans on.
-    memoises_scans = False
-    csr_entries_carried = 0
-
-    def __init__(self, matcher):
-        self.matcher = matcher
-        self.store = matcher.graph.partitioned_store()
-
-    def _atom_version(self, color: Optional[str]) -> int:
-        graph = self.matcher.graph
-        return graph.edges_version if color is None else graph.color_version(color)
-
-    # -- one-atom frontiers ------------------------------------------------------
-
-    def _atom_frontier(self, node: NodeId, item, reverse: bool) -> Set[NodeId]:
-        store = self.store
-        store.sync()
-        matcher = self.matcher
-        if not matcher.graph.has_node(node):
-            raise GraphError(f"node {node!r} does not exist")
-        color = None if item.is_wildcard else item.color
-        cache = matcher._backward_cache if reverse else matcher._forward_cache
-        key = (node, color, item.max_count)
-        version = self._atom_version(color)
-        cached = cache.get(key)
-        if cached is not None:
-            cached_version, frontier = cached
-            if cached_version == version:
-                return set(frontier)
-            matcher.stale_invalidations += 1
-        frontier = frozenset(store.frontier((node,), color, item.max_count, reverse))
-        cache.put(key, (version, frontier))
-        return set(frontier)
-
-    def atom_targets(self, source: NodeId, item) -> Set[NodeId]:
-        return self._atom_frontier(source, item, reverse=False)
-
-    def atom_sources(self, target: NodeId, item) -> Set[NodeId]:
-        return self._atom_frontier(target, item, reverse=True)
-
-    # -- set-level frontiers -----------------------------------------------------
-
-    def _set_frontier(self, nodes: Set[NodeId], item, reverse: bool) -> Set[NodeId]:
-        if len(nodes) == 1:
-            (node,) = nodes
-            return self._atom_frontier(node, item, reverse)
-        store = self.store
-        color = None if item.is_wildcard else item.color
-        return store.frontier(nodes, color, item.max_count, reverse)
-
-    def set_targets(self, sources: Set[NodeId], item) -> Set[NodeId]:
-        if not sources:
-            return set()
-        return self._set_frontier(sources, item, reverse=False)
-
-    def set_sources(self, targets: Set[NodeId], item) -> Set[NodeId]:
-        if not targets:
-            return set()
-        return self._set_frontier(targets, item, reverse=True)
-
-    # -- closures and whole expressions ------------------------------------------
-
-    def backward_closure(
-        self, starts: Iterable[NodeId], colors: Optional[Iterable[str]] = None
-    ) -> Set[NodeId]:
-        graph = self.matcher.graph
-        start_set = {node for node in starts if graph.has_node(node)}
-        if not start_set:
-            return set()
-        return self.store.closure(start_set, colors, reverse=True)
-
-    def backward_reachable(self, targets: Set[NodeId], regex) -> Set[NodeId]:
-        frontier = set(targets)
-        for item in reversed(regex.atoms):
-            frontier = self.set_sources(frontier, item)
-            if not frontier:
-                break
-        return frontier
-
-    def targets_from(self, source: NodeId, regex) -> Set[NodeId]:
-        frontier: Set[NodeId] = {source}
-        for item in regex.atoms:
-            frontier = self.set_targets(frontier, item)
-            if not frontier:
-                break
-        return frontier
-
-    def sources_to(self, target: NodeId, regex) -> Set[NodeId]:
-        frontier: Set[NodeId] = {target}
-        for item in reversed(regex.atoms):
-            frontier = self.set_sources(frontier, item)
-            if not frontier:
-                break
-        return frontier
-
-    def edge_pairs(
-        self, sources: Set[NodeId], targets: Set[NodeId], regex
-    ) -> Set[Tuple[NodeId, NodeId]]:
-        from repro.matching.frontiers import forward_sweep
-
-        return forward_sweep(self.matcher, regex, list(sources), targets)
-
-    def query_pairs(
-        self, regex, sources, targets, method: str
-    ) -> Set[Tuple[NodeId, NodeId]]:
-        from repro.matching.frontiers import forward_sweep, meet_in_the_middle
-
-        if method == "bidirectional":
-            return meet_in_the_middle(self.matcher, regex, sources, targets)
-        return forward_sweep(self.matcher, regex, sources, targets)
-
-    # -- predicate scans ---------------------------------------------------------
-
-    def matching_nodes(self, predicate):
-        graph = self.matcher.graph
-        return scan_nodes(predicate, graph.nodes(), graph.attributes)
+        return self._scan_live(predicate)

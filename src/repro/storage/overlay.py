@@ -57,7 +57,154 @@ def _default_policy():
     return _DEFAULTS
 
 
-class OverlayCsrStore(GraphStore):
+class OverlayReads(GraphStore):
+    """Merged reads over one ``(base, added, removed, overlay size)`` state.
+
+    The one implementation of "base row ± overlay deltas", shared by the live
+    :class:`OverlayCsrStore` and the pinned
+    :class:`~repro.storage.snapshot.StoreSnapshot` — both hold the state it
+    reads (``_base``, the ``_added`` / ``_removed`` overlays, ``_color_ops``,
+    ``_overlay_edges``, ``_new_nodes``) and answer :meth:`has_node`; the live
+    store replays the journal in :meth:`sync`, on a snapshot the inherited
+    ``sync`` is a no-op.
+    """
+
+    # -- the array-path surface (read by OverlayCsrAdapter) ----------------------
+
+    def base(self):
+        """The base :class:`~repro.graph.csr.CompiledGraph` (synced first)."""
+        self.sync()
+        return self._base
+
+    def dirty_colors(self) -> Set[str]:
+        """Colours whose base layer has diverged from the live adjacency."""
+        return {color for color, ops in self._color_ops.items() if ops}
+
+    def is_clean(self, color: Optional[str] = None) -> bool:
+        """True when reads of ``color`` can be served from the base arrays.
+
+        ``None`` asks about the wildcard (any-colour) layer, which is clean
+        only when the whole overlay is empty.  Callers must :meth:`sync`
+        first.  A node created since the base was compiled never has edges
+        of a clean colour (its edges would have dirtied them), so clean
+        colours are also safe for whole-expression memos.
+        """
+        if color is None:
+            return self._overlay_edges == 0
+        return not self._color_ops.get(color)
+
+    def in_base(self, node: NodeId) -> bool:
+        """True when ``node`` has an index in the base snapshot."""
+        return self._base is not None and self._base.has_node(node)
+
+    def all_in_base(self, nodes: Iterable[NodeId]) -> bool:
+        """True when no node of ``nodes`` was created since the base was
+        compiled, so every one of them has a base index."""
+        return not self._new_nodes or self._new_nodes.isdisjoint(nodes)
+
+    # -- merged reads ------------------------------------------------------------
+
+    def _base_neighbor_ids(self, node: NodeId, color: str, reverse: bool) -> Optional[Set[NodeId]]:
+        base = self._base
+        if not base.has_node(node):
+            return None
+        color_id = base.color_id(color)
+        if color_id is None:
+            return None
+        index = base.node_index(node)
+        ids = base.ids
+        return {ids[j] for j in base.layer(color_id, reverse).neighbors(index)}
+
+    def merged_neighbors(self, node: NodeId, color: str, reverse: bool = False) -> Set[NodeId]:
+        """The live adjacency of one (node, colour) row: base ± overlay.
+
+        The base row at compile time, minus the edges removed since, plus
+        the edges added since — identical to the authoritative dict row
+        (asserted by ``tests/test_store_parity.py``) without touching it.
+        """
+        direction = 1 if reverse else 0
+        result = self._base_neighbor_ids(node, color, reverse) or set()
+        removed = self._removed[direction].get(node)
+        if removed:
+            result -= removed.get(color, set())
+        added = self._added[direction].get(node)
+        if added:
+            result |= added.get(color, set())
+        return result
+
+    def successors(self, node: NodeId, color: Optional[str] = None) -> Set[NodeId]:
+        return self._merged(node, color, reverse=False)
+
+    def predecessors(self, node: NodeId, color: Optional[str] = None) -> Set[NodeId]:
+        return self._merged(node, color, reverse=True)
+
+    def _merged(self, node: NodeId, color: Optional[str], reverse: bool) -> Set[NodeId]:
+        self.sync()
+        if not self.has_node(node):
+            # Parity with DictStore: a typo'd node is an error on every
+            # backend, never a silent "no neighbours".
+            raise GraphError(f"node {node!r} does not exist")
+        if color is not None:
+            if self.is_clean(color):
+                return self._base_neighbor_ids(node, color, reverse) or set()
+            return self.merged_neighbors(node, color, reverse)
+        return self._merged_any(node, reverse)
+
+    def _row_colors(self, node: NodeId, reverse: bool) -> Set[str]:
+        colors: Set[str] = set()
+        base = self._base
+        if base.has_node(node):
+            index = base.node_index(node)
+            colors.update(
+                c for k, c in enumerate(base.colors) if base.layer(k, reverse).mask[index]
+            )
+        direction = 1 if reverse else 0
+        added = self._added[direction].get(node)
+        if added:
+            colors.update(c for c, bucket in added.items() if bucket)
+        return colors
+
+    # -- frontier expansion ------------------------------------------------------
+
+    def frontier(
+        self,
+        starts: Iterable[NodeId],
+        color: Optional[str],
+        bound: Optional[int],
+        reverse: bool = False,
+    ) -> Set[NodeId]:
+        """Merged multi-source bounded BFS (the dirty-colour read path).
+
+        Clean colours are normally expanded by a
+        :class:`~repro.matching.csr_engine.CsrEngine` over :meth:`base`
+        (memoised, index space) by the storage adapter; this method is the
+        read-through path that merges base rows with the overlay deltas and
+        is valid for any colour.
+        """
+        self.sync()
+        if color is not None and self.is_clean(color):
+            neighbors = lambda node: self._base_neighbor_ids(node, color, reverse) or set()  # noqa: E731
+        elif color is not None:
+            neighbors = lambda node: self.merged_neighbors(node, color, reverse)  # noqa: E731
+        else:
+            neighbors = lambda node: self._merged_any(node, reverse)  # noqa: E731
+        return bfs_block_frontier(neighbors, starts, bound)
+
+    def _merged_any(self, node: NodeId, reverse: bool) -> Set[NodeId]:
+        if self._overlay_edges == 0 and self._base.has_node(node):
+            base = self._base
+            index = base.node_index(node)
+            ids = base.ids
+            from repro.graph.csr import ANY_COLOR
+
+            return {ids[j] for j in base.layer(ANY_COLOR, reverse).neighbors(index)}
+        result: Set[NodeId] = set()
+        for c in self._row_colors(node, reverse):
+            result |= self.merged_neighbors(node, c, reverse)
+        return result
+
+
+class OverlayCsrStore(OverlayReads):
     """Immutable CSR base + per-colour edge overlays for one data graph.
 
     Parameters
@@ -121,36 +268,13 @@ class OverlayCsrStore(GraphStore):
     def graph(self):
         return self._graph
 
-    def base(self):
-        """The current base :class:`~repro.graph.csr.CompiledGraph` (synced)."""
-        self.sync()
-        return self._base
-
     @property
     def overlay_edges(self) -> int:
         """Net overlay edge count (adds plus removes surviving cancellation)."""
         return self._overlay_edges
 
-    def dirty_colors(self) -> Set[str]:
-        """Colours whose base layer has diverged from the live adjacency."""
-        return {color for color, ops in self._color_ops.items() if ops}
-
-    def is_clean(self, color: Optional[str] = None) -> bool:
-        """True when reads of ``color`` can be served from the base arrays.
-
-        ``None`` asks about the wildcard (any-colour) layer, which is clean
-        only when the whole overlay is empty.  Callers must :meth:`sync`
-        first.  A node created since the base was compiled never has edges
-        of a clean colour (its edges would have dirtied them), so clean
-        colours are also safe for whole-expression memos.
-        """
-        if color is None:
-            return self._overlay_edges == 0
-        return not self._color_ops.get(color)
-
-    def in_base(self, node: NodeId) -> bool:
-        """True when ``node`` has an index in the current base snapshot."""
-        return self._base is not None and self._base.has_node(node)
+    def has_node(self, node: NodeId) -> bool:
+        return self._graph.has_node(node)
 
     # -- synchronisation ---------------------------------------------------------
 
@@ -334,106 +458,7 @@ class OverlayCsrStore(GraphStore):
         self._synced_version = graph.version
         self.compactions += 1
 
-    # -- merged reads ------------------------------------------------------------
-
-    def _base_neighbor_ids(self, node: NodeId, color: str, reverse: bool) -> Optional[Set[NodeId]]:
-        base = self._base
-        if not base.has_node(node):
-            return None
-        color_id = base.color_id(color)
-        if color_id is None:
-            return None
-        index = base.node_index(node)
-        ids = base.ids
-        return {ids[j] for j in base.layer(color_id, reverse).neighbors(index)}
-
-    def merged_neighbors(self, node: NodeId, color: str, reverse: bool = False) -> Set[NodeId]:
-        """The live adjacency of one (node, colour) row: base ± overlay.
-
-        The base row at compile time, minus the edges removed since, plus
-        the edges added since — identical to the authoritative dict row
-        (asserted by ``tests/test_store_parity.py``) without touching it.
-        """
-        direction = 1 if reverse else 0
-        result = self._base_neighbor_ids(node, color, reverse) or set()
-        removed = self._removed[direction].get(node)
-        if removed:
-            result -= removed.get(color, set())
-        added = self._added[direction].get(node)
-        if added:
-            result |= added.get(color, set())
-        return result
-
-    def successors(self, node: NodeId, color: Optional[str] = None) -> Set[NodeId]:
-        return self._merged(node, color, reverse=False)
-
-    def predecessors(self, node: NodeId, color: Optional[str] = None) -> Set[NodeId]:
-        return self._merged(node, color, reverse=True)
-
-    def _merged(self, node: NodeId, color: Optional[str], reverse: bool) -> Set[NodeId]:
-        self.sync()
-        if not self._graph.has_node(node):
-            # Parity with DictStore: a typo'd node is an error on every
-            # backend, never a silent "no neighbours".
-            raise GraphError(f"node {node!r} does not exist")
-        if color is not None:
-            if self.is_clean(color):
-                return self._base_neighbor_ids(node, color, reverse) or set()
-            return self.merged_neighbors(node, color, reverse)
-        return self._merged_any(node, reverse)
-
-    def _row_colors(self, node: NodeId, reverse: bool) -> Set[str]:
-        colors: Set[str] = set()
-        base = self._base
-        if base.has_node(node):
-            index = base.node_index(node)
-            colors.update(
-                c for k, c in enumerate(base.colors) if base.layer(k, reverse).mask[index]
-            )
-        direction = 1 if reverse else 0
-        added = self._added[direction].get(node)
-        if added:
-            colors.update(c for c, bucket in added.items() if bucket)
-        return colors
-
-    # -- frontier expansion ------------------------------------------------------
-
-    def frontier(
-        self,
-        starts: Iterable[NodeId],
-        color: Optional[str],
-        bound: Optional[int],
-        reverse: bool = False,
-    ) -> Set[NodeId]:
-        """Merged multi-source bounded BFS (the dirty-colour read path).
-
-        Clean colours are normally expanded by a
-        :class:`~repro.matching.csr_engine.CsrEngine` over :meth:`base`
-        (memoised, index space) by the storage adapter; this method is the
-        read-through path that merges base rows with the overlay deltas and
-        is valid for any colour.
-        """
-        self.sync()
-        if color is not None and self.is_clean(color):
-            neighbors = lambda node: self._base_neighbor_ids(node, color, reverse) or set()  # noqa: E731
-        elif color is not None:
-            neighbors = lambda node: self.merged_neighbors(node, color, reverse)  # noqa: E731
-        else:
-            neighbors = lambda node: self._merged_any(node, reverse)  # noqa: E731
-        return bfs_block_frontier(neighbors, starts, bound)
-
-    def _merged_any(self, node: NodeId, reverse: bool) -> Set[NodeId]:
-        if self._overlay_edges == 0 and self._base.has_node(node):
-            base = self._base
-            index = base.node_index(node)
-            ids = base.ids
-            from repro.graph.csr import ANY_COLOR
-
-            return {ids[j] for j in base.layer(ANY_COLOR, reverse).neighbors(index)}
-        result: Set[NodeId] = set()
-        for c in self._row_colors(node, reverse):
-            result |= self.merged_neighbors(node, c, reverse)
-        return result
+    # -- closures ----------------------------------------------------------------
 
     def closure(
         self,

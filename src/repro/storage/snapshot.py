@@ -9,18 +9,18 @@ by the compaction fraction, so it stays O(delta)), and a **copy of the
 attribute table** (predicate scans must see the pinned attributes, not the
 live ones).
 
-The snapshot is itself a :class:`~repro.storage.base.GraphStore` — merged
-reads work exactly like the live overlay store minus the journal replay — and
-it is **immutable**: once built, reads are safe from any thread without
+The snapshot is itself a :class:`~repro.storage.base.GraphStore` — its merged
+reads *are* the live overlay store's
+(:class:`~repro.storage.overlay.OverlayReads`, one implementation over the
+state both hold), minus the journal replay — and it is **immutable**: once built, reads are safe from any thread without
 locks.  That is the property the serving layer leans on: the writer keeps
 appending to the journal (and the store keeps syncing and compacting) while
 any number of readers evaluate against their pinned snapshots.
 
-It also answers the small surface
+The same base class answers the small surface
 :class:`~repro.storage.adapter.OverlayCsrAdapter` reads a store through
-(:meth:`~StoreSnapshot.base`, :meth:`~StoreSnapshot.is_clean`,
-:meth:`~StoreSnapshot.in_base`, the inherited no-op ``sync`` and
-:meth:`~StoreSnapshot.matching_nodes`), so a ``csr``
+(``base()``, ``is_clean``, ``in_base``, ``all_in_base``, the no-op ``sync``;
+plus :meth:`~StoreSnapshot.matching_nodes` here), so a ``csr``
 :class:`~repro.matching.paths.PathMatcher` evaluates *through the pin*: colours
 whose overlay slice is empty run on the array kernels over the pinned base,
 dirty colours as merged frontiers over base and copied overlay.  The one thing
@@ -50,10 +50,11 @@ owner thread, read from anywhere.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set
+from typing import Any, Dict, Iterator, List, Optional, Set
 
 from repro.exceptions import GraphError
-from repro.storage.base import GraphStore, NodeId, bfs_block_frontier, scan_nodes
+from repro.storage.base import NodeId, scan_nodes
+from repro.storage.overlay import OverlayReads
 
 
 def _copy_overlay(overlay) -> List[Dict[NodeId, Dict[str, Set[NodeId]]]]:
@@ -67,7 +68,7 @@ def _copy_overlay(overlay) -> List[Dict[NodeId, Dict[str, Set[NodeId]]]]:
     ]
 
 
-class StoreSnapshot(GraphStore):
+class StoreSnapshot(OverlayReads):
     """One immutable (base, overlay-slice, attribute-table) triple.
 
     Built by :meth:`OverlayCsrStore.pin_snapshot` after a sync, so the
@@ -85,7 +86,7 @@ class StoreSnapshot(GraphStore):
         self._removed = _copy_overlay(store._removed)
         self._new_nodes = frozenset(store._new_nodes)
         self._overlay_edges = store._overlay_edges
-        self._dirty_colors = frozenset(store.dirty_colors())
+        self._color_ops = dict(store._color_ops)
         # The attribute table at pin time (values shared, rows copied): the
         # live table mutates under add_node(**attrs) / remove_node.
         self._attrs: Dict[NodeId, Dict[str, Any]] = {
@@ -124,100 +125,6 @@ class StoreSnapshot(GraphStore):
 
     def color_version(self, color: str) -> int:
         return self._color_versions.get(color, 0)
-
-    # -- the overlay store's array-path surface (read by OverlayCsrAdapter) ------
-
-    def base(self):
-        """The pinned base :class:`~repro.graph.csr.CompiledGraph`."""
-        return self._base
-
-    def is_clean(self, color: Optional[str] = None) -> bool:
-        """True when the pinned overlay slice holds no change of ``color``
-        (``None``: no change at all), so its reads equal the base arrays'."""
-        if color is None:
-            return self._overlay_edges == 0
-        return color not in self._dirty_colors
-
-    def in_base(self, node: NodeId) -> bool:
-        """True when ``node`` has an index in the pinned base."""
-        return self._base.has_node(node)
-
-    # -- merged reads (mirroring OverlayCsrStore, minus sync) --------------------
-
-    def _base_neighbor_ids(self, node: NodeId, color: str, reverse: bool) -> Optional[Set[NodeId]]:
-        base = self._base
-        if not base.has_node(node):
-            return None
-        color_id = base.color_id(color)
-        if color_id is None:
-            return None
-        index = base.node_index(node)
-        ids = base.ids
-        return {ids[j] for j in base.layer(color_id, reverse).neighbors(index)}
-
-    def merged_neighbors(self, node: NodeId, color: str, reverse: bool = False) -> Set[NodeId]:
-        direction = 1 if reverse else 0
-        result = self._base_neighbor_ids(node, color, reverse) or set()
-        removed = self._removed[direction].get(node)
-        if removed:
-            result -= removed.get(color, set())
-        added = self._added[direction].get(node)
-        if added:
-            result |= added.get(color, set())
-        return result
-
-    def _row_colors(self, node: NodeId, reverse: bool) -> Set[str]:
-        colors: Set[str] = set()
-        base = self._base
-        if base.has_node(node):
-            index = base.node_index(node)
-            colors.update(
-                c for k, c in enumerate(base.colors) if base.layer(k, reverse).mask[index]
-            )
-        direction = 1 if reverse else 0
-        added = self._added[direction].get(node)
-        if added:
-            colors.update(c for c, bucket in added.items() if bucket)
-        return colors
-
-    def _merged_any(self, node: NodeId, reverse: bool) -> Set[NodeId]:
-        if self._overlay_edges == 0 and self._base.has_node(node):
-            from repro.graph.csr import ANY_COLOR
-
-            base = self._base
-            index = base.node_index(node)
-            ids = base.ids
-            return {ids[j] for j in base.layer(ANY_COLOR, reverse).neighbors(index)}
-        result: Set[NodeId] = set()
-        for c in self._row_colors(node, reverse):
-            result |= self.merged_neighbors(node, c, reverse)
-        return result
-
-    def _merged(self, node: NodeId, color: Optional[str], reverse: bool) -> Set[NodeId]:
-        if node not in self._attrs:
-            raise GraphError(f"node {node!r} does not exist")
-        if color is not None:
-            return self.merged_neighbors(node, color, reverse)
-        return self._merged_any(node, reverse)
-
-    def successors(self, node: NodeId, color: Optional[str] = None) -> Set[NodeId]:
-        return self._merged(node, color, reverse=False)
-
-    def predecessors(self, node: NodeId, color: Optional[str] = None) -> Set[NodeId]:
-        return self._merged(node, color, reverse=True)
-
-    def frontier(
-        self,
-        starts: Iterable[NodeId],
-        color: Optional[str],
-        bound: Optional[int],
-        reverse: bool = False,
-    ) -> Set[NodeId]:
-        if color is not None:
-            neighbors = lambda node: self.merged_neighbors(node, color, reverse)  # noqa: E731
-        else:
-            neighbors = lambda node: self._merged_any(node, reverse)  # noqa: E731
-        return bfs_block_frontier(neighbors, starts, bound)
 
     # -- predicate scans ---------------------------------------------------------
 

@@ -59,6 +59,16 @@ class TestRuleFixtures:
         assert any("never released" in message for message in messages)
         assert any("discards" in message for message in messages)
 
+    def test_r004_bound_memos_need_an_identity_checking_owner(self):
+        # Two conventions, one bad example each: a memo nothing compares to a
+        # version, and a memo bound to one snapshot whose owner reuses the
+        # holder without checking that the snapshot is still the current one.
+        # (The good tree holds the same SnapshotEngine; only its owner's
+        # `engine.compiled is not base` rebuild makes it pass.)
+        messages = [f.message for f in lint_fixture("R004", "bad").findings]
+        assert any("ForgetfulMatcher._frontier_cache" in message for message in messages)
+        assert any("SnapshotEngine._expansion_cache" in message for message in messages)
+
     def test_r005_names_the_shadowed_constant(self):
         messages = [f.message for f in lint_fixture("R005", "bad").findings]
         assert any("DEFAULT_ENGINE" in message for message in messages)

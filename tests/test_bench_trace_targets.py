@@ -99,3 +99,57 @@ def test_pinned_read_on_auto_session_reaches_traced_kernels_and_overlay_adapter(
         chain = list(ancestors(index))
         assert "storage.adapter" in chain and "session.execute" in chain, chain
     assert not [span for span in tracer.spans if span[0] == "kernels.generic_bfs"]
+
+
+#: The expansion surface ``PathMatcher`` delegates, method for method, to its
+#: adapter — what the ``storage.adapter`` span counts.
+_ADAPTER_SURFACE = {
+    "atom_targets", "atom_sources", "set_targets", "set_sources", "backward_closure",
+    "backward_reachable", "targets_from", "sources_to", "edge_pairs", "query_pairs", "matching_nodes",
+}
+#: The one further public function each class defines: the dict engine's BFS
+#: and the overlay adapter's engine accessor (both spans at the parent too).
+_ADAPTER_EXTRAS = {
+    "DictEngineAdapter": {"positive_distances"},
+    "OverlayCsrAdapter": {"engine_handle"},
+    "PartitionedAdapter": set(),
+}
+
+
+@pytest.mark.parametrize("class_name", sorted(_ADAPTER_EXTRAS))
+def test_adapter_defines_surface_in_own_vars(class_name):
+    """The tracer wraps the public functions in a class's own ``vars()``: a
+    surface method moved onto a shared base would still work and silently
+    vanish from ``storage.adapter_*`` — so shared code lives in private
+    helpers and every class spells out every public method itself."""
+    adapter = importlib.import_module("repro.storage.adapter")
+    own = {
+        key for key, value in vars(getattr(adapter, class_name)).items()
+        if not key.startswith("_") and isinstance(value, types.FunctionType)
+    }
+    assert own == _ADAPTER_SURFACE | _ADAPTER_EXTRAS[class_name]
+    for base in getattr(adapter, class_name).__mro__[1:]:
+        inherited = {
+            key for key, value in vars(base).items()
+            if not key.startswith("_") and isinstance(value, types.FunctionType)
+        }
+        assert not inherited, (base.__name__, inherited)
+
+
+def test_partitioned_read_records_adapter_spans():
+    """A read on a ``partitioned`` session, traced as ``--trace 1`` traces,
+    shows up as ``storage.adapter`` spans of ``PartitionedAdapter`` methods."""
+    from repro.datasets.youtube import generate_youtube_graph
+    from repro.query.rq import ReachabilityQuery
+    from repro.session.session import GraphSession
+    from repro.storage.adapter import PartitionedAdapter
+
+    session = GraphSession(generate_youtube_graph(num_nodes=150, num_edges=500, seed=7), engine="partitioned", shards=2)
+    tracer = trace.Tracer()
+    with trace.installed(tracer):
+        assert hasattr(vars(PartitionedAdapter)["query_pairs"], "__wrapped__")
+        result = session.execute(ReachabilityQuery("cat = 'Comedy'", "cat = 'Music'", "fc.sr^+"))
+    assert result.engine == "partitioned" and result.answer.pairs
+    assert type(session.matcher("partitioned")._adapter) is PartitionedAdapter
+    adapter_spans = [span for span in tracer.spans if span[0] == "storage.adapter"]
+    assert len(adapter_spans) > 1  # query_pairs and the atom frontiers nested in it

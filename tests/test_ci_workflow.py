@@ -87,27 +87,41 @@ class TestCiWorkflow:
         uploads = [step for step in job["steps"] if "upload-artifact" in step.get("uses", "")]
         assert uploads and uploads[0]["with"]["path"] == "bench.json"
 
-    def test_benchmark_job_emits_overlay_artifact(self, workflow):
-        # The overlay-store benchmark runs separately and uploads its JSON
-        # next to the classic benchmark artifact.
+    @pytest.mark.parametrize("gate", ["overlay", "serve", "semcache", "kernels", "partition"])
+    def test_benchmark_sweep_collects_gate_file(self, workflow, gate):
+        # The five files that used to run as steps of their own, each with
+        # its own JSON artifact, are collected by the one `pytest benchmarks`
+        # sweep: the file exists in the directory that sweep collects, no
+        # step ignores it or names it, and there is one sweep and one JSON
+        # (with the partition benchmark's full scale armed on it).
         job = workflow["jobs"]["benchmark-smoke"]
+        gate_file = f"test_bench_{gate}.py"
+        assert (WORKFLOW.parent.parent.parent / "benchmarks" / gate_file).is_file()
         commands = "\n".join(step.get("run", "") for step in job["steps"])
-        assert "benchmarks/test_bench_overlay.py" in commands
-        assert "--benchmark-json=bench-overlay.json" in commands
+        assert gate_file not in commands
+        assert "--ignore" not in commands
+        sweeps = [
+            step for step in job["steps"]
+            if "--benchmark-json" in step.get("run", "")
+        ]
+        assert len(sweeps) == 1
+        assert "python -m pytest benchmarks -q" in sweeps[0]["run"]
+        assert "--benchmark-json=bench.json" in sweeps[0]["run"]
+        assert sweeps[0]["env"]["REPRO_BENCH_PARTITION"] == "full"
         paths = [
             step["with"]["path"]
             for step in job["steps"]
             if "upload-artifact" in step.get("uses", "")
         ]
-        assert "bench-overlay.json" in paths and "bench.json" in paths
+        assert paths == ["bench.json", "bench-serve.json"]
 
     def test_benchmark_job_runs_serve_load_burst(self, workflow):
         # The serving layer is exercised two ways: the pytest-benchmark file
-        # (timings) and the CLI load burst, whose exit code gates the job on
-        # the snapshot-isolation verification.
+        # (timings; collected by the benchmarks sweep, see the parametrised
+        # test above) and the CLI load burst, whose exit code gates the job
+        # on the snapshot-isolation verification.
         job = workflow["jobs"]["benchmark-smoke"]
         commands = "\n".join(step.get("run", "") for step in job["steps"])
-        assert "benchmarks/test_bench_serve.py" in commands
         assert "repro.cli serve" in commands
         assert "--load-burst" in commands
         assert "--readers 8" in commands
@@ -154,61 +168,6 @@ class TestCiWorkflow:
         assert fallback_checks, "the no-numpy leg must assert the python backend"
         excluded = fast_installs[0]["if"].split("!=")[1].strip().strip("'\"")
         assert f"== '{excluded}'" in fallback_checks[0]["if"]
-
-    def test_benchmark_job_emits_kernels_artifact(self, workflow):
-        # The BFS-kernel benchmark (numpy >= 5x python on the dense YouTube
-        # micro-workload) runs on its own and uploads bench-kernels.json; the
-        # main benchmark sweep must not double-run it into bench.json.
-        job = workflow["jobs"]["benchmark-smoke"]
-        commands = "\n".join(step.get("run", "") for step in job["steps"])
-        assert "benchmarks/test_bench_kernels.py" in commands
-        assert "--ignore=benchmarks/test_bench_kernels.py" in commands
-        assert "--benchmark-json=bench-kernels.json" in commands
-        paths = "\n".join(
-            step["with"]["path"]
-            for step in job["steps"]
-            if "upload-artifact" in step.get("uses", "")
-        )
-        assert "bench-kernels.json" in paths
-
-    def test_benchmark_job_emits_partition_artifact(self, workflow):
-        # The partition benchmark (4 shards >= 2x one shard on the 2^20-edge
-        # scale-free stream) runs on its own with the full scale armed via
-        # REPRO_BENCH_PARTITION=full and uploads bench-partition.json; the
-        # main benchmark sweep must not double-run it into bench.json.
-        job = workflow["jobs"]["benchmark-smoke"]
-        commands = "\n".join(step.get("run", "") for step in job["steps"])
-        assert "benchmarks/test_bench_partition.py" in commands
-        assert "--ignore=benchmarks/test_bench_partition.py" in commands
-        assert "--benchmark-json=bench-partition.json" in commands
-        partition_steps = [
-            step
-            for step in job["steps"]
-            if "pytest benchmarks/test_bench_partition.py" in step.get("run", "")
-        ]
-        assert partition_steps[0]["env"]["REPRO_BENCH_PARTITION"] == "full"
-        paths = "\n".join(
-            step["with"]["path"]
-            for step in job["steps"]
-            if "upload-artifact" in step.get("uses", "")
-        )
-        assert "bench-partition.json" in paths
-
-    def test_benchmark_job_emits_semcache_artifact(self, workflow):
-        # The semantic-cache benchmark (warm containment hit >= 5x cold
-        # evaluation) runs on its own and uploads bench-semcache.json; the
-        # main benchmark sweep must not double-run it into bench.json.
-        job = workflow["jobs"]["benchmark-smoke"]
-        commands = "\n".join(step.get("run", "") for step in job["steps"])
-        assert "benchmarks/test_bench_semcache.py" in commands
-        assert "--ignore=benchmarks/test_bench_semcache.py" in commands
-        assert "--benchmark-json=bench-semcache.json" in commands
-        paths = "\n".join(
-            step["with"]["path"]
-            for step in job["steps"]
-            if "upload-artifact" in step.get("uses", "")
-        )
-        assert "bench-semcache.json" in paths
 
     def test_benchmark_job_runs_repo_benchmark_smoke(self, workflow):
         # bench/test_smoke.py is outside pytest's testpaths (tier-1 never

@@ -427,7 +427,8 @@ class TestWarmMatcherReuse:
         matcher = IncrementalPatternMatcher(essembly_query_q2(), essembly, engine="csr")
         assert matcher.engine == "csr"
         path_matcher = matcher.matcher
-        assert matcher.cache_statistics()["csr_entries_carried"] == 0.0
+        # The initial computation ran on the engine's memos, and says so.
+        assert matcher.cache_statistics()["csr_entries"] > 0
         store = essembly.overlay_store()
         engine = path_matcher._csr_engine
         compactions_before = store.compactions
@@ -439,11 +440,14 @@ class TestWarmMatcherReuse:
         assert store.compactions == compactions_before
         assert path_matcher._csr_engine is engine
         assert "fn" in store.dirty_colors()
-        # A forced compaction retires the engine but promotes still-valid
-        # memoised expansions into its successor.
+        # A forced compaction retires the engine — its successor starts
+        # cold, over the new base — and the maintainer's answer still equals
+        # from-scratch evaluation on the dict engine.
         store.compact()
         matcher.recompute()
-        assert path_matcher.csr_entries_carried > 0
+        assert path_matcher._csr_engine is not engine
+        assert path_matcher._csr_engine.compiled is store.base()
+        assert matcher.result.same_matches(join_match(essembly_query_q2(), essembly, engine="dict"))
 
     def test_engines_give_identical_answers(self, essembly):
         query = essembly_query_q2()

@@ -118,6 +118,26 @@ class TestModeAgreement:
         matcher.targets_from("a", parse_fregex("red^2"))
         stats = matcher.cache_stats
         assert stats["forward_entries"] >= 1
+        # An adapter without a CSR engine reports the engine's keys as zeros.
+        engine_keys = ("csr_hit_rate", "csr_entries", "csr_set_hit_rate", "csr_set_entries")
+        assert [stats[key] for key in engine_keys] == [0.0] * 4
+
+    def test_cache_stats_report_the_csr_engine_memos(self, small_graph):
+        """On ``csr`` the clean-colour lookups go to the engine's two memos,
+        not to the forward/backward LRUs — ``cache_stats`` must show them,
+        and asking for it must never *build* an engine (or compile a base)."""
+        matcher = PathMatcher(small_graph, engine="csr")
+        assert set(matcher.cache_stats) == set(PathMatcher(small_graph).cache_stats)
+        assert matcher.cache_stats["csr_entries"] == 0.0
+        assert not small_graph.overlay_store().has_base
+        for _ in range(2):
+            matcher.targets_from("a", parse_fregex("red^2"))
+            matcher.backward_reachable({"c", "d"}, parse_fregex("red"))
+        stats = matcher.cache_stats
+        assert stats["csr_entries"] >= 1 and stats["csr_hit_rate"] > 0.0
+        assert stats["csr_set_entries"] >= 1 and stats["csr_set_hit_rate"] > 0.0
+        assert stats["csr_entries"] == float(len(matcher._csr_engine._cache))
+        assert stats["forward_entries"] == stats["backward_entries"] == 0.0
 
 
 class TestVersionAwareCaches:
@@ -207,17 +227,53 @@ class TestVersionAwareCaches:
         assert engine._cache.hits > hits_before
 
     def test_csr_entries_promoted_across_compaction(self, small_graph):
+        """Nothing is promoted any more: a compaction retires the engine and
+        its successor starts cold over the new base — and answers, for the
+        colour the compaction rebuilt and for the ones it did not, equal a
+        fresh dict matcher's."""
         matcher = PathMatcher(small_graph, engine="csr")
-        blue = parse_fregex("blue")
-        assert matcher.targets_from("c", blue) == {"d"}
-        carried_before = matcher.csr_entries_carried
+        expressions = [parse_fregex(text) for text in ("blue", "green", "red^2", "_^2")]
+        assert matcher.targets_from("c", expressions[0]) == {"d"}
+        engine = matcher._csr_engine
         small_graph.remove_edge("b", "b", "green")
-        # Folding the overlay into a fresh base retires the engine; memoised
-        # expansions of colours the compaction did not rebuild are promoted
-        # into its successor instead of being discarded.
-        small_graph.overlay_store().compact()
-        assert matcher.targets_from("c", blue) == {"d"}
-        assert matcher.csr_entries_carried > carried_before
+        store = small_graph.overlay_store()
+        store.compact()
+        fresh = PathMatcher(small_graph, engine="dict")
+        for node in "abcd":
+            for expr in expressions:
+                assert matcher.targets_from(node, expr) == fresh.targets_from(node, expr), (node, expr)
+                assert matcher.sources_to(node, expr) == fresh.sources_to(node, expr), (node, expr)
+        assert matcher._csr_engine is not engine
+        assert matcher._csr_engine.compiled is store.base()
+        assert engine.compiled is not store.base()
+
+    @pytest.mark.parametrize("engine", ["dict", "csr", "partitioned"])
+    def test_stale_colour_recomputed_others_hit(self, small_graph, engine):
+        """The one version-tagged lookup behind every engine: after a *red*
+        mutation a memoised red frontier is recomputed and counted stale,
+        while the memo of blue still answers.  (``csr`` memoises this way
+        only for dirty colours, so both are dirtied before the first read.)"""
+        matcher = PathMatcher(small_graph, engine=engine)
+        if engine == "csr":
+            store = small_graph.overlay_store()
+            store.sync()  # compile the base, then diverge from it
+            small_graph.add_edge("x", "y", "red")
+            small_graph.add_edge("x", "y", "blue")
+            store.sync()
+            assert not store.is_clean("red") and not store.is_clean("blue")
+        red, blue = parse_fregex("red").atoms[0], parse_fregex("blue").atoms[0]
+        assert matcher.atom_targets("a", red) == {"b"}
+        assert matcher.atom_targets("c", blue) == {"d"}
+        assert len(matcher._forward_cache) == 2
+        stale = matcher.stale_invalidations
+        small_graph.add_edge("a", "c", "red")
+        assert matcher.atom_targets("a", red) == {"b", "c"}
+        assert matcher.stale_invalidations == stale + 1
+        hits = matcher._forward_cache.hits
+        assert matcher.atom_targets("c", blue) == {"d"}
+        assert matcher._forward_cache.hits == hits + 1
+        assert matcher.stale_invalidations == stale + 1
+        assert matcher.cache_stats["csr_entries"] == 0.0  # no engine was needed
 
     def test_csr_touched_color_entries_dropped(self, small_graph):
         matcher = PathMatcher(small_graph, engine="csr")

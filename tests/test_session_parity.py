@@ -185,7 +185,7 @@ def test_property_watch_parity_under_updates(case, updates):
 
 # -- one read pipeline: live and pinned execution are the same function -----------
 
-_SESSION_SOURCES = Path(__file__).resolve().parents[1] / "src" / "repro" / "session"
+_SOURCES = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 def _ring_graph(size=8):
@@ -220,6 +220,14 @@ def _pipeline_queries():
     ]
 
 
+#: What ``QueryResult.cache_stats`` reports, on every engine, live or pinned.
+_CACHE_STATS_KEYS = sorted([
+    "forward_hit_rate", "backward_hit_rate", "forward_entries", "backward_entries",
+    "stale_invalidations",
+    "csr_hit_rate", "csr_entries", "csr_set_hit_rate", "csr_set_entries",
+])
+
+
 def _envelope_view(result):
     answer = result.answer
     body = (
@@ -249,7 +257,8 @@ def test_live_and_pinned_envelopes_agree():
     for view in live_views:
         assert view["plan.cache"] == view["cache_decision"]
         assert view["engine"] == "dict"
-        assert view["cache_stats"]  # the executing matcher's counters, pruned plans too
+        # The executing matcher's counters, pruned plans too.
+        assert view["cache_stats"] == _CACHE_STATS_KEYS
     assert live_views[-1]["plan"][2] and live_views[-1]["answer"] == frozenset()
 
 
@@ -272,14 +281,28 @@ def test_live_and_pinned_envelopes_agree_on_the_array_path():
             assert f"engine={expected}" in result.plan.explain()
             assert result.to_dict()["engine"] == expected  # the wire envelope's label
     assert live_views[0]["answer"]  # the ring does have a.b^2.b paths
+    # Same keys as a dict session's; and on the array path the memo that took
+    # the lookups is the engine's, which both sides now report.
+    for result in (live_results[0], pinned_results[0]):
+        assert sorted(result.cache_stats) == _CACHE_STATS_KEYS
+        assert result.cache_stats["csr_entries"] > 0.0
+        assert result.cache_stats["forward_entries"] == 0.0
 
 
-def _call_sites(needle):
+def _occurrences(needle, *relative, code_only=False):
+    """``(file, line)`` of every source line holding ``needle`` under the given
+    files or directories of ``src/repro/`` (``code_only``: not counting ``def``
+    lines and comments)."""
+    paths = [
+        path
+        for part in relative
+        for path in ([_SOURCES / part] if part.endswith(".py") else sorted((_SOURCES / part).rglob("*.py")))
+    ]
     return [
         (path.name, number)
-        for path in sorted(_SESSION_SOURCES.glob("*.py"))
+        for path in paths
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if needle in line and not line.lstrip().startswith(("def ", "#"))
+        if needle in line and not (code_only and line.lstrip().startswith(("def ", "#")))
     ]
 
 
@@ -287,8 +310,19 @@ def _call_sites(needle):
 def test_semantic_cache_is_consulted_from_one_place(needle):
     """A second copy of the probe -> serve -> evaluate pipeline would need
     its own ``serve`` / ``record_miss`` call."""
-    sites = _call_sites(needle)
+    sites = _occurrences(needle, "session", code_only=True)
     assert len(sites) == 1 and sites[0][0] == "session.py", sites
+
+
+def test_read_path_memos_are_validated_in_one_place():
+    """The version-tagged lookup (get -> compare tag -> count stale -> compute
+    -> put) has one implementation, plus ``positive_distances``' depth-reusing
+    variant; the overlay merged read has one; and no second validity scheme
+    (the CSR engine's donor generation) has come back beside them."""
+    stale = _occurrences("stale_invalidations += 1", "storage")
+    assert 1 <= len(stale) <= 2 and {name for name, _ in stale} == {"adapter.py"}, stale
+    assert len(_occurrences("def merged_neighbors", "storage")) == 1
+    assert _occurrences("donor", "matching", "storage/adapter.py") == []
 
 
 def test_snapshot_stats_are_lazy_once_per_snapshot_and_equal_the_sessions(monkeypatch):

@@ -13,14 +13,14 @@ over one immutable snapshot, whose owner replaces the object — memos and all
 
 The rule approximates that contract structurally: for every attribute
 ``self.X`` with a memo-ish name (``*_memo`` / ``*_cache`` / ``*_memos`` /
-``*_caches``) assigned in a class under ``matching/`` or ``session/``,
-*some* function in the scanned project must reference ``X`` while also
-touching a version-ish identifier in the same body — or compare a snapshot
-by identity (``holder.snapshot is not current``) and construct the memo's
-class around the compared name in the same body.  The validating function is
-usually in another module (the adapter validates the matcher's caches and
-rebuilds the engine), which is why this is a project-wide pass rather than
-per-file.
+``*_caches``) assigned in a class under ``graph/``, ``storage/``,
+``matching/`` or ``session/``, *some* function in the scanned project must
+reference ``X`` while also touching a version-ish identifier in the same body
+— or compare a snapshot by identity (``holder.snapshot is not current``) and
+construct the memo's class around the compared name in the same body.  The
+validating function is usually in another module (the adapter validates the
+matcher's caches and rebuilds the engine), which is why this is a
+project-wide pass rather than per-file.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class MemoInvalidationRule(Rule):
     code = "R004"
     name = "memo-invalidation"
     summary = (
-        "memo/cache attributes in matching/session classes need a "
+        "memo/cache attributes in graph/storage/matching/session classes need a "
         "version-comparing validation or invalidation path, or an owner "
         "that rebuilds their class when its snapshot's identity changes"
     )
@@ -131,7 +131,7 @@ class MemoInvalidationRule(Rule):
         findings: List[Finding] = []
         seen: Set[Tuple[str, str, str]] = set()
         for module in project.modules:
-            if not module.in_part("matching", "session"):
+            if not module.in_part("graph", "storage", "matching", "session"):
                 continue
             for cls_name, attr, node in _declared_memos(module):
                 key = (module.relpath, cls_name, attr)

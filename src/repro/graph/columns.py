@@ -1,0 +1,177 @@
+"""Sorted attribute columns: predicate scans answered from an index.
+
+Every evaluator of the paper starts by selecting the nodes that satisfy a
+node predicate ``f_u``, a conjunction of atoms ``A op a`` (Section 2: the
+candidate lists of the RQ search, the initial ``mat(u)`` of JoinMatch).
+:class:`AttributeColumns` answers that over one positional attribute table
+without calling the predicate on every row: per attribute, built on first
+use, an equality map ``value -> positions`` and, per comparability class, the
+values sorted beside their positions.  ``=`` is a map lookup, an ordering atom
+one ``bisect``, ``!=`` "has the attribute" minus the equal positions, a
+conjunction the intersection.  What a column cannot decide is checked by
+``AtomicCondition.matches`` on the surviving rows only, so results and order
+are those of the per-row reference (``storage.base.scan_nodes``; compared in
+``tests/test_predicates_properties.py``).
+
+An instance is *bound* to one attribute-table version: it looks at no version
+counter, its holder (``CompiledGraph``, ``StoreSnapshot``) replaces it —
+columns, result memo and all — when ``attrs_version`` moves.
+"""
+
+from __future__ import annotations
+
+import threading
+from bisect import bisect_left, bisect_right
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+
+
+class ScanTally:
+    """Lifetime scan counters of one graph, and the lock its scans run under:
+    a holder that replaces its :class:`AttributeColumns` hands the tally on,
+    and pins of several versions read one object from different threads."""
+
+    __slots__ = ("lock", "memo_hits", "memo_misses", "columns_built", "row_checks")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.memo_hits = self.memo_misses = self.columns_built = self.row_checks = 0
+
+
+def _order_class(value: Any) -> type:
+    """The class ``predicates._comparable`` orders ``value`` in: bools among
+    themselves, ints and floats together, anything else with its exact type."""
+    if isinstance(value, bool):
+        return bool
+    return float if isinstance(value, (int, float)) else type(value)
+
+
+def _regular(value: Any) -> bool:
+    """Whether a dict lookup decides ``== value`` as ``==`` does: the value is
+    hashable and equal to itself (a NaN is found by identity, not equality)."""
+    try:
+        hash(value)
+        return bool(value == value)
+    except (TypeError, ValueError):
+        return False
+
+
+def _bisectable(value: Any) -> bool:
+    """Exact builtin types, NaN excepted: ``<`` is a total order (a subclass may override it)."""
+    return type(value) in (bool, int, float, str, bytes) and value == value
+
+
+class _Column:
+    """One attribute's index; every position list ascends but ``ordered``'s."""
+
+    __slots__ = ("present", "odd", "equal", "ordered", "loose")
+
+    def __init__(self, name: str, rows: Sequence[Mapping[str, Any]]):
+        self.present: List[int] = []  # rows that have the attribute
+        self.odd: List[int] = []  # of those, unhashable or NaN: checked per row for every atom
+        self.equal: Dict[Any, List[int]] = {}  # value -> positions
+        self.ordered: Dict[type, Tuple[list, List[int]]] = {}  # order class -> (sorted values, positions)
+        self.loose: Dict[type, List[int]] = {}  # order class -> values no bisect can place
+        pairs: Dict[type, List[Tuple[Any, int]]] = {}
+        for position, row in enumerate(rows):
+            if name not in row:
+                continue
+            value = row[name]
+            self.present.append(position)
+            kind = type(value)
+            if kind is not str and kind is not int and not _regular(value):
+                self.odd.append(position)
+            else:
+                self.equal.setdefault(value, []).append(position)
+                if _bisectable(value):
+                    pairs.setdefault(_order_class(value), []).append((value, position))
+                else:
+                    self.loose.setdefault(_order_class(value), []).append(position)
+        for order_class, members in pairs.items():
+            members.sort()
+            self.ordered[order_class] = ([v for v, _ in members], [p for _, p in members])
+
+    def candidates(self, op: str, value: Any) -> Tuple[List[int], List[int]]:
+        """``(sure, unsure)``, disjoint: every row satisfying ``attribute op
+        value`` is in one of them, and every ``sure`` row satisfies it."""
+        if op == "=" or op == "!=":
+            if not _regular(value):
+                return [], self.present
+            same = self.equal.get(value, [])
+            if op == "=":
+                return same, self.odd
+            drop = set(same).union(self.odd)
+            return [p for p in self.present if p not in drop], self.odd
+        order_class = _order_class(value)
+        values, positions = self.ordered.get(order_class, ([], []))
+        unsure = self.loose.get(order_class, []) + self.odd
+        if not _bisectable(value):
+            return [], positions + unsure
+        cut = (bisect_left if op in ("<", ">=") else bisect_right)(values, value)
+        return (positions[:cut] if op[0] == "<" else positions[cut:]), unsure
+
+
+class AttributeColumns:
+    """The predicate scans of one attribute-table version: ``rows``, a
+    positional sequence of attribute mappings, stands still while it answers."""
+
+    __slots__ = ("_rows", "_columns", "_results", "tally")
+
+    def __init__(self, rows: Sequence[Mapping[str, Any]], tally: Optional[ScanTally] = None):
+        # Deferred: matching.cache -> matching -> csr_engine -> graph.csr -> here.
+        from repro.matching.cache import LruCache
+
+        self._rows = rows
+        self._columns: Dict[str, _Column] = {}
+        self._results = LruCache(4096)
+        self.tally = ScanTally() if tally is None else tally
+
+    def scan(self, predicate: Any) -> Tuple[int, ...]:
+        """Ascending positions of the rows satisfying ``predicate``.  Only
+        genuine ``Predicate`` objects are indexed and memoised: ``None`` (every
+        row), duck-typed ``matches`` objects and plain callables, of unknown
+        semantics, walk the rows in :func:`~repro.storage.base.scan_nodes`."""
+        # Deferred: repro.query pulls in the whole query package, and
+        # repro.storage imports this module while it loads.
+        from repro.query.predicates import Predicate
+        from repro.storage.base import scan_nodes
+
+        rows = self._rows
+        if not isinstance(predicate, Predicate):
+            return tuple(scan_nodes(predicate, range(len(rows)), rows.__getitem__))
+        conditions = predicate.conditions
+        # ``x < 1`` and ``x < True`` are equal (and hash alike) as predicates
+        # but order different rows: the constants' classes tell them apart.
+        key = (predicate, tuple(_order_class(condition.value) for condition in conditions))
+        tally = self.tally
+        with tally.lock:
+            found = self._results.get(key)
+            if found is None:
+                tally.memo_misses += 1
+                found = self._select(conditions) if conditions else tuple(range(len(rows)))
+                self._results.put(key, found)
+            else:
+                tally.memo_hits += 1
+            return found
+
+    def _select(self, conditions) -> Tuple[int, ...]:
+        rows, tally = self._rows, self.tally
+        parts, doubtful = [], []  # candidates per atom; (atom, its undecided candidates), in atom order
+        for condition in conditions:
+            column = self._columns.get(condition.attribute)
+            if column is None:
+                column = self._columns[condition.attribute] = _Column(condition.attribute, rows)
+                tally.columns_built += 1
+            sure, unsure = column.candidates(condition.op, condition.value)
+            if unsure:
+                doubtful.append((condition, frozenset(unsure)))
+                sure = sure + unsure
+            parts.append(sure)
+        parts.sort(key=len)
+        survivors = parts[0] if len(parts) == 1 else set(parts[0]).intersection(*parts[1:])
+        # Atom by atom in the predicate's order, on rows every earlier atom
+        # accepted: only comparisons the per-row reference makes too, so this
+        # raises only where the reference raises.
+        for condition, unsure in doubtful:
+            tally.row_checks += len(unsure.intersection(survivors))
+            survivors = [p for p in survivors if p not in unsure or condition.matches(rows[p])]
+        return tuple(sorted(survivors))

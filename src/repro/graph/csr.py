@@ -16,8 +16,9 @@ module freezes a graph into flat integer arrays so the hot evaluation loops
   adjacency, so ``_``-atoms expand without unioning per-colour sets.
 
 A snapshot is immutable topology-wise but shares the *live* attribute
-dictionaries of its source graph, so predicate scans
-(:meth:`CompiledGraph.matching_indices`) always see current attribute values.
+dictionaries of its source graph: predicate scans
+(:meth:`CompiledGraph.matching_indices`, indexed by :mod:`repro.graph.columns`
+per ``attrs_version``) always see current attribute values.
 :func:`compiled_snapshot` caches one snapshot per graph (weakly, keyed by the
 graph object) and recompiles automatically when the graph's topology
 ``version`` moves on — this is what ``engine="auto"`` rides on.
@@ -30,6 +31,7 @@ from typing import Any, Dict, Hashable, Iterator, List, Mapping, Optional, Set, 
 from weakref import WeakKeyDictionary, ref
 
 from repro.exceptions import GraphError
+from repro.graph.columns import AttributeColumns
 from repro.graph.data_graph import DataGraph
 
 NodeId = Hashable
@@ -135,11 +137,6 @@ class CompiledGraph:
     )
 
     def __init__(self, graph: DataGraph, reuse_from: Optional["CompiledGraph"] = None):
-        # Imported here (not at module level) to keep repro.graph importable
-        # without dragging in repro.matching — and to avoid the import cycle
-        # graph.csr -> matching.cache -> matching.csr_engine -> graph.csr.
-        from repro.matching.cache import LruCache
-
         self.name = graph.name
         self.source_version = graph.version
         self.source_attrs_version = graph.attrs_version
@@ -220,19 +217,17 @@ class CompiledGraph:
             self._rev_any = None
         self._num_edges = sum(layer.num_edges for layer in self._fwd)
         self._engine = None
-        # Predicate scans depend on node attributes only, never on edges:
-        # when the node set and attrs_version are unchanged, the donor's
-        # memoised scans remain valid verbatim, so the cache is shared.
-        if (
-            reuse_from is not None
-            and reuse_from._ids == ids
-            and reuse_from.source_attrs_version == self.source_attrs_version
-        ):
+        # Predicate scans depend on node attributes only, never on edges: with
+        # the node set and attrs_version unchanged the donor's columns and
+        # memoised scans are valid verbatim; otherwise only its counters carry on.
+        if reuse_from is None:
+            self._scan_cache = AttributeColumns(self._attrs)
+        elif reuse_from._ids == ids and reuse_from.source_attrs_version == self.source_attrs_version:
             self._scan_cache = reuse_from._scan_cache
         else:
-            self._scan_cache = LruCache(4096)
+            self._scan_cache = AttributeColumns(self._attrs, reuse_from._scan_cache.tally)
         # Weak handle on the source graph: lets matching_indices notice
-        # attribute updates (attrs_version) and flush the scan memo lazily,
+        # attribute updates (attrs_version) and replace the scans lazily,
         # for snapshots built via compile_graph and compiled_snapshot alike.
         self._source = ref(graph)
 
@@ -376,54 +371,28 @@ class CompiledGraph:
         """Indices of nodes whose attributes satisfy ``predicate``.
 
         ``predicate`` may be a :class:`~repro.query.predicates.Predicate`
-        (compiled to a fast closure), any object with ``matches``, a plain
-        callable over attribute mappings, or ``None`` (all nodes).  Scans for
-        :class:`Predicate` objects are memoised per snapshot — structurally
-        equal predicates pay the full sweep once; attribute updates through
-        ``add_node`` bump the graph's ``attrs_version``, which flushes this
-        memo on the next scan (no CSR recompile).
+        (answered from sorted attribute columns), any object with ``matches``
+        or a plain callable over attribute mappings (both walk the rows), or
+        ``None`` (all nodes).  Scans for :class:`Predicate` objects are
+        memoised per snapshot — structurally equal predicates are answered
+        once; attribute updates through ``add_node`` bump the graph's
+        ``attrs_version``, which replaces columns and memo on the next scan
+        (no CSR recompile).
         """
-        attrs = self._attrs
-        if predicate is None:
-            return tuple(range(len(attrs)))
         source = self._source()
         # Lazy refresh is only sound while the topology version still
         # matches: then the attribute views are live and a rescan sees the
         # graph's current values.  On a topology-stale snapshot the captured
         # views may belong to removed nodes — rescanning them is *not*
         # equivalent to the live graph, and advancing the version tag here
-        # would let the next recompile wrongly adopt this memo as fresh.
+        # would let the next recompile wrongly adopt these scans as fresh.
         if (
             source is not None
             and source.attrs_version != self.source_attrs_version
             and source.version == self.source_version
         ):
             self.refresh_attribute_scans(source.attrs_version)
-        # Deferred import: repro.query pulls in the whole query package.
-        from repro.query.predicates import Predicate
-
-        # Only genuine Predicate objects are compiled *and* memoised — a
-        # plain callable that happens to carry a ``compile`` attribute must
-        # be called as-is, and duck-typed objects are keyed out of the memo
-        # because their equality semantics are unknown.
-        cacheable = isinstance(predicate, Predicate)
-        if cacheable:
-            cached = self._scan_cache.get(predicate)
-            if cached is not None:
-                return cached
-        if hasattr(predicate, "is_true") and predicate.is_true():
-            result = tuple(range(len(attrs)))
-        else:
-            if cacheable:
-                check = predicate.compile()
-            elif hasattr(predicate, "matches") and callable(predicate.matches):
-                check = predicate.matches
-            else:
-                check = predicate
-            result = tuple(i for i in range(len(attrs)) if check(attrs[i]))
-        if cacheable:
-            self._scan_cache.put(predicate, result)
-        return result
+        return self._scan_cache.scan(predicate)
 
     def matching_ids(self, predicate: Any) -> List[NodeId]:
         """Node ids whose attributes satisfy ``predicate`` (insertion order)."""
@@ -432,14 +401,19 @@ class CompiledGraph:
 
     # -- engine handle -----------------------------------------------------------
 
+    @property
+    def scans(self) -> AttributeColumns:
+        """The scans of the attribute-table version this snapshot stands at."""
+        return self._scan_cache
+
     def refresh_attribute_scans(self, attrs_version: int) -> None:
-        """Flush memoised predicate scans after an attribute-only update.
+        """Start the predicate scans over after an attribute-only update.
 
         The attribute tuples reference the graph's live dictionaries, so the
-        data itself is already fresh — only the memo needs dropping.  Invoked
-        lazily by :meth:`matching_indices`; no CSR recompile happens.
+        data itself is already fresh — only the columns and memo over the old
+        values are replaced.  Invoked lazily by :meth:`matching_indices`.
         """
-        self._scan_cache.clear()
+        self._scan_cache = AttributeColumns(self._attrs, self._scan_cache.tally)
         self.source_attrs_version = attrs_version
 
     def default_engine(self):
@@ -466,8 +440,8 @@ def compiled_snapshot(graph: DataGraph) -> CompiledGraph:
     One snapshot is kept per live graph object (weakly referenced, so graphs
     are not pinned in memory).  The snapshot is reused while the graph's
     topology :attr:`~repro.graph.data_graph.DataGraph.version` is unchanged;
-    attribute-only updates (``attrs_version``) just flush the snapshot's
-    predicate-scan memo instead of recompiling the CSR arrays.
+    attribute-only updates (``attrs_version``) just replace the snapshot's
+    predicate scans instead of recompiling the CSR arrays.
     """
     cached = _SNAPSHOTS.get(graph)
     if cached is not None and cached.source_version == graph.version:

@@ -39,6 +39,7 @@ from typing import (
 )
 
 from repro.exceptions import GraphError
+from repro.storage.base import scan_nodes
 from repro.storage.dict_store import DictStore, JournalEntry
 
 NodeId = Hashable
@@ -90,7 +91,7 @@ class DataGraph:
         # The sharded store, created lazily by partitioned_store().
         self._partitioned = None
         # Bumped on attribute updates to existing nodes; cheaper to react to
-        # than a topology change (snapshots only flush their scan memos).
+        # than a topology change (snapshots only replace their predicate scans).
         self._attrs_version = 0
 
     # -- construction ----------------------------------------------------------
@@ -246,7 +247,7 @@ class DataGraph:
         :meth:`add_node` updating an existing node's attributes, a node being
         created, or a node being removed.
 
-        Snapshots react by flushing their memoised predicate scans (for an
+        Snapshots react by replacing their predicate scans (for an
         attribute-only update, no CSR recompile happens — the topology is
         untouched).  Mappings returned by :meth:`attributes` are read-only
         views, so this counter cannot be bypassed.
@@ -367,10 +368,9 @@ class DataGraph:
     # -- convenience -----------------------------------------------------------
 
     def nodes_matching(self, predicate) -> List[NodeId]:
-        """All nodes whose attributes satisfy ``predicate`` (a callable or a
-        :class:`~repro.query.predicates.Predicate`)."""
-        check = predicate.matches if hasattr(predicate, "matches") else predicate
-        return [node for node, attrs in self._attrs.items() if check(attrs)]
+        """All nodes whose attributes satisfy ``predicate`` (a ``Predicate``, an
+        object with a callable ``matches``, a plain callable; ``None``: all)."""
+        return scan_nodes(predicate, self._attrs, self._attrs.__getitem__)
 
     def subgraph(self, nodes: Iterable[NodeId]) -> "DataGraph":
         """The induced subgraph over ``nodes`` (attributes are shallow-copied)."""

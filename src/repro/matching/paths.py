@@ -326,10 +326,10 @@ class PathMatcher:
     def matching_nodes(self, predicate):
         """Node ids whose attributes satisfy ``predicate`` (``None`` = all).
 
-        On the CSR engine the scan runs on the overlay store's base snapshot
-        memo (nodes created since the base are swept live and appended); the
-        dict engine scans the live attribute table.  The ids are identical
-        either way, modulo order — callers treat the result as a set.
+        On the CSR engine the scan is answered from sorted attribute columns
+        (nodes created since the base are swept live and appended); the dict
+        engine scans the live attribute table.  The ids are identical either
+        way, modulo order — callers treat the result as a set.
         """
         return self._adapter.matching_nodes(predicate)
 

@@ -139,10 +139,10 @@ class ReachabilityResult:
 def _candidate_nodes(matcher: PathMatcher, query: ReachabilityQuery) -> Tuple[List[NodeId], List[NodeId]]:
     """Nodes satisfying the source / target predicates.
 
-    Delegated to the matcher's storage adapter: the CSR engine scans the
-    overlay store's base snapshot (memoised per predicate), the dict engine
-    the live attribute table.  The ids are identical either way (both follow
-    insertion order).
+    Delegated to the matcher's storage adapter: the CSR engine answers from
+    sorted attribute columns (the base snapshot's, or a pin's own table), the
+    dict engine walks the live attribute table.  The ids are identical either
+    way, modulo order (nodes created since the base come last).
     """
     return (
         matcher.matching_nodes(query.source_predicate),

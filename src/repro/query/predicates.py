@@ -325,8 +325,8 @@ class Predicate:
     def compile(self) -> Callable[[Mapping[str, Any]], bool]:
         """A fast closure equivalent to :meth:`matches`.
 
-        Used by the compiled candidate scans
-        (:meth:`repro.graph.csr.CompiledGraph.matching_indices`) to avoid the
+        Used by the per-row scans (:func:`repro.storage.base.scan_nodes`: the
+        dict and partitioned engines, nodes newer than a CSR base) to avoid the
         per-condition attribute/method dispatch when sweeping every node of a
         graph.  The closure is built once and cached on the predicate.
         """

@@ -37,7 +37,7 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.exceptions import GraphError
 from repro.kernels import active_kernel_name
-from repro.storage.base import GraphStore, NodeId, bfs_block_frontier, predicate_check
+from repro.storage.base import GraphStore, NodeId, bfs_block_frontier, scan_nodes
 
 #: Overlay fraction of the base edge count above which the store compacts.
 #: Imported lazily from session defaults at construction so the storage
@@ -261,6 +261,7 @@ class OverlayCsrStore(OverlayReads):
         self.replayed_ops = 0
         self.snapshots_pinned = 0
         self.snapshots_built = 0
+        self.attr_tables_built = 0
 
     # -- properties --------------------------------------------------------------
 
@@ -393,8 +394,10 @@ class OverlayCsrStore(OverlayReads):
         kept after its last pin was released (the pin table forgets a
         snapshot at refcount zero).  When nobody else holds a pin and
         ``retained`` still stands at the current pair it is pinned again
-        instead of building — and copying — a new one; a stale ``retained``
-        is ignored.  The returned snapshot is the one to read and release.
+        instead of building — and copying — a new one; from a ``retained`` of
+        an older version the new snapshot still takes the attribute table and
+        its scans, while ``attrs_version`` has not moved since.  The returned
+        snapshot is the one to read and release.
 
         ``version`` may assert the expected version (a reader that planned
         against version *v* can demand exactly *v*); pinning a version other
@@ -421,7 +424,7 @@ class OverlayCsrStore(OverlayReads):
             snapshot = self._pins[key] = retained
             snapshot.pins = 1
         else:
-            snapshot = self._pins[key] = StoreSnapshot(self)
+            snapshot = self._pins[key] = StoreSnapshot(self, retained)
             self.snapshots_built += 1
         self.snapshots_pinned += 1
         return snapshot
@@ -474,11 +477,11 @@ class OverlayCsrStore(OverlayReads):
     def matching_nodes(self, predicate: Any) -> List[NodeId]:
         """Node ids whose attributes satisfy ``predicate``.
 
-        Base nodes come from the base snapshot's memoised predicate scan —
+        Base nodes come from the base snapshot's indexed predicate scan —
         sound between compactions because node removals always compact, so
         every base node is live and its captured attribute views track the
-        graph; attribute updates are absorbed by refreshing the base's scan
-        memo.  Nodes created since the base are scanned live and appended.
+        graph; attribute updates are absorbed by replacing the base's
+        scans.  Nodes created since the base are scanned live and appended.
         """
         self.sync()
         graph = self._graph
@@ -491,9 +494,7 @@ class OverlayCsrStore(OverlayReads):
             base.refresh_attribute_scans(graph.attrs_version)
         result = base.matching_ids(predicate)
         if self._new_nodes:
-            check = predicate_check(predicate)
-            attributes = graph.attributes
-            result.extend(node for node in self._new_nodes if check(attributes(node)))
+            result.extend(scan_nodes(predicate, self._new_nodes, graph.attributes))
         return result
 
     # -- bookkeeping -------------------------------------------------------------
@@ -510,30 +511,14 @@ class OverlayCsrStore(OverlayReads):
         through yet reports zeros instead of forcing the one-off base
         compile just to be inspected.
         """
-        if self._base is None:
-            return {
-                "store": self.kind,
-                "kernel": active_kernel_name(),
-                "base_nodes": 0,
-                "base_edges": 0,
-                "overlay_edges": 0,
-                "overlay_fraction": 0.0,
-                "dirty_colors": 0,
-                "new_nodes": 0,
-                "compactions": self.compactions,
-                "syncs": self.syncs,
-                "replayed_ops": self.replayed_ops,
-                "compaction_fraction": self.compaction_fraction,
-                "pinned_snapshots": len(self._pins),
-                "snapshots_pinned": self.snapshots_pinned,
-                "snapshots_built": self.snapshots_built,
-            }
-        self.sync()
-        base_edges = self._base.num_edges
-        return {
+        if self._base is not None:
+            self.sync()
+        base = self._base  # sync may have compacted
+        base_edges = 0 if base is None else base.num_edges
+        stats = {
             "store": self.kind,
             "kernel": active_kernel_name(),
-            "base_nodes": self._base.num_nodes,
+            "base_nodes": 0 if base is None else base.num_nodes,
             "base_edges": base_edges,
             "overlay_edges": self._overlay_edges,
             "overlay_fraction": self._overlay_edges / base_edges if base_edges else 0.0,
@@ -546,7 +531,12 @@ class OverlayCsrStore(OverlayReads):
             "pinned_snapshots": len(self._pins),
             "snapshots_pinned": self.snapshots_pinned,
             "snapshots_built": self.snapshots_built,
+            "attr_tables_built": self.attr_tables_built,
         }
+        # One tally per graph: the base's scans and every pinned table's.
+        for name in ("memo_hits", "memo_misses", "columns_built", "row_checks"):
+            stats[f"scan_{name}"] = 0 if base is None else getattr(base.scans.tally, name)
+        return stats
 
     def __repr__(self) -> str:
         return (

@@ -7,7 +7,8 @@ base outlives any number of compactions), a **deep copy of the overlay
 slices** (the store mutates them in place on every sync — the copy is bounded
 by the compaction fraction, so it stays O(delta)), and a **copy of the
 attribute table** (predicate scans must see the pinned attributes, not the
-live ones).
+live ones), taken once per ``attrs_version``: while that stands, a version's
+snapshot adopts table and scans from the one before it.
 
 The snapshot is itself a :class:`~repro.storage.base.GraphStore` — its merged
 reads *are* the live overlay store's
@@ -26,7 +27,8 @@ whose overlay slice is empty run on the array kernels over the pinned base,
 dirty colours as merged frontiers over base and copied overlay.  The one thing
 a pinned read must never take from the base is a predicate scan — a
 :class:`~repro.graph.csr.CompiledGraph` shares the *live* attribute views —
-so scans always come from the copied attribute table.
+so scans always come from the copied attribute table (its own
+:class:`~repro.graph.columns.AttributeColumns`).
 
 :class:`SnapshotGraph` wraps a snapshot in a read-only
 :class:`~repro.graph.data_graph.DataGraph` facade (duck-typed: nodes,
@@ -53,7 +55,8 @@ from types import MappingProxyType
 from typing import Any, Dict, Iterator, List, Optional, Set
 
 from repro.exceptions import GraphError
-from repro.storage.base import NodeId, scan_nodes
+from repro.graph.columns import AttributeColumns
+from repro.storage.base import NodeId
 from repro.storage.overlay import OverlayReads
 
 
@@ -73,12 +76,14 @@ class StoreSnapshot(OverlayReads):
 
     Built by :meth:`OverlayCsrStore.pin_snapshot` after a sync, so the
     captured state equals the live graph at :attr:`version`.  All reads are
-    lock-free; the object never changes after construction.
+    lock-free (but for the scans' own lock); the object never changes after
+    construction.  If ``previous``, an earlier snapshot of the same store,
+    stands at the graph's ``attrs_version``, its attribute table is adopted.
     """
 
     kind = "overlay-csr-snapshot"
 
-    def __init__(self, store):
+    def __init__(self, store, previous: Optional["StoreSnapshot"] = None):
         graph = store.graph
         # By reference: compaction rebinds the store's base, never mutates it.
         self._base = store._base
@@ -87,14 +92,18 @@ class StoreSnapshot(OverlayReads):
         self._new_nodes = frozenset(store._new_nodes)
         self._overlay_edges = store._overlay_edges
         self._color_ops = dict(store._color_ops)
-        # The attribute table at pin time (values shared, rows copied): the
-        # live table mutates under add_node(**attrs) / remove_node.
-        self._attrs: Dict[NodeId, Dict[str, Any]] = {
-            node: dict(view) for node, view in graph.attribute_views().items()
-        }
-        self._attr_views: Dict[NodeId, Any] = {
-            node: MappingProxyType(attrs) for node, attrs in self._attrs.items()
-        }
+        if previous is not None and previous.attrs_version == graph.attrs_version:
+            self._attr_views, self._ids = previous._attr_views, previous._ids
+            self._scan_cache = previous._scan_cache
+        else:
+            # The attribute table at pin time (values shared, rows copied): the
+            # live table mutates under add_node(**attrs) / remove_node.
+            self._attr_views: Dict[NodeId, Any] = {
+                node: MappingProxyType(dict(view)) for node, view in graph.attribute_views().items()
+            }
+            self._ids = tuple(self._attr_views)
+            self._scan_cache = AttributeColumns(tuple(self._attr_views.values()), self._base.scans.tally)
+            store.attr_tables_built += 1
         self.name = f"{graph.name}@v{graph.version}"
         self.version = graph.version
         self.attrs_version = graph.attrs_version
@@ -112,10 +121,10 @@ class StoreSnapshot(OverlayReads):
     # -- node membership ---------------------------------------------------------
 
     def has_node(self, node: NodeId) -> bool:
-        return node in self._attrs
+        return node in self._attr_views
 
     def nodes(self) -> Iterator[NodeId]:
-        return iter(self._attrs)
+        return iter(self._ids)
 
     def attributes(self, node: NodeId):
         try:
@@ -130,7 +139,7 @@ class StoreSnapshot(OverlayReads):
 
     def matching_nodes(self, predicate: Any) -> List[NodeId]:
         """Node ids whose *pinned* attributes satisfy ``predicate``."""
-        return scan_nodes(predicate, self._attrs, self.attributes)
+        return list(map(self._ids.__getitem__, self._scan_cache.scan(predicate)))
 
     # -- bookkeeping -------------------------------------------------------------
 

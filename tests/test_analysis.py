@@ -69,6 +69,18 @@ class TestRuleFixtures:
         assert any("ForgetfulMatcher._frontier_cache" in message for message in messages)
         assert any("SnapshotEngine._expansion_cache" in message for message in messages)
 
+    def test_r004_reaches_the_scan_memo_under_graph_and_storage(self, tmp_path):
+        # attrs_version exists to invalidate the predicate scans a holder
+        # under graph/ keeps; the rule used to stop at matching/ and session/.
+        messages = [f.message for f in lint_fixture("R004", "bad").findings]
+        assert any("ScanHolder._scan_cache" in message for message in messages)
+        holder = (FIXTURES / "r004" / "bad" / "graph" / "scan_holder.py").read_text()
+        for part in ("storage", "elsewhere"):
+            (tmp_path / part).mkdir()
+            (tmp_path / part / "scan_holder.py").write_text(holder)
+        report = run_lint([tmp_path], select=["R004"])
+        assert [f.path.split("/")[-2] for f in report.findings] == ["storage"]
+
     def test_r005_names_the_shadowed_constant(self):
         messages = [f.message for f in lint_fixture("R005", "bad").findings]
         assert any("DEFAULT_ENGINE" in message for message in messages)

@@ -593,3 +593,30 @@ class TestPredicateCheckDispatch:
 
         check.matches = "not-callable"
         assert predicate_check(check) is check
+
+    def test_every_scan_entry_point_dispatches_alike(self):
+        # One dispatch (predicate_check) behind every per-row scan: a function
+        # carrying an unrelated, non-callable `matches` attribute is called
+        # as-is by the live graph (which used to probe `hasattr` only and
+        # raised TypeError), the compiled snapshot, the overlay store and a
+        # pinned snapshot.
+        from repro.graph.csr import compile_graph
+
+        graph = DataGraph()
+        graph.add_node("a", kind="x")
+        graph.add_node("b", kind="y")
+        graph.add_edge("a", "b", "r")
+
+        def check(attrs):
+            return attrs.get("kind") == "y"
+
+        check.matches = "not-callable"
+        assert graph.nodes_matching(check) == ["b"]
+        assert compile_graph(graph).matching_ids(check) == ["b"]
+        store = graph.overlay_store()
+        assert store.matching_nodes(check) == ["b"]
+        snapshot = store.pin_snapshot()
+        try:
+            assert snapshot.matching_nodes(check) == ["b"]
+        finally:
+            store.release_snapshot(snapshot)

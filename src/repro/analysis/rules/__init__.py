@@ -15,13 +15,13 @@ from repro.analysis.rules.async_safety import AsyncBlockingCallRule
 from repro.analysis.rules.drift import DefaultDriftRule
 from repro.analysis.rules.exports import ExportConformanceRule
 from repro.analysis.rules.isolation import ShardIsolationRule
-from repro.analysis.rules.layering import FIXPOINT_MODULES, EngineFreeFixpointRule
+from repro.analysis.rules.layering import ENGINE_MODULES, EngineFreeFixpointRule
 from repro.analysis.rules.memos import MemoInvalidationRule
 from repro.analysis.rules.snapshots import SnapshotReleaseRule
 from repro.analysis.rules.swallow import ExceptionSwallowRule
 from repro.analysis.rules.versions import VersionBumpRule
 
-__all__ = ["FIXPOINT_MODULES", "RULE_CODES", "all_rules"]
+__all__ = ["ENGINE_MODULES", "RULE_CODES", "all_rules"]
 
 _RULE_CLASSES = (
     VersionBumpRule,

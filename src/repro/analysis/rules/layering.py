@@ -1,19 +1,25 @@
-"""R006 — matching-module fixpoints stay engine-free.
+"""R006 — everything under ``matching/`` stays engine-free.
 
 PR 5 collapsed all dict-vs-CSR dispatch into ``storage/adapter.py``; the
-evaluation fixpoints (`refine_fixpoint`, join/split match, the simulation
-loops, the incremental maintainer) operate through the adapter protocol and
-must never branch on which engine is underneath — an ``engine == "csr"``
-branch in a fixpoint body is a layering regression that differential tests
-only catch when the branch also changes answers.
+evaluators (`evaluate_rq`, the general-regex product, join/split match, the
+simulation loops, the incremental maintainer) and the ``PathMatcher`` seam
+operate through the adapter protocol and must never branch on which engine
+is underneath — an ``engine == "csr"`` branch in an evaluator is a layering
+regression that differential tests only catch when the branch also changes
+answers.  Engine names are compared in ``storage/adapter.py`` and under
+``session/`` only; validating a request against ``ENGINES`` or
+``DEFAULT_ENGINE`` *by name* compares no literal and stays legal.
 
-This supersedes the PR 5 grep gate (``"engine =="`` substring search) with
-a real AST check over the same module allowlist.  Beyond the literal
-comparison it also catches the indirections a substring grep misses:
+The rule covers every module under ``matching/`` except the engine itself
+(:data:`ENGINE_MODULES`).  It supersedes the PR 5 grep gate (``"engine =="``
+substring search); beyond the literal comparison it also catches what a
+substring grep misses:
 
-* reversed comparisons (``"csr" == engine``) and membership tests;
+* reversed comparisons (``"csr" == engine``);
+* membership tests against a tuple, list or set literal that holds a string
+  constant (``engine in ("auto", "csr")``, ``engine not in ["dict"]``);
 * ``getattr(matcher, "csr_engine")`` / ``hasattr(...)`` string dispatch;
-* direct ``.csr_engine`` attribute reaches from a fixpoint body.
+* direct ``.csr_engine`` attribute reaches.
 
 ``paths.py`` is the adapter-facing seam: its ``PathMatcher`` legitimately
 *owns* a ``_csr_engine`` accessor, so attribute checks skip names defined
@@ -28,21 +34,9 @@ from typing import Iterable, List
 from repro.analysis.core import ModuleInfo, Rule
 from repro.analysis.findings import Finding
 
-#: The PQ/RQ fixpoint modules (ported from the PR 5 grep test): evaluation
-#: bodies that must be engine-free — dict-vs-CSR dispatch belongs to
-#: repro/storage/adapter.py alone.
-FIXPOINT_MODULES = (
-    "paths.py",
-    "naive.py",
-    "join_match.py",
-    "split_match.py",
-    "simulation.py",
-    "bounded_simulation.py",
-    "incremental.py",
-    "refinement.py",
-    "frontiers.py",
-    "subgraph_iso.py",
-)
+#: The modules under ``matching/`` that *are* an engine, and so the only
+#: ones there the rule leaves alone.
+ENGINE_MODULES = ("csr_engine.py",)
 
 
 def _identifier(node: ast.AST) -> str:
@@ -55,6 +49,14 @@ def _identifier(node: ast.AST) -> str:
 
 def _is_engine_identifier(name: str) -> bool:
     return "engine" in name.lower()
+
+
+def _holds_string(node: ast.AST) -> bool:
+    """A string constant, or a tuple/list/set literal holding one (the
+    right-hand side of ``engine in ("auto", "csr")``)."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_holds_string(element) for element in node.elts)
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
 
 
 def _locally_defined_names(module: ModuleInfo) -> frozenset:
@@ -70,11 +72,11 @@ def _locally_defined_names(module: ModuleInfo) -> frozenset:
 class EngineFreeFixpointRule(Rule):
     code = "R006"
     name = "engine-free-fixpoint"
-    summary = "fixpoint modules must not branch on the evaluation engine"
+    summary = "matching modules must not branch on the evaluation engine"
 
     def check(self, module: ModuleInfo) -> Iterable[Finding]:
         filename = module.relpath.rsplit("/", 1)[-1]
-        if filename not in FIXPOINT_MODULES or not module.in_part("matching"):
+        if filename in ENGINE_MODULES or not module.in_part("matching"):
             return ()
         findings: List[Finding] = []
         local_names = _locally_defined_names(module)
@@ -82,16 +84,12 @@ class EngineFreeFixpointRule(Rule):
             if isinstance(node, ast.Compare):
                 sides = [node.left, *node.comparators]
                 engine_side = any(_is_engine_identifier(_identifier(side)) for side in sides)
-                string_side = any(
-                    isinstance(side, ast.Constant) and isinstance(side.value, str)
-                    for side in sides
-                )
-                if engine_side and string_side:
+                if engine_side and any(_holds_string(side) for side in sides):
                     findings.append(
                         module.finding(
                             node,
                             self.code,
-                            "engine-string comparison in a fixpoint body; "
+                            "engine-string comparison under matching/; "
                             "dict-vs-CSR dispatch belongs to storage/adapter.py",
                         )
                     )
@@ -106,8 +104,8 @@ class EngineFreeFixpointRule(Rule):
                         module.finding(
                             node,
                             self.code,
-                            f"{node.func.id}() engine-name indirection in a "
-                            f"fixpoint body; dispatch through the adapter instead",
+                            f"{node.func.id}() engine-name indirection under "
+                            f"matching/; dispatch through the adapter instead",
                         )
                     )
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -116,7 +114,7 @@ class EngineFreeFixpointRule(Rule):
                         module.finding(
                             node,
                             self.code,
-                            f"direct .{node.attr} reach from a fixpoint body; "
+                            f"direct .{node.attr} reach under matching/; "
                             f"only storage/adapter.py may touch the CSR engine",
                         )
                     )

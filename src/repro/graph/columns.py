@@ -24,6 +24,8 @@ import threading
 from bisect import bisect_left, bisect_right
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.lru import LruCache
+
 
 class ScanTally:
     """Lifetime scan counters of one graph, and the lock its scans run under:
@@ -117,9 +119,6 @@ class AttributeColumns:
     __slots__ = ("_rows", "_columns", "_results", "tally")
 
     def __init__(self, rows: Sequence[Mapping[str, Any]], tally: Optional[ScanTally] = None):
-        # Deferred: matching.cache -> matching -> csr_engine -> graph.csr -> here.
-        from repro.matching.cache import LruCache
-
         self._rows = rows
         self._columns: Dict[str, _Column] = {}
         self._results = LruCache(4096)

@@ -27,7 +27,7 @@ graph object) and recompiles automatically when the graph's topology
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, Hashable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 from weakref import WeakKeyDictionary, ref
 
 from repro.exceptions import GraphError
@@ -131,7 +131,6 @@ class CompiledGraph:
         "_fwd_any",
         "_rev_any",
         "_num_edges",
-        "_engine",
         "_scan_cache",
         "_source",
     )
@@ -216,7 +215,6 @@ class CompiledGraph:
             self._fwd_any = None
             self._rev_any = None
         self._num_edges = sum(layer.num_edges for layer in self._fwd)
-        self._engine = None
         # Predicate scans depend on node attributes only, never on edges: with
         # the node set and attrs_version unchanged the donor's columns and
         # memoised scans are valid verbatim; otherwise only its counters carry on.
@@ -285,6 +283,11 @@ class CompiledGraph:
 
     def has_node(self, node: NodeId) -> bool:
         return node in self._index
+
+    def indices_of(self, nodes: Iterable[NodeId]) -> List[int]:
+        """Dense indices of those of ``nodes`` this snapshot holds, in order."""
+        index = self._index
+        return [index[node] for node in nodes if node in index]
 
     def color_id(self, color: Optional[str]) -> Optional[int]:
         """Dense colour id, :data:`ANY_COLOR` for ``None``, ``None`` if unknown."""
@@ -399,8 +402,6 @@ class CompiledGraph:
         ids = self._ids
         return [ids[i] for i in self.matching_indices(predicate)]
 
-    # -- engine handle -----------------------------------------------------------
-
     @property
     def scans(self) -> AttributeColumns:
         """The scans of the attribute-table version this snapshot stands at."""
@@ -415,15 +416,6 @@ class CompiledGraph:
         """
         self._scan_cache = AttributeColumns(self._attrs, self._scan_cache.tally)
         self.source_attrs_version = attrs_version
-
-    def default_engine(self):
-        """The shared :class:`~repro.matching.csr_engine.CsrEngine` for this
-        snapshot (created lazily; its per-atom caches persist across queries)."""
-        if self._engine is None:
-            from repro.matching.csr_engine import CsrEngine
-
-            self._engine = CsrEngine(self)
-        return self._engine
 
 
 def compile_graph(graph: DataGraph) -> CompiledGraph:

@@ -21,7 +21,7 @@ from repro.graph.data_graph import DataGraph
 from repro.graph.distance import DistanceMatrix
 from repro.session.defaults import DEFAULT_CACHE_CAPACITY, DEFAULT_ENGINE
 from repro.matching.naive import initial_candidates
-from repro.matching.paths import PathMatcher, resolve_pq_matcher
+from repro.matching.paths import PathMatcher, resolve_matcher
 from repro.matching.refinement import refine_fixpoint
 from repro.matching.result import PatternMatchResult
 from repro.query.pq import PatternQuery
@@ -50,8 +50,8 @@ def bounded_simulation_match(
     checks run over the compiled snapshot's wildcard layer.
     """
     started = time.perf_counter()
-    matcher = resolve_pq_matcher(
-        graph, distance_matrix, matcher, cache_capacity, engine, caller="bounded_simulation_match"
+    matcher = resolve_matcher(
+        graph, matcher, engine, "bounded_simulation_match", distance_matrix, cache_capacity
     )
     algorithm = "MatchM" if matcher.uses_matrix else "MatchC"
 

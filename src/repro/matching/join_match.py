@@ -27,7 +27,7 @@ from repro.graph.data_graph import DataGraph
 from repro.graph.distance import DistanceMatrix
 from repro.session.defaults import DEFAULT_CACHE_CAPACITY, DEFAULT_ENGINE
 from repro.matching.naive import collect_result, initial_candidates
-from repro.matching.paths import PathMatcher, resolve_pq_matcher
+from repro.matching.paths import PathMatcher, resolve_matcher
 from repro.matching.result import PatternMatchResult
 from repro.query.pq import PatternQuery
 
@@ -73,7 +73,7 @@ def join_match(
         distance matrix is supplied.  Matches are identical on every engine.
     """
     started = time.perf_counter()
-    matcher = resolve_pq_matcher(graph, distance_matrix, matcher, cache_capacity, engine)
+    matcher = resolve_matcher(graph, matcher, engine, "join_match", distance_matrix, cache_capacity)
     if normalize is None:
         normalize = matcher.uses_matrix
     algorithm = "JoinMatchM" if matcher.uses_matrix else "JoinMatchC"

@@ -16,8 +16,7 @@ from typing import Dict, Hashable, Optional, Set
 
 from repro.graph.data_graph import DataGraph
 from repro.graph.distance import DistanceMatrix
-from repro.session.defaults import DEFAULT_CACHE_CAPACITY
-from repro.matching.paths import PathMatcher, resolve_pq_matcher
+from repro.matching.paths import PathMatcher, resolve_matcher
 from repro.matching.result import PatternMatchResult
 from repro.query.pq import PatternQuery
 
@@ -103,9 +102,7 @@ def naive_match(
     started = time.perf_counter()
     if engine is None:
         engine = "auto" if matcher is not None else "dict"
-    matcher = resolve_pq_matcher(
-        graph, distance_matrix, matcher, DEFAULT_CACHE_CAPACITY, engine, caller="naive_match"
-    )
+    matcher = resolve_matcher(graph, matcher, engine, "naive_match", distance_matrix)
     candidates = initial_candidates(pattern, graph, matcher=matcher)
     if any(not nodes for nodes in candidates.values()):
         return PatternMatchResult.empty("naive", engine=matcher.engine)

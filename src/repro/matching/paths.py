@@ -44,8 +44,8 @@ from repro.graph.data_graph import DataGraph
 from repro.graph.distance import DistanceMatrix
 from repro.matching.cache import LruCache
 from repro.regex.fclass import FRegex
-from repro.session.defaults import DEFAULT_CACHE_CAPACITY, ENGINES
-from repro.storage.adapter import make_adapter
+from repro.session.defaults import DEFAULT_CACHE_CAPACITY, DEFAULT_ENGINE, ENGINES
+from repro.storage.adapter import make_adapter, resolve_engine
 
 NodeId = Hashable
 
@@ -91,42 +91,44 @@ def dirty_targets_for_colors(pattern, colors: Iterable[str]) -> Set[str]:
     }
 
 
-def resolve_pq_matcher(
+def resolve_matcher(
     graph: DataGraph,
-    distance_matrix: Optional[DistanceMatrix],
     matcher: Optional["PathMatcher"],
-    cache_capacity: Optional[int],
     engine: str,
-    caller: str = "join_match",
+    caller: str,
+    distance_matrix: Optional[DistanceMatrix] = None,
+    cache_capacity: Optional[int] = DEFAULT_CACHE_CAPACITY,
+    error: type = ValueError,
 ) -> "PathMatcher":
-    """The matcher driving one PQ evaluation call (shared by all algorithms).
+    """The matcher driving one evaluation call (shared by every evaluator).
 
-    A caller-supplied matcher is used as-is — its own engine decides dict vs
-    CSR expansion; asking for a *different* engine at the same time raises
-    :class:`ValueError` (mirroring ``evaluate_rq``'s refusal to combine
-    ``engine="csr"`` with a matcher).  A plain search-mode call (no matcher,
-    no matrix, default cache capacity) delegates to the graph's
+    A caller-supplied matcher is used as-is — its own engine decides which
+    storage adapter expands; asking for a *different* engine at the same time
+    raises ``error`` (:class:`ValueError` for the PQ algorithms and graph
+    simulation, :class:`~repro.exceptions.EvaluationError` for the RQ
+    evaluators, as is an unknown engine name).  A plain search-mode call (no
+    matcher, no matrix, default cache capacity) delegates to the graph's
     module-level default session (:func:`repro.session.session.default_session`)
     and shares its warm, version-aware matcher — answers are identical, the
-    caches just stay hot across calls.  Otherwise a private matcher is built
+    caches just stay hot across calls; ``caller`` names the free function in
+    the one-shot deprecation warning.  Otherwise a private matcher is built
     with the requested engine.
     """
     if matcher is not None:
-        if engine not in ("auto", matcher.engine):
-            raise ValueError(
+        if engine not in (DEFAULT_ENGINE, matcher.engine):
+            raise error(
                 f"engine={engine!r} conflicts with the supplied matcher's engine "
                 f"{matcher.engine!r}; configure the matcher instead"
             )
         return matcher
     if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+        raise error(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if distance_matrix is None and cache_capacity == DEFAULT_CACHE_CAPACITY:
         from repro.matching.deprecation import warn_free_function
         from repro.session.session import default_session
 
         warn_free_function(caller)
-        resolved = "csr" if engine in ("auto", "csr") else engine
-        return default_session(graph).matcher(resolved)
+        return default_session(graph).matcher(resolve_engine(engine))
     return PathMatcher(
         graph,
         distance_matrix=distance_matrix,
@@ -170,22 +172,13 @@ class PathMatcher:
     ):
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        if distance_matrix is not None and engine not in ("auto", "dict"):
-            # Mirror evaluate_rq: the matrix is a dict-engine index.
-            raise ValueError(
-                f"engine={engine!r} cannot be combined with a distance matrix"
-            )
+        # Raises on a store-backed engine with a matrix (a dict-engine index).
+        self.engine = resolve_engine(engine, distance_matrix is not None)
         self.graph = graph
         self.matrix = distance_matrix
         self._cache_capacity = cache_capacity
         self._forward_cache = LruCache(cache_capacity)
         self._backward_cache = LruCache(cache_capacity)
-        if engine in ("partitioned",):
-            self.engine = engine
-        elif engine in ("auto", "csr") and distance_matrix is None:
-            self.engine = "csr"
-        else:
-            self.engine = "dict"
         #: Cache entries discarded because the graph mutated under them.
         self.stale_invalidations = 0
         # The storage adapter owns every engine-specific expansion decision.
@@ -303,6 +296,18 @@ class PathMatcher:
         space, translating ids once.
         """
         return self._adapter.query_pairs(regex, sources, targets, method)
+
+    def product_pairs(self, regex, sources, targets) -> Set[Tuple[NodeId, NodeId]]:
+        """All pairs between two candidate lists joined by a non-empty path
+        whose colour string a *general* regex accepts (the Sec. 7 extension).
+
+        ``regex`` is a :class:`~repro.regex.general.GeneralRegex`.  The dict
+        engine searches the (node, NFA state set) product over the adjacency,
+        the partitioned engine routes that search through owner shards, and
+        the CSR engine runs it in index space whenever the overlay store can
+        hand over whole CSR layers.
+        """
+        return self._adapter.product_pairs(regex, sources, targets)
 
     def pair_matches(self, source: NodeId, target: NodeId, regex: FRegex) -> bool:
         """True when a non-empty path from ``source`` to ``target`` matches ``regex``."""

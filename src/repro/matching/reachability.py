@@ -13,30 +13,32 @@ Two strategies are provided, matching the paper:
 Both are reached through :func:`evaluate_rq`; the strategy is chosen by the
 ``method`` argument or implied by whether a distance matrix is supplied.
 
-Orthogonally to the strategy, the search-based methods can run on one of two
-**engines**:
+Orthogonally to the strategy, evaluation reads through one
+:class:`~repro.matching.paths.PathMatcher` — the caller's, or one resolved
+from ``engine=`` (:func:`~repro.matching.paths.resolve_matcher`) — whose
+storage adapter decides how frontiers expand:
 
-* ``"dict"`` — the original implementation over the graph's dict-of-set
-  adjacency (also the only engine for the ``"matrix"`` method);
-* ``"csr"`` — the compiled engine of :mod:`repro.matching.csr_engine`, which
-  freezes the graph into flat CSR arrays (:mod:`repro.graph.csr`) and expands
-  frontiers over integer indices;
-* ``"auto"`` (default) — the CSR engine for search methods (compiling once
-  per graph and caching the snapshot), the dict engine otherwise.
+* ``"dict"`` — over the graph's dict-of-set adjacency (also the only engine
+  for the ``"matrix"`` method);
+* ``"csr"`` — the compiled engine of :mod:`repro.matching.csr_engine` over
+  the graph's overlay-CSR store (flat CSR arrays, integer indices);
+* ``"partitioned"`` — opt-in, over the graph's sharded store;
+* ``"auto"`` (default) — the CSR engine for search methods, the dict engine
+  otherwise.
 
-Both engines return byte-identical ``pairs`` sets.
+Every engine returns byte-identical ``pairs`` sets.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterator, Optional, Set, Tuple
 
 from repro.exceptions import EvaluationError
 from repro.graph.data_graph import DataGraph
 from repro.graph.distance import DistanceMatrix
-from repro.matching.paths import PathMatcher
+from repro.matching.paths import PathMatcher, resolve_matcher
 from repro.query.rq import ReachabilityQuery
 from repro.session.defaults import (
     DEFAULT_CACHE_CAPACITY,
@@ -45,6 +47,7 @@ from repro.session.defaults import (
     ENGINES,
     RQ_METHODS as METHODS,
 )
+from repro.storage.adapter import admits_matrix
 
 NodeId = Hashable
 NodePair = Tuple[NodeId, NodeId]
@@ -136,20 +139,6 @@ class ReachabilityResult:
         return f"ReachabilityResult(method={self.method!r}, size={self.size})"
 
 
-def _candidate_nodes(matcher: PathMatcher, query: ReachabilityQuery) -> Tuple[List[NodeId], List[NodeId]]:
-    """Nodes satisfying the source / target predicates.
-
-    Delegated to the matcher's storage adapter: the CSR engine answers from
-    sorted attribute columns (the base snapshot's, or a pin's own table), the
-    dict engine walks the live attribute table.  The ids are identical either
-    way, modulo order (nodes created since the base come last).
-    """
-    return (
-        matcher.matching_nodes(query.source_predicate),
-        matcher.matching_nodes(query.target_predicate),
-    )
-
-
 def evaluate_rq(
     query: ReachabilityQuery,
     graph: DataGraph,
@@ -179,8 +168,9 @@ def evaluate_rq(
         caches) across many queries.  Passing a matcher means evaluation is
         driven through it as-is — the matcher's own ``engine`` setting
         decides dict vs CSR expansion, and the result is labelled
-        accordingly.  (``engine="csr"`` here cannot be combined with a
-        matcher; configure the matcher instead.)
+        accordingly.  (An explicit ``engine`` other than the matcher's raises
+        :class:`~repro.exceptions.EvaluationError`; configure the matcher
+        instead.)
     cache_capacity:
         LRU capacity for the per-call search caches.  A non-default value on
         the CSR path sizes a private expansion cache for this call instead
@@ -210,42 +200,27 @@ def evaluate_rq(
         # An explicit CSR (or partitioned) request resolves to a search
         # method even when a matrix is at hand — the matrix is a
         # dict-engine index.
-        if engine in ("csr", "partitioned"):
-            method = "bidirectional"
-        else:
-            method = "matrix" if distance_matrix is not None else "bidirectional"
-    if engine in ("csr", "partitioned") and method == "matrix":
+        walks_matrix = distance_matrix is not None and admits_matrix(engine)
+        method = "matrix" if walks_matrix else "bidirectional"
+    elif method == "matrix" and not admits_matrix(engine):
         raise EvaluationError("the matrix method runs on the dict engine only")
-    if engine in ("csr", "partitioned") and matcher is not None:
-        raise EvaluationError(
-            f"engine={engine!r} cannot reuse a PathMatcher; drop the matcher "
-            f"(the store-backed engines keep their own caches) or use "
-            f"engine='dict'"
-        )
-    default_cache = cache_capacity == DEFAULT_CACHE_CAPACITY
 
     started = time.perf_counter()
-    if matcher is None:
-        if method == "matrix":
-            matcher = PathMatcher(
-                graph, distance_matrix=distance_matrix, cache_capacity=cache_capacity
-            )
-        elif default_cache:
-            # Thin delegation to the graph's module-level default session:
-            # plain search-mode calls share its warm, version-aware matcher
-            # for the resolved engine instead of rebuilding caches per call.
-            # Answers are identical (the memos invalidate themselves on
-            # mutation; the CSR matcher reads through the overlay store).
-            from repro.matching.deprecation import warn_free_function
-            from repro.session.session import default_session
+    # A supplied matcher drives evaluation as-is; a plain search-mode call
+    # shares the warm, version-aware matcher of the graph's default session;
+    # the matrix is handed on only to the method that walks it.
+    matcher = resolve_matcher(
+        graph,
+        matcher,
+        engine,
+        "evaluate_rq",
+        distance_matrix if method == "matrix" else None,
+        cache_capacity,
+        error=EvaluationError,
+    )
 
-            warn_free_function("evaluate_rq")
-            resolved = "csr" if engine in ("auto", "csr") else engine
-            matcher = default_session(graph).matcher(resolved)
-        else:
-            matcher = PathMatcher(graph, cache_capacity=cache_capacity, engine=engine)
-
-    sources, targets = _candidate_nodes(matcher, query)
+    sources = matcher.matching_nodes(query.source_predicate)
+    targets = matcher.matching_nodes(query.target_predicate)
     pairs: Set[NodePair] = set()
     if sources and targets:
         # The matcher's storage adapter picks the evaluation path: dense

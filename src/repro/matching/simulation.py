@@ -9,34 +9,31 @@ regular expression and the expression allows a single-edge block.
 
 The function below is both a self-contained baseline (edge-to-edge matching,
 no bounds) and the building block the containment/minimization machinery
-mirrors on the query-to-query level.
+mirrors on the query-to-query level.  It is the shared refinement fixpoint
+(:mod:`repro.matching.refinement`) with a one-edge successor test, read —
+like every evaluator — through one :class:`~repro.matching.paths.PathMatcher`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Set
+from typing import Dict, Hashable, Optional, Set
 
 from repro.graph.data_graph import DataGraph
+from repro.matching.naive import initial_candidates
+from repro.matching.paths import PathMatcher, resolve_matcher
 from repro.matching.refinement import refine_fixpoint
 from repro.query.pq import PatternQuery
-from repro.regex.fclass import FRegex
-from repro.session.defaults import DEFAULT_ENGINE, ENGINES
+from repro.regex.fclass import FRegex, RegexAtom
+from repro.session.defaults import DEFAULT_ENGINE
 
 NodeId = Hashable
 
 
-def _edge_color_admitted(regex: FRegex, color: str) -> bool:
-    """True when one data edge of ``color`` can satisfy the pattern edge."""
-    first = regex.atoms[0]
-    if regex.num_atoms > 1:
-        # A multi-atom expression needs a path of at least num_atoms edges, so
-        # a single edge can never satisfy it.
-        return False
-    return first.admits_color(color)
-
-
 def graph_simulation(
-    pattern: PatternQuery, graph: DataGraph, engine: str = DEFAULT_ENGINE
+    pattern: PatternQuery,
+    graph: DataGraph,
+    engine: str = DEFAULT_ENGINE,
+    matcher: Optional[PathMatcher] = None,
 ) -> Dict[str, Set[NodeId]]:
     """Maximum colour-aware graph simulation of ``pattern`` in ``graph``.
 
@@ -46,37 +43,27 @@ def graph_simulation(
 
     The computation is the standard fixpoint: start from the predicate-based
     candidate sets and repeatedly remove any candidate that misses a successor
-    for some outgoing pattern edge.  With ``engine="csr"`` (or ``"auto"``,
-    the default) the fixpoint runs entirely in the dense index space of the
-    graph's compiled snapshot — the successor test walks CSR rows against a
-    candidate bitmap instead of hashing node ids; ``"dict"`` keeps the
-    original adjacency-dict evaluation.  Answers are identical either way.
+    for some outgoing pattern edge.  ``matcher`` (or, without one, ``engine``,
+    resolved as for ``join_match``; a conflict between the two raises
+    :class:`ValueError`) supplies both the candidate scan and the successor
+    test, so the fixpoint runs on whichever backend the matcher reads —
+    answers are identical on every engine.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if engine in ("auto", "csr"):
-        return _csr_simulation(pattern, graph)
-    sim: Dict[str, Set[NodeId]] = {}
-    for node in pattern.nodes():
-        predicate = pattern.predicate(node)
-        sim[node] = {
-            candidate
-            for candidate in graph.nodes()
-            if predicate.matches(graph.attributes(candidate))
-        }
-        if not sim[node]:
-            return {}
+    matcher = resolve_matcher(graph, matcher, engine, "graph_simulation")
+    sim = initial_candidates(pattern, graph, matcher=matcher)
+    if any(not nodes for nodes in sim.values()):
+        return {}
 
     # Single-edge backward step: every node with an admitted edge into the
-    # target set survives.  The fixpoint itself is the shared dirty-queue
-    # worklist (re-check only the in-edges of changed pattern nodes).
+    # target set survives.  One data edge satisfies a constraint only when
+    # the expression is a single atom (a multi-atom expression needs a path
+    # of at least num_atoms edges) and the edge has the atom's colour, i.e.
+    # a one-edge block of that atom.  The fixpoint itself is the shared
+    # dirty-queue worklist (re-check only the in-edges of changed nodes).
     def survivors(regex: FRegex, targets: Set[NodeId]) -> Set[NodeId]:
-        keep: Set[NodeId] = set()
-        for target in targets:
-            for color in graph.predecessor_colors(target):
-                if _edge_color_admitted(regex, color):
-                    keep |= graph.predecessors(target, color)
-        return keep
+        if regex.num_atoms > 1:
+            return set()
+        return matcher.set_sources(targets, RegexAtom(regex.atoms[0].color, 1))
 
     survived = refine_fixpoint(
         [(edge.source, edge.target, edge.regex) for edge in pattern.edges()],
@@ -84,46 +71,3 @@ def graph_simulation(
         survivors,
     )
     return sim if survived else {}
-
-
-def _csr_simulation(pattern: PatternQuery, graph: DataGraph) -> Dict[str, Set[NodeId]]:
-    """The same fixpoint over the compiled CSR snapshot (index space)."""
-    from repro.graph.csr import compiled_snapshot
-
-    compiled = compiled_snapshot(graph)
-    sim: Dict[str, Set[int]] = {}
-    for node in pattern.nodes():
-        sim[node] = set(compiled.matching_indices(pattern.predicate(node)))
-        if not sim[node]:
-            return {}
-
-    # Pre-resolve, per pattern edge, the *reverse* colour layers one data
-    # edge of which can satisfy the constraint (empty for multi-atom
-    # expressions); the single-edge backward step then walks reverse CSR
-    # rows of the target set, and the fixpoint is the shared dirty-queue
-    # worklist over pattern nodes.
-    edges = []
-    for edge in pattern.edges():
-        layers = [
-            compiled.layer(k, reverse=True)
-            for k, color in enumerate(compiled.colors)
-            if _edge_color_admitted(edge.regex, color)
-        ]
-        edges.append((edge.source, edge.target, layers))
-
-    def survivors(layers, targets: Set[int]) -> Set[int]:
-        keep: Set[int] = set()
-        for layer in layers:
-            offsets = layer.offsets
-            view = layer._view
-            mask = layer.mask
-            for index in targets:
-                if mask[index]:
-                    keep.update(view[offsets[index]:offsets[index + 1]])
-        return keep
-
-    if not refine_fixpoint(edges, sim, survivors):
-        return {}
-
-    ids = compiled.ids
-    return {node: {ids[j] for j in indices} for node, indices in sim.items()}

@@ -24,7 +24,7 @@ from repro.graph.data_graph import DataGraph
 from repro.graph.distance import DistanceMatrix
 from repro.session.defaults import DEFAULT_CACHE_CAPACITY, DEFAULT_ENGINE
 from repro.matching.naive import collect_result, initial_candidates
-from repro.matching.paths import PathMatcher, resolve_pq_matcher
+from repro.matching.paths import PathMatcher, resolve_matcher
 from repro.matching.result import PatternMatchResult
 from repro.query.pq import PatternQuery
 
@@ -106,9 +106,7 @@ def split_match(
     reachability checks.
     """
     started = time.perf_counter()
-    matcher = resolve_pq_matcher(
-        graph, distance_matrix, matcher, cache_capacity, engine, caller="split_match"
-    )
+    matcher = resolve_matcher(graph, matcher, engine, "split_match", distance_matrix, cache_capacity)
     if normalize is None:
         normalize = matcher.uses_matrix
     algorithm = "SplitMatchM" if matcher.uses_matrix else "SplitMatchC"

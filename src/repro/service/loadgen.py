@@ -102,19 +102,20 @@ def _normalise(kind: str, answer: Any) -> Any:
 
 def _evaluate_plain(kind: str, query: Any, graph: DataGraph) -> Any:
     """From-scratch evaluation on the dict engine (no caches, no session)."""
+    from repro.matching.paths import PathMatcher
+
+    matcher = PathMatcher(graph)
     if kind == "rq":
-        from repro.matching.paths import PathMatcher
         from repro.matching.reachability import evaluate_rq
 
-        return evaluate_rq(query, graph, matcher=PathMatcher(graph))
+        return evaluate_rq(query, graph, matcher=matcher)
     if kind == "general_rq":
         from repro.matching.general_rq import evaluate_general_rq
 
-        return evaluate_general_rq(query, graph, engine="dict")
+        return evaluate_general_rq(query, graph, matcher=matcher)
     from repro.matching.join_match import join_match
-    from repro.matching.paths import PathMatcher
 
-    return join_match(query, graph, matcher=PathMatcher(graph))
+    return join_match(query, graph, matcher=matcher)
 
 
 class _Observation:

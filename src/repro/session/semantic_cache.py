@@ -40,8 +40,9 @@ pair in ``M(q1)(e)`` for **each** out-edge ``e`` of ``u``.  Seeding a node's
 candidates with the intersection of the cached source projections of
 ``λ(e)`` (predicate-filtered; full scan for nodes with no out-edges)
 therefore sandwiches the greatest fixpoint: ``mat ⊆ seed ⊆ full
-candidates``, and the naive refinement operator is monotone, so the
-restricted fixpoint equals the unrestricted one.
+candidates``, and the refinement operator is monotone, so the restricted
+fixpoint (:func:`~repro.matching.refinement.refine_fixpoint` below the seeds)
+equals the unrestricted one.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.matching.general_rq import GeneralReachabilityResult
 from repro.matching.naive import collect_result
 from repro.matching.reachability import ReachabilityResult
+from repro.matching.refinement import refine_fixpoint
 from repro.matching.result import PatternMatchResult
 from repro.query.canonical import CanonicalQuery, regex_cache_key
 from repro.query.containment import pq_containment_mapping, rq_contained_in
@@ -151,21 +153,14 @@ def _seeded_pq_evaluation(
         if not candidates[node]:
             return PatternMatchResult.empty("semantic-cache", engine=matcher.engine)
 
-    changed = True
-    while changed:
-        changed = False
-        for edge in query.edges():
-            source_set = candidates[edge.source]
-            target_set = candidates[edge.target]
-            survivors = matcher.backward_reachable(target_set, edge.regex)
-            removable = source_set - survivors
-            if removable:
-                source_set -= removable
-                changed = True
-                if not source_set:
-                    return PatternMatchResult.empty(
-                        "semantic-cache", engine=matcher.engine
-                    )
+    # The greatest fixpoint below the seeds, on the shared dirty-queue worklist.
+    survived = refine_fixpoint(
+        [(edge.source, edge.target, edge.regex) for edge in query.edges()],
+        candidates,
+        lambda regex, target_set: matcher.backward_reachable(target_set, regex),
+    )
+    if not survived:
+        return PatternMatchResult.empty("semantic-cache", engine=matcher.engine)
 
     elapsed = time.perf_counter() - started
     return collect_result(query, candidates, matcher, "semantic-cache", elapsed)
@@ -370,7 +365,7 @@ class SemanticCache:
         if isinstance(entry.answer, GeneralReachabilityResult):
             # The probe only admitted the same general expression, so the
             # predicate filter alone is exact.
-            return GeneralReachabilityResult(pairs=filtered)
+            return GeneralReachabilityResult(pairs=filtered, engine=matcher.engine)
         if regex_cache_key(query.regex) != regex_cache_key(entry.query.regex):
             # Strictly tighter language: every surviving pair must be
             # re-checked against this query's regex (capped — past the cap a

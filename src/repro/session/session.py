@@ -28,7 +28,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter
-from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import QueryError, SnapshotError
@@ -254,14 +253,14 @@ def _evaluate(query: Any, plan: QueryPlan, matcher: PathMatcher) -> Any:
         if plan.kind == "rq":
             return ReachabilityResult(pairs=set(), method="pruned", engine=plan.engine)
         if plan.kind == "general_rq":
-            return GeneralReachabilityResult()
+            return GeneralReachabilityResult(engine=plan.engine)
         return PatternMatchResult.empty("pruned", engine=plan.engine)
     if plan.kind == "rq":
         return evaluate_rq(
             query, matcher.graph, distance_matrix=matcher.matrix, method=plan.method, matcher=matcher
         )
     if plan.kind == "general_rq":
-        return evaluate_general_rq(query, matcher.graph, engine=plan.engine)
+        return evaluate_general_rq(query, matcher.graph, matcher=matcher)
     return _PQ_ALGORITHMS[plan.algorithm](query, matcher.graph, matcher=matcher)
 
 
@@ -306,7 +305,7 @@ def _run_read_pipeline(
     return QueryResult(
         answer=answer,
         plan=plan,
-        engine=getattr(answer, "engine", plan.engine),
+        engine=answer.engine,
         elapsed_seconds=time.perf_counter() - started,
         cache_decision=decision,
         cache_stats=dict(matcher.cache_stats),
@@ -432,7 +431,7 @@ class SessionSnapshot:
                 engine = "dict"
         # Planned against the *pinned* statistics (never the live graph's):
         # unsatisfiable pruning must reflect the colours of this version.
-        plan = plan_query(
+        return plan_query(
             query,
             self.stats,
             has_matrix=False,
@@ -441,21 +440,6 @@ class SessionSnapshot:
             algorithm=overrides.get("algorithm"),
             strategy=overrides.get("strategy"),
         )
-        if plan.kind == "general_rq" and plan.engine == "csr" and not self.store.is_clean(None):
-            # The NFA product needs whole CSR layers, and a pin cannot
-            # recompile: with changes pending in the pinned overlay it walks
-            # the facade instead, and the plan says so.
-            plan = replace(
-                plan,
-                engine="dict",
-                store="dict",
-                reasons=plan.reasons
-                + (
-                    "pinned overlay is not empty: the NFA product walks the "
-                    "snapshot facade on the dict engine instead of the CSR base",
-                ),
-            )
-        return plan
 
     def execute(self, query: Any, **overrides: Any) -> QueryResult:
         """Evaluate ``query`` against the pinned version (no session lock)."""
@@ -786,8 +770,21 @@ class GraphSession:
         :class:`~repro.matching.general_rq.GeneralReachabilityQuery` or
         :class:`~repro.query.pq.PatternQuery`.  The keyword arguments force
         individual planner decisions (``None`` / ``"auto"`` = planner's
-        choice).
+        choice).  The plan is annotated with the semantic cache's decision as
+        it stands now, so ``explain()`` tells the whole story.
         """
+        return self._prepare(query, engine, method, algorithm, strategy, annotate=True)
+
+    def _prepare(
+        self,
+        query: Any,
+        engine: Optional[str] = None,
+        method: Optional[str] = None,
+        algorithm: Optional[str] = None,
+        strategy: Optional[str] = None,
+        *,
+        annotate: bool,
+    ) -> PreparedQuery:
         overrides = {
             key: value
             for key, value in (
@@ -806,10 +803,9 @@ class GraphSession:
                 # raises its own (kind-enumerating) error below.
                 canonical = None
             plan = self._plan(query, overrides)
-            if canonical is not None and not plan.unsatisfiable:
-                # Annotate the plan with the cache decision as it stands
-                # now, so explain() tells the whole story; execution
-                # re-probes (the decision is as volatile as the cache).
+            if annotate and canonical is not None and not plan.unsatisfiable:
+                # The decision is as volatile as the cache: execution probes
+                # again and relabels the plan with the decision that held.
                 probe = self.semantic_cache.probe(
                     self._version_key(), canonical, query
                 )
@@ -820,8 +816,13 @@ class GraphSession:
             return PreparedQuery(self, query, plan, overrides, canonical)
 
     def execute(self, query: Any, **overrides: Any) -> QueryResult:
-        """Prepare and execute in one call (no prepared-query reuse)."""
-        return self.prepare(query, **overrides).execute()
+        """Prepare and execute in one call (no prepared-query reuse).
+
+        Nobody reads the plan between the two steps, so the prepare-time
+        annotation probe is skipped: the pipeline's own probe decides, and
+        labels the plan in the returned envelope.
+        """
+        return self._prepare(query, annotate=False, **overrides).execute()
 
     def execute_many(self, queries: Iterable[Any], **overrides: Any) -> List[QueryResult]:
         """Prepare and execute a batch of queries on shared warm state."""

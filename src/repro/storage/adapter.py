@@ -1,7 +1,9 @@
 """Storage adapters: the one place that branches on the evaluation backend.
 
-:class:`~repro.matching.paths.PathMatcher` exposes the expansion surface the
-RQ/PQ fixpoints drive (``atom_targets`` … ``edge_pairs``) and delegates every
+:class:`~repro.matching.paths.PathMatcher` exposes the expansion surface every
+evaluator drives — the F-class frontiers and closures of the RQ/PQ fixpoints
+(``atom_targets`` … ``edge_pairs``), the predicate scan (``matching_nodes``)
+and the general-regex product search (``product_pairs``) — and delegates every
 method of it to one of three adapters sharing that interface:
 
 * :class:`DictEngineAdapter` — expansion over the authoritative
@@ -19,9 +21,10 @@ method of it to one of three adapters sharing that interface:
   per-colour version tags as the dict engine.
 
 What they share is written once, in two private bases: the version-tagged
-memo, the atom-by-atom fold and the search-method choice (:class:`_Adapter`),
-and expansion through any store's ``frontier`` (:class:`_StoreAdapter` — all
-of the partitioned adapter, the dirty-colour half of the overlay one).  Each
+memo, the atom-by-atom fold, the search-method choice and the per-source
+product walk of a general regex (:class:`_Adapter`), and expansion through any
+store's ``frontier`` (:class:`_StoreAdapter` — all of the partitioned adapter,
+the dirty-colour half of the overlay one).  Each
 public method is still *defined on each adapter class itself*, if only as a
 one-line call of the shared helper: the benchmark's tracer wraps the public
 functions it finds in a class's own ``vars()``.  Every memo here is valid for
@@ -31,9 +34,13 @@ the depth-reusing variant), or it belongs to a ``CsrEngine`` bound to one
 immutable base, which :meth:`OverlayCsrAdapter.engine_handle` replaces when
 the store's base is a different object.
 
-The adapters are deliberately the *only* modules that know both worlds; the
-fixpoint bodies above them are engine-free (asserted by
-``tests/test_store_parity.py``).
+Engine *names* are resolved here as well: :func:`resolve_engine` turns an
+``engine=`` request into the adapter that will serve it, and
+:func:`admits_matrix` says which requests a distance matrix can serve.
+
+The adapters are deliberately the *only* modules that know both worlds;
+everything under ``matching/`` above them is engine-free (reprolint R006,
+asserted by ``tests/test_store_parity.py``).
 """
 
 from __future__ import annotations
@@ -44,6 +51,27 @@ from repro.exceptions import GraphError
 from repro.storage.base import scan_nodes
 
 NodeId = Hashable
+
+
+def admits_matrix(engine: str) -> bool:
+    """True when an ``engine=`` request can be served from a distance matrix
+    (the matrix is a dict-engine index; the store-backed engines never walk it)."""
+    return engine in ("auto", "dict")
+
+
+def resolve_engine(engine: str, has_matrix: bool = False) -> str:
+    """The concrete engine behind a (validated) ``engine=`` request.
+
+    ``"auto"`` is the CSR engine, unless a distance matrix is at hand, which
+    only the dict engine walks; combining a matrix with an explicit
+    store-backed engine raises :class:`ValueError`.  ``"partitioned"`` is
+    opt-in only — ``"auto"`` never resolves to it.
+    """
+    if has_matrix:
+        if not admits_matrix(engine):
+            raise ValueError(f"engine={engine!r} cannot be combined with a distance matrix")
+        return "dict"
+    return "csr" if engine == "auto" else engine
 
 
 def make_adapter(matcher):
@@ -130,6 +158,19 @@ class _Adapter:
     def _scan_live(self, predicate):
         graph = self.matcher.graph
         return scan_nodes(predicate, graph.nodes(), graph.attributes)
+
+    def _product_walk(self, graph, regex, sources, targets, on_round=None) -> Set[Tuple[NodeId, NodeId]]:
+        """One general-regex RQ between two candidate lists, in node-id space:
+        the reference product search from every source over ``graph`` (anything
+        that answers ``out_edges(node)``), restricted to ``targets``."""
+        from repro.matching.general_rq import regex_reachable_from
+
+        target_set = set(targets)
+        return {
+            (source, target)
+            for source in sources
+            for target in regex_reachable_from(graph, source, regex, on_round) & target_set
+        }
 
 
 class DictEngineAdapter(_Adapter):
@@ -315,6 +356,9 @@ class DictEngineAdapter(_Adapter):
         self, regex, sources, targets, method: str
     ) -> Set[Tuple[NodeId, NodeId]]:
         return self._search_pairs(regex, sources, targets, method)
+
+    def product_pairs(self, regex, sources, targets) -> Set[Tuple[NodeId, NodeId]]:
+        return self._product_walk(self.matcher.graph, regex, sources, targets)
 
     # -- predicate scans ---------------------------------------------------------
 
@@ -586,6 +630,30 @@ class OverlayCsrAdapter(_StoreAdapter):
         ids = engine.compiled.ids
         return {(ids[a], ids[b]) for a, b in engine.query_pairs(regex, source_indices, target_indices, method)}
 
+    def product_pairs(self, regex, sources, targets) -> Set[Tuple[NodeId, NodeId]]:
+        """The NFA product needs *whole* CSR layers (every colour at once), so
+        it runs in index space whenever the store can hand them over and walks
+        the merged adjacency otherwise (changes pending in a pinned overlay,
+        which cannot recompile)."""
+        compiled = self.store.whole_layers()
+        if compiled is None:
+            return self._product_walk(self.matcher.graph, regex, sources, targets)
+        engine = self.engine_handle()
+        if engine.compiled is not compiled:
+            # A live overlay with changes pending: the layers are the graph's
+            # compiled snapshot the next compaction adopts, not yet the base
+            # this matcher's engine is bound to.  The product keeps no memo.
+            from repro.matching.csr_engine import CsrEngine
+
+            engine = CsrEngine(compiled, self.matcher._cache_capacity)
+        # Nodes the layers do not hold were created since and have no edges
+        # in them: dropping them loses no non-empty path.
+        pairs = engine.nfa_product_pairs(
+            regex.to_nfa(), compiled.indices_of(sources), compiled.indices_of(targets)
+        )
+        ids = compiled.ids
+        return {(ids[a], ids[b]) for a, b in pairs}
+
     # -- predicate scans ---------------------------------------------------------
 
     def matching_nodes(self, predicate):
@@ -643,6 +711,19 @@ class PartitionedAdapter(_StoreAdapter):
         self, regex, sources, targets, method: str
     ) -> Set[Tuple[NodeId, NodeId]]:
         return self._search_pairs(regex, sources, targets, method)
+
+    def product_pairs(self, regex, sources, targets) -> Set[Tuple[NodeId, NodeId]]:
+        """The product walk routed through owner shards: a shard owns the full
+        out-edge set of its nodes, so expanding a product state there is
+        locally exact and only the advanced states cross shard boundaries —
+        one boundary exchange per round of the search."""
+        store = self.store
+        store.sync()
+
+        def exchanged() -> None:
+            store.exchange_rounds += 1
+
+        return self._product_walk(store, regex, sources, targets, exchanged)
 
     def matching_nodes(self, predicate):
         return self._scan_live(predicate)

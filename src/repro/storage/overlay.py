@@ -446,8 +446,8 @@ class OverlayCsrStore(OverlayReads):
 
         graph = self._graph
         # Recompiles go through the shared per-graph snapshot cache, so the
-        # store's base and ad-hoc snapshot users (general-regex evaluation,
-        # graph simulation, warm-up hooks) compile once between them.  The
+        # store's base and the other snapshot users (whole_layers(), warm-up
+        # hooks) compile once between them.  The
         # retiring snapshot donates its untouched per-colour layers and
         # (node set and attrs permitting) its predicate-scan memo — the
         # compaction cost is proportional to the touched colours, not the
@@ -460,6 +460,18 @@ class OverlayCsrStore(OverlayReads):
         self._new_nodes = set()
         self._synced_version = graph.version
         self.compactions += 1
+
+    def whole_layers(self):
+        """A :class:`~repro.graph.csr.CompiledGraph` whose layers hold *every*
+        edge of the current version — what a read that cannot merge an overlay
+        row by row needs (the general-regex NFA product walks all colours at
+        once).  It is the graph's cached compiled snapshot: this store's base
+        while nothing is pending, else a recompile with the base's untouched
+        layers adopted, which the next compaction takes over as is.
+        """
+        from repro.graph.csr import compiled_snapshot
+
+        return compiled_snapshot(self._graph)
 
     # -- closures ----------------------------------------------------------------
 

@@ -584,6 +584,13 @@ class PartitionedStore(GraphStore):
             return None
         return self._shards[self._owner[g]]
 
+    def out_edges(self, node: NodeId):
+        """Edges leaving ``node``, read from its owner shard's local subgraph
+        (a shard owns the full out-edge set of its nodes; an unknown node has
+        none)."""
+        shard = self.owner_shard(node)
+        return () if shard is None else shard.graph.out_edges(node)
+
     # -- bookkeeping -------------------------------------------------------------
 
     def overlay_stats(self) -> Dict[str, Any]:

@@ -21,10 +21,13 @@ any number of readers evaluate against their pinned snapshots.
 The same base class answers the small surface
 :class:`~repro.storage.adapter.OverlayCsrAdapter` reads a store through
 (``base()``, ``is_clean``, ``in_base``, ``all_in_base``, the no-op ``sync``;
-plus :meth:`~StoreSnapshot.matching_nodes` here), so a ``csr``
+plus :meth:`~StoreSnapshot.matching_nodes` and
+:meth:`~StoreSnapshot.whole_layers` here), so a ``csr``
 :class:`~repro.matching.paths.PathMatcher` evaluates *through the pin*: colours
 whose overlay slice is empty run on the array kernels over the pinned base,
-dirty colours as merged frontiers over base and copied overlay.  The one thing
+dirty colours as merged frontiers over base and copied overlay, and a general
+regex's NFA product on the pinned base while the whole slice is empty (over
+the merged adjacency otherwise — a pin cannot recompile).  The one thing
 a pinned read must never take from the base is a predicate scan — a
 :class:`~repro.graph.csr.CompiledGraph` shares the *live* attribute views —
 so scans always come from the copied attribute table (its own
@@ -135,6 +138,11 @@ class StoreSnapshot(OverlayReads):
     def color_version(self, color: str) -> int:
         return self._color_versions.get(color, 0)
 
+    def whole_layers(self):
+        """The pinned base while the overlay slice is empty — its layers then
+        hold every pinned edge — else ``None``: a pin cannot recompile."""
+        return self._base if self._overlay_edges == 0 else None
+
     # -- predicate scans ---------------------------------------------------------
 
     def matching_nodes(self, predicate: Any) -> List[NodeId]:
@@ -165,10 +173,11 @@ class StoreSnapshot(OverlayReads):
 class SnapshotGraph:
     """A read-only :class:`DataGraph` facade over one :class:`StoreSnapshot`.
 
-    Duck-typed to the surface the evaluation stack reads
-    (:class:`~repro.storage.adapter.DictEngineAdapter` and
-    :class:`~repro.storage.adapter.OverlayCsrAdapter`, the general-regex
-    NFA-product evaluator and :func:`~repro.graph.stats.compute_stats`):
+    Duck-typed to the surface its readers use — the storage adapters
+    (:class:`~repro.storage.adapter.DictEngineAdapter`,
+    :class:`~repro.storage.adapter.OverlayCsrAdapter`; the evaluators above
+    them never see which graph they were handed) and
+    :func:`~repro.graph.stats.compute_stats`:
     node iteration, attribute views, merged adjacency and the version
     counters — all frozen at the pinned version, so every matcher memo keyed
     on them stays valid for the facade's whole lifetime.  There are no
@@ -241,7 +250,8 @@ class SnapshotGraph:
         return self._snapshot.predecessors(node, color)
 
     def out_edges(self, node: NodeId):
-        """Iterate edges leaving ``node`` (the general-regex read path)."""
+        """Iterate edges leaving ``node`` (what the adapters' general-regex
+        product walk reads)."""
         from repro.graph.data_graph import Edge
 
         snapshot = self._snapshot

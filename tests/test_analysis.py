@@ -22,7 +22,7 @@ from repro.analysis import (
     run_lint,
     save_baseline,
 )
-from repro.analysis.rules.layering import FIXPOINT_MODULES
+from repro.analysis.rules.layering import ENGINE_MODULES
 from repro.exceptions import AnalysisError, ReproError
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint"
@@ -114,11 +114,41 @@ class TestRuleFixtures:
         assert [f.path for f in report.findings] == ["storage/partition_util.py"]
         assert "_bits" in report.findings[0].message
 
-    def test_r006_allowlist_matches_store_parity_gate(self):
-        # The allowlist the PR 5 grep test used, now owned by the rule.
-        assert "refinement.py" in FIXPOINT_MODULES
-        assert "incremental.py" in FIXPOINT_MODULES
-        assert len(FIXPOINT_MODULES) == 10
+    def test_r006_covers_all_of_matching_but_the_engine(self, tmp_path):
+        # No allowlist: the same membership test fires in a module the old
+        # ten-name list never held (general_rq.py), in one nobody has written
+        # yet, and nowhere outside matching/ or in the engine itself.
+        bad = FIXTURES / "r006" / "bad" / "matching" / "general_rq.py"
+        report = run_lint([bad.parent], select=["R006"])
+        assert [f.path for f in report.findings if "comparison" in f.message] == [
+            "matching/general_rq.py", "matching/refinement.py",
+        ]
+        assert ENGINE_MODULES == ("csr_engine.py",)
+        for relpath in ("matching/brand_new.py", "matching/csr_engine.py", "storage/adapter.py"):
+            target = tmp_path / relpath
+            target.parent.mkdir(exist_ok=True)
+            target.write_text(bad.read_text())
+        report = run_lint([tmp_path], select=["R006"])
+        assert [f.path.split("/", 1)[1] for f in report.findings] == ["matching/brand_new.py"]
+
+    @pytest.mark.parametrize(
+        "test, fires",
+        [
+            ('engine in ("auto", "csr")', True),
+            ('engine not in ["dict"]', True),
+            ('matcher.engine in {"csr"}', True),
+            ('"csr" == engine', True),
+            ("engine not in ENGINES", False),
+            ("engine not in (DEFAULT_ENGINE, matcher.engine)", False),
+            ('color in ("a", "b")', False),
+        ],
+    )
+    def test_r006_membership_forms(self, tmp_path, test, fires):
+        target = tmp_path / "matching" / "probe.py"
+        target.parent.mkdir()
+        target.write_text(f"def probe(engine, matcher, color):\n    return {test}\n")
+        report = run_lint([tmp_path], select=["R006"])
+        assert bool(report.findings) is fires, [f.render() for f in report.findings]
 
 
 class TestSuppressions:

@@ -7,6 +7,7 @@ from repro.graph.data_graph import DataGraph
 from repro.graph.distance import build_distance_matrix
 from repro.matching.bounded_simulation import bounded_simulation_match
 from repro.matching.join_match import join_match
+from repro.matching.paths import PathMatcher
 from repro.matching.simulation import graph_simulation
 from repro.matching.subgraph_iso import subgraph_isomorphism_match
 from repro.query.pq import PatternQuery
@@ -34,9 +35,21 @@ def advisor_pattern():
     return pattern
 
 
+def simulation_on_every_engine(pattern, graph):
+    """``graph_simulation`` by engine name and through a caller-supplied
+    matcher of each engine: all equal the dict engine's answer, returned."""
+    expected = graph_simulation(pattern, graph, engine="dict")
+    assert graph_simulation(pattern, graph) == expected  # auto
+    for engine in ("dict", "csr", "partitioned"):
+        assert graph_simulation(pattern, graph, engine=engine) == expected, engine
+        matcher = PathMatcher(graph, engine=engine)
+        assert graph_simulation(pattern, graph, matcher=matcher) == expected, engine
+    return expected
+
+
 class TestGraphSimulation:
     def test_edge_to_edge_semantics(self, advisor_graph, advisor_pattern):
-        sim = graph_simulation(advisor_pattern, advisor_graph)
+        sim = simulation_on_every_engine(advisor_pattern, advisor_graph)
         assert sim["P"] == {"p1"}
         assert sim["S"] == {"s1", "s2"}  # S has no outgoing constraints
 
@@ -45,14 +58,14 @@ class TestGraphSimulation:
         pattern.add_node("X", {"role": "dean"})
         pattern.add_node("S", {"role": "student"})
         pattern.add_edge("X", "S", "advises")
-        assert graph_simulation(pattern, advisor_graph) == {}
+        assert simulation_on_every_engine(pattern, advisor_graph) == {}
 
     def test_multi_atom_edge_never_satisfied_by_single_edge(self, advisor_graph):
         pattern = PatternQuery()
         pattern.add_node("P", {"role": "prof"})
         pattern.add_node("S", {"role": "student"})
         pattern.add_edge("P", "S", "advises.cites")
-        assert graph_simulation(pattern, advisor_graph) == {}
+        assert simulation_on_every_engine(pattern, advisor_graph) == {}
 
     def test_cyclic_pattern(self, advisor_graph):
         pattern = PatternQuery()
@@ -60,8 +73,36 @@ class TestGraphSimulation:
         pattern.add_node("S", {"role": "student"})
         pattern.add_edge("P", "S", "advises")
         pattern.add_edge("S", "P", "cites")
-        sim = graph_simulation(pattern, advisor_graph)
+        sim = simulation_on_every_engine(pattern, advisor_graph)
         assert sim["P"] == {"p1"} and sim["S"] == {"s1"}
+
+    def test_wildcard_and_bounded_atoms_admit_one_edge(self, advisor_graph):
+        # `_^3` and `mentors^2` are single atoms: one edge (of any colour, of
+        # that colour) satisfies them; the bound only matters to path queries.
+        pattern = PatternQuery()
+        pattern.add_node("P", {"role": "prof"})
+        pattern.add_node("S", {"role": "student"})
+        pattern.add_edge("P", "S", "_^3")
+        assert simulation_on_every_engine(pattern, advisor_graph)["P"] == {"p1", "p2"}
+        pattern = PatternQuery()
+        pattern.add_node("P", {"role": "prof"})
+        pattern.add_node("S", {"role": "student"})
+        pattern.add_edge("P", "S", "mentors^2")
+        assert simulation_on_every_engine(pattern, advisor_graph)["P"] == {"p2"}
+
+    def test_partitioned_engine_reads_the_partitioned_store(self, advisor_graph, advisor_pattern):
+        # It used to pass validation and then sweep the dict adjacency.
+        store = advisor_graph.partitioned_store(shards=2)
+        before = store.exchange_rounds
+        sim = graph_simulation(advisor_pattern, advisor_graph, engine="partitioned")
+        assert sim == graph_simulation(advisor_pattern, advisor_graph, engine="dict")
+        assert store.exchange_rounds > before
+
+    def test_conflicting_engine_and_matcher_rejected(self, advisor_graph, advisor_pattern):
+        matcher = PathMatcher(advisor_graph, engine="dict")
+        with pytest.raises(ValueError):
+            graph_simulation(advisor_pattern, advisor_graph, engine="csr", matcher=matcher)
+        assert graph_simulation(advisor_pattern, advisor_graph, engine="dict", matcher=matcher)
 
 
 class TestBoundedSimulation:

@@ -105,7 +105,8 @@ def test_pinned_read_on_auto_session_reaches_traced_kernels_and_overlay_adapter(
 #: adapter — what the ``storage.adapter`` span counts.
 _ADAPTER_SURFACE = {
     "atom_targets", "atom_sources", "set_targets", "set_sources", "backward_closure",
-    "backward_reachable", "targets_from", "sources_to", "edge_pairs", "query_pairs", "matching_nodes",
+    "backward_reachable", "targets_from", "sources_to", "edge_pairs", "query_pairs", "product_pairs",
+    "matching_nodes",
 }
 #: The one further public function each class defines: the dict engine's BFS
 #: and the overlay adapter's engine accessor (both spans at the parent too).
@@ -134,6 +135,35 @@ def test_adapter_defines_surface_in_own_vars(class_name):
             if not key.startswith("_") and isinstance(value, types.FunctionType)
         }
         assert not inherited, (base.__name__, inherited)
+
+
+def test_pinned_general_rq_records_adapter_spans_inside_the_evaluator():
+    """General RQs read through the adapter like every other kind: a pinned
+    one, clean or with changes pending in the pinned overlay, shows up as two
+    predicate scans and one product search nested in ``matching.eval``."""
+    from repro.datasets.youtube import generate_youtube_graph
+    from repro.matching.general_rq import GeneralReachabilityQuery
+    from repro.session.session import GraphSession
+
+    graph = generate_youtube_graph(num_nodes=150, num_edges=500, seed=7)
+    session = GraphSession(graph, semantic_cache_capacity=0)
+    query = GeneralReachabilityQuery("cat = 'Comedy'", "cat = 'Music'", "(fc|sr)+")
+    nodes = list(graph.nodes())
+    for clean in (True, False):
+        if not clean:
+            session.apply_updates([("add", nodes[0], nodes[1], "fc")])
+        tracer = trace.Tracer()
+        with trace.installed(tracer):
+            with session.pin() as snapshot:
+                assert snapshot.store.is_clean(None) is clean
+                result = snapshot.execute(query)
+        assert result.engine == "csr" and result.answer.pairs
+        (evaluation,) = [i for i, span in enumerate(tracer.spans) if span[0] == "matching.eval"]
+        adapter_spans = [span for span in tracer.spans if span[0] == "storage.adapter"]
+        # Two scans and the product, called by the evaluator itself ...
+        assert [span[3] for span in adapter_spans[:3]] == [evaluation] * 3
+        # ... and on the array path the product asks for the matcher's engine.
+        assert len(adapter_spans) == (4 if clean else 3), tracer.spans
 
 
 def test_partitioned_read_records_adapter_spans():

@@ -117,10 +117,14 @@ def test_property_bounded_simulation_parity(case):
 @settings(max_examples=30, deadline=None)
 @given(graph_and_pattern())
 def test_property_graph_simulation_parity(case):
+    from repro.matching.paths import PathMatcher
+
     graph, pattern = case
-    assert graph_simulation(pattern, graph, engine="csr") == graph_simulation(
-        pattern, graph, engine="dict"
-    )
+    expected = graph_simulation(pattern, graph, engine="dict")
+    for engine in ("csr", "partitioned"):
+        assert graph_simulation(pattern, graph, engine=engine) == expected, engine
+        matcher = PathMatcher(graph, engine=engine)
+        assert graph_simulation(pattern, graph, matcher=matcher) == expected, engine
 
 
 @st.composite

@@ -289,6 +289,67 @@ def test_live_and_pinned_envelopes_agree_on_the_array_path():
         assert result.cache_stats["forward_entries"] == 0.0
 
 
+def test_live_and_pinned_envelopes_agree_with_changes_pending_in_the_overlay():
+    """And once more with an update the overlay has not folded yet: the live
+    session and a pin of the same version still send every kind — the general
+    RQ included, whose NFA product then walks the merged adjacency — through
+    the one ``csr`` matcher, and label it so."""
+    queries = _pipeline_queries()
+
+    def dirty_session():
+        session = GraphSession(_ring_graph(72))
+        session.graph.overlay_store().sync()  # compile the base: the update lands in the overlay
+        session.apply_updates([("add", "n0", "n5", "a"), ("remove", "n1", "n2", "b")])
+        return session
+
+    live = dirty_session()
+    live_results = [live.execute(query) for query, _ in queries]
+    assert not live.graph.overlay_store().is_clean(None)
+    with dirty_session().pin() as snapshot:
+        assert not snapshot.store.is_clean(None)
+        pinned_results = [snapshot.execute(query) for query, _ in queries]
+    live_views = [_envelope_view(result) for result in live_results]
+    assert live_views == [_envelope_view(result) for result in pinned_results]
+    assert [view["cache_decision"] for view in live_views] == [d for _, d in queries]
+    for live_result, pinned_result in zip(live_results, pinned_results):
+        expected = "dict" if live_result.plan.unsatisfiable else "csr"
+        for result in (live_result, pinned_result):
+            assert result.engine == result.plan.engine == result.answer.engine == expected
+    general = next(r for r in pinned_results if r.plan.kind == "general_rq")
+    assert general.answer.pairs
+
+
+def test_one_shot_execute_probes_the_semantic_cache_once(monkeypatch):
+    """``prepare`` probes to annotate the plan ``explain()`` shows; one-shot
+    ``execute`` has no reader for that annotation, so only the pipeline's
+    probe runs — and the envelopes are those of ``prepare().execute()``."""
+    from repro.session.semantic_cache import SemanticCache
+
+    probes = []
+    original = SemanticCache.probe
+
+    def counting(self, *args, **kwargs):
+        probes.append(args[1].kind)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SemanticCache, "probe", counting)
+    queries = _pipeline_queries()
+    one_shot, two_step = GraphSession(_ring_graph()), GraphSession(_ring_graph())
+    for query, decision in queries:
+        prunable = decision == "evaluate" and query is queries[-1][0]  # pruned plans never probe
+        before = len(probes)
+        direct = one_shot.execute(query)
+        assert len(probes) - before == (0 if prunable else 1)
+        before = len(probes)
+        prepared = two_step.prepare(query)
+        assert prepared.plan.cache == decision  # the annotation explain() renders
+        stepped = prepared.execute()
+        assert len(probes) - before == (0 if prunable else 2)
+        assert _envelope_view(direct) == _envelope_view(stepped)
+        assert direct.plan == stepped.plan
+        assert direct.cache_decision == decision
+
+
 def _occurrences(needle, *relative, code_only=False):
     """``(file, line)`` of every source line holding ``needle`` under the given
     files or directories of ``src/repro/`` (``code_only``: not counting ``def``

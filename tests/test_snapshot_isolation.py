@@ -286,9 +286,10 @@ def assert_pin_answers(snapshot, expected):
     result = snapshot.execute(PATTERN)
     assert result.engine == "csr" and result.answer.same_matches(pattern_result)
     result = snapshot.execute(GRQ)
-    # The NFA product needs whole CSR layers: the array path while the
-    # pinned overlay is empty, the facade (and an honest label) otherwise.
-    assert result.engine == ("csr" if snapshot.store.is_clean(None) else "dict")
+    # One csr matcher answers all three kinds; how its adapter runs the NFA
+    # product (whole CSR layers while the pinned overlay is empty, the merged
+    # adjacency otherwise) is not a different engine.
+    assert result.engine == "csr"
     assert result.plan.engine == result.engine
     assert result.answer.pairs == grq_pairs
 

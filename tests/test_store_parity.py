@@ -384,19 +384,19 @@ TestStoreDifferential = pytest.mark.slow(StoreDifferentialMachine.TestCase)
 
 
 def test_no_engine_branches_in_fixpoint_bodies():
-    """The fixpoint modules stay engine-free, checked by reprolint's R006.
+    """Everything under ``matching/`` stays engine-free, checked by reprolint's R006.
 
     This supersedes the PR 5 substring grep (``"engine =="``): the AST rule
-    also catches reversed comparisons and ``getattr(x, "csr_engine")``
-    indirections, and its allowlist (``FIXPOINT_MODULES``) now lives with
-    the rule in :mod:`repro.analysis.rules.layering`.
+    also catches reversed comparisons, membership tests against literals and
+    ``getattr(x, "csr_engine")`` indirections, over every module but the
+    engine itself (``ENGINE_MODULES`` in :mod:`repro.analysis.rules.layering`).
     """
     from repro.analysis import run_lint
-    from repro.analysis.rules.layering import FIXPOINT_MODULES
+    from repro.analysis.rules.layering import ENGINE_MODULES
 
     matching = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro" / "matching"
-    for name in FIXPOINT_MODULES:
-        assert (matching / name).exists(), f"allowlisted module {name} vanished"
+    for name in ENGINE_MODULES:
+        assert (matching / name).exists(), f"exempted module {name} vanished"
     report = run_lint([matching], select=["R006"])
     assert report.findings == [], (
         "engine branches must live in repro/storage/adapter.py, found:\n"

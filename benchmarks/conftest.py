@@ -9,6 +9,8 @@ how to run it at larger scale.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.datasets.synthetic import generate_synthetic_graph
@@ -18,6 +20,31 @@ from repro.graph.csr import compiled_snapshot
 from repro.graph.distance import build_distance_matrix
 from repro.matching.paths import PathMatcher
 from repro.query.generator import QueryGenerator
+
+
+@pytest.fixture(scope="session")
+def best_cpu_times():
+    """The measuring protocol of the wall-clock ratio gates, as a function
+    ``(contenders, passes) -> {label: (best seconds, last results)}``.
+
+    ``contenders`` maps a label to a zero-argument callable.  They alternate
+    within every pass, so a slow stretch of the machine falls on all of them;
+    ``time.process_time`` leaves out the time the process was descheduled;
+    and the best of ``passes`` (the caller states N) drops the passes a
+    collector pause or a cold cache landed in.
+    """
+
+    def measure(contenders, passes):
+        best = {label: float("inf") for label in contenders}
+        last = {}
+        for _ in range(passes):
+            for label, run in contenders.items():
+                started = time.process_time()
+                last[label] = run()
+                best[label] = min(best[label], time.process_time() - started)
+        return {label: (best[label], last[label]) for label in contenders}
+
+    return measure
 
 
 @pytest.fixture()

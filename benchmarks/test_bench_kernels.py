@@ -11,9 +11,17 @@ datasets live in — avg degree ~8):
   backend (what every call paid before this PR, and still pays when numpy
   is absent);
 * ``kernels-numpy`` — the identical workload on the numpy backend;
-* ``test_kernel_speedup`` — the acceptance gate: best-of-three timed passes
-  asserting the numpy kernels are at least **5x** faster, with the reached
-  index sets asserted identical call by call.
+* ``test_kernel_speedup`` — the acceptance gate: the numpy kernels at least
+  **4.5x** faster, with the reached index sets asserted identical call by
+  call.  The floor was 5.0x against a measured 5.1–6.5x of wall clock, and
+  went red in 2 of 6 tier-1 runs with the kernels untouched; measured the
+  shared way (``conftest.best_cpu_times``: interleaved passes, CPU time,
+  best of five) the ratio is 5.5–7.7x over twenty runs on the sandbox.
+  4.5x is what that supports: 1.2x under the worst of them, so the gate
+  fires once the numpy kernels lose about a fifth;
+* ``kernels-origins-python`` / ``kernels-origins-numpy`` — the same
+  comparison for ``expand_origins`` (a 1024-origin relation through bounded
+  and unbounded blocks), reported only: no ratio is asserted on it.
 
 CI runs this file on its own and uploads the timings as
 ``bench-kernels.json`` (see ``.github/workflows/ci.yml``); the tier-1 legs
@@ -25,7 +33,6 @@ numpy the whole module skips — the fallback path is covered by the
 from __future__ import annotations
 
 import random
-import time
 
 import pytest
 
@@ -35,8 +42,10 @@ from repro.datasets.youtube import generate_youtube_graph
 from repro.graph.csr import ANY_COLOR, compile_graph
 from repro.kernels import numpy_kernel, python_kernel
 
-SPEEDUP_FLOOR = 5.0
+SPEEDUP_FLOOR = 4.5
 PASSES = 3
+#: Interleaved passes of the ratio gate (best of N).
+GATE_PASSES = 5
 
 #: Workload scale: single-source expansions, multi-source sweep width.
 SINGLE_SOURCES = 16
@@ -121,31 +130,66 @@ def test_bench_kernels_numpy(benchmark, kernel_graph):
     benchmark.extra_info["reached_total"] = sum(len(r) for r in results)
 
 
-def test_kernel_speedup(kernel_graph):
-    """Acceptance gate: the numpy kernels >= 5x over the python loops.
+def test_kernel_speedup(kernel_graph, best_cpu_times):
+    """Acceptance gate: the numpy kernels >= 4.5x over the python loops.
 
-    Best-of-three keeps a single scheduler stall on a noisy CI runner from
-    pushing the measured margin under the floor; the reached sets are
-    asserted identical between backends on every pass.
+    Measured by ``conftest.best_cpu_times`` (interleaved passes, CPU time,
+    best of :data:`GATE_PASSES`); the reached sets are asserted identical
+    between backends.
     """
     n, expands, closures = _workload_calls(kernel_graph)
     # Warm the per-layer array caches out of the measured region.
     baseline = _as_sets(_run_workload(numpy_kernel, n, expands, closures))
-
-    best_python = best_numpy = float("inf")
-    for _ in range(PASSES):
-        started = time.perf_counter()
-        python_results = _run_workload(python_kernel, n, expands, closures)
-        best_python = min(best_python, time.perf_counter() - started)
-
-        started = time.perf_counter()
-        numpy_results = _run_workload(numpy_kernel, n, expands, closures)
-        best_numpy = min(best_numpy, time.perf_counter() - started)
-
-        assert _as_sets(python_results) == _as_sets(numpy_results) == baseline
-
+    timed = best_cpu_times(
+        {
+            "python": lambda: _run_workload(python_kernel, n, expands, closures),
+            "numpy": lambda: _run_workload(numpy_kernel, n, expands, closures),
+        },
+        GATE_PASSES,
+    )
+    (best_python, python_results), (best_numpy, numpy_results) = timed["python"], timed["numpy"]
+    assert _as_sets(python_results) == _as_sets(numpy_results) == baseline
     speedup = best_python / best_numpy
     assert speedup >= SPEEDUP_FLOOR, (
         f"numpy kernels only {speedup:.2f}x over the python loops "
         f"({best_numpy:.6f}s vs {best_python:.6f}s)"
     )
+
+
+# -- expand_origins: reported, not gated ----------------------------------------
+
+ORIGINS = 1024
+
+
+def _origin_calls(compiled):
+    """``(layer, nodes, rows, bound)`` per call: one bit per origin, pushed
+    through a bounded and an unbounded block forwards and a bounded one back."""
+    rng = random.Random(17)
+    nodes = [rng.randrange(compiled.num_nodes) for _ in range(ORIGINS)]
+    rows = [1 << position for position in range(ORIGINS)]
+    any_fwd = compiled.layer(ANY_COLOR, reverse=False)
+    one_rev = compiled.layer(0, reverse=True)
+    return [(any_fwd, nodes, rows, 2), (one_rev, nodes, rows, 4), (one_rev, nodes, rows, None)]
+
+
+def _run_origins(kernel, n, calls):
+    return [kernel.expand_origins(layer, n, nodes, rows, bound) for layer, nodes, rows, bound in calls]
+
+
+@pytest.mark.benchmark(group="kernels-origins-python")
+def test_bench_origins_python(benchmark, kernel_graph):
+    calls = _origin_calls(kernel_graph)
+    results = benchmark.pedantic(
+        _run_origins, args=(python_kernel, kernel_graph.num_nodes, calls), rounds=PASSES, iterations=1
+    )
+    benchmark.extra_info["reached_rows"] = sum(len(nodes) for nodes, _ in results)
+
+
+@pytest.mark.benchmark(group="kernels-origins-numpy")
+def test_bench_origins_numpy(benchmark, kernel_graph):
+    calls = _origin_calls(kernel_graph)
+    results = benchmark.pedantic(
+        _run_origins, args=(numpy_kernel, kernel_graph.num_nodes, calls), rounds=PASSES, iterations=1
+    )
+    benchmark.extra_info["reached_rows"] = sum(len(nodes) for nodes, _ in results)
+    assert results == _run_origins(python_kernel, kernel_graph.num_nodes, calls)

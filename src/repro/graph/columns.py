@@ -39,14 +39,6 @@ class ScanTally:
         self.memo_hits = self.memo_misses = self.columns_built = self.row_checks = 0
 
 
-def _order_class(value: Any) -> type:
-    """The class ``predicates._comparable`` orders ``value`` in: bools among
-    themselves, ints and floats together, anything else with its exact type."""
-    if isinstance(value, bool):
-        return bool
-    return float if isinstance(value, (int, float)) else type(value)
-
-
 def _regular(value: Any) -> bool:
     """Whether a dict lookup decides ``== value`` as ``==`` does: the value is
     hashable and equal to itself (a NaN is found by identity, not equality)."""
@@ -65,9 +57,10 @@ def _bisectable(value: Any) -> bool:
 class _Column:
     """One attribute's index; every position list ascends but ``ordered``'s."""
 
-    __slots__ = ("present", "odd", "equal", "ordered", "loose")
+    __slots__ = ("present", "odd", "equal", "ordered", "loose", "order_class")
 
-    def __init__(self, name: str, rows: Sequence[Mapping[str, Any]]):
+    def __init__(self, name: str, rows: Sequence[Mapping[str, Any]], order_class):
+        self.order_class = order_class  # ``predicates.order_class``, imported once in ``scan``
         self.present: List[int] = []  # rows that have the attribute
         self.odd: List[int] = []  # of those, unhashable or NaN: checked per row for every atom
         self.equal: Dict[Any, List[int]] = {}  # value -> positions
@@ -85,12 +78,12 @@ class _Column:
             else:
                 self.equal.setdefault(value, []).append(position)
                 if _bisectable(value):
-                    pairs.setdefault(_order_class(value), []).append((value, position))
+                    pairs.setdefault(order_class(value), []).append((value, position))
                 else:
-                    self.loose.setdefault(_order_class(value), []).append(position)
-        for order_class, members in pairs.items():
+                    self.loose.setdefault(order_class(value), []).append(position)
+        for kind, members in pairs.items():
             members.sort()
-            self.ordered[order_class] = ([v for v, _ in members], [p for _, p in members])
+            self.ordered[kind] = ([v for v, _ in members], [p for _, p in members])
 
     def candidates(self, op: str, value: Any) -> Tuple[List[int], List[int]]:
         """``(sure, unsure)``, disjoint: every row satisfying ``attribute op
@@ -103,9 +96,9 @@ class _Column:
                 return same, self.odd
             drop = set(same).union(self.odd)
             return [p for p in self.present if p not in drop], self.odd
-        order_class = _order_class(value)
-        values, positions = self.ordered.get(order_class, ([], []))
-        unsure = self.loose.get(order_class, []) + self.odd
+        kind = self.order_class(value)
+        values, positions = self.ordered.get(kind, ([], []))
+        unsure = self.loose.get(kind, []) + self.odd
         if not _bisectable(value):
             return [], positions + unsure
         cut = (bisect_left if op in ("<", ">=") else bisect_right)(values, value)
@@ -131,34 +124,31 @@ class AttributeColumns:
         semantics, walk the rows in :func:`~repro.storage.base.scan_nodes`."""
         # Deferred: repro.query pulls in the whole query package, and
         # repro.storage imports this module while it loads.
-        from repro.query.predicates import Predicate
+        from repro.query.predicates import Predicate, order_class
         from repro.storage.base import scan_nodes
 
         rows = self._rows
         if not isinstance(predicate, Predicate):
             return tuple(scan_nodes(predicate, range(len(rows)), rows.__getitem__))
         conditions = predicate.conditions
-        # ``x < 1`` and ``x < True`` are equal (and hash alike) as predicates
-        # but order different rows: the constants' classes tell them apart.
-        key = (predicate, tuple(_order_class(condition.value) for condition in conditions))
         tally = self.tally
         with tally.lock:
-            found = self._results.get(key)
+            found = self._results.get(predicate)
             if found is None:
                 tally.memo_misses += 1
-                found = self._select(conditions) if conditions else tuple(range(len(rows)))
-                self._results.put(key, found)
+                found = self._select(conditions, order_class) if conditions else tuple(range(len(rows)))
+                self._results.put(predicate, found)
             else:
                 tally.memo_hits += 1
             return found
 
-    def _select(self, conditions) -> Tuple[int, ...]:
+    def _select(self, conditions, order_class) -> Tuple[int, ...]:
         rows, tally = self._rows, self.tally
         parts, doubtful = [], []  # candidates per atom; (atom, its undecided candidates), in atom order
         for condition in conditions:
             column = self._columns.get(condition.attribute)
             if column is None:
-                column = self._columns[condition.attribute] = _Column(condition.attribute, rows)
+                column = self._columns[condition.attribute] = _Column(condition.attribute, rows, order_class)
                 tally.columns_built += 1
             sure, unsure = column.candidates(condition.op, condition.value)
             if unsure:

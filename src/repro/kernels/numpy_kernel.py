@@ -26,6 +26,15 @@ kernel.  Narrow searches never touch numpy at all (the array views are
 created lazily on the first vectorised level), wide fixpoint sweeps and
 affected-area closures run almost entirely vectorised.
 
+:func:`expand_origins` needs no such switch: a level gathers only the rows
+that gained bits in the level before, so its cost follows the live relation.
+Its rows stay the ``int`` bitsets of the python backend, in object arrays:
+numpy does a level's edge work (gather, stable sort by destination,
+``bitwise_or.reduceat``), the integers the bit operations, and a dict keyed
+by touched index holds what each destination has seen — no per-call
+``num_nodes``-sized state (ARCHITECTURE.md has the measurements behind both
+choices: ``uint64`` word rows and dense row arrays were built and lost).
+
 Per-layer ``intp``-typed offset/target arrays are cached on the
 :class:`~repro.graph.csr.CsrLayer` (``_np`` slot) the first time a layer is
 vectorised; layers are topology-immutable, so the cache never invalidates.
@@ -33,7 +42,8 @@ vectorised; layers are topology-immutable, so the cache never invalidates.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from itertools import repeat
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -245,3 +255,59 @@ def closure_frontier(layers, num_nodes: int, starts: Iterable[int]) -> List[int]
     if vectorised:
         return np.flatnonzero(np.frombuffer(reached_flags, dtype=np.uint8)).tolist()
     return reached
+
+
+# -- origin relations (multi-source BFS, one bitset of origins per node) ---------
+
+
+def _merge_rows(dest: np.ndarray, carried: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """OR together the rows that share a destination: ``(unique dest, rows)``."""
+    order = np.argsort(dest, kind="stable")
+    dest = dest[order]
+    heads = np.flatnonzero(np.concatenate(([True], dest[1:] != dest[:-1])))
+    return dest[heads], np.bitwise_or.reduceat(carried[order], heads)
+
+
+def _push_rows(offsets, targets, front: np.ndarray, bits: np.ndarray):
+    """One level: every active row travels along its node's out-edges."""
+    dest = _gather_level(offsets, targets, front)
+    if not dest.size:
+        return dest, bits[:0]
+    return _merge_rows(dest, np.repeat(bits, offsets[front + 1] - offsets[front]))
+
+
+def expand_origins(
+    layer, num_nodes: int, nodes: Sequence[int], rows: Sequence[int], bound: Optional[int]
+) -> Tuple[List[int], List[int]]:
+    """Push an origin relation through one layer, all origins at once.
+
+    Same contract and results as :func:`python_kernel.expand_origins`; see the
+    module docstring for the form.  ``seen`` is keyed by touched index, as in
+    the python backend, and the result is one merge of the levels' arrivals:
+    no per-call ``num_nodes``-sized state.
+    """
+    front, bits = np.asarray(nodes, dtype=np.intp), np.array(rows, dtype=object)
+    occupied = bits.astype(bool)
+    if bound == 0 or not occupied.any():
+        return [], []
+    offsets, targets = _layer_arrays(layer)
+    front, bits = _merge_rows(front[occupied], bits[occupied])
+    dest, arrived = _push_rows(offsets, targets, front, bits)
+    if bound == 1 or not dest.size:
+        return dest.tolist(), arrived.tolist()
+    seen = dict(zip(front.tolist(), bits.tolist()))
+    levels = []
+    depth = 1
+    while dest.size:
+        levels.append((dest, arrived))
+        known = np.array(list(map(seen.get, dest.tolist(), repeat(0))), dtype=object)
+        bits = arrived & ~known
+        live = bits.astype(bool)
+        front, bits = dest[live], bits[live]
+        if depth == bound or not front.size:
+            break
+        seen.update(zip(front.tolist(), (known[live] | bits).tolist()))
+        depth += 1
+        dest, arrived = _push_rows(offsets, targets, front, bits)
+    hit, reached = _merge_rows(*map(np.concatenate, zip(*levels)))
+    return hit.tolist(), reached.tolist()

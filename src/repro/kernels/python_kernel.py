@@ -6,16 +6,18 @@ zero-copy ``memoryview`` slices into the layer's flat ``targets`` array.
 Selected automatically when numpy is absent, or forced with
 ``REPRO_KERNELS=python``.
 
-Both entry points implement the block semantics shared with
+Every entry point implements the block semantics shared with
 :mod:`repro.kernels.numpy_kernel` (asserted equal by the differential suite
 in ``tests/test_kernels.py``): results are the indices at positive distance
 ``1 … bound`` from any start, and a start index is included exactly when it
-is re-reached through a non-empty path.
+is re-reached through a non-empty path.  :func:`expand_origins` carries that
+block for many start sets at once, as one ``int`` bitset of origins per node
+held in plain dicts — no per-call ``num_nodes``-sized state.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 def expand_frontier(layer, num_nodes: int, starts: Iterable[int], bound: Optional[int]) -> List[int]:
@@ -99,3 +101,41 @@ def closure_frontier(layers, num_nodes: int, starts: Iterable[int]) -> List[int]
                         push(nxt)
         frontier = advanced
     return reached
+
+
+def expand_origins(
+    layer, num_nodes: int, nodes: Sequence[int], rows: Sequence[int], bound: Optional[int]
+) -> Tuple[List[int], List[int]]:
+    """Push an origin relation through one layer: one ``int`` bitset per node.
+
+    ``rows[i]`` holds the origins sitting on ``nodes[i]``; the result holds,
+    per reached index (ascending), the origins that reach it by a block of
+    ``1 … bound`` edges.  Per origin this is :func:`expand_frontier` from the
+    nodes carrying its bit: ``seen`` is seeded with them, so an origin comes
+    back to one of its own starts only through a non-empty cycle.
+    """
+    offsets = layer.offsets
+    neighbors = layer._view
+    seen: Dict[int, int] = {}
+    for node, bits in zip(nodes, rows):
+        if bits:
+            seen[node] = seen.get(node, 0) | bits
+    frontier = dict(seen)
+    reached: Dict[int, int] = {}
+    depth = 0
+    while frontier and (bound is None or depth < bound):
+        depth += 1
+        arrived: Dict[int, int] = {}
+        for node, bits in frontier.items():
+            for nxt in neighbors[offsets[node]:offsets[node + 1]]:
+                arrived[nxt] = arrived.get(nxt, 0) | bits
+        frontier = {}
+        for node, bits in arrived.items():
+            reached[node] = reached.get(node, 0) | bits
+            known = seen.get(node, 0)
+            fresh = bits & ~known
+            if fresh:
+                seen[node] = known | fresh
+                frontier[node] = fresh
+    order = sorted(reached)
+    return order, [reached[node] for node in order]

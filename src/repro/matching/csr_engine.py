@@ -8,12 +8,17 @@ pipeline.  It operates entirely in the dense integer index space of a
 * per-atom frontier expansion is a depth-bounded BFS over the colour's CSR
   layer, with a ``bytearray`` visited bitmap and plain int lists — no node-id
   hashing, no per-hop set allocation;
-* expansions are memoised per ``(start, colour, bound, direction)`` in an
+* single-start expansions (``PathMatcher.matches``, the incremental
+  maintainer) are memoised per ``(start, colour, bound, direction)`` in an
   :class:`~repro.matching.cache.LruCache` (the CSR analogue of the paper's
   distance cache);
-* full queries are answered with the bidirectional meet-in-the-middle
-  strategy of Section 4 (always advancing the smaller frontier) or with a
-  plain forward sweep, both byte-identical to the dict engine's results;
+* whole queries between two candidate sets — an RQ, a pattern edge's result
+  assembly — keep the paper's *origin sets* (Section 4: the candidates a
+  frontier node was reached from) as one bitset per index and advance that
+  relation for every origin at once (:meth:`CsrEngine._relation_pairs` over
+  :func:`repro.kernels.expand_origins`): one kernel pass per atom, not one
+  round trip per start node.  The set-based drivers of
+  :mod:`repro.matching.frontiers` stay with the dict engine, the oracle;
 * *set-level* frontiers (the hot loop of the PQ refinement fixpoint of
   Figs. 7/8) are expanded as one batched multi-source BFS per atom
   (:meth:`CsrEngine.expand_set`), instead of unioning per-node searches —
@@ -21,7 +26,8 @@ pipeline.  It operates entirely in the dense integer index space of a
   ``engine="csr"``;
 * general (non-F-class) expressions are evaluated with an NFA-product path:
   a :class:`~repro.regex.nfa.LazyDfa` over the graph's colour alphabet is
-  walked in product with the CSR layers.
+  walked in product with the CSR layers, one origin relation per live
+  automaton state.
 
 Results stay in index space: the storage adapter
 (:class:`~repro.storage.adapter.OverlayCsrAdapter`) translates them back to
@@ -36,21 +42,35 @@ starts the next engine cold.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.csr import ANY_COLOR, CompiledGraph
-from repro.kernels import closure_frontier, expand_frontier
+from repro.kernels import ORIGIN_BLOCK, closure_frontier, expand_frontier, expand_origins
 from repro.matching.cache import (
     DEFAULT_SEARCH_CACHE_CAPACITY,
     SET_FRONTIER_CACHE_CAPACITY,
     LruCache,
 )
-from repro.matching.frontiers import forward_sweep, meet_in_the_middle
 from repro.query.canonical import canonical_regex
 from repro.regex.fclass import FRegex, RegexAtom
 from repro.regex.nfa import LazyDfa, Nfa
 
 IndexPair = Tuple[int, int]
+
+
+def _origin_blocks(origins: Sequence[int]) -> Iterator[Sequence[int]]:
+    """``origins`` in runs of at most :data:`repro.kernels.ORIGIN_BLOCK`: bit
+    ``k`` of a relation row stands for ``block[k]``."""
+    for lo in range(0, len(origins), ORIGIN_BLOCK):
+        yield origins[lo:lo + ORIGIN_BLOCK]
+
+
+def _origins_of(bits: int, block: Sequence[int]) -> Iterator[int]:
+    """The members of ``block`` whose bit is set in ``bits``."""
+    while bits:
+        low = bits & -bits
+        yield block[low.bit_length() - 1]
+        bits ^= low
 
 
 class CsrEngine:
@@ -247,6 +267,38 @@ class CsrEngine:
         """All indices ``j`` such that ``(j, index)`` matches ``regex``."""
         return self._expression(index, regex, reverse=True)
 
+    def _relation_pairs(
+        self, regex: FRegex, sources: FrozenSet[int], targets: FrozenSet[int]
+    ) -> Set[IndexPair]:
+        """Every ``(s, t)`` of the two candidate sets joined by a path matching
+        ``regex``, carried as a relation between origins and frontier indices.
+
+        The smaller candidate set gives the origins, one bit each; the atoms
+        are folded through :func:`repro.kernels.expand_origins` — forwards
+        from the sources or backwards from the targets — so every origin
+        advances in the same kernel pass, and the rows sitting on the other
+        candidate set are read off once, at the end.
+        """
+        compiled = self.compiled
+        reverse = len(targets) < len(sources)
+        origins, ends = (sorted(targets), sources) if reverse else (sorted(sources), targets)
+        steps = []
+        for item in reversed(regex.atoms) if reverse else regex.atoms:
+            color_id = compiled.color_id(None if item.is_wildcard else item.color)
+            if color_id is None:
+                return set()
+            steps.append((compiled.layer(color_id, reverse), item.max_count))
+        pairs: Set[IndexPair] = set()
+        for block in _origin_blocks(origins):
+            nodes, rows = block, [1 << position for position in range(len(block))]
+            for layer, bound in steps:
+                nodes, rows = expand_origins(layer, compiled.num_nodes, nodes, rows, bound)
+            for node, bits in zip(nodes, rows):
+                if node in ends:
+                    for origin in _origins_of(bits, block):
+                        pairs.add((node, origin) if reverse else (origin, node))
+        return pairs
+
     def matching_pairs(
         self,
         regex: FRegex,
@@ -255,17 +307,16 @@ class CsrEngine:
     ) -> FrozenSet[IndexPair]:
         """Pairs ``(s, t)`` with ``s``/``t`` in the candidate sets and a path
         from ``s`` to ``t`` matching ``regex`` — the per-edge result-assembly
-        step of the PQ algorithms, memoised per (regex, candidate sets)."""
+        step of the PQ algorithms: :meth:`_relation_pairs` behind the
+        set-level memo, keyed per (canonical regex, candidate sets) so
+        language-equal spellings share entries."""
         regex = canonical_regex(regex)
         key = ("pairs", regex, source_indices, target_indices)
         cached = self._set_cache.get(key)
-        if cached is not None:
-            return cached
-        result = frozenset(
-            forward_sweep(self, regex, list(source_indices), target_indices)
-        )
-        self._set_cache.put(key, result)
-        return result
+        if cached is None:
+            cached = frozenset(self._relation_pairs(regex, source_indices, target_indices))
+            self._set_cache.put(key, cached)
+        return cached
 
     def query_pairs(
         self,
@@ -276,24 +327,14 @@ class CsrEngine:
     ) -> FrozenSet[IndexPair]:
         """Memoised whole-query evaluation between two candidate sets.
 
-        The RQ counterpart of :meth:`matching_pairs`: repeated executions of
-        the same query on an unchanged snapshot (interleaved read/write
-        streams re-ask after every irrelevant mutation) collapse to one
-        frozenset hash.  Language-equal spellings share entries via the
-        canonical form.
+        Repeated executions of the same query on an unchanged snapshot
+        (interleaved read/write streams re-ask after every irrelevant
+        mutation) collapse to one frozenset hash.  ``method`` names the plan
+        that asked (the label lives in the envelope); in index space both
+        search strategies of Section 4 are the one relation fold, so every
+        plan — and a pattern edge over the same sets — shares one entry.
         """
-        regex = canonical_regex(regex)
-        key = ("qpairs", regex, source_indices, target_indices, method)
-        cached = self._set_cache.get(key)
-        if cached is not None:
-            return cached
-        if method == "bidirectional":
-            pairs = self.bidirectional_pairs(regex, list(source_indices), target_indices)
-        else:
-            pairs = self.forward_sweep_pairs(regex, list(source_indices), target_indices)
-        result = frozenset(pairs)
-        self._set_cache.put(key, result)
-        return result
+        return self.matching_pairs(regex, source_indices, target_indices)
 
     def bidirectional_pairs(
         self,
@@ -301,22 +342,11 @@ class CsrEngine:
         source_indices: Sequence[int],
         target_indices: Iterable[int],
     ) -> Set[IndexPair]:
-        """Meet-in-the-middle evaluation (Section 4, "RQ with multiple colors").
-
-        The strategy lives in :func:`repro.matching.frontiers.meet_in_the_middle`
-        (shared with the dict engine); this engine contributes the flat-array
-        per-atom expansion.
-        """
-        return meet_in_the_middle(self, regex, source_indices, target_indices)
-
-    def forward_sweep_pairs(
-        self,
-        regex: FRegex,
-        source_indices: Sequence[int],
-        target_indices: Iterable[int],
-    ) -> Set[IndexPair]:
-        """Plain forward search from every candidate source (the BFS baseline)."""
-        return forward_sweep(self, regex, source_indices, target_indices)
+        """Unmemoised evaluation between two candidate lists (Section 4, "RQ
+        with multiple colors"): the origin sets the paper's bidirectional
+        search keeps per frontier node are the bitset rows of
+        :meth:`_relation_pairs`, advanced from the smaller side."""
+        return self._relation_pairs(regex, frozenset(source_indices), frozenset(target_indices))
 
     # -- NFA product (general expressions) --------------------------------------
 
@@ -329,12 +359,14 @@ class CsrEngine:
         """Product construction over (graph index, automaton state).
 
         Evaluates an arbitrary regular expression given as an
-        :class:`~repro.regex.nfa.Nfa`: from every candidate source the product
-        of the CSR layers and a lazily determinised view of the automaton is
-        searched breadth-first; a pair is reported when a candidate target is
-        visited in an accepting state after at least one edge (paths must be
-        non-empty, so an automaton accepting the empty word never yields
-        ``(v, v)`` by itself).
+        :class:`~repro.regex.nfa.Nfa`: the product of the CSR layers and a
+        lazily determinised view of the automaton is searched breadth-first
+        from all candidate sources at once — one origin relation per live
+        automaton state, advanced one edge per ``(state, colour)`` transition
+        by :func:`repro.kernels.expand_origins`.  A pair is reported when a
+        source first arrives at a candidate target in an accepting state
+        after at least one edge (paths must be non-empty, so an automaton
+        accepting the empty word never yields ``(v, v)`` by itself).
         """
         compiled = self.compiled
         colors = compiled.colors
@@ -343,29 +375,32 @@ class CsrEngine:
         layers = [compiled.layer(k) for k in range(len(colors))]
         pairs: Set[IndexPair] = set()
 
-        for source in source_indices:
-            seen = {(source, dfa.start)}
-            frontier = [(source, dfa.start)]
+        for block in _origin_blocks(list(source_indices)):
+            start = {node: 1 << position for position, node in enumerate(block)}
+            # state -> {index: origins that were there in that state}
+            seen: Dict[int, Dict[int, int]] = {dfa.start: dict(start)}
+            frontier = {dfa.start: start}
             while frontier:
-                advanced: List[Tuple[int, int]] = []
-                for node, state in frontier:
+                advanced: Dict[int, Dict[int, int]] = {}
+                for state, relation in frontier.items():
+                    nodes, rows = list(relation), list(relation.values())
                     for color_index, layer in enumerate(layers):
-                        if not layer.mask[node]:
-                            continue
                         next_state = dfa.step(state, color_index)
                         if next_state == LazyDfa.DEAD:
                             continue
+                        known = seen.setdefault(next_state, {})
+                        fresh = advanced.setdefault(next_state, {})
                         accepting = dfa.is_accepting(next_state)
-                        offsets = layer.offsets
-                        for nxt in layer._view[offsets[node]:offsets[node + 1]]:
-                            key = (nxt, next_state)
-                            if key in seen:
+                        for node, bits in zip(*expand_origins(layer, compiled.num_nodes, nodes, rows, 1)):
+                            before = known.get(node, 0)
+                            new = bits & ~before
+                            if not new:
                                 continue
-                            seen.add(key)
-                            advanced.append(key)
-                            if accepting and nxt in targets:
-                                pairs.add((source, nxt))
-                frontier = advanced
+                            known[node] = before | new
+                            fresh[node] = fresh.get(node, 0) | new
+                            if accepting and node in targets:
+                                pairs.update((origin, node) for origin in _origins_of(new, block))
+                frontier = {state: relation for state, relation in advanced.items() if relation}
         return pairs
 
     @property

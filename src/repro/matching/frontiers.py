@@ -1,11 +1,8 @@
-"""Engine-agnostic frontier drivers shared by the dict and CSR engines.
+"""The set-based frontier drivers of the RQ search strategies.
 
-Both :class:`~repro.matching.paths.PathMatcher` (node-id space) and
-:class:`~repro.matching.csr_engine.CsrEngine` (dense-index space) expose the
-same per-atom expansion surface — ``atom_targets`` / ``atom_sources`` /
-``targets_from``.  The two RQ search strategies only ever drive that surface,
-so they live here once, generic over the expander, instead of being
-maintained per engine:
+The two search strategies of Section 4 drive nothing but a per-start
+expansion surface — ``atom_targets`` / ``atom_sources`` / ``targets_from`` —
+so they are written once, generic over the expander:
 
 * :func:`meet_in_the_middle` — the bidirectional evaluation of Section 4
   ("RQ with multiple colors"): forward and backward frontiers carry the set
@@ -14,8 +11,16 @@ maintained per engine:
 * :func:`forward_sweep` — plain forward expansion from every candidate
   source (the BFS baseline of Exp-3).
 
-Nodes are opaque here: original ids for the dict engine, ints for the CSR
-engine.  Callers translate afterwards if needed.
+Their callers are the dict engine (:class:`~repro.matching.paths.PathMatcher`,
+the semantics oracle), the partitioned adapter and the CSR adapter's
+dirty-colour fallback (``storage.adapter._search_pairs``).  The CSR engine
+does not come here: it keeps the origin sets as bitsets and advances them for
+all origins in one kernel pass
+(:meth:`~repro.matching.csr_engine.CsrEngine._relation_pairs`), and
+``tests/test_csr_engine.py`` holds the two to each other by driving these
+functions over the engine's own per-start expansions.
+
+Nodes are opaque here: original ids, or ints when a test drives an engine.
 """
 
 from __future__ import annotations

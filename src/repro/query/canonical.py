@@ -56,7 +56,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.query.containment import pq_equivalent
 from repro.query.minimization import minimize_pattern_query
 from repro.query.pq import PatternQuery
-from repro.query.predicates import _MISSING, Predicate, _comparable, _Interval
+from repro.query.predicates import _MISSING, Predicate, _comparable, _Interval, order_class
 from repro.query.rq import ReachabilityQuery
 from repro.regex.fclass import FRegex, RegexAtom, WILDCARD
 from repro.session.defaults import (
@@ -152,27 +152,17 @@ def regex_cache_key(regex: FRegex) -> Tuple:
 # Predicates
 # ---------------------------------------------------------------------------
 
-def _norm_value(value: Any) -> Any:
-    """Collapse values that compare equal across spellings (``5.0`` vs ``5``).
+def _norm_value(value: Any) -> Tuple[type, Any]:
+    """A constant as it appears in a key: its order class beside the value,
+    with spellings that compare equal collapsed (``5.0`` vs ``5``).
 
-    Booleans are kept in their own tagged domain: ``True == 1`` in Python,
-    but as a *bound* ``True`` only compares against other booleans (see
-    ``_comparable``), so folding it into the numbers would conflate
+    ``True == 1 == Decimal(1)`` in Python, but as a *bound* each only compares
+    against its own class (``_comparable``), so the bare value would conflate
     predicates with different answer sets.
     """
-    if isinstance(value, bool):
-        return ("bool", int(value))
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return value
-
-
-def _value_domain(value: Any) -> str:
-    if isinstance(value, bool):
-        return "bool"
-    if isinstance(value, (int, float)):
-        return "number"
-    return type(value).__name__
+        value = int(value)
+    return (order_class(value), value)
 
 
 def _bounds_exclude(interval: _Interval, value: Any) -> bool:
@@ -194,7 +184,7 @@ def _attribute_entry(attribute: str, conditions: List) -> Tuple:
         interval.add(condition)
 
     if interval.equal is not _MISSING:
-        domains = {_value_domain(condition.value) for condition in conditions}
+        domains = {order_class(condition.value) for condition in conditions}
         if len(domains) == 1:
             # Satisfiability already validated the equality against every
             # (tightest) bound and excluded point, and within one domain the
@@ -207,7 +197,7 @@ def _attribute_entry(attribute: str, conditions: List) -> Tuple:
             ("raw", tuple(sorted((c.op, repr(c.value)) for c in conditions))),
         )
 
-    domains = {_value_domain(condition.value) for condition in conditions}
+    domains = {order_class(condition.value) for condition in conditions}
     if len(domains) > 1:
         return (
             attribute,

@@ -33,6 +33,17 @@ def _comparable(left: Any, right: Any) -> bool:
     return type(left) is type(right)
 
 
+def order_class(value: Any) -> type:
+    """The class :func:`_comparable` orders ``value`` in — bools among
+    themselves, ints and floats together, anything else with its exact type:
+    ``_comparable(a, b)`` is ``order_class(a) is order_class(b)``.  Equal
+    constants of different classes (``1``, ``True``, ``Decimal(1)``) order
+    different rows, so predicate identity and the column index carry it."""
+    if isinstance(value, bool):
+        return bool
+    return float if isinstance(value, _NUMERIC_TYPES) else type(value)
+
+
 def _compare(left: Any, op: str, right: Any) -> bool:
     """Evaluate ``left op right``; incomparable values fail ordering tests."""
     if op == "=":
@@ -219,7 +230,7 @@ class Predicate:
     nodes introduced when decomposing a multi-colour RQ).
     """
 
-    __slots__ = ("_conditions", "_hash", "_compiled")
+    __slots__ = ("_conditions", "_key", "_hash", "_compiled")
 
     def __init__(self, conditions: Iterable[AtomicCondition] = ()):
         items = tuple(conditions)
@@ -229,7 +240,11 @@ class Predicate:
                     f"expected AtomicCondition, got {type(item).__name__}"
                 )
         self._conditions = items
-        self._hash = hash(items)
+        # ``x <= 1`` and ``x <= Decimal(1)`` have equal conditions and select
+        # different rows: identity includes each constant's order class
+        # (``5`` and ``5.0`` share one, so respellings keep sharing a key).
+        self._key = (items, tuple(order_class(item.value) for item in items))
+        self._hash = hash(self._key)
         self._compiled: Optional[Callable[[Mapping[str, Any]], bool]] = None
 
     # -- constructors ----------------------------------------------------------
@@ -397,7 +412,7 @@ class Predicate:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Predicate):
             return NotImplemented
-        return self._conditions == other._conditions
+        return self._key == other._key
 
     def __hash__(self) -> int:
         return self._hash

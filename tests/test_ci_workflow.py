@@ -169,6 +169,21 @@ class TestCiWorkflow:
         excluded = fast_installs[0]["if"].split("!=")[1].strip().strip("'\"")
         assert f"== '{excluded}'" in fallback_checks[0]["if"]
 
+    def test_no_numpy_leg_runs_origin_relation_parity(self, workflow):
+        # The quick tier-1 run deselects the `slow` hypothesis suites that pin
+        # expand_origins and the engine's relation fold; the no-numpy leg must
+        # run them by name, on the only backend it has.
+        job = workflow["jobs"]["test"]
+        fallback_if = next(
+            step["if"] for step in job["steps"] if "active_kernel_name" in step.get("run", "")
+        )
+        parity = [step for step in job["steps"] if "relation_fold" in step.get("run", "")]
+        assert len(parity) == 1 and parity[0]["if"] == fallback_if
+        command = parity[0]["run"]
+        for needle in ("tests/test_kernels.py", "tests/test_csr_engine.py", "origins", "nfa_product"):
+            assert needle in command
+        assert "not slow" not in command
+
     def test_benchmark_job_runs_repo_benchmark_smoke(self, workflow):
         # bench/test_smoke.py is outside pytest's testpaths (tier-1 never
         # collects it), so the benchmark job must run it by path.

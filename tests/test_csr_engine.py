@@ -6,6 +6,8 @@ asserted on hand-built graphs, on the dataset generators and — via hypothesis
 — on randomly generated graphs and queries.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,12 +16,19 @@ from repro.datasets.synthetic import generate_synthetic_graph
 from repro.exceptions import EvaluationError
 from repro.graph.csr import compile_graph, compiled_snapshot
 from repro.graph.data_graph import DataGraph
+from repro.matching import csr_engine
 from repro.matching.csr_engine import CsrEngine
-from repro.matching.general_rq import GeneralReachabilityQuery, evaluate_general_rq
+from repro.matching.frontiers import forward_sweep, meet_in_the_middle
+from repro.matching.general_rq import (
+    GeneralReachabilityQuery,
+    evaluate_general_rq,
+    regex_reachable_from,
+)
 from repro.matching.paths import PathMatcher
 from repro.matching.reachability import evaluate_rq
 from repro.query.rq import ReachabilityQuery
 from repro.regex.fclass import FRegex, RegexAtom
+from repro.regex.general import GeneralRegex
 from repro.regex.nfa import LazyDfa, build_nfa
 from repro.regex.parser import parse_fregex
 
@@ -351,3 +360,96 @@ def test_property_snapshot_round_trip(case):
         assert compiled.predecessors(node) == graph.predecessors(node)
         for color in graph.colors:
             assert compiled.successors(node, color) == graph.successors(node, color)
+
+
+# -- the origin-relation fold vs the generic drivers ----------------------------
+#
+# ``matching_pairs`` / ``query_pairs`` carry one bitset of origins per index
+# through ``repro.kernels.expand_origins``.  The references are the generic
+# set-based drivers of ``matching/frontiers.py`` — driven over the same engine's
+# per-start expansions, and over the dict engine — and, for general
+# expressions, the per-source product walk of ``regex_reachable_from``.
+
+
+@st.composite
+def graph_and_candidates(draw):
+    graph, _ = draw(graph_and_query())
+    nodes = sorted(graph.nodes())
+    atoms = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_COLORS + ("_", "absent")),  # wildcard, unknown colour
+                st.one_of(st.none(), st.integers(1, 3)),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    # Empty and singleton sets, sources larger and smaller than targets.
+    sources = draw(st.sets(st.sampled_from(nodes), max_size=len(nodes)))
+    targets = draw(st.sets(st.sampled_from(nodes), max_size=len(nodes)))
+    # A block of two origins makes every larger candidate set span several.
+    block = draw(st.sampled_from([csr_engine.ORIGIN_BLOCK, 2]))
+    return graph, FRegex([RegexAtom(color, bound) for color, bound in atoms]), sources, targets, block
+
+
+def _origin_block(width):
+    """``csr_engine.ORIGIN_BLOCK`` set to ``width`` for the length of a block."""
+    return mock.patch.object(csr_engine, "ORIGIN_BLOCK", width)
+
+
+@pytest.mark.slow
+@settings(max_examples=150, deadline=None)
+@given(graph_and_candidates())
+def test_property_relation_fold_matches_generic_drivers(case):
+    graph, regex, sources, targets, block = case
+    compiled = compile_graph(graph)
+    engine = CsrEngine(compiled)
+    ids = compiled.ids
+    source_indices = frozenset(map(compiled.node_index, sources))
+    target_indices = frozenset(map(compiled.node_index, targets))
+
+    swept = forward_sweep(engine, regex, sorted(source_indices), target_indices)
+    assert meet_in_the_middle(engine, regex, sorted(source_indices), target_indices) == swept
+    dict_matcher = PathMatcher(graph, engine="dict")
+    assert forward_sweep(dict_matcher, regex, sorted(sources), targets) == {
+        (ids[a], ids[b]) for a, b in swept
+    }
+
+    with _origin_block(block):
+        entries = len(engine._set_cache)
+        assert engine.matching_pairs(regex, source_indices, target_indices) == swept
+        for method in ("bidirectional", "bfs"):
+            assert engine.query_pairs(regex, source_indices, target_indices, method) == swept
+        assert len(engine._set_cache) == entries + 1  # one fold, one entry, whichever plan asked
+        assert engine.bidirectional_pairs(regex, sorted(source_indices), target_indices) == swept
+        # Asking again is one hit in the set-level memo, whatever the spelling.
+        hits, entries = engine._set_cache.hits, len(engine._set_cache)
+        again = engine.matching_pairs(FRegex(list(regex.atoms)), source_indices, target_indices)
+        assert again is engine.matching_pairs(regex, source_indices, target_indices)
+        assert (engine._set_cache.hits, len(engine._set_cache)) == (hits + 2, entries)
+
+
+_GENERAL_FORMS = (
+    "r", "r.g", "(r|g)", "(r|g).b", "r*", "(r|g)*.b", "r.(g|b)*", "(r.g)*", "r+.g", "(r|g|b)+", "_.r", "_*",
+)
+
+
+@pytest.mark.slow
+@settings(max_examples=100, deadline=None)
+@given(graph_and_candidates(), st.sampled_from(_GENERAL_FORMS))
+def test_property_nfa_product_matches_per_source_walk(case, form):
+    graph, _, sources, targets, block = case
+    regex = GeneralRegex.parse(form)
+    compiled = compile_graph(graph)
+    ids = compiled.ids
+    expected = {
+        (source, target)
+        for source in sources
+        for target in regex_reachable_from(graph, source, regex) & targets
+    }
+    with _origin_block(block):
+        pairs = CsrEngine(compiled).nfa_product_pairs(
+            regex.to_nfa(), compiled.indices_of(sorted(sources)), compiled.indices_of(targets)
+        )
+    assert {(ids[a], ids[b]) for a, b in pairs} == expected

@@ -424,10 +424,15 @@ class TestWarmMatcherReuse:
         assert stats["backward_hit_rate"] > 0.0
 
     def test_csr_deletion_maintained_without_recompile(self, essembly):
-        matcher = IncrementalPatternMatcher(essembly_query_q2(), essembly, engine="csr")
+        query = essembly_query_q2()
+        matcher = IncrementalPatternMatcher(query, essembly, engine="csr")
         assert matcher.engine == "csr"
         path_matcher = matcher.matcher
-        # The initial computation ran on the engine's memos, and says so.
+        # The initial computation ran on the engine's memos, and says so: its
+        # refinement frontiers and per-edge pair relations are set-level
+        # entries; the per-start memo takes single-start reads.
+        assert matcher.cache_statistics()["csr_set_entries"] > 0
+        assert path_matcher.pair_matches("C3", "D1", query.regex("C", "D"))
         assert matcher.cache_statistics()["csr_entries"] > 0
         store = essembly.overlay_store()
         engine = path_matcher._csr_engine

@@ -14,6 +14,10 @@ other and to an independent oracle:
   ``bfs_block_frontier``) on hypothesis-generated graphs with cycles
   through starts, duplicate colours, empty layers and bounded depths
   including ``bound=0``;
+* ``expand_origins`` — the origin relation pushed through a layer for all
+  origins at once — must equal, origin by origin, the union of single-source
+  ``expand_frontier`` calls from the nodes carrying that origin's bit, on
+  both backends and through the ``REPRO_KERNELS`` dispatch;
 * the numpy backend additionally runs with ``VECTOR_MIN_FRONTIER`` forced
   to 1 (every level vectorised) and ``SCAN_DIVISOR`` pinned to each
   extreme, so both frontier-extraction strategies (sort-free scratch scan
@@ -28,9 +32,11 @@ from hypothesis import strategies as st
 
 from repro.graph.csr import ANY_COLOR, compile_graph
 from repro.graph.data_graph import DataGraph
+import repro.kernels
 from repro.kernels import (
     HAVE_NUMPY,
     KERNEL_ENV_VAR,
+    ORIGIN_BLOCK,
     active_kernel_name,
     bfs_block_frontier,
     python_kernel,
@@ -232,6 +238,72 @@ def test_property_engine_entry_points_match_oracle(case, colors, bound):
     assert set(closure) == expected
 
 
+# -- origin relations -----------------------------------------------------------
+
+
+def _relation(nodes, rows):
+    """A relation as the set of its ``(index, origin position)`` members."""
+    return {
+        (node, origin)
+        for node, bits in zip(nodes, rows)
+        for origin in range(bits.bit_length())
+        if bits >> origin & 1
+    }
+
+
+def _oracle_origins(layer, num_nodes, nodes, rows, bound):
+    """Origin by origin, the union of single-source ``expand_frontier`` calls."""
+    return {
+        (reached, origin)
+        for node, origin in _relation(nodes, rows)
+        for reached in python_kernel.expand_frontier(layer, num_nodes, [node], bound)
+    }
+
+
+def _origin_backends():
+    return [python_kernel, numpy_kernel] if HAVE_NUMPY else [python_kernel]
+
+
+def _assert_origins_match(layer, num_nodes, nodes, rows, bound):
+    expected = _oracle_origins(layer, num_nodes, nodes, rows, bound)
+    results = [kernel.expand_origins(layer, num_nodes, nodes, rows, bound) for kernel in _origin_backends()]
+    for got_nodes, got_rows in results:
+        assert got_nodes == sorted(set(got_nodes)) and all(got_rows)  # ascending, no empty row
+        assert _relation(got_nodes, got_rows) == expected
+    assert all(result == results[0] for result in results)  # result-identical, not just equivalent
+    return results[0]
+
+
+@st.composite
+def origin_relation(draw):
+    """A graph and a relation on it: duplicate indices, empty rows, and
+    widths of one word, several words and more than one origin block."""
+    graph, _ = draw(indexed_graph())
+    num_nodes = graph.num_nodes
+    width = draw(st.sampled_from([1, 3, 70, ORIGIN_BLOCK + 5]))
+    nodes = draw(st.lists(st.integers(0, num_nodes - 1), max_size=num_nodes + 3))
+    rows = [
+        sum(1 << origin for origin in draw(st.sets(st.integers(0, width - 1), max_size=4)))
+        for _ in nodes
+    ]
+    return graph, nodes, rows
+
+
+@pytest.mark.slow
+@settings(max_examples=120, deadline=None)
+@given(origin_relation(), st.sampled_from(_BOUNDS), st.sampled_from(_COLORS + (None,)), st.booleans())
+def test_property_expand_origins_matches_single_source_union(case, bound, color, reverse):
+    graph, nodes, rows = case
+    compiled = compile_graph(graph)
+    color_id = compiled.color_id(color)
+    if color_id is None:
+        return
+    layer = compiled.layer(color_id, reverse=reverse)
+    first = _assert_origins_match(layer, compiled.num_nodes, nodes, rows, bound)
+    # The chained second atom: the input is whatever the first one produced.
+    _assert_origins_match(compiled.layer(ANY_COLOR, reverse=reverse), compiled.num_nodes, *first, bound)
+
+
 # -- deterministic regressions --------------------------------------------------
 
 
@@ -310,6 +382,40 @@ class TestBlockSemanticsEdgeCases:
             ),
         )
 
+    def test_origins_come_back_to_their_start_only_through_a_cycle(self, two_color_graph):
+        compiled = compile_graph(two_color_graph)
+        layer = compiled.layer(ANY_COLOR)
+        n = compiled.num_nodes
+        # Origin 0 starts on node 0 (on the cycle 0 -> 1 -> 2 -> 0), origin 1
+        # on the isolated node 5, origin 2 on both ends of the 3 <-> 4 cycle.
+        nodes, rows = [0, 5, 3, 4, 0], [0b001, 0b010, 0b100, 0b100, 0b001]  # node 0 twice
+        assert _relation(*_assert_origins_match(layer, n, nodes, rows, None)) == {
+            (0, 0), (1, 0), (2, 0), (3, 2), (4, 2),
+        }
+        assert _relation(*_assert_origins_match(layer, n, nodes, rows, 1)) == {(1, 0), (3, 2), (4, 2)}
+        assert _relation(*_assert_origins_match(layer, n, nodes, rows, 2)) == {(1, 0), (2, 0), (3, 2), (4, 2)}
+        assert _assert_origins_match(layer, n, nodes, rows, 0) == ([], [])
+        assert _assert_origins_match(layer, n, [], [], None) == ([], [])
+
+    def test_origins_over_an_empty_layer_and_unmasked_starts(self, two_color_graph):
+        compiled = compile_graph(two_color_graph)
+        g_layer = compiled.layer(compiled.color_id("g"))
+        # Node 5 is isolated and node 0 has no outgoing "g" edge.
+        assert _assert_origins_match(g_layer, compiled.num_nodes, [5, 0], [1, 2], None) == ([], [])
+        empty = DataGraph(name="no-edges")
+        empty.add_node("only")
+        lonely = compile_graph(empty)
+        assert _assert_origins_match(lonely.layer(ANY_COLOR), 1, [0], [1], None) == ([], [])
+
+    def test_origins_wider_than_one_block(self, two_color_graph):
+        compiled = compile_graph(two_color_graph)
+        layer = compiled.layer(ANY_COLOR)
+        width = 2 * ORIGIN_BLOCK + 3
+        nodes = [origin % 6 for origin in range(width)]
+        rows = [1 << origin for origin in range(width)]
+        reached_nodes, reached_rows = _assert_origins_match(layer, compiled.num_nodes, nodes, rows, 2)
+        assert max(reached_rows).bit_length() > 2 * ORIGIN_BLOCK
+
     def test_generic_bfs_block_frontier_start_inclusion(self):
         neighbors = {0: [1], 1: [0], 2: []}
         assert bfs_block_frontier(lambda n: neighbors[n], [0], None) == {0, 1}
@@ -346,6 +452,18 @@ class TestKernelDispatch:
         monkeypatch.setenv(KERNEL_ENV_VAR, "python")
         forced = set(select_backend().expand_frontier(layer, compiled.num_nodes, [0], None))
         assert forced == default
+
+    @pytest.mark.parametrize("requested", ["python", "numpy"])
+    def test_expand_origins_answers_alike_with_the_environment_flipped(
+        self, monkeypatch, two_color_graph, requested
+    ):
+        compiled = compile_graph(two_color_graph)
+        layer = compiled.layer(ANY_COLOR)
+        nodes, rows = [0, 3, 5], [1 | 1 << 70, 2, 4]
+        monkeypatch.setenv(KERNEL_ENV_VAR, requested)
+        got = repro.kernels.expand_origins(layer, compiled.num_nodes, nodes, rows, None)
+        assert got == python_kernel.expand_origins(layer, compiled.num_nodes, nodes, rows, None)
+        assert _relation(*got) == _oracle_origins(layer, compiled.num_nodes, nodes, rows, None)
 
 
 class TestKernelSurfacing:

@@ -124,9 +124,9 @@ def test_column_scan_equals_per_row_reference(rows, predicate):
 @given(rows=_ROWS, predicates=st.lists(_SCAN_PREDICATES, min_size=2, max_size=4))
 @settings(max_examples=500, deadline=None)
 def test_column_scans_on_shared_columns_do_not_interfere(rows, predicates):
-    # ``x < 1``, ``x < True`` and ``x < Decimal(1)`` are equal as predicates
-    # (their constants are) and order different rows: on one object, with
-    # one memo, each must still get its own answer.
+    # ``x < 1``, ``x < True`` and ``x < Decimal(1)`` have equal constants and
+    # order different rows: on one object, with one memo, each must still
+    # get its own answer (``Predicate`` identity carries the order class).
     columns = AttributeColumns(rows)
     for predicate in predicates:
         try:
@@ -159,8 +159,10 @@ class TestColumnScanHazards:
         assert _scan(rows, _atom("x", "<=", 1)) == (1, 2, 3)
         assert _scan(rows, _atom("x", "<=", True)) == (0, 4)
         assert _scan(rows, _atom("x", "!=", False)) == (0, 1, 2)
-        # The two are equal as predicates; one memo still answers each.
-        assert _atom("x", "<=", 1) == _atom("x", "<=", True)
+        # Equal constants, different order classes: not the same predicate,
+        # so one memo (keyed by the predicate) answers each.
+        assert _atom("x", "<=", 1) != _atom("x", "<=", True)
+        assert _atom("x", "<=", 1) == _atom("x", "<=", 1.0)
         columns = AttributeColumns(rows)
         assert columns.scan(_atom("x", "<=", 1)) == (1, 2, 3)
         assert columns.scan(_atom("x", "<=", True)) == (0, 4)
@@ -219,3 +221,81 @@ class TestColumnScanHazards:
             assert columns.scan(predicate) == _reference_scan(rows, predicate)
         tally = columns.tally
         assert (tally.row_checks, tally.columns_built, tally.memo_misses, tally.memo_hits) == (0, 2, 5, 0)
+
+
+# -- one session, two predicates with equal constants ----------------------------
+#
+# ``x <= 1`` and ``x <= Decimal(1)`` (or ``True``) compare equal constant by
+# constant and select different rows.  Every key a session files an answer
+# under — the semantic cache's canonical form, the prepared-result memo, the
+# scan memo — must tell them apart, whichever is asked first.
+
+_RING = 72  # large enough for an ``auto`` session to plan ``csr``
+#: Constants with an equal twin in another order class.
+_TWINS = st.sampled_from(
+    [0, 1, 2, False, True, 0.0, 1.0, 2.0, Decimal(0), Decimal(1), Decimal(2), "a", _Word("a")]
+)
+
+
+def _ring_session(values, engine):
+    from repro.graph.data_graph import DataGraph
+    from repro.session.session import GraphSession
+
+    graph = DataGraph(name="ring")
+    for node in range(_RING):
+        graph.add_node(node, x=values[node % len(values)])
+    for node in range(_RING):
+        graph.add_edge(node, (node + 1) % _RING, "a")
+    return GraphSession(graph, engine=engine)
+
+
+def _ring_answer(values, predicate):
+    return {
+        (node, (node + 1) % _RING)
+        for node in range(_RING)
+        if predicate.matches({"x": values[node % len(values)]})
+    }
+
+
+def _assert_each_query_gets_its_own_rows(values, predicates, engine, pinned):
+    from repro.query.rq import ReachabilityQuery
+
+    try:
+        expected = [_ring_answer(values, predicate) for predicate in predicates]
+    except TypeError:
+        return  # an unorderable pair: the reference has no answer either
+    session = _ring_session(values, engine)
+    reader = session.pin() if pinned else session
+    try:
+        for predicate, pairs in zip(predicates, expected):
+            result = reader.execute(ReachabilityQuery(predicate, None, "a"))
+            assert set(result.answer.pairs) == pairs, (predicate, result.cache_decision)
+    finally:
+        if pinned:
+            reader.release()
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["live", "pinned"])
+@pytest.mark.parametrize("engine", ["dict", "auto"])
+def test_session_serves_decimal_bound_its_own_rows(engine, pinned):
+    """ROADMAP item 6's reproduction: the second query got the first one's
+    pairs with ``cache_decision == "cache-exact"``, in either order."""
+    values = [1, Decimal(0), 2, Decimal(2)]
+    queries = [_atom("x", "<=", 1), _atom("x", "<=", Decimal(1))]
+    assert _ring_answer(values, queries[0]) != _ring_answer(values, queries[1])
+    for order in (queries, queries[::-1]):
+        _assert_each_query_gets_its_own_rows(values, order, engine, pinned)
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["live", "pinned"])
+@pytest.mark.parametrize("engine", ["dict", "auto"])
+@given(
+    values=st.lists(_CONSTANTS, min_size=1, max_size=6),
+    op=st.sampled_from(OPERATORS),
+    first=_TWINS,
+    second=_TWINS,
+)
+@settings(max_examples=40, deadline=None)
+def test_session_tells_order_classes_apart(engine, pinned, values, op, first, second):
+    predicates = [_atom("x", op, first), _atom("x", op, second), _atom("x", op, first)]
+    _assert_each_query_gets_its_own_rows(values, predicates, engine, pinned)

@@ -56,7 +56,7 @@ FROZEN_API = {
     "repro.kernels": [
         "HAVE_NUMPY", "KERNEL_ENV_VAR", "active_kernel_name",
         "bfs_block_frontier", "closure_frontier", "expand_frontier",
-        "neighbors_of", "select_backend",
+        "expand_origins", "neighbors_of", "select_backend",
     ],
     "repro.matching": [
         "CsrEngine", "LruCache", "PathMatcher", "PatternMatchResult",

@@ -270,6 +270,7 @@ def test_live_and_pinned_envelopes_agree_on_the_array_path():
     live_results = [live.execute(query) for query, _ in queries]
     with GraphSession(_ring_graph(72)).pin() as snapshot:
         pinned_results = [snapshot.execute(query) for query, _ in queries]
+        pinned_single = _single_start_read(snapshot._state.matcher("csr"))
     live_views = [_envelope_view(result) for result in live_results]
     assert live_views == [_envelope_view(result) for result in pinned_results]
     assert [view["cache_decision"] for view in live_views] == [d for _, d in queries]
@@ -282,11 +283,25 @@ def test_live_and_pinned_envelopes_agree_on_the_array_path():
             assert result.to_dict()["engine"] == expected  # the wire envelope's label
     assert live_views[0]["answer"]  # the ring does have a.b^2.b paths
     # Same keys as a dict session's; and on the array path the memo that took
-    # the lookups is the engine's, which both sides now report.
+    # the lookups is the engine's, which both sides now report: a whole query
+    # is one set-level entry, computed for all its origins at once ...
     for result in (live_results[0], pinned_results[0]):
         assert sorted(result.cache_stats) == _CACHE_STATS_KEYS
-        assert result.cache_stats["csr_entries"] > 0.0
+        assert result.cache_stats["csr_set_entries"] > 0.0
         assert result.cache_stats["forward_entries"] == 0.0
+    # ... and the engine's per-start memo, the other half of what both sides
+    # report, takes the single-start reads of the same matchers.
+    from_n0 = {target for source, target in live_views[0]["answer"] if source == "n0"}
+    assert from_n0  # the g1 nodes (odd indices) among everything n0 reaches
+    for reached, stats in (_single_start_read(live.matcher("csr")), pinned_single):
+        assert {target for target in reached if int(target[1:]) % 2} == from_n0
+        assert stats["csr_entries"] > 0.0
+
+
+def _single_start_read(matcher):
+    """What ``n0`` reaches by ``a.b^2.b``, and the matcher's counters after it."""
+    path = FRegex([RegexAtom("a", 1), RegexAtom("b", 2), RegexAtom("b", 1)])
+    return matcher.targets_from("n0", path), matcher.cache_stats
 
 
 def test_live_and_pinned_envelopes_agree_with_changes_pending_in_the_overlay():

@@ -24,6 +24,12 @@ substring grep misses:
 ``paths.py`` is the adapter-facing seam: its ``PathMatcher`` legitimately
 *owns* a ``_csr_engine`` accessor, so attribute checks skip names defined
 by the module itself.
+
+Nor do these modules translate between node ids and dense indices: an
+evaluator carries the *handles* its matcher's scans gave it and asks the
+matcher for ids once, where the result is built.  A reach for a compiled
+graph's :data:`TRANSLATIONS` (``.node_index(``, ``.ids[``, ``.indices_of(`` ...)
+under ``matching/`` outside :data:`TRANSLATING_MODULES` is a finding.
 """
 
 from __future__ import annotations
@@ -37,6 +43,11 @@ from repro.analysis.findings import Finding
 #: The modules under ``matching/`` that *are* an engine, and so the only
 #: ones there the rule leaves alone.
 ENGINE_MODULES = ("csr_engine.py",)
+
+#: The engine lives in index space; at the seam an evaluation's handles become ids.
+TRANSLATING_MODULES = ENGINE_MODULES + ("paths.py",)
+#: ``CompiledGraph``'s id <-> index surface.
+TRANSLATIONS = frozenset({"node_index", "node_id", "ids", "ids_of", "indices_of", "positions_of"})
 
 
 def _identifier(node: ast.AST) -> str:
@@ -72,7 +83,7 @@ def _locally_defined_names(module: ModuleInfo) -> frozenset:
 class EngineFreeFixpointRule(Rule):
     code = "R006"
     name = "engine-free-fixpoint"
-    summary = "matching modules must not branch on the evaluation engine"
+    summary = "matching modules must not branch on the evaluation engine or translate node handles"
 
     def check(self, module: ModuleInfo) -> Iterable[Finding]:
         filename = module.relpath.rsplit("/", 1)[-1]
@@ -109,7 +120,10 @@ class EngineFreeFixpointRule(Rule):
                         )
                     )
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                if "csr_engine" in node.attr and node.attr not in local_names:
+                if node.attr in TRANSLATIONS and filename not in TRANSLATING_MODULES:
+                    message = f".{node.attr} under matching/ translates node handles; ask the matcher, once"
+                    findings.append(module.finding(node, self.code, message))
+                elif "csr_engine" in node.attr and node.attr not in local_names:
                     findings.append(
                         module.finding(
                             node,

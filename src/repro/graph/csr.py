@@ -27,6 +27,7 @@ graph object) and recompiles automatically when the graph's topology
 from __future__ import annotations
 
 from array import array
+from itertools import repeat
 from typing import Any, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 from weakref import WeakKeyDictionary, ref
 
@@ -122,6 +123,7 @@ class CompiledGraph:
         "source_edges_version",
         "_source_color_versions",
         "_ids",
+        "_id_table",
         "_index",
         "_attrs",
         "_colors",
@@ -142,6 +144,7 @@ class CompiledGraph:
         self.source_edges_version = graph.edges_version
         ids: Tuple[NodeId, ...] = tuple(graph.nodes())
         self._ids = ids
+        self._id_table = None  # ``ids`` as a numpy object array, built by the first array-valued ``ids_of``
         self._index: Dict[NodeId, int] = {node: i for i, node in enumerate(ids)}
         self._attrs: Tuple[Mapping[str, Any], ...] = tuple(graph.attributes(node) for node in ids)
         colors = tuple(sorted(graph.colors))
@@ -284,10 +287,25 @@ class CompiledGraph:
     def has_node(self, node: NodeId) -> bool:
         return node in self._index
 
-    def indices_of(self, nodes: Iterable[NodeId]) -> List[int]:
-        """Dense indices of those of ``nodes`` this snapshot holds, in order."""
-        index = self._index
-        return [index[node] for node in nodes if node in index]
+    def positions_of(self, nodes: Iterable[NodeId]) -> List[int]:
+        """The dense index of each of ``nodes``, in order; ``-1`` where not held."""
+        return list(map(self._index.get, nodes, repeat(-1)))
+
+    def ids_of(self, indices: Iterable[int]) -> List[NodeId]:
+        """Original ids of dense indices, in order: the translation out of index
+        space.  A numpy index array (what the numpy kernels hand back) is one
+        take from the id table kept as an object array."""
+        if not hasattr(indices, "dtype"):
+            return list(map(self._ids.__getitem__, indices))
+        table = self._id_table
+        if table is None:
+            import numpy as np
+
+            table = np.empty(len(self._ids), dtype=object)
+            for index, node in enumerate(self._ids):  # element-wise: an id may itself be a tuple
+                table[index] = node
+            self._id_table = table  # published whole: pins read one base from several threads
+        return table[indices].tolist()
 
     def color_id(self, color: Optional[str]) -> Optional[int]:
         """Dense colour id, :data:`ANY_COLOR` for ``None``, ``None`` if unknown."""
@@ -399,8 +417,7 @@ class CompiledGraph:
 
     def matching_ids(self, predicate: Any) -> List[NodeId]:
         """Node ids whose attributes satisfy ``predicate`` (insertion order)."""
-        ids = self._ids
-        return [ids[i] for i in self.matching_indices(predicate)]
+        return self.ids_of(self.matching_indices(predicate))
 
     @property
     def scans(self) -> AttributeColumns:

@@ -33,6 +33,11 @@ is its definition):
     for all origins in one pass, propagating only newly arrived bits (the
     multi-source BFS of Then et al., PVLDB 8(4), 2014).
 
+``decode_origins(nodes, rows, block) -> (nodes, origins)``
+    such a relation read out as two parallel index sequences: ``nodes[i]``
+    beside ``block[k]`` per set bit ``k`` of ``rows[i]``, rows in order, bits
+    ascending (lists / ``intp`` arrays, equal); a row wider than ``block`` raises.
+
 ``closure_frontier(layers, num_nodes, starts)``
     the unbounded variant over the union of several layers (the affected-
     area closure of the incremental maintainer).
@@ -85,6 +90,7 @@ __all__ = [
     "bfs_block_frontier",
     "expand_frontier",
     "expand_origins",
+    "decode_origins",
     "closure_frontier",
     "neighbors_of",
     "select_backend",
@@ -129,6 +135,11 @@ def expand_origins(
 ) -> Tuple[List[int], List[int]]:
     """Push an origin relation through one CSR layer, all origins at once."""
     return select_backend().expand_origins(layer, num_nodes, nodes, rows, bound)
+
+
+def decode_origins(nodes: Sequence[int], rows: Sequence[int], block: Sequence[int]):
+    """An origin relation read out of its rows as two parallel index sequences."""
+    return select_backend().decode_origins(nodes, rows, block)
 
 
 def closure_frontier(layers, num_nodes: int, starts: Iterable[int]) -> List[int]:

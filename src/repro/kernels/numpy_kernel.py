@@ -26,7 +26,8 @@ kernel.  Narrow searches never touch numpy at all (the array views are
 created lazily on the first vectorised level), wide fixpoint sweeps and
 affected-area closures run almost entirely vectorised.
 
-:func:`expand_origins` needs no such switch: a level gathers only the rows
+:func:`expand_origins` (and :func:`decode_origins`, which reads its rows out
+through one byte matrix) needs no such switch: a level gathers only the rows
 that gained bits in the level before, so its cost follows the live relation.
 Its rows stay the ``int`` bitsets of the python backend, in object arrays:
 numpy does a level's edge work (gather, stable sort by destination,
@@ -311,3 +312,25 @@ def expand_origins(
         dest, arrived = _push_rows(offsets, targets, front, bits)
     hit, reached = _merge_rows(*map(np.concatenate, zip(*levels)))
     return hit.tolist(), reached.tolist()
+
+
+def decode_origins(
+    nodes: Sequence[int], rows: Sequence[int], block: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Read a relation out of its rows, as two parallel ``intp`` arrays: same
+    contract and entries as :func:`python_kernel.decode_origins`.  The ``int``
+    rows become one byte matrix (the only per-row Python call); relations are
+    sparse, so only its non-zero bytes are unpacked to bits."""
+    width = len(block)
+    row_bytes = (width + 7) >> 3
+    try:
+        raw = b"".join(map(int.to_bytes, rows, repeat(row_bytes), repeat("little")))
+    except OverflowError:
+        raise ValueError(f"an origin row is wider than its block of {width}") from None
+    matrix = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), row_bytes)
+    row, byte = np.nonzero(matrix)
+    hit, bit = np.nonzero(np.unpackbits(matrix[row, byte][:, None], axis=1, bitorder="little"))
+    position = byte[hit] * 8 + bit
+    if position.size and int(position.max()) >= width:
+        raise ValueError(f"an origin row is wider than its block of {width}")
+    return np.asarray(nodes, dtype=np.intp)[row[hit]], np.asarray(block, dtype=np.intp)[position]

@@ -12,7 +12,8 @@ in ``tests/test_kernels.py``): results are the indices at positive distance
 ``1 … bound`` from any start, and a start index is included exactly when it
 is re-reached through a non-empty path.  :func:`expand_origins` carries that
 block for many start sets at once, as one ``int`` bitset of origins per node
-held in plain dicts — no per-call ``num_nodes``-sized state.
+held in plain dicts — no per-call ``num_nodes``-sized state — and
+:func:`decode_origins` reads such rows out as two parallel lists.
 """
 
 from __future__ import annotations
@@ -139,3 +140,22 @@ def expand_origins(
                 frontier[node] = fresh
     order = sorted(reached)
     return order, [reached[node] for node in order]
+
+
+def decode_origins(
+    nodes: Sequence[int], rows: Sequence[int], block: Sequence[int]
+) -> Tuple[List[int], List[int]]:
+    """Read a relation out of its rows, as two parallel lists: ``nodes[i]`` beside
+    ``block[k]`` for every set bit ``k`` of ``rows[i]`` — rows in order, bits ascending.
+    A bit at or beyond ``len(block)`` (or a negative row) raises :class:`ValueError`."""
+    width = len(block)
+    at, origins = [], []
+    for node, bits in zip(nodes, rows):
+        if bits >> width:
+            raise ValueError(f"origin row {bits:#x} is wider than its block of {width}")
+        while bits:
+            low = bits & -bits
+            at.append(node)
+            origins.append(block[low.bit_length() - 1])
+            bits ^= low
+    return at, origins

@@ -20,7 +20,7 @@ from typing import Dict, Hashable, Optional
 from repro.graph.data_graph import DataGraph
 from repro.graph.distance import DistanceMatrix
 from repro.session.defaults import DEFAULT_CACHE_CAPACITY, DEFAULT_ENGINE
-from repro.matching.naive import initial_candidates
+from repro.matching.naive import collect_result, initial_candidates
 from repro.matching.paths import PathMatcher, resolve_matcher
 from repro.matching.refinement import refine_fixpoint
 from repro.matching.result import PatternMatchResult
@@ -55,39 +55,22 @@ def bounded_simulation_match(
     )
     algorithm = "MatchM" if matcher.uses_matrix else "MatchC"
 
-    candidates = initial_candidates(pattern, graph, matcher=matcher)
-    if any(not nodes for nodes in candidates.values()):
-        return PatternMatchResult.empty(algorithm, engine=matcher.engine)
-
     relaxed: Dict[tuple, FRegex] = {
         (edge.source, edge.target): _color_blind(edge.regex) for edge in pattern.edges()
     }
+    space = matcher.enter(relaxed.values())
+    candidates = initial_candidates(pattern, graph, matcher, space)
+    if any(not nodes for nodes in candidates.values()):
+        return PatternMatchResult.empty(algorithm, engine=matcher.engine)
 
     # The colour-blind refinement runs on the shared dirty-queue fixpoint
     # (worklist over pattern nodes whose candidate set changed).
     survived = refine_fixpoint(
         [(edge.source, edge.target, relaxed[edge.pair]) for edge in pattern.edges()],
         candidates,
-        lambda regex, target_set: matcher.backward_reachable(target_set, regex),
+        lambda regex, target_set: matcher.backward_reachable(target_set, regex, space),
     )
     if not survived:
         return PatternMatchResult.empty(algorithm, engine=matcher.engine)
 
-    edge_matches = {}
-    for edge in pattern.edges():
-        loose = relaxed[(edge.source, edge.target)]
-        pairs = matcher.edge_pairs(
-            candidates[edge.source], candidates[edge.target], loose
-        )
-        if not pairs:
-            return PatternMatchResult.empty(algorithm, engine=matcher.engine)
-        edge_matches[(edge.source, edge.target)] = pairs
-
-    elapsed = time.perf_counter() - started
-    return PatternMatchResult(
-        edge_matches=edge_matches,
-        node_matches={node: set(nodes) for node, nodes in candidates.items()},
-        algorithm=algorithm,
-        elapsed_seconds=elapsed,
-        engine=matcher.engine,
-    )
+    return collect_result(pattern, candidates, matcher, algorithm, started, space, relaxed)

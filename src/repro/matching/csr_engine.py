@@ -17,7 +17,9 @@ pipeline.  It operates entirely in the dense integer index space of a
   frontier node was reached from) as one bitset per index and advance that
   relation for every origin at once (:meth:`CsrEngine._relation_pairs` over
   :func:`repro.kernels.expand_origins`): one kernel pass per atom, not one
-  round trip per start node.  The set-based drivers of
+  round trip per start node, and one :func:`repro.kernels.decode_origins`
+  to read the pairs out as two parallel index sequences (:data:`Relation`) —
+  the form the set-level memo keeps.  The set-based drivers of
   :mod:`repro.matching.frontiers` stay with the dict engine, the oracle;
 * *set-level* frontiers (the hot loop of the PQ refinement fixpoint of
   Figs. 7/8) are expanded as one batched multi-source BFS per atom
@@ -29,9 +31,9 @@ pipeline.  It operates entirely in the dense integer index space of a
   walked in product with the CSR layers, one origin relation per live
   automaton state.
 
-Results stay in index space: the storage adapter
-(:class:`~repro.storage.adapter.OverlayCsrAdapter`) translates them back to
-original node ids once, at the very end.
+Nothing here knows a node id: indices come in — an evaluator's handles as they
+are, or translated by :class:`~repro.storage.adapter.OverlayCsrAdapter` — and
+indices go out, to become ids once, at the ``PathMatcher`` seam.
 
 Both memos are valid for one reason: the engine is bound to one immutable
 :class:`~repro.graph.csr.CompiledGraph`, and its owner
@@ -42,10 +44,11 @@ starts the next engine cold.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.csr import ANY_COLOR, CompiledGraph
-from repro.kernels import ORIGIN_BLOCK, closure_frontier, expand_frontier, expand_origins
+from repro.kernels import ORIGIN_BLOCK, closure_frontier, decode_origins, expand_frontier, expand_origins
 from repro.matching.cache import (
     DEFAULT_SEARCH_CACHE_CAPACITY,
     SET_FRONTIER_CACHE_CAPACITY,
@@ -55,7 +58,10 @@ from repro.query.canonical import canonical_regex
 from repro.regex.fclass import FRegex, RegexAtom
 from repro.regex.nfa import LazyDfa, Nfa
 
-IndexPair = Tuple[int, int]
+#: A relation between two candidate sets, in index space: per origin block two
+#: parallel index sequences ``(sources, targets)`` as ``decode_origins`` read them
+#: out (lists or ``intp`` arrays); entry ``i`` of both is one pair, which may recur.
+Relation = Tuple[Tuple[Sequence[int], Sequence[int]], ...]
 
 
 def _origin_blocks(origins: Sequence[int]) -> Iterator[Sequence[int]]:
@@ -63,14 +69,6 @@ def _origin_blocks(origins: Sequence[int]) -> Iterator[Sequence[int]]:
     ``k`` of a relation row stands for ``block[k]``."""
     for lo in range(0, len(origins), ORIGIN_BLOCK):
         yield origins[lo:lo + ORIGIN_BLOCK]
-
-
-def _origins_of(bits: int, block: Sequence[int]) -> Iterator[int]:
-    """The members of ``block`` whose bit is set in ``bits``."""
-    while bits:
-        low = bits & -bits
-        yield block[low.bit_length() - 1]
-        bits ^= low
 
 
 class CsrEngine:
@@ -157,19 +155,13 @@ class CsrEngine:
         layer = self.compiled.layer(color_id, reverse)
         return expand_frontier(layer, self.compiled.num_nodes, starts, bound)
 
-    def set_targets_indices(self, starts: Iterable[int], item: RegexAtom) -> List[int]:
-        """Indices reachable from *any* start by one non-empty atom block."""
+    def set_frontier_indices(self, starts: Iterable[int], item: RegexAtom, reverse: bool) -> List[int]:
+        """Indices reachable from (``reverse``: reaching) *any* start by one
+        non-empty atom block."""
         color_id = self.compiled.color_id(None if item.is_wildcard else item.color)
         if color_id is None:
             return []
-        return self.expand_set(starts, color_id, item.max_count, reverse=False)
-
-    def set_sources_indices(self, starts: Iterable[int], item: RegexAtom) -> List[int]:
-        """Indices reaching *any* start by one non-empty atom block."""
-        color_id = self.compiled.color_id(None if item.is_wildcard else item.color)
-        if color_id is None:
-            return []
-        return self.expand_set(starts, color_id, item.max_count, reverse=True)
+        return self.expand_set(starts, color_id, item.max_count, reverse)
 
     def backward_closure_indices(
         self, starts: Iterable[int], color_ids: Optional[Iterable[int]] = None
@@ -223,7 +215,7 @@ class CsrEngine:
             return cached
         frontier: Iterable[int] = target_set
         for item in reversed(regex.atoms):
-            frontier = self.set_sources_indices(frontier, item)
+            frontier = self.set_frontier_indices(frontier, item, reverse=True)
             if not frontier:
                 break
         result = frozenset(frontier)
@@ -269,7 +261,7 @@ class CsrEngine:
 
     def _relation_pairs(
         self, regex: FRegex, sources: FrozenSet[int], targets: FrozenSet[int]
-    ) -> Set[IndexPair]:
+    ) -> Relation:
         """Every ``(s, t)`` of the two candidate sets joined by a path matching
         ``regex``, carried as a relation between origins and frontier indices.
 
@@ -277,7 +269,8 @@ class CsrEngine:
         are folded through :func:`repro.kernels.expand_origins` — forwards
         from the sources or backwards from the targets — so every origin
         advances in the same kernel pass, and the rows sitting on the other
-        candidate set are read off once, at the end.
+        candidate set are read out once, at the end, by
+        :func:`repro.kernels.decode_origins`.
         """
         compiled = self.compiled
         reverse = len(targets) < len(sources)
@@ -286,67 +279,39 @@ class CsrEngine:
         for item in reversed(regex.atoms) if reverse else regex.atoms:
             color_id = compiled.color_id(None if item.is_wildcard else item.color)
             if color_id is None:
-                return set()
+                return ()
             steps.append((compiled.layer(color_id, reverse), item.max_count))
-        pairs: Set[IndexPair] = set()
+        parts = []
         for block in _origin_blocks(origins):
             nodes, rows = block, [1 << position for position in range(len(block))]
             for layer, bound in steps:
                 nodes, rows = expand_origins(layer, compiled.num_nodes, nodes, rows, bound)
-            for node, bits in zip(nodes, rows):
-                if node in ends:
-                    for origin in _origins_of(bits, block):
-                        pairs.add((node, origin) if reverse else (origin, node))
-        return pairs
+            at_end = list(map(ends.__contains__, nodes))
+            if any(at_end):
+                nodes, rows = list(compress(nodes, at_end)), list(compress(rows, at_end))
+                reached, origin = decode_origins(nodes, rows, block)
+                parts.append((reached, origin) if reverse else (origin, reached))
+        return tuple(parts)
 
     def matching_pairs(
         self,
         regex: FRegex,
         source_indices: FrozenSet[int],
         target_indices: FrozenSet[int],
-    ) -> FrozenSet[IndexPair]:
-        """Pairs ``(s, t)`` with ``s``/``t`` in the candidate sets and a path
-        from ``s`` to ``t`` matching ``regex`` — the per-edge result-assembly
-        step of the PQ algorithms: :meth:`_relation_pairs` behind the
-        set-level memo, keyed per (canonical regex, candidate sets) so
-        language-equal spellings share entries."""
+    ) -> Relation:
+        """Pairs ``(s, t)`` of the candidate sets with a path from ``s`` to ``t``
+        matching ``regex`` — an RQ, or a pattern edge's result assembly:
+        :meth:`_relation_pairs` behind the set-level memo, keyed per (canonical
+        regex, candidate sets), so language-equal spellings, both search plans
+        of Section 4 and a pattern edge over the same sets share one entry: the
+        index sequences, not a set of tuples — the caller pairs the ids up."""
         regex = canonical_regex(regex)
         key = ("pairs", regex, source_indices, target_indices)
         cached = self._set_cache.get(key)
         if cached is None:
-            cached = frozenset(self._relation_pairs(regex, source_indices, target_indices))
+            cached = self._relation_pairs(regex, source_indices, target_indices)
             self._set_cache.put(key, cached)
         return cached
-
-    def query_pairs(
-        self,
-        regex: FRegex,
-        source_indices: FrozenSet[int],
-        target_indices: FrozenSet[int],
-        method: str = "bidirectional",
-    ) -> FrozenSet[IndexPair]:
-        """Memoised whole-query evaluation between two candidate sets.
-
-        Repeated executions of the same query on an unchanged snapshot
-        (interleaved read/write streams re-ask after every irrelevant
-        mutation) collapse to one frozenset hash.  ``method`` names the plan
-        that asked (the label lives in the envelope); in index space both
-        search strategies of Section 4 are the one relation fold, so every
-        plan — and a pattern edge over the same sets — shares one entry.
-        """
-        return self.matching_pairs(regex, source_indices, target_indices)
-
-    def bidirectional_pairs(
-        self,
-        regex: FRegex,
-        source_indices: Sequence[int],
-        target_indices: Iterable[int],
-    ) -> Set[IndexPair]:
-        """Unmemoised evaluation between two candidate lists (Section 4, "RQ
-        with multiple colors"): the origin sets the paper's bidirectional
-        search keeps per frontier node are the bitset rows of
-        :meth:`_relation_pairs`, advanced from the smaller side."""
-        return self._relation_pairs(regex, frozenset(source_indices), frozenset(target_indices))
 
     # -- NFA product (general expressions) --------------------------------------
 
@@ -355,7 +320,7 @@ class CsrEngine:
         nfa: Nfa,
         source_indices: Sequence[int],
         target_indices: Iterable[int],
-    ) -> Set[IndexPair]:
+    ) -> Relation:
         """Product construction over (graph index, automaton state).
 
         Evaluates an arbitrary regular expression given as an
@@ -366,20 +331,22 @@ class CsrEngine:
         by :func:`repro.kernels.expand_origins`.  A pair is reported when a
         source first arrives at a candidate target in an accepting state
         after at least one edge (paths must be non-empty, so an automaton
-        accepting the empty word never yields ``(v, v)`` by itself).
+        accepting the empty word never yields ``(v, v)`` by itself) — once
+        per accepting state it arrives in.
         """
         compiled = self.compiled
         colors = compiled.colors
         dfa = LazyDfa(nfa, colors)
         targets = set(target_indices)
         layers = [compiled.layer(k) for k in range(len(colors))]
-        pairs: Set[IndexPair] = set()
+        parts = []
 
         for block in _origin_blocks(list(source_indices)):
             start = {node: 1 << position for position, node in enumerate(block)}
             # state -> {index: origins that were there in that state}
             seen: Dict[int, Dict[int, int]] = {dfa.start: dict(start)}
             frontier = {dfa.start: start}
+            accepted: Tuple[List[int], List[int]] = ([], [])  # target, the origins newly accepted on it
             while frontier:
                 advanced: Dict[int, Dict[int, int]] = {}
                 for state, relation in frontier.items():
@@ -399,9 +366,13 @@ class CsrEngine:
                             known[node] = before | new
                             fresh[node] = fresh.get(node, 0) | new
                             if accepting and node in targets:
-                                pairs.update((origin, node) for origin in _origins_of(new, block))
+                                accepted[0].append(node)
+                                accepted[1].append(new)
                 frontier = {state: relation for state, relation in advanced.items() if relation}
-        return pairs
+            if accepted[0]:
+                reached, origin = decode_origins(*accepted, block)
+                parts.append((origin, reached))
+        return tuple(parts)
 
     @property
     def cache_stats(self) -> Dict[str, float]:

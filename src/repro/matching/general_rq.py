@@ -187,11 +187,12 @@ def evaluate_general_rq(
     """
     started = time.perf_counter()
     matcher = resolve_matcher(graph, matcher, engine, "evaluate_general_rq", error=EvaluationError)
-    sources = matcher.matching_nodes(query.source_predicate)
-    targets = matcher.matching_nodes(query.target_predicate)
+    space = matcher.enter((query.regex,))
+    sources = matcher.matching_nodes(query.source_predicate, space)
+    targets = matcher.matching_nodes(query.target_predicate, space)
     pairs: Set[NodePair] = set()
     if sources and targets:
-        pairs = matcher.product_pairs(query.regex, sources, targets)
+        pairs = matcher.id_pairs(space, matcher.product_pairs(query.regex, sources, targets, space))
     return GeneralReachabilityResult(
         pairs=pairs, elapsed_seconds=time.perf_counter() - started, engine=matcher.engine
     )

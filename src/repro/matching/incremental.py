@@ -454,16 +454,13 @@ class IncrementalPatternMatcher:
         matcher = self._matcher
         candidates = initial_candidates(self.pattern, self.graph, matcher=matcher)
         survived = self._refine(candidates, matcher)
-        elapsed = time.perf_counter() - started
         self._candidates = candidates
         self._complete = survived
         if not survived:
             self._result = PatternMatchResult.empty("incremental", engine=matcher.engine)
-            self._result.elapsed_seconds = elapsed
+            self._result.elapsed_seconds = time.perf_counter() - started
         else:
-            self._result = collect_result(
-                self.pattern, candidates, matcher, "incremental", elapsed
-            )
+            self._result = collect_result(self.pattern, candidates, matcher, "incremental", started)
 
     def _apply_delta(
         self,
@@ -554,14 +551,13 @@ class IncrementalPatternMatcher:
         survived = True
         if dirty:
             survived = self._refine(candidates, matcher, dirty=dirty)
-        elapsed = time.perf_counter() - started
         self._candidates = candidates
         self._complete = survived
         if not survived:
             self._result = PatternMatchResult.empty("incremental", engine=matcher.engine)
-            self._result.elapsed_seconds = elapsed
+            self._result.elapsed_seconds = time.perf_counter() - started
             return self.result
-        self._result = self._collect_delta(candidates, changed_colors, matcher, elapsed)
+        self._result = self._collect_delta(candidates, changed_colors, matcher, started)
         return self.result
 
     def _insert_delta(
@@ -741,9 +737,10 @@ class IncrementalPatternMatcher:
         candidates: Dict[str, Set[NodeId]],
         changed_colors: Set[str],
         matcher: PathMatcher,
-        elapsed: float,
+        started: float,
     ) -> PatternMatchResult:
-        """Assemble per-edge match sets, reusing unaffected previous results.
+        """Assemble per-edge match sets, reusing unaffected previous results
+        (stamped last: ``started`` is when the maintenance pass began).
 
         A pattern edge's pair set depends only on its regex, the colours the
         regex can traverse, and the two endpoint candidate sets — so the
@@ -775,7 +772,7 @@ class IncrementalPatternMatcher:
             edge_matches=edge_matches,
             node_matches={node: set(nodes) for node, nodes in candidates.items()},
             algorithm="incremental",
-            elapsed_seconds=elapsed,
+            elapsed_seconds=time.perf_counter() - started,
             engine=matcher.engine,
         )
 

@@ -79,25 +79,26 @@ def join_match(
     algorithm = "JoinMatchM" if matcher.uses_matrix else "JoinMatchC"
 
     work_pattern = pattern.normalized() if normalize else pattern
-    candidates = initial_candidates(work_pattern, graph, matcher=matcher)
+    space = matcher.enter(edge.regex for edge in pattern.edges())
+    candidates = initial_candidates(work_pattern, graph, matcher, space)
     if any(not nodes for nodes in candidates.values()):
         return PatternMatchResult.empty(algorithm, engine=matcher.engine)
 
-    refined = _refine(work_pattern, candidates, matcher)
+    refined = _refine(work_pattern, candidates, matcher, space)
     if refined is None:
         return PatternMatchResult.empty(algorithm, engine=matcher.engine)
 
     # Report over the original pattern only (dummy nodes introduced by
     # normalisation are internal bookkeeping).
     final = {node: refined[node] for node in pattern.nodes()}
-    elapsed = time.perf_counter() - started
-    return collect_result(pattern, final, matcher, algorithm, elapsed)
+    return collect_result(pattern, final, matcher, algorithm, started, space)
 
 
 def _refine(
     pattern: PatternQuery,
     candidates: Dict[str, Set[NodeId]],
     matcher: PathMatcher,
+    space=None,
 ) -> Optional[Dict[str, Set[NodeId]]]:
     """Run the SCC-ordered worklist refinement; None signals an empty result."""
     components = pattern.strongly_connected_components()
@@ -117,7 +118,7 @@ def _refine(
             queued.discard((edge.source, edge.target))
             source_set = candidates[edge.source]
             target_set = candidates[edge.target]
-            survivors = matcher.backward_reachable(target_set, edge.regex)
+            survivors = matcher.backward_reachable(target_set, edge.regex, space)
             removable = source_set - survivors
             if not removable:
                 continue

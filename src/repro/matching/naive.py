@@ -19,6 +19,7 @@ from repro.graph.distance import DistanceMatrix
 from repro.matching.paths import PathMatcher, resolve_matcher
 from repro.matching.result import PatternMatchResult
 from repro.query.pq import PatternQuery
+from repro.regex.fclass import FRegex
 
 NodeId = Hashable
 
@@ -27,6 +28,7 @@ def initial_candidates(
     pattern: PatternQuery,
     graph: DataGraph,
     matcher: Optional[PathMatcher] = None,
+    space=None,
 ) -> Dict[str, Set[NodeId]]:
     """Predicate-based candidate sets ``mat(u)`` for every pattern node.
 
@@ -34,11 +36,12 @@ def initial_candidates(
     adapter (:meth:`~repro.matching.paths.PathMatcher.matching_nodes`): the
     CSR engine serves it from the overlay store's memoised base-snapshot
     scans — repeated evaluations of the same pattern (the incremental
-    maintainer's steady state) pay the full sweep once.
+    maintainer's steady state) pay the full sweep once.  The sets hold
+    handles of ``space``.
     """
     if matcher is not None:
         return {
-            node: set(matcher.matching_nodes(pattern.predicate(node)))
+            node: set(matcher.matching_nodes(pattern.predicate(node), space))
             for node in pattern.nodes()
         }
     candidates: Dict[str, Set[NodeId]] = {}
@@ -57,28 +60,34 @@ def collect_result(
     candidates: Dict[str, Set[NodeId]],
     matcher: PathMatcher,
     algorithm: str,
-    elapsed_seconds: float,
+    started: float,
+    space=None,
+    regexes: Optional[Dict[tuple, FRegex]] = None,
 ) -> PatternMatchResult:
-    """Assemble the per-edge match sets from final candidate sets.
+    """Assemble the per-edge match sets from final candidate sets (handles of
+    ``space``: this is where they become node ids).
 
     Returns the empty result if any pattern node (or edge) ends up with no
-    matches, per the all-or-nothing semantics of PQ answers.
+    matches, per the all-or-nothing semantics of PQ answers.  The evaluation
+    began at ``started``; the result is stamped last, assembly included.
+    ``regexes`` (bounded simulation's) replace constraints by ``(source, target)``.
     """
     if any(not nodes for nodes in candidates.values()):
         return PatternMatchResult.empty(algorithm, engine=matcher.engine)
     edge_matches = {}
     for edge in pattern.edges():
-        pairs = matcher.edge_pairs(
-            candidates[edge.source], candidates[edge.target], edge.regex
+        regex = edge.regex if regexes is None else regexes[(edge.source, edge.target)]
+        pairs = matcher.id_pairs(
+            space, matcher.edge_pairs(candidates[edge.source], candidates[edge.target], regex, space)
         )
         if not pairs:
             return PatternMatchResult.empty(algorithm, engine=matcher.engine)
         edge_matches[(edge.source, edge.target)] = pairs
     return PatternMatchResult(
         edge_matches=edge_matches,
-        node_matches={node: set(nodes) for node, nodes in candidates.items()},
+        node_matches={node: matcher.node_ids(space, nodes) for node, nodes in candidates.items()},
         algorithm=algorithm,
-        elapsed_seconds=elapsed_seconds,
+        elapsed_seconds=time.perf_counter() - started,
         engine=matcher.engine,
     )
 
@@ -103,7 +112,8 @@ def naive_match(
     if engine is None:
         engine = "auto" if matcher is not None else "dict"
     matcher = resolve_matcher(graph, matcher, engine, "naive_match", distance_matrix)
-    candidates = initial_candidates(pattern, graph, matcher=matcher)
+    space = matcher.enter(edge.regex for edge in pattern.edges())
+    candidates = initial_candidates(pattern, graph, matcher, space)
     if any(not nodes for nodes in candidates.values()):
         return PatternMatchResult.empty("naive", engine=matcher.engine)
 
@@ -113,7 +123,7 @@ def naive_match(
         for edge in pattern.edges():
             source_set = candidates[edge.source]
             target_set = candidates[edge.target]
-            survivors = matcher.backward_reachable(target_set, edge.regex)
+            survivors = matcher.backward_reachable(target_set, edge.regex, space)
             removable = source_set - survivors
             if removable:
                 source_set -= removable
@@ -121,5 +131,4 @@ def naive_match(
                 if not source_set:
                     return PatternMatchResult.empty("naive", engine=matcher.engine)
 
-    elapsed = time.perf_counter() - started
-    return collect_result(pattern, candidates, matcher, "naive", elapsed)
+    return collect_result(pattern, candidates, matcher, "naive", started, space)

@@ -23,7 +23,9 @@ each backend.  The ``dict`` engine expands over the authoritative
 through the graph's :class:`~repro.storage.overlay.OverlayCsrStore` — clean
 colours at flat-array speed with memoised expansions, mutated colours as
 merged read-through frontiers, folded back into a fresh base when the store
-compacts.
+compacts.  The matcher is also where an evaluation's node *handles* become
+node ids (:meth:`PathMatcher.enter`, ``node_ids``, ``id_pairs``): once, when
+the result is built, and nowhere else under ``matching/`` (reprolint R006).
 
 All search-mode caches are **version-aware**: memos are tagged with the
 graph's per-colour edge version
@@ -205,6 +207,32 @@ class PathMatcher:
         """
         return self._adapter.engine_handle()
 
+    # -- handle spaces -----------------------------------------------------------
+
+    def enter(self, regexes: Iterable) -> Optional[object]:
+        """The handle space of one evaluation asking about ``regexes`` (F-class
+        or general), decided by the storage adapter: ``None`` — handles *are*
+        node ids — or a token, the overlay store's clean base, whose dense
+        indices then are the handles.  The calls that take ``space`` read and
+        answer in it (read-only: an answer may be a memo's own object), all
+        others speak node ids; reading in a space the store has since left
+        raises :class:`~repro.exceptions.GraphError`."""
+        return self._adapter.enter(regexes)
+
+    def node_ids(self, space, handles: Iterable) -> Set[NodeId]:
+        """The node ids of handles of ``space``, as a new set."""
+        return set(handles) if space is None else set(space.ids_of(handles))
+
+    def id_pairs(self, space, relation) -> Set[Tuple[NodeId, NodeId]]:
+        """The id pairs of what the ``*_pairs`` calls answered in ``space``: there
+        parts of parallel index sequences — a bulk take per side, one ``zip``."""
+        if space is None:
+            return relation
+        pairs: Set[Tuple[NodeId, NodeId]] = set()
+        for sources, targets in relation:
+            pairs.update(zip(space.ids_of(sources), space.ids_of(targets)))
+        return pairs
+
     # -- one-atom frontiers ------------------------------------------------------
 
     def atom_targets(self, source: NodeId, item) -> Set[NodeId]:
@@ -252,7 +280,7 @@ class PathMatcher:
         """
         return self._adapter.backward_closure(starts, colors)
 
-    def backward_reachable(self, targets: Set[NodeId], regex: FRegex) -> Set[NodeId]:
+    def backward_reachable(self, targets: Set[NodeId], regex: FRegex, space=None) -> Set[NodeId]:
         """All nodes with a path into ``targets`` matching the full expression.
 
         This is the per-edge reachability check of the PQ refinement fixpoint
@@ -260,7 +288,7 @@ class PathMatcher:
         memoised) in dense index space — one batched multi-source BFS per
         atom — instead of unioning per-node searches.
         """
-        return self._adapter.backward_reachable(targets, regex)
+        return self._adapter.backward_reachable(targets, regex, space)
 
     # -- full expressions ------------------------------------------------------
 
@@ -273,18 +301,19 @@ class PathMatcher:
         return self._adapter.sources_to(target, regex)
 
     def edge_pairs(
-        self, sources: Set[NodeId], targets: Set[NodeId], regex: FRegex
+        self, sources: Set[NodeId], targets: Set[NodeId], regex: FRegex, space=None
     ) -> Set[Tuple[NodeId, NodeId]]:
         """All pairs ``(v1, v2)`` from the candidate sets joined by ``regex``.
 
         The per-edge result-assembly step of the PQ algorithms.  On the CSR
         engine the sweep runs (and is memoised) in dense index space; the
-        dict/matrix path is the classic per-source forward expansion.
+        dict/matrix path is the classic per-source forward expansion.  In a
+        ``space`` the answer is for :meth:`id_pairs` to read, nothing else.
         """
-        return self._adapter.edge_pairs(sources, targets, regex)
+        return self._adapter.edge_pairs(sources, targets, regex, space)
 
     def query_pairs(
-        self, regex: FRegex, sources, targets, method: str = "bidirectional"
+        self, regex: FRegex, sources, targets, method: str = "bidirectional", space=None
     ) -> Set[Tuple[NodeId, NodeId]]:
         """All matching pairs between two candidate lists, one RQ evaluation.
 
@@ -293,11 +322,11 @@ class PathMatcher:
         matrix method's nested row walks).  This is the bulk entry point
         :func:`~repro.matching.reachability.evaluate_rq` drives; on the CSR
         engine with no pending overlay it runs entirely in dense index
-        space, translating ids once.
+        space, the ids paired up once, by :meth:`id_pairs`.
         """
-        return self._adapter.query_pairs(regex, sources, targets, method)
+        return self._adapter.query_pairs(regex, sources, targets, method, space)
 
-    def product_pairs(self, regex, sources, targets) -> Set[Tuple[NodeId, NodeId]]:
+    def product_pairs(self, regex, sources, targets, space=None) -> Set[Tuple[NodeId, NodeId]]:
         """All pairs between two candidate lists joined by a non-empty path
         whose colour string a *general* regex accepts (the Sec. 7 extension).
 
@@ -307,7 +336,7 @@ class PathMatcher:
         the CSR engine runs it in index space whenever the overlay store can
         hand over whole CSR layers.
         """
-        return self._adapter.product_pairs(regex, sources, targets)
+        return self._adapter.product_pairs(regex, sources, targets, space)
 
     def pair_matches(self, source: NodeId, target: NodeId, regex: FRegex) -> bool:
         """True when a non-empty path from ``source`` to ``target`` matches ``regex``."""
@@ -328,15 +357,16 @@ class PathMatcher:
 
     # -- predicate scans -------------------------------------------------------
 
-    def matching_nodes(self, predicate):
-        """Node ids whose attributes satisfy ``predicate`` (``None`` = all).
+    def matching_nodes(self, predicate, space=None):
+        """Node ids whose attributes satisfy ``predicate`` (``None`` = all) —
+        in a ``space``, their handles.
 
         On the CSR engine the scan is answered from sorted attribute columns
         (nodes created since the base are swept live and appended); the dict
         engine scans the live attribute table.  The ids are identical either
         way, modulo order — callers treat the result as a set.
         """
-        return self._adapter.matching_nodes(predicate)
+        return self._adapter.matching_nodes(predicate, space)
 
     # -- statistics ------------------------------------------------------------
 

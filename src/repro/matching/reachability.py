@@ -219,17 +219,19 @@ def evaluate_rq(
         error=EvaluationError,
     )
 
-    sources = matcher.matching_nodes(query.source_predicate)
-    targets = matcher.matching_nodes(query.target_predicate)
+    space = matcher.enter((query.regex,))
+    sources = matcher.matching_nodes(query.source_predicate, space)
+    targets = matcher.matching_nodes(query.target_predicate, space)
     pairs: Set[NodePair] = set()
     if sources and targets:
         # The matcher's storage adapter picks the evaluation path: dense
-        # index space on a clean CSR base, merged read-through frontiers on
-        # a dirty one, dict/matrix expansion otherwise.  "bidirectional" is
+        # index space on a clean CSR base (its indices are the handles),
+        # merged read-through frontiers on a dirty one, dict/matrix
+        # expansion otherwise.  "bidirectional" is
         # the meet-in-the-middle strategy of Section 4; anything else is the
         # forward sweep (the matrix method's nested row walks / the plain
         # BFS baseline of Exp-3).
-        pairs = matcher.query_pairs(query.regex, sources, targets, method)
+        pairs = matcher.id_pairs(space, matcher.query_pairs(query.regex, sources, targets, method, space))
     elapsed = time.perf_counter() - started
     # A caller-supplied matcher may itself run in csr mode; label honestly.
     return ReachabilityResult(

@@ -112,7 +112,8 @@ def split_match(
     algorithm = "SplitMatchM" if matcher.uses_matrix else "SplitMatchC"
 
     work_pattern = pattern.normalized() if normalize else pattern
-    candidates = initial_candidates(work_pattern, graph, matcher=matcher)
+    space = matcher.enter(edge.regex for edge in pattern.edges())
+    candidates = initial_candidates(work_pattern, graph, matcher, space)
     if any(not nodes for nodes in candidates.values()):
         return PatternMatchResult.empty(algorithm, engine=matcher.engine)
 
@@ -127,7 +128,7 @@ def split_match(
         if not source_set:
             return PatternMatchResult.empty(algorithm, engine=matcher.engine)
         target_set = partition.candidate_set(edge.target)
-        survivors = matcher.backward_reachable(target_set, edge.regex)
+        survivors = matcher.backward_reachable(target_set, edge.regex, space)
         removable = source_set - survivors
         if not removable:
             continue
@@ -145,5 +146,4 @@ def split_match(
     }
     if any(not nodes for nodes in final_candidates.values()):
         return PatternMatchResult.empty(algorithm, engine=matcher.engine)
-    elapsed = time.perf_counter() - started
-    return collect_result(pattern, final_candidates, matcher, algorithm, elapsed)
+    return collect_result(pattern, final_candidates, matcher, algorithm, started, space)

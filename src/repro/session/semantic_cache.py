@@ -162,8 +162,7 @@ def _seeded_pq_evaluation(
     if not survived:
         return PatternMatchResult.empty("semantic-cache", engine=matcher.engine)
 
-    elapsed = time.perf_counter() - started
-    return collect_result(query, candidates, matcher, "semantic-cache", elapsed)
+    return collect_result(query, candidates, matcher, "semantic-cache", started)
 
 
 class SemanticCache:

@@ -34,13 +34,20 @@ the depth-reusing variant), or it belongs to a ``CsrEngine`` bound to one
 immutable base, which :meth:`OverlayCsrAdapter.engine_handle` replaces when
 the store's base is a different object.
 
+An adapter also names the *handle space* of an evaluation (``enter``): node
+ids, or — :class:`OverlayCsrAdapter` on a clean base holding every node — the
+base, whose dense indices the scan, ``backward_reachable`` and the pair searches
+take and return untranslated when called with that ``space``.  Without one the
+surface speaks node ids: translate in (:meth:`OverlayCsrAdapter._engine_over`),
+the same engine call, translate out (``ids_of``, ``PathMatcher.id_pairs``).
+
 Engine *names* are resolved here as well: :func:`resolve_engine` turns an
 ``engine=`` request into the adapter that will serve it, and
 :func:`admits_matrix` says which requests a distance matrix can serve.
 
 The adapters are deliberately the *only* modules that know both worlds;
-everything under ``matching/`` above them is engine-free (reprolint R006,
-asserted by ``tests/test_store_parity.py``).
+everything under ``matching/`` above them is engine-free and carries handles
+it never translates itself (reprolint R006, ``tests/test_store_parity.py``).
 """
 
 from __future__ import annotations
@@ -81,6 +88,17 @@ def make_adapter(matcher):
     if matcher.engine == "partitioned":
         return PartitionedAdapter(matcher)
     return DictEngineAdapter(matcher)
+
+
+def _atom_colors(item) -> Optional[Tuple[str]]:
+    """The colour one atom's block runs on; ``None`` = the wildcard layer."""
+    return None if item.is_wildcard else (item.color,)
+
+
+def _traversed(regex) -> Optional[Iterable[str]]:
+    """The colours a path matching ``regex`` may use; ``None`` = any (a wildcard
+    atom; a general regex, whose product search walks whole layers)."""
+    return None if getattr(regex, "has_wildcard", True) else regex.colors
 
 
 def _fold_atoms(frontier: Set[NodeId], atoms: Iterable, step: Callable) -> Set[NodeId]:
@@ -338,7 +356,10 @@ class DictEngineAdapter(_Adapter):
     ) -> Set[NodeId]:
         return self._closure(self._live_nodes(starts), colors)
 
-    def backward_reachable(self, targets: Set[NodeId], regex) -> Set[NodeId]:
+    def enter(self, regexes) -> None:
+        return None
+
+    def backward_reachable(self, targets: Set[NodeId], regex, space=None) -> Set[NodeId]:
         return _fold_atoms(set(targets), reversed(regex.atoms), self.set_sources)
 
     def targets_from(self, source: NodeId, regex) -> Set[NodeId]:
@@ -347,22 +368,18 @@ class DictEngineAdapter(_Adapter):
     def sources_to(self, target: NodeId, regex) -> Set[NodeId]:
         return _fold_atoms({target}, reversed(regex.atoms), self.set_sources)
 
-    def edge_pairs(
-        self, sources: Set[NodeId], targets: Set[NodeId], regex
-    ) -> Set[Tuple[NodeId, NodeId]]:
+    def edge_pairs(self, sources: Set[NodeId], targets: Set[NodeId], regex, space=None):
         return self._search_pairs(regex, list(sources), targets, "bfs")
 
-    def query_pairs(
-        self, regex, sources, targets, method: str
-    ) -> Set[Tuple[NodeId, NodeId]]:
+    def query_pairs(self, regex, sources, targets, method: str, space=None):
         return self._search_pairs(regex, sources, targets, method)
 
-    def product_pairs(self, regex, sources, targets) -> Set[Tuple[NodeId, NodeId]]:
+    def product_pairs(self, regex, sources, targets, space=None) -> Set[Tuple[NodeId, NodeId]]:
         return self._product_walk(self.matcher.graph, regex, sources, targets)
 
     # -- predicate scans ---------------------------------------------------------
 
-    def matching_nodes(self, predicate):
+    def matching_nodes(self, predicate, space=None):
         return self._scan_live(predicate)
 
 
@@ -453,7 +470,7 @@ class OverlayCsrAdapter(_StoreAdapter):
         read has built one — reporting never builds it)."""
         return super().engine_stats if self._engine is None else self._engine.cache_stats
 
-    # -- cleanliness helpers -----------------------------------------------------
+    # -- handle spaces -----------------------------------------------------------
 
     def _clean(self, colors: Optional[Iterable[str]]) -> bool:
         """True when reads of every colour (``None``: of the wildcard layer)
@@ -461,8 +478,15 @@ class OverlayCsrAdapter(_StoreAdapter):
         store = self.store
         return store.is_clean(None) if colors is None else all(store.is_clean(color) for color in colors)
 
-    def _regex_clean(self, regex) -> bool:
-        return self._clean(None if regex.has_wildcard else regex.colors)
+    def enter(self, regexes):
+        """The handle space of one evaluation over ``regexes``: the store's base
+        (its dense indices stand for nodes until the answer is built) while every
+        colour they may traverse is clean and every node in it; else ``None``."""
+        store = self.store
+        base = store.base()  # synced first
+        if store.base_holds_every_node() and all(self._clean(_traversed(regex)) for regex in regexes):
+            return base
+        return None
 
     def _regex_version(self, regex):
         graph = self.matcher.graph
@@ -470,22 +494,35 @@ class OverlayCsrAdapter(_StoreAdapter):
             return graph.edges_version
         return tuple(graph.color_version(color) for color in sorted(regex.colors))
 
-    # -- one-atom frontiers ------------------------------------------------------
+    def _engine_in(self, space, colors: Optional[Iterable[str]]):
+        """The engine for a read of ``colors`` on handles of ``space``, which
+        must still be what :meth:`enter` would hand out."""
+        engine = self.engine_handle()  # over the store's current base, synced
+        if space is not engine.compiled or not self._clean(colors):
+            raise GraphError("stale handle space: the store changed since enter()")
+        return engine
 
-    def _atom_frontier(self, node: NodeId, item, reverse: bool) -> Set[NodeId]:
+    def _engine_over(self, colors: Optional[Iterable[str]], *groups):
+        """``(engine, index list per group)`` when a read of ``colors`` from the
+        node-id ``groups`` can run on the base arrays (colours clean, nodes in
+        the base), else ``None``: the translate-in half of the ``NodeId`` surface."""
         store = self.store
         store.sync()
-        color = None if item.is_wildcard else item.color
-        if store.is_clean(color) and store.in_base(node):
-            engine = self.engine_handle()
-            compiled = engine.compiled
-            index = compiled.node_index(node)
-            expand = engine.atom_sources if reverse else engine.atom_targets
-            ids = compiled.ids
-            return {ids[j] for j in expand(index, item)}
-        # Dirty colour (or a node the base has not seen): merged read-through
-        # expansion, memoised under the same version tags as the dict engine.
-        return super()._atom_frontier(node, item, reverse)
+        if not (self._clean(colors) and all(map(store.all_in_base, groups))):
+            return None
+        engine = self.engine_handle()
+        return (engine, *(list(map(engine.compiled.node_index, group)) for group in groups))
+
+    # -- one-atom and set-level frontiers ----------------------------------------
+
+    def _atom_frontier(self, node: NodeId, item, reverse: bool) -> Set[NodeId]:
+        dense = self._engine_over(_atom_colors(item), (node,))
+        if dense is None:
+            # Dirty colour, or a node the base has not seen: merged read-through.
+            return super()._atom_frontier(node, item, reverse)
+        engine, (index,) = dense
+        expand = engine.atom_sources if reverse else engine.atom_targets
+        return set(engine.compiled.ids_of(expand(index, item)))
 
     def atom_targets(self, source: NodeId, item) -> Set[NodeId]:
         return self._atom_frontier(source, item, reverse=False)
@@ -493,78 +530,51 @@ class OverlayCsrAdapter(_StoreAdapter):
     def atom_sources(self, target: NodeId, item) -> Set[NodeId]:
         return self._atom_frontier(target, item, reverse=True)
 
-    # -- set-level frontiers -----------------------------------------------------
-
     def _set_frontier(self, nodes: Set[NodeId], item, reverse: bool) -> Set[NodeId]:
-        store = self.store
-        store.sync()
-        color = None if item.is_wildcard else item.color
-        if len(nodes) > 1 and store.is_clean(color) and store.all_in_base(nodes):
-            engine = self.engine_handle()
-            compiled = engine.compiled
-            node_index = compiled.node_index
-            indices = [node_index(node) for node in nodes]
-            expand = engine.set_sources_indices if reverse else engine.set_targets_indices
-            ids = compiled.ids
-            return {ids[j] for j in expand(indices, item)}
-        # A singleton (memoised per node, clean or dirty) or a dirty colour.
-        return super()._set_frontier(nodes, item, reverse)
+        # A singleton is memoised per node, clean or dirty.
+        dense = self._engine_over(_atom_colors(item), nodes) if len(nodes) > 1 else None
+        if dense is None:
+            return super()._set_frontier(nodes, item, reverse)
+        engine, indices = dense
+        return set(engine.compiled.ids_of(engine.set_frontier_indices(indices, item, reverse)))
 
     def set_targets(self, sources: Set[NodeId], item) -> Set[NodeId]:
-        if not sources:
-            return set()
-        return self._set_frontier(sources, item, reverse=False)
+        return self._set_frontier(sources, item, reverse=False) if sources else set()
 
     def set_sources(self, targets: Set[NodeId], item) -> Set[NodeId]:
-        if not targets:
-            return set()
-        return self._set_frontier(targets, item, reverse=True)
+        return self._set_frontier(targets, item, reverse=True) if targets else set()
 
     # -- closures ----------------------------------------------------------------
 
     def backward_closure(
         self, starts: Iterable[NodeId], colors: Optional[Iterable[str]] = None
     ) -> Set[NodeId]:
-        store = self.store
-        store.sync()
         start_set = self._live_nodes(starts)
         if not start_set:
             return set()
         color_list = None if colors is None else list(colors)
-        if self._clean(color_list) and store.all_in_base(start_set):
-            engine = self.engine_handle()
-            compiled = engine.compiled
-            node_index = compiled.node_index
-            color_ids = None
-            if color_list is not None:
-                color_ids = [
-                    color_id
-                    for color_id in (compiled.color_id(color) for color in color_list)
-                    if color_id is not None
-                ]
-            indices = engine.backward_closure_indices(
-                [node_index(node) for node in start_set], color_ids
-            )
-            ids = compiled.ids
-            return start_set | {ids[j] for j in indices}
-        return self._closure(start_set, color_list)
+        dense = self._engine_over(color_list, start_set)
+        if dense is None:
+            return self._closure(start_set, color_list)
+        engine, indices = dense
+        compiled = engine.compiled
+        color_ids = None if color_list is None else [
+            color_id for color_id in map(compiled.color_id, color_list) if color_id is not None
+        ]
+        return start_set.union(compiled.ids_of(engine.backward_closure_indices(indices, color_ids)))
 
     # -- whole expressions -------------------------------------------------------
 
-    def backward_reachable(self, targets: Set[NodeId], regex) -> Set[NodeId]:
-        store = self.store
-        store.sync()
+    def backward_reachable(self, targets: Set[NodeId], regex, space=None) -> Set[NodeId]:
         if not targets:
             return set()
-        if self._regex_clean(regex) and store.all_in_base(targets):
-            engine = self.engine_handle()
-            compiled = engine.compiled
-            node_index = compiled.node_index
-            indices = engine.backward_reachable_indices(
-                [node_index(node) for node in targets], regex
-            )
-            ids = compiled.ids
-            return {ids[j] for j in indices}
+        if space is not None:
+            # The engine's memoised frozenset itself: callers only read it.
+            return self._engine_in(space, _traversed(regex)).backward_reachable_indices(targets, regex)
+        dense = self._engine_over(_traversed(regex), targets)
+        if dense is not None:
+            engine, indices = dense
+            return set(engine.compiled.ids_of(engine.backward_reachable_indices(indices, regex)))
         # Dirty path: fold the merged set-level frontiers right-to-left,
         # memoised per (regex, target set) under the regex's version vector —
         # the refinement fixpoints keep asking for stabilised sets.
@@ -578,16 +588,12 @@ class OverlayCsrAdapter(_StoreAdapter):
         return set(frontier)
 
     def _expression(self, node: NodeId, regex, reverse: bool) -> Set[NodeId]:
-        store = self.store
-        store.sync()
-        if self._regex_clean(regex) and store.in_base(node):
-            engine = self.engine_handle()
-            compiled = engine.compiled
-            ids = compiled.ids
-            index = compiled.node_index(node)
-            indices = engine.sources_to(index, regex) if reverse else engine.targets_from(index, regex)
-            return {ids[j] for j in indices}
-        return super()._expression(node, regex, reverse)
+        dense = self._engine_over(_traversed(regex), (node,))
+        if dense is None:
+            return super()._expression(node, regex, reverse)
+        engine, (index,) = dense
+        indices = engine.sources_to(index, regex) if reverse else engine.targets_from(index, regex)
+        return set(engine.compiled.ids_of(indices))
 
     def targets_from(self, source: NodeId, regex) -> Set[NodeId]:
         return self._expression(source, regex, reverse=False)
@@ -595,46 +601,36 @@ class OverlayCsrAdapter(_StoreAdapter):
     def sources_to(self, target: NodeId, regex) -> Set[NodeId]:
         return self._expression(target, regex, reverse=True)
 
-    def _index_space(self, regex, sources, targets) -> Optional[Tuple]:
-        """``(engine, source indices, target indices)`` when a whole query
-        can run in dense index space — every colour it may traverse is clean
-        and both candidate sets lie in the base — else ``None``."""
-        store = self.store
-        store.sync()
-        if not (self._regex_clean(regex) and store.all_in_base(sources) and store.all_in_base(targets)):
-            return None
-        engine = self.engine_handle()
-        node_index = engine.compiled.node_index
-        return engine, frozenset(map(node_index, sources)), frozenset(map(node_index, targets))
-
-    def edge_pairs(
-        self, sources: Set[NodeId], targets: Set[NodeId], regex
-    ) -> Set[Tuple[NodeId, NodeId]]:
-        dense = self._index_space(regex, sources, targets)
+    def _pairs(self, regex, sources, targets, method: str, space):
+        """One whole query between two candidate collections: on handles of
+        ``space`` the engine's relation (the matcher pairs the ids up once), on
+        node ids a set of id pairs — through the base arrays when colours and
+        nodes allow, else searched over the merged frontiers.  The engine
+        memoises per candidate sets: an unchanged clean query is one hash."""
+        colors = _traversed(regex)
+        if space is not None:
+            engine = self._engine_in(space, colors)
+            return engine.matching_pairs(regex, frozenset(sources), frozenset(targets))
+        dense = self._engine_over(colors, sources, targets)
         if dense is None:
-            return self._search_pairs(regex, list(sources), targets, "bfs")
-        engine, source_indices, target_indices = dense
-        ids = engine.compiled.ids
-        return {(ids[a], ids[b]) for a, b in engine.matching_pairs(regex, source_indices, target_indices)}
+            return self._search_pairs(regex, list(sources), targets, method)
+        engine, sources, targets = dense
+        relation = engine.matching_pairs(regex, frozenset(sources), frozenset(targets))
+        return self.matcher.id_pairs(engine.compiled, relation)
 
-    def query_pairs(
-        self, regex, sources, targets, method: str
-    ) -> Set[Tuple[NodeId, NodeId]]:
-        dense = self._index_space(regex, sources, targets)
-        if dense is None:
-            return self._search_pairs(regex, sources, targets, method)
-        # Entirely in dense index space, translating once at the end; the
-        # engine memoises the whole query per candidate sets, so an unchanged
-        # clean query is one frozenset hash on re-execution.
-        engine, source_indices, target_indices = dense
-        ids = engine.compiled.ids
-        return {(ids[a], ids[b]) for a, b in engine.query_pairs(regex, source_indices, target_indices, method)}
+    def edge_pairs(self, sources: Set[NodeId], targets: Set[NodeId], regex, space=None):
+        return self._pairs(regex, sources, targets, "bfs", space)
 
-    def product_pairs(self, regex, sources, targets) -> Set[Tuple[NodeId, NodeId]]:
+    def query_pairs(self, regex, sources, targets, method: str, space=None):
+        return self._pairs(regex, sources, targets, method, space)
+
+    def product_pairs(self, regex, sources, targets, space=None):
         """The NFA product needs *whole* CSR layers (every colour at once), so
         it runs in index space whenever the store can hand them over and walks
         the merged adjacency otherwise (changes pending in a pinned overlay,
         which cannot recompile)."""
+        if space is not None:
+            return self._engine_in(space, None).nfa_product_pairs(regex.to_nfa(), sources, targets)
         compiled = self.store.whole_layers()
         if compiled is None:
             return self._product_walk(self.matcher.graph, regex, sources, targets)
@@ -648,16 +644,13 @@ class OverlayCsrAdapter(_StoreAdapter):
             engine = CsrEngine(compiled, self.matcher._cache_capacity)
         # Nodes the layers do not hold were created since and have no edges
         # in them: dropping them loses no non-empty path.
-        pairs = engine.nfa_product_pairs(
-            regex.to_nfa(), compiled.indices_of(sources), compiled.indices_of(targets)
-        )
-        ids = compiled.ids
-        return {(ids[a], ids[b]) for a, b in pairs}
+        held = ([at for at in compiled.positions_of(group) if at >= 0] for group in (sources, targets))
+        return self.matcher.id_pairs(compiled, engine.nfa_product_pairs(regex.to_nfa(), *held))
 
     # -- predicate scans ---------------------------------------------------------
 
-    def matching_nodes(self, predicate):
-        return self.store.matching_nodes(predicate)
+    def matching_nodes(self, predicate, space=None):
+        return self.store.matching_nodes(predicate, space)
 
 
 class PartitionedAdapter(_StoreAdapter):
@@ -693,7 +686,10 @@ class PartitionedAdapter(_StoreAdapter):
     ) -> Set[NodeId]:
         return self._closure(self._live_nodes(starts), colors)
 
-    def backward_reachable(self, targets: Set[NodeId], regex) -> Set[NodeId]:
+    def enter(self, regexes) -> None:
+        return None
+
+    def backward_reachable(self, targets: Set[NodeId], regex, space=None) -> Set[NodeId]:
         return _fold_atoms(set(targets), reversed(regex.atoms), self.set_sources)
 
     def targets_from(self, source: NodeId, regex) -> Set[NodeId]:
@@ -702,17 +698,13 @@ class PartitionedAdapter(_StoreAdapter):
     def sources_to(self, target: NodeId, regex) -> Set[NodeId]:
         return self._expression(target, regex, reverse=True)
 
-    def edge_pairs(
-        self, sources: Set[NodeId], targets: Set[NodeId], regex
-    ) -> Set[Tuple[NodeId, NodeId]]:
+    def edge_pairs(self, sources: Set[NodeId], targets: Set[NodeId], regex, space=None):
         return self._search_pairs(regex, list(sources), targets, "bfs")
 
-    def query_pairs(
-        self, regex, sources, targets, method: str
-    ) -> Set[Tuple[NodeId, NodeId]]:
+    def query_pairs(self, regex, sources, targets, method: str, space=None):
         return self._search_pairs(regex, sources, targets, method)
 
-    def product_pairs(self, regex, sources, targets) -> Set[Tuple[NodeId, NodeId]]:
+    def product_pairs(self, regex, sources, targets, space=None) -> Set[Tuple[NodeId, NodeId]]:
         """The product walk routed through owner shards: a shard owns the full
         out-edge set of its nodes, so expanding a product state there is
         locally exact and only the advanced states cross shard boundaries —
@@ -725,5 +717,5 @@ class PartitionedAdapter(_StoreAdapter):
 
         return self._product_walk(store, regex, sources, targets, exchanged)
 
-    def matching_nodes(self, predicate):
+    def matching_nodes(self, predicate, space=None):
         return self._scan_live(predicate)

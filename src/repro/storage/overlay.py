@@ -33,7 +33,7 @@ costs O(delta) per mutation instead of a recompile
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import GraphError
 from repro.kernels import active_kernel_name
@@ -93,14 +93,14 @@ class OverlayReads(GraphStore):
             return self._overlay_edges == 0
         return not self._color_ops.get(color)
 
-    def in_base(self, node: NodeId) -> bool:
-        """True when ``node`` has an index in the base snapshot."""
-        return self._base is not None and self._base.has_node(node)
-
     def all_in_base(self, nodes: Iterable[NodeId]) -> bool:
         """True when no node of ``nodes`` was created since the base was
         compiled, so every one of them has a base index."""
         return not self._new_nodes or self._new_nodes.isdisjoint(nodes)
+
+    def base_holds_every_node(self) -> bool:
+        """True when no node was created since the base (removals compact): its indices cover the graph."""
+        return not self._new_nodes
 
     # -- merged reads ------------------------------------------------------------
 
@@ -486,8 +486,9 @@ class OverlayCsrStore(OverlayReads):
 
     # -- predicate scans ---------------------------------------------------------
 
-    def matching_nodes(self, predicate: Any) -> List[NodeId]:
-        """Node ids whose attributes satisfy ``predicate``.
+    def matching_nodes(self, predicate: Any, space=None) -> Sequence[NodeId]:
+        """Node ids whose attributes satisfy ``predicate`` — with the base as
+        ``space``, their base indices (the scan's memoised positions themselves).
 
         Base nodes come from the base snapshot's indexed predicate scan —
         sound between compactions because node removals always compact, so
@@ -497,13 +498,15 @@ class OverlayCsrStore(OverlayReads):
         """
         self.sync()
         graph = self._graph
-        if predicate is None:
-            return list(graph.nodes())
         base = self._base
         if graph.attrs_version != base.source_attrs_version:
             # Every base node is live (see above), so the snapshot's lazy
             # guard against topology-stale rescans does not apply here.
             base.refresh_attribute_scans(graph.attrs_version)
+        if space is not None:
+            return base.matching_indices(predicate)
+        if predicate is None:
+            return list(graph.nodes())
         result = base.matching_ids(predicate)
         if self._new_nodes:
             result.extend(scan_nodes(predicate, self._new_nodes, graph.attributes))

@@ -20,7 +20,7 @@ any number of readers evaluate against their pinned snapshots.
 
 The same base class answers the small surface
 :class:`~repro.storage.adapter.OverlayCsrAdapter` reads a store through
-(``base()``, ``is_clean``, ``in_base``, ``all_in_base``, the no-op ``sync``;
+(``base()``, ``is_clean``, ``all_in_base``, ``base_holds_every_node``, the no-op ``sync``;
 plus :meth:`~StoreSnapshot.matching_nodes` and
 :meth:`~StoreSnapshot.whole_layers` here), so a ``csr``
 :class:`~repro.matching.paths.PathMatcher` evaluates *through the pin*: colours
@@ -55,7 +55,7 @@ owner thread, read from anywhere.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Any, Dict, Iterator, List, Optional, Set
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.exceptions import GraphError
 from repro.graph.columns import AttributeColumns
@@ -107,6 +107,8 @@ class StoreSnapshot(OverlayReads):
             self._ids = tuple(self._attr_views)
             self._scan_cache = AttributeColumns(tuple(self._attr_views.values()), self._base.scans.tally)
             store.attr_tables_built += 1
+        # Table position -> base index (-1: created since); per pin: a table may be adopted, the base not.
+        self._base_index = self._base.positions_of(self._ids)
         self.name = f"{graph.name}@v{graph.version}"
         self.version = graph.version
         self.attrs_version = graph.attrs_version
@@ -145,9 +147,12 @@ class StoreSnapshot(OverlayReads):
 
     # -- predicate scans ---------------------------------------------------------
 
-    def matching_nodes(self, predicate: Any) -> List[NodeId]:
-        """Node ids whose *pinned* attributes satisfy ``predicate``."""
-        return list(map(self._ids.__getitem__, self._scan_cache.scan(predicate)))
+    def matching_nodes(self, predicate: Any, space=None) -> Sequence[NodeId]:
+        """Node ids whose *pinned* attributes satisfy ``predicate`` — with the
+        pinned base as ``space``, their base indices.  A scan answers in
+        positions of the pin's *own* attribute table, not in base indices."""
+        table = self._ids if space is None else self._base_index
+        return list(map(table.__getitem__, self._scan_cache.scan(predicate)))
 
     # -- bookkeeping -------------------------------------------------------------
 

@@ -151,6 +151,33 @@ class TestRuleFixtures:
         assert bool(report.findings) is fires, [f.render() for f in report.findings]
 
 
+    @pytest.mark.parametrize(
+        "relpath, body, fires",
+        [
+            ("matching/probe.py", "compiled.node_index(node)", True),
+            ("matching/probe.py", "space.ids[handle]", True),
+            ("matching/probe.py", "space.indices_of(nodes)", True),
+            ("matching/probe.py", "set(space.ids_of(handles))", True),
+            ("matching/probe.py", "matcher.node_ids(space, handles)", False),
+            ("matching/probe.py", "matcher.id_pairs(space, matcher.edge_pairs(a, b, regex, space))", False),
+            ("matching/paths.py", "set(space.ids_of(handles))", False),  # the seam
+            ("matching/csr_engine.py", "compiled.node_index(node)", False),  # the engine
+            ("storage/adapter.py", "compiled.node_index(node)", False),  # not under matching/
+        ],
+    )
+    def test_r006_translation_happens_at_the_seam_only(self, tmp_path, relpath, body, fires):
+        # An evaluator carries the handles its matcher's scans gave it; turning
+        # them into node ids, or node ids into dense indices, by itself means
+        # reading handles of one space in another.
+        target = tmp_path / relpath
+        target.parent.mkdir()
+        arguments = "matcher, compiled, space, handles, nodes, node, handle, a, b, regex"
+        target.write_text(f"def probe({arguments}):\n    return {body}\n")
+        report = run_lint([tmp_path], select=["R006"])
+        assert bool(report.findings) is fires, [f.render() for f in report.findings]
+        assert all("translates" in finding.message for finding in report.findings)
+
+
 class TestSuppressions:
     def _lint_file(self, tmp_path, source):
         target = tmp_path / "service" / "handler.py"

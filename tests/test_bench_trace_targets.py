@@ -137,9 +137,11 @@ def test_pinned_read_on_auto_session_reaches_traced_kernels_and_overlay_adapter(
 
 
 #: The expansion surface ``PathMatcher`` delegates, method for method, to its
-#: adapter — what the ``storage.adapter`` span counts.
+#: adapter — what the ``storage.adapter`` span counts.  ``enter`` is where an
+#: adapter names the handle space of one evaluation; translating out of it
+#: needs no adapter (``PathMatcher.node_ids`` / ``id_pairs`` ask the token).
 _ADAPTER_SURFACE = {
-    "atom_targets", "atom_sources", "set_targets", "set_sources", "backward_closure",
+    "enter", "atom_targets", "atom_sources", "set_targets", "set_sources", "backward_closure",
     "backward_reachable", "targets_from", "sources_to", "edge_pairs", "query_pairs", "product_pairs",
     "matching_nodes",
 }
@@ -175,7 +177,8 @@ def test_adapter_defines_surface_in_own_vars(class_name):
 def test_pinned_general_rq_records_adapter_spans_inside_the_evaluator():
     """General RQs read through the adapter like every other kind: a pinned
     one, clean or with changes pending in the pinned overlay, shows up as two
-    predicate scans and one product search nested in ``matching.eval``."""
+    predicate scans and one product search nested in ``matching.eval``, after
+    the ``enter`` that names the evaluation's handle space."""
     from repro.datasets.youtube import generate_youtube_graph
     from repro.matching.general_rq import GeneralReachabilityQuery
     from repro.session.session import GraphSession
@@ -195,10 +198,10 @@ def test_pinned_general_rq_records_adapter_spans_inside_the_evaluator():
         assert result.engine == "csr" and result.answer.pairs
         (evaluation,) = [i for i, span in enumerate(tracer.spans) if span[0] == "matching.eval"]
         adapter_spans = [span for span in tracer.spans if span[0] == "storage.adapter"]
-        # Two scans and the product, called by the evaluator itself ...
-        assert [span[3] for span in adapter_spans[:3]] == [evaluation] * 3
+        # ``enter``, two scans and the product, called by the evaluator itself ...
+        assert [span[3] for span in adapter_spans[:4]] == [evaluation] * 4
         # ... and on the array path the product asks for the matcher's engine.
-        assert len(adapter_spans) == (4 if clean else 3), tracer.spans
+        assert len(adapter_spans) == (5 if clean else 4), tracer.spans
 
 
 def test_partitioned_read_records_adapter_spans():

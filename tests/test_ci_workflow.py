@@ -171,8 +171,9 @@ class TestCiWorkflow:
 
     def test_no_numpy_leg_runs_origin_relation_parity(self, workflow):
         # The quick tier-1 run deselects the `slow` hypothesis suites that pin
-        # expand_origins and the engine's relation fold; the no-numpy leg must
-        # run them by name, on the only backend it has.
+        # expand_origins / decode_origins, the engine's relation fold and the
+        # index-space evaluators; the no-numpy leg must run them by name, on
+        # the only backend it has.
         job = workflow["jobs"]["test"]
         fallback_if = next(
             step["if"] for step in job["steps"] if "active_kernel_name" in step.get("run", "")
@@ -180,7 +181,11 @@ class TestCiWorkflow:
         parity = [step for step in job["steps"] if "relation_fold" in step.get("run", "")]
         assert len(parity) == 1 and parity[0]["if"] == fallback_if
         command = parity[0]["run"]
-        for needle in ("tests/test_kernels.py", "tests/test_csr_engine.py", "origins", "nfa_product"):
+        for needle in (
+            "tests/test_kernels.py", "tests/test_csr_engine.py", "origins", "nfa_product",
+            # decode_origins rides on "origins"; the handle-space parity suite is named.
+            "tests/test_session_parity.py", "handle_space",
+        ):
             assert needle in command
         assert "not slow" not in command
 

@@ -33,6 +33,13 @@ from repro.regex.nfa import LazyDfa, build_nfa
 from repro.regex.parser import parse_fregex
 
 
+def index_pairs(relation):
+    """The engine's relation form — per origin block two parallel index
+    sequences ``(sources, targets)``, lists or numpy arrays — as the set of
+    index pairs the dict-side references speak."""
+    return {(int(a), int(b)) for sources, targets in relation for a, b in zip(sources, targets)}
+
+
 def assert_engines_agree(query, graph, methods=("bidirectional", "bfs")):
     results = {}
     for method in methods:
@@ -260,8 +267,8 @@ class TestGeneralRegexProduct:
         engine = CsrEngine(compiled)
         everyone = list(range(compiled.num_nodes))
         via_product = engine.nfa_product_pairs(build_nfa(regex), everyone, everyone)
-        via_atoms = engine.bidirectional_pairs(regex, everyone, everyone)
-        assert via_product == via_atoms
+        via_atoms = engine.matching_pairs(regex, frozenset(everyone), frozenset(everyone))
+        assert index_pairs(via_product) == index_pairs(via_atoms) != set()
 
 
 class TestLazyDfa:
@@ -364,8 +371,9 @@ def test_property_snapshot_round_trip(case):
 
 # -- the origin-relation fold vs the generic drivers ----------------------------
 #
-# ``matching_pairs`` / ``query_pairs`` carry one bitset of origins per index
-# through ``repro.kernels.expand_origins``.  The references are the generic
+# ``matching_pairs`` carries one bitset of origins per index through
+# ``repro.kernels.expand_origins`` and reads the pairs out with
+# ``decode_origins``, as index sequences (``index_pairs``).  The references are the generic
 # set-based drivers of ``matching/frontiers.py`` — driven over the same engine's
 # per-start expansions, and over the dict engine — and, for general
 # expressions, the per-source product walk of ``regex_reachable_from``.
@@ -418,11 +426,13 @@ def test_property_relation_fold_matches_generic_drivers(case):
 
     with _origin_block(block):
         entries = len(engine._set_cache)
-        assert engine.matching_pairs(regex, source_indices, target_indices) == swept
-        for method in ("bidirectional", "bfs"):
-            assert engine.query_pairs(regex, source_indices, target_indices, method) == swept
-        assert len(engine._set_cache) == entries + 1  # one fold, one entry, whichever plan asked
-        assert engine.bidirectional_pairs(regex, sorted(source_indices), target_indices) == swept
+        relation = engine.matching_pairs(regex, source_indices, target_indices)
+        assert index_pairs(relation) == swept
+        assert sum(len(part[0]) for part in relation) == len(swept)  # every pair read out once
+        by_id = PathMatcher(graph, engine="csr").id_pairs(compiled, relation)  # the seam's translation
+        assert by_id == {(ids[a], ids[b]) for a, b in swept}  # ids unchanged
+        assert len(engine._set_cache) == entries + 1  # one fold, one entry
+        assert index_pairs(engine._relation_pairs(regex, source_indices, target_indices)) == swept
         # Asking again is one hit in the set-level memo, whatever the spelling.
         hits, entries = engine._set_cache.hits, len(engine._set_cache)
         again = engine.matching_pairs(FRegex(list(regex.atoms)), source_indices, target_indices)
@@ -449,7 +459,8 @@ def test_property_nfa_product_matches_per_source_walk(case, form):
         for target in regex_reachable_from(graph, source, regex) & targets
     }
     with _origin_block(block):
-        pairs = CsrEngine(compiled).nfa_product_pairs(
-            regex.to_nfa(), compiled.indices_of(sorted(sources)), compiled.indices_of(targets)
+        relation = CsrEngine(compiled).nfa_product_pairs(
+            regex.to_nfa(), compiled.positions_of(sorted(sources)), compiled.positions_of(targets)
         )
-    assert {(ids[a], ids[b]) for a, b in pairs} == expected
+    assert {(ids[a], ids[b]) for a, b in index_pairs(relation)} == expected
+    assert PathMatcher(graph, engine="csr").id_pairs(compiled, relation) == expected

@@ -18,6 +18,9 @@ other and to an independent oracle:
   origins at once — must equal, origin by origin, the union of single-source
   ``expand_frontier`` calls from the nodes carrying that origin's bit, on
   both backends and through the ``REPRO_KERNELS`` dispatch;
+* ``decode_origins`` — such a relation read out as two parallel index
+  sequences — must equal, entry for entry, the bit-by-bit loop it replaced,
+  on both backends and between them, and reject a row wider than its block;
 * the numpy backend additionally runs with ``VECTOR_MIN_FRONTIER`` forced
   to 1 (every level vectorised) and ``SCAN_DIVISOR`` pinned to each
   extreme, so both frontier-extraction strategies (sort-free scratch scan
@@ -304,6 +307,56 @@ def test_property_expand_origins_matches_single_source_union(case, bound, color,
     _assert_origins_match(compiled.layer(ANY_COLOR, reverse=reverse), compiled.num_nodes, *first, bound)
 
 
+# -- reading a relation out ------------------------------------------------------
+
+
+def _origins_of(bits, block):
+    """The bit-by-bit read-out ``decode_origins`` replaced: the members of
+    ``block`` whose bit is set in ``bits``, lowest bit first."""
+    while bits:
+        low = bits & -bits
+        yield block[low.bit_length() - 1]
+        bits ^= low
+
+
+def _assert_decode_matches(nodes, rows, block):
+    """Both backends read ``rows`` out as the reference loop does, entry for
+    entry (rows in order, bits ascending), and so alike."""
+    expected = [(node, origin) for node, bits in zip(nodes, rows) for origin in _origins_of(bits, block)]
+    for kernel in _origin_backends():
+        at, origins = kernel.decode_origins(nodes, rows, block)
+        assert len(at) == len(origins) == len(expected)
+        assert list(zip(map(int, at), map(int, origins))) == expected, kernel.__name__
+    return expected
+
+
+@st.composite
+def rows_to_decode(draw):
+    """Rows over a block of one origin, a few, more than one machine word and
+    more than ``ORIGIN_BLOCK``; empty rows, full rows, the top bit."""
+    width = draw(st.sampled_from([1, 3, 70, ORIGIN_BLOCK + 5]))
+    block = draw(st.lists(st.integers(0, 10**6), min_size=width, max_size=width))
+    rows = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0, 1, 1 << (width - 1), (1 << width) - 1]),
+                st.sets(st.integers(0, width - 1), max_size=5).map(
+                    lambda bits: sum(1 << bit for bit in bits)
+                ),
+            ),
+            max_size=12,
+        )
+    )
+    nodes = draw(st.lists(st.integers(0, 10**6), min_size=len(rows), max_size=len(rows)))
+    return nodes, rows, block
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows_to_decode())
+def test_property_decode_origins_matches_the_bit_loop(case):
+    _assert_decode_matches(*case)
+
+
 # -- deterministic regressions --------------------------------------------------
 
 
@@ -415,6 +468,30 @@ class TestBlockSemanticsEdgeCases:
         rows = [1 << origin for origin in range(width)]
         reached_nodes, reached_rows = _assert_origins_match(layer, compiled.num_nodes, nodes, rows, 2)
         assert max(reached_rows).bit_length() > 2 * ORIGIN_BLOCK
+
+    def test_decode_origins_of_nothing_and_of_empty_rows(self):
+        assert _assert_decode_matches([], [], []) == []
+        assert _assert_decode_matches([], [], [4, 5]) == []
+        assert _assert_decode_matches([7, 8], [0, 0], [4, 5]) == []
+        assert _assert_decode_matches([7, 8, 9], [0b10, 0, 0b11], [4, 5]) == [(7, 5), (9, 4), (9, 5)]
+
+    @pytest.mark.parametrize("width", [0, 1, 3, 8, 70, ORIGIN_BLOCK + 5])
+    def test_decode_origins_rejects_a_row_wider_than_its_block(self, width):
+        # A bit at or beyond len(block) stands for no origin: rejected, not
+        # masked, on both backends — also when it hides in the padding of the
+        # block's last byte, and for a negative row.
+        block = list(range(100, 100 + width))
+        for kernel in _origin_backends():
+            for bad in (1 << width, 1 << (width + 9), -1):
+                with pytest.raises(ValueError):
+                    kernel.decode_origins([1, 2], [0, bad], block)
+
+    def test_decode_origins_answers_alike_with_the_environment_flipped(self, monkeypatch):
+        nodes, rows, block = [3, 1, 2], [0b101, 0, 1 << 69], list(range(70, 0, -1))
+        for name in ("python", "numpy"):
+            monkeypatch.setenv(KERNEL_ENV_VAR, name)
+            at, origins = repro.kernels.decode_origins(nodes, rows, block)
+            assert (list(at), list(origins)) == ([3, 3, 2], [70, 68, 1])
 
     def test_generic_bfs_block_frontier_start_inclusion(self):
         neighbors = {0: [1], 1: [0], 2: []}

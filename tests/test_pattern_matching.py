@@ -142,6 +142,35 @@ class TestAlgorithmAgreement:
         assert split_match(q2, essembly_graph).algorithm == "SplitMatchC"
 
 
+class TestElapsedSeconds:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("engine", ["dict", "csr"])
+    def test_elapsed_covers_result_assembly(self, algorithm, engine, essembly_graph, q2, monkeypatch):
+        """``elapsed_seconds`` is read after the per-edge match sets are
+        assembled, not before: it is at least the time spent in the
+        evaluation's ``edge_pairs`` calls, measured here from outside (and
+        made unmissable: each call is held for a few milliseconds)."""
+        import time
+
+        from repro.matching.paths import PathMatcher
+
+        spent = []
+        edge_pairs = PathMatcher.edge_pairs
+
+        def timed(self, *args):
+            begun = time.perf_counter()
+            time.sleep(0.003)
+            try:
+                return edge_pairs(self, *args)
+            finally:
+                spent.append(time.perf_counter() - begun)
+
+        monkeypatch.setattr(PathMatcher, "edge_pairs", timed)
+        result = algorithm(q2, essembly_graph, matcher=PathMatcher(essembly_graph, engine=engine))
+        assert not result.is_empty and len(spent) == len(result.edge_matches) > 1
+        assert result.elapsed_seconds >= sum(spent)
+
+
 class TestResultContainer:
     def test_empty_result_helpers(self):
         empty = PatternMatchResult.empty("x")

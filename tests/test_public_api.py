@@ -55,8 +55,8 @@ FROZEN_API = {
     ],
     "repro.kernels": [
         "HAVE_NUMPY", "KERNEL_ENV_VAR", "active_kernel_name",
-        "bfs_block_frontier", "closure_frontier", "expand_frontier",
-        "expand_origins", "neighbors_of", "select_backend",
+        "bfs_block_frontier", "closure_frontier", "decode_origins",
+        "expand_frontier", "expand_origins", "neighbors_of", "select_backend",
     ],
     "repro.matching": [
         "CsrEngine", "LruCache", "PathMatcher", "PatternMatchResult",

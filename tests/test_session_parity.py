@@ -13,7 +13,9 @@ constraint is the identity); the random patterns exercise that equivalence.
 """
 
 import dataclasses
+import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,12 @@ from hypothesis import strategies as st
 
 from repro.graph.data_graph import DataGraph
 from repro.matching.general_rq import GeneralReachabilityQuery, evaluate_general_rq
+from repro.kernels import KERNEL_ENV_VAR
+from repro.matching.bounded_simulation import bounded_simulation_match
 from repro.matching.join_match import join_match
+from repro.matching.naive import naive_match
+from repro.matching.paths import PathMatcher
+from repro.matching.split_match import split_match
 from repro.matching.reachability import evaluate_rq
 from repro.matching.result import PatternMatchResult
 from repro.query.pq import PatternQuery
@@ -33,18 +40,18 @@ from repro.session.session import GraphSession
 _COLORS = ("r", "g", "b")
 
 
-def _build_graph(num_nodes, edges, attributes):
+def _build_graph(num_nodes, edges, attributes, label=lambda node: node):
     graph = DataGraph(name="hypothesis-session")
     for node in range(num_nodes):
-        graph.add_node(node, tag=attributes[node])
+        graph.add_node(label(node), tag=attributes[node])
     for source, target, color in edges:
-        graph.add_edge(source, target, color)
+        graph.add_edge(label(source), label(target), color)
     return graph
 
 
 @st.composite
-def random_graph(draw, max_nodes=12, max_edges=35):
-    num_nodes = draw(st.integers(min_value=1, max_value=max_nodes))
+def random_graph(draw, max_nodes=12, max_edges=35, min_nodes=1, labels=None):
+    num_nodes = draw(st.integers(min_value=min_nodes, max_value=max_nodes))
     edges = draw(
         st.lists(
             st.tuples(
@@ -56,7 +63,9 @@ def random_graph(draw, max_nodes=12, max_edges=35):
         )
     )
     attributes = draw(st.lists(st.integers(0, 2), min_size=num_nodes, max_size=num_nodes))
-    return _build_graph(num_nodes, edges, attributes)
+    if labels is None:
+        return _build_graph(num_nodes, edges, attributes)
+    return _build_graph(num_nodes, edges, attributes, draw(labels(num_nodes)).__getitem__)
 
 
 _atom = st.tuples(
@@ -71,8 +80,8 @@ def _predicate(draw):
 
 
 @st.composite
-def graph_and_rq(draw):
-    graph = draw(random_graph())
+def graph_and_rq(draw, graphs=random_graph()):
+    graph = draw(graphs)
     atoms = draw(st.lists(_atom, min_size=1, max_size=3))
     query = ReachabilityQuery(
         source_predicate=_predicate(draw),
@@ -83,8 +92,7 @@ def graph_and_rq(draw):
 
 
 @st.composite
-def graph_and_pattern(draw):
-    graph = draw(random_graph())
+def random_pattern(draw):
     num_pattern_nodes = draw(st.integers(min_value=1, max_value=4))
     predicates = [_predicate(draw) for _ in range(num_pattern_nodes)]
     raw_edges = draw(
@@ -110,7 +118,12 @@ def graph_and_pattern(draw):
             f"u{target}",
             FRegex([RegexAtom(color, bound) for color, bound in atoms]),
         )
-    return graph, pattern
+    return pattern
+
+
+@st.composite
+def graph_and_pattern(draw):
+    return draw(random_graph()), draw(random_pattern())
 
 
 @pytest.mark.slow
@@ -181,6 +194,90 @@ def test_property_watch_parity_under_updates(case, updates):
     watch = session.watch(query)
     session.apply_updates(updates)
     assert watch.pairs == evaluate_rq(query, graph, engine="dict").pairs
+
+
+# -- handle spaces: node ids that can be mistaken for dense indices -----------------
+#
+# On a clean base the ``csr`` evaluators carry base indices from the predicate
+# scan to the edge pairs and translate once, at the end.  Here the node ids are
+# a permutation of ``range(n)`` *other than* insertion order — an index that
+# leaked out is then a plausible wrong id, not a ``KeyError`` — or strings, and
+# the store is walked through every state that flips the space.
+
+
+@st.composite
+def _misleading_labels(draw, num_nodes):
+    """Position (= base index) -> node id: a non-identity permutation of the
+    indices themselves, or the same spelt as strings."""
+    order = draw(st.permutations(range(num_nodes)).filter(lambda p: list(p) != sorted(p)))
+    return [f"s{k}" for k in order] if draw(st.booleans()) else list(order)
+
+
+_MISLABELLED = random_graph(max_nodes=9, max_edges=24, min_nodes=3, labels=_misleading_labels)
+
+
+def _pq_answers(result):
+    nodes = {node: frozenset(matches) for node, matches in result.node_matches.items()}
+    return result.as_frozen(), nodes
+
+
+def _every_answer(matcher, rq, pattern):
+    """What each evaluator answers through ``matcher`` (its graph: live or pinned)."""
+    graph = matcher.graph
+    general = GeneralReachabilityQuery(rq.source_predicate, rq.target_predicate, _general_text(rq.regex))
+    answers = {
+        "rq": frozenset(evaluate_rq(rq, graph, matcher=matcher).pairs),
+        "general_rq": frozenset(evaluate_general_rq(general, graph, matcher=matcher).pairs),
+    }
+    for algorithm in (join_match, split_match, bounded_simulation_match, naive_match):
+        answers[algorithm.__name__] = _pq_answers(algorithm(pattern, graph, matcher=matcher))
+    return answers
+
+
+def _ids_in(answers):
+    for name, answer in answers.items():
+        if name.endswith("rq"):
+            yield from (node for pair in answer for node in pair)
+        else:
+            yield from (node for pairs in answer[0].values() for pair in pairs for node in pair)
+            yield from (node for matches in answer[1].values() for node in matches)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("backend", ["numpy", "python"])
+@settings(max_examples=25, deadline=None)
+@given(graph_and_rq(_MISLABELLED), random_pattern(), st.integers(0, 2))
+def test_property_handle_space_parity_across_store_states(backend, rq_case, pattern, tag):
+    graph, rq = rq_case
+    nodes = list(graph.nodes())
+    fresh = ["s-new", "s-newer"] if isinstance(nodes[0], str) else [len(nodes), len(nodes) + 1]
+    color = next((atom.color for atom in rq.regex.atoms if atom.color in _COLORS), "r")
+    with mock.patch.dict(os.environ, {KERNEL_ENV_VAR: backend}):
+        session = GraphSession(graph, engine="csr")
+
+        def check(state):
+            expected = _every_answer(PathMatcher(graph, engine="dict"), rq, pattern)
+            live = _every_answer(session.matcher("csr"), rq, pattern)
+            assert live == expected, state
+            assert set(_ids_in(live)) <= set(graph.nodes()), state
+            with session.pin() as pinned:
+                assert _every_answer(pinned._state.matcher("csr"), rq, pattern) == expected, (state, "pinned")
+
+        check("clean")
+        missing = [(a, b) for a in nodes for b in nodes if not graph.has_edge(a, b, color)]
+        if missing:
+            session.apply_updates([("add", *missing[0], color)])
+        check("an edge of one of the query's colours: dirty")
+        graph.add_node(fresh[0], tag=tag)
+        graph.add_edge(fresh[0], nodes[0], color)
+        check("a node outside the base")
+        graph.overlay_store().compact()
+        check("compacted")
+        graph.add_node(nodes[1], tag=tag)
+        check("an attribute-only write")
+        graph.add_node(fresh[1], tag=tag)
+        graph.remove_node(nodes[2])
+        check("a node added and another removed")
 
 
 # -- one read pipeline: live and pinned execution are the same function -----------

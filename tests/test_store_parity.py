@@ -28,6 +28,7 @@ from repro.matching.join_match import join_match
 from repro.matching.paths import PathMatcher
 from repro.matching.reachability import evaluate_rq
 from repro.query.pq import PatternQuery
+from repro.query.predicates import Predicate
 from repro.query.rq import ReachabilityQuery
 from repro.regex.parser import parse_fregex
 from repro.storage.dict_store import DictStore
@@ -620,3 +621,178 @@ class TestPredicateCheckDispatch:
             assert snapshot.matching_nodes(check) == ["b"]
         finally:
             store.release_snapshot(snapshot)
+
+
+# -- handle spaces: answers leave index space once --------------------------------
+#
+# On a clean base a ``csr`` matcher hands the evaluator the base itself as the
+# space of its node handles (``PathMatcher.enter``): scans answer in base
+# indices, the reachability primitives take and return them, and ids appear
+# once, where the result object is built.  Counted here from outside, on the
+# 150-node fixture of ``tests/test_bench_trace_targets.py``.
+
+
+def _handle_space_fixture():
+    from repro.datasets.youtube import generate_youtube_graph
+    from repro.session.session import GraphSession
+
+    pattern = PatternQuery(name="three-edges")
+    for node, category in (("A", "Comedy"), ("B", "Music"), ("C", "Entertainment")):
+        pattern.add_node(node, f"cat = '{category}'")
+    pattern.add_edge("A", "B", "fc^+")
+    pattern.add_edge("B", "C", "sr^+")
+    pattern.add_edge("A", "C", "fc^2")
+    query = ReachabilityQuery("cat = 'Comedy'", "cat = 'Music'", "fc.sr^+")
+    graph = generate_youtube_graph(num_nodes=150, num_edges=500, seed=7)
+    return GraphSession(graph, semantic_cache_capacity=0), pattern, query
+
+
+def _counting(monkeypatch, owner, name, log):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        log.append((name, result if name == "enter" else None))
+        return result
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+class TestHandleSpaces:
+    def _counted_session(self, monkeypatch):
+        from repro.graph.csr import CompiledGraph
+
+        session, pattern, query = _handle_space_fixture()
+        calls = []
+        for owner, names in (
+            (CompiledGraph, ("node_index", "ids_of")),
+            (PathMatcher, ("enter", "node_ids", "id_pairs")),
+        ):
+            for name in names:
+                _counting(monkeypatch, owner, name, calls)
+
+        def tally():
+            """Calls since the last tally, by name, and what ``enter`` answered."""
+            names = [name for name, _ in calls]
+            spaces = [space for name, space in calls if name == "enter"]
+            calls.clear()
+            return {name: names.count(name) for name in set(names)}, spaces
+
+        return session, pattern, query, tally
+
+    def test_clean_reads_translate_each_answer_collection_once(self, monkeypatch):
+        session, pattern, query, tally = self._counted_session(monkeypatch)
+        expected = join_match(pattern, session.graph.copy(), engine="dict")
+        session.execute(query)  # compiles the base, builds the engine
+        tally()
+
+        result = session.execute(pattern)
+        counts, spaces = tally()
+        assert result.engine == "csr" and result.answer.size == 12
+        assert spaces == [session.graph.overlay_store().base()]
+        # Three node collections and three relations of two sides each, once
+        # each, and nothing translated on the way in.
+        assert counts == {"enter": 1, "node_ids": 3, "id_pairs": 3, "ids_of": 9}, counts
+        assert result.answer.same_matches(expected)
+
+        result = session.execute(ReachabilityQuery("cat = 'Comedy'", "cat = 'Music'", "fc^2.sr"))
+        counts, spaces = tally()
+        assert result.answer.pairs and spaces[0] is not None
+        assert counts == {"enter": 1, "id_pairs": 1, "ids_of": 2}, counts
+
+    def test_a_dirty_colour_reads_in_node_id_space_as_before(self, monkeypatch):
+        session, pattern, query, tally = self._counted_session(monkeypatch)
+        session.execute(query)
+        nodes = list(session.graph.nodes())
+        session.apply_updates([("add", nodes[0], nodes[1], "fc")])  # a colour of both queries
+        session.graph.overlay_store().sync()
+        assert not session.graph.overlay_store().is_clean("fc")
+        for read, expected in (
+            (pattern, lambda graph: join_match(pattern, graph, engine="dict")),
+            (query, lambda graph: evaluate_rq(query, graph, engine="dict")),
+        ):
+            tally()
+            result = session.execute(read)
+            counts, spaces = tally()
+            assert spaces == [None]
+            # The clean colours still run on the base arrays, call by call:
+            # node ids in, node ids out, the translation the parent did.
+            assert counts["node_index"] > 0 and counts["ids_of"] > 0
+            reference = expected(session.graph.copy())
+            if read is pattern:
+                assert result.answer.same_matches(reference)
+            else:
+                assert result.answer.pairs == reference.pairs
+
+    def test_the_space_follows_the_store(self, graph):
+        matcher = PathMatcher(graph, engine="csr")
+        r_then_g, wildcard = parse_fregex("r.g"), parse_fregex("_^2")
+        store = graph.overlay_store()
+        base = matcher.enter([r_then_g, wildcard])
+        assert base is store.base()
+        assert PathMatcher(graph, engine="dict").enter([r_then_g]) is None
+        assert PathMatcher(graph, engine="partitioned").enter([r_then_g]) is None
+
+        graph.add_edge(0, 3, "b")  # dirties b, and with it the wildcard layer
+        assert matcher.enter([r_then_g]) is base
+        assert matcher.enter([r_then_g, wildcard]) is None
+        assert matcher.enter([GeneralReachabilityQuery(None, None, "r.g").regex]) is None  # whole layers
+        graph.add_node("fresh", tag=0)  # a node outside the base
+        assert matcher.enter([r_then_g]) is None
+        store.compact()
+        rebased = matcher.enter([r_then_g, wildcard])
+        assert rebased is store.base() is not base
+        graph.add_node(2, tag=7)  # attribute-only: the base stands
+        assert matcher.enter([r_then_g]) is rebased
+        assert 2 in matcher.node_ids(rebased, matcher.matching_nodes(Predicate.parse("tag = 7"), rebased))
+
+    def test_a_stale_space_is_detected(self, graph):
+        from repro.exceptions import GraphError
+
+        matcher = PathMatcher(graph, engine="csr")
+        regex = parse_fregex("r.g")
+        space = matcher.enter([regex])
+        handles = set(matcher.matching_nodes(None, space))
+        reached = matcher.node_ids(space, matcher.backward_reachable(handles, regex, space))
+        everyone = set(graph.nodes())
+        assert reached == PathMatcher(graph, engine="dict").backward_reachable(everyone, regex) == {1, 4}
+        graph.add_edge(0, 3, "g")  # the space's colour goes dirty under it
+        with pytest.raises(GraphError, match="stale handle space"):
+            matcher.backward_reachable(handles, regex, space)
+        graph.overlay_store().compact()  # and the base it named is gone
+        general = GeneralReachabilityQuery(None, None, "r.g").regex
+        for read in (
+            lambda: matcher.edge_pairs(handles, handles, regex, space),
+            lambda: matcher.query_pairs(regex, handles, handles, "bfs", space),
+            lambda: matcher.product_pairs(general, handles, handles, space),
+        ):
+            with pytest.raises(GraphError, match="stale handle space"):
+                read()
+
+    def test_a_pins_scan_positions_are_translated_not_assumed(self):
+        """A pin scans its own attribute table, whose positions are not base
+        indices: nodes created since the base sit in the table and not in the
+        base, and a table adopted by a later pin may face a new base."""
+        from repro.session.session import GraphSession
+
+        graph = build_graph([(0, 1, "r"), (1, 2, "r"), (2, 3, "g")])
+        session = GraphSession(graph, engine="csr")
+        session.execute(ReachabilityQuery(None, None, "r"))
+        graph.add_node("late", tag=1)
+        with session.pin() as pinned:
+            store = pinned.store
+            assert store._base_index == [0, 1, 2, 3, 4, 5, -1]
+            assert not store.base_holds_every_node()
+            assert pinned._state.matcher("csr").enter([parse_fregex("r")]) is None
+            graph.overlay_store().compact()
+            with session.pin() as later:  # same version, same table; the store's base moved on
+                assert later.store is store
+        graph.remove_node(1)
+        with session.pin() as rebuilt:
+            assert rebuilt.store._ids == (0, 2, 3, 4, 5, "late")
+            assert rebuilt.store._base_index == [0, 1, 2, 3, 4, 5]
+            matcher = rebuilt._state.matcher("csr")
+            space = matcher.enter([parse_fregex("r")])
+            assert space is rebuilt.store.base()
+            handles = matcher.matching_nodes(Predicate.parse("tag = 1"), space)
+            assert matcher.node_ids(space, handles) == {4, "late"}

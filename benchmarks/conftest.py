@@ -27,20 +27,24 @@ def best_cpu_times():
     """The measuring protocol of the wall-clock ratio gates, as a function
     ``(contenders, passes) -> {label: (best seconds, last results)}``.
 
-    ``contenders`` maps a label to a zero-argument callable.  They alternate
-    within every pass, so a slow stretch of the machine falls on all of them;
-    ``time.process_time`` leaves out the time the process was descheduled;
-    and the best of ``passes`` (the caller states N) drops the passes a
-    collector pause or a cold cache landed in.
+    ``contenders`` maps a label to a zero-argument callable, or to a pair
+    ``(prepare, run)``: ``prepare()`` builds, outside the timed region and
+    anew for every pass, the argument tuple of ``run`` (a fresh graph copy, a
+    cold session).  They alternate within every pass, so a slow stretch of the
+    machine falls on all of them; ``time.process_time`` leaves out the time
+    the process was descheduled; and the best of ``passes`` (the caller states
+    N) drops the passes a collector pause or a cold cache landed in.
     """
 
     def measure(contenders, passes):
         best = {label: float("inf") for label in contenders}
         last = {}
         for _ in range(passes):
-            for label, run in contenders.items():
+            for label, contender in contenders.items():
+                prepare, run = contender if isinstance(contender, tuple) else (tuple, contender)
+                arguments = prepare()
                 started = time.process_time()
-                last[label] = run()
+                last[label] = run(*arguments)
                 best[label] = min(best[label], time.process_time() - started)
         return {label: (best[label], last[label]) for label in contenders}
 

@@ -12,8 +12,8 @@ windows:
 
 * ``partition-1shard`` / ``partition-4shard`` — the identical workload on
   a single-shard and a four-shard build of the same stream;
-* ``test_partition_speedup`` — the acceptance gate: best-of-three timed
-  passes asserting four shards are at least **2x** faster than one, with
+* ``test_partition_speedup`` — the acceptance gate: best-of-three
+  interleaved CPU-time passes (``conftest.best_cpu_times``) asserting four shards are at least **2x** faster than one, with
   the reached node sets asserted identical pass by pass.
 
 Two scales share this file.  The default (tier-1) scale streams ~65k edges
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import os
 import random
-import time
 
 import pytest
 
@@ -41,6 +40,9 @@ from repro.storage.partition import PartitionedStore
 
 FULL = os.environ.get("REPRO_BENCH_PARTITION", "").strip().lower() == "full"
 
+#: Armed at the full scale only, which does not fit this sandbox's memory
+#: budget (~32x the quick scale's 220 MiB): not re-measured when the gate moved
+#: onto CPU time; the quick scale reads 1.4x, unarmed as before.
 SPEEDUP_FLOOR = 2.0
 PASSES = 3
 
@@ -112,31 +114,28 @@ def test_bench_partition_four_shards(benchmark, partition_stores, partition_work
     )
 
 
-def test_partition_speedup(partition_stores, partition_workload):
+def test_partition_speedup(partition_stores, partition_workload, best_cpu_times):
     """Acceptance gate: four shards >= 2x over one on the full-scale stream.
 
-    Best-of-three keeps one scheduler stall on a noisy runner from pushing
-    the margin under the floor; the answers are asserted identical between
-    the two builds on every pass.  At the quick (tier-1) scale only the
-    parity assertion runs — the timing floor is armed by
-    ``REPRO_BENCH_PARTITION=full``.
+    Measured by ``conftest.best_cpu_times`` (interleaved passes, CPU time,
+    best of :data:`PASSES`); the answers are asserted identical between the
+    two builds.  At the quick (tier-1) scale only the parity assertion runs —
+    the timing floor is armed by ``REPRO_BENCH_PARTITION=full``.
     """
     one, four = partition_stores[1], partition_stores[4]
     # Warm the shards' lazy numpy views out of the measured region.
     baseline = _run_workload(one, partition_workload)
     assert _run_workload(four, partition_workload) == baseline
 
-    best_one = best_four = float("inf")
-    for _ in range(PASSES):
-        started = time.perf_counter()
-        results_one = _run_workload(one, partition_workload)
-        best_one = min(best_one, time.perf_counter() - started)
-
-        started = time.perf_counter()
-        results_four = _run_workload(four, partition_workload)
-        best_four = min(best_four, time.perf_counter() - started)
-
-        assert results_one == results_four == baseline
+    timed = best_cpu_times(
+        {
+            "one": lambda: _run_workload(one, partition_workload),
+            "four": lambda: _run_workload(four, partition_workload),
+        },
+        PASSES,
+    )
+    (best_one, results_one), (best_four, results_four) = timed["one"], timed["four"]
+    assert results_one == results_four == baseline
 
     if FULL:
         speedup = best_one / best_four

@@ -11,7 +11,7 @@ benchmarks measure that trade on the YouTube fixture:
   measured call really takes the containment path, not the promoted
   exact-hit one);
 * ``test_semcache_containment_speedup`` — the acceptance gate: best-of-three
-  timed passes asserting the warm containment hit is at least **5x** faster
+  interleaved CPU-time passes (``conftest.best_cpu_times``) asserting the warm containment hit is at least **5x** faster
   than cold evaluation, with the served pairs asserted identical.
 
 CI runs this file on its own and uploads the timings as
@@ -19,8 +19,6 @@ CI runs this file on its own and uploads the timings as
 """
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
@@ -49,6 +47,8 @@ def semcache_graph():
 BROAD = ReachabilityQuery("cat = 'Comedy'", "", "fc.sr^+")
 TIGHT = ReachabilityQuery("cat = 'Comedy'", "cat = 'Music'", "fc.sr^+")
 
+#: Measured 12.7-14.6x over six runs of the gate (CPU time, this sandbox;
+#: 11.9-12.6x before candidate sets became bitmaps — the cold side got faster).
 SPEEDUP_FLOOR = 5.0
 PASSES = 3
 
@@ -93,28 +93,24 @@ def test_bench_semcache_warm_containment(benchmark, semcache_graph):
     benchmark.extra_info["pairs"] = len(result.answer.pairs)
 
 
-def test_semcache_containment_speedup(semcache_graph):
+def test_semcache_containment_speedup(semcache_graph, best_cpu_times):
     """Acceptance gate: warm containment hit >= 5x over cold evaluation.
 
-    Best-of-three keeps a single scheduler stall on a noisy CI runner from
-    pushing the (large) measured margin under the floor; every pass asserts
-    the containment-served pairs equal the from-scratch ones.
+    Measured by ``conftest.best_cpu_times`` (interleaved passes, CPU time,
+    best of :data:`PASSES`; the cold and the primed session of every pass are
+    built outside the timed region); the containment-served pairs are
+    asserted equal to the from-scratch ones.
     """
-    best_cold = best_warm = float("inf")
-    for _ in range(PASSES):
-        cold_session = _cold_session(semcache_graph)
-        started = time.perf_counter()
-        cold = cold_session.execute(TIGHT)
-        best_cold = min(best_cold, time.perf_counter() - started)
-        assert cold.cache_decision == "evaluate"
-
-        warm_session = _primed_session(semcache_graph)
-        started = time.perf_counter()
-        warm = warm_session.execute(TIGHT)
-        best_warm = min(best_warm, time.perf_counter() - started)
-        assert warm.cache_decision == "cache-containment"
-
-        assert set(warm.answer.pairs) == set(cold.answer.pairs)
+    timed = best_cpu_times(
+        {
+            "cold": (lambda: (_cold_session(semcache_graph),), lambda session: session.execute(TIGHT)),
+            "warm": (lambda: (_primed_session(semcache_graph),), lambda session: session.execute(TIGHT)),
+        },
+        PASSES,
+    )
+    (best_cold, cold), (best_warm, warm) = timed["cold"], timed["warm"]
+    assert cold.cache_decision == "evaluate" and warm.cache_decision == "cache-containment"
+    assert set(warm.answer.pairs) == set(cold.answer.pairs)
 
     speedup = best_cold / best_warm
     assert speedup >= SPEEDUP_FLOOR, (

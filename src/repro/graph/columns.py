@@ -15,7 +15,9 @@ are those of the per-row reference (``storage.base.scan_nodes``; compared in
 
 An instance is *bound* to one attribute-table version: it looks at no version
 counter, its holder (``CompiledGraph``, ``StoreSnapshot``) replaces it —
-columns, result memo and all — when ``attrs_version`` moves.
+columns, result memo and all — when ``attrs_version`` moves.  A memo entry is
+the positions and, once an evaluation in index space asked (``scan_bitmap``),
+the candidate bitmap they make there: built once per predicate, not per call.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import threading
 from bisect import bisect_left, bisect_right
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.kernels import bitmap
 from repro.lru import LruCache
 
 
@@ -39,14 +42,18 @@ class ScanTally:
         self.memo_hits = self.memo_misses = self.columns_built = self.row_checks = 0
 
 
+#: Exact types whose ``==`` and ``hash`` agree with each other's: what is equal is found by a dict.
+_HASH_AGREES = frozenset({bool, int, float, complex, str, bytes, type(None)})
+
+
 def _regular(value: Any) -> bool:
     """Whether a dict lookup decides ``== value`` as ``==`` does: the value is
-    hashable and equal to itself (a NaN is found by identity, not equality)."""
-    try:
-        hash(value)
-        return bool(value == value)
-    except (TypeError, ValueError):
-        return False
+    equal to itself (a NaN is found by identity, not equality) and of a builtin
+    type, or a tuple of such — another class may equal an ``int`` and hash apart."""
+    kind = type(value)
+    if kind is tuple:
+        return all(map(_regular, value))
+    return kind in _HASH_AGREES and value == value
 
 
 def _bisectable(value: Any) -> bool:
@@ -62,7 +69,7 @@ class _Column:
     def __init__(self, name: str, rows: Sequence[Mapping[str, Any]], order_class):
         self.order_class = order_class  # ``predicates.order_class``, imported once in ``scan``
         self.present: List[int] = []  # rows that have the attribute
-        self.odd: List[int] = []  # of those, unhashable or NaN: checked per row for every atom
+        self.odd: List[int] = []  # of those, not ``_regular``: checked per row for every atom
         self.equal: Dict[Any, List[int]] = {}  # value -> positions
         self.ordered: Dict[type, Tuple[list, List[int]]] = {}  # order class -> (sorted values, positions)
         self.loose: Dict[type, List[int]] = {}  # order class -> values no bisect can place
@@ -105,6 +112,17 @@ class _Column:
         return (positions[:cut] if op[0] == "<" else positions[cut:]), unsure
 
 
+class _Found:
+    """One scan's memo entry: the ascending positions and, once asked for,
+    ``(index table, the candidate bitmap made of them through it)``."""
+
+    __slots__ = ("positions", "bitmap")
+
+    def __init__(self, positions: Tuple[int, ...]):
+        self.positions = positions
+        self.bitmap: Optional[tuple] = None  # published whole: pins read from threads
+
+
 class AttributeColumns:
     """The predicate scans of one attribute-table version: ``rows``, a
     positional sequence of attribute mappings, stands still while it answers."""
@@ -122,6 +140,20 @@ class AttributeColumns:
         genuine ``Predicate`` objects are indexed and memoised: ``None`` (every
         row), duck-typed ``matches`` objects and plain callables, of unknown
         semantics, walk the rows in :func:`~repro.storage.base.scan_nodes`."""
+        return self._found(predicate).positions
+
+    def scan_bitmap(self, predicate: Any, num_nodes: int, index: Optional[Sequence[int]] = None):
+        """:meth:`scan` as the read-only candidate bitmap over ``range(num_nodes)``
+        of a handle space in which position ``p`` is ``index[p]`` (``None``: ``p``
+        itself): memoised beside the positions while ``index`` is the same table."""
+        found = self._found(predicate)
+        held = found.bitmap
+        if held is None or held[0] is not index:
+            handles = found.positions if index is None else map(index.__getitem__, found.positions)
+            held = found.bitmap = (index, bitmap(num_nodes, handles))
+        return held[1]
+
+    def _found(self, predicate: Any) -> _Found:
         # Deferred: repro.query pulls in the whole query package, and
         # repro.storage imports this module while it loads.
         from repro.query.predicates import Predicate, order_class
@@ -129,14 +161,14 @@ class AttributeColumns:
 
         rows = self._rows
         if not isinstance(predicate, Predicate):
-            return tuple(scan_nodes(predicate, range(len(rows)), rows.__getitem__))
+            return _Found(tuple(scan_nodes(predicate, range(len(rows)), rows.__getitem__)))
         conditions = predicate.conditions
         tally = self.tally
         with tally.lock:
             found = self._results.get(predicate)
             if found is None:
                 tally.memo_misses += 1
-                found = self._select(conditions, order_class) if conditions else tuple(range(len(rows)))
+                found = _Found(self._select(conditions, order_class) if conditions else tuple(range(len(rows))))
                 self._results.put(predicate, found)
             else:
                 tally.memo_hits += 1

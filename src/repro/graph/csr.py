@@ -400,6 +400,15 @@ class CompiledGraph:
         ``attrs_version``, which replaces columns and memo on the next scan
         (no CSR recompile).
         """
+        return self._current_scans().scan(predicate)
+
+    def matching_bitmap(self, predicate: Any):
+        """:meth:`matching_indices` as the candidate bitmap of this index space
+        (:func:`repro.kernels.bitmap`) — read-only: the scan memo's own object,
+        built once per predicate and attribute-table version."""
+        return self._current_scans().scan_bitmap(predicate, len(self._ids))
+
+    def _current_scans(self) -> AttributeColumns:
         source = self._source()
         # Lazy refresh is only sound while the topology version still
         # matches: then the attribute views are live and a rescan sees the
@@ -413,7 +422,7 @@ class CompiledGraph:
             and source.version == self.source_version
         ):
             self.refresh_attribute_scans(source.attrs_version)
-        return self._scan_cache.scan(predicate)
+        return self._scan_cache
 
     def matching_ids(self, predicate: Any) -> List[NodeId]:
         """Node ids whose attributes satisfy ``predicate`` (insertion order)."""
@@ -429,7 +438,7 @@ class CompiledGraph:
 
         The attribute tuples reference the graph's live dictionaries, so the
         data itself is already fresh — only the columns and memo over the old
-        values are replaced.  Invoked lazily by :meth:`matching_indices`.
+        values are replaced.  Invoked lazily by the scans themselves.
         """
         self._scan_cache = AttributeColumns(self._attrs, self._scan_cache.tally)
         self.source_attrs_version = attrs_version

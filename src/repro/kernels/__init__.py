@@ -21,7 +21,16 @@ is its definition):
 ``expand_frontier(layer, num_nodes, starts, bound)``
     every index at positive distance ``1 … bound`` from any start via one
     CSR layer; a start is included exactly when it is re-reached through a
-    non-empty path.
+    non-empty path.  A candidate bitmap of starts (:func:`bitmap`) is answered
+    as one — the set-level form, no Python collection of ints on either side;
+    any other iterable of indices (the single-start callers) gets a list back.
+
+``bitmap(num_nodes, handles)``
+    index space's one candidate-set type: ``Bitmap``, one 0/1 byte per index
+    of ``range(num_nodes)`` — the form the BFS state already has — with the
+    operators of a ``set`` (``-``, ``-=``, ``&``, ``|``, ``==``, ``len``, truth,
+    ascending iteration, ``copy``).  Any iterable of handles is coerced, each
+    checked to lie in the range; a bitmap of that range is returned as it is.
 
 ``expand_origins(layer, num_nodes, nodes, rows, bound) -> (nodes, rows)``
     the same block for a whole *relation*: ``rows[i]`` is an ``int`` bitset of
@@ -88,6 +97,7 @@ __all__ = [
     "KERNEL_ENV_VAR",
     "active_kernel_name",
     "bfs_block_frontier",
+    "bitmap",
     "expand_frontier",
     "expand_origins",
     "decode_origins",
@@ -125,8 +135,18 @@ def active_kernel_name() -> str:
     return "numpy" if select_backend() is numpy_kernel else "python"
 
 
-def expand_frontier(layer, num_nodes: int, starts: Iterable[int], bound: Optional[int]) -> List[int]:
-    """Block-semantics bounded multi-source BFS over one CSR layer."""
+def bitmap(num_nodes: int, handles: Iterable[int]) -> python_kernel.Bitmap:
+    """``handles`` as the candidate bitmap over ``range(num_nodes)``: itself when
+    it already is one, else built by the serving backend — a handle outside the
+    range raises :class:`~repro.exceptions.GraphError`."""
+    if isinstance(handles, python_kernel.Bitmap) and len(handles.flags) == num_nodes:
+        return handles
+    return select_backend().Bitmap.of(num_nodes, handles)
+
+
+def expand_frontier(layer, num_nodes: int, starts: Iterable[int], bound: Optional[int]):
+    """Block-semantics bounded multi-source BFS over one CSR layer: a bitmap
+    for a bitmap of starts, else a list."""
     return select_backend().expand_frontier(layer, num_nodes, starts, bound)
 
 

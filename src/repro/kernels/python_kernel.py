@@ -14,26 +14,109 @@ is re-reached through a non-empty path.  :func:`expand_origins` carries that
 block for many start sets at once, as one ``int`` bitset of origins per node
 held in plain dicts — no per-call ``num_nodes``-sized state — and
 :func:`decode_origins` reads such rows out as two parallel lists.
+
+:class:`Bitmap` is index space's candidate-set type, in the form the BFS state
+above already has: one 0/1 byte per index, so a set-level call seeds ``visited``
+with one copy and answers its ``reached`` flags as they are.  Its algebra reads
+the flags as one big ``int``; :mod:`repro.kernels.numpy_kernel` subclasses it
+with array operations over the same bytes, so a set built under one backend
+is read by the other.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+
+from repro.exceptions import GraphError
 
 
-def expand_frontier(layer, num_nodes: int, starts: Iterable[int], bound: Optional[int]) -> List[int]:
-    """Indices at positive distance ``1 … bound`` from any start via one layer."""
+class Bitmap:
+    """A set of indices of ``range(len(flags))``: ``flags[i]`` is 1 for a member,
+    else 0.  It has the operators the evaluators use of a ``set`` and, mutable,
+    is as unhashable (``bytes(flags)`` is the key form); the operands of one
+    operator span one range."""
+
+    __slots__ = ("flags",)
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, flags: bytearray):
+        self.flags = flags
+
+    @classmethod
+    def of(cls, num_nodes: int, handles: Iterable[int]) -> "Bitmap":
+        """The set of ``handles``, each checked to lie in ``range(num_nodes)``."""
+        handles = list(handles)
+        if handles and not 0 <= min(handles) <= max(handles) < num_nodes:
+            raise outside_space(min(handles) if min(handles) < 0 else max(handles), num_nodes)
+        flags = bytearray(num_nodes)
+        for handle in handles:
+            flags[handle] = 1
+        return cls(flags)
+
+    def _merged(self, other: "Bitmap", merge: Callable[[int, int], int]) -> "Bitmap":
+        bits = merge(int.from_bytes(self.flags, "little"), int.from_bytes(other.flags, "little"))
+        return type(self)(bytearray(bits.to_bytes(len(self.flags), "little")))
+
+    def __sub__(self, other: "Bitmap") -> "Bitmap":
+        return self._merged(other, lambda mine, theirs: mine & ~theirs)
+
+    def __and__(self, other: "Bitmap") -> "Bitmap":
+        return self._merged(other, int.__and__)
+
+    def __or__(self, other: "Bitmap") -> "Bitmap":
+        return self._merged(other, int.__or__)
+
+    def __isub__(self, other: "Bitmap") -> "Bitmap":
+        self.flags[:] = (self - other).flags
+        return self
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Bitmap) and self.flags == other.flags
+
+    def __len__(self) -> int:
+        return self.flags.count(1)
+
+    def __bool__(self) -> bool:
+        return 1 in self.flags
+
+    def __iter__(self) -> Iterator[int]:
+        return compress(range(len(self.flags)), self.flags)
+
+    def copy(self) -> "Bitmap":
+        return type(self)(bytearray(self.flags))
+
+    def indices(self) -> Sequence[int]:
+        """The members ascending, as the sequence this backend's kernels take."""
+        return list(self)
+
+
+def outside_space(handle: int, num_nodes: int) -> GraphError:
+    return GraphError(f"handle {handle!r} is outside its space of {num_nodes} nodes")
+
+
+def expand_frontier(
+    layer, num_nodes: int, starts: Union[Bitmap, Iterable[int]], bound: Optional[int]
+) -> Union[Bitmap, List[int]]:
+    """Indices at positive distance ``1 … bound`` from any start via one layer:
+    a :class:`Bitmap` for a :class:`Bitmap` of starts, else the list in
+    discovery order."""
     offsets = layer.offsets
     neighbors = layer._view
     mask = layer.mask
-    visited = bytearray(num_nodes)
     reached_flags = bytearray(num_nodes)
-    frontier: List[int] = []
-    for start in starts:
-        if not visited[start]:
-            visited[start] = 1
-            if mask[start]:
-                frontier.append(start)
+    as_bitmap = isinstance(starts, Bitmap)
+    if as_bitmap:
+        visited = bytearray(starts.flags)
+        frontier = [start for start in starts if mask[start]]
+    else:
+        visited = bytearray(num_nodes)
+        frontier = []
+        for start in starts:
+            if not visited[start]:
+                visited[start] = 1
+                if mask[start]:
+                    frontier.append(start)
     reached: List[int] = []
     depth = 0
     while frontier and (bound is None or depth < bound):
@@ -50,7 +133,7 @@ def expand_frontier(layer, num_nodes: int, starts: Iterable[int], bound: Optiona
                     visited[nxt] = 1
                     push(nxt)
         frontier = advanced
-    return reached
+    return Bitmap(reached_flags) if as_bitmap else reached
 
 
 def neighbors_of(layer, num_nodes: int, starts: Iterable[int]) -> List[int]:

@@ -14,7 +14,8 @@ from repro.session.defaults import DEFAULT_CACHE_CAPACITY
 DEFAULT_SEARCH_CACHE_CAPACITY = DEFAULT_CACHE_CAPACITY
 
 #: Capacity of CsrEngine's *set-level* memo (backward chains and per-edge
-#: pair sets).  Both keys and values there are O(|V|)-sized frozensets, so
-#: the bound is deliberately much tighter than the per-node caches' — it
+#: pair sets).  A key there holds candidate bitmaps' bytes, |V| each (a "bwd"
+#: entry is 2|V| bytes with its value; a "pairs" value is as long as its answer),
+#: so the bound is deliberately much tighter than the per-node caches' — it
 #: limits worst-case retained memory, not just entry count.
 SET_FRONTIER_CACHE_CAPACITY = 1024

@@ -8,6 +8,10 @@ pipeline.  It operates entirely in the dense integer index space of a
 * per-atom frontier expansion is a depth-bounded BFS over the colour's CSR
   layer, with a ``bytearray`` visited bitmap and plain int lists — no node-id
   hashing, no per-hop set allocation;
+* a *candidate set* — a scan's answer, ``mat(u)``, a set-level frontier — is
+  the kernel layer's bitmap (:func:`repro.kernels.bitmap`) from the scan memo
+  to the answer: the set-level calls take and answer it, their memos are
+  keyed by its bytes, and no Python set of ints is built in between;
 * single-start expansions (``PathMatcher.matches``, the incremental
   maintainer) are memoised per ``(start, colour, bound, direction)`` in an
   :class:`~repro.matching.cache.LruCache` (the CSR analogue of the paper's
@@ -32,8 +36,9 @@ pipeline.  It operates entirely in the dense integer index space of a
   automaton state.
 
 Nothing here knows a node id: indices come in — an evaluator's handles as they
-are, or translated by :class:`~repro.storage.adapter.OverlayCsrAdapter` — and
-indices go out, to become ids once, at the ``PathMatcher`` seam.
+are (any iterable of them is coerced to the bitmap, range-checked, once), or
+translated by :class:`~repro.storage.adapter.OverlayCsrAdapter` — and indices
+go out, to become ids once, at the ``PathMatcher`` seam.
 
 Both memos are valid for one reason: the engine is bound to one immutable
 :class:`~repro.graph.csr.CompiledGraph`, and its owner
@@ -48,7 +53,8 @@ from itertools import compress
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.csr import ANY_COLOR, CompiledGraph
-from repro.kernels import ORIGIN_BLOCK, closure_frontier, decode_origins, expand_frontier, expand_origins
+from repro.kernels import ORIGIN_BLOCK, bitmap, closure_frontier, decode_origins, expand_frontier, expand_origins
+from repro.kernels.python_kernel import Bitmap
 from repro.matching.cache import (
     DEFAULT_SEARCH_CACHE_CAPACITY,
     SET_FRONTIER_CACHE_CAPACITY,
@@ -89,8 +95,8 @@ class CsrEngine:
     ):
         self.compiled = compiled
         self._cache = LruCache(cache_capacity)
-        # Set-level memos (backward chains, per-edge pair sets) hold
-        # O(num_nodes)-sized keys *and* values, so they get their own, much
+        # Set-level memos (backward chains, per-edge pair sets) are keyed by
+        # candidate bitmaps' bytes, num_nodes each, so they get their own, much
         # tighter LRU bound — never looser than the caller's capacity.
         self._set_cache = LruCache(
             SET_FRONTIER_CACHE_CAPACITY
@@ -149,8 +155,9 @@ class CsrEngine:
         One multi-source BFS over the colour's CSR layer — equivalent to (but
         much cheaper than) unioning :meth:`_expand` over every start.  A start
         index itself is included exactly when some start reaches it through a
-        non-empty admissible path.  Not memoised: the refinement fixpoint
-        calls this with ever-shrinking candidate sets that rarely repeat.
+        non-empty admissible path (a bitmap of starts is answered as one).
+        Not memoised: the refinement fixpoint calls this with ever-shrinking
+        candidate sets that rarely repeat.
         """
         layer = self.compiled.layer(color_id, reverse)
         return expand_frontier(layer, self.compiled.num_nodes, starts, bound)
@@ -193,32 +200,31 @@ class CsrEngine:
         ]
         return closure_frontier(layers, self.compiled.num_nodes, starts)
 
-    def backward_reachable_indices(
-        self, targets: Iterable[int], regex: FRegex
-    ) -> FrozenSet[int]:
+    def backward_reachable_indices(self, targets: Iterable[int], regex: FRegex) -> Bitmap:
         """All indices with a path into ``targets`` matching the whole expression.
 
         The CSR counterpart of :meth:`PathMatcher.backward_reachable`: one
-        batched reverse expansion per atom, right-to-left.  The full chain is
-        memoised per ``(target set, regex)`` — the refinement fixpoint and
-        the incremental maintainer keep asking for the same stabilised
-        candidate sets, which then cost one frozenset hash instead of a BFS
-        cascade.  Memo keys use the *canonical* expression
-        (:func:`~repro.query.canonical.canonical_regex`), so language-equal
-        spellings share entries.
+        batched reverse expansion per atom, right-to-left, bitmap to bitmap.
+        The full chain is memoised per ``(target set, regex)`` — the refinement
+        fixpoint and the incremental maintainer keep asking for the same
+        stabilised candidate sets, which then cost one hash of the bitmap's
+        bytes instead of a BFS cascade.  Memo keys use the *canonical*
+        expression (:func:`~repro.query.canonical.canonical_regex`), so
+        language-equal spellings share entries.  ``targets`` is coerced (any
+        iterable of indices, each checked to be one); the answer is read-only.
         """
         regex = canonical_regex(regex)
-        target_set = frozenset(targets)
-        key = ("bwd", regex, target_set)
+        targets = bitmap(self.compiled.num_nodes, targets)
+        key = ("bwd", regex, bytes(targets.flags))
         cached = self._set_cache.get(key)
         if cached is not None:
             return cached
-        frontier: Iterable[int] = target_set
+        frontier = targets
         for item in reversed(regex.atoms):
-            frontier = self.set_frontier_indices(frontier, item, reverse=True)
             if not frontier:
                 break
-        result = frozenset(frontier)
+            frontier = self.set_frontier_indices(frontier, item, reverse=True)
+        result = bitmap(self.compiled.num_nodes, frontier)  # a colour the base lacks answers ``[]``
         self._set_cache.put(key, result)
         return result
 
@@ -259,9 +265,7 @@ class CsrEngine:
         """All indices ``j`` such that ``(j, index)`` matches ``regex``."""
         return self._expression(index, regex, reverse=True)
 
-    def _relation_pairs(
-        self, regex: FRegex, sources: FrozenSet[int], targets: FrozenSet[int]
-    ) -> Relation:
+    def _relation_pairs(self, regex: FRegex, sources: Bitmap, targets: Bitmap) -> Relation:
         """Every ``(s, t)`` of the two candidate sets joined by a path matching
         ``regex``, carried as a relation between origins and frontier indices.
 
@@ -274,7 +278,7 @@ class CsrEngine:
         """
         compiled = self.compiled
         reverse = len(targets) < len(sources)
-        origins, ends = (sorted(targets), sources) if reverse else (sorted(sources), targets)
+        origins, ends = (targets, sources) if reverse else (sources, targets)
         steps = []
         for item in reversed(regex.atoms) if reverse else regex.atoms:
             color_id = compiled.color_id(None if item.is_wildcard else item.color)
@@ -282,34 +286,31 @@ class CsrEngine:
                 return ()
             steps.append((compiled.layer(color_id, reverse), item.max_count))
         parts = []
-        for block in _origin_blocks(origins):
+        for block in _origin_blocks(origins.indices()):
             nodes, rows = block, [1 << position for position in range(len(block))]
             for layer, bound in steps:
                 nodes, rows = expand_origins(layer, compiled.num_nodes, nodes, rows, bound)
-            at_end = list(map(ends.__contains__, nodes))
+            at_end = list(map(ends.flags.__getitem__, nodes))
             if any(at_end):
                 nodes, rows = list(compress(nodes, at_end)), list(compress(rows, at_end))
                 reached, origin = decode_origins(nodes, rows, block)
                 parts.append((reached, origin) if reverse else (origin, reached))
         return tuple(parts)
 
-    def matching_pairs(
-        self,
-        regex: FRegex,
-        source_indices: FrozenSet[int],
-        target_indices: FrozenSet[int],
-    ) -> Relation:
+    def matching_pairs(self, regex: FRegex, sources: Iterable[int], targets: Iterable[int]) -> Relation:
         """Pairs ``(s, t)`` of the candidate sets with a path from ``s`` to ``t``
         matching ``regex`` — an RQ, or a pattern edge's result assembly:
         :meth:`_relation_pairs` behind the set-level memo, keyed per (canonical
-        regex, candidate sets), so language-equal spellings, both search plans
-        of Section 4 and a pattern edge over the same sets share one entry: the
-        index sequences, not a set of tuples — the caller pairs the ids up."""
+        regex, the candidate bitmaps' bytes), so language-equal spellings, both
+        search plans of Section 4 and a pattern edge over the same sets share
+        one entry: the index sequences, not a set of tuples — the caller pairs
+        the ids up.  Both sets are coerced as ``backward_reachable_indices`` does."""
         regex = canonical_regex(regex)
-        key = ("pairs", regex, source_indices, target_indices)
+        sources, targets = (bitmap(self.compiled.num_nodes, handles) for handles in (sources, targets))
+        key = ("pairs", regex, bytes(sources.flags), bytes(targets.flags))
         cached = self._set_cache.get(key)
         if cached is None:
-            cached = self._relation_pairs(regex, source_indices, target_indices)
+            cached = self._relation_pairs(regex, sources, targets)
             self._set_cache.put(key, cached)
         return cached
 
@@ -318,7 +319,7 @@ class CsrEngine:
     def nfa_product_pairs(
         self,
         nfa: Nfa,
-        source_indices: Sequence[int],
+        source_indices: Iterable[int],
         target_indices: Iterable[int],
     ) -> Relation:
         """Product construction over (graph index, automaton state).
@@ -337,11 +338,11 @@ class CsrEngine:
         compiled = self.compiled
         colors = compiled.colors
         dfa = LazyDfa(nfa, colors)
-        targets = set(target_indices)
         layers = [compiled.layer(k) for k in range(len(colors))]
+        at_target = bitmap(compiled.num_nodes, target_indices).flags
         parts = []
 
-        for block in _origin_blocks(list(source_indices)):
+        for block in _origin_blocks(list(bitmap(compiled.num_nodes, source_indices))):
             start = {node: 1 << position for position, node in enumerate(block)}
             # state -> {index: origins that were there in that state}
             seen: Dict[int, Dict[int, int]] = {dfa.start: dict(start)}
@@ -365,7 +366,7 @@ class CsrEngine:
                                 continue
                             known[node] = before | new
                             fresh[node] = fresh.get(node, 0) | new
-                            if accepting and node in targets:
+                            if accepting and at_target[node]:
                                 accepted[0].append(node)
                                 accepted[1].append(new)
                 frontier = {state: relation for state, relation in advanced.items() if relation}

@@ -37,13 +37,10 @@ def initial_candidates(
     CSR engine serves it from the overlay store's memoised base-snapshot
     scans — repeated evaluations of the same pattern (the incremental
     maintainer's steady state) pay the full sweep once.  The sets hold
-    handles of ``space``.
+    handles of ``space`` and are the caller's own to shrink.
     """
     if matcher is not None:
-        return {
-            node: set(matcher.matching_nodes(pattern.predicate(node), space))
-            for node in pattern.nodes()
-        }
+        return {node: matcher.candidates(pattern.predicate(node), space) for node in pattern.nodes()}
     candidates: Dict[str, Set[NodeId]] = {}
     for node in pattern.nodes():
         predicate = pattern.predicate(node)

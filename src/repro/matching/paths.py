@@ -214,10 +214,18 @@ class PathMatcher:
         or general), decided by the storage adapter: ``None`` — handles *are*
         node ids — or a token, the overlay store's clean base, whose dense
         indices then are the handles.  The calls that take ``space`` read and
-        answer in it (read-only: an answer may be a memo's own object), all
-        others speak node ids; reading in a space the store has since left
-        raises :class:`~repro.exceptions.GraphError`."""
+        answer in it — sets of handles as :func:`repro.kernels.bitmap` (any
+        iterable is taken; an answer is read-only, it may be a memo's own
+        object) — all others speak node ids; a handle outside the space, or
+        reading in a space the store has since left, raises
+        :class:`~repro.exceptions.GraphError`."""
         return self._adapter.enter(regexes)
+
+    def candidates(self, predicate, space=None):
+        """:meth:`matching_nodes` as a candidate set ``mat(u)`` the caller may
+        shrink: a new ``set`` of node ids, in a ``space`` a copy of the bitmap."""
+        found = self._adapter.matching_nodes(predicate, space)
+        return set(found) if space is None else found.copy()
 
     def node_ids(self, space, handles: Iterable) -> Set[NodeId]:
         """The node ids of handles of ``space``, as a new set."""

@@ -36,15 +36,27 @@ class _Partition:
 
     def __init__(self, candidates: Dict[str, Set[NodeId]]):
         self._block_ids = itertools.count()
-        # Group data nodes by the set of pattern nodes whose candidate set
-        # contains them; each group is one initial block.
-        signature: Dict[NodeId, frozenset] = {}
-        for pattern_node, nodes in candidates.items():
-            for node in nodes:
-                signature[node] = signature.get(node, frozenset()) | {pattern_node}
+        # One initial block per signature — the set of pattern nodes whose
+        # candidate set holds a data node — cut out by set algebra alone, so
+        # blocks are whatever type the candidate sets are.
         grouped: Dict[frozenset, Set[NodeId]] = {}
-        for node, sig in signature.items():
-            grouped.setdefault(sig, set()).add(node)
+        rest: Set[NodeId] = set()
+        for pattern_node, nodes in candidates.items():
+            rest = nodes
+            for sig, members in list(grouped.items()):
+                inside = members & nodes
+                if not inside:
+                    continue
+                rest = rest - inside
+                outside = members - inside
+                if outside:
+                    grouped[sig] = outside
+                else:
+                    del grouped[sig]
+                grouped[sig | {pattern_node}] = inside
+            if rest:
+                grouped[frozenset({pattern_node})] = rest
+        self._empty = rest - rest  # the empty set of the candidates' own type: a union's seed
 
         self.blocks: Dict[int, Set[NodeId]] = {}
         self.rel: Dict[str, Set[int]] = {pattern_node: set() for pattern_node in candidates}
@@ -56,7 +68,7 @@ class _Partition:
 
     def candidate_set(self, pattern_node: str) -> Set[NodeId]:
         """Union of the blocks currently related to ``pattern_node``."""
-        result: Set[NodeId] = set()
+        result = self._empty.copy()
         for block_id in self.rel[pattern_node]:
             result |= self.blocks[block_id]
         return result

@@ -230,7 +230,7 @@ class Predicate:
     nodes introduced when decomposing a multi-colour RQ).
     """
 
-    __slots__ = ("_conditions", "_key", "_hash", "_compiled")
+    __slots__ = ("_conditions", "_key", "_hash", "_compiled", "_table")
 
     def __init__(self, conditions: Iterable[AtomicCondition] = ()):
         items = tuple(conditions)
@@ -246,6 +246,7 @@ class Predicate:
         self._key = (items, tuple(order_class(item.value) for item in items))
         self._hash = hash(self._key)
         self._compiled: Optional[Callable[[Mapping[str, Any]], bool]] = None
+        self._table: Optional[Dict[str, _Interval]] = None
 
     # -- constructors ----------------------------------------------------------
 
@@ -372,9 +373,14 @@ class Predicate:
         return self._compiled
 
     def _intervals(self) -> Dict[str, _Interval]:
-        table: Dict[str, _Interval] = {}
-        for condition in self._conditions:
-            table.setdefault(condition.attribute, _Interval()).add(condition)
+        """Per attribute, the interval its conditions leave: built once — the
+        conditions never change — and only read by its callers."""
+        table = self._table
+        if table is None:
+            table = {}
+            for condition in self._conditions:
+                table.setdefault(condition.attribute, _Interval()).add(condition)
+            self._table = table
         return table
 
     def is_satisfiable(self) -> bool:

@@ -37,9 +37,13 @@ the store's base is a different object.
 An adapter also names the *handle space* of an evaluation (``enter``): node
 ids, or — :class:`OverlayCsrAdapter` on a clean base holding every node — the
 base, whose dense indices the scan, ``backward_reachable`` and the pair searches
-take and return untranslated when called with that ``space``.  Without one the
-surface speaks node ids: translate in (:meth:`OverlayCsrAdapter._engine_over`),
-the same engine call, translate out (``ids_of``, ``PathMatcher.id_pairs``).
+take and return untranslated when called with that ``space`` — sets of them as
+the kernel layer's candidate bitmap (:func:`repro.kernels.bitmap`), to which the
+engine call coerces whatever iterable a caller passes, once, rejecting a handle
+outside the base (``-1``, ``positions_of``'s "not held", would stand for the last
+node).  Without one the surface speaks node ids: translate in
+(:meth:`OverlayCsrAdapter._engine_over`), the same engine call, translate out
+(``ids_of``, ``PathMatcher.id_pairs``).
 
 Engine *names* are resolved here as well: :func:`resolve_engine` turns an
 ``engine=`` request into the adapter that will serve it, and
@@ -566,11 +570,11 @@ class OverlayCsrAdapter(_StoreAdapter):
     # -- whole expressions -------------------------------------------------------
 
     def backward_reachable(self, targets: Set[NodeId], regex, space=None) -> Set[NodeId]:
+        if space is not None:
+            # The engine's memoised bitmap itself: callers only read it.
+            return self._engine_in(space, _traversed(regex)).backward_reachable_indices(targets, regex)
         if not targets:
             return set()
-        if space is not None:
-            # The engine's memoised frozenset itself: callers only read it.
-            return self._engine_in(space, _traversed(regex)).backward_reachable_indices(targets, regex)
         dense = self._engine_over(_traversed(regex), targets)
         if dense is not None:
             engine, indices = dense
@@ -609,14 +613,12 @@ class OverlayCsrAdapter(_StoreAdapter):
         memoises per candidate sets: an unchanged clean query is one hash."""
         colors = _traversed(regex)
         if space is not None:
-            engine = self._engine_in(space, colors)
-            return engine.matching_pairs(regex, frozenset(sources), frozenset(targets))
+            return self._engine_in(space, colors).matching_pairs(regex, sources, targets)
         dense = self._engine_over(colors, sources, targets)
         if dense is None:
             return self._search_pairs(regex, list(sources), targets, method)
         engine, sources, targets = dense
-        relation = engine.matching_pairs(regex, frozenset(sources), frozenset(targets))
-        return self.matcher.id_pairs(engine.compiled, relation)
+        return self.matcher.id_pairs(engine.compiled, engine.matching_pairs(regex, sources, targets))
 
     def edge_pairs(self, sources: Set[NodeId], targets: Set[NodeId], regex, space=None):
         return self._pairs(regex, sources, targets, "bfs", space)

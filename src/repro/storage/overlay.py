@@ -488,7 +488,8 @@ class OverlayCsrStore(OverlayReads):
 
     def matching_nodes(self, predicate: Any, space=None) -> Sequence[NodeId]:
         """Node ids whose attributes satisfy ``predicate`` — with the base as
-        ``space``, their base indices (the scan's memoised positions themselves).
+        ``space``, their base indices as its candidate bitmap (the scan memo's
+        own object, read-only).
 
         Base nodes come from the base snapshot's indexed predicate scan —
         sound between compactions because node removals always compact, so
@@ -504,7 +505,7 @@ class OverlayCsrStore(OverlayReads):
             # guard against topology-stale rescans does not apply here.
             base.refresh_attribute_scans(graph.attrs_version)
         if space is not None:
-            return base.matching_indices(predicate)
+            return base.matching_bitmap(predicate)
         if predicate is None:
             return list(graph.nodes())
         result = base.matching_ids(predicate)

@@ -95,7 +95,8 @@ class StoreSnapshot(OverlayReads):
         self._new_nodes = frozenset(store._new_nodes)
         self._overlay_edges = store._overlay_edges
         self._color_ops = dict(store._color_ops)
-        if previous is not None and previous.attrs_version == graph.attrs_version:
+        adopted = previous is not None and previous.attrs_version == graph.attrs_version
+        if adopted:
             self._attr_views, self._ids = previous._attr_views, previous._ids
             self._scan_cache = previous._scan_cache
         else:
@@ -107,8 +108,12 @@ class StoreSnapshot(OverlayReads):
             self._ids = tuple(self._attr_views)
             self._scan_cache = AttributeColumns(tuple(self._attr_views.values()), self._base.scans.tally)
             store.attr_tables_built += 1
-        # Table position -> base index (-1: created since); per pin: a table may be adopted, the base not.
-        self._base_index = self._base.positions_of(self._ids)
+        # Table position -> base index (-1: created since).  A table may be adopted and the
+        # base not; with both, the predecessor's list keeps the scans' translated bitmaps valid.
+        if adopted and previous._base is self._base:
+            self._base_index = previous._base_index
+        else:
+            self._base_index = self._base.positions_of(self._ids)
         self.name = f"{graph.name}@v{graph.version}"
         self.version = graph.version
         self.attrs_version = graph.attrs_version
@@ -149,10 +154,12 @@ class StoreSnapshot(OverlayReads):
 
     def matching_nodes(self, predicate: Any, space=None) -> Sequence[NodeId]:
         """Node ids whose *pinned* attributes satisfy ``predicate`` — with the
-        pinned base as ``space``, their base indices.  A scan answers in
-        positions of the pin's *own* attribute table, not in base indices."""
-        table = self._ids if space is None else self._base_index
-        return list(map(table.__getitem__, self._scan_cache.scan(predicate)))
+        pinned base as ``space``, their base indices as its candidate bitmap
+        (read-only).  A scan answers in positions of the pin's *own* attribute
+        table, not in base indices: the bitmap is translated once per predicate."""
+        if space is None:
+            return list(map(self._ids.__getitem__, self._scan_cache.scan(predicate)))
+        return self._scan_cache.scan_bitmap(predicate, self._base.num_nodes, self._base_index)
 
     # -- bookkeeping -------------------------------------------------------------
 

@@ -185,6 +185,8 @@ class TestCiWorkflow:
             "tests/test_kernels.py", "tests/test_csr_engine.py", "origins", "nfa_product",
             # decode_origins rides on "origins"; the handle-space parity suite is named.
             "tests/test_session_parity.py", "handle_space",
+            # The candidate bitmap's algebra, both forms of expand_frontier, the range check.
+            "tests/test_store_parity.py", "bitmap",
         ):
             assert needle in command
         assert "not slow" not in command

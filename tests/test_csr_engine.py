@@ -16,6 +16,7 @@ from repro.datasets.synthetic import generate_synthetic_graph
 from repro.exceptions import EvaluationError
 from repro.graph.csr import compile_graph, compiled_snapshot
 from repro.graph.data_graph import DataGraph
+from repro.kernels import bitmap
 from repro.matching import csr_engine
 from repro.matching.csr_engine import CsrEngine
 from repro.matching.frontiers import forward_sweep, meet_in_the_middle
@@ -432,7 +433,8 @@ def test_property_relation_fold_matches_generic_drivers(case):
         by_id = PathMatcher(graph, engine="csr").id_pairs(compiled, relation)  # the seam's translation
         assert by_id == {(ids[a], ids[b]) for a, b in swept}  # ids unchanged
         assert len(engine._set_cache) == entries + 1  # one fold, one entry
-        assert index_pairs(engine._relation_pairs(regex, source_indices, target_indices)) == swept
+        as_bitmaps = (bitmap(compiled.num_nodes, handles) for handles in (source_indices, target_indices))
+        assert index_pairs(engine._relation_pairs(regex, *as_bitmaps)) == swept
         # Asking again is one hit in the set-level memo, whatever the spelling.
         hits, entries = engine._set_cache.hits, len(engine._set_cache)
         again = engine.matching_pairs(FRegex(list(regex.atoms)), source_indices, target_indices)

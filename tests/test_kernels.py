@@ -24,7 +24,13 @@ other and to an independent oracle:
 * the numpy backend additionally runs with ``VECTOR_MIN_FRONTIER`` forced
   to 1 (every level vectorised) and ``SCAN_DIVISOR`` pinned to each
   extreme, so both frontier-extraction strategies (sort-free scratch scan
-  and ``np.unique``) are exercised even on the tiny hypothesis graphs.
+  and ``np.unique``) are exercised even on the tiny hypothesis graphs, and
+  once with the switch out of reach, every level in the python loop;
+* the candidate **bitmap** (``repro.kernels.bitmap``; one class per backend
+  over the same flag bytes) must behave as a Python ``set`` of indices does
+  under every operator the evaluators use, on both backends and with one
+  operand of each, and ``expand_frontier`` given a bitmap must answer the
+  bitmap of what it answers the iterable.
 """
 
 import contextlib
@@ -122,6 +128,9 @@ def _backend_runs():
         runs.append(
             ("numpy-unique", numpy_kernel, {"VECTOR_MIN_FRONTIER": 1, "SCAN_DIVISOR": 1})
         )
+        # No level ever wide enough: the python loop over the shared flags,
+        # behind the bitmap form's array-seeded frontier too.
+        runs.append(("numpy-python-levels", numpy_kernel, {"VECTOR_MIN_FRONTIER": 10**9}))
     return runs
 
 
@@ -239,6 +248,86 @@ def test_property_engine_entry_points_match_oracle(case, colors, bound):
         expected = _oracle_closure(graph, compiled, starts, known)
     assert sorted(closure) == sorted(set(closure))
     assert set(closure) == expected
+
+
+# -- candidate bitmaps ----------------------------------------------------------
+
+
+def _bitmap_classes():
+    return [kernel.Bitmap for kernel in _origin_backends()]
+
+
+@st.composite
+def index_sets(draw):
+    """``(num_nodes, a, b)``: two sets of indices of one range, sizes either
+    side of a byte boundary and a range of several machine words; the empty
+    and the full set are drawn on purpose."""
+    num_nodes = draw(st.sampled_from([0, 1, 7, 8, 9, 1030]))
+    everyone = set(range(num_nodes))
+    one = st.one_of(
+        st.just(set()),
+        st.just(everyone),
+        st.sets(st.integers(0, num_nodes - 1), max_size=num_nodes) if num_nodes else st.just(set()),
+    )
+    return num_nodes, draw(one), draw(one)
+
+
+@pytest.mark.slow
+@settings(max_examples=150, deadline=None)
+@given(index_sets())
+def test_property_bitmap_algebra_is_set_algebra(case):
+    num_nodes, a, b = case
+    for left in _bitmap_classes():
+        for right in _bitmap_classes():
+            x, y = left.of(num_nodes, a), right.of(num_nodes, sorted(b, reverse=True))
+            assert list(x) == sorted(a) == list(x.indices()) and len(x) == len(a) and bool(x) == bool(a)
+            assert [index in x for index in range(-1, num_nodes + 1)] == [
+                index in a for index in range(-1, num_nodes + 1)
+            ]
+            for got, expected in ((x - y, a - b), (x & y, a & b), (x | y, a | b)):
+                assert type(got) is left and set(got) == expected and len(got.flags) == num_nodes
+            assert (x == y) == (a == b) == (bytes(x.flags) == bytes(y.flags))  # the memo keys' form
+            assert list(x) == sorted(a) and list(y) == sorted(b)  # operands untouched
+            shrunk = x.copy()
+            shrunk -= y
+            assert set(shrunk) == a - b and set(x) == a and shrunk == x - y
+            with pytest.raises(TypeError):
+                hash(x)
+            assert repro.kernels.bitmap(num_nodes, x) is x  # already one of this range: as it is
+            assert repro.kernels.bitmap(num_nodes + 1, x) == left.of(num_nodes + 1, a)  # another range: rebuilt
+
+
+@pytest.mark.parametrize("handle", [-1, 12, -13])
+def test_bitmap_rejects_a_handle_outside_its_range(handle):
+    from repro.exceptions import GraphError
+
+    for kind in _bitmap_classes():
+        for handles in ([handle], {3, handle}, iter((0, handle, 11))):
+            with pytest.raises(GraphError, match=f"handle {handle} is outside its space of 12 nodes"):
+                kind.of(12, handles)
+
+
+@pytest.mark.slow
+@settings(max_examples=60, deadline=None)
+@given(indexed_graph(), st.sampled_from(_BOUNDS), st.sampled_from(_COLORS + (None,)), st.booleans())
+def test_property_expand_frontier_bitmap_form_matches_iterable_form(case, bound, color, reverse):
+    graph, starts = case
+    compiled = compile_graph(graph)
+    starts = [compiled.node_index(start) for start in starts]
+    color_id = compiled.color_id(color)
+    if color_id is None:
+        return
+    layer, num_nodes = compiled.layer(color_id, reverse=reverse), compiled.num_nodes
+    expected = _oracle_expand(graph, compiled, starts, color, bound, reverse)
+    for made_by in _bitmap_classes():  # a set built under one backend is read by the other
+        seeds = made_by.of(num_nodes, starts)
+        for label, kernel, patch in _backend_runs():
+            with _patched(kernel, **patch):
+                got = kernel.expand_frontier(layer, num_nodes, seeds, bound)
+                listed = kernel.expand_frontier(layer, num_nodes, starts, bound)
+            assert type(got) is kernel.Bitmap and isinstance(listed, list), label
+            assert set(got) == set(listed) == expected, label
+            assert list(seeds) == sorted(starts), label  # the seeds are only read
 
 
 # -- origin relations -----------------------------------------------------------

@@ -177,6 +177,29 @@ class TestImplication:
     def test_unsatisfiable_implies_everything(self):
         assert Predicate.parse("a = 1 & a = 2").implies(Predicate.parse("b = 9"))
 
+    def test_interval_table_is_built_once_per_predicate(self, monkeypatch):
+        """The semantic cache's containment probe asks ``implies`` of the same
+        few predicates thousands of times: the per-attribute intervals are
+        built on the first ask, not twice per call."""
+        from repro.query import predicates
+
+        added = []
+
+        class Counted(predicates._Interval):
+            __slots__ = ()
+
+            def add(self, condition):
+                added.append(condition)
+                super().add(condition)
+
+        monkeypatch.setattr(predicates, "_Interval", Counted)
+        pool = [Predicate.parse(text) for text in ("a > 1 & a < 9", "a > 3 & b = 2", "a = 1 & a = 2", "", "b != 2")]
+        verdicts = [[one.implies(other) for other in pool] for one in pool]
+        assert verdicts == [[one.implies(other) for other in pool] for one in pool]
+        assert all(one.is_satisfiable() == (index != 2) for index, one in enumerate(pool))
+        # 50 implications and 5 satisfiability checks: each condition entered its table once.
+        assert len(added) == sum(len(one.conditions) for one in pool) == 7
+
     def test_not_equal_implication(self):
         assert Predicate.parse("a > 5").implies(Predicate.parse("a != 3"))
         assert Predicate.parse("a != 3").implies(Predicate.parse("a != 3"))

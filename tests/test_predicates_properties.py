@@ -1,5 +1,6 @@
 """Property-based tests for predicate implication and satisfaction."""
 
+import functools
 from decimal import Decimal
 
 import pytest
@@ -78,6 +79,29 @@ class _Word(str):
     """A str subclass: equal to the str it spells, never ordered against one."""
 
 
+@functools.total_ordering
+class _Tag:
+    """Equal to the int it wraps, across classes, and hashed as its own kind:
+    ``_Tag(1) == 1`` with ``hash(_Tag(1)) != hash(1)`` — ROADMAP item 6's
+    untried constant, which no dict lookup gets right.  Ordered among its own
+    kind only (the containment probe compares two constants of one class)."""
+
+    def __init__(self, number):
+        self.number = number
+
+    def __eq__(self, other):
+        return self.number == (other.number if isinstance(other, _Tag) else other)
+
+    def __lt__(self, other):
+        return self.number < other.number if isinstance(other, _Tag) else NotImplemented
+
+    def __hash__(self):
+        return hash(("_Tag", self.number))
+
+    def __repr__(self):
+        return f"_Tag({self.number})"
+
+
 _NAN = float("nan")
 #: A small domain, so rows and constants collide: every comparability class
 #: of predicates._comparable, plus what no index structure can hold.
@@ -89,6 +113,7 @@ _CONSTANTS = st.one_of(
     st.none(),
     st.sampled_from([(), (1,), (1, 2), ("a",)]),
     st.sampled_from([Decimal(1), Decimal("2.5")]),
+    st.sampled_from([_Tag(1), _Tag(2)]),
 )
 #: A row may also hold what a Predicate cannot carry as a constant.
 _VALUES = st.one_of(_CONSTANTS, st.lists(st.integers(min_value=0, max_value=1), max_size=2))
@@ -179,6 +204,17 @@ class TestColumnScanHazards:
         assert _scan(rows, _atom("x", "<", 2)) == (1,)  # a Decimal orders with Decimals only
         assert _scan(rows, _atom("x", "<", Decimal(2))) == (0,)
 
+    def test_equal_across_classes_and_hashed_apart(self):
+        rows = [{"x": 1}, {"x": _Tag(1)}, {"x": 2}, {"x": 1.0}, {"x": (_Tag(1),)}]
+        assert hash(_Tag(1)) != hash(1) and _Tag(1) == 1 == _Tag(1)
+        assert _scan(rows, _atom("x", "=", 1)) == (0, 1, 3) == _scan(rows, _atom("x", "=", _Tag(1)))
+        assert _scan(rows, _atom("x", "!=", 1)) == (2, 4) == _scan(rows, _atom("x", "!=", _Tag(1)))
+        assert _scan(rows, _atom("x", "=", (1,))) == (4,)
+        assert _scan(rows, _atom("x", "<=", 1)) == (0, 3)  # ordered with its own class only
+        columns = AttributeColumns(rows)
+        columns.scan(_atom("x", "=", 2))
+        assert columns.tally.row_checks == 2  # the two rows a dict cannot speak for, and only they
+
     def test_negative_zero_equals_zero(self):
         rows = [{"x": -0.0}, {"x": 0}, {"x": 0.0}, {"x": 1}]
         assert _scan(rows, _atom("x", "=", 0)) == (0, 1, 2)
@@ -233,7 +269,7 @@ class TestColumnScanHazards:
 _RING = 72  # large enough for an ``auto`` session to plan ``csr``
 #: Constants with an equal twin in another order class.
 _TWINS = st.sampled_from(
-    [0, 1, 2, False, True, 0.0, 1.0, 2.0, Decimal(0), Decimal(1), Decimal(2), "a", _Word("a")]
+    [0, 1, 2, False, True, 0.0, 1.0, 2.0, Decimal(0), Decimal(1), Decimal(2), "a", _Word("a"), _Tag(0), _Tag(1)]
 )
 
 

@@ -55,7 +55,7 @@ FROZEN_API = {
     ],
     "repro.kernels": [
         "HAVE_NUMPY", "KERNEL_ENV_VAR", "active_kernel_name",
-        "bfs_block_frontier", "closure_frontier", "decode_origins",
+        "bfs_block_frontier", "bitmap", "closure_frontier", "decode_origins",
         "expand_frontier", "expand_origins", "neighbors_of", "select_backend",
     ],
     "repro.matching": [

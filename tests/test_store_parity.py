@@ -796,3 +796,118 @@ class TestHandleSpaces:
             assert space is rebuilt.store.base()
             handles = matcher.matching_nodes(Predicate.parse("tag = 1"), space)
             assert matcher.node_ids(space, handles) == {4, "late"}
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("outside", [-1, 200, -201])
+    def test_bitmap_coercion_rejects_a_handle_outside_the_space(self, monkeypatch, backend, outside):
+        """``-1`` is ``positions_of``'s "not held": it used to answer the empty
+        set (or ``negative dimensions`` from numpy), ``n`` a bare IndexError —
+        and as ``mask[-1]`` it would stand, silently, for the last node."""
+        from repro.datasets.youtube import generate_youtube_graph
+        from repro.exceptions import GraphError
+        from repro.kernels import KERNEL_ENV_VAR
+
+        monkeypatch.setenv(KERNEL_ENV_VAR, backend)
+        graph = generate_youtube_graph(num_nodes=200, num_edges=700, seed=7)
+        matcher = PathMatcher(graph, engine="csr")
+        regex = parse_fregex("_^3")
+        general = GeneralReachabilityQuery(None, None, "_._").regex
+        space = matcher.enter([regex, general])
+        everyone = matcher.matching_nodes(None, space)
+        assert len(everyone) == 200 and matcher.backward_reachable({199}, regex, space)
+        for read in (
+            lambda bad: matcher.backward_reachable(bad, regex, space),
+            lambda bad: matcher.edge_pairs(bad, everyone, regex, space),
+            lambda bad: matcher.edge_pairs(everyone, bad, regex, space),
+            lambda bad: matcher.query_pairs(regex, bad, everyone, "bfs", space),
+            lambda bad: matcher.product_pairs(general, bad, everyone, space),
+            lambda bad: matcher.product_pairs(general, everyone, bad, space),
+        ):
+            for bad in ({outside}, [3, outside, 5]):
+                with pytest.raises(GraphError, match=f"handle {outside} is outside its space of 200 nodes"):
+                    read(bad)
+
+    def test_bitmap_candidates_reach_the_kernel_as_they_are(self, monkeypatch):
+        """A clean PQ and a clean RQ hand ``expand_frontier`` bitmaps only (no
+        Python collection of starts), and each predicate's bitmap is built once
+        per attribute-table version — a second evaluation builds none."""
+        from repro.graph import columns
+        from repro.kernels.python_kernel import Bitmap
+        from repro.matching import csr_engine
+
+        session, pattern, query = _handle_space_fixture()
+        session.execute(ReachabilityQuery(None, None, "fc"))  # compiles the base, builds the engine
+        starts, built = [], []
+        kernel, coerce = csr_engine.expand_frontier, columns.bitmap
+
+        def counted_kernel(layer, num_nodes, seeds, bound):
+            starts.append(seeds)
+            return kernel(layer, num_nodes, seeds, bound)
+
+        def counted_coercion(num_nodes, handles):
+            built.append(num_nodes)
+            return coerce(num_nodes, handles)
+
+        monkeypatch.setattr(csr_engine, "expand_frontier", counted_kernel)
+        monkeypatch.setattr(columns, "bitmap", counted_coercion)
+
+        expected = join_match(pattern, session.graph.copy(), engine="dict")
+        assert session.execute(pattern).answer.same_matches(expected)
+        assert starts and all(isinstance(seeds, Bitmap) for seeds in starts)
+        assert built == [150] * 3  # one per distinct predicate of the pattern
+        assert session.execute(query).answer.pairs
+        assert built == [150] * 3  # the RQ's two predicates are the pattern's
+        session.graph.add_node(next(iter(session.graph.nodes())), cat="Music")  # a new attribute-table version
+        session.execute(query)
+        assert built == [150] * 5
+
+    def test_bitmap_memos_outlive_a_flip_of_the_backend(self, monkeypatch):
+        """``REPRO_KERNELS`` is read per call: a scan's bitmap memoised under one
+        backend seeds the other's kernel and meets its answers in ``-``."""
+        from repro.kernels import KERNEL_ENV_VAR
+
+        session, pattern, query = _handle_space_fixture()
+        matcher = session.matcher("csr")
+        for scans_under, evaluated_under in (("numpy", "python"), ("python", "numpy")):
+            session.graph.add_node(next(iter(session.graph.nodes())), cat="Music")  # fresh scans
+            expected = join_match(pattern, session.graph.copy(), engine="dict")
+            monkeypatch.setenv(KERNEL_ENV_VAR, scans_under)
+            pairs = evaluate_rq(query, session.graph, matcher=matcher).pairs
+            assert pairs == evaluate_rq(query, session.graph.copy(), engine="dict").pairs
+            monkeypatch.setenv(KERNEL_ENV_VAR, evaluated_under)
+            assert join_match(pattern, session.graph, matcher=matcher).same_matches(expected)
+
+    def test_bitmap_of_a_pinned_scan_is_translated_once(self):
+        """A pin's scan answers in positions of its own table; the candidate
+        bitmap translates them through ``_base_index`` when it is built, not on
+        every read — and a later pin of the same table and base adopts it."""
+        from repro.session.session import GraphSession
+
+        class Counted(list):
+            reads = 0
+
+            def __getitem__(self, position):
+                Counted.reads += 1
+                return super().__getitem__(position)
+
+        graph = build_graph([(0, 1, "r"), (1, 2, "r"), (2, 3, "g")])
+        session = GraphSession(graph, engine="csr")
+        session.execute(ReachabilityQuery(None, None, "r"))
+        graph.add_node("late", tag=1)
+        graph.remove_node(1)  # compacts: the base is rebuilt, the pin's table is not its order
+        predicate = Predicate.parse("tag = 1")
+        with session.pin() as pinned:
+            store = pinned.store
+            store._base_index = Counted(store._base_index)
+            matcher = pinned._state.matcher("csr")
+            space = matcher.enter([parse_fregex("r")])
+            first = matcher.matching_nodes(predicate, space)
+            assert matcher.node_ids(space, first) == {4, "late"} and Counted.reads == 2
+            assert matcher.matching_nodes(predicate, space) is first and Counted.reads == 2
+            candidates = matcher.candidates(predicate, space)
+            assert candidates == first and candidates is not first  # the evaluator's own copy
+            session.apply_updates([("add", 0, 2, "g")])  # an edge: the next pin adopts table and base
+            with session.pin() as later:
+                assert later.store is not store and later.store._base_index is store._base_index
+                assert later._state.matcher("csr").matching_nodes(predicate, later.store.base()) is first
+                assert Counted.reads == 2

@@ -113,14 +113,15 @@ def test_micro_frontier_expansion_dict(benchmark, youtube_graph):
 
 @pytest.mark.benchmark(group="micro-engine-frontier")
 def test_micro_frontier_expansion_csr(benchmark, youtube_graph):
-    """Per-atom frontier expansion over compiled CSR arrays (cold caches)."""
+    """Per-atom frontier expansion over compiled CSR arrays, one singleton
+    set-level call per start (the engine has no other single-start form)."""
     atoms = _frontier_atoms(youtube_graph)
     compiled = compile_graph(youtube_graph)
     indices = [compiled.node_index(node) for node in list(youtube_graph.nodes())[:60]]
 
     def run():
         engine = CsrEngine(compiled, cache_capacity=None)
-        return [engine.atom_targets(index, atom) for index in indices for atom in atoms]
+        return [engine.set_frontier_indices([index], atom, reverse=False) for index in indices for atom in atoms]
 
     frontiers = benchmark(run)
     assert len(frontiers) == len(indices) * len(atoms)

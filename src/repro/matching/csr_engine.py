@@ -12,10 +12,12 @@ pipeline.  It operates entirely in the dense integer index space of a
   the kernel layer's bitmap (:func:`repro.kernels.bitmap`) from the scan memo
   to the answer: the set-level calls take and answer it, their memos are
   keyed by its bytes, and no Python set of ints is built in between;
-* single-start expansions (``PathMatcher.matches``, the incremental
-  maintainer) are memoised per ``(start, colour, bound, direction)`` in an
-  :class:`~repro.matching.cache.LruCache` (the CSR analogue of the paper's
-  distance cache);
+* a single start is a singleton set: ``PathMatcher.atom_targets`` /
+  ``targets_from`` / ``sources_to`` arrive as ``set_frontier_indices([i], …)``
+  and ``backward_reachable_indices([i], …)``.  There is no per-start entry
+  point and no per-start memo — whole queries make no single-start call, and
+  on the one ``bench/`` workload that makes any, such a memo's hits are worth
+  ≤ 10 ms of a 3.0 s script (ARCHITECTURE.md, "Memo layers");
 * whole queries between two candidate sets — an RQ, a pattern edge's result
   assembly — keep the paper's *origin sets* (Section 4: the candidates a
   frontier node was reached from) as one bitset per index and advance that
@@ -40,9 +42,10 @@ are (any iterable of them is coerced to the bitmap, range-checked, once), or
 translated by :class:`~repro.storage.adapter.OverlayCsrAdapter` — and indices
 go out, to become ids once, at the ``PathMatcher`` seam.
 
-Both memos are valid for one reason: the engine is bound to one immutable
+The one memo (``_set_cache``: backward chains and pair relations per candidate
+sets) is valid for one reason: the engine is bound to one immutable
 :class:`~repro.graph.csr.CompiledGraph`, and its owner
-(:meth:`OverlayCsrAdapter.engine_handle`) replaces the engine — memos and all —
+(:meth:`OverlayCsrAdapter.engine_handle`) replaces the engine — memo and all —
 whenever the store's base is a different object.  A compaction therefore
 starts the next engine cold.
 """
@@ -50,7 +53,7 @@ starts the next engine cold.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.graph.csr import ANY_COLOR, CompiledGraph
 from repro.kernels import ORIGIN_BLOCK, bitmap, closure_frontier, decode_origins, expand_frontier, expand_origins
@@ -85,7 +88,8 @@ class CsrEngine:
     compiled:
         The compiled CSR snapshot to evaluate against.
     cache_capacity:
-        LRU capacity for memoised per-atom expansions (``None`` = unbounded).
+        The caller's LRU capacity: an upper bound on the set-level memo's
+        (``None`` = :data:`SET_FRONTIER_CACHE_CAPACITY`).
     """
 
     def __init__(
@@ -94,52 +98,14 @@ class CsrEngine:
         cache_capacity: Optional[int] = DEFAULT_SEARCH_CACHE_CAPACITY,
     ):
         self.compiled = compiled
-        self._cache = LruCache(cache_capacity)
         # Set-level memos (backward chains, per-edge pair sets) are keyed by
-        # candidate bitmaps' bytes, num_nodes each, so they get their own, much
-        # tighter LRU bound — never looser than the caller's capacity.
+        # candidate bitmaps' bytes, num_nodes each, so their LRU bound is much
+        # tighter than a per-node memo's — never looser than the caller's capacity.
         self._set_cache = LruCache(
             SET_FRONTIER_CACHE_CAPACITY
             if cache_capacity is None
             else min(cache_capacity, SET_FRONTIER_CACHE_CAPACITY)
         )
-
-    # -- per-atom expansion (the hot loop) --------------------------------------
-
-    def _expand(self, start: int, color_id: int, bound: Optional[int], reverse: bool) -> Tuple[int, ...]:
-        """Indices at positive distance ``1 … bound`` from ``start`` via one colour.
-
-        ``start`` itself is included exactly when it lies on a non-empty cycle
-        of admissible length (paths are required to be non-empty).  Results
-        are memoised per ``(start, colour, bound, direction)``; the BFS
-        itself is one :func:`repro.kernels.expand_frontier` call, so the
-        block semantics live in the kernel layer, not here.
-        """
-        key = (start, color_id, bound, reverse)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        layer = self.compiled.layer(color_id, reverse)
-        if not layer.mask[start]:
-            self._cache.put(key, ())
-            return ()
-        result = tuple(expand_frontier(layer, self.compiled.num_nodes, (start,), bound))
-        self._cache.put(key, result)
-        return result
-
-    def atom_targets(self, index: int, item: RegexAtom) -> Tuple[int, ...]:
-        """Indices reachable from ``index`` by a non-empty block matching one atom."""
-        color_id = self.compiled.color_id(None if item.is_wildcard else item.color)
-        if color_id is None:
-            return ()
-        return self._expand(index, color_id, item.max_count, reverse=False)
-
-    def atom_sources(self, index: int, item: RegexAtom) -> Tuple[int, ...]:
-        """Indices that reach ``index`` by a non-empty block matching one atom."""
-        color_id = self.compiled.color_id(None if item.is_wildcard else item.color)
-        if color_id is None:
-            return ()
-        return self._expand(index, color_id, item.max_count, reverse=True)
 
     # -- batched set-level expansion (the PQ fixpoint's hot loop) ----------------
 
@@ -153,7 +119,7 @@ class CsrEngine:
         """Indices at positive distance ``1 … bound`` from *any* start index.
 
         One multi-source BFS over the colour's CSR layer — equivalent to (but
-        much cheaper than) unioning :meth:`_expand` over every start.  A start
+        much cheaper than) unioning single-start searches.  A start
         index itself is included exactly when some start reaches it through a
         non-empty admissible path (a bitmap of starts is answered as one).
         Not memoised: the refinement fixpoint calls this with ever-shrinking
@@ -229,41 +195,6 @@ class CsrEngine:
         return result
 
     # -- full expressions (index space) -----------------------------------------
-
-    def _expression(self, index: int, regex: FRegex, reverse: bool) -> FrozenSet[int]:
-        """The whole-expression frontier of ``index``, forwards or backwards.
-
-        Memoised per ``(index, regex, direction)`` on top of the per-atom
-        memo — repeated sweeps over stable candidate sets (the
-        result-assembly loop of JoinMatch/SplitMatch, re-run per update by
-        the incremental maintainer) collapse to one cache lookup.
-        Language-equal spellings share entries via the canonical form.
-        """
-        regex = canonical_regex(regex)
-        key = ("expr", regex, index, reverse)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        expand = self.atom_sources if reverse else self.atom_targets
-        frontier: Set[int] = {index}
-        for item in reversed(regex.atoms) if reverse else regex.atoms:
-            advanced: Set[int] = set()
-            for node in frontier:
-                advanced.update(expand(node, item))
-            frontier = advanced
-            if not frontier:
-                break
-        result = frozenset(frontier)
-        self._cache.put(key, result)
-        return result
-
-    def targets_from(self, index: int, regex: FRegex) -> FrozenSet[int]:
-        """All indices ``j`` such that ``(index, j)`` matches ``regex``."""
-        return self._expression(index, regex, reverse=False)
-
-    def sources_to(self, index: int, regex: FRegex) -> FrozenSet[int]:
-        """All indices ``j`` such that ``(j, index)`` matches ``regex``."""
-        return self._expression(index, regex, reverse=True)
 
     def _relation_pairs(self, regex: FRegex, sources: Bitmap, targets: Bitmap) -> Relation:
         """Every ``(s, t)`` of the two candidate sets joined by a path matching
@@ -377,11 +308,9 @@ class CsrEngine:
 
     @property
     def cache_stats(self) -> Dict[str, float]:
-        """Hit-rate statistics of the expansion and set-level caches, under
-        the keys :attr:`PathMatcher.cache_stats` reports them by."""
+        """Hit-rate statistics of the set-level memo, under the keys
+        :attr:`PathMatcher.cache_stats` reports them by."""
         return {
-            "csr_hit_rate": self._cache.hit_rate,
-            "csr_entries": float(len(self._cache)),
             "csr_set_hit_rate": self._set_cache.hit_rate,
             "csr_set_entries": float(len(self._set_cache)),
         }

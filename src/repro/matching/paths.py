@@ -18,14 +18,18 @@ trivial zero-length path never counts).
 
 The matcher itself is engine-free: every expansion is delegated to a storage
 adapter (:mod:`repro.storage.adapter`), the one layer that knows how to read
-each backend.  The ``dict`` engine expands over the authoritative
-:class:`~repro.storage.dict_store.DictStore`; the ``csr`` engine reads
-through the graph's :class:`~repro.storage.overlay.OverlayCsrStore` — clean
-colours at flat-array speed with memoised expansions, mutated colours as
-merged read-through frontiers, folded back into a fresh base when the store
-compacts.  The matcher is also where an evaluation's node *handles* become
-node ids (:meth:`PathMatcher.enter`, ``node_ids``, ``id_pairs``): once, when
-the result is built, and nowhere else under ``matching/`` (reprolint R006).
+each backend — through a set-level surface only.  The single-start API lives
+here, each call the set-level read of a singleton: ``atom_targets(v, a)`` is
+``set_targets({v}, a)``, ``targets_from`` the atom fold over ``set_targets``,
+``sources_to(t, f)`` is ``backward_reachable({t}, f)``, ``edge_pairs`` is
+``query_pairs`` by the forward sweep.  The ``dict`` engine expands over the
+authoritative :class:`~repro.storage.dict_store.DictStore`; the ``csr`` engine
+reads through the graph's :class:`~repro.storage.overlay.OverlayCsrStore` —
+clean colours at flat-array speed with memoised set-level chains, mutated
+colours as merged read-through frontiers, folded back into a fresh base when
+the store compacts.  The matcher is also where an evaluation's node *handles*
+become node ids (:meth:`PathMatcher.enter`, ``node_ids``, ``id_pairs``): once,
+when the result is built, and nowhere else under ``matching/`` (reprolint R006).
 
 All search-mode caches are **version-aware**: memos are tagged with the
 graph's per-colour edge version
@@ -47,7 +51,7 @@ from repro.graph.distance import DistanceMatrix
 from repro.matching.cache import LruCache
 from repro.regex.fclass import FRegex
 from repro.session.defaults import DEFAULT_CACHE_CAPACITY, DEFAULT_ENGINE, ENGINES
-from repro.storage.adapter import make_adapter, resolve_engine
+from repro.storage.adapter import fold_atoms, make_adapter, resolve_engine
 
 NodeId = Hashable
 
@@ -201,8 +205,8 @@ class PathMatcher:
         """The CSR engine over the overlay store's current base snapshot.
 
         Exposed for tests and diagnostics; only meaningful on the ``csr``
-        engine.  The engine's expansion caches belong to this matcher and
-        honour ``cache_capacity``; the engine is replaced, by a cold one,
+        engine.  The engine's set-level memo belongs to this matcher and
+        honours ``cache_capacity``; the engine is replaced, by a cold one,
         only when the store compacts.
         """
         return self._adapter.engine_handle()
@@ -241,15 +245,15 @@ class PathMatcher:
             pairs.update(zip(space.ids_of(sources), space.ids_of(targets)))
         return pairs
 
-    # -- one-atom frontiers ------------------------------------------------------
+    # -- one-atom frontiers (a single start is a singleton set) -------------------
 
     def atom_targets(self, source: NodeId, item) -> Set[NodeId]:
         """Nodes reachable from ``source`` by a non-empty block matching one atom."""
-        return self._adapter.atom_targets(source, item)
+        return self._adapter.set_targets({source}, item)
 
     def atom_sources(self, target: NodeId, item) -> Set[NodeId]:
         """Nodes that reach ``target`` by a non-empty block matching one atom."""
-        return self._adapter.atom_sources(target, item)
+        return self._adapter.set_sources({target}, item)
 
     # -- set-level frontiers ---------------------------------------------------
 
@@ -302,23 +306,23 @@ class PathMatcher:
 
     def targets_from(self, source: NodeId, regex: FRegex) -> Set[NodeId]:
         """All nodes ``v2`` such that ``(source, v2)`` matches ``regex``."""
-        return self._adapter.targets_from(source, regex)
+        return fold_atoms({source}, regex.atoms, self._adapter.set_targets)
 
     def sources_to(self, target: NodeId, regex: FRegex) -> Set[NodeId]:
         """All nodes ``v1`` such that ``(v1, target)`` matches ``regex``."""
-        return self._adapter.sources_to(target, regex)
+        return self._adapter.backward_reachable({target}, regex)
 
     def edge_pairs(
         self, sources: Set[NodeId], targets: Set[NodeId], regex: FRegex, space=None
     ) -> Set[Tuple[NodeId, NodeId]]:
         """All pairs ``(v1, v2)`` from the candidate sets joined by ``regex``.
 
-        The per-edge result-assembly step of the PQ algorithms.  On the CSR
-        engine the sweep runs (and is memoised) in dense index space; the
-        dict/matrix path is the classic per-source forward expansion.  In a
-        ``space`` the answer is for :meth:`id_pairs` to read, nothing else.
+        The per-edge result-assembly step of the PQ algorithms: :meth:`query_pairs`
+        by the forward sweep.  On the CSR engine it runs (and is memoised) in dense
+        index space; the dict/matrix path is the classic per-source expansion.
+        In a ``space`` the answer is for :meth:`id_pairs` to read, nothing else.
         """
-        return self._adapter.edge_pairs(sources, targets, regex, space)
+        return self._adapter.query_pairs(regex, sources, targets, "bfs", space)
 
     def query_pairs(
         self, regex: FRegex, sources, targets, method: str = "bidirectional", space=None
@@ -386,11 +390,10 @@ class PathMatcher:
         caches (the dict and partitioned engines' BFS memos; on ``csr`` the
         dirty-colour frontiers).  A lookup that finds an entry whose version
         tag is stale still counts as an LRU hit; ``stale_invalidations``
-        counts how many of those were discarded and recomputed.  ``csr_*``
-        describe the CSR engine's expansion memo and ``csr_set_*`` its
-        set-level memo — where a ``csr`` matcher's clean-colour lookups go;
-        0.0 on the other engines and until a clean-colour read built the
-        engine.
+        counts how many of those were discarded and recomputed.
+        ``csr_set_*`` describe the CSR engine's set-level memo — where a
+        ``csr`` matcher's clean-colour lookups go; 0.0 on the other engines
+        and until a clean-colour read built the engine.
         """
         return {
             "forward_hit_rate": self._forward_cache.hit_rate,

@@ -1,20 +1,25 @@
 """Storage adapters: the one place that branches on the evaluation backend.
 
-:class:`~repro.matching.paths.PathMatcher` exposes the expansion surface every
-evaluator drives — the F-class frontiers and closures of the RQ/PQ fixpoints
-(``atom_targets`` … ``edge_pairs``), the predicate scan (``matching_nodes``)
-and the general-regex product search (``product_pairs``) — and delegates every
-method of it to one of three adapters sharing that interface:
+:class:`~repro.matching.paths.PathMatcher` is written once on top of a
+*set-level* expansion surface of eight methods — the handle space of an
+evaluation (``enter``), the predicate scan (``matching_nodes``), one atom block
+from a set of starts (``set_targets`` / ``set_sources``), the closures of the PQ
+fixpoints and the incremental maintainer (``backward_reachable`` /
+``backward_closure``), a whole F-class query between two candidate sets
+(``query_pairs``) and the general-regex product search (``product_pairs``) —
+served by one of three adapters.  A single start is a singleton set: the
+matcher's per-node API (``atom_targets`` … ``sources_to``, ``edge_pairs``) is
+spelt there, over these eight, and no adapter has a per-node method.
 
 * :class:`DictEngineAdapter` — expansion over the authoritative
   :class:`~repro.storage.dict_store.DictStore` (or the caller's distance
   matrix), with the classic version-tagged BFS memos;
 * :class:`OverlayCsrAdapter` — expansion through the graph's
   :class:`~repro.storage.overlay.OverlayCsrStore`: colours untouched since
-  the base snapshot run on the memoised flat-array
-  :class:`~repro.matching.csr_engine.CsrEngine` (replaced by a cold one when
-  the store compacts), dirty colours run as merged read-through frontiers
-  with per-colour version-tagged memos;
+  the base snapshot run on the flat-array
+  :class:`~repro.matching.csr_engine.CsrEngine` and its set-level memo
+  (replaced by a cold one when the store compacts), dirty colours run as
+  merged read-through frontiers with per-colour version-tagged memos;
 * :class:`PartitionedAdapter` — expansion through the graph's sharded
   :class:`~repro.storage.partition.PartitionedStore`: every frontier is a
   cross-shard exchange over per-shard CSR kernels, memoised under the same
@@ -23,8 +28,8 @@ method of it to one of three adapters sharing that interface:
 What they share is written once, in two private bases: the version-tagged
 memo, the atom-by-atom fold, the search-method choice and the per-source
 product walk of a general regex (:class:`_Adapter`), and expansion through any
-store's ``frontier`` (:class:`_StoreAdapter` — all of the partitioned adapter,
-the dirty-colour half of the overlay one).  Each
+store's ``frontier``, every start checked to exist (:class:`_StoreAdapter` — all
+of the partitioned adapter, the dirty-colour half of the overlay one).  Each
 public method is still *defined on each adapter class itself*, if only as a
 one-line call of the shared helper: the benchmark's tracer wraps the public
 functions it finds in a class's own ``vars()``.  Every memo here is valid for
@@ -105,7 +110,7 @@ def _traversed(regex) -> Optional[Iterable[str]]:
     return None if getattr(regex, "has_wildcard", True) else regex.colors
 
 
-def _fold_atoms(frontier: Set[NodeId], atoms: Iterable, step: Callable) -> Set[NodeId]:
+def fold_atoms(frontier: Set[NodeId], atoms: Iterable, step: Callable) -> Set[NodeId]:
     """Advance ``frontier`` through ``atoms``, one non-empty block per atom
     (``step`` is a set-level one-atom expansion); an empty frontier ends it."""
     for item in atoms:
@@ -130,7 +135,7 @@ class _Adapter:
     def engine_stats(self) -> Dict[str, float]:
         """Memo statistics of the adapter's CSR engine — zeros here, where
         there is none (a property, so the tracer does not count it a call)."""
-        return {"csr_hit_rate": 0.0, "csr_entries": 0.0, "csr_set_hit_rate": 0.0, "csr_set_entries": 0.0}
+        return {"csr_set_hit_rate": 0.0, "csr_set_entries": 0.0}
 
     # -- the version-tagged memo -------------------------------------------------
 
@@ -281,60 +286,32 @@ class DictEngineAdapter(_Adapter):
         key = WILDCARD if color is None else color
         return self.matcher.matrix._row(source, key)
 
-    # -- one-atom frontiers ------------------------------------------------------
-
-    def atom_targets(self, source: NodeId, item) -> Set[NodeId]:
-        matcher = self.matcher
-        color = None if item.is_wildcard else item.color
-        bound = item.max_count
-        if matcher.matrix is not None:
-            row = self._matrix_row(source, color)
-        else:
-            row = self.positive_distances(source, color, bound, reverse=False)
-        return {
-            target
-            for target, dist in row.items()
-            if dist >= 1 and (bound is None or dist <= bound)
-        }
-
-    def atom_sources(self, target: NodeId, item) -> Set[NodeId]:
-        matcher = self.matcher
-        color = None if item.is_wildcard else item.color
-        bound = item.max_count
-        if matcher.matrix is not None:
-            from repro.regex.fclass import WILDCARD
-
-            key = WILDCARD if color is None else color
-            result: Set[NodeId] = set()
-            for node in matcher.graph.nodes():
-                dist = matcher.matrix._row(node, key).get(target)
-                if dist is not None and dist >= 1 and (bound is None or dist <= bound):
-                    result.add(node)
-            return result
-        row = self.positive_distances(target, color, bound, reverse=True)
-        return {
-            source
-            for source, dist in row.items()
-            if dist >= 1 and (bound is None or dist <= bound)
-        }
-
     # -- set-level frontiers -----------------------------------------------------
 
-    def set_targets(self, sources: Set[NodeId], item) -> Set[NodeId]:
+    def _set_frontier(self, nodes: Set[NodeId], item, reverse: bool) -> Set[NodeId]:
+        """The union of the per-start distance maps, cut at the atom's bound
+        (matrix mode: of the matrix rows, forwards only — there is no reverse
+        index, :meth:`set_sources` sweeps instead)."""
+        color = None if item.is_wildcard else item.color
+        bound = item.max_count
+        in_matrix = self.matcher.matrix is not None
         result: Set[NodeId] = set()
-        for node in sources:
-            result |= self.atom_targets(node, item)
+        for node in nodes:
+            row = self._matrix_row(node, color) if in_matrix else self.positive_distances(node, color, bound, reverse)
+            result.update(
+                reached for reached, dist in row.items() if dist >= 1 and (bound is None or dist <= bound)
+            )
         return result
+
+    def set_targets(self, sources: Set[NodeId], item) -> Set[NodeId]:
+        return self._set_frontier(sources, item, reverse=False)
 
     def set_sources(self, targets: Set[NodeId], item) -> Set[NodeId]:
         matcher = self.matcher
+        if matcher.matrix is None:
+            return self._set_frontier(targets, item, reverse=True)
         if not targets:
             return set()
-        if matcher.matrix is None:
-            result: Set[NodeId] = set()
-            for node in targets:
-                result |= self.atom_sources(node, item)
-            return result
         from repro.regex.fclass import WILDCARD
 
         color = None if item.is_wildcard else item.color
@@ -364,16 +341,7 @@ class DictEngineAdapter(_Adapter):
         return None
 
     def backward_reachable(self, targets: Set[NodeId], regex, space=None) -> Set[NodeId]:
-        return _fold_atoms(set(targets), reversed(regex.atoms), self.set_sources)
-
-    def targets_from(self, source: NodeId, regex) -> Set[NodeId]:
-        return _fold_atoms({source}, regex.atoms, self.set_targets)
-
-    def sources_to(self, target: NodeId, regex) -> Set[NodeId]:
-        return _fold_atoms({target}, reversed(regex.atoms), self.set_sources)
-
-    def edge_pairs(self, sources: Set[NodeId], targets: Set[NodeId], regex, space=None):
-        return self._search_pairs(regex, list(sources), targets, "bfs")
+        return fold_atoms(set(targets), reversed(regex.atoms), self.set_sources)
 
     def query_pairs(self, regex, sources, targets, method: str, space=None):
         return self._search_pairs(regex, sources, targets, method)
@@ -391,16 +359,23 @@ class _StoreAdapter(_Adapter):
     """Expansion through ``self.store.frontier``, for any ``GraphStore``.
 
     The whole of :class:`PartitionedAdapter` and the dirty-colour half of
-    :class:`OverlayCsrAdapter`: per-node atom blocks are memoised in the
-    matcher's LRU caches under the exact per-colour version tags the dict
-    engine uses, set-level blocks are one multi-source store frontier.
+    :class:`OverlayCsrAdapter`: a block is one multi-source store frontier; a
+    singleton's is memoised in the matcher's LRU caches under the exact
+    per-colour version tags the dict engine uses.
     """
 
-    def _atom_frontier(self, node: NodeId, item, reverse: bool) -> Set[NodeId]:
+    def _set_frontier(self, nodes: Set[NodeId], item, reverse: bool) -> Set[NodeId]:
         matcher = self.matcher
-        if not matcher.graph.has_node(node):
-            raise GraphError(f"node {node!r} does not exist")
+        for node in nodes:
+            # The stores skip a start they do not hold; a typo'd node is an
+            # error on every backend, never a silent "no neighbours".
+            if not matcher.graph.has_node(node):
+                raise GraphError(f"node {node!r} does not exist")
         color = None if item.is_wildcard else item.color
+        if len(nodes) != 1:
+            return self.store.frontier(nodes, color, item.max_count, reverse)
+        # A singleton stays warm across repeated fixpoint sweeps and probes.
+        (node,) = nodes
         frontier = self._tagged(
             matcher._backward_cache if reverse else matcher._forward_cache,
             (node, color, item.max_count),
@@ -408,24 +383,6 @@ class _StoreAdapter(_Adapter):
             lambda: frozenset(self.store.frontier((node,), color, item.max_count, reverse)),
         )
         return set(frontier)
-
-    def _set_frontier(self, nodes: Set[NodeId], item, reverse: bool) -> Set[NodeId]:
-        if len(nodes) == 1:
-            # Singletons go through the memoised per-node path, which stays
-            # warm across repeated fixpoint sweeps.
-            (node,) = nodes
-            return self._atom_frontier(node, item, reverse)
-        color = None if item.is_wildcard else item.color
-        return self.store.frontier(nodes, color, item.max_count, reverse)
-
-    def _expression(self, node: NodeId, regex, reverse: bool) -> Set[NodeId]:
-        if not self.matcher.graph.has_node(node):
-            raise GraphError(f"node {node!r} does not exist")
-        return _fold_atoms(
-            {node},
-            reversed(regex.atoms) if reverse else regex.atoms,
-            lambda frontier, item: self._set_frontier(frontier, item, reverse),
-        )
 
 
 class OverlayCsrAdapter(_StoreAdapter):
@@ -517,27 +474,12 @@ class OverlayCsrAdapter(_StoreAdapter):
         engine = self.engine_handle()
         return (engine, *(list(map(engine.compiled.node_index, group)) for group in groups))
 
-    # -- one-atom and set-level frontiers ----------------------------------------
-
-    def _atom_frontier(self, node: NodeId, item, reverse: bool) -> Set[NodeId]:
-        dense = self._engine_over(_atom_colors(item), (node,))
-        if dense is None:
-            # Dirty colour, or a node the base has not seen: merged read-through.
-            return super()._atom_frontier(node, item, reverse)
-        engine, (index,) = dense
-        expand = engine.atom_sources if reverse else engine.atom_targets
-        return set(engine.compiled.ids_of(expand(index, item)))
-
-    def atom_targets(self, source: NodeId, item) -> Set[NodeId]:
-        return self._atom_frontier(source, item, reverse=False)
-
-    def atom_sources(self, target: NodeId, item) -> Set[NodeId]:
-        return self._atom_frontier(target, item, reverse=True)
+    # -- set-level frontiers -----------------------------------------------------
 
     def _set_frontier(self, nodes: Set[NodeId], item, reverse: bool) -> Set[NodeId]:
-        # A singleton is memoised per node, clean or dirty.
-        dense = self._engine_over(_atom_colors(item), nodes) if len(nodes) > 1 else None
+        dense = self._engine_over(_atom_colors(item), nodes)
         if dense is None:
+            # Dirty colour, or a node the base has not seen: merged read-through.
             return super()._set_frontier(nodes, item, reverse)
         engine, indices = dense
         return set(engine.compiled.ids_of(engine.set_frontier_indices(indices, item, reverse)))
@@ -587,25 +529,11 @@ class OverlayCsrAdapter(_StoreAdapter):
             self.matcher._backward_cache,
             ("bwd", regex, target_set),
             self._regex_version(regex),
-            lambda: frozenset(_fold_atoms(set(target_set), reversed(regex.atoms), self.set_sources)),
+            lambda: frozenset(fold_atoms(set(target_set), reversed(regex.atoms), self.set_sources)),
         )
         return set(frontier)
 
-    def _expression(self, node: NodeId, regex, reverse: bool) -> Set[NodeId]:
-        dense = self._engine_over(_traversed(regex), (node,))
-        if dense is None:
-            return super()._expression(node, regex, reverse)
-        engine, (index,) = dense
-        indices = engine.sources_to(index, regex) if reverse else engine.targets_from(index, regex)
-        return set(engine.compiled.ids_of(indices))
-
-    def targets_from(self, source: NodeId, regex) -> Set[NodeId]:
-        return self._expression(source, regex, reverse=False)
-
-    def sources_to(self, target: NodeId, regex) -> Set[NodeId]:
-        return self._expression(target, regex, reverse=True)
-
-    def _pairs(self, regex, sources, targets, method: str, space):
+    def query_pairs(self, regex, sources, targets, method: str, space=None):
         """One whole query between two candidate collections: on handles of
         ``space`` the engine's relation (the matcher pairs the ids up once), on
         node ids a set of id pairs — through the base arrays when colours and
@@ -619,12 +547,6 @@ class OverlayCsrAdapter(_StoreAdapter):
             return self._search_pairs(regex, list(sources), targets, method)
         engine, sources, targets = dense
         return self.matcher.id_pairs(engine.compiled, engine.matching_pairs(regex, sources, targets))
-
-    def edge_pairs(self, sources: Set[NodeId], targets: Set[NodeId], regex, space=None):
-        return self._pairs(regex, sources, targets, "bfs", space)
-
-    def query_pairs(self, regex, sources, targets, method: str, space=None):
-        return self._pairs(regex, sources, targets, method, space)
 
     def product_pairs(self, regex, sources, targets, space=None):
         """The NFA product needs *whole* CSR layers (every colour at once), so
@@ -671,12 +593,6 @@ class PartitionedAdapter(_StoreAdapter):
     def __init__(self, matcher):
         super().__init__(matcher, matcher.graph.partitioned_store())
 
-    def atom_targets(self, source: NodeId, item) -> Set[NodeId]:
-        return self._atom_frontier(source, item, reverse=False)
-
-    def atom_sources(self, target: NodeId, item) -> Set[NodeId]:
-        return self._atom_frontier(target, item, reverse=True)
-
     def set_targets(self, sources: Set[NodeId], item) -> Set[NodeId]:
         return self._set_frontier(sources, item, reverse=False) if sources else set()
 
@@ -692,16 +608,7 @@ class PartitionedAdapter(_StoreAdapter):
         return None
 
     def backward_reachable(self, targets: Set[NodeId], regex, space=None) -> Set[NodeId]:
-        return _fold_atoms(set(targets), reversed(regex.atoms), self.set_sources)
-
-    def targets_from(self, source: NodeId, regex) -> Set[NodeId]:
-        return self._expression(source, regex, reverse=False)
-
-    def sources_to(self, target: NodeId, regex) -> Set[NodeId]:
-        return self._expression(target, regex, reverse=True)
-
-    def edge_pairs(self, sources: Set[NodeId], targets: Set[NodeId], regex, space=None):
-        return self._search_pairs(regex, list(sources), targets, "bfs")
+        return fold_atoms(set(targets), reversed(regex.atoms), self.set_sources)
 
     def query_pairs(self, regex, sources, targets, method: str, space=None):
         return self._search_pairs(regex, sources, targets, method)

@@ -136,14 +136,16 @@ def test_pinned_read_on_auto_session_reaches_traced_kernels_and_overlay_adapter(
     assert kernel_spans
 
 
-#: The expansion surface ``PathMatcher`` delegates, method for method, to its
-#: adapter — what the ``storage.adapter`` span counts.  ``enter`` is where an
-#: adapter names the handle space of one evaluation; translating out of it
-#: needs no adapter (``PathMatcher.node_ids`` / ``id_pairs`` ask the token).
+#: The set-level expansion surface ``PathMatcher`` is written on — what the
+#: ``storage.adapter`` span counts.  A single start is a singleton set, so the
+#: matcher's ``atom_targets`` / ``atom_sources`` / ``targets_from`` /
+#: ``sources_to`` / ``edge_pairs`` have no adapter method of their own.
+#: ``enter`` is where an adapter names the handle space of one evaluation;
+#: translating out of it needs no adapter (``PathMatcher.node_ids`` /
+#: ``id_pairs`` ask the token).
 _ADAPTER_SURFACE = {
-    "enter", "atom_targets", "atom_sources", "set_targets", "set_sources", "backward_closure",
-    "backward_reachable", "targets_from", "sources_to", "edge_pairs", "query_pairs", "product_pairs",
-    "matching_nodes",
+    "enter", "matching_nodes", "set_targets", "set_sources", "backward_closure", "backward_reachable",
+    "query_pairs", "product_pairs",
 }
 #: The one further public function each class defines: the dict engine's BFS
 #: and the overlay adapter's engine accessor (both spans at the parent too).

@@ -187,6 +187,8 @@ class TestCiWorkflow:
             "tests/test_session_parity.py", "handle_space",
             # The candidate bitmap's algebra, both forms of expand_frontier, the range check.
             "tests/test_store_parity.py", "bitmap",
+            # Every single-start read against the set-level read of its singleton.
+            "singleton_set",
         ):
             assert needle in command
         assert "not slow" not in command

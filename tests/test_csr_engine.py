@@ -223,7 +223,7 @@ class TestPathMatcherCsrMode:
         atom = RegexAtom("c", 1)
         assert matcher.atom_targets("a", atom) == {"b"}
         first_engine = matcher._csr_engine
-        assert first_engine._cache.capacity == 7  # honours cache_capacity
+        assert first_engine._set_cache.capacity == 7  # honours cache_capacity
         # A mutation lands in the overlay: the base snapshot (and hence the
         # engine) survives, and the dirty colour is answered read-through.
         graph.add_edge("b", "a", "c")
@@ -234,7 +234,7 @@ class TestPathMatcherCsrMode:
         graph.overlay_store().compact()
         assert matcher.atom_targets("b", atom) == {"a"}
         assert matcher._csr_engine is not first_engine
-        assert matcher._csr_engine._cache.capacity == 7
+        assert matcher._csr_engine._set_cache.capacity == 7
 
 
 class TestGeneralRegexProduct:
@@ -376,8 +376,29 @@ def test_property_snapshot_round_trip(case):
 # ``repro.kernels.expand_origins`` and reads the pairs out with
 # ``decode_origins``, as index sequences (``index_pairs``).  The references are the generic
 # set-based drivers of ``matching/frontiers.py`` — driven over the same engine's
-# per-start expansions, and over the dict engine — and, for general
-# expressions, the per-source product walk of ``regex_reachable_from``.
+# set-level expansion of one singleton at a time (``_PerStart``), and over the
+# dict engine — and, for general expressions, the per-source product walk of
+# ``regex_reachable_from``.
+
+
+class _PerStart:
+    """The per-start surface the generic drivers ask for, in index space: every
+    read is the engine's ``set_frontier_indices`` of a singleton."""
+
+    def __init__(self, engine):
+        self.engine = engine
+
+    def atom_targets(self, index, item):
+        return self.engine.set_frontier_indices([index], item, reverse=False)
+
+    def atom_sources(self, index, item):
+        return self.engine.set_frontier_indices([index], item, reverse=True)
+
+    def targets_from(self, index, regex):
+        frontier = {index}
+        for item in regex.atoms:
+            frontier = {reached for node in frontier for reached in self.atom_targets(node, item)}
+        return frontier
 
 
 @st.composite
@@ -418,8 +439,9 @@ def test_property_relation_fold_matches_generic_drivers(case):
     source_indices = frozenset(map(compiled.node_index, sources))
     target_indices = frozenset(map(compiled.node_index, targets))
 
-    swept = forward_sweep(engine, regex, sorted(source_indices), target_indices)
-    assert meet_in_the_middle(engine, regex, sorted(source_indices), target_indices) == swept
+    per_start = _PerStart(engine)
+    swept = forward_sweep(per_start, regex, sorted(source_indices), target_indices)
+    assert meet_in_the_middle(per_start, regex, sorted(source_indices), target_indices) == swept
     dict_matcher = PathMatcher(graph, engine="dict")
     assert forward_sweep(dict_matcher, regex, sorted(sources), targets) == {
         (ids[a], ids[b]) for a, b in swept

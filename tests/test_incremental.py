@@ -428,14 +428,15 @@ class TestWarmMatcherReuse:
         matcher = IncrementalPatternMatcher(query, essembly, engine="csr")
         assert matcher.engine == "csr"
         path_matcher = matcher.matcher
-        # The initial computation ran on the engine's memos, and says so: its
+        # The initial computation ran on the engine's memo, and says so: its
         # refinement frontiers and per-edge pair relations are set-level
-        # entries; the per-start memo takes single-start reads.
+        # entries, and a single-start read back from a target looks there too.
         assert matcher.cache_statistics()["csr_set_entries"] > 0
-        assert path_matcher.pair_matches("C3", "D1", query.regex("C", "D"))
-        assert matcher.cache_statistics()["csr_entries"] > 0
-        store = essembly.overlay_store()
         engine = path_matcher._csr_engine
+        lookups = engine._set_cache.hits + engine._set_cache.misses
+        assert "C3" in path_matcher.sources_to("D1", query.regex("C", "D"))
+        assert engine._set_cache.hits + engine._set_cache.misses == lookups + 1
+        store = essembly.overlay_store()
         compactions_before = store.compactions
         matcher.remove_edge("C3", "B1", "fn")
         # The deletion lands in the store overlay: no snapshot recompile

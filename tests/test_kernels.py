@@ -9,8 +9,8 @@ other and to an independent oracle:
   adjacency dicts built straight from the edge list — no CSR layers, no
   numpy, just the paper's definition;
 * both backends are driven through all four entry points the engine uses
-  (``expand_frontier``, ``closure_frontier``, ``CsrEngine._expand`` /
-  ``expand_set`` / ``backward_closure_indices``, and the generic
+  (``expand_frontier``, ``closure_frontier``, ``CsrEngine.expand_set`` —
+  of a singleton and of a set — / ``backward_closure_indices``, and the generic
   ``bfs_block_frontier``) on hypothesis-generated graphs with cycles
   through starts, duplicate colours, empty layers and bounded depths
   including ``bound=0``;
@@ -224,15 +224,15 @@ def test_property_closure_frontier_matches_oracle(case, colors):
     st.sampled_from(_BOUNDS),
 )
 def test_property_engine_entry_points_match_oracle(case, colors, bound):
-    # The engine-facing wrappers (memoised single-source `_expand`, the
-    # multi-source `expand_set`, and `backward_closure_indices` with its
-    # colour-dedupe) must agree with the oracle through the dispatch layer.
+    # The engine-facing wrappers (`expand_set`, of a singleton and of several
+    # sources, and `backward_closure_indices` with its colour-dedupe) must
+    # agree with the oracle through the dispatch layer.
     graph, starts = case
     compiled = compile_graph(graph)
     starts = [compiled.node_index(start) for start in starts]
     engine = CsrEngine(compiled)
 
-    single = set(engine._expand(starts[0], ANY_COLOR, bound, False))
+    single = set(engine.expand_set(starts[:1], ANY_COLOR, bound, False))
     assert single == _oracle_expand(graph, compiled, starts[:1], None, bound, False)
 
     multi = engine.expand_set(starts, ANY_COLOR, bound, reverse=True)

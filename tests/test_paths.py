@@ -119,24 +119,27 @@ class TestModeAgreement:
         stats = matcher.cache_stats
         assert stats["forward_entries"] >= 1
         # An adapter without a CSR engine reports the engine's keys as zeros.
-        engine_keys = ("csr_hit_rate", "csr_entries", "csr_set_hit_rate", "csr_set_entries")
-        assert [stats[key] for key in engine_keys] == [0.0] * 4
+        engine_keys = ("csr_set_hit_rate", "csr_set_entries")
+        assert [stats[key] for key in engine_keys] == [0.0] * 2
 
     def test_cache_stats_report_the_csr_engine_memos(self, small_graph):
-        """On ``csr`` the clean-colour lookups go to the engine's two memos,
-        not to the forward/backward LRUs — ``cache_stats`` must show them,
-        and asking for it must never *build* an engine (or compile a base)."""
+        """On ``csr`` the clean-colour lookups go to the engine's set-level
+        memo, not to the forward/backward LRUs — ``cache_stats`` must show it,
+        and asking for it must never *build* an engine (or compile a base).
+        A single start is a singleton set: ``sources_to`` fills the same memo,
+        ``targets_from`` is a fold of unmemoised set-level frontiers."""
         matcher = PathMatcher(small_graph, engine="csr")
         assert set(matcher.cache_stats) == set(PathMatcher(small_graph).cache_stats)
-        assert matcher.cache_stats["csr_entries"] == 0.0
+        assert matcher.cache_stats["csr_set_entries"] == 0.0
         assert not small_graph.overlay_store().has_base
         for _ in range(2):
             matcher.targets_from("a", parse_fregex("red^2"))
             matcher.backward_reachable({"c", "d"}, parse_fregex("red"))
         stats = matcher.cache_stats
-        assert stats["csr_entries"] >= 1 and stats["csr_hit_rate"] > 0.0
-        assert stats["csr_set_entries"] >= 1 and stats["csr_set_hit_rate"] > 0.0
-        assert stats["csr_entries"] == float(len(matcher._csr_engine._cache))
+        assert stats["csr_set_entries"] == 1 and stats["csr_set_hit_rate"] == 0.5
+        matcher.sources_to("c", parse_fregex("red^2"))
+        stats = matcher.cache_stats
+        assert stats["csr_set_entries"] == 2 == float(len(matcher._csr_engine._set_cache))
         assert stats["forward_entries"] == stats["backward_entries"] == 0.0
 
 
@@ -211,20 +214,20 @@ class TestVersionAwareCaches:
         matcher = PathMatcher(small_graph, engine="csr")
         blue = parse_fregex("blue")
         red = parse_fregex("red")
-        assert matcher.targets_from("c", blue) == {"d"}
-        assert matcher.targets_from("a", red) == {"b"}
+        assert matcher.sources_to("d", blue) == {"c"}
+        assert matcher.sources_to("b", red) == {"a"}
         engine = matcher._csr_engine
         store = small_graph.overlay_store()
         compactions_before = store.compactions
-        hits_before = engine._cache.hits
+        hits_before = engine._set_cache.hits
         # Deleting a *green* edge only dirties green's overlay: no recompile
         # happens, the engine (and its warm blue/red memos) stay in place.
         small_graph.remove_edge("b", "b", "green")
-        assert matcher.targets_from("c", blue) == {"d"}
-        assert matcher.targets_from("a", red) == {"b"}
+        assert matcher.sources_to("d", blue) == {"c"}
+        assert matcher.sources_to("b", red) == {"a"}
         assert store.compactions == compactions_before
         assert matcher._csr_engine is engine
-        assert engine._cache.hits > hits_before
+        assert engine._set_cache.hits == hits_before + 2
 
     def test_csr_entries_promoted_across_compaction(self, small_graph):
         """Nothing is promoted any more: a compaction retires the engine and
@@ -273,7 +276,7 @@ class TestVersionAwareCaches:
         assert matcher.atom_targets("c", blue) == {"d"}
         assert matcher._forward_cache.hits == hits + 1
         assert matcher.stale_invalidations == stale + 1
-        assert matcher.cache_stats["csr_entries"] == 0.0  # no engine was needed
+        assert matcher.cache_stats["csr_set_entries"] == 0.0  # no engine was needed
 
     def test_csr_touched_color_entries_dropped(self, small_graph):
         matcher = PathMatcher(small_graph, engine="csr")

@@ -321,7 +321,7 @@ def _pipeline_queries():
 _CACHE_STATS_KEYS = sorted([
     "forward_hit_rate", "backward_hit_rate", "forward_entries", "backward_entries",
     "stale_invalidations",
-    "csr_hit_rate", "csr_entries", "csr_set_hit_rate", "csr_set_entries",
+    "csr_set_hit_rate", "csr_set_entries",
 ])
 
 
@@ -386,19 +386,23 @@ def test_live_and_pinned_envelopes_agree_on_the_array_path():
         assert sorted(result.cache_stats) == _CACHE_STATS_KEYS
         assert result.cache_stats["csr_set_entries"] > 0.0
         assert result.cache_stats["forward_entries"] == 0.0
-    # ... and the engine's per-start memo, the other half of what both sides
-    # report, takes the single-start reads of the same matchers.
+    # ... and a single-start read of the same matchers is a singleton's
+    # set-level read: the one back from a reached node is one more entry there.
     from_n0 = {target for source, target in live_views[0]["answer"] if source == "n0"}
     assert from_n0  # the g1 nodes (odd indices) among everything n0 reaches
-    for reached, stats in (_single_start_read(live.matcher("csr")), pinned_single):
+    for reached, entries_added in (_single_start_read(live.matcher("csr")), pinned_single):
         assert {target for target in reached if int(target[1:]) % 2} == from_n0
-        assert stats["csr_entries"] > 0.0
+        assert entries_added == 1.0
 
 
 def _single_start_read(matcher):
-    """What ``n0`` reaches by ``a.b^2.b``, and the matcher's counters after it."""
+    """What ``n0`` reaches by ``a.b^2.b``, and how many set-level memo entries
+    reading the path back from one of those nodes added."""
     path = FRegex([RegexAtom("a", 1), RegexAtom("b", 2), RegexAtom("b", 1)])
-    return matcher.targets_from("n0", path), matcher.cache_stats
+    reached = matcher.targets_from("n0", path)
+    entries = matcher.cache_stats["csr_set_entries"]
+    assert "n0" in matcher.sources_to(min(reached), path)
+    return reached, matcher.cache_stats["csr_set_entries"] - entries
 
 
 def test_live_and_pinned_envelopes_agree_with_changes_pending_in_the_overlay():

@@ -15,14 +15,18 @@ Two kinds of guarantees are pinned here:
   nowhere else (the acceptance gate of the storage-layer refactor).
 """
 
+import contextlib
+import os
 import pathlib
+from unittest import mock
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.graph.data_graph import DataGraph
+from repro.kernels import KERNEL_ENV_VAR
 from repro.matching.general_rq import GeneralReachabilityQuery, evaluate_general_rq
 from repro.matching.join_match import join_match
 from repro.matching.paths import PathMatcher
@@ -30,6 +34,7 @@ from repro.matching.reachability import evaluate_rq
 from repro.query.pq import PatternQuery
 from repro.query.predicates import Predicate
 from repro.query.rq import ReachabilityQuery
+from repro.regex.fclass import FRegex, RegexAtom
 from repro.regex.parser import parse_fregex
 from repro.storage.dict_store import DictStore
 from repro.storage.overlay import OverlayCsrStore
@@ -479,6 +484,91 @@ class TestAdapterEdgeCases:
         hits_before = matcher._backward_cache.hits
         assert matcher.backward_reachable({3, 2}, expr) == first
         assert matcher._backward_cache.hits > hits_before
+
+
+# -- a single start is a singleton set ------------------------------------------------
+#
+# The adapters expand sets only; ``PathMatcher``'s single-start reads are the
+# set-level read of a singleton.  Both tests walk every way a read reaches a
+# store.
+
+_STATES = ("dict", "csr-clean", "csr-dirty", "pinned-dirty", "partitioned")
+
+
+@contextlib.contextmanager
+def _matcher_in(state, graph, updates):
+    """A matcher over ``graph`` after ``updates``, with the store in ``state``:
+    the dirty ones compile the base first, so the updates are read through the
+    overlay (a pin's frozen slice of it), ``csr-clean`` compiles them in."""
+    from repro.matching.incremental import coalesce_update_stream
+    from repro.session.session import GraphSession
+
+    engine = state if state in ("dict", "partitioned") else "csr"
+    matcher = PathMatcher(graph, engine=engine)
+    if state.endswith("dirty"):
+        graph.overlay_store().sync()
+    coalesce_update_stream(graph, updates)
+    if state == "pinned-dirty":
+        with GraphSession(graph, engine="csr").pin() as snapshot:
+            yield snapshot._state.matcher("csr")
+    else:
+        yield matcher
+
+
+@pytest.mark.parametrize("read", ["set_targets", "set_sources", "backward_reachable"])
+@pytest.mark.parametrize("state", _STATES)
+def test_missing_start_is_an_error_alone_or_in_a_set(graph, state, read):
+    """The stores skip a start they do not hold, so the adapter checks every
+    one: a typo'd node is an error, never a silent "no neighbours" — as a
+    singleton (every single-start read) and beside live starts."""
+    from repro.exceptions import GraphError
+
+    regex = parse_fregex("r")
+    asked = regex if read == "backward_reachable" else regex.atoms[0]
+    with _matcher_in(state, graph, [("add", 0, 4, "r")]) as matcher:
+        assert getattr(matcher, read)({1}, asked) == ({2} if read == "set_targets" else {0})
+        for starts in ({"zz"}, {1, "zz"}):
+            with pytest.raises(GraphError):
+                getattr(matcher, read)(starts, asked)
+
+
+_atoms = st.lists(
+    st.tuples(st.sampled_from(_COLORS + ("_", "zz")), st.one_of(st.none(), st.integers(1, 3))),
+    min_size=1,
+    max_size=3,
+)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("backend", ["numpy", "python"])
+@settings(max_examples=30, deadline=None)
+@given(_initial_edges(), st.lists(_update, min_size=1, max_size=5), _atoms)
+def test_property_single_start_reads_are_singleton_set_reads(backend, edges, updates, atoms):
+    """In every store state, on both kernel backends, the single-start API
+    answers what the dict engine answers over a fresh copy *and* what the
+    set-level surface answers for the singleton."""
+    regex = FRegex([RegexAtom(color, bound) for color, bound in atoms])
+    with mock.patch.dict(os.environ, {KERNEL_ENV_VAR: backend}):
+        for state in _STATES:
+            graph = build_graph(edges)
+            with _matcher_in(state, graph, updates) as matcher:
+                oracle = PathMatcher(graph.copy(), engine="dict")
+                nodes = list(graph.nodes())
+                for node in nodes:
+                    for atom in regex.atoms:
+                        reached = matcher.atom_targets(node, atom)
+                        assert reached == oracle.atom_targets(node, atom) == matcher.set_targets({node}, atom), state
+                        reaching = matcher.atom_sources(node, atom)
+                        assert reaching == oracle.atom_sources(node, atom) == matcher.set_sources({node}, atom), state
+                    forward = {node}
+                    for atom in regex.atoms:
+                        forward = matcher.set_targets(forward, atom)
+                    assert matcher.targets_from(node, regex) == oracle.targets_from(node, regex) == forward, state
+                    backward = set(matcher.backward_reachable({node}, regex))
+                    assert matcher.sources_to(node, regex) == oracle.sources_to(node, regex) == backward, state
+                    for target in nodes:
+                        matches = matcher.pair_matches(node, target, regex)
+                        assert matches == oracle.pair_matches(node, target, regex) == (target in forward), state
 
 
 class TestReviewHardening:

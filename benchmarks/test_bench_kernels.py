@@ -21,7 +21,13 @@ datasets live in — avg degree ~8):
   fires once the numpy kernels lose about a fifth;
 * ``kernels-origins-python`` / ``kernels-origins-numpy`` — the same
   comparison for ``expand_origins`` (a 1024-origin relation through bounded
-  and unbounded blocks), reported only: no ratio is asserted on it.
+  and unbounded blocks), reported only: no ratio is asserted on it;
+* ``kernels-origins-narrow-python`` / ``kernels-origins-narrow-numpy`` — the
+  relations whose every level is a few rows: one origin down an 8 350-node
+  path, unbounded, and 90 one-source bound-2 blocks on a 60 000-node graph.
+  The numpy backend hands a relation seeded on fewer than
+  ``VECTOR_MIN_FRONTIER`` rows to the python one, so the two should read
+  alike; reported only, with the results asserted identical.
 
 CI runs this file on its own and uploads the timings as
 ``bench-kernels.json`` (see ``.github/workflows/ci.yml``); the tier-1 legs
@@ -40,6 +46,7 @@ pytest.importorskip("numpy")
 
 from repro.datasets.youtube import generate_youtube_graph
 from repro.graph.csr import ANY_COLOR, compile_graph
+from repro.graph.data_graph import DataGraph
 from repro.kernels import numpy_kernel, python_kernel
 
 SPEEDUP_FLOOR = 4.5
@@ -193,3 +200,52 @@ def test_bench_origins_numpy(benchmark, kernel_graph):
     )
     benchmark.extra_info["reached_rows"] = sum(len(nodes) for nodes, _ in results)
     assert results == _run_origins(python_kernel, kernel_graph.num_nodes, calls)
+
+
+# -- narrow relations: reported, not gated ---------------------------------------
+
+PATH_NODES = 8350
+NARROW_SOURCES = 90
+
+
+@pytest.fixture(scope="module")
+def narrow_origin_calls():
+    """``(num_nodes, calls)`` per graph: one origin down a path as long as the
+    paper's graph has nodes, unbounded, and one-source bound-2 blocks on a
+    sparse 60 000-node YouTube-shaped graph — relations whose every level is
+    a handful of rows."""
+    path = DataGraph(name="path")
+    for node in range(PATH_NODES):
+        path.add_node(node)
+    for node in range(PATH_NODES - 1):
+        path.add_edge(node, node + 1, "next")
+    chain = compile_graph(path)
+    wide = compile_graph(generate_youtube_graph(num_nodes=60000, num_edges=120000, seed=7))
+    rng = random.Random(23)
+    any_fwd = wide.layer(ANY_COLOR, reverse=False)
+    sources = [(any_fwd, [rng.randrange(wide.num_nodes)], [1], 2) for _ in range(NARROW_SOURCES)]
+    return [
+        (chain.num_nodes, [(chain.layer(ANY_COLOR, reverse=False), [0], [1], None)]),
+        (wide.num_nodes, sources),
+    ]
+
+
+def _run_narrow(kernel, graphs):
+    return [_run_origins(kernel, n, calls) for n, calls in graphs]
+
+
+@pytest.mark.benchmark(group="kernels-origins-narrow-python")
+def test_bench_origins_narrow_python(benchmark, narrow_origin_calls):
+    results = benchmark.pedantic(
+        _run_narrow, args=(python_kernel, narrow_origin_calls), rounds=PASSES, iterations=1
+    )
+    benchmark.extra_info["reached_rows"] = sum(len(nodes) for per in results for nodes, _ in per)
+
+
+@pytest.mark.benchmark(group="kernels-origins-narrow-numpy")
+def test_bench_origins_narrow_numpy(benchmark, narrow_origin_calls):
+    results = benchmark.pedantic(
+        _run_narrow, args=(numpy_kernel, narrow_origin_calls), rounds=PASSES, iterations=1
+    )
+    benchmark.extra_info["reached_rows"] = sum(len(nodes) for per in results for nodes, _ in per)
+    assert results == _run_narrow(python_kernel, narrow_origin_calls)

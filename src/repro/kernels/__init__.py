@@ -8,11 +8,15 @@ package is the single home of that inner loop:
 
 * :mod:`repro.kernels.numpy_kernel` — frontier-as-boolean-vector BFS with
   per-level neighbour gathers via ``offsets``/``targets`` fancy indexing.
-  Each BFS *level* chooses between the vectorised gather and a plain python
-  sweep based on the live frontier width, so one-off lookups on small
-  frontiers never pay numpy's fixed per-call overhead;
+  It holds only the vectorised level: a level, or an origin relation,
+  narrower than ``VECTOR_MIN_FRONTIER`` runs the python backend's code, so
+  one-off lookups on small frontiers never pay numpy's fixed per-call
+  overhead;
 * :mod:`repro.kernels.python_kernel` — the dependency-free fallback over
   ``array`` + ``memoryview``, byte-identical in results.
+
+Each backend has one frontier level loop over a list of CSR layers, behind
+both :func:`expand_frontier` and :func:`closure_frontier`.
 
 Both backends implement the same entry points and the same *block*
 semantics (the paper's non-empty-path requirement; :func:`bfs_block_frontier`
@@ -53,8 +57,8 @@ is its definition):
 
 ``neighbors_of(layer, num_nodes, starts)``
     the plain one-hop neighbour set, sorted and de-duplicated — the
-    point-lookup read of the partitioned store, with no per-call
-    ``num_nodes``-sized state.
+    point-lookup read of the partitioned store.  It is the block frontier at
+    bound 1, ``sorted(expand_frontier(layer, num_nodes, starts, 1))``.
 
 Backend selection (:func:`select_backend`) is automatic — numpy when
 importable, the pure-python loops otherwise — and overridable through the
@@ -168,8 +172,9 @@ def closure_frontier(layers, num_nodes: int, starts: Iterable[int]) -> List[int]
 
 
 def neighbors_of(layer, num_nodes: int, starts: Iterable[int]) -> List[int]:
-    """Sorted de-duplicated one-hop neighbour indices of ``starts``."""
-    return select_backend().neighbors_of(layer, num_nodes, starts)
+    """Sorted de-duplicated one-hop neighbour indices of ``starts``: the block
+    frontier at bound 1."""
+    return sorted(select_backend().expand_frontier(layer, num_nodes, starts, 1))
 
 
 def bfs_block_frontier(neighbors, starts: Iterable[NodeId], bound: Optional[int]) -> Set[NodeId]:

@@ -17,22 +17,26 @@ handful of array operations instead of a per-edge python loop:
   — the sort is what ruins plain gather-BFS on dense levels).
 
 Vectorisation pays a fixed per-level overhead (~tens of microseconds of
-array-call dispatch), which swamps the win on narrow frontiers — the
-single-source bounded expansions the RQ engine memoises are often a few
-dozen nodes deep in total.  Each level therefore picks its mode by live
-frontier width: below :data:`VECTOR_MIN_FRONTIER` it runs the same plain
-loop as :mod:`repro.kernels.python_kernel`, at or above it the gather
-kernel.  Narrow searches never touch numpy at all (the array views are
-created lazily on the first vectorised level), wide fixpoint sweeps and
-affected-area closures run almost entirely vectorised.  A set-level call —
-:func:`expand_frontier` given a candidate :class:`Bitmap` — copies the flags
-into ``visited``, takes its first frontier with one ``flatnonzero``, runs the
-same levels with the same switch, and answers the ``reached`` flags as a
-:class:`Bitmap`: no Python int is boxed on the way in or out.
+array-call dispatch), which swamps the win on narrow frontiers.  This module
+therefore keeps only the vectorised level: ``_levels``, behind both
+:func:`expand_frontier` (one layer) and :func:`closure_frontier` (several,
+gathered one after another and concatenated), hands a level narrower than
+:data:`VECTOR_MIN_FRONTIER` to :func:`python_kernel.level`, the python
+backend's one scalar level, over the same ``bytearray`` state.  Narrow
+searches never touch numpy at all (the array views are created lazily on the
+first vectorised level); wide fixpoint sweeps and affected-area closures run
+almost entirely vectorised.  A set-level call — :func:`expand_frontier` given
+a candidate :class:`Bitmap` — copies the flags into ``visited``, takes its
+first frontier with one ``flatnonzero``, runs the same levels with the same
+switch, and answers the ``reached`` flags as a :class:`Bitmap`: no Python int
+is boxed on the way in or out.
 
 :func:`expand_origins` (and :func:`decode_origins`, which reads its rows out
-through one byte matrix) needs no such switch: a level gathers only the rows
-that gained bits in the level before, so its cost follows the live relation.
+through one byte matrix) gathers only the rows that gained bits in the level
+before, so its cost follows the live relation; a relation seeded on fewer
+than :data:`VECTOR_MIN_FRONTIER` non-empty rows is handed to
+:func:`python_kernel.expand_origins` whole, because one origin down a long
+path would otherwise pay the array dispatch once per level.
 Its rows stay the ``int`` bitsets of the python backend, in object arrays:
 numpy does a level's edge work (gather, stable sort by destination,
 ``bitwise_or.reduceat``), the integers the bit operations, and a dict keyed
@@ -54,13 +58,20 @@ import numpy as np
 
 from repro.kernels import python_kernel
 
-#: BFS levels with fewer frontier nodes than this run the plain python loop.
-#: Monkeypatched to 1 by the differential suite to force full vectorisation.
+#: BFS levels with fewer frontier nodes than this, and origin relations seeded
+#: on fewer non-empty rows, run the python backend's code.  Monkeypatched to 1
+#: by the differential suite to force full vectorisation.  Measured at 4 / 8 /
+#: 16 / 32 / 64 (CPU time, 2-core x86 VM): the kernels gate's numpy
+#: side takes 14.3 / 13.7 / 13.4 / 13.2 / 13.3 ms (best of 9), an in-process
+#: ``lib_paper`` script (seed 13) 326 / 324 / 335 / 327 / 319 ms (median of 6,
+#: IQR 13-33 ms).  Flat from 8 up, so 16 stays.
 VECTOR_MIN_FRONTIER = 16
 
 #: Levels whose gathered neighbour multiset is at least ``num_nodes`` over
 #: this divisor extract the next frontier by scratch-mask scan instead of
 #: ``np.unique`` — O(num_nodes) beats sorting once the level is wide.
+#: Measured at 4 / 16 / 64 as above: 13.5 / 13.4 / 13.0 ms on the kernels
+#: gate, 330 / 335 / 319 ms on ``lib_paper`` — flat, so 16 stays.
 SCAN_DIVISOR = 16
 
 _EMPTY = np.empty(0, dtype=np.intp)
@@ -136,184 +147,68 @@ class Bitmap(python_kernel.Bitmap):
         return np.flatnonzero(_mask(self))
 
 
-def expand_frontier(
-    layer, num_nodes: int, starts: Union[python_kernel.Bitmap, Iterable[int]], bound: Optional[int]
-) -> Union[Bitmap, List[int]]:
-    """Indices at positive distance ``1 … bound`` from any start via one layer:
+def _levels(layers, num_nodes: int, starts, bound: Optional[int]):
+    """Block-semantics BFS over the union of ``layers``, up to ``bound`` levels:
     a :class:`Bitmap` for a bitmap of starts (seeded with one copy and one
     ``flatnonzero``, answered as the ``reached`` flags themselves), else the
-    list in discovery order (ascending once a level was vectorised)."""
-    offsets = layer.offsets
-    neighbors = layer._view
-    mask = layer.mask
-    reached_flags = bytearray(num_nodes)
-    as_bitmap = isinstance(starts, python_kernel.Bitmap)
-    if as_bitmap:
-        visited = bytearray(starts.flags)
-        frontier = np.flatnonzero(_mask(starts) & np.frombuffer(mask, dtype=np.bool_))
+    list in discovery order (ascending once a level was vectorised).  A level
+    narrower than :data:`VECTOR_MIN_FRONTIER` is :func:`python_kernel.level`
+    over the same ``bytearray`` state; a wider one gathers each layer's neighbours
+    and extracts the next frontier by scratch-mask scan once the multiset
+    reaches ``num_nodes // SCAN_DIVISOR``, else by ``np.unique``."""
+    if isinstance(starts, python_kernel.Bitmap):
+        visited, frontier = bytearray(starts.flags), np.flatnonzero(_mask(starts))
     else:
-        visited = bytearray(num_nodes)
-        frontier = []
-        for start in starts:
-            if not visited[start]:
-                visited[start] = 1
-                if mask[start]:
-                    frontier.append(start)
+        visited, frontier = python_kernel.seeded(num_nodes, starts)
+    reached_flags = bytearray(num_nodes)
     reached: List[int] = []
-    np_state = None
-    scratch = None
-    vectorised = False
+    arrays = scratch = None
     depth = 0
-    scan_min = max(VECTOR_MIN_FRONTIER, num_nodes // SCAN_DIVISOR)
     while len(frontier) and (bound is None or depth < bound):
         depth += 1
-        if len(frontier) >= VECTOR_MIN_FRONTIER:
-            if np_state is None:
-                np_state = (
-                    *_layer_arrays(layer),
-                    np.frombuffer(visited, dtype=np.bool_),
-                    np.frombuffer(reached_flags, dtype=np.bool_),
-                )
-            off_np, tgt_np, visited_np, reached_np = np_state
-            vectorised = True
-            front = np.asarray(frontier, dtype=np.intp)
-            nbr = _gather_level(off_np, tgt_np, front)
-            if nbr.size == 0:
-                break
-            if nbr.size >= scan_min:
-                if scratch is None:
-                    scratch = np.zeros(num_nodes, dtype=np.bool_)
-                scratch[nbr] = True
-                reached_np |= scratch
-                new = scratch & ~visited_np
-                visited_np |= new
-                frontier = np.flatnonzero(new)
-                scratch[nbr] = False
-            else:
-                reached_np[nbr] = True
-                fresh = nbr[~visited_np[nbr]]
-                frontier = np.unique(fresh)
-                visited_np[frontier] = True
+        if len(frontier) < VECTOR_MIN_FRONTIER:
+            frontier = frontier if isinstance(frontier, list) else frontier.tolist()
+            frontier = python_kernel.level(layers, frontier, visited, reached_flags, reached)
+            continue
+        if arrays is None:
+            arrays = [_layer_arrays(layer) for layer in layers]
+            visited_np = np.frombuffer(visited, dtype=np.bool_)
+            reached_np = np.frombuffer(reached_flags, dtype=np.bool_)
+        front = np.asarray(frontier, dtype=np.intp)
+        chunks = [_gather_level(offsets, targets, front) for offsets, targets in arrays]
+        nbr = chunks[0] if len(chunks) == 1 else np.concatenate(chunks or [_EMPTY])
+        if nbr.size >= max(VECTOR_MIN_FRONTIER, num_nodes // SCAN_DIVISOR):
+            if scratch is None:
+                scratch = np.zeros(num_nodes, dtype=np.bool_)
+            scratch[nbr] = True
+            reached_np |= scratch
+            new = scratch & ~visited_np
+            visited_np |= new
+            frontier = np.flatnonzero(new)
+            scratch[nbr] = False
         else:
-            if not isinstance(frontier, list):
-                frontier = frontier.tolist()
-            advanced: List[int] = []
-            push = advanced.append
-            record = reached.append
-            for node in frontier:
-                for nxt in neighbors[offsets[node]:offsets[node + 1]]:
-                    if not reached_flags[nxt]:
-                        reached_flags[nxt] = 1
-                        record(nxt)
-                    if not visited[nxt]:
-                        visited[nxt] = 1
-                        push(nxt)
-            frontier = advanced
-    if as_bitmap:
+            reached_np[nbr] = True
+            frontier = np.unique(nbr[~visited_np[nbr]])
+            visited_np[frontier] = True
+    if isinstance(starts, python_kernel.Bitmap):
         return Bitmap(reached_flags)
-    if vectorised:
-        # Vector levels record into the shared bitmap only; one final scan
+    if arrays is not None:
+        # Vector levels record into the shared flags only; one final scan
         # recovers the full result (python-level discoveries included).
-        return np.flatnonzero(np.frombuffer(reached_flags, dtype=np.uint8)).tolist()
+        return np.flatnonzero(reached_np).tolist()
     return reached
 
 
-def neighbors_of(layer, num_nodes: int, starts: Iterable[int]) -> List[int]:
-    """Sorted de-duplicated one-hop neighbour indices of ``starts``.
-
-    The point-lookup primitive of the partitioned store (successor /
-    predecessor reads routed to one shard); one gather plus ``np.unique``,
-    with the same narrow-input python fast path as the BFS levels.
-    """
-    front = starts if isinstance(starts, list) else list(starts)
-    if len(front) < VECTOR_MIN_FRONTIER:
-        offsets = layer.offsets
-        neighbors = layer._view
-        mask = layer.mask
-        out = set()
-        for start in front:
-            if mask[start]:
-                out.update(neighbors[offsets[start]:offsets[start + 1]])
-        return sorted(out)
-    off_np, tgt_np = _layer_arrays(layer)
-    nbr = _gather_level(off_np, tgt_np, np.asarray(front, dtype=np.intp))
-    return np.unique(nbr).tolist()
+def expand_frontier(
+    layer, num_nodes: int, starts: Union[python_kernel.Bitmap, Iterable[int]], bound: Optional[int]
+) -> Union[Bitmap, List[int]]:
+    """Indices at positive distance ``1 … bound`` from any start via one layer."""
+    return _levels([layer], num_nodes, starts, bound)
 
 
 def closure_frontier(layers, num_nodes: int, starts: Iterable[int]) -> List[int]:
     """Indices with a non-empty path from any start via the union of layers."""
-    layers = list(layers)
-    if len(layers) == 1:
-        return expand_frontier(layers[0], num_nodes, starts, None)
-    visited = bytearray(num_nodes)
-    reached_flags = bytearray(num_nodes)
-    frontier: List[int] = []
-    for start in starts:
-        if not visited[start]:
-            visited[start] = 1
-            if any(layer.mask[start] for layer in layers):
-                frontier.append(start)
-    reached: List[int] = []
-    np_state = None
-    scratch = None
-    vectorised = False
-    scan_min = max(VECTOR_MIN_FRONTIER, num_nodes // SCAN_DIVISOR)
-    while len(frontier):
-        if len(frontier) >= VECTOR_MIN_FRONTIER:
-            if np_state is None:
-                np_state = (
-                    [_layer_arrays(layer) for layer in layers],
-                    np.frombuffer(visited, dtype=np.bool_),
-                    np.frombuffer(reached_flags, dtype=np.bool_),
-                )
-            arrays, visited_np, reached_np = np_state
-            vectorised = True
-            front = np.asarray(frontier, dtype=np.intp)
-            chunks = [
-                gathered
-                for off_np, tgt_np in arrays
-                for gathered in (_gather_level(off_np, tgt_np, front),)
-                if gathered.size
-            ]
-            if not chunks:
-                break
-            nbr = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-            if nbr.size >= scan_min:
-                if scratch is None:
-                    scratch = np.zeros(num_nodes, dtype=np.bool_)
-                scratch[nbr] = True
-                reached_np |= scratch
-                new = scratch & ~visited_np
-                visited_np |= new
-                frontier = np.flatnonzero(new)
-                scratch[nbr] = False
-            else:
-                reached_np[nbr] = True
-                fresh = nbr[~visited_np[nbr]]
-                frontier = np.unique(fresh)
-                visited_np[frontier] = True
-        else:
-            if not isinstance(frontier, list):
-                frontier = frontier.tolist()
-            advanced: List[int] = []
-            push = advanced.append
-            record = reached.append
-            for node in frontier:
-                for layer in layers:
-                    if not layer.mask[node]:
-                        continue
-                    offsets = layer.offsets
-                    for nxt in layer._view[offsets[node]:offsets[node + 1]]:
-                        if not reached_flags[nxt]:
-                            reached_flags[nxt] = 1
-                            record(nxt)
-                        if not visited[nxt]:
-                            visited[nxt] = 1
-                            push(nxt)
-            frontier = advanced
-    if vectorised:
-        return np.flatnonzero(np.frombuffer(reached_flags, dtype=np.uint8)).tolist()
-    return reached
+    return _levels(list(layers), num_nodes, starts, None)
 
 
 # -- origin relations (multi-source BFS, one bitset of origins per node) ---------
@@ -343,12 +238,15 @@ def expand_origins(
     Same contract and results as :func:`python_kernel.expand_origins`; see the
     module docstring for the form.  ``seen`` is keyed by touched index, as in
     the python backend, and the result is one merge of the levels' arrivals:
-    no per-call ``num_nodes``-sized state.
+    no per-call ``num_nodes``-sized state.  A relation seeded on fewer than
+    :data:`VECTOR_MIN_FRONTIER` non-empty rows is the python backend's call:
+    its levels stay as narrow as its seed on the paths queries walk, where each
+    vectorised level costs tens of microseconds of array dispatch.
     """
     front, bits = np.asarray(nodes, dtype=np.intp), np.array(rows, dtype=object)
     occupied = bits.astype(bool)
-    if bound == 0 or not occupied.any():
-        return [], []
+    if bound == 0 or np.count_nonzero(occupied) < VECTOR_MIN_FRONTIER:
+        return python_kernel.expand_origins(layer, num_nodes, nodes, rows, bound)
     offsets, targets = _layer_arrays(layer)
     front, bits = _merge_rows(front[occupied], bits[occupied])
     dest, arrived = _push_rows(offsets, targets, front, bits)

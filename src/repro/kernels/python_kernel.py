@@ -10,7 +10,10 @@ Every entry point implements the block semantics shared with
 :mod:`repro.kernels.numpy_kernel` (asserted equal by the differential suite
 in ``tests/test_kernels.py``): results are the indices at positive distance
 ``1 … bound`` from any start, and a start index is included exactly when it
-is re-reached through a non-empty path.  :func:`expand_origins` carries that
+is re-reached through a non-empty path.  One level loop, over a list of
+layers, serves :func:`expand_frontier` (one layer) and
+:func:`closure_frontier` (their union, unbounded); its step, :func:`level`,
+is also the numpy backend's narrow level.  :func:`expand_origins` carries that
 block for many start sets at once, as one ``int`` bitset of origins per node
 held in plain dicts — no per-call ``num_nodes``-sized state — and
 :func:`decode_origins` reads such rows out as two parallel lists.
@@ -95,35 +98,30 @@ def outside_space(handle: int, num_nodes: int) -> GraphError:
     return GraphError(f"handle {handle!r} is outside its space of {num_nodes} nodes")
 
 
-def expand_frontier(
-    layer, num_nodes: int, starts: Union[Bitmap, Iterable[int]], bound: Optional[int]
-) -> Union[Bitmap, List[int]]:
-    """Indices at positive distance ``1 … bound`` from any start via one layer:
-    a :class:`Bitmap` for a :class:`Bitmap` of starts, else the list in
-    discovery order."""
-    offsets = layer.offsets
-    neighbors = layer._view
-    mask = layer.mask
-    reached_flags = bytearray(num_nodes)
-    as_bitmap = isinstance(starts, Bitmap)
-    if as_bitmap:
-        visited = bytearray(starts.flags)
-        frontier = [start for start in starts if mask[start]]
-    else:
-        visited = bytearray(num_nodes)
-        frontier = []
-        for start in starts:
-            if not visited[start]:
-                visited[start] = 1
-                if mask[start]:
-                    frontier.append(start)
-    reached: List[int] = []
-    depth = 0
-    while frontier and (bound is None or depth < bound):
-        depth += 1
-        advanced: List[int] = []
-        push = advanced.append
-        record = reached.append
+def seeded(num_nodes: int, starts: Iterable[int]) -> Tuple[bytearray, List[int]]:
+    """``(visited, frontier)`` for an iterable of start indices: each start
+    marked visited, and the first frontier holding it once, in order."""
+    visited = bytearray(num_nodes)
+    frontier = []
+    for start in starts:
+        if not visited[start]:
+            visited[start] = 1
+            frontier.append(start)
+    return visited, frontier
+
+
+def level(
+    layers, frontier: Sequence[int], visited: bytearray, reached_flags: bytearray, reached: List[int]
+) -> List[int]:
+    """One BFS level over the union of ``layers``: every neighbour of the
+    frontier is flagged in ``reached_flags`` (and appended to ``reached`` the
+    first time), and the ones not yet ``visited`` are marked and answered as the
+    next frontier.  The one scalar level of both backends: the numpy backend
+    runs it on its narrow levels, over the same ``bytearray`` state."""
+    advanced: List[int] = []
+    push, record = advanced.append, reached.append
+    for layer in layers:
+        offsets, neighbors = layer.offsets, layer._view
         for node in frontier:
             for nxt in neighbors[offsets[node]:offsets[node + 1]]:
                 if not reached_flags[nxt]:
@@ -132,59 +130,38 @@ def expand_frontier(
                 if not visited[nxt]:
                     visited[nxt] = 1
                     push(nxt)
-        frontier = advanced
-    return Bitmap(reached_flags) if as_bitmap else reached
+    return advanced
 
 
-def neighbors_of(layer, num_nodes: int, starts: Iterable[int]) -> List[int]:
-    """Sorted de-duplicated one-hop neighbour indices of ``starts``.
+def _levels(layers, num_nodes: int, starts: Union[Bitmap, Iterable[int]], bound: Optional[int]):
+    """Block-semantics BFS over the union of ``layers``, up to ``bound`` levels:
+    a :class:`Bitmap` for a :class:`Bitmap` of starts, else the list in
+    discovery order."""
+    if isinstance(starts, Bitmap):
+        visited, frontier = bytearray(starts.flags), list(starts)
+    else:
+        visited, frontier = seeded(num_nodes, starts)
+    reached_flags = bytearray(num_nodes)
+    reached: List[int] = []
+    depth = 0
+    while frontier and (bound is None or depth < bound):
+        depth += 1
+        frontier = level(layers, frontier, visited, reached_flags, reached)
+    return Bitmap(reached_flags) if isinstance(starts, Bitmap) else reached
 
-    The point-lookup primitive of the partitioned store (successor /
-    predecessor reads routed to one shard); unlike :func:`expand_frontier`
-    it allocates no per-call ``num_nodes``-sized state.
-    """
-    offsets = layer.offsets
-    neighbors = layer._view
-    mask = layer.mask
-    out = set()
-    for start in starts:
-        if mask[start]:
-            out.update(neighbors[offsets[start]:offsets[start + 1]])
-    return sorted(out)
+
+def expand_frontier(
+    layer, num_nodes: int, starts: Union[Bitmap, Iterable[int]], bound: Optional[int]
+) -> Union[Bitmap, List[int]]:
+    """Indices at positive distance ``1 … bound`` from any start via one layer:
+    a :class:`Bitmap` for a :class:`Bitmap` of starts, else the list in
+    discovery order."""
+    return _levels([layer], num_nodes, starts, bound)
 
 
 def closure_frontier(layers, num_nodes: int, starts: Iterable[int]) -> List[int]:
     """Indices with a non-empty path from any start via the union of layers."""
-    layers = list(layers)
-    if len(layers) == 1:
-        return expand_frontier(layers[0], num_nodes, starts, None)
-    visited = bytearray(num_nodes)
-    reached_flags = bytearray(num_nodes)
-    frontier: List[int] = []
-    for start in starts:
-        if not visited[start]:
-            visited[start] = 1
-            if any(layer.mask[start] for layer in layers):
-                frontier.append(start)
-    reached: List[int] = []
-    record = reached.append
-    while frontier:
-        advanced: List[int] = []
-        push = advanced.append
-        for node in frontier:
-            for layer in layers:
-                if not layer.mask[node]:
-                    continue
-                offsets = layer.offsets
-                for nxt in layer._view[offsets[node]:offsets[node + 1]]:
-                    if not reached_flags[nxt]:
-                        reached_flags[nxt] = 1
-                        record(nxt)
-                    if not visited[nxt]:
-                        visited[nxt] = 1
-                        push(nxt)
-        frontier = advanced
-    return reached
+    return _levels(list(layers), num_nodes, starts, None)
 
 
 def expand_origins(

@@ -56,7 +56,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.query.containment import pq_equivalent
 from repro.query.minimization import minimize_pattern_query
 from repro.query.pq import PatternQuery
-from repro.query.predicates import _MISSING, Predicate, _comparable, _Interval, order_class
+from repro.query.predicates import _MISSING, Predicate, _compare, _comparable, _Interval, order_class
 from repro.query.rq import ReachabilityQuery
 from repro.regex.fclass import FRegex, RegexAtom, WILDCARD
 from repro.session.defaults import (
@@ -169,10 +169,10 @@ def _bounds_exclude(interval: _Interval, value: Any) -> bool:
     """True when the interval's bounds alone rule out ``attr == value``."""
     upper, lower = interval.upper, interval.lower
     if upper is not None and _comparable(upper, value):
-        if upper < value or (upper == value and interval.upper_strict):
+        if _compare(upper, "<", value) or (upper == value and interval.upper_strict):
             return True
     if lower is not None and _comparable(lower, value):
-        if lower > value or (lower == value and interval.lower_strict):
+        if _compare(lower, ">", value) or (lower == value and interval.lower_strict):
             return True
     return False
 
@@ -183,26 +183,20 @@ def _attribute_entry(attribute: str, conditions: List) -> Tuple:
     for condition in conditions:
         interval.add(condition)
 
-    if interval.equal is not _MISSING:
-        domains = {order_class(condition.value) for condition in conditions}
-        if len(domains) == 1:
-            # Satisfiability already validated the equality against every
-            # (tightest) bound and excluded point, and within one domain the
-            # looser bounds follow, so the equality alone is the identity.
-            return (attribute, ("eq", _norm_value(interval.equal)))
-        # Mixed comparison domains: the interval abstraction silently drops
-        # incomparable bounds, so only the literal conditions are sound.
-        return (
-            attribute,
-            ("raw", tuple(sorted((c.op, repr(c.value)) for c in conditions))),
-        )
-
     domains = {order_class(condition.value) for condition in conditions}
-    if len(domains) > 1:
+    if len(domains) > 1 or interval.unordered:
+        # Mixed comparison domains, or bounds of one domain that do not order
+        # against each other: the interval abstraction silently drops such
+        # bounds, so only the literal conditions are sound.
         return (
             attribute,
             ("raw", tuple(sorted((c.op, repr(c.value)) for c in conditions))),
         )
+    if interval.equal is not _MISSING:
+        # Satisfiability already validated the equality against every
+        # (tightest) bound and excluded point, and within one domain the
+        # looser bounds follow, so the equality alone is the identity.
+        return (attribute, ("eq", _norm_value(interval.equal)))
 
     kept = tuple(
         sorted(

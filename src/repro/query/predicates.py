@@ -45,21 +45,28 @@ def order_class(value: Any) -> type:
 
 
 def _compare(left: Any, op: str, right: Any) -> bool:
-    """Evaluate ``left op right``; incomparable values fail ordering tests."""
+    """Evaluate ``left op right``; incomparable values fail ordering tests.
+
+    Values of one order class are incomparable too when ordering them raises
+    ``TypeError``: ``(1,)`` against ``("z",)`` compares ``1`` with ``"z"``.
+    """
     if op == "=":
         return left == right
     if op == "!=":
         return left != right
     if not _comparable(left, right):
         return False
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
+    try:
+        if op == "<":
+            return left < right
+        if op == "<=":
+            return left <= right
+        if op == ">":
+            return left > right
+        if op == ">=":
+            return left >= right
+    except TypeError:
+        return False
     raise PredicateError(f"unknown operator {op!r}")
 
 
@@ -98,7 +105,9 @@ class AtomicCondition:
 class _Interval:
     """Interval + excluded points implied by a conjunction on one attribute."""
 
-    __slots__ = ("lower", "lower_strict", "upper", "upper_strict", "equal", "not_equal", "contradictory")
+    __slots__ = (
+        "lower", "lower_strict", "upper", "upper_strict", "equal", "not_equal", "contradictory", "unordered"
+    )
 
     def __init__(self) -> None:
         self.lower: Any = None
@@ -108,6 +117,11 @@ class _Interval:
         self.equal: Any = _MISSING
         self.not_equal: set = set()
         self.contradictory = False
+        # A bound of the held bound's order class that does not order against
+        # it (``(5,)`` and ``("a",)``, or NaN) was left out: the interval then
+        # admits more than the conjunction, so it may serve as an upper
+        # estimate (satisfiability, implication) but not as the identity.
+        self.unordered = False
 
     def add(self, condition: AtomicCondition) -> None:
         value = condition.value
@@ -130,15 +144,21 @@ class _Interval:
     def _tighter_upper(self, value: Any, strict: bool) -> bool:
         if not _comparable(value, self.upper):
             return False
-        if value < self.upper:
+        if _compare(value, "<", self.upper):
             return True
+        if not _compare(value, ">=", self.upper):
+            self.unordered = True
+            return False
         return value == self.upper and strict and not self.upper_strict
 
     def _tighter_lower(self, value: Any, strict: bool) -> bool:
         if not _comparable(value, self.lower):
             return False
-        if value > self.lower:
+        if _compare(value, ">", self.lower):
             return True
+        if not _compare(value, "<=", self.lower):
+            self.unordered = True
+            return False
         return value == self.lower and strict and not self.lower_strict
 
     # -- satisfiability --------------------------------------------------------
@@ -158,7 +178,8 @@ class _Interval:
         if self.lower is not None and self.upper is not None:
             if not _comparable(self.lower, self.upper):
                 return False
-            if self.lower > self.upper:
+            # Bounds that do not order against each other prune nothing.
+            if _compare(self.lower, ">", self.upper):
                 return False
             if self.lower == self.upper and (self.lower_strict or self.upper_strict):
                 return False
@@ -194,24 +215,25 @@ class _Interval:
             if value in self.not_equal:
                 return True
             if upper is not None and _comparable(upper, value):
-                if upper < value or (upper == value and self.upper_strict):
+                if _compare(upper, "<", value) or (upper == value and self.upper_strict):
                     return True
             if lower is not None and _comparable(lower, value):
-                if lower > value or (lower == value and self.lower_strict):
+                if _compare(lower, ">", value) or (lower == value and self.lower_strict):
                     return True
             return False
+        # A bound that does not order against ``value`` implies nothing of it.
         if op in ("<", "<="):
             if upper is None or not _comparable(upper, value):
                 return False
             if op == "<=":
-                return upper <= value
-            return upper < value or (upper == value and self.upper_strict)
+                return _compare(upper, "<=", value)
+            return _compare(upper, "<", value) or (upper == value and self.upper_strict)
         if op in (">", ">="):
             if lower is None or not _comparable(lower, value):
                 return False
             if op == ">=":
-                return lower >= value
-            return lower > value or (lower == value and self.lower_strict)
+                return _compare(lower, ">=", value)
+            return _compare(lower, ">", value) or (lower == value and self.lower_strict)
         raise PredicateError(f"unknown operator {op!r}")
 
 

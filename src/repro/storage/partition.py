@@ -17,8 +17,9 @@ through a cross-shard worklist:
   round, so global distances are exact), unbounded closures run each shard
   to a **local fixpoint** per round and exchange only the boundary crossers
   (far fewer rounds on locality-friendly partitions);
-* per-shard expansion is the PR 8 kernel (`expand_frontier` /
-  `closure_frontier`) over the shard's CSR layers, mapped across active
+* per-shard expansion is the kernel layer's frontier loop (`expand_frontier`
+  for one colour, `closure_frontier` for a colour set, `neighbors_of` for
+  one hop) over the shard's CSR layers, mapped across active
   shards either serially or by a ``ThreadPoolExecutor`` (``parallelism=``).
   Results are merged in *shard order*, never completion order, so the
   parallel path is byte-identical to the serial one.
@@ -186,8 +187,6 @@ class Shard:
         layers = self.layers_for(colors, reverse)
         if not layers:
             return []
-        if len(layers) == 1:
-            return expand_frontier(layers[0], self.compiled.num_nodes, seeds, None)
         return closure_frontier(layers, self.compiled.num_nodes, seeds)
 
     def neighbors(self, seeds: List[int], color: Optional[str], reverse: bool) -> List[int]:

@@ -189,6 +189,8 @@ class TestCiWorkflow:
             "tests/test_store_parity.py", "bitmap",
             # Every single-start read against the set-level read of its singleton.
             "singleton_set",
+            # The one-hop read against the oracle's bound-1 frontier.
+            "neighbors_of",
         ):
             assert needle in command
         assert "not slow" not in command

@@ -14,10 +14,13 @@ other and to an independent oracle:
   ``bfs_block_frontier``) on hypothesis-generated graphs with cycles
   through starts, duplicate colours, empty layers and bounded depths
   including ``bound=0``;
+* ``repro.kernels.neighbors_of`` must be the oracle's bound-1 frontier,
+  sorted, under both ``REPRO_KERNELS`` values;
 * ``expand_origins`` — the origin relation pushed through a layer for all
   origins at once — must equal, origin by origin, the union of single-source
   ``expand_frontier`` calls from the nodes carrying that origin's bit, on
-  both backends and through the ``REPRO_KERNELS`` dispatch;
+  both backends (the numpy one also with its levels forced vectorised and
+  with its narrow hand-off forced) and through the ``REPRO_KERNELS`` dispatch;
 * ``decode_origins`` — such a relation read out as two parallel index
   sequences — must equal, entry for entry, the bit-by-bit loop it replaced,
   on both backends and between them, and reject a row wider than its block;
@@ -34,6 +37,8 @@ other and to an independent oracle:
 """
 
 import contextlib
+import os
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -186,6 +191,26 @@ def test_property_expand_frontier_matches_oracle(case, bound, color, reverse):
         expected,
         lambda kernel: kernel.expand_frontier(layer, compiled.num_nodes, starts, bound),
     )
+
+
+@pytest.mark.slow
+@settings(max_examples=60, deadline=None)
+@given(indexed_graph(), st.sampled_from(_COLORS + (None,)), st.booleans())
+def test_property_neighbors_of_is_the_bound_one_frontier(case, color, reverse):
+    # The package's one-hop read is the block frontier at bound 1, through the
+    # REPRO_KERNELS dispatch under both values; any iterable of starts.
+    graph, starts = case
+    compiled = compile_graph(graph)
+    starts = [compiled.node_index(start) for start in starts]
+    color_id = compiled.color_id(color)
+    if color_id is None:
+        return
+    layer = compiled.layer(color_id, reverse=reverse)
+    expected = sorted(_oracle_expand(graph, compiled, starts, color, 1, reverse))
+    for name in ("python", "numpy"):
+        with mock.patch.dict(os.environ, {KERNEL_ENV_VAR: name}):
+            assert repro.kernels.neighbors_of(layer, compiled.num_nodes, starts) == expected, name
+            assert repro.kernels.neighbors_of(layer, compiled.num_nodes, iter(starts * 2)) == expected, name
 
 
 @pytest.mark.slow
@@ -357,11 +382,18 @@ def _origin_backends():
 
 
 def _assert_origins_match(layer, num_nodes, nodes, rows, bound):
+    # Every configuration of _backend_runs: the numpy backend hands a relation
+    # seeded on fewer than VECTOR_MIN_FRONTIER rows to the python one, which is
+    # every relation these small graphs carry by default, so the forced runs
+    # are what keep its vectorised levels (and the hand-off itself) tested.
     expected = _oracle_origins(layer, num_nodes, nodes, rows, bound)
-    results = [kernel.expand_origins(layer, num_nodes, nodes, rows, bound) for kernel in _origin_backends()]
-    for got_nodes, got_rows in results:
-        assert got_nodes == sorted(set(got_nodes)) and all(got_rows)  # ascending, no empty row
-        assert _relation(got_nodes, got_rows) == expected
+    results = []
+    for label, kernel, patch in _backend_runs():
+        with _patched(kernel, **patch):
+            results.append(kernel.expand_origins(layer, num_nodes, nodes, rows, bound))
+        got_nodes, got_rows = results[-1]
+        assert got_nodes == sorted(set(got_nodes)) and all(got_rows), label  # ascending, no empty row
+        assert _relation(got_nodes, got_rows) == expected, label
     assert all(result == results[0] for result in results)  # result-identical, not just equivalent
     return results[0]
 

@@ -204,3 +204,49 @@ class TestImplication:
         assert Predicate.parse("a > 5").implies(Predicate.parse("a != 3"))
         assert Predicate.parse("a != 3").implies(Predicate.parse("a != 3"))
         assert not Predicate.parse("a > 2").implies(Predicate.parse("a != 3"))
+
+
+class TestUnorderableConstants:
+    """Two tuples order element by element, so ``("z",) <= (5,)`` compares
+    ``"z"`` with ``5`` and raises ``TypeError`` although both sides share an
+    order class.  Such a row fails the condition, like values of different
+    classes do, on every read path."""
+
+    UPPER = Predicate([AtomicCondition("x", "<=", (5,))])
+    BOTH = UPPER & Predicate([AtomicCondition("x", "<=", ("a",))])
+
+    @staticmethod
+    def _graph():
+        from repro.graph.data_graph import DataGraph
+
+        graph = DataGraph(name="unorderable")
+        for node, x in enumerate([(1,), ("z",), (2,), ()]):
+            graph.add_node(node, x=x)
+        for node in range(4):
+            graph.add_edge(node, (node + 1) % 4, "r")
+        return graph
+
+    @pytest.mark.parametrize("route", ["dict", "csr", "cache-probe"])
+    def test_rows_that_do_not_order_fail_the_condition(self, route):
+        from repro.query.rq import ReachabilityQuery
+        from repro.session import GraphSession
+
+        upper, both = (ReachabilityQuery(predicate, None, "r") for predicate in (self.UPPER, self.BOTH))
+        # (1,), (2,) and () lie below (5,); only () lies below ("a",) as well.
+        expected = {upper: {(0, 1), (2, 3), (3, 0)}, both: {(3, 0)}}
+        if route == "cache-probe":
+            # UPPER's probe asks whether it implies the cached BOTH; the other
+            # way round, BOTH is contained in the cached UPPER.
+            for sequence, decisions in (
+                ((both, upper, both), ["evaluate", "evaluate", "cache-exact"]),
+                ((upper, both), ["evaluate", "cache-containment"]),
+            ):
+                session = GraphSession(self._graph())
+                results = [session.execute(query) for query in sequence]
+                assert [result.cache_decision for result in results] == decisions
+                assert [set(result.answer.pairs) for result in results] == [expected[q] for q in sequence]
+            assert not self.UPPER.implies(self.BOTH) and self.BOTH.implies(self.UPPER)
+            return
+        for query in (upper, both):
+            result = GraphSession(self._graph(), engine=route).execute(query)
+            assert result.engine == route and set(result.answer.pairs) == expected[query]

@@ -77,26 +77,20 @@ class DistanceMatrix:
         target: NodeId,
         color: Optional[str] = None,
         max_hops: Optional[int] = None,
-        min_hops: int = 1,
     ) -> bool:
-        """True if a path of the given colour exists with length in
-        ``[min_hops, max_hops]`` (``max_hops=None`` means unbounded)."""
+        """True if a non-empty path of the given colour exists with at most
+        ``max_hops`` edges (``None`` means unbounded).  There is no lower
+        bound: a shortest-distance matrix cannot certify one."""
         key = WILDCARD if color is None else color
-        if source == target and min_hops <= 0:
-            return True
-        dist = self._row(source, key).get(target)
         if source == target:
             # A non-empty path from a node to itself requires a cycle; the BFS
             # rows store only shortest positive distances to *other* nodes, so
             # we look for a successor that reaches the node back.
             dist = self._cycle_length(source, key)
+        else:
+            dist = self._row(source, key).get(target)
         if dist is None:
             return False
-        if dist < min_hops:
-            # Shortest path is shorter than required, but longer walks may
-            # still satisfy the minimum: with the F-class, min_hops is only
-            # ever 1, so this branch is defensive.
-            return max_hops is None or dist <= max_hops
         return max_hops is None or dist <= max_hops
 
     def _cycle_length(self, node: NodeId, color: str) -> Optional[int]:

@@ -185,7 +185,7 @@ def bfs_block_frontier(neighbors, starts: Iterable[NodeId], bound: Optional[int]
     it is re-reached through a non-empty path.  This is THE definition every
     storage backend and kernel shares — the generic (hashable node-id,
     callable-adjacency) spelling used by the dict store, snapshots and the
-    overlay store's dirty-colour reads, where there is no CSR layer to
+    overlay store's node-id reads, where there is no CSR layer to
     vectorise over.
     """
     visited = set(starts)

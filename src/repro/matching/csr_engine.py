@@ -12,12 +12,10 @@ pipeline.  It operates entirely in the dense integer index space of a
   the kernel layer's bitmap (:func:`repro.kernels.bitmap`) from the scan memo
   to the answer: the set-level calls take and answer it, their memos are
   keyed by its bytes, and no Python set of ints is built in between;
-* a single start is a singleton set: ``PathMatcher.atom_targets`` /
-  ``targets_from`` / ``sources_to`` arrive as ``set_frontier_indices([i], …)``
-  and ``backward_reachable_indices([i], …)``.  There is no per-start entry
-  point and no per-start memo — whole queries make no single-start call, and
-  on the one ``bench/`` workload that makes any, such a memo's hits are worth
-  ≤ 10 ms of a 3.0 s script (ARCHITECTURE.md, "Memo layers");
+* there is no per-start entry point and no per-start memo: whole queries make
+  no single-start call, and ``PathMatcher.atom_targets`` / ``targets_from`` /
+  ``sources_to`` speak node ids, so they are merged store reads that never
+  come here (ARCHITECTURE.md, "Memo layers");
 * whole queries between two candidate sets — an RQ, a pattern edge's result
   assembly — keep the paper's *origin sets* (Section 4: the candidates a
   frontier node was reached from) as one bitset per index and advance that
@@ -30,17 +28,18 @@ pipeline.  It operates entirely in the dense integer index space of a
 * *set-level* frontiers (the hot loop of the PQ refinement fixpoint of
   Figs. 7/8) are expanded as one batched multi-source BFS per atom
   (:meth:`CsrEngine.expand_set`), instead of unioning per-node searches —
-  this is what JoinMatch/SplitMatch/incremental ride on under
-  ``engine="csr"``;
+  this is what JoinMatch/SplitMatch ride on under ``engine="csr"`` on a
+  clean base;
 * general (non-F-class) expressions are evaluated with an NFA-product path:
   a :class:`~repro.regex.nfa.LazyDfa` over the graph's colour alphabet is
   walked in product with the CSR layers, one origin relation per live
   automaton state.
 
-Nothing here knows a node id: indices come in — an evaluator's handles as they
-are (any iterable of them is coerced to the bitmap, range-checked, once), or
-translated by :class:`~repro.storage.adapter.OverlayCsrAdapter` — and indices
-go out, to become ids once, at the ``PathMatcher`` seam.
+Nothing here knows a node id: indices come in — an evaluator's handles in the
+space :meth:`~repro.storage.adapter.OverlayCsrAdapter.enter` handed out, as they
+are (any iterable of them is coerced to the bitmap, range-checked, once), or a
+general regex's candidates that the adapter maps onto whole layers — and
+indices go out, to become ids once, at the ``PathMatcher`` seam.
 
 The one memo (``_set_cache``: backward chains and pair relations per candidate
 sets) is valid for one reason: the engine is bound to one immutable
@@ -55,8 +54,8 @@ from __future__ import annotations
 from itertools import compress
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.graph.csr import ANY_COLOR, CompiledGraph
-from repro.kernels import ORIGIN_BLOCK, bitmap, closure_frontier, decode_origins, expand_frontier, expand_origins
+from repro.graph.csr import CompiledGraph
+from repro.kernels import ORIGIN_BLOCK, bitmap, decode_origins, expand_frontier, expand_origins
 from repro.kernels.python_kernel import Bitmap
 from repro.matching.cache import (
     DEFAULT_SEARCH_CACHE_CAPACITY,
@@ -135,36 +134,6 @@ class CsrEngine:
         if color_id is None:
             return []
         return self.expand_set(starts, color_id, item.max_count, reverse)
-
-    def backward_closure_indices(
-        self, starts: Iterable[int], color_ids: Optional[Iterable[int]] = None
-    ) -> List[int]:
-        """Indices with a non-empty directed path into *any* start index.
-
-        One unbounded multi-source reverse BFS — the delta-seeded expansion
-        of the incremental maintainer: the affected area of an edge
-        insertion is the closure of the new edge's source.  ``color_ids``
-        restricts the traversable colours (witnessing paths only use colours
-        some constraint admits, so the maintainer passes the query's
-        relevant colours — whose reverse layers survive snapshot recompiles
-        of other colours); ``None`` walks the wildcard layer.  Start indices
-        are included only when they lie on a cycle (callers union the start
-        set back in); not memoised, as each update asks with a different
-        seed set.
-
-        ``color_ids`` is de-duplicated before the walk: overlapping colour
-        restrictions (a maintainer batch touching the same colour twice)
-        used to rescan the identical reverse layer once per duplicate on
-        every frontier node.  Seeding matches :meth:`expand_set` — unmasked
-        seeds contribute nothing, so both entry points now share one kernel.
-        """
-        if color_ids is None:
-            return self.expand_set(starts, ANY_COLOR, None, reverse=True)
-        layers = [
-            self.compiled.layer(color_id, reverse=True)
-            for color_id in dict.fromkeys(color_ids)
-        ]
-        return closure_frontier(layers, self.compiled.num_nodes, starts)
 
     def backward_reachable_indices(self, targets: Iterable[int], regex: FRegex) -> Bitmap:
         """All indices with a path into ``targets`` matching the whole expression.

@@ -13,7 +13,7 @@ so they are written once, generic over the expander:
 
 Their callers are the dict engine (:class:`~repro.matching.paths.PathMatcher`,
 the semantics oracle), the partitioned adapter and the CSR adapter's
-dirty-colour fallback (``storage.adapter._search_pairs``); the expander they
+node-id reads (``storage.adapter._search_pairs``); the expander they
 pass is the matcher, whose per-start reads are set-level reads of a singleton.
 The CSR engine does not come here: it keeps the origin sets as bitsets and
 advances them for all origins in one kernel pass

@@ -17,8 +17,8 @@ simulation):
   its witnessing path before the first use of the new edge; cascaded
   re-admissions concatenate through it) — so the maintainer re-admits
   predicate-eligible nodes only inside that **affected area** (one
-  multi-source reverse BFS, on CSR via
-  :meth:`~repro.matching.csr_engine.CsrEngine.backward_closure_indices`) and
+  multi-source reverse BFS over the store,
+  :meth:`~repro.matching.paths.PathMatcher.backward_closure`) and
   re-runs the refinement fixpoint restricted to the dirty pattern nodes,
   instead of recomputing from scratch.
 
@@ -32,11 +32,11 @@ scratch (asserted by the stateful differential suite in
 both engines); the benefit is that updates touch only the affected area.
 
 One :class:`~repro.matching.paths.PathMatcher` is created up front and reused
-across the entire update stream: its caches are version-aware (dict-mode BFS
-memos and dirty-colour CSR frontiers are tagged with per-colour edge versions,
-clean-colour CSR expansions live until the overlay store compacts), so warm
-state survives every update that cannot affect it instead of being rebuilt
-per update.
+across the entire update stream: its caches are version-aware (its node-id
+frontiers, dict or CSR, are tagged with per-colour edge versions; a CSR
+from-scratch pass that could enter a handle space memoises on the engine,
+which lives until the store compacts), so warm state survives every update
+that cannot affect it instead of being rebuilt per update.
 """
 
 from __future__ import annotations
@@ -255,11 +255,12 @@ class IncrementalPatternMatcher:
         methods.
     engine:
         Path-matching engine for the maintained fixpoint: ``"dict"``,
-        ``"csr"`` or ``"auto"`` (the default, which picks CSR).  On CSR the
-        refinement's set-level reachability checks run as batched flat-array
-        expansions over the overlay store's base snapshot; topology changes
-        land in the store's overlay, and a compaction starts the engine's
-        memos cold.
+        ``"csr"`` or ``"auto"`` (the default, which picks CSR).  On CSR a
+        from-scratch fixpoint enters the overlay store's base handle space
+        when the query's colours are clean and runs on the flat-array
+        engine; a delta pass reads node ids, as merged reads through the
+        store, where topology changes land, memoised under per-colour
+        version tags.
     cache_capacity:
         LRU capacity of the shared matcher's search caches.
     strategy:
@@ -452,15 +453,18 @@ class IncrementalPatternMatcher:
         self.full_recomputations += 1
         started = time.perf_counter()
         matcher = self._matcher
-        candidates = initial_candidates(self.pattern, self.graph, matcher=matcher)
-        survived = self._refine(candidates, matcher)
-        self._candidates = candidates
+        # Entered once per pass: on a clean CSR base the whole fixpoint runs on
+        # the engine, and the candidates become node ids once, for the deltas.
+        space = matcher.enter(edge.regex for edge in self.pattern.edges())
+        candidates = initial_candidates(self.pattern, self.graph, matcher, space)
+        survived = self._refine(candidates, matcher, space=space)
+        self._candidates = {node: matcher.node_ids(space, nodes) for node, nodes in candidates.items()}
         self._complete = survived
         if not survived:
             self._result = PatternMatchResult.empty("incremental", engine=matcher.engine)
             self._result.elapsed_seconds = time.perf_counter() - started
         else:
-            self._result = collect_result(self.pattern, candidates, matcher, "incremental", started)
+            self._result = collect_result(self.pattern, candidates, matcher, "incremental", started, space)
 
     def _apply_delta(
         self,
@@ -720,15 +724,17 @@ class IncrementalPatternMatcher:
         candidates: Dict[str, Set[NodeId]],
         matcher: PathMatcher,
         dirty: Optional[Set[str]] = None,
+        space=None,
     ) -> bool:
-        """Run the (possibly dirty-queue-restricted) refinement fixpoint."""
+        """Run the (possibly dirty-queue-restricted) refinement fixpoint on
+        candidate sets of ``space``'s handles."""
         if any(not nodes for nodes in candidates.values()):
             return False
         edges = [(edge.source, edge.target, edge.regex) for edge in self.pattern.edges()]
         return refine_fixpoint(
             edges,
             candidates,
-            lambda regex, target_set: matcher.backward_reachable(target_set, regex),
+            lambda regex, target_set: matcher.backward_reachable(target_set, regex, space),
             dirty=dirty,
         )
 

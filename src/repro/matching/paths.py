@@ -25,9 +25,9 @@ here, each call the set-level read of a singleton: ``atom_targets(v, a)`` is
 ``query_pairs`` by the forward sweep.  The ``dict`` engine expands over the
 authoritative :class:`~repro.storage.dict_store.DictStore`; the ``csr`` engine
 reads through the graph's :class:`~repro.storage.overlay.OverlayCsrStore` —
-clean colours at flat-array speed with memoised set-level chains, mutated
-colours as merged read-through frontiers, folded back into a fresh base when
-the store compacts.  The matcher is also where an evaluation's node *handles*
+in a handle space at flat-array speed with memoised set-level chains, in node
+ids as merged read-through frontiers; the overlay is folded back into a fresh
+base when the store compacts.  The matcher is also where an evaluation's node *handles*
 become node ids (:meth:`PathMatcher.enter`, ``node_ids``, ``id_pairs``): once,
 when the result is built, and nowhere else under ``matching/`` (reprolint R006).
 
@@ -283,12 +283,10 @@ class PathMatcher:
         newly admit into some candidate set must reach ``u`` through edges
         of colours some constraint admits (the path prefix before the first
         use of the new edge), so re-admission candidates are confined to the
-        closure of ``u`` over the query's relevant colours.  On the CSR
-        engine it runs as one multi-source reverse BFS over the relevant
-        reverse layers (which survive compactions of other colours); the
-        dict/matrix engines walk the authoritative adjacency directly
-        (never the distance matrix — the closure must reflect the *current*
-        topology).
+        closure of ``u`` over the query's relevant colours.  Every engine
+        walks its store's current adjacency (the CSR engine the merged
+        overlay reads; never the distance matrix — the closure must reflect
+        the *current* topology).
         """
         return self._adapter.backward_closure(starts, colors)
 
@@ -296,9 +294,9 @@ class PathMatcher:
         """All nodes with a path into ``targets`` matching the full expression.
 
         This is the per-edge reachability check of the PQ refinement fixpoint
-        (Figs. 7/8).  On the CSR engine the whole chain runs (and is
-        memoised) in dense index space — one batched multi-source BFS per
-        atom — instead of unioning per-node searches.
+        (Figs. 7/8), one multi-source block per atom.  In a CSR ``space`` the
+        whole chain runs (and is memoised) in dense index space; on node ids
+        it is memoised per target set under the regex's colour versions.
         """
         return self._adapter.backward_reachable(targets, regex, space)
 
@@ -318,9 +316,9 @@ class PathMatcher:
         """All pairs ``(v1, v2)`` from the candidate sets joined by ``regex``.
 
         The per-edge result-assembly step of the PQ algorithms: :meth:`query_pairs`
-        by the forward sweep.  On the CSR engine it runs (and is memoised) in dense
-        index space; the dict/matrix path is the classic per-source expansion.
-        In a ``space`` the answer is for :meth:`id_pairs` to read, nothing else.
+        by the forward sweep.  In a CSR ``space`` it runs (and is memoised) in dense
+        index space, and the answer is for :meth:`id_pairs` to read, nothing else;
+        on node ids it is the classic per-source expansion.
         """
         return self._adapter.query_pairs(regex, sources, targets, "bfs", space)
 
@@ -332,9 +330,9 @@ class PathMatcher:
         ``method`` is ``"bidirectional"`` (meet in the middle, Section 4) or
         anything else for the plain forward sweep (the BFS baseline / the
         matrix method's nested row walks).  This is the bulk entry point
-        :func:`~repro.matching.reachability.evaluate_rq` drives; on the CSR
-        engine with no pending overlay it runs entirely in dense index
-        space, the ids paired up once, by :meth:`id_pairs`.
+        :func:`~repro.matching.reachability.evaluate_rq` drives; in a CSR
+        ``space`` it runs entirely in dense index space, the ids paired up
+        once, by :meth:`id_pairs`.
         """
         return self._adapter.query_pairs(regex, sources, targets, method, space)
 
@@ -387,13 +385,12 @@ class PathMatcher:
         """Hit-rate statistics of the matcher's memos (search mode only).
 
         ``forward_*`` / ``backward_*`` describe the two version-tagged LRU
-        caches (the dict and partitioned engines' BFS memos; on ``csr`` the
-        dirty-colour frontiers).  A lookup that finds an entry whose version
-        tag is stale still counts as an LRU hit; ``stale_invalidations``
-        counts how many of those were discarded and recomputed.
-        ``csr_set_*`` describe the CSR engine's set-level memo — where a
-        ``csr`` matcher's clean-colour lookups go; 0.0 on the other engines
-        and until a clean-colour read built the engine.
+        caches (every engine's node-id frontiers).  A lookup that finds an
+        entry whose version tag is stale still counts as an LRU hit;
+        ``stale_invalidations`` counts how many of those were discarded and
+        recomputed.  ``csr_set_*`` describe the CSR engine's set-level memo —
+        where a ``csr`` matcher's reads in a handle space go; 0.0 on the other
+        engines and until such a read built the engine.
         """
         return {
             "forward_hit_rate": self._forward_cache.hit_rate,

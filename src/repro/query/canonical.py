@@ -48,11 +48,11 @@ from __future__ import annotations
 
 import itertools
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from math import factorial
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.lru import LruCache
 from repro.query.containment import pq_equivalent
 from repro.query.minimization import minimize_pattern_query
 from repro.query.pq import PatternQuery
@@ -78,7 +78,7 @@ __all__ = [
 # F-class regular expressions
 # ---------------------------------------------------------------------------
 
-_regex_memo: "OrderedDict[FRegex, FRegex]" = OrderedDict()
+_regex_memo = LruCache(CANONICAL_REGEX_CACHE_CAPACITY)
 _regex_lock = threading.Lock()
 
 
@@ -104,9 +104,8 @@ def canonical_regex(regex: FRegex) -> FRegex:
     """The canonical form of one F-class expression (same language, memoised)."""
     with _regex_lock:
         cached = _regex_memo.get(regex)
-        if cached is not None:
-            _regex_memo.move_to_end(regex)
-            return cached
+    if cached is not None:
+        return cached
     runs: List[Tuple[str, List[RegexAtom]]] = [
         (color, list(group))
         for color, group in itertools.groupby(regex.atoms, key=lambda item: item.color)
@@ -135,9 +134,7 @@ def canonical_regex(regex: FRegex) -> FRegex:
     if result == regex:
         result = regex  # share the object so memo entries stay tiny
     with _regex_lock:
-        _regex_memo[regex] = result
-        if len(_regex_memo) > CANONICAL_REGEX_CACHE_CAPACITY:
-            _regex_memo.popitem(last=False)
+        _regex_memo.put(regex, result)
     return result
 
 

@@ -18,36 +18,32 @@ two expressions.  We provide:
 Decisions are memoised behind a bounded LRU: the containment tables of
 ``pq_contained_in``, ``minPQs`` and the semantic result cache re-decide the
 same expression pairs over and over, and the answer for a pair never changes.
-(The memo is a module-local ordered dict rather than
-:class:`repro.matching.cache.LruCache` — importing the matching package from
-here would cycle, since matching imports the regex layer at import time.)
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.lru import LruCache
 from repro.regex.fclass import FRegex
 from repro.regex.nfa import nfa_language_contains
 from repro.session.defaults import LANGUAGE_CONTAINMENT_CACHE_CAPACITY
 
 _INF = float("inf")
 
-_containment_memo: "OrderedDict[Tuple, bool]" = OrderedDict()
+_containment_memo = LruCache(LANGUAGE_CONTAINMENT_CACHE_CAPACITY)
 _containment_lock = threading.Lock()
-_containment_counters = {"hits": 0, "misses": 0}
 
 
 def language_containment_cache_info() -> Dict[str, int]:
     """Hit/miss/size counters of the bounded ``language_contains`` memo."""
     with _containment_lock:
         return {
-            "hits": _containment_counters["hits"],
-            "misses": _containment_counters["misses"],
+            "hits": _containment_memo.hits,
+            "misses": _containment_memo.misses,
             "size": len(_containment_memo),
-            "capacity": LANGUAGE_CONTAINMENT_CACHE_CAPACITY,
+            "capacity": _containment_memo.capacity,
         }
 
 
@@ -55,8 +51,6 @@ def clear_language_containment_cache() -> None:
     """Drop every memoised containment decision (counters reset too)."""
     with _containment_lock:
         _containment_memo.clear()
-        _containment_counters["hits"] = 0
-        _containment_counters["misses"] = 0
 
 
 def _bound(value: Optional[int]) -> float:
@@ -126,11 +120,8 @@ def language_contains(
     )
     with _containment_lock:
         cached = _containment_memo.get(key)
-        if cached is not None:
-            _containment_memo.move_to_end(key)
-            _containment_counters["hits"] += 1
-            return cached
-        _containment_counters["misses"] += 1
+    if cached is not None:
+        return cached
     if syntactic_contains(smaller, larger):
         answer = True
     else:
@@ -138,9 +129,7 @@ def language_contains(
             smaller, larger, None if key[2] is None else key[2]
         )
     with _containment_lock:
-        _containment_memo[key] = answer
-        if len(_containment_memo) > LANGUAGE_CONTAINMENT_CACHE_CAPACITY:
-            _containment_memo.popitem(last=False)
+        _containment_memo.put(key, answer)
     return answer
 
 

@@ -342,8 +342,8 @@ class _ReadState:
         """The state's matcher for ``engine`` (call with :attr:`lock` held).
 
         ``csr`` reads through the pinned snapshot's array-path surface —
-        clean colours on the kernels over the pinned base, dirty colours as
-        merged frontiers; ``dict`` walks the facade's merged adjacency.
+        reads in the pinned base's handle space on the kernels, node-id reads
+        as merged frontiers; ``dict`` walks the facade's merged adjacency.
         """
         matcher = self._matchers.get(engine)
         if matcher is None:

@@ -15,10 +15,10 @@ spelt there, over these eight, and no adapter has a per-node method.
   :class:`~repro.storage.dict_store.DictStore` (or the caller's distance
   matrix), with the classic version-tagged BFS memos;
 * :class:`OverlayCsrAdapter` — expansion through the graph's
-  :class:`~repro.storage.overlay.OverlayCsrStore`: colours untouched since
-  the base snapshot run on the flat-array
+  :class:`~repro.storage.overlay.OverlayCsrStore`: a read in the base's
+  handle space runs on the flat-array
   :class:`~repro.matching.csr_engine.CsrEngine` and its set-level memo
-  (replaced by a cold one when the store compacts), dirty colours run as
+  (replaced by a cold one when the store compacts), a node-id read as
   merged read-through frontiers with per-colour version-tagged memos;
 * :class:`PartitionedAdapter` — expansion through the graph's sharded
   :class:`~repro.storage.partition.PartitionedStore`: every frontier is a
@@ -29,7 +29,7 @@ What they share is written once, in two private bases: the version-tagged
 memo, the atom-by-atom fold, the search-method choice and the per-source
 product walk of a general regex (:class:`_Adapter`), and expansion through any
 store's ``frontier``, every start checked to exist (:class:`_StoreAdapter` — all
-of the partitioned adapter, the dirty-colour half of the overlay one).  Each
+of the partitioned adapter, the node-id half of the overlay one).  Each
 public method is still *defined on each adapter class itself*, if only as a
 one-line call of the shared helper: the benchmark's tracer wraps the public
 functions it finds in a class's own ``vars()``.  Every memo here is valid for
@@ -46,9 +46,9 @@ take and return untranslated when called with that ``space`` — sets of them as
 the kernel layer's candidate bitmap (:func:`repro.kernels.bitmap`), to which the
 engine call coerces whatever iterable a caller passes, once, rejecting a handle
 outside the base (``-1``, ``positions_of``'s "not held", would stand for the last
-node).  Without one the surface speaks node ids: translate in
-(:meth:`OverlayCsrAdapter._engine_over`), the same engine call, translate out
-(``ids_of``, ``PathMatcher.id_pairs``).
+node).  That one fact picks the read path: in a space the engine, without one
+the merged store read — node ids are never translated into base indices, clean
+colours or not (only ``product_pairs`` maps ids onto whole layers it recompiled).
 
 Engine *names* are resolved here as well: :func:`resolve_engine` turns an
 ``engine=`` request into the adapter that will serve it, and
@@ -99,11 +99,6 @@ def make_adapter(matcher):
     return DictEngineAdapter(matcher)
 
 
-def _atom_colors(item) -> Optional[Tuple[str]]:
-    """The colour one atom's block runs on; ``None`` = the wildcard layer."""
-    return None if item.is_wildcard else (item.color,)
-
-
 def _traversed(regex) -> Optional[Iterable[str]]:
     """The colours a path matching ``regex`` may use; ``None`` = any (a wildcard
     atom; a general regex, whose product search walks whole layers)."""
@@ -143,8 +138,9 @@ class _Adapter:
         graph = self.matcher.graph
         return graph.edges_version if color is None else graph.color_version(color)
 
-    def _tagged(self, cache, key, version, compute: Callable):
-        """``cache[key]`` while its tag equals ``version``, else recomputed.
+    def _tagged(self, cache, key, version, compute: Callable, on_hit: Callable = lambda: None):
+        """``cache[key]`` while its tag equals ``version`` (``on_hit`` runs first),
+        else recomputed.
 
         Entries are ``(version, value)``: a tag mismatch means an edge the
         value depends on changed since, so the entry is counted in
@@ -154,6 +150,7 @@ class _Adapter:
         cached = cache.get(key)
         if cached is not None:
             if cached[0] == version:
+                on_hit()
                 return cached[1]
             self.matcher.stale_invalidations += 1
         value = compute()
@@ -358,19 +355,23 @@ class DictEngineAdapter(_Adapter):
 class _StoreAdapter(_Adapter):
     """Expansion through ``self.store.frontier``, for any ``GraphStore``.
 
-    The whole of :class:`PartitionedAdapter` and the dirty-colour half of
+    The whole of :class:`PartitionedAdapter` and the node-id half of
     :class:`OverlayCsrAdapter`: a block is one multi-source store frontier; a
     singleton's is memoised in the matcher's LRU caches under the exact
     per-colour version tags the dict engine uses.
     """
 
-    def _set_frontier(self, nodes: Set[NodeId], item, reverse: bool) -> Set[NodeId]:
-        matcher = self.matcher
+    def _require_nodes(self, nodes: Iterable[NodeId]) -> None:
+        graph = self.matcher.graph
         for node in nodes:
             # The stores skip a start they do not hold; a typo'd node is an
             # error on every backend, never a silent "no neighbours".
-            if not matcher.graph.has_node(node):
+            if not graph.has_node(node):
                 raise GraphError(f"node {node!r} does not exist")
+
+    def _set_frontier(self, nodes: Set[NodeId], item, reverse: bool) -> Set[NodeId]:
+        matcher = self.matcher
+        self._require_nodes(nodes)
         color = None if item.is_wildcard else item.color
         if len(nodes) != 1:
             return self.store.frontier(nodes, color, item.max_count, reverse)
@@ -386,16 +387,16 @@ class _StoreAdapter(_Adapter):
 
 
 class OverlayCsrAdapter(_StoreAdapter):
-    """Expansion through the graph's overlay-CSR store.
+    """Expansion through the graph's overlay-CSR store, on one of two paths.
 
-    Colours whose overlay is empty ("clean") run on the per-matcher
-    :class:`~repro.matching.csr_engine.CsrEngine` over the store's base
-    snapshot — full flat-array speed with memoised expansions that stay warm
-    across mutations of *other* colours, because the engine is replaced only
-    when the store compacts (the next one starts cold).  Dirty colours are
-    expanded with the store's merged read-through frontiers
-    (:class:`_StoreAdapter`), memoised in the matcher's LRU caches under the
-    same per-colour version tags the dict engine uses.
+    A read in the handle space :meth:`enter` handed out runs on the
+    per-matcher :class:`~repro.matching.csr_engine.CsrEngine` over the store's
+    base snapshot — full flat-array speed, memoised per candidate set, warm
+    until the store compacts (the next engine starts cold).  A read without a
+    space — node ids, whether its colours are clean or dirty — is the store's
+    merged read-through frontier (:class:`_StoreAdapter`), memoised in the
+    matcher's LRU caches under the same per-colour version tags the dict
+    engine uses, so a clean colour's entries never go stale.
     """
 
     engine = "csr"
@@ -427,8 +428,8 @@ class OverlayCsrAdapter(_StoreAdapter):
 
     @property
     def engine_stats(self) -> Dict[str, float]:
-        """The current engine's memo statistics (zeros until a clean-colour
-        read has built one — reporting never builds it)."""
+        """The current engine's memo statistics (zeros until a read in a
+        handle space has built one — reporting never builds it)."""
         return super().engine_stats if self._engine is None else self._engine.cache_stats
 
     # -- handle spaces -----------------------------------------------------------
@@ -463,26 +464,7 @@ class OverlayCsrAdapter(_StoreAdapter):
             raise GraphError("stale handle space: the store changed since enter()")
         return engine
 
-    def _engine_over(self, colors: Optional[Iterable[str]], *groups):
-        """``(engine, index list per group)`` when a read of ``colors`` from the
-        node-id ``groups`` can run on the base arrays (colours clean, nodes in
-        the base), else ``None``: the translate-in half of the ``NodeId`` surface."""
-        store = self.store
-        store.sync()
-        if not (self._clean(colors) and all(map(store.all_in_base, groups))):
-            return None
-        engine = self.engine_handle()
-        return (engine, *(list(map(engine.compiled.node_index, group)) for group in groups))
-
-    # -- set-level frontiers -----------------------------------------------------
-
-    def _set_frontier(self, nodes: Set[NodeId], item, reverse: bool) -> Set[NodeId]:
-        dense = self._engine_over(_atom_colors(item), nodes)
-        if dense is None:
-            # Dirty colour, or a node the base has not seen: merged read-through.
-            return super()._set_frontier(nodes, item, reverse)
-        engine, indices = dense
-        return set(engine.compiled.ids_of(engine.set_frontier_indices(indices, item, reverse)))
+    # -- set-level frontiers (node ids: merged store reads) ----------------------
 
     def set_targets(self, sources: Set[NodeId], item) -> Set[NodeId]:
         return self._set_frontier(sources, item, reverse=False) if sources else set()
@@ -495,19 +477,7 @@ class OverlayCsrAdapter(_StoreAdapter):
     def backward_closure(
         self, starts: Iterable[NodeId], colors: Optional[Iterable[str]] = None
     ) -> Set[NodeId]:
-        start_set = self._live_nodes(starts)
-        if not start_set:
-            return set()
-        color_list = None if colors is None else list(colors)
-        dense = self._engine_over(color_list, start_set)
-        if dense is None:
-            return self._closure(start_set, color_list)
-        engine, indices = dense
-        compiled = engine.compiled
-        color_ids = None if color_list is None else [
-            color_id for color_id in map(compiled.color_id, color_list) if color_id is not None
-        ]
-        return start_set.union(compiled.ids_of(engine.backward_closure_indices(indices, color_ids)))
+        return self._closure(self._live_nodes(starts), colors)
 
     # -- whole expressions -------------------------------------------------------
 
@@ -517,36 +487,28 @@ class OverlayCsrAdapter(_StoreAdapter):
             return self._engine_in(space, _traversed(regex)).backward_reachable_indices(targets, regex)
         if not targets:
             return set()
-        dense = self._engine_over(_traversed(regex), targets)
-        if dense is not None:
-            engine, indices = dense
-            return set(engine.compiled.ids_of(engine.backward_reachable_indices(indices, regex)))
-        # Dirty path: fold the merged set-level frontiers right-to-left,
+        # Node ids: fold the merged set-level frontiers right-to-left,
         # memoised per (regex, target set) under the regex's version vector —
-        # the refinement fixpoints keep asking for stabilised sets.
+        # the refinement fixpoints keep asking for stabilised sets.  A memo hit
+        # must still reject a start that is gone; on a miss the fold does.
         target_set = frozenset(targets)
         frontier = self._tagged(
             self.matcher._backward_cache,
             ("bwd", regex, target_set),
             self._regex_version(regex),
             lambda: frozenset(fold_atoms(set(target_set), reversed(regex.atoms), self.set_sources)),
+            lambda: self._require_nodes(target_set),
         )
         return set(frontier)
 
     def query_pairs(self, regex, sources, targets, method: str, space=None):
         """One whole query between two candidate collections: on handles of
-        ``space`` the engine's relation (the matcher pairs the ids up once), on
-        node ids a set of id pairs — through the base arrays when colours and
-        nodes allow, else searched over the merged frontiers.  The engine
-        memoises per candidate sets: an unchanged clean query is one hash."""
-        colors = _traversed(regex)
+        ``space`` the engine's relation (the matcher pairs the ids up once) —
+        memoised per candidate sets, so an unchanged clean query is one hash —
+        on node ids a set of id pairs searched over the merged frontiers."""
         if space is not None:
-            return self._engine_in(space, colors).matching_pairs(regex, sources, targets)
-        dense = self._engine_over(colors, sources, targets)
-        if dense is None:
-            return self._search_pairs(regex, list(sources), targets, method)
-        engine, sources, targets = dense
-        return self.matcher.id_pairs(engine.compiled, engine.matching_pairs(regex, sources, targets))
+            return self._engine_in(space, _traversed(regex)).matching_pairs(regex, sources, targets)
+        return self._search_pairs(regex, list(sources), targets, method)
 
     def product_pairs(self, regex, sources, targets, space=None):
         """The NFA product needs *whole* CSR layers (every colour at once), so

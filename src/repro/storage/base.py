@@ -22,10 +22,10 @@ result exactly when it is re-reached through at least one edge.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Set
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Set
 
 # Re-exported for the storage backends (dict store, snapshots, overlay
-# dirty-colour reads): the generic block-BFS definition now lives with the
+# node-id reads): the generic block-BFS definition now lives with the
 # vectorised kernels so every frontier expansion shares one semantics.
 from repro.kernels import bfs_block_frontier
 
@@ -96,30 +96,24 @@ class GraphStore(ABC):
         """``starts`` plus every node with a directed path into (out of) them.
 
         Unbounded and colour-agnostic unless ``colors`` restricts the
-        traversable edges.  The default implementation walks the
-        authoritative adjacency one hop at a time; backends may override
-        with a batched variant.
+        traversable edges: one unbounded block frontier over the colours'
+        rows (:meth:`_rows`), a repeated colour walked once.
         """
-        from collections import deque
-
+        self.sync()
         start_set = set(starts)
-        color_list = None if colors is None else list(colors)
-        closure = set(start_set)
-        queue = deque(start_set)
+        colors = (None,) if colors is None else dict.fromkeys(colors)
+        rows = [self._rows(color, reverse) for color in colors]
+
+        def neighbors(node: NodeId) -> Set[NodeId]:
+            return set().union(*(row(node) for row in rows))
+
+        return start_set | bfs_block_frontier(neighbors, start_set, None)
+
+    def _rows(self, color: Optional[str], reverse: bool) -> Callable[[NodeId], Iterable[NodeId]]:
+        """``node -> its neighbours over `color``` (``None``: every colour) for
+        one walk; a backend may resolve what the colour needs once, here."""
         step = self.predecessors if reverse else self.successors
-        while queue:
-            current = queue.popleft()
-            if color_list is None:
-                incoming = step(current)
-            else:
-                incoming = set()
-                for color in color_list:
-                    incoming |= step(current, color)
-            for nxt in incoming:
-                if nxt not in closure:
-                    closure.add(nxt)
-                    queue.append(nxt)
-        return closure
+        return lambda node: step(node, color)
 
     # -- snapshot pinning --------------------------------------------------------
 

@@ -11,9 +11,10 @@ base *and* follows mutations at O(delta) cost:
   node and direction, built by replaying the graph's mutation journal
   (:meth:`DataGraph.journal_since`) on :meth:`sync`;
 * reads are **merged**: a colour nobody touched since the base was compiled
-  (``is_clean``) is served straight from the base arrays (full CSR speed,
-  warm engine memos), a dirty colour reads the base row adjusted by the
-  overlay deltas;
+  (``is_clean``) is served straight from the base arrays (by the engine, at
+  full CSR speed with warm memos, for a read in the base's handle space;
+  row by row for a node-id read), a dirty colour reads the base row adjusted
+  by the overlay deltas;
 * once the overlay grows past a planner-tunable fraction of the base
   (:data:`~repro.session.defaults.OVERLAY_COMPACTION_FRACTION`), the store
   **compacts**: the overlay is folded into a fresh base compiled with the
@@ -33,7 +34,7 @@ costs O(delta) per mutation instead of a recompile
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import GraphError
 from repro.kernels import active_kernel_name
@@ -92,11 +93,6 @@ class OverlayReads(GraphStore):
         if color is None:
             return self._overlay_edges == 0
         return not self._color_ops.get(color)
-
-    def all_in_base(self, nodes: Iterable[NodeId]) -> bool:
-        """True when no node of ``nodes`` was created since the base was
-        compiled, so every one of them has a base index."""
-        return not self._new_nodes or self._new_nodes.isdisjoint(nodes)
 
     def base_holds_every_node(self) -> bool:
         """True when no node was created since the base (removals compact): its indices cover the graph."""
@@ -173,22 +169,42 @@ class OverlayReads(GraphStore):
         bound: Optional[int],
         reverse: bool = False,
     ) -> Set[NodeId]:
-        """Merged multi-source bounded BFS (the dirty-colour read path).
+        """Merged multi-source bounded BFS (the node-id read path).
 
-        Clean colours are normally expanded by a
+        A read in the base's handle space is expanded by a
         :class:`~repro.matching.csr_engine.CsrEngine` over :meth:`base`
         (memoised, index space) by the storage adapter; this method is the
-        read-through path that merges base rows with the overlay deltas and
-        is valid for any colour.
+        read-through path for node ids, valid for any colour: a clean colour
+        reads the base rows, a dirty one merges them with the overlay deltas.
         """
         self.sync()
-        if color is not None and self.is_clean(color):
-            neighbors = lambda node: self._base_neighbor_ids(node, color, reverse) or set()  # noqa: E731
-        elif color is not None:
-            neighbors = lambda node: self.merged_neighbors(node, color, reverse)  # noqa: E731
-        else:
-            neighbors = lambda node: self._merged_any(node, reverse)  # noqa: E731
-        return bfs_block_frontier(neighbors, starts, bound)
+        return bfs_block_frontier(self._rows(color, reverse), starts, bound)
+
+    def _rows(self, color: Optional[str], reverse: bool) -> Callable[[NodeId], Set[NodeId]]:
+        """:meth:`merged_neighbors` for one walk, the colour's layer and overlay
+        looked up once (``None``: the rows of every colour)."""
+        if color is None:
+            return lambda node: self._merged_any(node, reverse)
+        base, direction = self._base, 1 if reverse else 0
+        color_id = base.color_id(color)
+        layer = None if color_id is None else base.layer(color_id, reverse)
+        ids, has_node, index = base.ids, base.has_node, base.node_index
+
+        def base_row(node: NodeId) -> Set[NodeId]:
+            held = layer is not None and has_node(node)
+            return {ids[j] for j in layer.neighbors(index(node))} if held else set()
+
+        if self.is_clean(color):
+            return base_row
+        removed, added, empty = self._removed[direction], self._added[direction], {}
+
+        def row(node: NodeId) -> Set[NodeId]:
+            found = base_row(node)
+            found.difference_update(removed.get(node, empty).get(color, ()))
+            found.update(added.get(node, empty).get(color, ()))
+            return found
+
+        return row
 
     def _merged_any(self, node: NodeId, reverse: bool) -> Set[NodeId]:
         if self._overlay_edges == 0 and self._base.has_node(node):
@@ -472,17 +488,6 @@ class OverlayCsrStore(OverlayReads):
         from repro.graph.csr import compiled_snapshot
 
         return compiled_snapshot(self._graph)
-
-    # -- closures ----------------------------------------------------------------
-
-    def closure(
-        self,
-        starts: Iterable[NodeId],
-        colors: Optional[Iterable[str]] = None,
-        reverse: bool = True,
-    ) -> Set[NodeId]:
-        self.sync()
-        return super().closure(starts, colors, reverse)
 
     # -- predicate scans ---------------------------------------------------------
 

@@ -20,12 +20,12 @@ any number of readers evaluate against their pinned snapshots.
 
 The same base class answers the small surface
 :class:`~repro.storage.adapter.OverlayCsrAdapter` reads a store through
-(``base()``, ``is_clean``, ``all_in_base``, ``base_holds_every_node``, the no-op ``sync``;
+(``base()``, ``is_clean``, ``base_holds_every_node``, the no-op ``sync``;
 plus :meth:`~StoreSnapshot.matching_nodes` and
 :meth:`~StoreSnapshot.whole_layers` here), so a ``csr``
-:class:`~repro.matching.paths.PathMatcher` evaluates *through the pin*: colours
-whose overlay slice is empty run on the array kernels over the pinned base,
-dirty colours as merged frontiers over base and copied overlay, and a general
+:class:`~repro.matching.paths.PathMatcher` evaluates *through the pin*: a read
+whose colours' overlay slices are all empty runs on the array kernels over the
+pinned base, any other as merged frontiers over base and copied overlay, and a general
 regex's NFA product on the pinned base while the whole slice is empty (over
 the merged adjacency otherwise — a pin cannot recompile).  The one thing
 a pinned read must never take from the base is a predicate scan — a

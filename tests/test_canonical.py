@@ -18,7 +18,7 @@ the key falls back to deterministic-but-incomplete naming by design.
 """
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.query.canonical import (
@@ -46,7 +46,12 @@ _atom = st.tuples(
 #: of unbounded runs (``_^+.g^+._^3._^3.g^+`` ≡ ``_^+.g^+._^3._^3.g^3``),
 #: which the run-local canonicalizer deliberately does not chase — the cache
 #: key stays sound (equal keys ⟹ equal languages) but is only complete on
-#: this slack-free domain.
+#: this slack-free domain.  A bounded ``_`` beside a ``_^+`` leaks the same
+#: way: in ``r^+._.r^+._^+`` ≡ ``r^2._.r^+._^+`` the surplus ``r`` reaches
+#: the ``_^+`` through ``_.r``, and the keys differ — so ``tame_regexes``
+#: never mixes the two.  This domain is where completeness is *claimed*,
+#: not proven: 20 000 random draws of the domain before that exclusion never
+#: drew this pair, so a clean run here is no evidence of completeness.
 _tame_atom = st.one_of(
     st.tuples(st.sampled_from(_COLORS), st.one_of(st.none(), st.integers(1, 3))),
     st.tuples(st.just("_"), st.sampled_from([None, 1])),
@@ -57,8 +62,12 @@ def _regex(atoms) -> FRegex:
     return FRegex([RegexAtom(color, bound) for color, bound in atoms])
 
 
+def _no_mixed_wildcards(atoms) -> bool:
+    return not {("_", 1), ("_", None)} <= set(atoms)
+
+
 regexes = st.lists(_atom, min_size=1, max_size=4).map(_regex)
-tame_regexes = st.lists(_tame_atom, min_size=1, max_size=4).map(_regex)
+tame_regexes = st.lists(_tame_atom, min_size=1, max_size=4).filter(_no_mixed_wildcards).map(_regex)
 
 _predicate = st.one_of(st.none(), st.fixed_dictionaries({"tag": st.integers(0, 2)}))
 
@@ -104,6 +113,10 @@ class TestCanonicalRegex:
 
     @settings(max_examples=200, deadline=None)
     @given(regexes, regexes)
+    @example(  # language-equal, different keys: a missed hit, never a false one
+        _regex([("r", None), ("_", 1), ("r", None), ("_", None)]),
+        _regex([("r", 2), ("_", 1), ("r", None), ("_", None)]),
+    )
     def test_property_key_equality_implies_language_equality(self, first, second):
         """Soundness holds unconditionally, slack or no slack."""
         if regex_cache_key(first) == regex_cache_key(second):

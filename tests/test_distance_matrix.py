@@ -44,6 +44,10 @@ class TestDistanceLookups:
         assert not matrix.reachable_within("a", "c", "red", max_hops=1)
         assert matrix.reachable_within("a", "c", "red", max_hops=None)
         assert not matrix.reachable_within("a", "e", None, max_hops=None)
+        # A shortest distance cannot certify a lower bound (the only red a→b
+        # path has one edge), so there is no such parameter.
+        with pytest.raises(TypeError):
+            matrix.reachable_within("a", "b", "red", min_hops=2)
 
     def test_cycle_through_node(self, colored_graph):
         matrix = build_distance_matrix(colored_graph)

@@ -428,24 +428,32 @@ class TestWarmMatcherReuse:
         matcher = IncrementalPatternMatcher(query, essembly, engine="csr")
         assert matcher.engine == "csr"
         path_matcher = matcher.matcher
-        # The initial computation ran on the engine's memo, and says so: its
-        # refinement frontiers and per-edge pair relations are set-level
-        # entries, and a single-start read back from a target looks there too.
+        # On a clean base the initial fixpoint entered the base's handle space
+        # and ran on the engine's memo alone; a single-start read back from a
+        # target speaks node ids, so it is a merged store read memoised in the
+        # version-tagged LRUs — a hit the second time.
         assert matcher.cache_statistics()["csr_set_entries"] > 0
+        assert matcher.cache_statistics()["backward_entries"] == 0
+        backward = path_matcher._backward_cache
+        regex = query.regex("C", "D")  # fa^2.sa^2: no fn edge on its paths
+        assert "C3" in path_matcher.sources_to("D1", regex)
+        hits = backward.hits
+        assert "C3" in path_matcher.sources_to("D1", regex)
+        assert backward.hits == hits + 1
         engine = path_matcher._csr_engine
-        lookups = engine._set_cache.hits + engine._set_cache.misses
-        assert "C3" in path_matcher.sources_to("D1", query.regex("C", "D"))
-        assert engine._set_cache.hits + engine._set_cache.misses == lookups + 1
         store = essembly.overlay_store()
         compactions_before = store.compactions
         matcher.remove_edge("C3", "B1", "fn")
         # The deletion lands in the store overlay: no snapshot recompile
-        # happens inside the maintenance loop, the engine (and its warm
-        # expansions of untouched colours) stays in place, and the dirty
-        # colour is served by merged read-through frontiers.
+        # happens inside the maintenance loop, the engine stays in place, the
+        # dirty colour is served by merged read-through frontiers, and the
+        # entries of untouched colours stay warm (a hit, not a stale one).
         assert store.compactions == compactions_before
         assert path_matcher._csr_engine is engine
         assert "fn" in store.dirty_colors()
+        hits, stale = backward.hits, path_matcher.stale_invalidations
+        assert "C3" in path_matcher.sources_to("D1", regex)
+        assert (backward.hits, path_matcher.stale_invalidations) == (hits + 1, stale)
         # A forced compaction retires the engine — its successor starts
         # cold, over the new base — and the maintainer's answer still equals
         # from-scratch evaluation on the dict engine.

@@ -8,12 +8,16 @@ other and to an independent oracle:
 * the **oracle** is :func:`repro.kernels.bfs_block_frontier` run over plain
   adjacency dicts built straight from the edge list — no CSR layers, no
   numpy, just the paper's definition;
-* both backends are driven through all four entry points the engine uses
-  (``expand_frontier``, ``closure_frontier``, ``CsrEngine.expand_set`` —
-  of a singleton and of a set — / ``backward_closure_indices``, and the generic
+* both backends are driven through all four entry points
+  (``expand_frontier``, ``closure_frontier`` — also over an engine's reverse
+  layers with duplicate colours —, ``CsrEngine.expand_set`` of a singleton
+  and of a set, and the generic
   ``bfs_block_frontier``) on hypothesis-generated graphs with cycles
   through starts, duplicate colours, empty layers and bounded depths
   including ``bound=0``;
+* the incremental maintainer's affected-area closure
+  (``PathMatcher.backward_closure`` on ``csr``, a merged store read) must
+  equal the oracle under duplicate colours and walk each colour once;
 * ``repro.kernels.neighbors_of`` must be the oracle's bound-1 frontier,
   sorted, under both ``REPRO_KERNELS`` values;
 * ``expand_origins`` — the origin relation pushed through a layer for all
@@ -57,6 +61,8 @@ from repro.kernels import (
     select_backend,
 )
 from repro.matching.csr_engine import CsrEngine
+from repro.matching.paths import PathMatcher
+from repro.storage.overlay import OverlayReads
 
 if HAVE_NUMPY:
     from repro.kernels import numpy_kernel
@@ -249,9 +255,10 @@ def test_property_closure_frontier_matches_oracle(case, colors):
     st.sampled_from(_BOUNDS),
 )
 def test_property_engine_entry_points_match_oracle(case, colors, bound):
-    # The engine-facing wrappers (`expand_set`, of a singleton and of several
-    # sources, and `backward_closure_indices` with its colour-dedupe) must
-    # agree with the oracle through the dispatch layer.
+    # The engine-facing wrapper (`expand_set`, of a singleton and of several
+    # sources) and the affected-area closure over the engine's reverse layers,
+    # duplicate colours included, must agree with the oracle through the
+    # dispatch layer.
     graph, starts = case
     compiled = compile_graph(graph)
     starts = [compiled.node_index(start) for start in starts]
@@ -266,13 +273,22 @@ def test_property_engine_entry_points_match_oracle(case, colors, bound):
 
     known = [color for color in colors if compiled.color_id(color) is not None]
     color_ids = None if not colors else [compiled.color_id(color) for color in known]
-    closure = engine.backward_closure_indices(starts, color_ids)
+    closure = _reverse_closure(engine, starts, color_ids)
     if color_ids is None:
         expected = _oracle_closure(graph, compiled, starts, list(_COLORS))
     else:
         expected = _oracle_closure(graph, compiled, starts, known)
     assert sorted(closure) == sorted(set(closure))
     assert set(closure) == expected
+
+
+def _reverse_closure(engine, starts, color_ids):
+    """``repro.kernels.closure_frontier`` over the engine's reverse layers of
+    ``color_ids`` (``None``: the wildcard layer), as given — duplicates too."""
+    compiled = engine.compiled
+    ids = [ANY_COLOR] if color_ids is None else color_ids
+    layers = [compiled.layer(color_id, reverse=True) for color_id in ids]
+    return repro.kernels.closure_frontier(layers, compiled.num_nodes, starts)
 
 
 # -- candidate bitmaps ----------------------------------------------------------
@@ -495,33 +511,46 @@ def two_color_graph():
 
 
 class TestBackwardClosureColorDedup:
-    def test_duplicate_color_ids_do_not_duplicate_results(self, two_color_graph):
-        # Regression: duplicate/overlapping colour restrictions used to seed
-        # the same reverse layer several times; results must be identical to
-        # the deduplicated list, with no repeated indices.
+    """The incremental maintainer's affected-area closure —
+    ``PathMatcher.backward_closure`` on ``csr``, a merged store read — under
+    duplicate colour restrictions: each colour's rows are walked once."""
+
+    @pytest.fixture()
+    def walked(self, monkeypatch):
+        """The colours the overlay store resolves rows of, in order."""
+        colors = []
+        rows = OverlayReads._rows
+
+        def counting(store, color, reverse):
+            colors.append(color)
+            return rows(store, color, reverse)
+
+        monkeypatch.setattr(OverlayReads, "_rows", counting)
+        return colors
+
+    def test_duplicate_color_ids_do_not_duplicate_results(self, two_color_graph, walked):
+        # Regression: duplicate/overlapping colour restrictions used to rescan
+        # the same reverse rows once per duplicate on every hop; results must
+        # be identical to the deduplicated list's.
+        matcher = PathMatcher(two_color_graph, engine="csr")
+        deduped = matcher.backward_closure([0, 3], ["r", "g"])
+        del walked[:]
+        noisy = matcher.backward_closure([0, 3], ["r", "r", "g", "r", "g"])
+        assert walked == ["r", "g"]
         compiled = compile_graph(two_color_graph)
-        engine = CsrEngine(compiled)
-        r, g = compiled.color_id("r"), compiled.color_id("g")
         starts = [compiled.node_index(0), compiled.node_index(3)]
-        deduped = engine.backward_closure_indices(starts, [r, g])
-        noisy = engine.backward_closure_indices(starts, [r, r, g, r, g])
-        assert sorted(noisy) == sorted(set(noisy))
-        assert set(noisy) == set(deduped)
-        assert set(noisy) == _oracle_closure(two_color_graph, compiled, starts, ["r", "g"])
+        oracle = _oracle_closure(two_color_graph, compiled, starts, ["r", "g"])
+        assert noisy == deduped == {0, 3} | set(compiled.ids_of(oracle))
 
-    def test_single_duplicated_color_equals_single_color(self, two_color_graph):
-        compiled = compile_graph(two_color_graph)
-        engine = CsrEngine(compiled)
-        g = compiled.color_id("g")
-        starts = [compiled.node_index(3)]
-        assert set(engine.backward_closure_indices(starts, [g, g, g])) == set(
-            engine.backward_closure_indices(starts, [g])
-        ) == {compiled.node_index(3), compiled.node_index(4)}
+    def test_single_duplicated_color_equals_single_color(self, two_color_graph, walked):
+        matcher = PathMatcher(two_color_graph, engine="csr")
+        assert matcher.backward_closure([3], ["g", "g", "g"]) == matcher.backward_closure([3], ["g"]) == {3, 4}
+        assert walked == ["g", "g"]
 
-    def test_empty_color_list_is_empty_closure(self, two_color_graph):
-        compiled = compile_graph(two_color_graph)
-        engine = CsrEngine(compiled)
-        assert engine.backward_closure_indices([0], []) == []
+    def test_empty_color_list_is_empty_closure(self, two_color_graph, walked):
+        # Nothing is traversable: the closure is the starts alone.
+        assert PathMatcher(two_color_graph, engine="csr").backward_closure([0], []) == {0}
+        assert walked == []
 
 
 class TestBlockSemanticsEdgeCases:

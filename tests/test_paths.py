@@ -123,24 +123,32 @@ class TestModeAgreement:
         assert [stats[key] for key in engine_keys] == [0.0] * 2
 
     def test_cache_stats_report_the_csr_engine_memos(self, small_graph):
-        """On ``csr`` the clean-colour lookups go to the engine's set-level
-        memo, not to the forward/backward LRUs — ``cache_stats`` must show it,
-        and asking for it must never *build* an engine (or compile a base).
-        A single start is a singleton set: ``sources_to`` fills the same memo,
-        ``targets_from`` is a fold of unmemoised set-level frontiers."""
+        """On ``csr`` a node-id read is a merged store read memoised in the
+        forward/backward LRUs, clean colours or not; the engine's set-level
+        memo serves reads in a handle space only.  ``cache_stats`` must show
+        both, and asking for it must never *build* an engine (or compile a
+        base).  A single start is a singleton set: ``targets_from`` memoises
+        the singleton's frontier, ``sources_to`` its whole backward chain."""
         matcher = PathMatcher(small_graph, engine="csr")
         assert set(matcher.cache_stats) == set(PathMatcher(small_graph).cache_stats)
         assert matcher.cache_stats["csr_set_entries"] == 0.0
         assert not small_graph.overlay_store().has_base
+        red = parse_fregex("red")
         for _ in range(2):
             matcher.targets_from("a", parse_fregex("red^2"))
-            matcher.backward_reachable({"c", "d"}, parse_fregex("red"))
+            matcher.backward_reachable({"c", "d"}, red)
         stats = matcher.cache_stats
-        assert stats["csr_set_entries"] == 1 and stats["csr_set_hit_rate"] == 0.5
-        matcher.sources_to("c", parse_fregex("red^2"))
+        assert stats["forward_entries"] == stats["backward_entries"] == 1.0
+        assert stats["forward_hit_rate"] == stats["backward_hit_rate"] == 0.5
+        assert stats["csr_set_entries"] == 0.0 and stats["stale_invalidations"] == 0.0
+        matcher.sources_to("c", parse_fregex("red^2"))  # the chain of {c} and its one frontier
+        assert matcher.cache_stats["backward_entries"] == 3.0
+        space = matcher.enter([red])
+        for _ in range(2):
+            matcher.backward_reachable(space.positions_of(["c", "d"]), red, space)
         stats = matcher.cache_stats
-        assert stats["csr_set_entries"] == 2 == float(len(matcher._csr_engine._set_cache))
-        assert stats["forward_entries"] == stats["backward_entries"] == 0.0
+        assert stats["csr_set_entries"] == 1 == float(len(matcher._csr_engine._set_cache))
+        assert stats["csr_set_hit_rate"] == 0.5 and stats["backward_entries"] == 3.0
 
 
 class TestVersionAwareCaches:
@@ -219,15 +227,18 @@ class TestVersionAwareCaches:
         engine = matcher._csr_engine
         store = small_graph.overlay_store()
         compactions_before = store.compactions
-        hits_before = engine._set_cache.hits
+        hits_before = matcher._backward_cache.hits
+        stale_before = matcher.stale_invalidations
         # Deleting a *green* edge only dirties green's overlay: no recompile
-        # happens, the engine (and its warm blue/red memos) stay in place.
+        # happens, the engine stays in place, and the warm blue/red chains —
+        # tagged with their own colours' versions — answer as hits.
         small_graph.remove_edge("b", "b", "green")
         assert matcher.sources_to("d", blue) == {"c"}
         assert matcher.sources_to("b", red) == {"a"}
         assert store.compactions == compactions_before
         assert matcher._csr_engine is engine
-        assert engine._set_cache.hits == hits_before + 2
+        assert matcher._backward_cache.hits == hits_before + 2
+        assert matcher.stale_invalidations == stale_before
 
     def test_csr_entries_promoted_across_compaction(self, small_graph):
         """Nothing is promoted any more: a compaction retires the engine and
@@ -311,9 +322,13 @@ class TestVersionAwareCaches:
         matcher = PathMatcher(small_graph, engine="dict")
         blue = parse_fregex("blue")
         assert matcher.targets_from("x", blue) == set()  # memoises ('x','blue')
+        csr_warm = PathMatcher(small_graph, engine="csr")
+        assert csr_warm.sources_to("x", blue) == set()  # memoises the chain of {x}
         small_graph.remove_node("x")
         with pytest.raises(GraphError):
             matcher.targets_from("x", blue)
+        with pytest.raises(GraphError):
+            csr_warm.sources_to("x", blue)
         csr_matcher = PathMatcher(small_graph, engine="csr")
         with pytest.raises(GraphError):
             csr_matcher.targets_from("x", blue)
@@ -323,12 +338,13 @@ class TestVersionAwareCaches:
 
         matcher = PathMatcher(small_graph, engine="csr")
         red = parse_fregex("red")
-        matcher.backward_reachable({"c", "d"}, red)
+        space = matcher.enter([red])  # the set-level memo serves reads in a space
+        matcher.backward_reachable(space.positions_of(["c", "d"]), red, space)
         engine = matcher._csr_engine
         assert engine._set_cache.capacity <= SET_FRONTIER_CACHE_CAPACITY
         assert len(engine._set_cache) >= 1
         tiny = PathMatcher(small_graph, cache_capacity=5, engine="csr")
-        tiny.backward_reachable({"c", "d"}, red)
+        tiny.backward_reachable(space.positions_of(["c", "d"]), red, tiny.enter([red]))
         assert tiny._csr_engine._set_cache.capacity == 5
 
 

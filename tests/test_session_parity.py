@@ -386,23 +386,27 @@ def test_live_and_pinned_envelopes_agree_on_the_array_path():
         assert sorted(result.cache_stats) == _CACHE_STATS_KEYS
         assert result.cache_stats["csr_set_entries"] > 0.0
         assert result.cache_stats["forward_entries"] == 0.0
-    # ... and a single-start read of the same matchers is a singleton's
-    # set-level read: the one back from a reached node is one more entry there.
+    # ... while a single-start read of the same matchers speaks node ids, so
+    # it is a merged store read on both sides: reading the path back from a
+    # reached node adds its chain and the singleton frontier its fold starts
+    # from to the version-tagged backward LRU, and nothing to the engine's memo.
     from_n0 = {target for source, target in live_views[0]["answer"] if source == "n0"}
     assert from_n0  # the g1 nodes (odd indices) among everything n0 reaches
     for reached, entries_added in (_single_start_read(live.matcher("csr")), pinned_single):
         assert {target for target in reached if int(target[1:]) % 2} == from_n0
-        assert entries_added == 1.0
+        assert entries_added == (2.0, 0.0, 0.0)
 
 
 def _single_start_read(matcher):
-    """What ``n0`` reaches by ``a.b^2.b``, and how many set-level memo entries
-    reading the path back from one of those nodes added."""
+    """What ``n0`` reaches by ``a.b^2.b``, and what reading the path back from
+    one of those nodes added to ``backward_entries``, ``csr_set_entries`` and
+    ``stale_invalidations``."""
     path = FRegex([RegexAtom("a", 1), RegexAtom("b", 2), RegexAtom("b", 1)])
     reached = matcher.targets_from("n0", path)
-    entries = matcher.cache_stats["csr_set_entries"]
+    keys = ("backward_entries", "csr_set_entries", "stale_invalidations")
+    before = matcher.cache_stats
     assert "n0" in matcher.sources_to(min(reached), path)
-    return reached, matcher.cache_stats["csr_set_entries"] - entries
+    return reached, tuple(matcher.cache_stats[key] - before[key] for key in keys)
 
 
 def test_live_and_pinned_envelopes_agree_with_changes_pending_in_the_overlay():

@@ -268,18 +268,26 @@ class TestMatcherStoreParity:
         csr_matcher = PathMatcher(graph, engine="csr")
         dict_matcher = PathMatcher(graph, engine="dict")
         expr = parse_fregex("r.g")
+        targets = {1, 2, 3}
+
+        def reads(matcher):
+            nodes = list(graph.nodes())
+            return (
+                matcher.backward_reachable(targets, expr),
+                matcher.set_sources(targets, expr.atoms[0]),
+                matcher.backward_closure([1], colors=["r"]),
+                *(matcher.query_pairs(expr, nodes, set(nodes), way) for way in ("bidirectional", "bfs")),
+            )
+
+        # Multi-node node-id reads on a clean base (merged store reads there
+        # too, no space was entered), then after updates.
+        store = graph.overlay_store()
+        store.sync()
+        assert store.is_clean(None)
+        assert reads(csr_matcher) == reads(dict_matcher)
         graph.add_edge(5, 0, "r")
         graph.remove_edge(2, 3, "g")
-        targets = {1, 2, 3}
-        assert csr_matcher.backward_reachable(targets, expr) == dict_matcher.backward_reachable(
-            targets, expr
-        )
-        assert csr_matcher.set_sources(targets, expr.atoms[0]) == dict_matcher.set_sources(
-            targets, expr.atoms[0]
-        )
-        assert csr_matcher.backward_closure([1], colors=["r"]) == dict_matcher.backward_closure(
-            [1], colors=["r"]
-        )
+        assert reads(csr_matcher) == reads(dict_matcher)
 
 
 def _fresh_rq_answer(graph, query):
@@ -791,8 +799,23 @@ class TestHandleSpaces:
         assert counts == {"enter": 1, "id_pairs": 1, "ids_of": 2}, counts
 
     def test_a_dirty_colour_reads_in_node_id_space_as_before(self, monkeypatch):
+        import repro.matching.csr_engine as csr_engine
+
         session, pattern, query, tally = self._counted_session(monkeypatch)
+        kernel_calls = []
+        for name in ("expand_frontier", "expand_origins", "decode_origins"):
+            _counting(monkeypatch, csr_engine, name, kernel_calls)
         session.execute(query)
+        matcher = session.matcher("csr")
+        regex = query.regex
+        targets = set(list(session.graph.nodes())[:5])
+        kernel_calls.clear()
+        # A clean base, no space: node ids are merged store reads, never a
+        # translation onto the base arrays.
+        assert matcher.backward_reachable(targets, regex) == PathMatcher(
+            session.graph, engine="dict"
+        ).backward_reachable(targets, regex)
+        assert kernel_calls == []
         nodes = list(session.graph.nodes())
         session.apply_updates([("add", nodes[0], nodes[1], "fc")])  # a colour of both queries
         session.graph.overlay_store().sync()
@@ -805,9 +828,9 @@ class TestHandleSpaces:
             result = session.execute(read)
             counts, spaces = tally()
             assert spaces == [None]
-            # The clean colours still run on the base arrays, call by call:
-            # node ids in, node ids out, the translation the parent did.
-            assert counts["node_index"] > 0 and counts["ids_of"] > 0
+            # Without a space the whole read is merged store reads, its clean
+            # colours too: not one array-kernel call.
+            assert kernel_calls == []
             reference = expected(session.graph.copy())
             if read is pattern:
                 assert result.answer.same_matches(reference)

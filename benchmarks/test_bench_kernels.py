@@ -20,14 +20,15 @@ datasets live in — avg degree ~8):
   4.5x is what that supports: 1.2x under the worst of them, so the gate
   fires once the numpy kernels lose about a fifth;
 * ``kernels-origins-python`` / ``kernels-origins-numpy`` — the same
-  comparison for ``expand_origins`` (a 1024-origin relation through bounded
-  and unbounded blocks), reported only: no ratio is asserted on it;
+  comparison for ``expand_origins`` (a relation of 1024 origins, each on one
+  node, through bounded and unbounded blocks), reported only: no ratio is
+  asserted on it;
 * ``kernels-origins-narrow-python`` / ``kernels-origins-narrow-numpy`` — the
-  relations whose every level is a few rows: one origin down an 8 350-node
+  relations whose every level is a few pairs: one origin down an 8 350-node
   path, unbounded, and 90 one-source bound-2 blocks on a 60 000-node graph.
-  The numpy backend hands a relation seeded on fewer than
-  ``VECTOR_MIN_FRONTIER`` rows to the python one, so the two should read
-  alike; reported only, with the results asserted identical.
+  The numpy backend hands a relation of fewer than ``VECTOR_MIN_FRONTIER``
+  pairs to the python one, so the two should read alike; reported only,
+  with the results asserted identical.
 
 CI runs this file on its own and uploads the timings as
 ``bench-kernels.json`` (see ``.github/workflows/ci.yml``); the tier-1 legs
@@ -169,18 +170,19 @@ ORIGINS = 1024
 
 
 def _origin_calls(compiled):
-    """``(layer, nodes, rows, bound)`` per call: one bit per origin, pushed
-    through a bounded and an unbounded block forwards and a bounded one back."""
+    """``(layer, relation, bound)`` per call: 1024 origins, each on one random
+    node, pushed through a bounded and an unbounded block forwards and a
+    bounded one back.  The relation is one storage both backends read."""
     rng = random.Random(17)
     nodes = [rng.randrange(compiled.num_nodes) for _ in range(ORIGINS)]
-    rows = [1 << position for position in range(ORIGINS)]
+    seeds = python_kernel.Relation.of(compiled.num_nodes, range(ORIGINS), nodes)
     any_fwd = compiled.layer(ANY_COLOR, reverse=False)
     one_rev = compiled.layer(0, reverse=True)
-    return [(any_fwd, nodes, rows, 2), (one_rev, nodes, rows, 4), (one_rev, nodes, rows, None)]
+    return [(any_fwd, seeds, 2), (one_rev, seeds, 4), (one_rev, seeds, None)]
 
 
 def _run_origins(kernel, n, calls):
-    return [kernel.expand_origins(layer, n, nodes, rows, bound) for layer, nodes, rows, bound in calls]
+    return [kernel.expand_origins(layer, n, seeds, bound) for layer, seeds, bound in calls]
 
 
 @pytest.mark.benchmark(group="kernels-origins-python")
@@ -189,7 +191,7 @@ def test_bench_origins_python(benchmark, kernel_graph):
     results = benchmark.pedantic(
         _run_origins, args=(python_kernel, kernel_graph.num_nodes, calls), rounds=PASSES, iterations=1
     )
-    benchmark.extra_info["reached_rows"] = sum(len(nodes) for nodes, _ in results)
+    benchmark.extra_info["reached_pairs"] = sum(map(len, results))
 
 
 @pytest.mark.benchmark(group="kernels-origins-numpy")
@@ -198,7 +200,7 @@ def test_bench_origins_numpy(benchmark, kernel_graph):
     results = benchmark.pedantic(
         _run_origins, args=(numpy_kernel, kernel_graph.num_nodes, calls), rounds=PASSES, iterations=1
     )
-    benchmark.extra_info["reached_rows"] = sum(len(nodes) for nodes, _ in results)
+    benchmark.extra_info["reached_pairs"] = sum(map(len, results))
     assert results == _run_origins(python_kernel, kernel_graph.num_nodes, calls)
 
 
@@ -223,9 +225,11 @@ def narrow_origin_calls():
     wide = compile_graph(generate_youtube_graph(num_nodes=60000, num_edges=120000, seed=7))
     rng = random.Random(23)
     any_fwd = wide.layer(ANY_COLOR, reverse=False)
-    sources = [(any_fwd, [rng.randrange(wide.num_nodes)], [1], 2) for _ in range(NARROW_SOURCES)]
+    starts = [rng.randrange(wide.num_nodes) for _ in range(NARROW_SOURCES)]
+    sources = [(any_fwd, python_kernel.Relation.of(wide.num_nodes, [s], [s]), 2) for s in starts]
+    origin = python_kernel.Relation.of(chain.num_nodes, [0], [0])
     return [
-        (chain.num_nodes, [(chain.layer(ANY_COLOR, reverse=False), [0], [1], None)]),
+        (chain.num_nodes, [(chain.layer(ANY_COLOR, reverse=False), origin, None)]),
         (wide.num_nodes, sources),
     ]
 
@@ -239,7 +243,7 @@ def test_bench_origins_narrow_python(benchmark, narrow_origin_calls):
     results = benchmark.pedantic(
         _run_narrow, args=(python_kernel, narrow_origin_calls), rounds=PASSES, iterations=1
     )
-    benchmark.extra_info["reached_rows"] = sum(len(nodes) for per in results for nodes, _ in per)
+    benchmark.extra_info["reached_pairs"] = sum(len(reached) for per in results for reached in per)
 
 
 @pytest.mark.benchmark(group="kernels-origins-narrow-numpy")
@@ -247,5 +251,5 @@ def test_bench_origins_narrow_numpy(benchmark, narrow_origin_calls):
     results = benchmark.pedantic(
         _run_narrow, args=(numpy_kernel, narrow_origin_calls), rounds=PASSES, iterations=1
     )
-    benchmark.extra_info["reached_rows"] = sum(len(nodes) for per in results for nodes, _ in per)
+    benchmark.extra_info["reached_pairs"] = sum(len(reached) for per in results for reached in per)
     assert results == _run_narrow(python_kernel, narrow_origin_calls)

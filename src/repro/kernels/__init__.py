@@ -36,20 +36,27 @@ is its definition):
     ascending iteration, ``copy``).  Any iterable of handles is coerced, each
     checked to lie in the range; a bitmap of that range is returned as it is.
 
-``expand_origins(layer, num_nodes, nodes, rows, bound) -> (nodes, rows)``
-    the same block for a whole *relation*: ``rows[i]`` is an ``int`` bitset of
-    the origin positions sitting on ``nodes[i]``; the result holds, per
-    reached index (ascending), the origins that reach it by ``1 … bound``
-    edges.  Origin by origin it equals ``expand_frontier`` from the nodes
-    carrying that origin's bit — they seed its visited set, so an origin
-    returns to one of its starts only through a non-empty cycle — computed
-    for all origins in one pass, propagating only newly arrived bits (the
-    multi-source BFS of Then et al., PVLDB 8(4), 2014).
+``relation(num_nodes, origins, nodes)``
+    index space's second value type: ``Relation``, the pairs ``(origins[i],
+    nodes[i])`` as the sorted, duplicate-free ``array('q')`` of the keys
+    ``origin * num_nodes + node``, with ``|``, ``-``, ``==``, ``len``, truth,
+    ``within(bitmap)`` (the pairs whose node is a candidate) and ``pairs()``
+    (two parallel index sequences ``(origins, nodes)``).  Indices are
+    range-checked; a relation built under one backend is read by the other.
+
+``expand_origins(layer, num_nodes, relation, bound) -> relation``
+    the same block for a whole relation: the answer holds ``(origin, v)`` for
+    every index ``v`` the origin reaches by ``1 … bound`` edges from the
+    nodes it sits on.  Origin by origin it equals ``expand_frontier`` from
+    those nodes — they seed its visited set, so an origin returns to one of
+    its starts only through a non-empty cycle — computed for all origins in
+    one pass, propagating only newly arrived pairs (the multi-source BFS of
+    Then et al., PVLDB 8(4), 2014).
 
 ``decode_origins(nodes, rows, block) -> (nodes, origins)``
-    such a relation read out as two parallel index sequences: ``nodes[i]``
-    beside ``block[k]`` per set bit ``k`` of ``rows[i]``, rows in order, bits
-    ascending (lists / ``intp`` arrays, equal); a row wider than ``block`` raises.
+    the python backend's read-out of the origin bitsets inside its
+    ``expand_origins``: ``nodes[i]`` beside ``block[k]`` per set bit ``k`` of
+    ``rows[i]``, as two lists; a row wider than ``block`` raises.
 
 ``closure_frontier(layers, num_nodes, starts)``
     the unbounded variant over the union of several layers (the affected-
@@ -70,7 +77,7 @@ to pin one side.  The dict engine remains the semantics oracle.
 from __future__ import annotations
 
 import os
-from typing import Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Hashable, Iterable, List, Optional, Sequence, Set
 
 from repro.kernels import python_kernel
 
@@ -87,21 +94,13 @@ NodeId = Hashable
 #: Environment variable forcing one backend (``numpy`` / ``python``).
 KERNEL_ENV_VAR = "REPRO_KERNELS"
 
-#: Origins a caller packs into one :func:`expand_origins` relation.  A row is
-#: an ``int`` as wide as the highest origin on it, so the block bounds the
-#: cost of one bit operation and the scratch of one call: at most 2 x
-#: ``num_nodes`` live rows (seen, reached) of 164 bytes, 2.7 MiB on the
-#: paper's 8350-node graph, and only for the indices the relation touches.
-#: A constant, not a tunable: on ``lib_paper`` 1024 … 8350 measure within 5%
-#: of each other, 256 is 1.3x and 64 is 2.2x slower (more passes per query).
-ORIGIN_BLOCK = 1024
-
 __all__ = [
     "HAVE_NUMPY",
     "KERNEL_ENV_VAR",
     "active_kernel_name",
     "bfs_block_frontier",
     "bitmap",
+    "relation",
     "expand_frontier",
     "expand_origins",
     "decode_origins",
@@ -154,16 +153,23 @@ def expand_frontier(layer, num_nodes: int, starts: Iterable[int], bound: Optiona
     return select_backend().expand_frontier(layer, num_nodes, starts, bound)
 
 
+def relation(num_nodes: int, origins: Iterable[int], nodes: Iterable[int]) -> python_kernel.Relation:
+    """The pairs ``(origins[i], nodes[i])`` as an origin relation over
+    ``range(num_nodes)``, built by the serving backend — an index outside the
+    range raises :class:`~repro.exceptions.GraphError`."""
+    return select_backend().Relation.of(num_nodes, origins, nodes)
+
+
 def expand_origins(
-    layer, num_nodes: int, nodes: Sequence[int], rows: Sequence[int], bound: Optional[int]
-) -> Tuple[List[int], List[int]]:
+    layer, num_nodes: int, pairs: python_kernel.Relation, bound: Optional[int]
+) -> python_kernel.Relation:
     """Push an origin relation through one CSR layer, all origins at once."""
-    return select_backend().expand_origins(layer, num_nodes, nodes, rows, bound)
+    return select_backend().expand_origins(layer, num_nodes, pairs, bound)
 
 
 def decode_origins(nodes: Sequence[int], rows: Sequence[int], block: Sequence[int]):
-    """An origin relation read out of its rows as two parallel index sequences."""
-    return select_backend().decode_origins(nodes, rows, block)
+    """Origin bitsets read out as two parallel index lists (the python backend's)."""
+    return python_kernel.decode_origins(nodes, rows, block)
 
 
 def closure_frontier(layers, num_nodes: int, starts: Iterable[int]) -> List[int]:

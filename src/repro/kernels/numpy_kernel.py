@@ -31,18 +31,19 @@ first frontier with one ``flatnonzero``, runs the same levels with the same
 switch, and answers the ``reached`` flags as a :class:`Bitmap`: no Python int
 is boxed on the way in or out.
 
-:func:`expand_origins` (and :func:`decode_origins`, which reads its rows out
-through one byte matrix) gathers only the rows that gained bits in the level
-before, so its cost follows the live relation; a relation seeded on fewer
-than :data:`VECTOR_MIN_FRONTIER` non-empty rows is handed to
-:func:`python_kernel.expand_origins` whole, because one origin down a long
-path would otherwise pay the array dispatch once per level.
-Its rows stay the ``int`` bitsets of the python backend, in object arrays:
-numpy does a level's edge work (gather, stable sort by destination,
-``bitwise_or.reduceat``), the integers the bit operations, and a dict keyed
-by touched index holds what each destination has seen — no per-call
-``num_nodes``-sized state (ARCHITECTURE.md has the measurements behind both
-choices: ``uint64`` word rows and dense row arrays were built and lost).
+:func:`expand_origins` keeps an origin relation in its key form from seed to
+answer, so no pair of it is ever a Python ``int``: a level gathers the live
+pairs' out-edges as keys, sorts them, drops duplicates with an
+adjacent-difference mask and keeps the ones a ``searchsorted`` does not find
+among the keys seen so far — no per-call ``num_nodes``-sized state.  Only
+the pairs that arrived fresh travel on, so its cost follows the live
+relation; a relation of fewer than :data:`VECTOR_MIN_FRONTIER` pairs is
+handed to :func:`python_kernel.expand_origins` whole, because one origin down
+a long path would otherwise pay the array dispatch once per level.
+:class:`Relation` subclasses the python backend's type with its operators as
+array operations over the same ``array('q')`` (ARCHITECTURE.md has the
+measurements behind the form, and the forms that lost: ``uint64`` word rows,
+dense row arrays, ``int`` rows in object arrays).
 
 Per-layer ``intp``-typed offset/target arrays are cached on the
 :class:`~repro.graph.csr.CsrLayer` (``_np`` slot) the first time a layer is
@@ -51,15 +52,15 @@ vectorised; layers are topology-immutable, so the cache never invalidates.
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from array import array
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.kernels import python_kernel
 
-#: BFS levels with fewer frontier nodes than this, and origin relations seeded
-#: on fewer non-empty rows, run the python backend's code.  Monkeypatched to 1
+#: BFS levels with fewer frontier nodes than this, and origin relations of
+#: fewer pairs, run the python backend's code.  Monkeypatched to 1
 #: by the differential suite to force full vectorisation.  Measured at 4 / 8 /
 #: 16 / 32 / 64 (CPU time, 2-core x86 VM): the kernels gate's numpy
 #: side takes 14.3 / 13.7 / 13.4 / 13.2 / 13.3 ms (best of 9), an in-process
@@ -211,82 +212,104 @@ def closure_frontier(layers, num_nodes: int, starts: Iterable[int]) -> List[int]
     return _levels(list(layers), num_nodes, starts, None)
 
 
-# -- origin relations (multi-source BFS, one bitset of origins per node) ---------
+# -- origin relations: sorted (origin, node) keys ----------------------------------
 
 
-def _merge_rows(dest: np.ndarray, carried: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """OR together the rows that share a destination: ``(unique dest, rows)``."""
-    order = np.argsort(dest, kind="stable")
-    dest = dest[order]
-    heads = np.flatnonzero(np.concatenate(([True], dest[1:] != dest[:-1])))
-    return dest[heads], np.bitwise_or.reduceat(carried[order], heads)
+def _keys(relation: python_kernel.Relation) -> np.ndarray:
+    """Either backend's relation keys as an ``int64`` array over the same memory."""
+    return np.frombuffer(relation.keys, dtype=np.int64)
 
 
-def _push_rows(offsets, targets, front: np.ndarray, bits: np.ndarray):
-    """One level: every active row travels along its node's out-edges."""
-    dest = _gather_level(offsets, targets, front)
-    if not dest.size:
-        return dest, bits[:0]
-    return _merge_rows(dest, np.repeat(bits, offsets[front + 1] - offsets[front]))
+def _stored(num_nodes: int, keys: np.ndarray) -> "Relation":
+    """Sorted, distinct ``int64`` keys as a :class:`Relation` (one copy)."""
+    stored = array("q")
+    stored.frombytes(memoryview(np.ascontiguousarray(keys, dtype=np.int64)).cast("B"))
+    return Relation(num_nodes, stored)
+
+
+def _distinct(keys: np.ndarray, kind: Optional[str] = None) -> np.ndarray:
+    """A fresh array of ``keys``, sorted in place, duplicates dropped by an
+    adjacent-difference mask — not ``np.unique``, which hashes on numpy 2.4
+    and measured slower here.  ``kind="stable"`` (timsort) merges keys that
+    are two sorted runs in one linear pass."""
+    keys.sort(kind=kind)
+    if keys.size > 1:
+        keep = np.empty(keys.size, dtype=np.bool_)
+        keep[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        keys = keys[keep]
+    return keys
+
+
+def _lookup(known: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Where each of ``keys`` goes in the sorted, non-empty ``known``, and
+    whether it is there already."""
+    at = np.searchsorted(known, keys)
+    return at, known[np.minimum(at, known.size - 1)] == keys
+
+
+class Relation(python_kernel.Relation):
+    """The origin relation with its operators as array operations over the
+    same ``array('q')`` of keys (a zero-copy ``int64`` view)."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, num_nodes: int, origins: Iterable[int], nodes: Iterable[int]) -> "Relation":
+        sides = [np.asarray(s if isinstance(s, np.ndarray) else list(s), dtype=np.int64)
+                 for s in (origins, nodes)]
+        for side in sides:
+            if side.size and not 0 <= side.min() <= side.max() < num_nodes:
+                bad = side.min() if side.min() < 0 else side.max()
+                raise python_kernel.outside_space(int(bad), num_nodes)
+        return _stored(num_nodes, _distinct(sides[0] * num_nodes + sides[1]))
+
+    def __or__(self, other: python_kernel.Relation) -> "Relation":
+        mine, theirs = _keys(self), _keys(other)
+        if not mine.size:
+            return Relation(self.num_nodes, other.keys)
+        if not theirs.size:
+            return self
+        return _stored(self.num_nodes, _distinct(np.concatenate((mine, theirs)), kind="stable"))
+
+    def __sub__(self, other: python_kernel.Relation) -> "Relation":
+        mine, theirs = _keys(self), _keys(other)
+        if not mine.size or not theirs.size:
+            return self
+        return _stored(self.num_nodes, mine[~_lookup(theirs, mine)[1]])
+
+    def within(self, candidates: python_kernel.Bitmap) -> "Relation":
+        keys = _keys(self)
+        return _stored(self.num_nodes, keys[_mask(candidates)[keys % self.num_nodes]])
+
+    def pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        return np.divmod(_keys(self), self.num_nodes)
 
 
 def expand_origins(
-    layer, num_nodes: int, nodes: Sequence[int], rows: Sequence[int], bound: Optional[int]
-) -> Tuple[List[int], List[int]]:
+    layer, num_nodes: int, relation: python_kernel.Relation, bound: Optional[int]
+) -> python_kernel.Relation:
     """Push an origin relation through one layer, all origins at once.
 
-    Same contract and results as :func:`python_kernel.expand_origins`; see the
-    module docstring for the form.  ``seen`` is keyed by touched index, as in
-    the python backend, and the result is one merge of the levels' arrivals:
-    no per-call ``num_nodes``-sized state.  A relation seeded on fewer than
-    :data:`VECTOR_MIN_FRONTIER` non-empty rows is the python backend's call:
-    its levels stay as narrow as its seed on the paths queries walk, where each
-    vectorised level costs tens of microseconds of array dispatch.
+    Same contract and results as :func:`python_kernel.expand_origins`; the
+    module docstring has the level.  A relation of fewer than
+    :data:`VECTOR_MIN_FRONTIER` pairs is the python backend's call: its levels
+    stay as narrow as its seed on the paths queries walk.
     """
-    front, bits = np.asarray(nodes, dtype=np.intp), np.array(rows, dtype=object)
-    occupied = bits.astype(bool)
-    if bound == 0 or np.count_nonzero(occupied) < VECTOR_MIN_FRONTIER:
-        return python_kernel.expand_origins(layer, num_nodes, nodes, rows, bound)
+    seen = _keys(relation)
+    if bound == 0 or seen.size < VECTOR_MIN_FRONTIER:
+        return python_kernel.expand_origins(layer, num_nodes, relation, bound)
     offsets, targets = _layer_arrays(layer)
-    front, bits = _merge_rows(front[occupied], bits[occupied])
-    dest, arrived = _push_rows(offsets, targets, front, bits)
-    if bound == 1 or not dest.size:
-        return dest.tolist(), arrived.tolist()
-    seen = dict(zip(front.tolist(), bits.tolist()))
-    levels = []
-    depth = 1
-    while dest.size:
-        levels.append((dest, arrived))
-        known = np.array(list(map(seen.get, dest.tolist(), repeat(0))), dtype=object)
-        bits = arrived & ~known
-        live = bits.astype(bool)
-        front, bits = dest[live], bits[live]
-        if depth == bound or not front.size:
+    live, arrivals = seen, []
+    while live.size:
+        origin, node = np.divmod(live, num_nodes)
+        carried = np.repeat(origin * num_nodes, offsets[node + 1] - offsets[node])
+        arrived = _distinct(carried + _gather_level(offsets, targets, node))
+        arrivals.append(arrived)
+        if len(arrivals) == bound or not arrived.size:
             break
-        seen.update(zip(front.tolist(), (known[live] | bits).tolist()))
-        depth += 1
-        dest, arrived = _push_rows(offsets, targets, front, bits)
-    hit, reached = _merge_rows(*map(np.concatenate, zip(*levels)))
-    return hit.tolist(), reached.tolist()
-
-
-def decode_origins(
-    nodes: Sequence[int], rows: Sequence[int], block: Sequence[int]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Read a relation out of its rows, as two parallel ``intp`` arrays: same
-    contract and entries as :func:`python_kernel.decode_origins`.  The ``int``
-    rows become one byte matrix (the only per-row Python call); relations are
-    sparse, so only its non-zero bytes are unpacked to bits."""
-    width = len(block)
-    row_bytes = (width + 7) >> 3
-    try:
-        raw = b"".join(map(int.to_bytes, rows, repeat(row_bytes), repeat("little")))
-    except OverflowError:
-        raise ValueError(f"an origin row is wider than its block of {width}") from None
-    matrix = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), row_bytes)
-    row, byte = np.nonzero(matrix)
-    hit, bit = np.nonzero(np.unpackbits(matrix[row, byte][:, None], axis=1, bitorder="little"))
-    position = byte[hit] * 8 + bit
-    if position.size and int(position.max()) >= width:
-        raise ValueError(f"an origin row is wider than its block of {width}")
-    return np.asarray(nodes, dtype=np.intp)[row[hit]], np.asarray(block, dtype=np.intp)[position]
+        at, found = _lookup(seen, arrived)
+        live = arrived[~found]
+        seen = np.insert(seen, at[~found], live)
+    reached = arrivals[0] if len(arrivals) == 1 else _distinct(np.concatenate(arrivals))
+    return _stored(num_nodes, reached)

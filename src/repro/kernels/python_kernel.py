@@ -14,20 +14,23 @@ is re-reached through a non-empty path.  One level loop, over a list of
 layers, serves :func:`expand_frontier` (one layer) and
 :func:`closure_frontier` (their union, unbounded); its step, :func:`level`,
 is also the numpy backend's narrow level.  :func:`expand_origins` carries that
-block for many start sets at once, as one ``int`` bitset of origins per node
-held in plain dicts — no per-call ``num_nodes``-sized state — and
-:func:`decode_origins` reads such rows out as two parallel lists.
+block for many start sets at once: it takes and answers a :class:`Relation`,
+and inside it holds one ``int`` bitset per node of positions among the
+relation's distinct origins, in plain dicts — no per-call ``num_nodes``-sized
+state — which :func:`decode_origins` reads back out as two parallel lists.
 
 :class:`Bitmap` is index space's candidate-set type, in the form the BFS state
 above already has: one 0/1 byte per index, so a set-level call seeds ``visited``
 with one copy and answers its ``reached`` flags as they are.  Its algebra reads
 the flags as one big ``int``; :mod:`repro.kernels.numpy_kernel` subclasses it
 with array operations over the same bytes, so a set built under one backend
-is read by the other.
+is read by the other.  :class:`Relation`, index space's set of ``(origin,
+node)`` pairs, follows the same pattern over one ``array('q')`` of sorted keys.
 """
 
 from __future__ import annotations
 
+from array import array
 from itertools import compress
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -98,6 +101,55 @@ def outside_space(handle: int, num_nodes: int) -> GraphError:
     return GraphError(f"handle {handle!r} is outside its space of {num_nodes} nodes")
 
 
+class Relation:
+    """A set of ``(origin, node)`` pairs over ``range(num_nodes)``, held as the
+    sorted, duplicate-free ``array('q')`` of their keys ``origin * num_nodes +
+    node`` — pairs ordered by origin, then node.  A value: no operator changes
+    an operand, and the operands of one operator span one range."""
+
+    __slots__ = ("num_nodes", "keys")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, num_nodes: int, keys: array):
+        self.num_nodes = num_nodes
+        self.keys = keys
+
+    @classmethod
+    def of(cls, num_nodes: int, origins: Iterable[int], nodes: Iterable[int]) -> "Relation":
+        """The pairs ``(origins[i], nodes[i])``, each index range-checked; a pair may recur."""
+        origins, nodes = list(origins), list(nodes)
+        for side in (origins, nodes):
+            if side and not 0 <= min(side) <= max(side) < num_nodes:
+                raise outside_space(min(side) if min(side) < 0 else max(side), num_nodes)
+        return cls(num_nodes, array("q", sorted({o * num_nodes + v for o, v in zip(origins, nodes)})))
+
+    def __or__(self, other: "Relation") -> "Relation":
+        return type(self)(self.num_nodes, array("q", sorted(set(self.keys).union(other.keys))))
+
+    def __sub__(self, other: "Relation") -> "Relation":
+        drop = set(other.keys)
+        return type(self)(self.num_nodes, array("q", [key for key in self.keys if key not in drop]))
+
+    def within(self, candidates: Bitmap) -> "Relation":
+        """The pairs whose node is one of ``candidates``."""
+        flags, num_nodes = candidates.flags, self.num_nodes
+        return type(self)(num_nodes, array("q", [key for key in self.keys if flags[key % num_nodes]]))
+
+    def pairs(self) -> Tuple[Sequence[int], Sequence[int]]:
+        """``(origins, nodes)``: the pairs as two parallel index sequences, in key order."""
+        num_nodes = self.num_nodes
+        return [key // num_nodes for key in self.keys], [key % num_nodes for key in self.keys]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Relation) and (self.num_nodes, self.keys) == (other.num_nodes, other.keys)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __bool__(self) -> bool:
+        return bool(self.keys)
+
+
 def seeded(num_nodes: int, starts: Iterable[int]) -> Tuple[bytearray, List[int]]:
     """``(visited, frontier)`` for an iterable of start indices: each start
     marked visited, and the first frontier holding it once, in order."""
@@ -164,23 +216,24 @@ def closure_frontier(layers, num_nodes: int, starts: Iterable[int]) -> List[int]
     return _levels(list(layers), num_nodes, starts, None)
 
 
-def expand_origins(
-    layer, num_nodes: int, nodes: Sequence[int], rows: Sequence[int], bound: Optional[int]
-) -> Tuple[List[int], List[int]]:
-    """Push an origin relation through one layer: one ``int`` bitset per node.
+def expand_origins(layer, num_nodes: int, relation: Relation, bound: Optional[int]) -> Relation:
+    """Push an origin relation through one layer, all origins at once.
 
-    ``rows[i]`` holds the origins sitting on ``nodes[i]``; the result holds,
-    per reached index (ascending), the origins that reach it by a block of
-    ``1 … bound`` edges.  Per origin this is :func:`expand_frontier` from the
-    nodes carrying its bit: ``seen`` is seeded with them, so an origin comes
-    back to one of its own starts only through a non-empty cycle.
+    The answer, of ``relation``'s class, holds ``(origin, reached)`` for every
+    index reached from the origin's nodes by a block of ``1 … bound`` edges.
+    Per origin this is :func:`expand_frontier` from the nodes it sits on, which
+    seed its ``seen``, so an origin comes back to one of its own starts only
+    through a non-empty cycle.  Inside, a node holds one ``int`` bitset of
+    positions among the relation's distinct origins.
     """
+    block: Dict[int, int] = {}  # origin -> its bit position, ascending
+    seen: Dict[int, int] = {}
+    for key in relation.keys:
+        origin, node = divmod(key, num_nodes)
+        position = block.setdefault(origin, len(block))
+        seen[node] = seen.get(node, 0) | 1 << position
     offsets = layer.offsets
     neighbors = layer._view
-    seen: Dict[int, int] = {}
-    for node, bits in zip(nodes, rows):
-        if bits:
-            seen[node] = seen.get(node, 0) | bits
     frontier = dict(seen)
     reached: Dict[int, int] = {}
     depth = 0
@@ -198,14 +251,15 @@ def expand_origins(
             if fresh:
                 seen[node] = known | fresh
                 frontier[node] = fresh
-    order = sorted(reached)
-    return order, [reached[node] for node in order]
+    at, origins = decode_origins(list(reached), list(reached.values()), list(block))
+    keys = sorted(origin * num_nodes + node for origin, node in zip(origins, at))
+    return type(relation)(num_nodes, array("q", keys))
 
 
 def decode_origins(
     nodes: Sequence[int], rows: Sequence[int], block: Sequence[int]
 ) -> Tuple[List[int], List[int]]:
-    """Read a relation out of its rows, as two parallel lists: ``nodes[i]`` beside
+    """Read origin bitsets out, as two parallel lists: ``nodes[i]`` beside
     ``block[k]`` for every set bit ``k`` of ``rows[i]`` — rows in order, bits ascending.
     A bit at or beyond ``len(block)`` (or a negative row) raises :class:`ValueError`."""
     width = len(block)

@@ -18,12 +18,13 @@ pipeline.  It operates entirely in the dense integer index space of a
   come here (ARCHITECTURE.md, "Memo layers");
 * whole queries between two candidate sets — an RQ, a pattern edge's result
   assembly — keep the paper's *origin sets* (Section 4: the candidates a
-  frontier node was reached from) as one bitset per index and advance that
-  relation for every origin at once (:meth:`CsrEngine._relation_pairs` over
+  frontier node was reached from) as one relation of ``(origin, index)``
+  pairs, the kernel layer's sorted keys (:func:`repro.kernels.relation`), and
+  advance it for every origin at once (:meth:`CsrEngine._relation_pairs` over
   :func:`repro.kernels.expand_origins`): one kernel pass per atom, not one
-  round trip per start node, and one :func:`repro.kernels.decode_origins`
-  to read the pairs out as two parallel index sequences (:data:`Relation`) —
-  the form the set-level memo keeps.  The set-based drivers of
+  round trip per start node.  The answer is the relation of ``(source,
+  target)`` pairs itself — the form the set-level memo keeps and
+  ``PathMatcher.id_pairs`` reads out.  The set-based drivers of
   :mod:`repro.matching.frontiers` stay with the dict engine, the oracle;
 * *set-level* frontiers (the hot loop of the PQ refinement fixpoint of
   Figs. 7/8) are expanded as one batched multi-source BFS per atom
@@ -32,8 +33,8 @@ pipeline.  It operates entirely in the dense integer index space of a
   clean base;
 * general (non-F-class) expressions are evaluated with an NFA-product path:
   a :class:`~repro.regex.nfa.LazyDfa` over the graph's colour alphabet is
-  walked in product with the CSR layers, one origin relation per live
-  automaton state.
+  walked in product with the CSR layers, one origin relation of the same
+  form per live automaton state.
 
 Nothing here knows a node id: indices come in — an evaluator's handles in the
 space :meth:`~repro.storage.adapter.OverlayCsrAdapter.enter` handed out, as they
@@ -51,12 +52,11 @@ starts the next engine cold.
 
 from __future__ import annotations
 
-from itertools import compress
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.graph.csr import CompiledGraph
-from repro.kernels import ORIGIN_BLOCK, bitmap, decode_origins, expand_frontier, expand_origins
-from repro.kernels.python_kernel import Bitmap
+from repro.kernels import bitmap, expand_frontier, expand_origins, relation
+from repro.kernels.python_kernel import Bitmap, Relation
 from repro.matching.cache import (
     DEFAULT_SEARCH_CACHE_CAPACITY,
     SET_FRONTIER_CACHE_CAPACITY,
@@ -65,18 +65,6 @@ from repro.matching.cache import (
 from repro.query.canonical import canonical_regex
 from repro.regex.fclass import FRegex, RegexAtom
 from repro.regex.nfa import LazyDfa, Nfa
-
-#: A relation between two candidate sets, in index space: per origin block two
-#: parallel index sequences ``(sources, targets)`` as ``decode_origins`` read them
-#: out (lists or ``intp`` arrays); entry ``i`` of both is one pair, which may recur.
-Relation = Tuple[Tuple[Sequence[int], Sequence[int]], ...]
-
-
-def _origin_blocks(origins: Sequence[int]) -> Iterator[Sequence[int]]:
-    """``origins`` in runs of at most :data:`repro.kernels.ORIGIN_BLOCK`: bit
-    ``k`` of a relation row stands for ``block[k]``."""
-    for lo in range(0, len(origins), ORIGIN_BLOCK):
-        yield origins[lo:lo + ORIGIN_BLOCK]
 
 
 class CsrEngine:
@@ -167,35 +155,33 @@ class CsrEngine:
 
     def _relation_pairs(self, regex: FRegex, sources: Bitmap, targets: Bitmap) -> Relation:
         """Every ``(s, t)`` of the two candidate sets joined by a path matching
-        ``regex``, carried as a relation between origins and frontier indices.
+        ``regex``, as a relation of ``(source, target)`` pairs.
 
-        The smaller candidate set gives the origins, one bit each; the atoms
-        are folded through :func:`repro.kernels.expand_origins` — forwards
-        from the sources or backwards from the targets — so every origin
-        advances in the same kernel pass, and the rows sitting on the other
-        candidate set are read out once, at the end, by
-        :func:`repro.kernels.decode_origins`.
+        The smaller candidate set gives the origins, each seeded on itself;
+        the atoms are folded through :func:`repro.kernels.expand_origins` —
+        forwards from the sources or backwards from the targets — so every
+        origin advances in the same kernel pass, and the pairs whose node is
+        in the other candidate set are kept once, at the end (a backward fold
+        is turned round to ``(source, target)`` there).
         """
         compiled = self.compiled
+        num_nodes = compiled.num_nodes
         reverse = len(targets) < len(sources)
         origins, ends = (targets, sources) if reverse else (sources, targets)
         steps = []
         for item in reversed(regex.atoms) if reverse else regex.atoms:
             color_id = compiled.color_id(None if item.is_wildcard else item.color)
             if color_id is None:
-                return ()
+                return relation(num_nodes, (), ())
             steps.append((compiled.layer(color_id, reverse), item.max_count))
-        parts = []
-        for block in _origin_blocks(origins.indices()):
-            nodes, rows = block, [1 << position for position in range(len(block))]
-            for layer, bound in steps:
-                nodes, rows = expand_origins(layer, compiled.num_nodes, nodes, rows, bound)
-            at_end = list(map(ends.flags.__getitem__, nodes))
-            if any(at_end):
-                nodes, rows = list(compress(nodes, at_end)), list(compress(rows, at_end))
-                reached, origin = decode_origins(nodes, rows, block)
-                parts.append((reached, origin) if reverse else (origin, reached))
-        return tuple(parts)
+        found = relation(num_nodes, origins.indices(), origins.indices())
+        for layer, bound in steps:
+            found = expand_origins(layer, num_nodes, found, bound)
+        found = found.within(ends)
+        if not reverse:
+            return found
+        target, source = found.pairs()
+        return relation(num_nodes, source, target)
 
     def matching_pairs(self, regex: FRegex, sources: Iterable[int], targets: Iterable[int]) -> Relation:
         """Pairs ``(s, t)`` of the candidate sets with a path from ``s`` to ``t``
@@ -203,8 +189,8 @@ class CsrEngine:
         :meth:`_relation_pairs` behind the set-level memo, keyed per (canonical
         regex, the candidate bitmaps' bytes), so language-equal spellings, both
         search plans of Section 4 and a pattern edge over the same sets share
-        one entry: the index sequences, not a set of tuples — the caller pairs
-        the ids up.  Both sets are coerced as ``backward_reachable_indices`` does."""
+        one entry: the relation, not a set of tuples — the caller pairs the
+        ids up.  Both sets are coerced as ``backward_reachable_indices`` does."""
         regex = canonical_regex(regex)
         sources, targets = (bitmap(self.compiled.num_nodes, handles) for handles in (sources, targets))
         key = ("pairs", regex, bytes(sources.flags), bytes(targets.flags))
@@ -232,48 +218,39 @@ class CsrEngine:
         by :func:`repro.kernels.expand_origins`.  A pair is reported when a
         source first arrives at a candidate target in an accepting state
         after at least one edge (paths must be non-empty, so an automaton
-        accepting the empty word never yields ``(v, v)`` by itself) — once
-        per accepting state it arrives in.
+        accepting the empty word never yields ``(v, v)`` by itself).
         """
         compiled = self.compiled
+        num_nodes = compiled.num_nodes
         colors = compiled.colors
         dfa = LazyDfa(nfa, colors)
         layers = [compiled.layer(k) for k in range(len(colors))]
-        at_target = bitmap(compiled.num_nodes, target_indices).flags
-        parts = []
-
-        for block in _origin_blocks(list(bitmap(compiled.num_nodes, source_indices))):
-            start = {node: 1 << position for position, node in enumerate(block)}
-            # state -> {index: origins that were there in that state}
-            seen: Dict[int, Dict[int, int]] = {dfa.start: dict(start)}
-            frontier = {dfa.start: start}
-            accepted: Tuple[List[int], List[int]] = ([], [])  # target, the origins newly accepted on it
-            while frontier:
-                advanced: Dict[int, Dict[int, int]] = {}
-                for state, relation in frontier.items():
-                    nodes, rows = list(relation), list(relation.values())
-                    for color_index, layer in enumerate(layers):
-                        next_state = dfa.step(state, color_index)
-                        if next_state == LazyDfa.DEAD:
-                            continue
-                        known = seen.setdefault(next_state, {})
-                        fresh = advanced.setdefault(next_state, {})
-                        accepting = dfa.is_accepting(next_state)
-                        for node, bits in zip(*expand_origins(layer, compiled.num_nodes, nodes, rows, 1)):
-                            before = known.get(node, 0)
-                            new = bits & ~before
-                            if not new:
-                                continue
-                            known[node] = before | new
-                            fresh[node] = fresh.get(node, 0) | new
-                            if accepting and at_target[node]:
-                                accepted[0].append(node)
-                                accepted[1].append(new)
-                frontier = {state: relation for state, relation in advanced.items() if relation}
-            if accepted[0]:
-                reached, origin = decode_origins(*accepted, block)
-                parts.append((origin, reached))
-        return tuple(parts)
+        at_target = bitmap(num_nodes, target_indices)
+        starts = bitmap(num_nodes, source_indices).indices()
+        empty = relation(num_nodes, (), ())
+        # state -> the (origin, index) pairs that were there in that state
+        seen = {dfa.start: relation(num_nodes, starts, starts)}
+        frontier = dict(seen)
+        accepted = empty
+        while frontier:
+            # One round: every live state's pairs take one edge of each colour;
+            # what arrives in a state is met with what it has seen once.
+            arrived: Dict[int, Relation] = {}
+            for state, pairs in frontier.items():
+                for color_index, layer in enumerate(layers):
+                    next_state = dfa.step(state, color_index)
+                    if next_state != LazyDfa.DEAD:
+                        step = expand_origins(layer, num_nodes, pairs, 1)
+                        arrived[next_state] = arrived.get(next_state, empty) | step
+            frontier = {}
+            for state, pairs in arrived.items():
+                new = pairs - seen.get(state, empty)
+                if new:
+                    seen[state] = seen.get(state, empty) | new
+                    frontier[state] = new
+                    if dfa.is_accepting(state):
+                        accepted = accepted | new.within(at_target)
+        return accepted
 
     @property
     def cache_stats(self) -> Dict[str, float]:

@@ -15,8 +15,9 @@ Their callers are the dict engine (:class:`~repro.matching.paths.PathMatcher`,
 the semantics oracle), the partitioned adapter and the CSR adapter's
 node-id reads (``storage.adapter._search_pairs``); the expander they
 pass is the matcher, whose per-start reads are set-level reads of a singleton.
-The CSR engine does not come here: it keeps the origin sets as bitsets and
-advances them for all origins in one kernel pass
+The CSR engine does not come here: it keeps the origin sets as one relation
+of sorted ``(origin, node)`` keys and advances it for all origins in one
+kernel pass
 (:meth:`~repro.matching.csr_engine.CsrEngine._relation_pairs`), and
 ``tests/test_csr_engine.py`` holds the two to each other by driving these
 functions over the engine's ``set_frontier_indices`` of one index at a time.

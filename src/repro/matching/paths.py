@@ -237,13 +237,14 @@ class PathMatcher:
 
     def id_pairs(self, space, relation) -> Set[Tuple[NodeId, NodeId]]:
         """The id pairs of what the ``*_pairs`` calls answered in ``space``: there
-        parts of parallel index sequences — a bulk take per side, one ``zip``."""
+        a :func:`repro.kernels.relation`, read out as two parallel index
+        sequences — a bulk take per side, one ``zip``."""
         if space is None:
             return relation
-        pairs: Set[Tuple[NodeId, NodeId]] = set()
-        for sources, targets in relation:
-            pairs.update(zip(space.ids_of(sources), space.ids_of(targets)))
-        return pairs
+        if not relation:
+            return set()
+        sources, targets = relation.pairs()
+        return set(zip(space.ids_of(sources), space.ids_of(targets)))
 
     # -- one-atom frontiers (a single start is a singleton set) -------------------
 

@@ -171,9 +171,10 @@ class TestCiWorkflow:
 
     def test_no_numpy_leg_runs_origin_relation_parity(self, workflow):
         # The quick tier-1 run deselects the `slow` hypothesis suites that pin
-        # expand_origins / decode_origins, the engine's relation fold and the
-        # index-space evaluators; the no-numpy leg must run them by name, on
-        # the only backend it has.
+        # expand_origins and the origin relation's operators, decode_origins,
+        # the engine's relation fold and NFA product and the index-space
+        # evaluators; the no-numpy leg must run them by name, on the only
+        # backend it has.
         job = workflow["jobs"]["test"]
         fallback_if = next(
             step["if"] for step in job["steps"] if "active_kernel_name" in step.get("run", "")

@@ -6,8 +6,6 @@ asserted on hand-built graphs, on the dataset generators and — via hypothesis
 — on randomly generated graphs and queries.
 """
 
-from unittest import mock
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +15,6 @@ from repro.exceptions import EvaluationError
 from repro.graph.csr import compile_graph, compiled_snapshot
 from repro.graph.data_graph import DataGraph
 from repro.kernels import bitmap
-from repro.matching import csr_engine
 from repro.matching.csr_engine import CsrEngine
 from repro.matching.frontiers import forward_sweep, meet_in_the_middle
 from repro.matching.general_rq import (
@@ -35,10 +32,10 @@ from repro.regex.parser import parse_fregex
 
 
 def index_pairs(relation):
-    """The engine's relation form — per origin block two parallel index
-    sequences ``(sources, targets)``, lists or numpy arrays — as the set of
-    index pairs the dict-side references speak."""
-    return {(int(a), int(b)) for sources, targets in relation for a, b in zip(sources, targets)}
+    """The engine's relation (``repro.kernels.relation``), read out as two
+    parallel index sequences ``(sources, targets)`` — lists or numpy arrays —
+    as the set of index pairs the dict-side references speak."""
+    return {(int(a), int(b)) for a, b in zip(*relation.pairs())}
 
 
 def assert_engines_agree(query, graph, methods=("bidirectional", "bfs")):
@@ -271,6 +268,22 @@ class TestGeneralRegexProduct:
         via_atoms = engine.matching_pairs(regex, frozenset(everyone), frozenset(everyone))
         assert index_pairs(via_product) == index_pairs(via_atoms) != set()
 
+    def test_nfa_product_of_an_empty_word_automaton_needs_an_edge(self):
+        # ``r*`` accepts the empty word, but a pair is a non-empty path: (v, v)
+        # only where an r-cycle brings v back, never for free.
+        graph = DataGraph()
+        for node in ("a", "b", "c"):
+            graph.add_node(node)
+        graph.add_edge("a", "b", "r")
+        graph.add_edge("c", "c", "r")
+        regex = GeneralRegex.parse("r*")
+        compiled = compile_graph(graph)
+        everyone = list(range(compiled.num_nodes))
+        relation = CsrEngine(compiled).nfa_product_pairs(regex.to_nfa(), everyone, everyone)
+        expected = {(v, w) for v in "abc" for w in regex_reachable_from(graph, v, regex)}
+        assert PathMatcher(graph, engine="csr").id_pairs(compiled, relation) == expected
+        assert expected == {("a", "b"), ("c", "c")}
+
 
 class TestLazyDfa:
     def test_matches_nfa_acceptance(self):
@@ -372,9 +385,9 @@ def test_property_snapshot_round_trip(case):
 
 # -- the origin-relation fold vs the generic drivers ----------------------------
 #
-# ``matching_pairs`` carries one bitset of origins per index through
-# ``repro.kernels.expand_origins`` and reads the pairs out with
-# ``decode_origins``, as index sequences (``index_pairs``).  The references are the generic
+# ``matching_pairs`` carries a relation of ``(origin, index)`` pairs through
+# ``repro.kernels.expand_origins`` and answers the relation of ``(source,
+# target)`` pairs, read out as index sequences (``index_pairs``).  The references are the generic
 # set-based drivers of ``matching/frontiers.py`` — driven over the same engine's
 # set-level expansion of one singleton at a time (``_PerStart``), and over the
 # dict engine — and, for general expressions, the per-source product walk of
@@ -418,21 +431,14 @@ def graph_and_candidates(draw):
     # Empty and singleton sets, sources larger and smaller than targets.
     sources = draw(st.sets(st.sampled_from(nodes), max_size=len(nodes)))
     targets = draw(st.sets(st.sampled_from(nodes), max_size=len(nodes)))
-    # A block of two origins makes every larger candidate set span several.
-    block = draw(st.sampled_from([csr_engine.ORIGIN_BLOCK, 2]))
-    return graph, FRegex([RegexAtom(color, bound) for color, bound in atoms]), sources, targets, block
-
-
-def _origin_block(width):
-    """``csr_engine.ORIGIN_BLOCK`` set to ``width`` for the length of a block."""
-    return mock.patch.object(csr_engine, "ORIGIN_BLOCK", width)
+    return graph, FRegex([RegexAtom(color, bound) for color, bound in atoms]), sources, targets
 
 
 @pytest.mark.slow
 @settings(max_examples=150, deadline=None)
 @given(graph_and_candidates())
 def test_property_relation_fold_matches_generic_drivers(case):
-    graph, regex, sources, targets, block = case
+    graph, regex, sources, targets = case
     compiled = compile_graph(graph)
     engine = CsrEngine(compiled)
     ids = compiled.ids
@@ -447,21 +453,20 @@ def test_property_relation_fold_matches_generic_drivers(case):
         (ids[a], ids[b]) for a, b in swept
     }
 
-    with _origin_block(block):
-        entries = len(engine._set_cache)
-        relation = engine.matching_pairs(regex, source_indices, target_indices)
-        assert index_pairs(relation) == swept
-        assert sum(len(part[0]) for part in relation) == len(swept)  # every pair read out once
-        by_id = PathMatcher(graph, engine="csr").id_pairs(compiled, relation)  # the seam's translation
-        assert by_id == {(ids[a], ids[b]) for a, b in swept}  # ids unchanged
-        assert len(engine._set_cache) == entries + 1  # one fold, one entry
-        as_bitmaps = (bitmap(compiled.num_nodes, handles) for handles in (source_indices, target_indices))
-        assert index_pairs(engine._relation_pairs(regex, *as_bitmaps)) == swept
-        # Asking again is one hit in the set-level memo, whatever the spelling.
-        hits, entries = engine._set_cache.hits, len(engine._set_cache)
-        again = engine.matching_pairs(FRegex(list(regex.atoms)), source_indices, target_indices)
-        assert again is engine.matching_pairs(regex, source_indices, target_indices)
-        assert (engine._set_cache.hits, len(engine._set_cache)) == (hits + 2, entries)
+    entries = len(engine._set_cache)
+    relation = engine.matching_pairs(regex, source_indices, target_indices)
+    assert index_pairs(relation) == swept
+    assert len(relation) == len(swept)  # every pair read out once
+    by_id = PathMatcher(graph, engine="csr").id_pairs(compiled, relation)  # the seam's translation
+    assert by_id == {(ids[a], ids[b]) for a, b in swept}  # ids unchanged
+    assert len(engine._set_cache) == entries + 1  # one fold, one entry
+    as_bitmaps = (bitmap(compiled.num_nodes, handles) for handles in (source_indices, target_indices))
+    assert index_pairs(engine._relation_pairs(regex, *as_bitmaps)) == swept
+    # Asking again is one hit in the set-level memo, whatever the spelling.
+    hits, entries = engine._set_cache.hits, len(engine._set_cache)
+    again = engine.matching_pairs(FRegex(list(regex.atoms)), source_indices, target_indices)
+    assert again is engine.matching_pairs(regex, source_indices, target_indices)
+    assert (engine._set_cache.hits, len(engine._set_cache)) == (hits + 2, entries)
 
 
 _GENERAL_FORMS = (
@@ -473,7 +478,7 @@ _GENERAL_FORMS = (
 @settings(max_examples=100, deadline=None)
 @given(graph_and_candidates(), st.sampled_from(_GENERAL_FORMS))
 def test_property_nfa_product_matches_per_source_walk(case, form):
-    graph, _, sources, targets, block = case
+    graph, _, sources, targets = case
     regex = GeneralRegex.parse(form)
     compiled = compile_graph(graph)
     ids = compiled.ids
@@ -482,9 +487,8 @@ def test_property_nfa_product_matches_per_source_walk(case, form):
         for source in sources
         for target in regex_reachable_from(graph, source, regex) & targets
     }
-    with _origin_block(block):
-        relation = CsrEngine(compiled).nfa_product_pairs(
-            regex.to_nfa(), compiled.positions_of(sorted(sources)), compiled.positions_of(targets)
-        )
+    relation = CsrEngine(compiled).nfa_product_pairs(
+        regex.to_nfa(), compiled.positions_of(sorted(sources)), compiled.positions_of(targets)
+    )
     assert {(ids[a], ids[b]) for a, b in index_pairs(relation)} == expected
     assert PathMatcher(graph, engine="csr").id_pairs(compiled, relation) == expected

@@ -20,14 +20,18 @@ other and to an independent oracle:
   equal the oracle under duplicate colours and walk each colour once;
 * ``repro.kernels.neighbors_of`` must be the oracle's bound-1 frontier,
   sorted, under both ``REPRO_KERNELS`` values;
-* ``expand_origins`` — the origin relation pushed through a layer for all
-  origins at once — must equal, origin by origin, the union of single-source
-  ``expand_frontier`` calls from the nodes carrying that origin's bit, on
-  both backends (the numpy one also with its levels forced vectorised and
-  with its narrow hand-off forced) and through the ``REPRO_KERNELS`` dispatch;
-* ``decode_origins`` — such a relation read out as two parallel index
-  sequences — must equal, entry for entry, the bit-by-bit loop it replaced,
-  on both backends and between them, and reject a row wider than its block;
+* ``expand_origins`` — an origin relation (``repro.kernels.relation``, sorted
+  ``(origin, node)`` keys) pushed through a layer for all origins at once —
+  must equal, origin by origin, the union of single-source
+  ``expand_frontier`` calls from the nodes that origin sits on, on both
+  backends (the numpy one also with its levels forced vectorised and with
+  its narrow hand-off forced, and on seeds either side of its switch), on a
+  relation built under either backend and through the ``REPRO_KERNELS``
+  dispatch; the relation's operators (``|``, ``-``, ``within``, ``len``,
+  ``==``) must be the set algebra of its pairs, one operand of each class;
+* ``decode_origins`` — the python backend's origin bitsets read out as two
+  parallel index lists — must equal, entry for entry, the bit-by-bit loop it
+  replaced, and reject a row wider than its block;
 * the numpy backend additionally runs with ``VECTOR_MIN_FRONTIER`` forced
   to 1 (every level vectorised) and ``SCAN_DIVISOR`` pinned to each
   extreme, so both frontier-extraction strategies (sort-free scratch scan
@@ -54,7 +58,6 @@ import repro.kernels
 from repro.kernels import (
     HAVE_NUMPY,
     KERNEL_ENV_VAR,
-    ORIGIN_BLOCK,
     active_kernel_name,
     bfs_block_frontier,
     python_kernel,
@@ -157,8 +160,8 @@ def _assert_all_backends_match(expected, call):
 
 
 @st.composite
-def indexed_graph(draw):
-    num_nodes = draw(st.integers(min_value=1, max_value=12))
+def indexed_graph(draw, min_nodes=1):
+    num_nodes = draw(st.integers(min_value=min_nodes, max_value=12))
     edges = draw(
         st.lists(
             st.tuples(
@@ -346,6 +349,10 @@ def test_bitmap_rejects_a_handle_outside_its_range(handle):
         for handles in ([handle], {3, handle}, iter((0, handle, 11))):
             with pytest.raises(GraphError, match=f"handle {handle} is outside its space of 12 nodes"):
                 kind.of(12, handles)
+    for kernel in _origin_backends():  # either side of an origin relation's pair
+        for origins, nodes in (([handle], [3]), ([3, 0], [4, handle])):
+            with pytest.raises(GraphError, match=f"handle {handle} is outside its space of 12 nodes"):
+                kernel.Relation.of(12, origins, nodes)
 
 
 @pytest.mark.slow
@@ -374,21 +381,21 @@ def test_property_expand_frontier_bitmap_form_matches_iterable_form(case, bound,
 # -- origin relations -----------------------------------------------------------
 
 
-def _relation(nodes, rows):
-    """A relation as the set of its ``(index, origin position)`` members."""
-    return {
-        (node, origin)
-        for node, bits in zip(nodes, rows)
-        for origin in range(bits.bit_length())
-        if bits >> origin & 1
-    }
+def _members(relation):
+    """A relation as the set of its ``(origin, index)`` pairs."""
+    return {(int(origin), int(node)) for origin, node in zip(*relation.pairs())}
 
 
-def _oracle_origins(layer, num_nodes, nodes, rows, bound):
+def _sides(pairs):
+    """Pairs as the ``(origins, nodes)`` lists ``Relation.of`` takes."""
+    return [origin for origin, _ in pairs], [node for _, node in pairs]
+
+
+def _oracle_origins(layer, num_nodes, origins, nodes, bound):
     """Origin by origin, the union of single-source ``expand_frontier`` calls."""
     return {
-        (reached, origin)
-        for node, origin in _relation(nodes, rows)
+        (origin, reached)
+        for origin, node in set(zip(origins, nodes))
         for reached in python_kernel.expand_frontier(layer, num_nodes, [node], bound)
     }
 
@@ -397,54 +404,100 @@ def _origin_backends():
     return [python_kernel, numpy_kernel] if HAVE_NUMPY else [python_kernel]
 
 
-def _assert_origins_match(layer, num_nodes, nodes, rows, bound):
+def _assert_origins_match(layer, num_nodes, origins, nodes, bound):
     # Every configuration of _backend_runs: the numpy backend hands a relation
-    # seeded on fewer than VECTOR_MIN_FRONTIER rows to the python one, which is
-    # every relation these small graphs carry by default, so the forced runs
-    # are what keep its vectorised levels (and the hand-off itself) tested.
-    expected = _oracle_origins(layer, num_nodes, nodes, rows, bound)
+    # of fewer than VECTOR_MIN_FRONTIER pairs to the python one, so the forced
+    # runs are what keep its vectorised levels (and the hand-off itself) tested
+    # on these small graphs.  A relation built under one backend is read by
+    # the other.
+    expected = _oracle_origins(layer, num_nodes, origins, nodes, bound)
     results = []
-    for label, kernel, patch in _backend_runs():
-        with _patched(kernel, **patch):
-            results.append(kernel.expand_origins(layer, num_nodes, nodes, rows, bound))
-        got_nodes, got_rows = results[-1]
-        assert got_nodes == sorted(set(got_nodes)) and all(got_rows), label  # ascending, no empty row
-        assert _relation(got_nodes, got_rows) == expected, label
+    for made_by in _origin_backends():
+        seeds = made_by.Relation.of(num_nodes, origins, nodes)
+        for label, kernel, patch in _backend_runs():
+            with _patched(kernel, **patch):
+                got = kernel.expand_origins(layer, num_nodes, seeds, bound)
+            assert list(got.keys) == sorted(set(got.keys)), label  # sorted, duplicate-free
+            assert _members(got) == expected, label
+            results.append(got)
+        assert _members(seeds) == set(zip(origins, nodes))  # the seeds are only read
     assert all(result == results[0] for result in results)  # result-identical, not just equivalent
     return results[0]
 
 
 @st.composite
 def origin_relation(draw):
-    """A graph and a relation on it: duplicate indices, empty rows, and
-    widths of one word, several words and more than one origin block."""
+    """A graph and the pairs of a relation on it: duplicate pairs, an origin
+    on several nodes, a node under several origins."""
     graph, _ = draw(indexed_graph())
-    num_nodes = graph.num_nodes
-    width = draw(st.sampled_from([1, 3, 70, ORIGIN_BLOCK + 5]))
-    nodes = draw(st.lists(st.integers(0, num_nodes - 1), max_size=num_nodes + 3))
-    rows = [
-        sum(1 << origin for origin in draw(st.sets(st.integers(0, width - 1), max_size=4)))
-        for _ in nodes
-    ]
-    return graph, nodes, rows
+    index = st.integers(0, graph.num_nodes - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=2 * graph.num_nodes + 3))
+    return (graph, *_sides(pairs))
 
 
 @pytest.mark.slow
 @settings(max_examples=120, deadline=None)
 @given(origin_relation(), st.sampled_from(_BOUNDS), st.sampled_from(_COLORS + (None,)), st.booleans())
 def test_property_expand_origins_matches_single_source_union(case, bound, color, reverse):
-    graph, nodes, rows = case
+    graph, origins, nodes = case
     compiled = compile_graph(graph)
     color_id = compiled.color_id(color)
     if color_id is None:
         return
     layer = compiled.layer(color_id, reverse=reverse)
-    first = _assert_origins_match(layer, compiled.num_nodes, nodes, rows, bound)
+    first = _assert_origins_match(layer, compiled.num_nodes, origins, nodes, bound)
     # The chained second atom: the input is whatever the first one produced.
-    _assert_origins_match(compiled.layer(ANY_COLOR, reverse=reverse), compiled.num_nodes, *first, bound)
+    _assert_origins_match(compiled.layer(ANY_COLOR, reverse=reverse), compiled.num_nodes, *first.pairs(), bound)
 
 
-# -- reading a relation out ------------------------------------------------------
+@st.composite
+def seed_relation(draw):
+    """A graph of at least five nodes; a relation of 15, 16 or 17 distinct
+    pairs — either side of the numpy backend's ``VECTOR_MIN_FRONTIER`` — given
+    with duplicates; a second relation and a candidate set to meet it."""
+    graph, _ = draw(indexed_graph(min_nodes=5))
+    index = st.integers(0, graph.num_nodes - 1)
+    size = draw(st.sampled_from([15, 16, 17]))
+    pairs = draw(st.lists(st.tuples(index, index), min_size=size, max_size=size, unique=True))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=4))
+    other = draw(st.lists(st.tuples(index, index), max_size=20))
+    return graph, pairs, other, draw(st.sets(index))
+
+
+@pytest.mark.slow
+@settings(max_examples=100, deadline=None)
+@given(seed_relation(), st.sampled_from(_BOUNDS), st.sampled_from(_COLORS + (None, "absent")), st.booleans())
+def test_property_expand_origins_and_relation_operators_match_per_origin_frontiers(case, bound, color, reverse):
+    graph, pairs, other, candidates = case
+    compiled = compile_graph(graph)
+    num_nodes = compiled.num_nodes
+    color_id = compiled.color_id(color)
+    if color_id is None:  # a colour the graph lacks: an empty layer over the same nodes
+        bare = DataGraph(name="bare")
+        for node in graph.nodes():
+            bare.add_node(node)
+        layer = compile_graph(bare).layer(ANY_COLOR)
+    else:
+        layer = compiled.layer(color_id, reverse=reverse)
+    origins, nodes = _sides(pairs)
+    expected = _oracle_origins(layer, num_nodes, origins, nodes, bound)
+    _assert_origins_match(layer, num_nodes, origins, nodes, bound)
+    theirs = set(other)
+    for left in _origin_backends():
+        mine = left.expand_origins(layer, num_nodes, left.Relation.of(num_nodes, origins, nodes), bound)
+        assert _members(mine) == expected and len(mine) == len(expected) and bool(mine) == bool(expected)
+        kept = mine.within(left.Bitmap.of(num_nodes, candidates))
+        assert _members(kept) == {(origin, node) for origin, node in expected if node in candidates}
+        for right in _origin_backends():
+            operand = right.Relation.of(num_nodes, *_sides(other))
+            for got, want in ((mine | operand, expected | theirs), (mine - operand, expected - theirs)):
+                assert type(got) is left.Relation and _members(got) == want and len(got) == len(want)
+                assert list(got.keys) == sorted(set(got.keys))
+            assert (mine == operand) == (expected == theirs)
+            assert _members(mine) == expected and _members(operand) == theirs  # operands untouched
+
+
+# -- reading origin bitsets out ---------------------------------------------------
 
 
 def _origins_of(bits, block):
@@ -456,22 +509,27 @@ def _origins_of(bits, block):
         bits ^= low
 
 
+def _decoders():
+    """``decode_origins`` is the python backend's; the package's name is it."""
+    return [python_kernel.decode_origins, repro.kernels.decode_origins]
+
+
 def _assert_decode_matches(nodes, rows, block):
-    """Both backends read ``rows`` out as the reference loop does, entry for
-    entry (rows in order, bits ascending), and so alike."""
+    """``decode_origins`` reads ``rows`` out as the reference loop does, entry
+    for entry (rows in order, bits ascending)."""
     expected = [(node, origin) for node, bits in zip(nodes, rows) for origin in _origins_of(bits, block)]
-    for kernel in _origin_backends():
-        at, origins = kernel.decode_origins(nodes, rows, block)
+    for decode in _decoders():
+        at, origins = decode(nodes, rows, block)
         assert len(at) == len(origins) == len(expected)
-        assert list(zip(map(int, at), map(int, origins))) == expected, kernel.__name__
+        assert list(zip(map(int, at), map(int, origins))) == expected, decode.__module__
     return expected
 
 
 @st.composite
 def rows_to_decode(draw):
     """Rows over a block of one origin, a few, more than one machine word and
-    more than ``ORIGIN_BLOCK``; empty rows, full rows, the top bit."""
-    width = draw(st.sampled_from([1, 3, 70, ORIGIN_BLOCK + 5]))
+    more than a thousand; empty rows, full rows, the top bit."""
+    width = draw(st.sampled_from([1, 3, 70, 1029]))
     block = draw(st.lists(st.integers(0, 10**6), min_size=width, max_size=width))
     rows = draw(
         st.lists(
@@ -591,33 +649,40 @@ class TestBlockSemanticsEdgeCases:
         n = compiled.num_nodes
         # Origin 0 starts on node 0 (on the cycle 0 -> 1 -> 2 -> 0), origin 1
         # on the isolated node 5, origin 2 on both ends of the 3 <-> 4 cycle.
-        nodes, rows = [0, 5, 3, 4, 0], [0b001, 0b010, 0b100, 0b100, 0b001]  # node 0 twice
-        assert _relation(*_assert_origins_match(layer, n, nodes, rows, None)) == {
-            (0, 0), (1, 0), (2, 0), (3, 2), (4, 2),
+        origins, nodes = [0, 1, 2, 2, 0], [0, 5, 3, 4, 0]  # (0, 0) twice
+        assert _members(_assert_origins_match(layer, n, origins, nodes, None)) == {
+            (0, 0), (0, 1), (0, 2), (2, 3), (2, 4),
         }
-        assert _relation(*_assert_origins_match(layer, n, nodes, rows, 1)) == {(1, 0), (3, 2), (4, 2)}
-        assert _relation(*_assert_origins_match(layer, n, nodes, rows, 2)) == {(1, 0), (2, 0), (3, 2), (4, 2)}
-        assert _assert_origins_match(layer, n, nodes, rows, 0) == ([], [])
-        assert _assert_origins_match(layer, n, [], [], None) == ([], [])
+        assert _members(_assert_origins_match(layer, n, origins, nodes, 1)) == {(0, 1), (2, 3), (2, 4)}
+        assert _members(_assert_origins_match(layer, n, origins, nodes, 2)) == {(0, 1), (0, 2), (2, 3), (2, 4)}
+        assert _members(_assert_origins_match(layer, n, origins, nodes, 0)) == set()
+        assert _members(_assert_origins_match(layer, n, [], [], None)) == set()
 
     def test_origins_over_an_empty_layer_and_unmasked_starts(self, two_color_graph):
         compiled = compile_graph(two_color_graph)
         g_layer = compiled.layer(compiled.color_id("g"))
         # Node 5 is isolated and node 0 has no outgoing "g" edge.
-        assert _assert_origins_match(g_layer, compiled.num_nodes, [5, 0], [1, 2], None) == ([], [])
+        assert not _assert_origins_match(g_layer, compiled.num_nodes, [0, 1], [5, 0], None)
         empty = DataGraph(name="no-edges")
         empty.add_node("only")
         lonely = compile_graph(empty)
-        assert _assert_origins_match(lonely.layer(ANY_COLOR), 1, [0], [1], None) == ([], [])
+        assert not _assert_origins_match(lonely.layer(ANY_COLOR), 1, [0], [0], None)
 
-    def test_origins_wider_than_one_block(self, two_color_graph):
-        compiled = compile_graph(two_color_graph)
-        layer = compiled.layer(ANY_COLOR)
-        width = 2 * ORIGIN_BLOCK + 3
-        nodes = [origin % 6 for origin in range(width)]
-        rows = [1 << origin for origin in range(width)]
-        reached_nodes, reached_rows = _assert_origins_match(layer, compiled.num_nodes, nodes, rows, 2)
-        assert max(reached_rows).bit_length() > 2 * ORIGIN_BLOCK
+    def test_origins_wider_than_one_block(self):
+        # More origins on one node than 2 x 1024: the python backend's bitset
+        # for the hub is 2 051 bits wide.
+        width = 2051
+        hub = DataGraph(name="hub")
+        for node in range(width + 1):
+            hub.add_node(node)
+        for node in range(1, width + 1):
+            hub.add_edge(node, 0, "r")
+        hub.add_edge(0, 1, "r")
+        compiled = compile_graph(hub)
+        everyone = list(range(compiled.num_nodes))
+        reached = _assert_origins_match(compiled.layer(ANY_COLOR), compiled.num_nodes, everyone, everyone, 2)
+        center = compiled.node_index(0)
+        assert len({origin for origin, node in _members(reached) if node == center}) > 2048
 
     def test_decode_origins_of_nothing_and_of_empty_rows(self):
         assert _assert_decode_matches([], [], []) == []
@@ -625,16 +690,16 @@ class TestBlockSemanticsEdgeCases:
         assert _assert_decode_matches([7, 8], [0, 0], [4, 5]) == []
         assert _assert_decode_matches([7, 8, 9], [0b10, 0, 0b11], [4, 5]) == [(7, 5), (9, 4), (9, 5)]
 
-    @pytest.mark.parametrize("width", [0, 1, 3, 8, 70, ORIGIN_BLOCK + 5])
+    @pytest.mark.parametrize("width", [0, 1, 3, 8, 70, 1029])
     def test_decode_origins_rejects_a_row_wider_than_its_block(self, width):
         # A bit at or beyond len(block) stands for no origin: rejected, not
-        # masked, on both backends — also when it hides in the padding of the
-        # block's last byte, and for a negative row.
+        # masked — also when it hides in the padding of the block's last
+        # byte, and for a negative row.
         block = list(range(100, 100 + width))
-        for kernel in _origin_backends():
+        for decode in _decoders():
             for bad in (1 << width, 1 << (width + 9), -1):
                 with pytest.raises(ValueError):
-                    kernel.decode_origins([1, 2], [0, bad], block)
+                    decode([1, 2], [0, bad], block)
 
     def test_decode_origins_answers_alike_with_the_environment_flipped(self, monkeypatch):
         nodes, rows, block = [3, 1, 2], [0b101, 0, 1 << 69], list(range(70, 0, -1))
@@ -685,12 +750,13 @@ class TestKernelDispatch:
         self, monkeypatch, two_color_graph, requested
     ):
         compiled = compile_graph(two_color_graph)
-        layer = compiled.layer(ANY_COLOR)
-        nodes, rows = [0, 3, 5], [1 | 1 << 70, 2, 4]
+        layer, n = compiled.layer(ANY_COLOR), compiled.num_nodes
+        origins, nodes = [0, 5, 1, 2], [0, 0, 3, 5]
         monkeypatch.setenv(KERNEL_ENV_VAR, requested)
-        got = repro.kernels.expand_origins(layer, compiled.num_nodes, nodes, rows, None)
-        assert got == python_kernel.expand_origins(layer, compiled.num_nodes, nodes, rows, None)
-        assert _relation(*got) == _oracle_origins(layer, compiled.num_nodes, nodes, rows, None)
+        got = repro.kernels.expand_origins(layer, n, repro.kernels.relation(n, origins, nodes), None)
+        assert type(got) is select_backend().Relation
+        assert got == python_kernel.expand_origins(layer, n, python_kernel.Relation.of(n, origins, nodes), None)
+        assert _members(got) == _oracle_origins(layer, n, origins, nodes, None)
 
 
 class TestKernelSurfacing:

@@ -56,7 +56,7 @@ FROZEN_API = {
     "repro.kernels": [
         "HAVE_NUMPY", "KERNEL_ENV_VAR", "active_kernel_name",
         "bfs_block_frontier", "bitmap", "closure_frontier", "decode_origins",
-        "expand_frontier", "expand_origins", "neighbors_of", "select_backend",
+        "expand_frontier", "expand_origins", "neighbors_of", "relation", "select_backend",
     ],
     "repro.matching": [
         "CsrEngine", "LruCache", "PathMatcher", "PatternMatchResult",

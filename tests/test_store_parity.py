@@ -803,7 +803,7 @@ class TestHandleSpaces:
 
         session, pattern, query, tally = self._counted_session(monkeypatch)
         kernel_calls = []
-        for name in ("expand_frontier", "expand_origins", "decode_origins"):
+        for name in ("expand_frontier", "expand_origins", "relation"):
             _counting(monkeypatch, csr_engine, name, kernel_calls)
         session.execute(query)
         matcher = session.matcher("csr")

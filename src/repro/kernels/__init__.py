@@ -1,4 +1,4 @@
-"""Vectorised BFS/bitset kernels for the CSR hot paths.
+"""Vectorised BFS kernels for the CSR hot paths.
 
 Every query kind in the reproduction — RQ frontier expansion, the
 bounded-simulation refinement fixpoint, the incremental maintainer's
@@ -53,11 +53,6 @@ is its definition):
     one pass, propagating only newly arrived pairs (the multi-source BFS of
     Then et al., PVLDB 8(4), 2014).
 
-``decode_origins(nodes, rows, block) -> (nodes, origins)``
-    the python backend's read-out of the origin bitsets inside its
-    ``expand_origins``: ``nodes[i]`` beside ``block[k]`` per set bit ``k`` of
-    ``rows[i]``, as two lists; a row wider than ``block`` raises.
-
 ``closure_frontier(layers, num_nodes, starts)``
     the unbounded variant over the union of several layers (the affected-
     area closure of the incremental maintainer).
@@ -77,7 +72,7 @@ to pin one side.  The dict engine remains the semantics oracle.
 from __future__ import annotations
 
 import os
-from typing import Hashable, Iterable, List, Optional, Sequence, Set
+from typing import Hashable, Iterable, List, Optional, Set
 
 from repro.kernels import python_kernel
 
@@ -103,7 +98,6 @@ __all__ = [
     "relation",
     "expand_frontier",
     "expand_origins",
-    "decode_origins",
     "closure_frontier",
     "neighbors_of",
     "select_backend",
@@ -165,11 +159,6 @@ def expand_origins(
 ) -> python_kernel.Relation:
     """Push an origin relation through one CSR layer, all origins at once."""
     return select_backend().expand_origins(layer, num_nodes, pairs, bound)
-
-
-def decode_origins(nodes: Sequence[int], rows: Sequence[int], block: Sequence[int]):
-    """Origin bitsets read out as two parallel index lists (the python backend's)."""
-    return python_kernel.decode_origins(nodes, rows, block)
 
 
 def closure_frontier(layers, num_nodes: int, starts: Iterable[int]) -> List[int]:

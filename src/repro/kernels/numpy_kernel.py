@@ -96,16 +96,19 @@ def _layer_arrays(layer) -> Tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-def _gather_level(offsets: np.ndarray, targets: np.ndarray, frontier: np.ndarray) -> np.ndarray:
-    """The neighbour multiset of one frontier, as one flat gather."""
+def _gather_level(
+    offsets: np.ndarray, targets: np.ndarray, frontier: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The neighbour multiset of one frontier, as one flat gather, and how
+    many of it each frontier node gave."""
     lo = offsets[frontier]
     counts = offsets[frontier + 1] - lo
     total = int(counts.sum())
     if total == 0:
-        return _EMPTY
+        return _EMPTY, counts
     cum = np.cumsum(counts)
     ramp = np.arange(total, dtype=np.intp) + np.repeat(lo - cum + counts, counts)
-    return targets[ramp]
+    return targets[ramp], counts
 
 
 def _mask(bitmap: python_kernel.Bitmap) -> np.ndarray:
@@ -176,7 +179,7 @@ def _levels(layers, num_nodes: int, starts, bound: Optional[int]):
             visited_np = np.frombuffer(visited, dtype=np.bool_)
             reached_np = np.frombuffer(reached_flags, dtype=np.bool_)
         front = np.asarray(frontier, dtype=np.intp)
-        chunks = [_gather_level(offsets, targets, front) for offsets, targets in arrays]
+        chunks = [_gather_level(offsets, targets, front)[0] for offsets, targets in arrays]
         nbr = chunks[0] if len(chunks) == 1 else np.concatenate(chunks or [_EMPTY])
         if nbr.size >= max(VECTOR_MIN_FRONTIER, num_nodes // SCAN_DIVISOR):
             if scratch is None:
@@ -241,11 +244,9 @@ def _distinct(keys: np.ndarray, kind: Optional[str] = None) -> np.ndarray:
     return keys
 
 
-def _lookup(known: np.ndarray, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Where each of ``keys`` goes in the sorted, non-empty ``known``, and
-    whether it is there already."""
-    at = np.searchsorted(known, keys)
-    return at, known[np.minimum(at, known.size - 1)] == keys
+def _found(known: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each of ``keys`` is in the sorted, non-empty ``known``."""
+    return known[np.minimum(np.searchsorted(known, keys), known.size - 1)] == keys
 
 
 class Relation(python_kernel.Relation):
@@ -276,7 +277,7 @@ class Relation(python_kernel.Relation):
         mine, theirs = _keys(self), _keys(other)
         if not mine.size or not theirs.size:
             return self
-        return _stored(self.num_nodes, mine[~_lookup(theirs, mine)[1]])
+        return _stored(self.num_nodes, mine[~_found(theirs, mine)])
 
     def within(self, candidates: python_kernel.Bitmap) -> "Relation":
         keys = _keys(self)
@@ -300,16 +301,23 @@ def expand_origins(
     if bound == 0 or seen.size < VECTOR_MIN_FRONTIER:
         return python_kernel.expand_origins(layer, num_nodes, relation, bound)
     offsets, targets = _layer_arrays(layer)
-    live, arrivals = seen, []
+    # The seen keys as disjoint sorted runs, each under a 32nd of the size of
+    # the one before: a level looks its arrivals up in every run (a handful)
+    # and merges only the runs it outgrows, so a deep search never re-copies
+    # all it has seen per level.  On 16-64 origins down an 8 350-node path a
+    # factor of 2 (up to 13 runs) cost 1.2-1.3x what 32 does.
+    live, runs, arrivals = seen, [seen], []
     while live.size:
-        origin, node = np.divmod(live, num_nodes)
-        carried = np.repeat(origin * num_nodes, offsets[node + 1] - offsets[node])
-        arrived = _distinct(carried + _gather_level(offsets, targets, node))
+        node = live % num_nodes
+        gathered, counts = _gather_level(offsets, targets, node)
+        arrived = _distinct(np.repeat(live - node, counts) + gathered)
         arrivals.append(arrived)
         if len(arrivals) == bound or not arrived.size:
             break
-        at, found = _lookup(seen, arrived)
-        live = arrived[~found]
-        seen = np.insert(seen, at[~found], live)
+        live = arrived[~np.any([_found(run, arrived) for run in runs], axis=0)]
+        runs.append(live)
+        while len(runs) > 1 and runs[-2].size <= 32 * runs[-1].size:
+            top = runs.pop()
+            runs[-1] = _distinct(np.concatenate((runs[-1], top)), kind="stable")
     reached = arrivals[0] if len(arrivals) == 1 else _distinct(np.concatenate(arrivals))
     return _stored(num_nodes, reached)

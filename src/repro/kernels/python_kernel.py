@@ -14,10 +14,9 @@ is re-reached through a non-empty path.  One level loop, over a list of
 layers, serves :func:`expand_frontier` (one layer) and
 :func:`closure_frontier` (their union, unbounded); its step, :func:`level`,
 is also the numpy backend's narrow level.  :func:`expand_origins` carries that
-block for many start sets at once: it takes and answers a :class:`Relation`,
-and inside it holds one ``int`` bitset per node of positions among the
-relation's distinct origins, in plain dicts — no per-call ``num_nodes``-sized
-state — which :func:`decode_origins` reads back out as two parallel lists.
+block for many start sets at once: it takes and answers a :class:`Relation`
+and searches on the relation's keys themselves, in a plain ``set`` — no
+per-call ``num_nodes``-sized state, and no conversion on the way in or out.
 
 :class:`Bitmap` is index space's candidate-set type, in the form the BFS state
 above already has: one 0/1 byte per index, so a set-level call seeds ``visited``
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import compress
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.exceptions import GraphError
 
@@ -223,53 +222,26 @@ def expand_origins(layer, num_nodes: int, relation: Relation, bound: Optional[in
     index reached from the origin's nodes by a block of ``1 … bound`` edges.
     Per origin this is :func:`expand_frontier` from the nodes it sits on, which
     seed its ``seen``, so an origin comes back to one of its own starts only
-    through a non-empty cycle.  Inside, a node holds one ``int`` bitset of
-    positions among the relation's distinct origins.
+    through a non-empty cycle.  The search runs on the keys themselves: the
+    key of ``(origin, node)`` steps to ``key - node + nxt`` per out-edge, and
+    only the keys not seen before travel on.
     """
-    block: Dict[int, int] = {}  # origin -> its bit position, ascending
-    seen: Dict[int, int] = {}
-    for key in relation.keys:
-        origin, node = divmod(key, num_nodes)
-        position = block.setdefault(origin, len(block))
-        seen[node] = seen.get(node, 0) | 1 << position
-    offsets = layer.offsets
-    neighbors = layer._view
-    frontier = dict(seen)
-    reached: Dict[int, int] = {}
+    offsets, neighbors = layer.offsets, layer._view
+    seen = set(relation.keys)
+    frontier: Sequence[int] = relation.keys
+    reached: Set[int] = set()
     depth = 0
     while frontier and (bound is None or depth < bound):
         depth += 1
-        arrived: Dict[int, int] = {}
-        for node, bits in frontier.items():
+        advanced: List[int] = []
+        for key in frontier:
+            node = key % num_nodes
+            base = key - node
             for nxt in neighbors[offsets[node]:offsets[node + 1]]:
-                arrived[nxt] = arrived.get(nxt, 0) | bits
-        frontier = {}
-        for node, bits in arrived.items():
-            reached[node] = reached.get(node, 0) | bits
-            known = seen.get(node, 0)
-            fresh = bits & ~known
-            if fresh:
-                seen[node] = known | fresh
-                frontier[node] = fresh
-    at, origins = decode_origins(list(reached), list(reached.values()), list(block))
-    keys = sorted(origin * num_nodes + node for origin, node in zip(origins, at))
-    return type(relation)(num_nodes, array("q", keys))
-
-
-def decode_origins(
-    nodes: Sequence[int], rows: Sequence[int], block: Sequence[int]
-) -> Tuple[List[int], List[int]]:
-    """Read origin bitsets out, as two parallel lists: ``nodes[i]`` beside
-    ``block[k]`` for every set bit ``k`` of ``rows[i]`` — rows in order, bits ascending.
-    A bit at or beyond ``len(block)`` (or a negative row) raises :class:`ValueError`."""
-    width = len(block)
-    at, origins = [], []
-    for node, bits in zip(nodes, rows):
-        if bits >> width:
-            raise ValueError(f"origin row {bits:#x} is wider than its block of {width}")
-        while bits:
-            low = bits & -bits
-            at.append(node)
-            origins.append(block[low.bit_length() - 1])
-            bits ^= low
-    return at, origins
+                nxt += base
+                reached.add(nxt)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    advanced.append(nxt)
+        frontier = advanced
+    return type(relation)(num_nodes, array("q", sorted(reached)))

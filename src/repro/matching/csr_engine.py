@@ -32,9 +32,9 @@ pipeline.  It operates entirely in the dense integer index space of a
   this is what JoinMatch/SplitMatch ride on under ``engine="csr"`` on a
   clean base;
 * general (non-F-class) expressions are evaluated with an NFA-product path:
-  a :class:`~repro.regex.nfa.LazyDfa` over the graph's colour alphabet is
-  walked in product with the CSR layers, one origin relation of the same
-  form per live automaton state.
+  a :class:`~repro.regex.nfa.LazyDfa` over the graph's colour alphabet,
+  minimised, is walked in product with the CSR layers, one origin relation
+  of the same form per live automaton state.
 
 Nothing here knows a node id: indices come in — an evaluator's handles in the
 space :meth:`~repro.storage.adapter.OverlayCsrAdapter.enter` handed out, as they
@@ -52,6 +52,8 @@ starts the next engine cold.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Dict, Iterable, List, Optional
 
 from repro.graph.csr import CompiledGraph
@@ -211,46 +213,45 @@ class CsrEngine:
         """Product construction over (graph index, automaton state).
 
         Evaluates an arbitrary regular expression given as an
-        :class:`~repro.regex.nfa.Nfa`: the product of the CSR layers and a
-        lazily determinised view of the automaton is searched breadth-first
-        from all candidate sources at once — one origin relation per live
-        automaton state, advanced one edge per ``(state, colour)`` transition
-        by :func:`repro.kernels.expand_origins`.  A pair is reported when a
-        source first arrives at a candidate target in an accepting state
-        after at least one edge (paths must be non-empty, so an automaton
-        accepting the empty word never yields ``(v, v)`` by itself).
+        :class:`~repro.regex.nfa.Nfa`: the product of the CSR layers and the
+        determinised automaton, language-equal states merged
+        (:meth:`~repro.regex.nfa.LazyDfa.minimized` — a pair costs once per
+        state it sits in), is searched breadth-first from all candidate
+        sources at once — one origin relation per live automaton state,
+        advanced one edge per ``(state, colour)`` transition by
+        :func:`repro.kernels.expand_origins`.  A pair is reported when a
+        source arrives at a candidate target in an accepting state after at
+        least one edge (paths must be non-empty, so an automaton accepting the
+        empty word never yields ``(v, v)`` by itself).
         """
         compiled = self.compiled
         num_nodes = compiled.num_nodes
-        colors = compiled.colors
-        dfa = LazyDfa(nfa, colors)
-        layers = [compiled.layer(k) for k in range(len(colors))]
+        transitions, accepting = LazyDfa(nfa, compiled.colors).minimized()
+        layers = [compiled.layer(k) for k in range(len(compiled.colors))]
         at_target = bitmap(num_nodes, target_indices)
         starts = bitmap(num_nodes, source_indices).indices()
         empty = relation(num_nodes, (), ())
         # state -> the (origin, index) pairs that were there in that state
-        seen = {dfa.start: relation(num_nodes, starts, starts)}
+        seeds = relation(num_nodes, starts, starts)
+        seen = {LazyDfa.start: seeds}
         frontier = dict(seen)
-        accepted = empty
         while frontier:
             # One round: every live state's pairs take one edge of each colour;
             # what arrives in a state is met with what it has seen once.
-            arrived: Dict[int, Relation] = {}
+            arrived: Dict[int, List[Relation]] = {}
             for state, pairs in frontier.items():
-                for color_index, layer in enumerate(layers):
-                    next_state = dfa.step(state, color_index)
+                for layer, next_state in zip(layers, transitions[state]):
                     if next_state != LazyDfa.DEAD:
-                        step = expand_origins(layer, num_nodes, pairs, 1)
-                        arrived[next_state] = arrived.get(next_state, empty) | step
+                        arrived.setdefault(next_state, []).append(expand_origins(layer, num_nodes, pairs, 1))
             frontier = {}
-            for state, pairs in arrived.items():
-                new = pairs - seen.get(state, empty)
+            for state, steps in arrived.items():
+                new = reduce(or_, steps) - seen.get(state, empty)
                 if new:
                     seen[state] = seen.get(state, empty) | new
                     frontier[state] = new
-                    if dfa.is_accepting(state):
-                        accepted = accepted | new.within(at_target)
-        return accepted
+        # The answer is what arrived in an accepting state; the seeds only started there.
+        seen[LazyDfa.start] = seen[LazyDfa.start] - seeds
+        return reduce(or_, (pairs.within(at_target) for state, pairs in seen.items() if accepting[state]), empty)
 
     @property
     def cache_stats(self) -> Dict[str, float]:

@@ -160,6 +160,35 @@ class LazyDfa:
             self._transitions[state][symbol_index] = nxt
         return nxt
 
+    def minimized(self) -> Tuple[List[List[int]], List[bool]]:
+        """Every reachable state, with language-equal ones merged (Moore's
+        partition refinement), as ``(transitions, accepting)`` over dense
+        class ids: ``transitions[c][k]`` is the class after symbol ``k`` or
+        :data:`DEAD`.  The start stays a class of its own, class 0, so a walk
+        can tell the pairs it seeded there from the ones that arrived."""
+        state = 0
+        while state < self.num_states:  # step() appends the states it discovers
+            for symbol_index in range(len(self.alphabet)):
+                self.step(state, symbol_index)
+            state += 1
+        classes: List[object] = [(state == self.start, accepting) for state, accepting in enumerate(self._accepting)]
+        width = len(set(classes))
+        while True:
+            ids: Dict[object, int] = {}
+            classes = [
+                ids.setdefault((classes[state], tuple(classes[nxt] if nxt != self.DEAD else None for nxt in row)), len(ids))
+                for state, row in enumerate(self._transitions)
+            ]
+            if len(ids) == width:
+                break
+            width = len(ids)
+        transitions: List[List[int]] = [[]] * width
+        accepting = [False] * width
+        for state, row in enumerate(self._transitions):
+            transitions[classes[state]] = [classes[nxt] if nxt != self.DEAD else self.DEAD for nxt in row]
+            accepting[classes[state]] = self._accepting[state]
+        return transitions, accepting
+
     def accepts(self, word: Sequence[str]) -> bool:
         """Membership test via the memoised transitions (for cross-checking)."""
         symbol_index = {symbol: k for k, symbol in enumerate(self.alphabet)}

@@ -171,8 +171,8 @@ class TestCiWorkflow:
 
     def test_no_numpy_leg_runs_origin_relation_parity(self, workflow):
         # The quick tier-1 run deselects the `slow` hypothesis suites that pin
-        # expand_origins and the origin relation's operators, decode_origins,
-        # the engine's relation fold and NFA product and the index-space
+        # expand_origins and the origin relation's operators, the engine's
+        # relation fold and NFA product and the index-space
         # evaluators; the no-numpy leg must run them by name, on the only
         # backend it has.
         job = workflow["jobs"]["test"]
@@ -184,7 +184,7 @@ class TestCiWorkflow:
         command = parity[0]["run"]
         for needle in (
             "tests/test_kernels.py", "tests/test_csr_engine.py", "origins", "nfa_product",
-            # decode_origins rides on "origins"; the handle-space parity suite is named.
+            # The handle-space parity suite is named.
             "tests/test_session_parity.py", "handle_space",
             # The candidate bitmap's algebra, both forms of expand_frontier, the range check.
             "tests/test_store_parity.py", "bitmap",

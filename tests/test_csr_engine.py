@@ -6,6 +6,8 @@ asserted on hand-built graphs, on the dataset generators and — via hypothesis
 — on randomly generated graphs and queries.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -308,6 +310,29 @@ class TestLazyDfa:
         again = dfa.step(first, 0)
         assert first == again  # the loop state maps to one interned id
         assert dfa.num_states == 2
+
+    def test_minimized_merges_language_equal_states_but_not_the_start(self):
+        # (a|b)* determinises to a start and one state per last symbol read,
+        # all accepting and alike: they merge into one class, the start stays
+        # apart (class 0) although it is alike too.
+        dfa = LazyDfa(GeneralRegex.parse("(a|b)*").to_nfa(), ["a", "b"])
+        transitions, accepting = dfa.minimized()
+        assert dfa.num_states > 2
+        assert transitions == [[1, 1], [1, 1]] and accepting == [True, True]
+
+    @pytest.mark.parametrize("text", ["(a|b)*", "a(b|c)*a", "(ab|ac)+", "a?b{2}", "(a|b)*c(a|b)", "c"])
+    def test_minimized_accepts_what_the_nfa_accepts(self, text):
+        nfa = GeneralRegex.parse(text).to_nfa()
+        alphabet = ["a", "b", "c"]
+        transitions, accepting = LazyDfa(nfa, alphabet).minimized()
+        for word in (list(word) for length in range(6) for word in itertools.product(alphabet, repeat=length)):
+            state = LazyDfa.start
+            for symbol in word:
+                state = state if state == LazyDfa.DEAD else transitions[state][alphabet.index(symbol)]
+            assert (state != LazyDfa.DEAD and accepting[state]) == nfa.accepts(word), (text, word)
+        # Moore's fixpoint: no two classes but the start's share a row and acceptance.
+        rows = [(tuple(row), flag) for row, flag in zip(transitions[1:], accepting[1:])]
+        assert len(set(rows)) == len(rows)
 
 
 # -- hypothesis: random graphs and queries -------------------------------------

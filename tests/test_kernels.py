@@ -29,9 +29,6 @@ other and to an independent oracle:
   relation built under either backend and through the ``REPRO_KERNELS``
   dispatch; the relation's operators (``|``, ``-``, ``within``, ``len``,
   ``==``) must be the set algebra of its pairs, one operand of each class;
-* ``decode_origins`` — the python backend's origin bitsets read out as two
-  parallel index lists — must equal, entry for entry, the bit-by-bit loop it
-  replaced, and reject a row wider than its block;
 * the numpy backend additionally runs with ``VECTOR_MIN_FRONTIER`` forced
   to 1 (every level vectorised) and ``SCAN_DIVISOR`` pinned to each
   extreme, so both frontier-extraction strategies (sort-free scratch scan
@@ -497,61 +494,6 @@ def test_property_expand_origins_and_relation_operators_match_per_origin_frontie
             assert _members(mine) == expected and _members(operand) == theirs  # operands untouched
 
 
-# -- reading origin bitsets out ---------------------------------------------------
-
-
-def _origins_of(bits, block):
-    """The bit-by-bit read-out ``decode_origins`` replaced: the members of
-    ``block`` whose bit is set in ``bits``, lowest bit first."""
-    while bits:
-        low = bits & -bits
-        yield block[low.bit_length() - 1]
-        bits ^= low
-
-
-def _decoders():
-    """``decode_origins`` is the python backend's; the package's name is it."""
-    return [python_kernel.decode_origins, repro.kernels.decode_origins]
-
-
-def _assert_decode_matches(nodes, rows, block):
-    """``decode_origins`` reads ``rows`` out as the reference loop does, entry
-    for entry (rows in order, bits ascending)."""
-    expected = [(node, origin) for node, bits in zip(nodes, rows) for origin in _origins_of(bits, block)]
-    for decode in _decoders():
-        at, origins = decode(nodes, rows, block)
-        assert len(at) == len(origins) == len(expected)
-        assert list(zip(map(int, at), map(int, origins))) == expected, decode.__module__
-    return expected
-
-
-@st.composite
-def rows_to_decode(draw):
-    """Rows over a block of one origin, a few, more than one machine word and
-    more than a thousand; empty rows, full rows, the top bit."""
-    width = draw(st.sampled_from([1, 3, 70, 1029]))
-    block = draw(st.lists(st.integers(0, 10**6), min_size=width, max_size=width))
-    rows = draw(
-        st.lists(
-            st.one_of(
-                st.sampled_from([0, 1, 1 << (width - 1), (1 << width) - 1]),
-                st.sets(st.integers(0, width - 1), max_size=5).map(
-                    lambda bits: sum(1 << bit for bit in bits)
-                ),
-            ),
-            max_size=12,
-        )
-    )
-    nodes = draw(st.lists(st.integers(0, 10**6), min_size=len(rows), max_size=len(rows)))
-    return nodes, rows, block
-
-
-@settings(max_examples=150, deadline=None)
-@given(rows_to_decode())
-def test_property_decode_origins_matches_the_bit_loop(case):
-    _assert_decode_matches(*case)
-
-
 # -- deterministic regressions --------------------------------------------------
 
 
@@ -669,8 +611,8 @@ class TestBlockSemanticsEdgeCases:
         assert not _assert_origins_match(lonely.layer(ANY_COLOR), 1, [0], [0], None)
 
     def test_origins_wider_than_one_block(self):
-        # More origins on one node than 2 x 1024: the python backend's bitset
-        # for the hub is 2 051 bits wide.
+        # More origins on one node than 2 x 1024, the origin block the
+        # relation form replaced: 2 051 of them meet on the hub.
         width = 2051
         hub = DataGraph(name="hub")
         for node in range(width + 1):
@@ -684,29 +626,24 @@ class TestBlockSemanticsEdgeCases:
         center = compiled.node_index(0)
         assert len({origin for origin, node in _members(reached) if node == center}) > 2048
 
-    def test_decode_origins_of_nothing_and_of_empty_rows(self):
-        assert _assert_decode_matches([], [], []) == []
-        assert _assert_decode_matches([], [], [4, 5]) == []
-        assert _assert_decode_matches([7, 8], [0, 0], [4, 5]) == []
-        assert _assert_decode_matches([7, 8, 9], [0b10, 0, 0b11], [4, 5]) == [(7, 5), (9, 4), (9, 5)]
-
-    @pytest.mark.parametrize("width", [0, 1, 3, 8, 70, 1029])
-    def test_decode_origins_rejects_a_row_wider_than_its_block(self, width):
-        # A bit at or beyond len(block) stands for no origin: rejected, not
-        # masked — also when it hides in the padding of the block's last
-        # byte, and for a negative row.
-        block = list(range(100, 100 + width))
-        for decode in _decoders():
-            for bad in (1 << width, 1 << (width + 9), -1):
-                with pytest.raises(ValueError):
-                    decode([1, 2], [0, bad], block)
-
-    def test_decode_origins_answers_alike_with_the_environment_flipped(self, monkeypatch):
-        nodes, rows, block = [3, 1, 2], [0b101, 0, 1 << 69], list(range(70, 0, -1))
-        for name in ("python", "numpy"):
-            monkeypatch.setenv(KERNEL_ENV_VAR, name)
-            at, origins = repro.kernels.decode_origins(nodes, rows, block)
-            assert (list(at), list(origins)) == ([3, 3, 2], [70, 68, 1])
+    def test_origins_down_a_deep_path_keep_their_seen_runs_apart(self):
+        # Hundreds of levels of a relation wider than the numpy hand-off: its
+        # seen keys are merged run into run many times over, and the cycle
+        # back to node 0 brings every origin past keys seen long before.
+        length = 300
+        path = DataGraph(name="deep")
+        for node in range(length):
+            path.add_node(node)
+        for node in range(length - 1):
+            path.add_edge(node, node + 1, "r")
+        path.add_edge(length - 1, 0, "r")
+        compiled = compile_graph(path)
+        layer, n = compiled.layer(ANY_COLOR), compiled.num_nodes
+        nodes = [compiled.node_index(node) for node in range(0, length, 15)]
+        origins = list(range(len(nodes)))  # 20 origins, one node each
+        for bound in (None, 40, 299):
+            reached = _assert_origins_match(layer, n, origins, nodes, bound)
+            assert len(reached) == len(origins) * (length if bound is None else bound)
 
     def test_generic_bfs_block_frontier_start_inclusion(self):
         neighbors = {0: [1], 1: [0], 2: []}

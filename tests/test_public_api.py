@@ -55,7 +55,7 @@ FROZEN_API = {
     ],
     "repro.kernels": [
         "HAVE_NUMPY", "KERNEL_ENV_VAR", "active_kernel_name",
-        "bfs_block_frontier", "bitmap", "closure_frontier", "decode_origins",
+        "bfs_block_frontier", "bitmap", "closure_frontier",
         "expand_frontier", "expand_origins", "neighbors_of", "relation", "select_backend",
     ],
     "repro.matching": [

@@ -50,10 +50,10 @@ import itertools
 import threading
 from dataclasses import dataclass
 from math import factorial
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.lru import LruCache
-from repro.query.containment import pq_equivalent
+from repro.query.containment import _may_contain, _signature, pq_equivalent
 from repro.query.minimization import minimize_pattern_query
 from repro.query.pq import PatternQuery
 from repro.query.predicates import _MISSING, Predicate, _compare, _comparable, _Interval, order_class
@@ -280,9 +280,11 @@ def _drop_absorbable_nodes(pattern: PatternQuery) -> PatternQuery:
     changed = True
     while changed and current.num_nodes > 1:
         changed = False
+        signature = _signature(current)
         for node in sorted(current.nodes(), key=repr):
             candidate = _without_node(current, node)
-            if pq_equivalent(candidate, current):
+            # ``current ⊑ candidate`` is half of the equivalence.
+            if _may_contain(signature, _signature(candidate)) and pq_equivalent(candidate, current):
                 current = candidate
                 changed = True
                 break
@@ -372,15 +374,9 @@ def _pq_cache_key(pattern: PatternQuery) -> Tuple:
         order = [node for group in ordered_groups for node in group]
         return _serialize_pq(order, pred_keys, edge_keys)
 
-    best: Optional[Tuple] = None
-    for combo in itertools.product(
-        *(itertools.permutations(group) for group in ordered_groups)
-    ):
-        order = [node for group in combo for node in group]
-        candidate = _serialize_pq(order, pred_keys, edge_keys)
-        if best is None or repr(candidate) < repr(best):
-            best = candidate
-    return best
+    combos = itertools.product(*(itertools.permutations(group) for group in ordered_groups))
+    orders = ([node for group in combo for node in group] for combo in combos)
+    return min((_serialize_pq(order, pred_keys, edge_keys) for order in orders), key=repr)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,48 @@ building block of the ``minPQs`` minimization algorithm.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.query.pq import PatternEdge, PatternQuery
 from repro.query.rq import ReachabilityQuery
 from repro.regex.containment import language_contains
+from repro.regex.fclass import FRegex
 
 NodePair = Tuple[str, str]
+
+
+def _signature(query: Any) -> Tuple:
+    """One fact tuple per edge (an RQ is one edge), as :func:`_may_contain` reads it.
+
+    ``p ⊢ q`` needs ``p`` unsatisfiable or ``q.attributes ⊆ p.attributes``;
+    ``L(f) ⊆ L(g)`` a wildcard in ``g``, or none in ``f`` and no colour outside
+    ``g``'s (every atom reads an edge; a wildcard may read a colour no atom
+    names).  A general regex stands for its text, the only thing matched.
+    """
+    if isinstance(query, PatternQuery):
+        edges = [(query.predicate(e.source), e.regex, query.predicate(e.target)) for e in query.edges()]
+    else:
+        edges = [(query.source_predicate, query.regex, query.target_predicate)]
+    return tuple(
+        (source.is_satisfiable(), source.attributes)
+        + ((regex.has_wildcard, regex.colors) if isinstance(regex, FRegex)
+           else (False, frozenset([str(regex)])))
+        + (target.is_satisfiable(), target.attributes)
+        for source, regex, target in edges
+    )
+
+
+def _may_contain(small: Tuple, large: Tuple) -> bool:
+    """False only where ``small``'s query is not contained in ``large``'s: each
+    edge needs one that may cover it (Prop. 3.3, Theorem 3.2)."""
+    for source_ok, source, wildcard, colours, target_ok, target in small:
+        for _, cover_source, cover_wildcard, cover_colours, _, cover_target in large:
+            if ((not source_ok or cover_source <= source) and (not target_ok or cover_target <= target)
+                    and (cover_wildcard or not wildcard and colours <= cover_colours)):
+                break
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -166,18 +201,17 @@ def simulation_equivalent_nodes(pattern: PatternQuery) -> Dict[str, Set[str]]:
     (Section 3.2).  Returns ``{representative: class members}`` where the
     representative is the smallest member (by node-id ordering).
     """
-    relation = revised_similarity(pattern, pattern)
+    return _equivalence_classes(pattern, revised_similarity(pattern, pattern))
+
+
+def _equivalence_classes(pattern: PatternQuery, relation: Set[NodePair]) -> Dict[str, Set[str]]:
+    """:func:`simulation_equivalent_nodes` under the pattern's own similarity."""
     classes: Dict[str, Set[str]] = {}
-    assigned: Dict[str, str] = {}
     for node in sorted(pattern.nodes(), key=str):
-        placed = False
         for representative in classes:
             if (node, representative) in relation and (representative, node) in relation:
                 classes[representative].add(node)
-                assigned[node] = representative
-                placed = True
                 break
-        if not placed:
+        else:
             classes[node] = {node}
-            assigned[node] = node
     return classes

@@ -15,9 +15,9 @@ phases:
    drop isolated nodes.
 
 The implementation follows the paper closely and, because minimization must
-never change query semantics, finishes with an equivalence check against the
-input; in the (never observed) event that the check fails, the original query
-is returned unchanged, making the function safe to use as an optimizer.
+never change query semantics, checks any result that differs from the input
+for equivalence with it; in the (never observed) event that the check fails,
+the original query is returned, making the function safe as an optimizer.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.query.containment import (
+    _equivalence_classes,
     pq_equivalent,
     revised_similarity,
-    simulation_equivalent_nodes,
 )
 from repro.query.pq import PatternEdge, PatternQuery
 from repro.regex.containment import language_contains, language_equal
@@ -50,19 +50,22 @@ def minimize_pattern_query(pattern: PatternQuery, verify: bool = True) -> Patter
     if pattern.num_nodes == 0:
         return pattern.copy(name=f"{pattern.name}-min")
 
-    # Step 1: similarity + equivalence classes.
-    classes = simulation_equivalent_nodes(pattern)
+    # Step 1: similarity + equivalence classes (all singletons: step 2 rebuilds the pattern).
+    relation = revised_similarity(pattern, pattern)
+    classes = _equivalence_classes(pattern, relation)
+    rebuilt = all(len(members) == 1 for members in classes.values())
 
     # Step 2: collapse classes into an equivalent (simple-graph) query.
     collapsed = _collapse_equivalence_classes(pattern, classes)
 
     # Step 3: remove subsumed edges and isolated nodes.
-    minimal = _remove_redundant_edges(collapsed)
+    minimal = _remove_redundant_edges(collapsed, relation if rebuilt else None)
     _remove_isolated_nodes(minimal, keep_if_empty=True)
 
     if minimal.size > pattern.size:
         minimal = pattern.copy(name=f"{pattern.name}-min")
-    if verify and not pq_equivalent(minimal, pattern):
+    # Step 3 only removes: a rebuilt pattern of the input's size is the input.
+    if verify and not (rebuilt and minimal.size == pattern.size) and not pq_equivalent(minimal, pattern):
         return pattern.copy(name=f"{pattern.name}-min")
     minimal.name = f"{pattern.name}-min"
     return minimal
@@ -152,7 +155,7 @@ def _non_redundant_constraints(regexes: Sequence[FRegex]) -> List[FRegex]:
 # Step 3: minimum-query construction
 # ---------------------------------------------------------------------------
 
-def _remove_redundant_edges(pattern: PatternQuery) -> PatternQuery:
+def _remove_redundant_edges(pattern: PatternQuery, relation: Optional[Set] = None) -> PatternQuery:
     """Remove edges subsumed by other edges under the similarity relation.
 
     An edge ``e = (u, u')`` is redundant when there are two other edges
@@ -160,15 +163,17 @@ def _remove_redundant_edges(pattern: PatternQuery) -> PatternQuery:
     ``(u', u1')`` and ``(u2', u')`` in the revised similarity of the query
     with itself, ``L(f_e1) ⊆ L(f_e)`` and ``L(f_e) ⊆ L(f_e2)``.  Redundant
     edges are removed one at a time, recomputing the similarity after each
-    removal so that every removal is justified with the current query.
+    removal so that every removal is justified with the current query
+    (the first pass may be handed the similarity of ``pattern`` itself).
     """
     result = pattern.copy()
     while True:
-        relation = revised_similarity(result, result)
+        relation = revised_similarity(result, result) if relation is None else relation
         redundant = _find_redundant_edge(result, relation)
         if redundant is None:
             return result
         result.remove_edge(redundant.source, redundant.target)
+        relation = None
 
 
 def _find_redundant_edge(

@@ -119,10 +119,9 @@ LANGUAGE_CONTAINMENT_CACHE_CAPACITY = 4096
 #: whole answers, so the bound is deliberately modest; 0 disables the cache.
 DEFAULT_SEMANTIC_CACHE_CAPACITY = 256
 
-#: How many recent same-version entries a containment probe scans (newest
-#: first) before giving up.  Containment checks are per-entry static
-#: analyses (cheap, query-sized), but unbounded scans would make every miss
-#: O(cache size).
+#: How many full containment checks (Sec. 3 analyses, cubic for PQs) one
+#: probe runs, newest candidate first, before giving up; entries whose
+#: signature rules containment out are skipped without one.
 SEMANTIC_CACHE_SCAN_LIMIT = 32
 
 #: Largest cached RQ answer (in pairs) a containment hit will re-verify

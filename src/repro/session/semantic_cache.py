@@ -16,6 +16,11 @@ generalises that reuse twice, using the Section-3 theory:
   whole graph: RQ answers are filtered pair-by-pair, PQ answers seed a
   *restricted* fixpoint over the cached match sets.
 
+Probing walks only the entries of the query's own version and kind, newest
+first, skips each whose signature rules containment out (a necessary
+condition, :func:`~repro.query.containment._may_contain`) and runs at most
+``scan_limit`` full checks on the rest.
+
 Every entry is tagged with the graph's ``(topology, attributes)`` version
 pair, so invalidation rides the version counters the repo already maintains:
 a mutation simply makes new keys, pinned snapshot readers keep hitting the
@@ -59,7 +64,7 @@ from repro.matching.reachability import ReachabilityResult
 from repro.matching.refinement import refine_fixpoint
 from repro.matching.result import PatternMatchResult
 from repro.query.canonical import CanonicalQuery, regex_cache_key
-from repro.query.containment import pq_containment_mapping, rq_contained_in
+from repro.query.containment import _may_contain, _signature, pq_containment_mapping, rq_contained_in
 from repro.query.pq import PatternQuery
 from repro.session.defaults import (
     DEFAULT_SEMANTIC_CACHE_CAPACITY,
@@ -74,11 +79,12 @@ VersionKey = Tuple[int, int]
 
 @dataclass(frozen=True)
 class _Entry:
-    """One cached answer: the query it answers plus a private result copy."""
+    """One cached answer: its query, the query's signature, a private result copy."""
 
     canonical: CanonicalQuery
     query: Any
     answer: Any
+    signature: Tuple
 
 
 @dataclass(frozen=True)
@@ -180,7 +186,7 @@ class SemanticCache:
         Maximum number of entries (LRU eviction); ``0`` disables the cache
         entirely (every probe misses, inserts are dropped).
     scan_limit:
-        How many same-version entries a containment probe examines, newest
+        How many full containment checks one probe runs, newest candidate
         first, before giving up.
     verify_limit:
         Largest cached RQ answer re-verified pair-by-pair when the contained
@@ -199,6 +205,8 @@ class SemanticCache:
         self.scan_limit = scan_limit
         self.verify_limit = verify_limit
         self._entries: "OrderedDict[Tuple, _Entry]" = OrderedDict()
+        # Per (version_key, kind), the same entries in LRU order: a plain dict walks ~3x faster.
+        self._buckets: Dict[Tuple, Dict[Tuple, _Entry]] = {}
         self._lock = threading.RLock()
         self.exact_hits = 0
         self.containment_hits = 0
@@ -232,17 +240,20 @@ class SemanticCache:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
+                bucket = self._buckets[key[:2]]
+                bucket[key] = bucket.pop(key)
                 return CacheProbe(
                     "cache-exact",
                     "semantic-cache: canonical key matches a cached answer "
                     "at this graph version",
                     entry,
                 )
+            signature = _signature(query)
             candidates: List[_Entry] = []
-            for existing_key in reversed(self._entries):
-                if existing_key[0] != version_key or existing_key[1] != canonical.kind:
+            for entry in reversed(self._buckets.get(key[:2], {}).values()):
+                if not _may_contain(signature, entry.signature):
                     continue
-                candidates.append(self._entries[existing_key])
+                candidates.append(entry)
                 if len(candidates) >= self.scan_limit:
                     break
         # Containment checks are static query analyses — run them unlocked.
@@ -393,14 +404,18 @@ class SemanticCache:
         if not self.enabled:
             return
         key = (version_key, canonical.kind, canonical.key)
-        entry = _Entry(canonical=canonical, query=query, answer=answer.copy())
+        entry = _Entry(canonical, query, answer.copy(), _signature(query))
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = entry
+            for table in (self._entries, self._buckets.setdefault(key[:2], {})):
+                table.pop(key, None)
+                table[key] = entry
             self.insertions += 1
             while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+                evicted, _ = self._entries.popitem(last=False)
+                bucket = self._buckets[evicted[:2]]
+                del bucket[evicted]
+                if not bucket:
+                    del self._buckets[evicted[:2]]
                 self.evictions += 1
 
     def stats(self) -> Dict[str, int]:
@@ -420,6 +435,7 @@ class SemanticCache:
         """Drop every entry (counters are kept — they are lifetime totals)."""
         with self._lock:
             self._entries.clear()
+            self._buckets.clear()
 
     def __repr__(self) -> str:
         stats = self.stats()

@@ -116,11 +116,11 @@ class PreparedQuery:
         """
         session = self.session
         with session._lock:
-            self.executions += 1
-            session.executed_queries += 1
             started = time.perf_counter()
             key = session._version_key()
             if self._memo_key == key and self._memo_answer is not None:
+                self.executions += 1
+                session.executed_queries += 1
                 self.result_cache_hits += 1
                 session.result_cache_hits += 1
                 return QueryResult(
@@ -131,6 +131,19 @@ class PreparedQuery:
                     from_result_cache=True,
                     cache_decision=self.plan.cache,
                 )
+            result = self._run(started)
+            # Memoise a private copy so callers mutating the returned answer
+            # can never poison later hits.
+            self._memo_key, self._memo_answer = key, result.answer.copy()
+            return result
+
+    def _run(self, started: float) -> QueryResult:
+        """:meth:`execute` without the memo, all :meth:`GraphSession.execute` needs."""
+        session = self.session
+        with session._lock:
+            self.executions += 1
+            session.executed_queries += 1
+            key = session._version_key()
             if self._plan_key != key:
                 self.replan()
             if self.plan.use_matrix:
@@ -141,10 +154,6 @@ class PreparedQuery:
                 self.query, self.plan, self.canonical, matcher, key, session.semantic_cache, started
             )
             self.plan = result.plan
-            # Memoise a private copy so callers mutating the returned answer
-            # can never poison later hits.
-            self._memo_key = key
-            self._memo_answer = result.answer.copy()
             return result
 
     def execute_many(self, batch: Iterable[Iterable[Tuple]]) -> List[QueryResult]:
@@ -820,9 +829,9 @@ class GraphSession:
 
         Nobody reads the plan between the two steps, so the prepare-time
         annotation probe is skipped: the pipeline's own probe decides, and
-        labels the plan in the returned envelope.
+        labels the plan in the returned envelope; run once, it memoises nothing.
         """
-        return self._prepare(query, annotate=False, **overrides).execute()
+        return self._prepare(query, annotate=False, **overrides)._run(time.perf_counter())
 
     def execute_many(self, queries: Iterable[Any], **overrides: Any) -> List[QueryResult]:
         """Prepare and execute a batch of queries on shared warm state."""

@@ -98,7 +98,7 @@ from repro.service import (
     ServiceConfig,
 )
 
-__version__ = "2.18.0"
+__version__ = "2.19.0"
 
 __all__ = [
     # exceptions

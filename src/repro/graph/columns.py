@@ -3,27 +3,28 @@
 Every evaluator of the paper starts by selecting the nodes that satisfy a
 node predicate ``f_u``, a conjunction of atoms ``A op a`` (Section 2: the
 candidate lists of the RQ search, the initial ``mat(u)`` of JoinMatch).
-:class:`AttributeColumns` answers that over one positional attribute table
-without calling the predicate on every row: per attribute, built on first
-use, an equality map ``value -> positions`` and, per comparability class, the
-values sorted beside their positions.  ``=`` is a map lookup, an ordering atom
-one ``bisect``, ``!=`` "has the attribute" minus the equal positions, a
-conjunction the intersection.  What a column cannot decide is checked by
-``AtomicCondition.matches`` on the surviving rows only, so results and order
-are those of the per-row reference (``storage.base.scan_nodes``; compared in
-``tests/test_predicates_properties.py``).
+:class:`AttributeColumns` answers that over one positional attribute table,
+per attribute built on first use: an equality map ``value -> positions`` and,
+per comparability class, the values sorted beside their positions, all
+``array('q')``.  Each atom is one candidate bitmap (``=`` a map lookup, an
+ordering atom one ``bisect``, ``!=`` "has the attribute" minus the equal rows)
+and a conjunction their ``&`` (O'Neil & Quass, SIGMOD 1997).  What a column
+cannot decide is checked by ``AtomicCondition.matches`` where its flag is still
+set: results are the per-row reference's (``storage.base.scan_nodes``,
+compared in ``tests/test_predicates_properties.py``).
 
-An instance is *bound* to one attribute-table version: it looks at no version
-counter, its holder (``CompiledGraph``, ``StoreSnapshot``) replaces it —
-columns, result memo and all — when ``attrs_version`` moves.  A memo entry is
-the positions and, once an evaluation in index space asked (``scan_bitmap``),
-the candidate bitmap they make there: built once per predicate, not per call.
+An instance is *bound* to one attribute-table version: its holder
+(``CompiledGraph``, ``StoreSnapshot``) replaces it — columns, result memo and
+all — when ``attrs_version`` moves.  A memo entry is the bitmap of the rows.
 """
 
 from __future__ import annotations
 
 import threading
+from array import array
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
+from functools import partial
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.kernels import bitmap
@@ -41,6 +42,8 @@ class ScanTally:
         self.lock = threading.Lock()
         self.memo_hits = self.memo_misses = self.columns_built = self.row_checks = 0
 
+
+_NONE = array("q")  # no positions: shared, never appended to
 
 #: Exact types whose ``==`` and ``hash`` agree with each other's: what is equal is found by a dict.
 _HASH_AGREES = frozenset({bool, int, float, complex, str, bytes, type(None)})
@@ -62,18 +65,18 @@ def _bisectable(value: Any) -> bool:
 
 
 class _Column:
-    """One attribute's index; every position list ascends but ``ordered``'s."""
+    """One attribute's index; every position array ascends but ``ordered``'s."""
 
     __slots__ = ("present", "odd", "equal", "ordered", "loose", "order_class")
 
     def __init__(self, name: str, rows: Sequence[Mapping[str, Any]], order_class):
-        self.order_class = order_class  # ``predicates.order_class``, imported once in ``scan``
-        self.present: List[int] = []  # rows that have the attribute
-        self.odd: List[int] = []  # of those, not ``_regular``: checked per row for every atom
-        self.equal: Dict[Any, List[int]] = {}  # value -> positions
-        self.ordered: Dict[type, Tuple[list, List[int]]] = {}  # order class -> (sorted values, positions)
-        self.loose: Dict[type, List[int]] = {}  # order class -> values no bisect can place
-        pairs: Dict[type, List[Tuple[Any, int]]] = {}
+        self.order_class = order_class  # ``predicates.order_class``, imported once in ``_found``
+        self.present = array("q")  # rows that have the attribute
+        self.odd = array("q")  # of those, not ``_regular``: checked per row for every atom
+        self.equal: Dict[Any, array] = defaultdict(partial(array, "q"))  # value -> positions
+        self.ordered: Dict[type, Tuple[list, array]] = {}  # order class -> (sorted values, positions)
+        self.loose: Dict[type, array] = defaultdict(partial(array, "q"))  # order class -> unbisectable
+        pairs: Dict[type, List[Tuple[Any, int]]] = defaultdict(list)
         for position, row in enumerate(rows):
             if name not in row:
                 continue
@@ -83,44 +86,40 @@ class _Column:
             if kind is not str and kind is not int and not _regular(value):
                 self.odd.append(position)
             else:
-                self.equal.setdefault(value, []).append(position)
+                self.equal[value].append(position)
                 if _bisectable(value):
-                    pairs.setdefault(order_class(value), []).append((value, position))
+                    pairs[order_class(value)].append((value, position))
                 else:
-                    self.loose.setdefault(order_class(value), []).append(position)
+                    self.loose[order_class(value)].append(position)
         for kind, members in pairs.items():
             members.sort()
-            self.ordered[kind] = ([v for v, _ in members], [p for _, p in members])
+            self.ordered[kind] = ([v for v, _ in members], array("q", [p for _, p in members]))
 
-    def candidates(self, op: str, value: Any) -> Tuple[List[int], List[int]]:
-        """``(sure, unsure)``, disjoint: every row satisfying ``attribute op
-        value`` is in one of them, and every ``sure`` row satisfies it."""
+    def candidates(self, op: str, value: Any, size: int) -> Tuple[Any, array]:
+        """``(rows, unsure)``: a bitmap of rows that may satisfy ``attribute op value``; those unsure."""
         if op == "=" or op == "!=":
             if not _regular(value):
-                return [], self.present
-            same = self.equal.get(value, [])
+                return bitmap(size, self.present), self.present
+            same = self.equal.get(value, _NONE)
             if op == "=":
-                return same, self.odd
-            drop = set(same).union(self.odd)
-            return [p for p in self.present if p not in drop], self.odd
+                return bitmap(size, same + self.odd), self.odd
+            return bitmap(size, self.present) - bitmap(size, same), self.odd  # no odd row is in ``equal``
         kind = self.order_class(value)
-        values, positions = self.ordered.get(kind, ([], []))
-        unsure = self.loose.get(kind, []) + self.odd
+        values, positions = self.ordered.get(kind, ((), _NONE))
+        unsure = self.loose.get(kind, _NONE) + self.odd
         if not _bisectable(value):
-            return [], positions + unsure
+            return bitmap(size, positions + unsure), positions + unsure
         cut = (bisect_left if op in ("<", ">=") else bisect_right)(values, value)
-        return (positions[:cut] if op[0] == "<" else positions[cut:]), unsure
+        return bitmap(size, (positions[:cut] if op[0] == "<" else positions[cut:]) + unsure), unsure
 
 
 class _Found:
-    """One scan's memo entry: the ascending positions and, once asked for,
-    ``(index table, the candidate bitmap made of them through it)``."""
+    """A memo entry: the row bitmap and, once asked for, its tuple and ``(index, translated bitmap)``."""
 
-    __slots__ = ("positions", "bitmap")
+    __slots__ = ("rows", "positions", "translated")
 
-    def __init__(self, positions: Tuple[int, ...]):
-        self.positions = positions
-        self.bitmap: Optional[tuple] = None  # published whole: pins read from threads
+    def __init__(self, rows):
+        self.rows, self.positions, self.translated = rows, None, None  # each published whole
 
 
 class AttributeColumns:
@@ -140,59 +139,60 @@ class AttributeColumns:
         genuine ``Predicate`` objects are indexed and memoised: ``None`` (every
         row), duck-typed ``matches`` objects and plain callables, of unknown
         semantics, walk the rows in :func:`~repro.storage.base.scan_nodes`."""
-        return self._found(predicate).positions
+        found = self._found(predicate)
+        with self.tally.lock:  # one tuple per entry: a memo hit answers the same object
+            if found.positions is None:
+                found.positions = tuple(found.rows)
+        return found.positions
 
     def scan_bitmap(self, predicate: Any, num_nodes: int, index: Optional[Sequence[int]] = None):
-        """:meth:`scan` as the read-only candidate bitmap over ``range(num_nodes)``
-        of a handle space in which position ``p`` is ``index[p]`` (``None``: ``p``
-        itself): memoised beside the positions while ``index`` is the same table."""
+        """:meth:`scan` as the read-only candidate bitmap over ``range(num_nodes)`` of a
+        handle space in which position ``p`` is ``index[p]``: the memo's own bitmap for
+        ``index=None`` (``p`` itself), else translated once while ``index`` is the same table."""
         found = self._found(predicate)
-        held = found.bitmap
+        if index is None:
+            return found.rows
+        held = found.translated
         if held is None or held[0] is not index:
-            handles = found.positions if index is None else map(index.__getitem__, found.positions)
-            held = found.bitmap = (index, bitmap(num_nodes, handles))
+            held = found.translated = (index, bitmap(num_nodes, map(index.__getitem__, found.rows)))
         return held[1]
 
     def _found(self, predicate: Any) -> _Found:
-        # Deferred: repro.query pulls in the whole query package, and
-        # repro.storage imports this module while it loads.
+        # Deferred: repro.query pulls in the whole query package; repro.storage imports this module.
         from repro.query.predicates import Predicate, order_class
         from repro.storage.base import scan_nodes
 
         rows = self._rows
         if not isinstance(predicate, Predicate):
-            return _Found(tuple(scan_nodes(predicate, range(len(rows)), rows.__getitem__)))
-        conditions = predicate.conditions
-        tally = self.tally
-        with tally.lock:
+            return _Found(bitmap(len(rows), scan_nodes(predicate, range(len(rows)), rows.__getitem__)))
+        with self.tally.lock:
             found = self._results.get(predicate)
             if found is None:
-                tally.memo_misses += 1
-                found = _Found(self._select(conditions, order_class) if conditions else tuple(range(len(rows))))
+                self.tally.memo_misses += 1
+                found = _Found(self._select(predicate.conditions, order_class))
                 self._results.put(predicate, found)
             else:
-                tally.memo_hits += 1
+                self.tally.memo_hits += 1
             return found
 
-    def _select(self, conditions, order_class) -> Tuple[int, ...]:
-        rows, tally = self._rows, self.tally
-        parts, doubtful = [], []  # candidates per atom; (atom, its undecided candidates), in atom order
+    def _select(self, conditions, order_class):
+        rows, tally, size = self._rows, self.tally, len(self._rows)
+        found, doubtful = None if conditions else bitmap(size, range(size)), []  # (atom, its undecided rows)
         for condition in conditions:
             column = self._columns.get(condition.attribute)
             if column is None:
                 column = self._columns[condition.attribute] = _Column(condition.attribute, rows, order_class)
                 tally.columns_built += 1
-            sure, unsure = column.candidates(condition.op, condition.value)
+            maybe, unsure = column.candidates(condition.op, condition.value, size)
+            found = maybe if found is None else found & maybe
             if unsure:
-                doubtful.append((condition, frozenset(unsure)))
-                sure = sure + unsure
-            parts.append(sure)
-        parts.sort(key=len)
-        survivors = parts[0] if len(parts) == 1 else set(parts[0]).intersection(*parts[1:])
-        # Atom by atom in the predicate's order, on rows every earlier atom
-        # accepted: only comparisons the per-row reference makes too, so this
-        # raises only where the reference raises.
+                doubtful.append((condition, unsure))
+        # Atom by atom in the predicate's order, on rows every earlier atom accepted (a row that
+        # fails is cleared): only comparisons the per-row reference makes, so it raises only where that does.
+        flags = found.flags
         for condition, unsure in doubtful:
-            tally.row_checks += len(unsure.intersection(survivors))
-            survivors = [p for p in survivors if p not in unsure or condition.matches(rows[p])]
-        return tuple(sorted(survivors))
+            for position in unsure:
+                if flags[position]:
+                    tally.row_checks += 1
+                    flags[position] = condition.matches(rows[position])
+        return found

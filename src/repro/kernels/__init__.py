@@ -34,7 +34,8 @@ is its definition):
     of ``range(num_nodes)`` — the form the BFS state already has — with the
     operators of a ``set`` (``-``, ``-=``, ``&``, ``|``, ``==``, ``len``, truth,
     ascending iteration, ``copy``).  Any iterable of handles is coerced, each
-    checked to lie in the range; a bitmap of that range is returned as it is.
+    checked to lie in the range (an ``array('q')``, what the attribute columns
+    hold, is read in place on numpy); a bitmap of that range is returned as it is.
 
 ``relation(num_nodes, origins, nodes)``
     index space's second value type: ``Relation``, the pairs ``(origins[i],

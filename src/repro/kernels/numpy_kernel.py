@@ -125,7 +125,11 @@ class Bitmap(python_kernel.Bitmap):
 
     @classmethod
     def of(cls, num_nodes: int, handles: Iterable[int]) -> "Bitmap":
-        index = np.fromiter(handles, dtype=np.intp)
+        """An ``array('q')`` of handles is read in place, without a copy."""
+        if isinstance(handles, array) and handles.typecode == "q":
+            index = np.frombuffer(handles, dtype=np.int64)
+        else:
+            index = np.fromiter(handles, dtype=np.intp)
         if index.size and not 0 <= index.min() <= index.max() < num_nodes:
             bad = index.min() if index.min() < 0 else index.max()
             raise python_kernel.outside_space(int(bad), num_nodes)
@@ -135,6 +139,12 @@ class Bitmap(python_kernel.Bitmap):
 
     def __sub__(self, other: python_kernel.Bitmap) -> "Bitmap":
         return Bitmap(bytearray(_mask(self) & ~_mask(other)))
+
+    def __and__(self, other: python_kernel.Bitmap) -> "Bitmap":
+        return Bitmap(bytearray(_mask(self) & _mask(other)))
+
+    def __or__(self, other: python_kernel.Bitmap) -> "Bitmap":
+        return Bitmap(bytearray(_mask(self) | _mask(other)))
 
     def __isub__(self, other: python_kernel.Bitmap) -> "Bitmap":
         mask = _mask(self)

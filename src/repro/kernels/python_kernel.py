@@ -50,13 +50,17 @@ class Bitmap:
 
     @classmethod
     def of(cls, num_nodes: int, handles: Iterable[int]) -> "Bitmap":
-        """The set of ``handles``, each checked to lie in ``range(num_nodes)``."""
+        """The set of ``handles``, each checked to lie in ``range(num_nodes)``:
+        below it by one ``min``, past it by the ``IndexError`` of its flag."""
         handles = list(handles)
-        if handles and not 0 <= min(handles) <= max(handles) < num_nodes:
-            raise outside_space(min(handles) if min(handles) < 0 else max(handles), num_nodes)
+        if handles and min(handles) < 0:
+            raise outside_space(min(handles), num_nodes)
         flags = bytearray(num_nodes)
-        for handle in handles:
-            flags[handle] = 1
+        try:
+            for handle in handles:
+                flags[handle] = 1
+        except IndexError:
+            raise outside_space(max(handles), num_nodes) from None
         return cls(flags)
 
     def _merged(self, other: "Bitmap", merge: Callable[[int, int], int]) -> "Bitmap":

@@ -15,19 +15,29 @@ objects that hold one and must *replace* it when ``attrs_version`` moves:
 The remove-and-re-add cases of ``tests/test_csr.py``
 (``TestScanCacheAfterNodeChurn``) cover the compiled snapshot's donor rule
 from the stale side; they are not repeated here.
+
+A scan is born as a bitmap of row positions: the last section holds the
+memo's two read-outs — the positions tuple and the bitmap, as it is or
+translated through a pin's index table — to each other on both kernel
+backends, and its counters to the ones the set-and-sort scan counted.
 """
 
 import json
+import os
 import sys
 import threading
+from decimal import Decimal
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.kernels
 from repro.graph.columns import AttributeColumns
 from repro.graph.csr import compile_graph, compiled_snapshot
 from repro.graph.data_graph import DataGraph
-from repro.query.predicates import Predicate
+from repro.query.predicates import AtomicCondition, Predicate
 from repro.session.session import GraphSession
 
 OLD = Predicate.parse("kind = 'old'")
@@ -225,3 +235,102 @@ def test_concurrent_readers_of_one_table_agree_with_the_reference():
     tally = columns.tally
     assert tally.memo_hits + tally.memo_misses == workers * rounds
     assert (tally.memo_misses, tally.columns_built, tally.row_checks) == (len(predicates), 3, 0)
+
+
+# -- the memo's bitmap and its read-outs ---------------------------------------
+
+_BACKENDS = ("numpy", "python") if repro.kernels.HAVE_NUMPY else ("python",)
+_NAN = float("nan")
+#: Mixed types, so rows and constants collide across classes: ints, floats
+#: (NaN and -0.0 too), bools, strs, None, tuples, Decimals.
+_CONSTANTS = st.one_of(
+    st.integers(min_value=-1, max_value=3),
+    st.sampled_from([-0.0, 0.5, 2.0, _NAN]),
+    st.booleans(),
+    st.sampled_from(["", "a", "b"]),
+    st.none(),
+    st.sampled_from([(), (1,), ("a",), (_NAN,)]),
+    st.sampled_from([Decimal(1), Decimal("2.5")]),
+)
+_ROWS = st.lists(
+    st.dictionaries(st.sampled_from("xy"), st.one_of(_CONSTANTS, st.lists(st.integers(0, 1), max_size=2)), max_size=2),
+    max_size=14,
+)
+_PREDICATES = st.builds(
+    Predicate,
+    st.lists(
+        st.builds(AtomicCondition, attribute=st.sampled_from("xy"),
+                  op=st.sampled_from(["<", "<=", "=", "!=", ">", ">="]), value=_CONSTANTS),
+        max_size=3,
+    ),
+)
+
+
+@pytest.mark.slow
+@settings(max_examples=300, deadline=None)
+@given(rows=_ROWS, predicates=st.lists(_PREDICATES, min_size=1, max_size=3), data=st.data())
+def test_scan_bitmap_is_the_bitmap_of_the_scan(rows, predicates, data):
+    """``scan_bitmap(p, n)`` is the bitmap of ``scan(p)``, ``scan_bitmap(p, m,
+    index)`` that of the positions translated through ``index`` (through a
+    later table once one is asked for), and a memo hit answers the very
+    objects of the miss — under each kernel backend."""
+    size = len(rows)
+    width = size + data.draw(st.integers(0, 3), label="extra handles")
+    index = data.draw(st.permutations(range(width)), label="index table")[:size]
+    later = list(reversed(index))  # a pin adopting the table over another base
+    for backend in _BACKENDS:
+        with mock.patch.dict(os.environ, {repro.kernels.KERNEL_ENV_VAR: backend}):
+            columns = AttributeColumns(rows)
+            for predicate in predicates:
+                positions = columns.scan(predicate)
+                assert positions == tuple(i for i, row in enumerate(rows) if predicate.matches(row))
+                rows_bitmap = columns.scan_bitmap(predicate, size)
+                assert rows_bitmap == repro.kernels.bitmap(size, positions)
+                translated = columns.scan_bitmap(predicate, width, index)
+                assert translated == repro.kernels.bitmap(width, [index[p] for p in positions])
+                assert columns.scan(predicate) is positions
+                assert columns.scan_bitmap(predicate, size) is rows_bitmap
+                assert columns.scan_bitmap(predicate, width, index) is translated
+                assert columns.scan(predicate) is positions and list(rows_bitmap) == list(positions)
+                moved = columns.scan_bitmap(predicate, width, later)
+                assert moved == repro.kernels.bitmap(width, [later[p] for p in positions])
+                assert columns.scan_bitmap(predicate, width, later) is moved
+
+
+def test_scan_counters_on_a_fixed_mixed_table():
+    """Memo hits and misses, columns built and per-row checks on a table of
+    every awkward kind: the numbers the set-and-sort scan counted (NaN, a list,
+    a tuple holding NaN and ``None`` can only be checked row by row)."""
+    values = [0, 1, 2.5, _NAN, "a", "b", None, [1], (1, 2), Decimal(1), True, -0.0, (_NAN,), 3]
+    rows = []
+    for i in range(60):
+        row = {}
+        if i % 5:
+            row["x"] = values[i % len(values)]
+        if i % 3:
+            row["y"] = values[(i * 7) % len(values)]
+        rows.append(row)
+
+    def atoms(*triples):
+        return Predicate([AtomicCondition(*triple) for triple in triples])
+
+    predicates = [
+        atoms(("x", "<", 2)),
+        atoms(("x", "=", 1), ("y", "!=", "a")),
+        atoms(("x", "!=", 1)),
+        atoms(("y", ">=", "a"), ("x", "<=", Decimal(1))),
+        atoms(("x", "=", _NAN)),
+        atoms(("y", "<", None), ("x", ">", 0)),
+        atoms(("x", ">=", 0), ("y", "<=", 2.5), ("x", "!=", True)),
+        atoms(),
+        atoms(("x", "<", 2)),
+        atoms(("y", "=", (1, 2))),
+        atoms(("x", "!=", 1)),
+    ]
+    for backend in _BACKENDS:
+        with mock.patch.dict(os.environ, {repro.kernels.KERNEL_ENV_VAR: backend}):
+            columns = AttributeColumns(rows)
+            for predicate in predicates:
+                assert columns.scan(predicate) == tuple(i for i, row in enumerate(rows) if predicate.matches(row))
+            tally = columns.tally
+            assert (tally.memo_hits, tally.memo_misses, tally.columns_built, tally.row_checks) == (2, 9, 2, 140)

@@ -37,8 +37,9 @@ other and to an independent oracle:
 * the candidate **bitmap** (``repro.kernels.bitmap``; one class per backend
   over the same flag bytes) must behave as a Python ``set`` of indices does
   under every operator the evaluators use, on both backends and with one
-  operand of each, and ``expand_frontier`` given a bitmap must answer the
-  bitmap of what it answers the iterable.
+  operand of each, be made from an ``array('q')`` of handles as from any
+  iterable, and ``expand_frontier`` given a bitmap must answer the bitmap of
+  what it answers the iterable.
 """
 
 import contextlib
@@ -350,6 +351,36 @@ def test_bitmap_rejects_a_handle_outside_its_range(handle):
         for origins, nodes in (([handle], [3]), ([3, 0], [4, handle])):
             with pytest.raises(GraphError, match=f"handle {handle} is outside its space of 12 nodes"):
                 kernel.Relation.of(12, origins, nodes)
+
+
+def test_bitmap_of_an_int64_array_and_operators_across_backends():
+    """An ``array('q')`` of handles — what the attribute columns hold — makes a
+    bitmap on either backend (the numpy one reads it in place), range-checked
+    like any iterable; ``&`` and ``|`` answer fresh flags of the left operand's
+    class whichever backend built the right one."""
+    from array import array
+
+    from repro.exceptions import GraphError
+
+    for kind in _bitmap_classes():
+        empty = kind.of(12, array("q"))
+        assert type(empty) is kind and not empty and len(empty.flags) == 12
+        handles = array("q", [11, 0, 4, 4])
+        assert list(kind.of(12, handles)) == [0, 4, 11] and list(handles) == [11, 0, 4, 4]
+        assert list(kind.of(1, array("q", [0]))) == [0]
+        for bad in (-1, 12, -13):
+            with pytest.raises(GraphError, match=f"handle {bad} is outside its space of 12 nodes"):
+                kind.of(12, array("q", [3, bad]))
+    a, b = {0, 3, 5, 11}, {3, 4, 11}
+    for left in _bitmap_classes():
+        for right in _bitmap_classes():
+            x, y = left.of(12, array("q", sorted(a))), right.of(12, sorted(b))
+            for got, kind, expected in ((x & y, left, a & b), (x | y, left, a | b), (y & x, right, a & b),
+                                        (y | x, right, a | b)):
+                assert type(got) is kind and set(got) == expected and len(got.flags) == 12
+                assert got.flags is not x.flags and got.flags is not y.flags
+            assert set(x) == a and set(y) == b  # operands untouched
+            assert set(left.of(12, array("q")) & y) == set() and set(left.of(12, array("q")) | y) == b
 
 
 @pytest.mark.slow

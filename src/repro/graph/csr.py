@@ -44,16 +44,22 @@ ANY_COLOR = -1
 class CsrLayer:
     """One adjacency layer: CSR offsets, flat neighbour array, membership bitmap."""
 
-    __slots__ = ("offsets", "targets", "mask", "_view", "_np")
+    __slots__ = ("offsets", "targets", "mask", "_view", "_np", "closure", "twin")
 
     def __init__(self, offsets: array, targets: array, mask: bytearray):
         self.offsets = offsets
         self.targets = targets
         self.mask = mask
         self._view = memoryview(targets)
-        # Lazily populated by repro.kernels.numpy_kernel: index-typed copies
-        # of (offsets, targets), cached because layers are immutable.
+        # Lazily populated by repro.kernels.numpy_kernel, cached because
+        # layers are immutable: index-typed copies of (offsets, targets), and
+        # the distance-labelled closure (``len`` = its pairs), or False once
+        # its build passed the kernel's budget.
         self._np = None
+        self.closure = None
+        # The layer of the same edges reversed (set by CompiledGraph): its
+        # closure is this one's, transposed.
+        self.twin = None
 
     def neighbors(self, index: int) -> memoryview:
         """Neighbour indices of ``index`` as a zero-copy slice."""
@@ -200,6 +206,7 @@ class CompiledGraph:
             else:
                 fwd_layer = _build_layer(n, fwd_buckets[k])
                 rev_layer = _build_layer(n, rev_buckets[k])
+                fwd_layer.twin, rev_layer.twin = rev_layer, fwd_layer
             fwd.append(fwd_layer)
             rev.append(rev_layer)
         self._fwd = tuple(fwd)
@@ -252,6 +259,9 @@ class CompiledGraph:
             self._rev_any = built
         else:
             self._fwd_any = built
+        built.twin = self._fwd_any if reverse else self._rev_any
+        if built.twin is not None:
+            built.twin.twin = built
         return built
 
     # -- id / colour interning --------------------------------------------------
@@ -336,6 +346,18 @@ class CompiledGraph:
         if color_id == ANY_COLOR:
             return self._any_layer(reverse)
         return (self._rev if reverse else self._fwd)[color_id]
+
+    def closure_stats(self) -> Dict[str, int]:
+        """The closures the numpy kernels keep on this snapshot's layers: how
+        many, the pairs they hold, and how many layers passed the budget."""
+        layers = [*self._fwd, *self._rev, *(a for a in (self._fwd_any, self._rev_any) if a is not None)]
+        asked = [layer.closure for layer in layers if layer.closure is not None]
+        kept = [closure for closure in asked if closure is not False]
+        return {
+            "kernel_closures": len(kept),
+            "kernel_closure_pairs": sum(map(len, kept)),
+            "kernel_closures_over_budget": len(asked) - len(kept),
+        }
 
     def neighbors(self, index: int, color_id: int = ANY_COLOR, reverse: bool = False) -> memoryview:
         """Neighbour indices via one colour layer, as a zero-copy slice."""

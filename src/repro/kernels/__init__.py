@@ -27,7 +27,9 @@ is its definition):
     CSR layer; a start is included exactly when it is re-reached through a
     non-empty path.  A candidate bitmap of starts (:func:`bitmap`) is answered
     as one — the set-level form, no Python collection of ints on either side;
-    any other iterable of indices (the single-start callers) gets a list back.
+    on numpy it is one gather of the starts' rows in the layer's
+    distance-labelled closure (below).  Any other iterable of indices (the
+    single-start callers) gets a list back.
 
 ``bitmap(num_nodes, handles)``
     index space's one candidate-set type: ``Bitmap``, one 0/1 byte per index
@@ -52,7 +54,14 @@ is its definition):
     those nodes — they seed its visited set, so an origin returns to one of
     its starts only through a non-empty cycle — computed for all origins in
     one pass, propagating only newly arrived pairs (the multi-source BFS of
-    Then et al., PVLDB 8(4), 2014).
+    Then et al., PVLDB 8(4), 2014).  Since block semantics is a union over
+    start nodes, numpy answers it as one gather: ``{(o, w) : (o, v) in
+    relation, w in row_bound(v)}``, where row ``v`` of the layer's closure
+    holds every ``w`` with a non-empty ``v -> w`` path sorted by ``(d⁺(v, w),
+    w)`` and ``row_bound`` is its prefix within ``bound`` edges (the Sec. 4
+    distance matrix, stored sparsely, built once per layer; a reverse layer's
+    is its twin's transposed; a layer whose closure would pass
+    ``numpy_kernel.CLOSURE_PAIRS_PER_EDGE`` keeps the level loop).
 
 ``closure_frontier(layers, num_nodes, starts)``
     the unbounded variant over the union of several layers (the affected-

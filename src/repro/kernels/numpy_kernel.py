@@ -1,53 +1,47 @@
 """numpy-vectorised BFS kernels over the CSR layers.
 
-The fast backend of :mod:`repro.kernels`.  A BFS level is evaluated as a
-handful of array operations instead of a per-edge python loop:
+The fast backend of :mod:`repro.kernels`.  A BFS level is a handful of array
+operations instead of a per-edge python loop:
 
 * the level's neighbour multiset is gathered in one shot from the layer's
   flat ``targets`` array — ``offsets`` fancy-indexed by the frontier gives
   per-node slice starts/lengths, and a ``repeat``/``arange`` ramp turns
-  those into one flat gather index;
+  those into one flat gather index (:func:`_gather`);
 * visited/reached state lives in ``bytearray`` bitmaps shared **zero-copy**
   with numpy via ``np.frombuffer(..., bool)``, so vectorised levels and
   python levels mutate the same memory;
-* the next frontier comes out of one of two extraction strategies, chosen
-  per level: *narrow* neighbour sets are deduplicated with ``np.unique``
-  (cost ``O(|nbr| log |nbr|)``), *wide* ones through a reusable boolean
-  scratch mask and ``np.flatnonzero`` (cost ``O(num_nodes)`` but sort-free
-  — the sort is what ruins plain gather-BFS on dense levels).
+* the next frontier comes out of ``np.unique`` when the level is narrow and
+  of a reusable scratch mask and ``np.flatnonzero`` when it is wide (cost
+  ``O(num_nodes)`` but sort-free — the sort ruins gather-BFS on dense levels).
 
 Vectorisation pays a fixed per-level overhead (~tens of microseconds of
-array-call dispatch), which swamps the win on narrow frontiers.  This module
-therefore keeps only the vectorised level: ``_levels``, behind both
-:func:`expand_frontier` (one layer) and :func:`closure_frontier` (several,
-gathered one after another and concatenated), hands a level narrower than
+array-call dispatch), so ``_levels``, behind :func:`expand_frontier` and
+:func:`closure_frontier`, hands a level narrower than
 :data:`VECTOR_MIN_FRONTIER` to :func:`python_kernel.level`, the python
-backend's one scalar level, over the same ``bytearray`` state.  Narrow
-searches never touch numpy at all (the array views are created lazily on the
-first vectorised level); wide fixpoint sweeps and affected-area closures run
-almost entirely vectorised.  A set-level call — :func:`expand_frontier` given
-a candidate :class:`Bitmap` — copies the flags into ``visited``, takes its
-first frontier with one ``flatnonzero``, runs the same levels with the same
-switch, and answers the ``reached`` flags as a :class:`Bitmap`: no Python int
-is boxed on the way in or out.
+backend's one scalar level, over the same ``bytearray`` state: narrow
+searches never touch numpy.
 
 :func:`expand_origins` keeps an origin relation in its key form from seed to
 answer, so no pair of it is ever a Python ``int``: a level gathers the live
 pairs' out-edges as keys, sorts them, drops duplicates with an
 adjacent-difference mask and keeps the ones a ``searchsorted`` does not find
-among the keys seen so far — no per-call ``num_nodes``-sized state.  Only
-the pairs that arrived fresh travel on, so its cost follows the live
-relation; a relation of fewer than :data:`VECTOR_MIN_FRONTIER` pairs is
-handed to :func:`python_kernel.expand_origins` whole, because one origin down
-a long path would otherwise pay the array dispatch once per level.
-:class:`Relation` subclasses the python backend's type with its operators as
-array operations over the same ``array('q')`` (ARCHITECTURE.md has the
-measurements behind the form, and the forms that lost: ``uint64`` word rows,
-dense row arrays, ``int`` rows in object arrays).
+among the keys seen so far (:func:`_fresh`).  A relation of fewer than
+:data:`VECTOR_MIN_FRONTIER` pairs is handed to
+:func:`python_kernel.expand_origins` whole.  :class:`Relation` subclasses the
+python backend's type with its operators as array operations over the same
+``array('q')`` (ARCHITECTURE.md has the forms that lost).
 
-Per-layer ``intp``-typed offset/target arrays are cached on the
-:class:`~repro.graph.csr.CsrLayer` (``_np`` slot) the first time a layer is
-vectorised; layers are topology-immutable, so the cache never invalidates.
+**A bounded block is one gather.**  Each layer keeps its closure labelled by
+distance (:class:`_Closure`: the Sec. 4 distance matrix of one colour as
+sparse rows, like the k-hop index of Cheng et al., PVLDB 2012): row ``v``
+holds every ``w`` with a non-empty ``v -> w`` path, sorted by ``(d⁺(v, w),
+w)``, so the block within ``k`` edges is a prefix of each row.
+:func:`expand_origins` and :func:`expand_frontier` given a :class:`Bitmap`
+read any positive bound as one gather of those prefixes (:func:`_block`; bound
+1 off the layer's own rows).  The level loop stays as the closure's builder
+and for a layer whose closure passes :data:`CLOSURE_PAIRS_PER_EDGE`; a reverse
+layer's closure is its twin's, transposed.  Both ``intp`` arrays and closure
+are cached on the :class:`~repro.graph.csr.CsrLayer`: layers are immutable.
 """
 
 from __future__ import annotations
@@ -79,14 +73,8 @@ _EMPTY = np.empty(0, dtype=np.intp)
 
 
 def _layer_arrays(layer) -> Tuple[np.ndarray, np.ndarray]:
-    """``(offsets, targets)`` as ``intp`` arrays, cached on the layer.
-
-    ``np.frombuffer`` gives zero-copy ``int32`` views of the underlying
-    ``array('i')`` buffers (see :meth:`~repro.graph.csr.CsrLayer.np_views`);
-    the index-typed upcast is paid once per layer so the per-level gathers
-    skip a cast, and is cached in the layer's ``_np`` slot because compiled
-    layers are immutable.
-    """
+    """``(offsets, targets)`` as ``intp`` arrays, upcast once per layer so the
+    gathers skip a cast, and cached in its ``_np`` slot."""
     cached = layer._np
     if cached is None:
         offsets = np.frombuffer(layer.offsets, dtype=np.intc).astype(np.intp)
@@ -96,19 +84,22 @@ def _layer_arrays(layer) -> Tuple[np.ndarray, np.ndarray]:
     return cached
 
 
-def _gather_level(
-    offsets: np.ndarray, targets: np.ndarray, frontier: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
+def _gather(values: np.ndarray, lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``values[lo[i]:lo[i] + counts[i]]`` for every ``i``, as one flat gather."""
+    total = int(counts.sum())
+    if total == 0:
+        return _EMPTY
+    cum = np.cumsum(counts)
+    ramp = np.arange(total, dtype=np.intp) + np.repeat(lo - cum + counts, counts)
+    return values[ramp]
+
+
+def _gather_level(offsets: np.ndarray, targets: np.ndarray, frontier: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The neighbour multiset of one frontier, as one flat gather, and how
     many of it each frontier node gave."""
     lo = offsets[frontier]
     counts = offsets[frontier + 1] - lo
-    total = int(counts.sum())
-    if total == 0:
-        return _EMPTY, counts
-    cum = np.cumsum(counts)
-    ramp = np.arange(total, dtype=np.intp) + np.repeat(lo - cum + counts, counts)
-    return targets[ramp], counts
+    return _gather(targets, lo, counts), counts
 
 
 def _mask(bitmap: python_kernel.Bitmap) -> np.ndarray:
@@ -216,7 +207,14 @@ def _levels(layers, num_nodes: int, starts, bound: Optional[int]):
 def expand_frontier(
     layer, num_nodes: int, starts: Union[python_kernel.Bitmap, Iterable[int]], bound: Optional[int]
 ) -> Union[Bitmap, List[int]]:
-    """Indices at positive distance ``1 … bound`` from any start via one layer."""
+    """Indices at positive distance ``1 … bound`` from any start via one layer:
+    for a bitmap of starts, the union of their blocks as one gather (:func:`_block`)."""
+    if isinstance(starts, python_kernel.Bitmap) and bound != 0:
+        block = _block(layer, num_nodes, bound, np.flatnonzero(_mask(starts)))
+        if block is not None:
+            flags = bytearray(num_nodes)
+            np.frombuffer(flags, dtype=np.bool_)[block[0]] = True
+            return Bitmap(flags)
     return _levels([layer], num_nodes, starts, bound)
 
 
@@ -259,6 +257,20 @@ def _found(known: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return known[np.minimum(np.searchsorted(known, keys), known.size - 1)] == keys
 
 
+def _fresh(arrived: np.ndarray, runs: List[np.ndarray]) -> np.ndarray:
+    """The keys of ``arrived`` in none of ``runs``, added to them as a run.  The runs are
+    disjoint and sorted, each under a 32nd of the size of the one before: a level looks its
+    arrivals up in every run (a handful) and merges only the runs it outgrows, so a deep
+    search never re-copies all it has seen per level (a factor of 2 cost 1.2-1.3x what 32 does)."""
+    if runs:
+        arrived = arrived[~np.any([_found(run, arrived) for run in runs], axis=0)]
+    runs.append(arrived)
+    while len(runs) > 1 and runs[-2].size <= 32 * runs[-1].size:
+        top = runs.pop()
+        runs[-1] = _distinct(np.concatenate((runs[-1], top)), kind="stable")
+    return arrived
+
+
 class Relation(python_kernel.Relation):
     """The origin relation with its operators as array operations over the
     same ``array('q')`` of keys (a zero-copy ``int64`` view)."""
@@ -269,6 +281,8 @@ class Relation(python_kernel.Relation):
     def of(cls, num_nodes: int, origins: Iterable[int], nodes: Iterable[int]) -> "Relation":
         sides = [np.asarray(s if isinstance(s, np.ndarray) else list(s), dtype=np.int64)
                  for s in (origins, nodes)]
+        if sides[0].size != sides[1].size:
+            return python_kernel.Relation.of(num_nodes, *sides)  # raises, naming both lengths
         for side in sides:
             if side.size and not 0 <= side.min() <= side.max() < num_nodes:
                 bad = side.min() if side.min() < 0 else side.max()
@@ -300,22 +314,18 @@ class Relation(python_kernel.Relation):
 def expand_origins(
     layer, num_nodes: int, relation: python_kernel.Relation, bound: Optional[int]
 ) -> python_kernel.Relation:
-    """Push an origin relation through one layer, all origins at once.
-
-    Same contract and results as :func:`python_kernel.expand_origins`; the
-    module docstring has the level.  A relation of fewer than
-    :data:`VECTOR_MIN_FRONTIER` pairs is the python backend's call: its levels
-    stay as narrow as its seed on the paths queries walk.
-    """
+    """Push an origin relation through one layer, all origins at once: the
+    contract and results of :func:`python_kernel.expand_origins`, and its call
+    for a relation of fewer than :data:`VECTOR_MIN_FRONTIER` pairs."""
     seen = _keys(relation)
     if bound == 0 or seen.size < VECTOR_MIN_FRONTIER:
         return python_kernel.expand_origins(layer, num_nodes, relation, bound)
+    node = seen % num_nodes
+    block = _block(layer, num_nodes, bound, node)
+    if block is not None:
+        gathered, counts = block
+        return _stored(num_nodes, _distinct(np.repeat(seen - node, counts) + gathered))
     offsets, targets = _layer_arrays(layer)
-    # The seen keys as disjoint sorted runs, each under a 32nd of the size of
-    # the one before: a level looks its arrivals up in every run (a handful)
-    # and merges only the runs it outgrows, so a deep search never re-copies
-    # all it has seen per level.  On 16-64 origins down an 8 350-node path a
-    # factor of 2 (up to 13 runs) cost 1.2-1.3x what 32 does.
     live, runs, arrivals = seen, [seen], []
     while live.size:
         node = live % num_nodes
@@ -324,10 +334,90 @@ def expand_origins(
         arrivals.append(arrived)
         if len(arrivals) == bound or not arrived.size:
             break
-        live = arrived[~np.any([_found(run, arrived) for run in runs], axis=0)]
-        runs.append(live)
-        while len(runs) > 1 and runs[-2].size <= 32 * runs[-1].size:
-            top = runs.pop()
-            runs[-1] = _distinct(np.concatenate((runs[-1], top)), kind="stable")
+        live = _fresh(arrived, runs)
     reached = arrivals[0] if len(arrivals) == 1 else _distinct(np.concatenate(arrivals))
     return _stored(num_nodes, reached)
+
+
+# -- distance-labelled closures: a bounded block is one gather ----------------------
+
+#: A layer keeps its closure while it holds at most this many pairs per edge;
+#: past it a build stops and the layer keeps the level loop.  Colour layers
+#: hold 3.6-6.0 pairs per edge on the paper graph and the served one, the
+#: paper graph's wildcard layer 4.3 within 2 edges, 14.1 within 3, 42.8 within 4.
+#: At 4 / 8 / 16 / 64 its build gives up after 10 / 46 / 146 / 455 ms (a colour
+#: layer's completes in 8-13 ms); at 4 three colours keep the level loop, and
+#: an in-process ``lib_paper`` script's folds and refinements take 212-233 ms
+#: against 117-130 at 8 or 16 (three runs each, 2-core x86 VM).
+CLOSURE_PAIRS_PER_EDGE = 8
+
+
+class _Closure:
+    """A layer's closure labelled by distance: row ``v``, ``cols[starts[v]:starts[v + 1]]``,
+    holds every ``w`` with a non-empty ``v -> w`` path sorted by ``(d⁺(v, w), w)``, ``d⁺``
+    in ``dist``; its row lengths within ``k`` edges are built when ``k`` is first asked.
+    Each array has the narrowest signed type holding it (``np.min_scalar_type(-1 - top)``)."""
+
+    __slots__ = ("starts", "cols", "dist", "depth", "_counts")
+
+    def __init__(self, num_nodes: int, rows: np.ndarray, cols: np.ndarray, dist: np.ndarray):
+        """The pairs ``(rows[i], cols[i])`` at ``dist[i]``, by one sort of ``(row, d⁺, col)`` keys."""
+        self.depth = int(dist.max(initial=0))
+        keys = np.sort((rows.astype(np.int64) * (self.depth + 1) + dist) * num_nodes + cols)
+        rows, cols = np.divmod(keys, num_nodes)
+        rows, dist = np.divmod(rows, self.depth + 1)
+        self.starts = np.zeros(num_nodes + 1, dtype=np.min_scalar_type(-1 - cols.size))
+        np.cumsum(np.bincount(rows, minlength=num_nodes), out=self.starts[1:])
+        self.cols, self.dist = cols.astype(np.int32), dist.astype(np.min_scalar_type(-1 - self.depth))
+        self._counts = {}
+
+    def __len__(self) -> int:
+        return self.cols.size
+
+    def counts(self, bound: Optional[int]) -> np.ndarray:
+        """Per row, how many of it lie within ``bound`` edges (``None``: all)."""
+        bound = self.depth if bound is None else min(bound, self.depth)
+        if bound not in self._counts:
+            within = np.concatenate(([0], np.cumsum(self.dist <= bound)))
+            counts = within[self.starts[1:]] - within[self.starts[:-1]]
+            self._counts[bound] = counts.astype(np.min_scalar_type(-1 - int(counts.max(initial=0))))
+        return self._counts[bound]
+
+
+def _build_closure(layer, num_nodes: int) -> Union[_Closure, bool]:
+    """The layer's closure by one search on keys from every node at once, the
+    starts left unseen so each pair is fresh at its ``d⁺`` — ``False`` once it
+    passes the budget (or its ``(row, d⁺, col)`` keys would pass ``int64``)."""
+    offsets, targets = _layer_arrays(layer)
+    budget = CLOSURE_PAIRS_PER_EDGE * targets.size
+    live, runs, levels = np.arange(num_nodes, dtype=np.int64) * (num_nodes + 1), [], []
+    while live.size:
+        node = live % num_nodes
+        gathered, counts = _gather_level(offsets, targets, node)
+        live = _fresh(_distinct(np.repeat(live - node, counts) + gathered), runs)
+        levels.append(live)
+        if sum(map(len, levels)) > budget or num_nodes**2 * len(levels) >= 2**62:
+            return False
+    dist = np.repeat(np.arange(1, len(levels) + 1), [level.size for level in levels])
+    return _Closure(num_nodes, *np.divmod(np.concatenate(levels or [_EMPTY]), num_nodes), dist)
+
+
+def _block(layer, num_nodes: int, bound: Optional[int], nodes: np.ndarray):
+    """``(reached, counts)``: what each of ``nodes`` reaches by ``1 … bound``
+    edges, as one gather — the layer's own rows at bound 1, else prefixes of
+    its closure's rows — or ``None`` where the closure passed the budget."""
+    if bound == 1:
+        return _gather_level(*_layer_arrays(layer), nodes)
+    if layer.closure is None:
+        twin = None if layer.twin is None else layer.twin.closure
+        if twin is None:
+            layer.closure = _build_closure(layer, num_nodes)
+        elif twin is False:
+            layer.closure = False
+        else:  # the twin's transposed: (w, v) at the label of (v, w)
+            rows = np.repeat(np.arange(num_nodes), np.diff(twin.starts))
+            layer.closure = _Closure(num_nodes, twin.cols, rows, twin.dist)
+    if layer.closure is False:
+        return None
+    counts = layer.closure.counts(bound)[nodes]
+    return _gather(layer.closure.cols, layer.closure.starts[nodes], counts), counts

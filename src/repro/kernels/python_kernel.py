@@ -1,10 +1,9 @@
 """Pure-python BFS kernels over ``array`` + ``memoryview`` CSR layers.
 
-The dependency-free fallback backend of :mod:`repro.kernels`: plain int
-lists for frontiers, ``bytearray`` bitmaps for visited/reached state, and
-zero-copy ``memoryview`` slices into the layer's flat ``targets`` array.
-Selected automatically when numpy is absent, or forced with
-``REPRO_KERNELS=python``.
+The dependency-free fallback backend of :mod:`repro.kernels` (selected when
+numpy is absent, or by ``REPRO_KERNELS=python``): plain int lists for
+frontiers, ``bytearray`` bitmaps for visited/reached state, and zero-copy
+``memoryview`` slices into the layer's flat ``targets`` array.
 
 Every entry point implements the block semantics shared with
 :mod:`repro.kernels.numpy_kernel` (asserted equal by the differential suite
@@ -121,6 +120,8 @@ class Relation:
     def of(cls, num_nodes: int, origins: Iterable[int], nodes: Iterable[int]) -> "Relation":
         """The pairs ``(origins[i], nodes[i])``, each index range-checked; a pair may recur."""
         origins, nodes = list(origins), list(nodes)
+        if len(origins) != len(nodes):
+            raise GraphError(f"relation sides of unequal length: {len(origins)} origins, {len(nodes)} nodes")
         for side in (origins, nodes):
             if side and not 0 <= min(side) <= max(side) < num_nodes:
                 raise outside_space(min(side) if min(side) < 0 else max(side), num_nodes)
@@ -189,9 +190,8 @@ def level(
 
 
 def _levels(layers, num_nodes: int, starts: Union[Bitmap, Iterable[int]], bound: Optional[int]):
-    """Block-semantics BFS over the union of ``layers``, up to ``bound`` levels:
-    a :class:`Bitmap` for a :class:`Bitmap` of starts, else the list in
-    discovery order."""
+    """Block-semantics BFS over the union of ``layers``, up to ``bound`` levels: a
+    :class:`Bitmap` for a :class:`Bitmap` of starts, else the list in discovery order."""
     if isinstance(starts, Bitmap):
         visited, frontier = bytearray(starts.flags), list(starts)
     else:

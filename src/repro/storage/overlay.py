@@ -557,6 +557,9 @@ class OverlayCsrStore(OverlayReads):
         # One tally per graph: the base's scans and every pinned table's.
         for name in ("memo_hits", "memo_misses", "columns_built", "row_checks"):
             stats[f"scan_{name}"] = 0 if base is None else getattr(base.scans.tally, name)
+        closures = {} if base is None else base.closure_stats()
+        for name in ("kernel_closures", "kernel_closure_pairs", "kernel_closures_over_budget"):
+            stats[name] = closures.get(name, 0)
         return stats
 
     def __repr__(self) -> str:

@@ -39,7 +39,13 @@ other and to an independent oracle:
   under every operator the evaluators use, on both backends and with one
   operand of each, be made from an ``array('q')`` of handles as from any
   iterable, and ``expand_frontier`` given a bitmap must answer the bitmap of
-  what it answers the iterable.
+  what it answers the iterable;
+* the numpy backend's distance-labelled **closures** (a bounded block as one
+  gather) must equal the python level loop and the oracle on cold layers,
+  with the budget as shipped and at 0 (the level loop), row by row equal to
+  BFS distances, a reverse layer's transposed closure equal to its own
+  search, labels past one byte on a deep path; they are built once per
+  layer pair, a rebuilt colour starts cold, and ``store_stats()`` counts them.
 """
 
 import contextlib
@@ -751,3 +757,203 @@ class TestKernelSurfacing:
         stats = session.store_stats()
         assert stats["store"] == "overlay-csr"
         assert stats["kernel"] == active_kernel_name()
+
+
+# -- relation sides --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lengths", [(3, 1), (3, 2), (0, 2), (1, 0)])
+def test_relation_sides_of_unequal_length_raise_on_every_backend(lengths):
+    # Neither a broadcast (numpy took [1, 2, 3] x [5] as three pairs) nor a
+    # zip cut short (the python backend kept one): a GraphError naming both.
+    from repro.exceptions import GraphError
+
+    origins, nodes = list(range(lengths[0])), list(range(lengths[1]))
+    for kernel in _origin_backends():
+        with pytest.raises(GraphError, match=rf"{lengths[0]} origins.*{lengths[1]} nodes"):
+            kernel.Relation.of(10, origins, nodes)
+
+
+# -- distance-labelled closures (numpy) --------------------------------------------
+
+_numpy_only = pytest.mark.skipif(not HAVE_NUMPY, reason="the closures are the numpy backend's")
+
+
+def _distance_rows(graph, compiled, color, reverse):
+    """Per node ``v``, its ``(d⁺(v, w), w)`` ascending: BFS over the raw edge list."""
+    table = {}
+    for colour, rows in _index_adjacency(graph, compiled, reverse).items():
+        if color is None or colour == color:
+            for node, targets in rows.items():
+                table.setdefault(node, []).extend(targets)
+    result = []
+    for start in range(compiled.num_nodes):
+        dist, frontier, depth = {}, [start], 0  # the start is unseen: it is reached by a cycle or not at all
+        while frontier:
+            depth += 1
+            advanced = []
+            for node in frontier:
+                for nxt in table.get(node, ()):
+                    if nxt not in dist:
+                        dist[nxt] = depth
+                        advanced.append(nxt)
+            frontier = advanced
+        result.append(sorted((d, w) for w, d in dist.items()))
+    return result
+
+
+def _closure_rows(closure):
+    """Each row of a closure as its ``(d⁺, w)`` pairs, in stored order."""
+    return [
+        list(zip(closure.dist[lo:hi].tolist(), closure.cols[lo:hi].tolist()))
+        for lo, hi in zip(closure.starts[:-1].tolist(), closure.starts[1:].tolist())
+    ]
+
+
+@_numpy_only
+@pytest.mark.slow
+@settings(max_examples=150, deadline=None)
+@given(origin_relation(), st.sets(st.integers(0, 11)), st.sampled_from((None, *range(1, 13))), st.booleans())
+def test_property_closure_gather_matches_level_loop_and_oracle(case, members, bound, reverse):
+    # Every colour and the wildcard, each on freshly compiled (cold) layers:
+    # with the budget as shipped the bounded block is one gather over the
+    # closure, with the budget at 0 it is the level loop; both must equal the
+    # python backend's level loop and bfs_block_frontier, for a relation (the
+    # numpy hand-off off) and a bitmap of any width.
+    graph, origins, nodes = case
+    for color in (*_COLORS, None):
+        for budget in (numpy_kernel.CLOSURE_PAIRS_PER_EDGE, 0):
+            compiled = compile_graph(graph)
+            color_id = compiled.color_id(color)
+            if color_id is None:
+                continue
+            n = compiled.num_nodes
+            starts = {member for member in members if member < n}
+            layer = compiled.layer(color_id, reverse=reverse)
+            with _patched(numpy_kernel, CLOSURE_PAIRS_PER_EDGE=budget, VECTOR_MIN_FRONTIER=1):
+                pushed = numpy_kernel.expand_origins(layer, n, numpy_kernel.Relation.of(n, origins, nodes), bound)
+                spread = numpy_kernel.expand_frontier(layer, n, numpy_kernel.Bitmap.of(n, starts), bound)
+            level_loop = python_kernel.expand_origins(layer, n, python_kernel.Relation.of(n, origins, nodes), bound)
+            oracle = {
+                (origin, reached)
+                for origin, node in set(zip(origins, nodes))
+                for reached in _oracle_expand(graph, compiled, [node], color, bound, reverse)
+            }
+            assert pushed == level_loop and _members(pushed) == oracle
+            assert list(pushed.keys) == sorted(set(pushed.keys))
+            assert isinstance(spread, numpy_kernel.Bitmap)
+            assert spread == python_kernel.expand_frontier(layer, n, python_kernel.Bitmap.of(n, starts), bound)
+            assert set(spread) == _oracle_expand(graph, compiled, starts, color, bound, reverse)
+            if bound == 1:  # the layer's own rows: no closure asked
+                assert layer.closure is None
+                continue
+            assert (layer.closure is False) == (budget == 0 and layer.num_edges > 0)
+            if layer.closure is not False:
+                assert _closure_rows(layer.closure) == _distance_rows(graph, compiled, color, reverse)
+                assert len(layer.closure) <= budget * layer.num_edges
+                # The twin's closure, transposed from this one, is what its own search builds.
+                twin = compiled.layer(color_id, reverse=not reverse)
+                numpy_kernel._block(twin, n, None, numpy_kernel._EMPTY)
+                searched = numpy_kernel._build_closure(twin, n)
+                for name in ("starts", "cols", "dist"):
+                    assert getattr(twin.closure, name).tolist() == getattr(searched, name).tolist()
+
+
+@_numpy_only
+def test_closure_of_a_deep_path_keeps_distances_past_one_byte():
+    # A 301-node path is 45 150 pairs over 300 edges; an out-star of 6 300
+    # leaves (one pair per edge) brings the layer within the budget, so the
+    # closure is kept, labelled up to 300: past int8 and uint8 alike.
+    length, leaves = 301, 6300
+    graph = DataGraph(name="deep-closure")
+    for node in range(length + 1 + leaves):
+        graph.add_node(node)
+    for node in range(length - 1):
+        graph.add_edge(node, node + 1, "r")
+    for leaf in range(length + 1, length + 1 + leaves):
+        graph.add_edge(length, leaf, "r")
+    compiled = compile_graph(graph)
+    n = compiled.num_nodes
+    layer = compiled.layer(compiled.color_id("r"))
+    path = [compiled.node_index(node) for node in range(length)]
+    for bound in (None, 300, 299, 129, 128, 127):
+        got = numpy_kernel.expand_frontier(layer, n, numpy_kernel.Bitmap.of(n, path[:1]), bound)
+        assert set(got) == set(path[1:(length if bound is None else bound + 1)])
+        every_15th = path[::15]  # 21 origins: past the python hand-off
+        seeds = numpy_kernel.Relation.of(n, every_15th, every_15th)
+        assert numpy_kernel.expand_origins(layer, n, seeds, bound) == python_kernel.expand_origins(
+            layer, n, python_kernel.Relation.of(n, every_15th, every_15th), bound
+        )
+    closure = layer.closure
+    assert closure is not False and len(closure) == length * (length - 1) // 2 + leaves
+    assert len(closure) <= numpy_kernel.CLOSURE_PAIRS_PER_EDGE * layer.num_edges
+    assert closure.depth == int(closure.dist.max()) == length - 1
+    assert layer.twin.closure is None  # nothing asked the reverse layer
+
+
+@_numpy_only
+def test_closure_is_built_once_per_layer_pair_and_a_compaction_starts_cold(monkeypatch):
+    from repro.query.rq import ReachabilityQuery
+    from repro.session import GraphSession
+
+    monkeypatch.setenv(KERNEL_ENV_VAR, "numpy")
+    built = []
+    build = numpy_kernel._build_closure
+    monkeypatch.setattr(numpy_kernel, "_build_closure", lambda layer, n: built.append(layer) or build(layer, n))
+    graph = DataGraph(name="closure-lifecycle")
+    for node in range(48):
+        graph.add_node(node, half=node % 2)
+    for node in range(0, 48, 2):
+        graph.add_edge(node, node + 1, "g")
+        graph.add_edge(node + 1, node, "g")
+    for node in range(0, 48, 3):
+        graph.add_edge(node, node + 1, "r")
+        graph.add_edge(node + 1, node + 2, "r")
+    session = GraphSession(graph, engine="csr")
+    session.execute(ReachabilityQuery(None, None, "r^2.g^3"))  # forwards, from all 48 nodes
+    base = graph.overlay_store().base()
+    r_id, g_id = base.color_id("r"), base.color_id("g")
+    assert built == [base.layer(r_id), base.layer(g_id)]
+    # Backwards from the 24 targets: the reverse layers transpose their twins.
+    session.execute(ReachabilityQuery(None, "half = 1", "r^3.g^2"))
+    session.execute(ReachabilityQuery("half = 0", None, "r^4.g^4"))
+    assert len(built) == 2
+    assert all(base.layer(k, reverse).closure for k in (r_id, g_id) for reverse in (False, True))
+    stats = session.store_stats()
+    assert stats["kernel_closures"] == 4 and stats["kernel_closures_over_budget"] == 0
+    # An edge of colour r, folded in: the new base's r layers start cold, and
+    # the g layers it adopted unchanged keep their closures with them.
+    session.apply_updates([("add", 0, 5, "r")])
+    graph.overlay_store().compact()
+    fresh = graph.overlay_store().base()
+    assert fresh is not base
+    assert fresh.layer(r_id).closure is None and fresh.layer(r_id, True).closure is None
+    assert fresh.layer(g_id) is base.layer(g_id) and fresh.layer(g_id).closure
+    session.execute(ReachabilityQuery(None, None, "r^2.g^2"))
+    assert built[2:] == [fresh.layer(r_id)]
+
+
+@_numpy_only
+def test_store_stats_count_the_closures_and_the_layers_over_budget(monkeypatch):
+    from repro.query.rq import ReachabilityQuery
+    from repro.session import GraphSession
+
+    monkeypatch.setenv(KERNEL_ENV_VAR, "numpy")
+    # Colour a: sixteen 2-cycles, 4 pairs each (1 per edge).  Colour b: one
+    # 40-node path, 780 pairs over 39 edges (20 per edge): over the budget.
+    graph = DataGraph(name="closure-stats")
+    for node in range(40):
+        graph.add_node(node)
+    for node in range(0, 32, 2):
+        graph.add_edge(node, node + 1, "a")
+        graph.add_edge(node + 1, node, "a")
+    for node in range(39):
+        graph.add_edge(node, node + 1, "b")
+    session = GraphSession(graph, engine="csr")
+    session.execute(ReachabilityQuery(None, None, "a^2"))
+    assert {name: session.store_stats()[name] for name in ("kernel_closures", "kernel_closure_pairs")} == {
+        "kernel_closures": 1, "kernel_closure_pairs": 64,
+    }
+    session.execute(ReachabilityQuery(None, None, "b^3"))
+    stats = session.store_stats()
+    assert (stats["kernel_closures"], stats["kernel_closure_pairs"], stats["kernel_closures_over_budget"]) == (1, 64, 1)

@@ -176,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument(
         "--matrix",
         action="store_true",
-        help="attach a distance matrix to the session before planning",
+        help="attach a distance matrix to the session before planning "
+        "(the planner uses it below 64 nodes; --method matrix forces it)",
     )
     plan.add_argument(
         "--execute",

@@ -56,24 +56,18 @@ DEFAULT_SESSION_REGISTRY_CAPACITY = 8
 
 # -- planner thresholds ---------------------------------------------------------
 #
-# The cost model of repro.session.planner reads graph/query features
-# (node/edge counts, colour cardinalities, pattern size and diameter, regex
-# shape) and compares them against these cut-offs.  They are deliberately
-# coarse: the paper's own observation is that the algorithms dominate in
-# *regimes*, not at precise sizes, so the planner only needs the right order
-# of magnitude.
+# repro.session.planner makes one size-based choice; every other knob takes
+# its default unless the caller forces it (see the planner's module docstring).
 
-#: Below this many data nodes the dict engine wins: the one-off CSR snapshot
-#: compile and index translation outweigh flat-array expansion on toy graphs.
+#: Below this many data nodes the planner stays on the dict engine, and only
+#: there does an attached distance matrix answer queries.  Measured on fresh
+#: sessions (first query including the CSR compile, plus 20 more; numpy
+#: kernel, 2-core x86 VM), dict vs csr: 16 nodes 10.6 vs 17.8 ms, 64 nodes
+#: 20.0 vs 23.3, 128 nodes 24.6 vs 25.4, 256 nodes 36.4 vs 34.1, 1 000 nodes
+#: 112 vs 76 — the crossover lies between 128 and 256 nodes, and the python
+#: kernel ties at 64 (20.0 vs 19.2 ms).  Below 64 an attached matrix ties
+#: dict search on RQs; from 256 nodes up csr search beats it 2.2-13x.
 SMALL_GRAPH_NODES = 64
-
-#: Above this many data nodes a quadratic distance matrix stops being a
-#: realistic index, matrix or not — the planner falls back to search.
-MATRIX_MAX_NODES = 4096
-
-#: Below this many data edges a full recompute per update is cheaper than the
-#: delta machinery's affected-area bookkeeping.
-TINY_GRAPH_EDGES = 128
 
 #: Overlay fraction (net overlay edges / base edges) above which an
 #: :class:`~repro.storage.overlay.OverlayCsrStore` folds its overlay into a
@@ -87,12 +81,6 @@ OVERLAY_COMPACTION_FRACTION = 0.25
 #: folding a handful of edges into a recompile is not worth it on any graph
 #: large enough for the CSR engine in the first place.
 OVERLAY_MIN_COMPACTION_EDGES = 16
-
-#: Pattern edge/node ratio above which the planner prefers SplitMatch: dense
-#: (cyclic) patterns re-check the same candidate sets through many
-#: constraints, which the partition-relation representation shares, while
-#: JoinMatch's SCC-ordered worklist wins on sparse, DAG-like patterns.
-DENSE_PATTERN_EDGE_RATIO = 1.0
 
 # -- canonical forms and the semantic result cache ------------------------------
 #

@@ -1,37 +1,33 @@
-"""Cost-based query planning for :class:`~repro.session.session.GraphSession`.
+"""Query planning for :class:`~repro.session.session.GraphSession`.
 
 The paper presents two PQ algorithms (JoinMatch and SplitMatch) and two RQ
-strategies (distance matrix vs bidirectional search) and observes that each
-dominates in a different regime; PR 1 added a second evaluation engine on top
-(adjacency dicts vs compiled CSR arrays).  Before the session API, every call
-site re-decided those knobs by hand.  :func:`plan_query` centralises the
-decision: it reads graph statistics (:mod:`repro.graph.stats`) and query
-shape features and returns a :class:`QueryPlan` — the algorithm, engine,
-method and maintenance strategy one prepared query will run with, plus the
-reasons for every choice (rendered by :meth:`QueryPlan.explain`).
+strategies (distance matrix vs bidirectional search); the repository adds a
+second evaluation engine (adjacency dicts vs compiled CSR arrays) and two
+maintenance strategies (delta vs recompute).  :func:`plan_query` decides
+those knobs for one query from graph statistics (:mod:`repro.graph.stats`)
+and returns a :class:`QueryPlan` — the algorithm, engine, method and
+maintenance strategy it will run with, plus one reason per choice (rendered
+by :meth:`QueryPlan.explain`).
 
-The cost model is a small decision table over coarse features (the paper's
-regimes are orders of magnitude apart, so coarse is enough):
+The decision table keeps only the rules a measurement supports:
 
+* **unsatisfiable pruning** (exact, not a cost rule) — a constraint naming a
+  colour with zero edges in the graph cannot be traversed (every atom
+  consumes at least one edge of its colour), so the plan short-circuits to
+  the empty answer;
 * **engine** — dict below :data:`~repro.session.defaults.SMALL_GRAPH_NODES`
-  nodes (snapshot compilation outweighs flat-array wins on toy graphs),
-  CSR otherwise;
-* **RQ method** — the distance matrix when one is attached and the graph is
-  small enough for a quadratic index, bidirectional search otherwise;
-* **PQ algorithm** — bounded simulation when every edge constraint is a
-  single wildcard atom (the colour-blind relaxation is then exact),
-  SplitMatch for dense/cyclic patterns (edge/node ratio above
-  :data:`~repro.session.defaults.DENSE_PATTERN_EDGE_RATIO`), JoinMatch for
-  sparse DAG-like patterns;
-* **unsatisfiable pruning** — an F-class constraint naming a colour with
-  zero edges in the graph cannot be traversed (every atom consumes at least
-  one edge of its colour), so the plan short-circuits to the empty answer;
-* **maintenance** — full recompute below
-  :data:`~repro.session.defaults.TINY_GRAPH_EDGES` edges, delta otherwise.
+  nodes, CSR otherwise;
+* **distance matrix** — an attached, fresh matrix answers RQs only below the
+  same threshold, where the engine is dict anyway; PQs search;
+* **everything else is the default** — bidirectional search for RQs,
+  JoinMatch for PQs, the NFA product for general RQs, delta maintenance.
 
 Every knob can be forced by the caller (``engine=``, ``method=``,
-``algorithm=``, ``strategy=``); a forced choice is honoured verbatim and
-recorded as such in the plan's reasons.
+``algorithm=``, ``strategy=``; ``None`` and ``"auto"`` mean "planner's
+choice"); a forced choice is honoured verbatim and recorded as such in the
+plan's reasons.  SplitMatch, bounded simulation, full recompute and the
+matrix for a PQ or on a larger graph (``method="matrix"``, for RQs and PQs
+alike) are reachable only that way.
 """
 
 from __future__ import annotations
@@ -43,20 +39,15 @@ from repro.exceptions import QueryError
 from repro.graph.stats import GraphStats
 from repro.kernels import active_kernel_name
 from repro.session.defaults import (
-    DENSE_PATTERN_EDGE_RATIO,
     ENGINES,
-    MATRIX_MAX_NODES,
     OVERLAY_COMPACTION_FRACTION,
     RQ_METHODS,
     SMALL_GRAPH_NODES,
     STRATEGIES,
-    TINY_GRAPH_EDGES,
 )
 
-#: Algorithms the planner can emit, per query kind.
-RQ_ALGORITHMS = ("matrix", "bidirectional", "bfs")
+#: PQ algorithms a caller may force (the planner itself picks ``"join"``).
 PQ_ALGORITHMS = ("join", "split", "bounded-simulation", "naive")
-GENERAL_RQ_ALGORITHMS = ("nfa-product",)
 
 
 @dataclass(frozen=True)
@@ -68,7 +59,8 @@ class QueryPlan:
     kind:
         ``"rq"``, ``"general_rq"`` or ``"pq"``.
     algorithm:
-        The evaluation algorithm (see the ``*_ALGORITHMS`` tuples).
+        The evaluation algorithm: the RQ method, ``"nfa-product"``, one of
+        :data:`PQ_ALGORITHMS`, or ``"pruned"``.
     engine:
         Resolved evaluation engine, ``"dict"``, ``"csr"`` or
         ``"partitioned"`` (never ``"auto"`` — the planner's job is to
@@ -174,6 +166,22 @@ def with_cache_decision(
     return replace(plan, cache=decision, reasons=reasons)
 
 
+def with_engine_reason(plan: QueryPlan, reason: str) -> QueryPlan:
+    """A copy of ``plan`` whose engine reason is ``reason``.
+
+    For a caller that passed ``engine=`` on someone else's behalf (a pinned
+    read of a partitioned session substitutes dict): the plan then says why
+    instead of "forced by caller".
+    """
+    forced = _forced("engine", plan.engine)
+    reasons = tuple(reason if line == forced else line for line in plan.reasons)
+    return replace(plan, reasons=reasons)
+
+
+def _forced(knob: str, value: str) -> str:
+    return f"{knob}={value} forced by caller"
+
+
 def _query_kind(query) -> str:
     # Imported lazily to keep this module importable without the full
     # matching stack (and to avoid import cycles at package-import time).
@@ -215,6 +223,29 @@ def _pattern_diameter(pattern) -> int:
     return best
 
 
+def _features(kind, query, stats: GraphStats, has_matrix: bool) -> Dict[str, object]:
+    """The raw feature values a plan records for ``query``."""
+    features: Dict[str, object] = {
+        "num_nodes": stats.num_nodes,
+        "num_edges": stats.num_edges,
+        "num_colors": stats.num_colors,
+    }
+    if kind == "general_rq":
+        features["regex"] = str(query.regex)
+        return features
+    if kind == "rq":
+        features["regex_atoms"] = query.regex.num_atoms
+        features["regex_has_wildcard"] = query.regex.has_wildcard
+        features["regex_max_length"] = query.regex.max_length
+    else:
+        features["pattern_nodes"] = query.num_nodes
+        features["pattern_edges"] = query.num_edges
+        features["pattern_size"] = query.size
+        features["pattern_diameter"] = _pattern_diameter(query)
+    features["has_matrix"] = has_matrix
+    return features
+
+
 def _missing_colors(regexes, stats: GraphStats):
     """Concrete constraint colours with zero edges in the graph."""
     missing = set()
@@ -225,15 +256,68 @@ def _missing_colors(regexes, stats: GraphStats):
     return sorted(missing)
 
 
+def _use_matrix(kind, has_matrix, engine, method, stats: GraphStats, reasons) -> bool:
+    """Whether the session's distance matrix serves this plan.
+
+    ``method="matrix"`` forces it for an RQ or a PQ.  Unforced, only an RQ
+    reads an attached matrix, and only below :data:`SMALL_GRAPH_NODES`,
+    where the engine is dict anyway.  Measured on warm sessions (20 RQs /
+    10 PQs per graph): at 16-63 nodes matrix RQs tie dict search (4.4 / 5.2
+    / 7.8 vs 4.4 / 5.1 / 7.2 ms) while matrix PQs run 10-13% slower; at
+    256 / 1 000 / 2 000 nodes csr search is 2.2 / 3.3 / 4.3x faster on RQs
+    and 2.3 / 5.9 / 13x on PQs, and the matrix build alone takes 0.1 / 1.6 /
+    7.7 s.
+    """
+    if method == "matrix":
+        if not has_matrix:
+            raise QueryError(
+                "method='matrix' forced but the session has no distance matrix attached"
+            )
+        if engine in ("csr", "partitioned"):
+            raise QueryError("the matrix method runs on the dict engine only")
+        reasons.append(_forced("method", method))
+        return True
+    if not has_matrix or method is not None:
+        return False
+    if engine in ("csr", "partitioned"):
+        reasons.append(
+            f"engine={engine} forced: the matrix is a dict-engine index, "
+            "searching instead"
+        )
+        return False
+    if kind == "pq":
+        reasons.append(
+            "distance matrix attached but PQ edge joins search: matrix mode "
+            "measured slower at every graph size (method='matrix' forces it)"
+        )
+        return False
+    if stats.num_nodes >= SMALL_GRAPH_NODES:
+        reasons.append(
+            "distance matrix attached but the graph is too large for the dict "
+            f"engine ({stats.num_nodes} >= {SMALL_GRAPH_NODES} nodes): searching instead"
+        )
+        return False
+    reasons.append(
+        f"distance matrix attached and the graph is small ({stats.num_nodes} < "
+        f"{SMALL_GRAPH_NODES} nodes): evaluating with matrix lookups"
+    )
+    return True
+
+
 def _resolve_engine(
-    engine: Optional[str], stats: GraphStats, reasons, forced_dict_reason: Optional[str] = None
+    engine: Optional[str], stats: GraphStats, reasons, matrix_forced: bool = False
 ) -> str:
-    if engine in ("dict", "csr", "partitioned"):
-        reasons.append(f"engine={engine} forced by caller")
+    if engine is not None:
+        reasons.append(_forced("engine", engine))
         return engine
-    if forced_dict_reason is not None:
-        reasons.append(forced_dict_reason)
+    if matrix_forced:
+        reasons.append("method=matrix forced: the matrix is a dict-engine index")
         return "dict"
+    # Measured on fresh sessions (first query including the CSR compile,
+    # plus 20 more; numpy kernel, dict vs csr): 16 nodes 10.6 vs 17.8 ms,
+    # 64 nodes 20.0 vs 23.3, 128 nodes 24.6 vs 25.4, 256 nodes 36.4 vs 34.1,
+    # 1 000 nodes 112 vs 76.  The crossover lies between 128 and 256 nodes;
+    # the python kernel ties at 64 (20.0 vs 19.2 ms).
     if stats.num_nodes < SMALL_GRAPH_NODES:
         reasons.append(
             f"graph has {stats.num_nodes} nodes (< {SMALL_GRAPH_NODES}): snapshot "
@@ -255,9 +339,11 @@ def _resolve_store(engine: str, overlay_stats, reasons, features) -> str:
     has one active (an update stream is in flight), its live occupancy is
     recorded in the plan features and rendered by ``explain()``.
     """
+    if engine == "dict":
+        return "dict"
+    kernel = active_kernel_name()
+    features["kernel"] = kernel
     if engine == "partitioned":
-        kernel = active_kernel_name()
-        features["kernel"] = kernel
         reasons.append(
             "store=partitioned: per-shard CSR compiles over local id spaces, "
             "frontiers run shard-at-a-time with boundary exchange "
@@ -282,8 +368,6 @@ def _resolve_store(engine: str, overlay_stats, reasons, features) -> str:
                 )
             )
         return "partitioned"
-    if engine != "csr":
-        return "dict"
     if overlay_stats:
         fraction = overlay_stats.get("compaction_fraction", OVERLAY_COMPACTION_FRACTION)
     else:
@@ -293,12 +377,11 @@ def _resolve_store(engine: str, overlay_stats, reasons, features) -> str:
         f"(O(delta) per update), folded into a fresh CSR base at {fraction:.0%} "
         "overlay occupancy"
     )
-    kernel = active_kernel_name()
-    features["kernel"] = kernel
     reasons.append(
         f"kernel={kernel}: CSR frontier expansion runs on the "
         + (
-            "numpy gather kernels (per-level vectorised BFS)"
+            "numpy kernels (a bounded atom on a clean base is one gather over "
+            "its layer's closure)"
             if kernel == "numpy"
             else "pure-python array loops (numpy absent or REPRO_KERNELS=python)"
         )
@@ -328,24 +411,14 @@ def _resolve_store(engine: str, overlay_stats, reasons, features) -> str:
     return "overlay-csr"
 
 
-def _resolve_maintenance(strategy: Optional[str], stats: GraphStats, reasons) -> str:
+def _resolve_maintenance(strategy: Optional[str], reasons) -> str:
     if strategy is not None:
-        if strategy not in STRATEGIES:
-            raise QueryError(
-                f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
-            )
-        reasons.append(f"maintenance={strategy} forced by caller")
+        reasons.append(_forced("maintenance", strategy))
         return strategy
-    if stats.num_edges < TINY_GRAPH_EDGES:
-        reasons.append(
-            f"graph has {stats.num_edges} edges (< {TINY_GRAPH_EDGES}): full "
-            "recompute per update is cheaper than delta bookkeeping"
-        )
-        return "recompute"
-    reasons.append(
-        f"graph has {stats.num_edges} edges (>= {TINY_GRAPH_EDGES}): delta "
-        "maintenance confines updates to the affected area"
-    )
+    # Measured (3 watched patterns, 20 single-edge updates, delta vs
+    # recompute): 29 edges 12.5 vs 18.2 ms, 127 edges 26.3 vs 67.1,
+    # 232 edges 25.3 vs 66.2 — delta wins at every size.
+    reasons.append("delta maintenance confines updates to the affected area")
     return "delta"
 
 
@@ -368,230 +441,98 @@ def plan_query(
     ``engine`` / ``method`` / ``algorithm`` / ``strategy`` force the
     respective knob (``None`` and ``"auto"`` mean "planner's choice").
     """
-    if engine == "auto":
-        engine = None
-    if method == "auto":
-        method = None
+    engine, method, algorithm, strategy = (
+        None if knob == "auto" else knob
+        for knob in (engine, method, algorithm, strategy)
+    )
     if engine is not None and engine not in ENGINES:
         raise QueryError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if method is not None and method not in RQ_METHODS:
         raise QueryError(f"unknown method {method!r}; expected one of {RQ_METHODS}")
+    if strategy is not None and strategy not in STRATEGIES:
+        raise QueryError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
     kind = _query_kind(query)
-    if kind == "rq":
-        return _plan_rq(query, stats, has_matrix, engine, method, strategy, overlay_stats)
+    features = _features(kind, query, stats, has_matrix)
+    reasons = []
     if kind == "general_rq":
-        return _plan_general_rq(query, stats, engine, strategy, overlay_stats)
-    return _plan_pq(query, stats, has_matrix, engine, algorithm, strategy, overlay_stats)
-
-
-def _plan_rq(query, stats, has_matrix, engine, method, strategy, overlay_stats=None) -> QueryPlan:
-    reasons = []
-    regex = query.regex
-    features = {
-        "num_nodes": stats.num_nodes,
-        "num_edges": stats.num_edges,
-        "num_colors": stats.num_colors,
-        "regex_atoms": regex.num_atoms,
-        "regex_has_wildcard": regex.has_wildcard,
-        "regex_max_length": regex.max_length,
-        "has_matrix": has_matrix,
-    }
-
-    missing = _missing_colors([regex], stats)
-    if missing:
         reasons.append(
-            f"constraint colour(s) {', '.join(missing)} have no edges in the "
-            "graph: every atom must traverse at least one edge of its colour, "
-            "so the answer is empty without evaluation"
+            "general regular expression: single NFA-product evaluation "
+            "(shared lazily-determinised automaton across all sources)"
         )
-        return QueryPlan(
-            kind="rq",
-            algorithm="pruned",
-            engine="dict",
-            method="pruned",
-            maintenance=_resolve_maintenance(strategy, stats, reasons),
-            unsatisfiable=True,
-            features=features,
-            reasons=tuple(reasons),
-        )
-
-    chosen_method: str
-    if method is not None:
-        if method == "matrix" and not has_matrix:
-            raise QueryError(
-                "method='matrix' forced but the session has no distance matrix attached"
-            )
-        if method == "matrix" and engine in ("csr", "partitioned"):
-            raise QueryError("the matrix method runs on the dict engine only")
-        reasons.append(f"method={method} forced by caller")
-        chosen_method = method
-    elif (
-        has_matrix
-        and stats.num_nodes <= MATRIX_MAX_NODES
-        and engine not in ("csr", "partitioned")
-    ):
-        reasons.append(
-            f"distance matrix attached and graph fits a quadratic index "
-            f"({stats.num_nodes} <= {MATRIX_MAX_NODES} nodes): matrix lookups win"
-        )
-        chosen_method = "matrix"
+        chosen, use_matrix = "nfa-product", False
     else:
-        if has_matrix and stats.num_nodes > MATRIX_MAX_NODES:
-            reasons.append(
-                f"distance matrix attached but graph too large for a quadratic "
-                f"index ({stats.num_nodes} > {MATRIX_MAX_NODES} nodes): searching instead"
-            )
-        elif has_matrix and engine in ("csr", "partitioned"):
-            reasons.append(
-                f"engine={engine} forced: the matrix is a dict-engine index, "
-                "searching instead"
-            )
+        if kind == "rq":
+            regexes = [query.regex]
         else:
-            reasons.append("no distance matrix attached: bidirectional search")
-        chosen_method = "bidirectional"
+            regexes = [edge.regex for edge in query.edges()]
+        missing = _missing_colors(regexes, stats)
+        if missing:
+            # Exact, not a cost rule: a PQ's answer is all-or-nothing, so one
+            # unsatisfiable constraint empties it too.
+            reasons.append(
+                f"constraint colour(s) {', '.join(missing)} have no edges in the "
+                "graph: every atom must traverse at least one edge of its colour, "
+                "so the answer is empty without evaluation"
+            )
+            return QueryPlan(
+                kind=kind,
+                algorithm="pruned",
+                engine="dict",
+                method="pruned" if kind == "rq" else "",
+                maintenance=_resolve_maintenance(strategy, reasons),
+                unsatisfiable=True,
+                features=features,
+                reasons=tuple(reasons),
+            )
+        if kind == "rq":
+            chosen = _choose_rq_method(has_matrix, engine, method, stats, reasons)
+            use_matrix = chosen == "matrix"
+        else:
+            chosen = _choose_pq_algorithm(query, algorithm, features, reasons)
+            use_matrix = _use_matrix("pq", has_matrix, engine, method, stats, reasons)
 
-    use_matrix = chosen_method == "matrix"
-    if use_matrix:
-        chosen_engine = _resolve_engine(
-            engine, stats, reasons, forced_dict_reason="the matrix method runs on the dict engine"
-        )
-    else:
-        chosen_engine = _resolve_engine(engine, stats, reasons)
-
+    chosen_engine = _resolve_engine(engine, stats, reasons, use_matrix and method == "matrix")
     return QueryPlan(
-        kind="rq",
-        algorithm=chosen_method,
+        kind=kind,
+        algorithm=chosen,
         engine=chosen_engine,
         store=_resolve_store(chosen_engine, overlay_stats, reasons, features),
-        method=chosen_method,
+        method=chosen if kind == "rq" else "",
         use_matrix=use_matrix,
-        maintenance=_resolve_maintenance(strategy, stats, reasons),
+        maintenance=_resolve_maintenance(strategy, reasons),
         features=features,
         reasons=tuple(reasons),
     )
 
 
-def _plan_general_rq(query, stats, engine, strategy, overlay_stats=None) -> QueryPlan:
-    reasons = [
-        "general regular expression: single NFA-product evaluation "
-        "(shared lazily-determinised automaton across all sources)"
-    ]
-    features = {
-        "num_nodes": stats.num_nodes,
-        "num_edges": stats.num_edges,
-        "num_colors": stats.num_colors,
-        "regex": str(query.regex),
-    }
-    chosen_engine = _resolve_engine(engine, stats, reasons)
-    return QueryPlan(
-        kind="general_rq",
-        algorithm="nfa-product",
-        engine=chosen_engine,
-        store=_resolve_store(chosen_engine, overlay_stats, reasons, features),
-        maintenance=_resolve_maintenance(strategy, stats, reasons),
-        features=features,
-        reasons=tuple(reasons),
-    )
+def _choose_rq_method(has_matrix, engine, method, stats, reasons) -> str:
+    if _use_matrix("rq", has_matrix, engine, method, stats, reasons):
+        return "matrix"
+    if method is not None:
+        reasons.append(_forced("method", method))
+        return method
+    if not has_matrix:
+        reasons.append("no distance matrix attached: bidirectional search")
+    return "bidirectional"
 
 
-def _plan_pq(query, stats, has_matrix, engine, algorithm, strategy, overlay_stats=None) -> QueryPlan:
-    reasons = []
-    edges = list(query.edges())
-    diameter = _pattern_diameter(query)
-    features = {
-        "num_nodes": stats.num_nodes,
-        "num_edges": stats.num_edges,
-        "num_colors": stats.num_colors,
-        "pattern_nodes": query.num_nodes,
-        "pattern_edges": query.num_edges,
-        "pattern_size": query.size,
-        "pattern_diameter": diameter,
-        "has_matrix": has_matrix,
-    }
-
-    missing = _missing_colors([edge.regex for edge in edges], stats)
-    if missing:
-        reasons.append(
-            f"pattern-edge colour(s) {', '.join(missing)} have no edges in the "
-            "graph: the edge constraint is unsatisfiable and PQ semantics are "
-            "all-or-nothing, so the answer is empty without evaluation"
-        )
-        return QueryPlan(
-            kind="pq",
-            algorithm="pruned",
-            engine="dict",
-            maintenance=_resolve_maintenance(strategy, stats, reasons),
-            unsatisfiable=True,
-            features=features,
-            reasons=tuple(reasons),
-        )
-
+def _choose_pq_algorithm(query, algorithm, features, reasons) -> str:
     if algorithm is not None:
         if algorithm not in PQ_ALGORITHMS:
             raise QueryError(
                 f"unknown PQ algorithm {algorithm!r}; expected one of {PQ_ALGORITHMS}"
             )
-        reasons.append(f"algorithm={algorithm} forced by caller")
-        chosen = algorithm
-    elif edges and all(
-        edge.regex.num_atoms == 1 and edge.regex.atoms[0].is_wildcard
-        for edge in edges
-    ):
-        # A *single* wildcard atom ``_^k`` is its own colour-blind
-        # relaxation, so bounded simulation returns exactly the PQ answer.
-        # (Multi-atom wildcard chains do NOT qualify: ``_._`` requires
-        # length exactly 2 while the relaxation ``_^2`` admits length 1.)
-        reasons.append(
-            "every edge constraint is a single wildcard atom: the "
-            "bounded-simulation relaxation is exact and cheapest"
-        )
-        chosen = "bounded-simulation"
-    elif query.num_edges > DENSE_PATTERN_EDGE_RATIO * query.num_nodes:
-        reasons.append(
-            f"dense/cyclic pattern ({query.num_edges} edges > {query.num_nodes} "
-            "nodes): SplitMatch's partition-relation pair shares refinement "
-            "work between overlapping candidate sets"
-        )
-        chosen = "split"
-    else:
-        reasons.append(
-            f"sparse pattern ({query.num_edges} edges <= {query.num_nodes} nodes, "
-            f"diameter {diameter}): JoinMatch's SCC-ordered worklist settles "
-            "constraints bottom-up"
-        )
-        chosen = "join"
-
-    use_matrix = (
-        has_matrix
-        and stats.num_nodes <= MATRIX_MAX_NODES
-        and engine not in ("csr", "partitioned")
-        and chosen in ("join", "split", "bounded-simulation")
+        reasons.append(_forced("algorithm", algorithm))
+        return algorithm
+    # The paper's Exp-4 has JoinMatch beating SplitMatch.  Measured here on
+    # 32 patterns with more edges than nodes (total ms, join vs split): csr
+    # numpy 88 vs 100 on 8 350 nodes, 78.5 vs 81.6 on 1 000; csr python
+    # kernel 150 vs 245; dict 285 vs 269.  Bounded simulation on
+    # single-wildcard-atom patterns (exact there): 223 vs join's 208 ms.
+    reasons.append(
+        f"JoinMatch ({query.num_edges} edges, {query.num_nodes} nodes, "
+        f"diameter {features['pattern_diameter']}): its SCC-ordered worklist "
+        "settles constraints bottom-up"
     )
-    if use_matrix:
-        reasons.append(
-            f"distance matrix attached and graph fits a quadratic index "
-            f"({stats.num_nodes} <= {MATRIX_MAX_NODES} nodes): per-edge joins "
-            "become O(1) row walks"
-        )
-        chosen_engine = _resolve_engine(
-            engine, stats, reasons, forced_dict_reason="matrix mode runs on the dict engine"
-        )
-    else:
-        if has_matrix and stats.num_nodes > MATRIX_MAX_NODES:
-            reasons.append(
-                f"distance matrix attached but graph too large for a quadratic "
-                f"index ({stats.num_nodes} > {MATRIX_MAX_NODES} nodes): searching instead"
-            )
-        chosen_engine = _resolve_engine(engine, stats, reasons)
-
-    return QueryPlan(
-        kind="pq",
-        algorithm=chosen,
-        engine=chosen_engine,
-        store=_resolve_store(chosen_engine, overlay_stats, reasons, features),
-        use_matrix=use_matrix,
-        maintenance=_resolve_maintenance(strategy, stats, reasons),
-        features=features,
-        reasons=tuple(reasons),
-    )
+    return "join"

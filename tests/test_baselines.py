@@ -1,6 +1,8 @@
 """Unit tests for the baselines: graph simulation, bounded simulation, SubIso."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.synthetic import generate_synthetic_graph
 from repro.graph.data_graph import DataGraph
@@ -158,6 +160,46 @@ class TestBoundedSimulation:
                 continue
             for node in pattern.nodes():
                 assert strict.matches_of(node) <= loose.matches_of(node)
+
+
+_NODES = range(6)
+_graph_edges = st.lists(
+    st.tuples(st.sampled_from(_NODES), st.sampled_from(_NODES), st.sampled_from(("r", "s"))),
+    max_size=16,
+)
+_kinds = st.lists(st.sampled_from((0, 1)), min_size=len(_NODES), max_size=len(_NODES))
+#: Pattern edges whose constraint is one wildcard atom: ``_^k`` or ``_^+``.
+_wildcard_edges = st.dictionaries(
+    st.tuples(st.sampled_from("ABC"), st.sampled_from("ABC")),
+    st.sampled_from(("_", "_^2", "_^3", "_^+")),
+    min_size=1,
+    max_size=4,
+)
+_predicates = st.fixed_dictionaries(
+    {name: st.sampled_from((None, 0, 1)) for name in "ABC"}
+)
+
+
+@given(edges=_graph_edges, kinds=_kinds, pattern_edges=_wildcard_edges, predicates=_predicates)
+@settings(max_examples=60, deadline=None)
+def test_bounded_simulation_is_exact_on_single_wildcard_atoms(edges, kinds, pattern_edges, predicates):
+    """A single wildcard atom is its own colour-blind relaxation, so bounded
+    simulation equals JoinMatch on such patterns, on every engine."""
+    graph = DataGraph()
+    for node, kind in zip(_NODES, kinds):
+        graph.add_node(node, kind=kind)
+    for source, target, color in edges:
+        graph.add_edge(source, target, color)
+    pattern = PatternQuery()
+    for name in sorted({name for pair in pattern_edges for name in pair}):
+        kind = predicates[name]
+        pattern.add_node(name, None if kind is None else {"kind": kind})
+    for (source, target), regex in pattern_edges.items():
+        pattern.add_edge(source, target, regex)
+    for engine in ("dict", "csr"):
+        strict = join_match(pattern, graph, engine=engine)
+        loose = bounded_simulation_match(pattern, graph, engine=engine)
+        assert loose.same_matches(strict), engine
 
 
 class TestSubgraphIsomorphism:

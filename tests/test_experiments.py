@@ -90,6 +90,8 @@ class TestExp2:
         for row in report:
             assert row["size_minimized"] <= row["size_original"]
             assert row["t_minimized"] >= 0.0
+            # The matrix is forced: the planner alone would search on 150 nodes.
+            assert row["algorithm"] == "JoinMatchM"
 
 
 class TestExp3:

@@ -12,12 +12,8 @@ from repro.graph.stats import GraphStats
 from repro.matching.general_rq import GeneralReachabilityQuery
 from repro.query.pq import PatternQuery
 from repro.query.rq import ReachabilityQuery
-from repro.session.defaults import (
-    MATRIX_MAX_NODES,
-    SMALL_GRAPH_NODES,
-    TINY_GRAPH_EDGES,
-)
-from repro.session.planner import plan_query
+from repro.session.defaults import SMALL_GRAPH_NODES
+from repro.session.planner import PQ_ALGORITHMS, plan_query
 
 
 def stats_for(num_nodes=1000, num_edges=5000, colors=("fa", "fn", "sa")):
@@ -50,7 +46,7 @@ def pattern(edges, predicates=()):
 
 class TestRqPlanning:
     def test_matrix_wins_when_attached_and_graph_fits(self):
-        plan = plan_query(rq(), stats_for(num_nodes=500), has_matrix=True)
+        plan = plan_query(rq(), stats_for(num_nodes=SMALL_GRAPH_NODES - 1), has_matrix=True)
         assert plan.kind == "rq"
         assert plan.algorithm == "matrix"
         assert plan.method == "matrix"
@@ -59,11 +55,27 @@ class TestRqPlanning:
 
     def test_matrix_skipped_when_graph_too_large(self):
         plan = plan_query(
-            rq(), stats_for(num_nodes=MATRIX_MAX_NODES + 1), has_matrix=True
+            rq(), stats_for(num_nodes=SMALL_GRAPH_NODES), has_matrix=True
         )
         assert plan.method == "bidirectional"
         assert not plan.use_matrix
         assert any("too large" in reason for reason in plan.reasons)
+
+    def test_unforced_matrix_engine_reason_is_the_size_rule(self):
+        plan = plan_query(rq(), stats_for(num_nodes=SMALL_GRAPH_NODES - 1), has_matrix=True)
+        assert plan.use_matrix
+        assert any("staying on the dict engine" in reason for reason in plan.reasons)
+        assert not any("forced" in reason for reason in plan.reasons)
+
+    def test_forced_matrix_on_a_large_graph_runs_on_dict(self):
+        plan = plan_query(rq(), stats_for(num_nodes=500), has_matrix=True, method="matrix")
+        assert plan.method == plan.algorithm == "matrix"
+        assert plan.use_matrix
+        assert plan.engine == "dict"
+        assert plan.reasons[:2] == (
+            "method=matrix forced by caller",
+            "method=matrix forced: the matrix is a dict-engine index",
+        )
 
     def test_search_on_dict_engine_for_tiny_graphs(self):
         plan = plan_query(rq(), stats_for(num_nodes=SMALL_GRAPH_NODES - 1, num_edges=40))
@@ -112,9 +124,14 @@ class TestRqPlanning:
 
 class TestPqPlanning:
     def test_colour_blind_pattern_uses_bounded_simulation(self):
+        # Bounded simulation is exact here but not faster than JoinMatch, so
+        # the planner keeps the default and the override still reaches it.
         query = pattern([("A", "B", "_^2"), ("B", "C", "_^+")])
         plan = plan_query(query, stats_for())
-        assert plan.algorithm == "bounded-simulation"
+        assert plan.algorithm == "join"
+        forced = plan_query(query, stats_for(), algorithm="bounded-simulation")
+        assert forced.algorithm == "bounded-simulation"
+        assert "algorithm=bounded-simulation forced by caller" in forced.reasons
 
     def test_multi_atom_wildcard_chain_does_not_use_bounded_simulation(self):
         # ``_._`` requires length exactly 2; its colour-blind relaxation
@@ -127,7 +144,10 @@ class TestPqPlanning:
         query = pattern([("A", "B", "fa"), ("B", "A", "fn"), ("A", "A", "sa^+")])
         assert query.num_edges > query.num_nodes
         plan = plan_query(query, stats_for())
-        assert plan.algorithm == "split"
+        assert plan.algorithm == "join"
+        forced = plan_query(query, stats_for(), algorithm="split")
+        assert forced.algorithm == "split"
+        assert "algorithm=split forced by caller" in forced.reasons
 
     def test_sparse_pattern_uses_join(self):
         query = pattern([("A", "B", "fa"), ("B", "C", "fn")])
@@ -145,19 +165,42 @@ class TestPqPlanning:
             plan_query(pattern([("A", "B", "fa")]), stats_for(), algorithm="magic")
 
     def test_matrix_mode_on_small_graphs(self):
+        # Matrix PQs ran 10-13% slower than dict search below 64 nodes, so
+        # the planner searches and only ``method="matrix"`` walks the matrix.
         query = pattern([("A", "B", "fa")])
-        plan = plan_query(query, stats_for(num_nodes=500), has_matrix=True)
-        assert plan.use_matrix
+        stats = stats_for(num_nodes=SMALL_GRAPH_NODES - 1)
+        plan = plan_query(query, stats, has_matrix=True)
+        assert not plan.use_matrix
         assert plan.engine == "dict"
+        forced = plan_query(query, stats, has_matrix=True, method="matrix")
+        assert forced.use_matrix
+        assert forced.engine == "dict"
+        assert "method=matrix forced by caller" in forced.reasons
 
     def test_matrix_mode_skipped_when_graph_too_large(self):
         query = pattern([("A", "B", "fa")])
         plan = plan_query(
-            query, stats_for(num_nodes=MATRIX_MAX_NODES + 1), has_matrix=True
+            query, stats_for(num_nodes=SMALL_GRAPH_NODES), has_matrix=True
         )
         assert not plan.use_matrix
         assert plan.engine == "csr"
-        assert any("too large" in reason for reason in plan.reasons)
+        assert any("method='matrix' forces it" in reason for reason in plan.reasons)
+
+    def test_forced_matrix_mode_on_a_large_graph(self):
+        query = pattern([("A", "B", "fa")])
+        for algorithm in PQ_ALGORITHMS:
+            plan = plan_query(
+                query, stats_for(num_nodes=500), has_matrix=True, method="matrix",
+                algorithm=algorithm,
+            )
+            assert plan.algorithm == algorithm
+            assert plan.use_matrix
+            assert plan.engine == "dict"
+            assert plan.method == ""
+        with pytest.raises(QueryError):
+            plan_query(query, stats_for(), method="matrix")
+        with pytest.raises(QueryError):
+            plan_query(query, stats_for(), has_matrix=True, method="matrix", engine="csr")
 
     def test_forced_csr_engine_disables_matrix_mode(self):
         query = pattern([("A", "B", "fa")])
@@ -171,13 +214,18 @@ class TestPqPlanning:
         assert plan.unsatisfiable
 
     def test_maintenance_recompute_for_tiny_graphs(self):
+        # Delta beats recompute at every graph size measured (29-232 edges),
+        # so recompute is reached only by forcing it.
         query = pattern([("A", "B", "fa")])
-        plan = plan_query(query, stats_for(num_edges=TINY_GRAPH_EDGES - 1))
-        assert plan.maintenance == "recompute"
+        plan = plan_query(query, stats_for(num_edges=127))
+        assert plan.maintenance == "delta"
+        forced = plan_query(query, stats_for(num_edges=127), strategy="recompute")
+        assert forced.maintenance == "recompute"
+        assert "maintenance=recompute forced by caller" in forced.reasons
 
     def test_maintenance_delta_for_larger_graphs(self):
         query = pattern([("A", "B", "fa")])
-        plan = plan_query(query, stats_for(num_edges=TINY_GRAPH_EDGES))
+        plan = plan_query(query, stats_for(num_edges=128))
         assert plan.maintenance == "delta"
 
     def test_forced_strategy_is_honoured(self):
@@ -186,6 +234,38 @@ class TestPqPlanning:
         assert plan.maintenance == "delta"
         with pytest.raises(QueryError):
             plan_query(query, stats_for(), strategy="lazy")
+
+
+class TestAutoOverrides:
+    """``"auto"`` means "planner's choice" for every override, like ``None``."""
+
+    def test_auto_engine_and_method_match_the_unforced_plan(self):
+        auto = plan_query(rq(), stats_for(), engine="auto", method="auto")
+        assert auto == plan_query(rq(), stats_for())
+
+    def test_auto_algorithm_is_the_planners_choice(self):
+        query = pattern([("A", "B", "fa")])
+        assert plan_query(query, stats_for(), algorithm="auto") == plan_query(query, stats_for())
+
+    def test_auto_strategy_is_the_planners_choice(self):
+        for query in (rq(), pattern([("A", "B", "fa")]), GeneralReachabilityQuery(None, None, "fa+")):
+            auto = plan_query(query, stats_for(), strategy="auto")
+            assert auto == plan_query(query, stats_for())
+            assert auto.maintenance == "delta"
+
+    def test_auto_overrides_through_the_session(self):
+        from repro.graph.data_graph import DataGraph
+        from repro.session import GraphSession
+
+        graph = DataGraph("auto")
+        for node in "abc":
+            graph.add_node(node)
+        graph.add_edge("a", "b", "fa")
+        graph.add_edge("b", "c", "fa")
+        session = GraphSession(graph)
+        query = pattern([("A", "B", "fa")])
+        assert session.prepare(query, algorithm="auto").plan.algorithm == "join"
+        assert session.prepare(rq(), strategy="auto").plan.maintenance == "delta"
 
 
 class TestGeneralRqPlanning:
@@ -204,10 +284,10 @@ class TestGeneralRqPlanning:
 
 class TestExplainRendering:
     def test_explain_contains_header_and_reasons(self):
-        plan = plan_query(rq(), stats_for(num_nodes=500), has_matrix=True)
+        plan = plan_query(rq(), stats_for(num_nodes=SMALL_GRAPH_NODES - 1), has_matrix=True)
         text = plan.explain()
         assert text.startswith("plan[rq]: algorithm=matrix engine=dict")
-        assert "matrix lookups win" in text
+        assert "matrix lookups" in text
         assert text.count("\n") == len(plan.reasons)
 
     def test_pruned_plans_flag_empty_answer(self):

@@ -269,6 +269,13 @@ class TestWatchAndUpdates:
         assert rq_watch.pairs == evaluate_rq(rq, graph).pairs
         assert pq_watch.result.same_matches(join_match(pq, graph))
 
+    def test_watch_with_auto_strategy_is_the_planners_choice(self, graph, rq):
+        session = GraphSession(graph)
+        watch = session.watch(rq, strategy="auto", engine="auto")
+        assert watch.maintainer.strategy == "delta"
+        session.apply_updates([("add", "d", "b", "fa")])
+        assert watch.pairs == evaluate_rq(rq, graph).pairs
+
     def test_stopped_watch_no_longer_maintained(self, graph, rq):
         session = GraphSession(graph)
         watch = session.watch(rq)

@@ -426,6 +426,16 @@ class TestReadStatePerVersion:
             assert result.engine == expected
             assert f"engine={expected}" in result.plan.explain()
 
+    def test_partitioned_pin_explains_why_it_reads_dict(self):
+        session = GraphSession(big_graph([(0, 2, "a"), (2, 5, "b")]), engine="partitioned")
+        with session.pin() as snap:
+            reasons = snap.execute(RQ).plan.reasons
+        assert "engine=dict forced by caller" not in reasons
+        assert any("partitioned store keeps no snapshots" in reason for reason in reasons)
+        # A session that does prefer dict still reports the caller's choice.
+        with GraphSession(big_graph([(0, 2, "a")]), engine="dict").pin() as snap:
+            assert "engine=dict forced by caller" in snap.execute(RQ).plan.reasons
+
 
 class TestHypothesisArrayPathIsolation:
     @given(

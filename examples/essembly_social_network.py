@@ -7,7 +7,8 @@ Run with::
 Rebuilds the "cloning debate" graph of Fig. 1, opens a
 :class:`~repro.GraphSession` with a distance matrix attached, evaluates the
 reachability query ``Q1`` (biologists reaching doctors via ``fa^2 fn``) and
-the pattern query ``Q2`` (Alice's view of the debate) as prepared queries,
+the pattern query ``Q2`` (Alice's view of the debate) as prepared queries
+that read the matrix (``method="matrix"``: unforced, the planner searches),
 and checks the answers against the tables printed in the paper
 (Fig. 2 / Example 2.3).
 """
@@ -33,7 +34,7 @@ def main() -> None:
 
     # --- Q1: reachability query -------------------------------------------------
     q1 = essembly_query_q1()
-    prepared_q1 = session.prepare(q1)
+    prepared_q1 = session.prepare(q1, method="matrix")
     print(prepared_q1.explain())
     result_q1 = prepared_q1.execute()
     print(f"Q1 = {q1}")
@@ -44,7 +45,7 @@ def main() -> None:
     # --- Q2: pattern query -------------------------------------------------------
     q2 = essembly_query_q2()
     print(q2.describe())
-    prepared_q2 = session.prepare(q2, algorithm="join")
+    prepared_q2 = session.prepare(q2, algorithm="join", method="matrix")
     print(prepared_q2.explain())
     result_q2 = prepared_q2.execute().answer
     print("\nQ2(G) per edge:")

@@ -120,10 +120,9 @@ def analysis_example(pattern: PatternQuery) -> None:
 def main() -> None:
     graph = build_graph()
     print(graph, "\n")
-    # One session owns the graph, the distance matrix and all warm matcher
-    # state; every query below runs as a prepared query on it.
+    # One session owns the graph and all warm matcher state; every query
+    # below runs as a prepared query on it.
     session = GraphSession(graph)
-    session.build_matrix()
     reachability_example(session)
     pattern = pattern_example(session)
     analysis_example(pattern)

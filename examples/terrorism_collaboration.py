@@ -48,8 +48,8 @@ def main() -> None:
         source="TO",
         target="Hamas",
     )
-    # An 818-node graph is above the planner's small-graph threshold, where
-    # search beats the matrix; the example forces the paper's Sec. 4 method.
+    # Unforced, the planner searches (it never found the matrix faster); the
+    # example forces the paper's Sec. 4 method.
     prepared = session.prepare(reach, method="matrix")
     print(prepared.explain())
     reach_result = prepared.execute().answer

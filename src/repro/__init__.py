@@ -98,7 +98,7 @@ from repro.service import (
     ServiceConfig,
 )
 
-__version__ = "2.21.0"
+__version__ = "2.22.0"
 
 __all__ = [
     # exceptions

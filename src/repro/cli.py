@@ -171,13 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         default=None,
         choices=["matrix", "bidirectional", "bfs"],
-        help="force the RQ method (matrix implies --matrix)",
-    )
-    plan.add_argument(
-        "--matrix",
-        action="store_true",
-        help="attach a distance matrix to the session before planning "
-        "(the planner uses it below 64 nodes; --method matrix forces it)",
+        help="force the RQ method (matrix builds the distance matrix it reads; "
+        "unforced, the planner searches)",
     )
     plan.add_argument(
         "--execute",
@@ -379,8 +374,6 @@ def _command_plan(args: argparse.Namespace, out) -> int:
     from repro.exceptions import QueryError
     from repro.session import GraphSession
 
-    if args.method == "matrix":
-        args.matrix = True
     graph = load_json(args.graph)
     if args.general:
         from repro.matching.general_rq import GeneralReachabilityQuery
@@ -389,7 +382,7 @@ def _command_plan(args: argparse.Namespace, out) -> int:
     else:
         query = ReachabilityQuery(args.source, args.target, args.regex)
     session = GraphSession(graph)
-    if args.matrix:
+    if args.method == "matrix":
         session.build_matrix()
     try:
         prepared = session.prepare(query, engine=args.engine, method=args.method)

@@ -176,9 +176,9 @@ class DataGraph:
     def active_overlay_store(self):
         """The overlay store if one has been created, else ``None``.
 
-        Unlike :meth:`overlay_store` this never creates one — planners use
-        it to surface overlay occupancy without forcing dict-engine graphs
-        to pay for a CSR base.
+        Unlike :meth:`overlay_store` this never creates one —
+        ``GraphSession.store_stats()`` uses it to report overlay occupancy
+        without forcing dict-engine graphs to pay for a CSR base.
         """
         return self._overlay
 
@@ -217,8 +217,9 @@ class DataGraph:
     def active_partitioned_store(self):
         """The partitioned store if one has been created, else ``None``.
 
-        Never creates one — planners use it to surface shard statistics
-        without forcing unsharded graphs to pay for a partition pass.
+        Never creates one — ``GraphSession.store_stats()`` uses it to report
+        the shard layout without forcing unsharded graphs to pay for a
+        partition pass.
         """
         return self._partitioned
 

@@ -172,7 +172,9 @@ def coalesce_update_stream(
     insertion would have created are still created, since a sequential
     removal keeps them); duplicate adds and removals of absent edges are
     counted no-ops.  The graph ends up exactly as if the operations had been
-    applied one by one.
+    applied one by one.  Every entry's shape and op are checked before the
+    first mutation, so a malformed stream raises :class:`ValueError` with
+    the graph untouched.
 
     This is the stream-level half of
     :meth:`IncrementalPatternMatcher.apply_updates`, shared with
@@ -181,14 +183,22 @@ def coalesce_update_stream(
     (each watcher then filters by its own colour relevance in
     :meth:`~IncrementalPatternMatcher.maintain_applied`).
     """
+    stream = [tuple(op) for op in updates]
+    for op in stream:
+        if len(op) != 4:
+            raise ValueError(f"update {op!r} is not an (op, source, target, color) tuple")
+        if op[0] not in _INSERT_OPS and op[0] not in _DELETE_OPS:
+            raise ValueError(
+                f"unknown update operation {op[0]!r}; expected one of "
+                f"{sorted(_INSERT_OPS | _DELETE_OPS)}"
+            )
     initial_presence: Dict[EdgeTriple, bool] = {}
     presence: Dict[EdgeTriple, bool] = {}
     new_nodes: List[NodeId] = []
     known_nodes: Set[NodeId] = set()
     effective = 0
     skipped = 0
-    for op in updates:
-        kind, source, target, color = op
+    for kind, source, target, color in stream:
         key = (source, target, color)
         if key not in initial_presence:
             present = graph.has_edge(source, target, color)
@@ -209,17 +219,12 @@ def coalesce_update_stream(
                         # the edge even when a later removal cancels it.
                         graph.add_node(node)
                         new_nodes.append(node)
-        elif kind in _DELETE_OPS:
+        else:
             if not presence[key]:
                 skipped += 1
                 continue
             presence[key] = False
             effective += 1
-        else:
-            raise ValueError(
-                f"unknown update operation {kind!r}; expected one of "
-                f"{sorted(_INSERT_OPS | _DELETE_OPS)}"
-            )
 
     inserted: List[EdgeTriple] = []
     deleted: List[EdgeTriple] = []

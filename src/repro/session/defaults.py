@@ -59,14 +59,14 @@ DEFAULT_SESSION_REGISTRY_CAPACITY = 8
 # repro.session.planner makes one size-based choice; every other knob takes
 # its default unless the caller forces it (see the planner's module docstring).
 
-#: Below this many data nodes the planner stays on the dict engine, and only
-#: there does an attached distance matrix answer queries.  Measured on fresh
-#: sessions (first query including the CSR compile, plus 20 more; numpy
-#: kernel, 2-core x86 VM), dict vs csr: 16 nodes 10.6 vs 17.8 ms, 64 nodes
-#: 20.0 vs 23.3, 128 nodes 24.6 vs 25.4, 256 nodes 36.4 vs 34.1, 1 000 nodes
-#: 112 vs 76 — the crossover lies between 128 and 256 nodes, and the python
-#: kernel ties at 64 (20.0 vs 19.2 ms).  Below 64 an attached matrix ties
-#: dict search on RQs; from 256 nodes up csr search beats it 2.2-13x.
+#: Below this many data nodes the planner stays on the dict engine.  It is
+#: the engine threshold only: an attached distance matrix is read under
+#: ``method="matrix"`` alone, at any size.  Measured on fresh sessions
+#: (first query including the CSR compile, plus 20 more; numpy kernel,
+#: 2-core x86 VM), dict vs csr: 16 nodes 10.6 vs 17.8 ms, 64 nodes 20.0 vs
+#: 23.3, 128 nodes 24.6 vs 25.4, 256 nodes 36.4 vs 34.1, 1 000 nodes 112 vs
+#: 76 — the crossover lies between 128 and 256 nodes, and the python kernel
+#: ties at 64 (20.0 vs 19.2 ms).
 SMALL_GRAPH_NODES = 64
 
 #: Overlay fraction (net overlay edges / base edges) above which an

@@ -7,7 +7,9 @@ maintenance strategies (delta vs recompute).  :func:`plan_query` decides
 those knobs for one query from graph statistics (:mod:`repro.graph.stats`)
 and returns a :class:`QueryPlan` — the algorithm, engine, method and
 maintenance strategy it will run with, plus one reason per choice (rendered
-by :meth:`QueryPlan.explain`).
+by :meth:`QueryPlan.explain`).  Store state (overlay occupancy, partition
+layout) decides nothing, so the plan leaves it to
+:meth:`~repro.session.session.GraphSession.store_stats`.
 
 The decision table keeps only the rules a measurement supports:
 
@@ -17,8 +19,6 @@ The decision table keeps only the rules a measurement supports:
   the empty answer;
 * **engine** — dict below :data:`~repro.session.defaults.SMALL_GRAPH_NODES`
   nodes, CSR otherwise;
-* **distance matrix** — an attached, fresh matrix answers RQs only below the
-  same threshold, where the engine is dict anyway; PQs search;
 * **everything else is the default** — bidirectional search for RQs,
   JoinMatch for PQs, the NFA product for general RQs, delta maintenance.
 
@@ -26,8 +26,9 @@ Every knob can be forced by the caller (``engine=``, ``method=``,
 ``algorithm=``, ``strategy=``; ``None`` and ``"auto"`` mean "planner's
 choice"); a forced choice is honoured verbatim and recorded as such in the
 plan's reasons.  SplitMatch, bounded simulation, full recompute and the
-matrix for a PQ or on a larger graph (``method="matrix"``, for RQs and PQs
-alike) are reachable only that way.
+distance matrix (``method="matrix"``, for an RQ or a PQ at any graph size)
+are reachable only that way: an attached matrix never beat search when
+measured, so unforced plans search.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from repro.graph.stats import GraphStats
 from repro.kernels import active_kernel_name
 from repro.session.defaults import (
     ENGINES,
-    OVERLAY_COMPACTION_FRACTION,
     RQ_METHODS,
     SMALL_GRAPH_NODES,
     STRATEGIES,
@@ -256,51 +256,30 @@ def _missing_colors(regexes, stats: GraphStats):
     return sorted(missing)
 
 
-def _use_matrix(kind, has_matrix, engine, method, stats: GraphStats, reasons) -> bool:
+def _use_matrix(has_matrix, engine, method, reasons) -> bool:
     """Whether the session's distance matrix serves this plan.
 
-    ``method="matrix"`` forces it for an RQ or a PQ.  Unforced, only an RQ
-    reads an attached matrix, and only below :data:`SMALL_GRAPH_NODES`,
-    where the engine is dict anyway.  Measured on warm sessions (20 RQs /
-    10 PQs per graph): at 16-63 nodes matrix RQs tie dict search (4.4 / 5.2
-    / 7.8 vs 4.4 / 5.1 / 7.2 ms) while matrix PQs run 10-13% slower; at
-    256 / 1 000 / 2 000 nodes csr search is 2.2 / 3.3 / 4.3x faster on RQs
-    and 2.3 / 5.9 / 13x on PQs, and the matrix build alone takes 0.1 / 1.6 /
-    7.7 s.
+    Only ``method="matrix"`` reads it, for an RQ or a PQ at any graph size.
+    Measured on warm sessions (20 RQs / 10 PQs per graph), it never beats
+    search: at 16-63 nodes matrix RQs tie dict search (4.4 / 5.2 / 7.8 vs
+    4.4 / 5.1 / 7.2 ms) while matrix PQs run 10-13% slower; at 256 / 1 000 /
+    2 000 nodes csr search is 2.2 / 3.3 / 4.3x faster on RQs and 2.3 / 5.9 /
+    13x on PQs, and the matrix build alone takes 0.1 / 1.6 / 7.7 s.
     """
-    if method == "matrix":
-        if not has_matrix:
-            raise QueryError(
-                "method='matrix' forced but the session has no distance matrix attached"
+    if method != "matrix":
+        if has_matrix:
+            reasons.append(
+                "distance matrix attached but searching: only "
+                "method='matrix' reads it"
             )
-        if engine in ("csr", "partitioned"):
-            raise QueryError("the matrix method runs on the dict engine only")
-        reasons.append(_forced("method", method))
-        return True
-    if not has_matrix or method is not None:
         return False
+    if not has_matrix:
+        raise QueryError(
+            "method='matrix' forced but the session has no distance matrix attached"
+        )
     if engine in ("csr", "partitioned"):
-        reasons.append(
-            f"engine={engine} forced: the matrix is a dict-engine index, "
-            "searching instead"
-        )
-        return False
-    if kind == "pq":
-        reasons.append(
-            "distance matrix attached but PQ edge joins search: matrix mode "
-            "measured slower at every graph size (method='matrix' forces it)"
-        )
-        return False
-    if stats.num_nodes >= SMALL_GRAPH_NODES:
-        reasons.append(
-            "distance matrix attached but the graph is too large for the dict "
-            f"engine ({stats.num_nodes} >= {SMALL_GRAPH_NODES} nodes): searching instead"
-        )
-        return False
-    reasons.append(
-        f"distance matrix attached and the graph is small ({stats.num_nodes} < "
-        f"{SMALL_GRAPH_NODES} nodes): evaluating with matrix lookups"
-    )
+        raise QueryError("the matrix method runs on the dict engine only")
+    reasons.append(_forced("method", method))
     return True
 
 
@@ -331,13 +310,13 @@ def _resolve_engine(
     return "csr"
 
 
-def _resolve_store(engine: str, overlay_stats, reasons, features) -> str:
-    """The storage backend behind a resolved engine, with occupancy surfaced.
+def _resolve_store(engine: str, reasons, features) -> str:
+    """The storage backend behind a resolved engine.
 
     The ``csr`` engine reads through the graph's
-    :class:`~repro.storage.overlay.OverlayCsrStore`; when the session already
-    has one active (an update stream is in flight), its live occupancy is
-    recorded in the plan features and rendered by ``explain()``.
+    :class:`~repro.storage.overlay.OverlayCsrStore`.  The store's live state
+    (occupancy, shard layout) decides nothing here, so the plan leaves it to
+    :meth:`~repro.session.session.GraphSession.store_stats`.
     """
     if engine == "dict":
         return "dict"
@@ -349,33 +328,11 @@ def _resolve_store(engine: str, overlay_stats, reasons, features) -> str:
             "frontiers run shard-at-a-time with boundary exchange "
             f"(kernel={kernel})"
         )
-        if overlay_stats and overlay_stats.get("store") == "partitioned":
-            for key in (
-                "shards",
-                "parallelism",
-                "boundary_nodes",
-                "boundary_fraction",
-                "exchange_rounds",
-            ):
-                if key in overlay_stats:
-                    features[f"partition_{key}"] = overlay_stats[key]
-            reasons.append(
-                "partition layout: {shards} shard(s), boundary fraction "
-                "{fraction:.1%}, parallelism {parallelism}".format(
-                    shards=overlay_stats.get("shards", 0),
-                    fraction=float(overlay_stats.get("boundary_fraction", 0.0)),
-                    parallelism=overlay_stats.get("parallelism", 1),
-                )
-            )
         return "partitioned"
-    if overlay_stats:
-        fraction = overlay_stats.get("compaction_fraction", OVERLAY_COMPACTION_FRACTION)
-    else:
-        fraction = OVERLAY_COMPACTION_FRACTION
     reasons.append(
         "store=overlay-csr: mutations land in per-colour edge overlays "
-        f"(O(delta) per update), folded into a fresh CSR base at {fraction:.0%} "
-        "overlay occupancy"
+        "(O(delta) per update), folded into a fresh CSR base by the store's "
+        "compaction policy"
     )
     reasons.append(
         f"kernel={kernel}: CSR frontier expansion runs on the "
@@ -386,28 +343,6 @@ def _resolve_store(engine: str, overlay_stats, reasons, features) -> str:
             else "pure-python array loops (numpy absent or REPRO_KERNELS=python)"
         )
     )
-    if overlay_stats:
-        for key in (
-            "base_edges",
-            "overlay_edges",
-            "overlay_fraction",
-            "dirty_colors",
-            "new_nodes",
-            "compactions",
-        ):
-            if key in overlay_stats:
-                feature_key = key if key.startswith("overlay") else f"overlay_{key}"
-                features[feature_key] = overlay_stats[key]
-        reasons.append(
-            "overlay occupancy: {overlay}/{base} edges ({pct:.1%}), "
-            "{dirty} dirty colour(s), {compactions} compaction(s) so far".format(
-                overlay=overlay_stats.get("overlay_edges", 0),
-                base=overlay_stats.get("base_edges", 0),
-                pct=overlay_stats.get("overlay_fraction", 0.0),
-                dirty=overlay_stats.get("dirty_colors", 0),
-                compactions=overlay_stats.get("compactions", 0),
-            )
-        )
     return "overlay-csr"
 
 
@@ -430,16 +365,14 @@ def plan_query(
     method: Optional[str] = None,
     algorithm: Optional[str] = None,
     strategy: Optional[str] = None,
-    overlay_stats: Optional[Dict[str, object]] = None,
 ) -> QueryPlan:
     """Choose algorithm / engine / method / store / maintenance for one query.
 
     ``stats`` are the statistics of the graph the query will run on;
-    ``has_matrix`` says whether the session has a distance matrix attached;
-    ``overlay_stats`` the occupancy statistics of the graph's active
-    overlay-CSR store, if any (surfaced in the plan's features and reasons).
-    ``engine`` / ``method`` / ``algorithm`` / ``strategy`` force the
-    respective knob (``None`` and ``"auto"`` mean "planner's choice").
+    ``has_matrix`` says whether the session has a fresh distance matrix
+    attached (read only under ``method="matrix"``).  ``engine`` /
+    ``method`` / ``algorithm`` / ``strategy`` force the respective knob
+    (``None`` and ``"auto"`` mean "planner's choice").
     """
     engine, method, algorithm, strategy = (
         None if knob == "auto" else knob
@@ -485,19 +418,18 @@ def plan_query(
                 features=features,
                 reasons=tuple(reasons),
             )
+        use_matrix = _use_matrix(has_matrix, engine, method, reasons)
         if kind == "rq":
-            chosen = _choose_rq_method(has_matrix, engine, method, stats, reasons)
-            use_matrix = chosen == "matrix"
+            chosen = _choose_rq_method(has_matrix, method, reasons)
         else:
             chosen = _choose_pq_algorithm(query, algorithm, features, reasons)
-            use_matrix = _use_matrix("pq", has_matrix, engine, method, stats, reasons)
 
-    chosen_engine = _resolve_engine(engine, stats, reasons, use_matrix and method == "matrix")
+    chosen_engine = _resolve_engine(engine, stats, reasons, use_matrix)
     return QueryPlan(
         kind=kind,
         algorithm=chosen,
         engine=chosen_engine,
-        store=_resolve_store(chosen_engine, overlay_stats, reasons, features),
+        store=_resolve_store(chosen_engine, reasons, features),
         method=chosen if kind == "rq" else "",
         use_matrix=use_matrix,
         maintenance=_resolve_maintenance(strategy, reasons),
@@ -506,9 +438,9 @@ def plan_query(
     )
 
 
-def _choose_rq_method(has_matrix, engine, method, stats, reasons) -> str:
-    if _use_matrix("rq", has_matrix, engine, method, stats, reasons):
-        return "matrix"
+def _choose_rq_method(has_matrix, method, reasons) -> str:
+    if method == "matrix":
+        return method  # its reason is _use_matrix's
     if method is not None:
         reasons.append(_forced("method", method))
         return method

@@ -237,9 +237,10 @@ class SessionWatch:
 
     def stop(self) -> None:
         """Unregister from the session (no further maintenance)."""
-        if self.active:
-            self.active = False
-            self.session._watches.remove(self)
+        with self.session._lock:
+            if self.active:
+                self.active = False
+                self.session._watches.remove(self)
 
     def __repr__(self) -> str:
         return (
@@ -558,10 +559,8 @@ class GraphSession:
         partitioned store (``1`` = serial, byte-identical answers).
     distance_matrix:
         Optional pre-computed distance matrix (also attached by
-        :meth:`build_matrix`).  The planner answers RQs with it only on
-        graphs below :data:`~repro.session.defaults.SMALL_GRAPH_NODES`
-        nodes, where it ties dict search; ``method="matrix"`` forces it for
-        an RQ or a PQ at any size.
+        :meth:`build_matrix`).  Only ``method="matrix"`` reads it, for an RQ
+        or a PQ at any graph size; unforced plans search.
     compaction_fraction:
         Overlay-occupancy fraction at which the graph's
         :class:`~repro.storage.overlay.OverlayCsrStore` folds its overlay
@@ -593,8 +592,6 @@ class GraphSession:
     ):
         if engine not in ENGINES:
             raise QueryError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        self._partition_shards = shards
-        self._partition_parallelism = parallelism
         if engine == "partitioned" or shards is not None or parallelism is not None:
             from repro.exceptions import GraphError
 
@@ -654,19 +651,19 @@ class GraphSession:
 
     @property
     def distance_matrix(self) -> Optional[DistanceMatrix]:
-        """The attached distance matrix, if any (used while it is fresh)."""
+        """The attached distance matrix, if any (read under ``method="matrix"``
+        while it is fresh)."""
         return self._matrix
 
     def build_matrix(self) -> DistanceMatrix:
         """Build (or rebuild) and attach a distance matrix for the current graph.
 
-        Unforced, the planner answers only RQs from it, and only below
-        :data:`~repro.session.defaults.SMALL_GRAPH_NODES` nodes: at 16-63
-        nodes matrix RQs tie dict search and matrix PQs run 10-13% slower,
-        while at 256 / 1 000 / 2 000 nodes csr search is 2.2 / 3.3 / 4.3x
-        faster on RQs (2.3 / 5.9 / 13x on PQs) and the build itself takes
-        0.1 / 1.6 / 7.7 s.  ``method="matrix"`` uses it for an RQ or a PQ on
-        any graph.
+        Only ``method="matrix"`` reads it, for an RQ or a PQ on any graph;
+        unforced plans search.  Measured, the matrix never beats search: at
+        16-63 nodes matrix RQs tie dict search and matrix PQs run 10-13%
+        slower, while at 256 / 1 000 / 2 000 nodes csr search is 2.2 / 3.3 /
+        4.3x faster on RQs (2.3 / 5.9 / 13x on PQs) and the build itself
+        takes 0.1 / 1.6 / 7.7 s.
         """
         self._matrix = build_distance_matrix(self.graph)
         self._matrix_matcher = None
@@ -676,11 +673,12 @@ class GraphSession:
     def attach_matrix(self, matrix: DistanceMatrix) -> None:
         """Attach a caller-built distance matrix (assumed current).
 
-        The matrix is trusted to describe the graph *as it is now*; after
-        any edge mutation it is considered stale and the planner stops
-        choosing matrix-based evaluation until :meth:`build_matrix` (or a
-        fresh ``attach_matrix``) refreshes it — a session never serves
-        answers from a matrix the graph has drifted away from.
+        The matrix is trusted to describe the graph *as it is now*, and is
+        read only under ``method="matrix"``.  After any edge mutation it is
+        stale: ``method="matrix"`` then raises :class:`QueryError` until
+        :meth:`build_matrix` (or a fresh ``attach_matrix``) refreshes it — a
+        session never serves answers from a matrix the graph has drifted
+        away from.
         """
         self._matrix = matrix
         self._matrix_matcher = None
@@ -764,20 +762,6 @@ class GraphSession:
         merged = dict(overrides)
         if "engine" not in merged and self.engine != "auto":
             merged["engine"] = self.engine
-        if merged.get("engine") == "partitioned":
-            # Surface the shard layout (count, boundary fraction,
-            # parallelism) so explain() narrates the partition decision.
-            pstore = self.graph.partitioned_store(
-                shards=self._partition_shards,
-                parallelism=self._partition_parallelism,
-            )
-            pstore.sync()
-            overlay_stats = pstore.overlay_stats()
-        else:
-            store = self.graph.active_overlay_store
-            overlay_stats = (
-                store.overlay_stats() if store is not None and store.has_base else None
-            )
         return plan_query(
             query,
             self.stats,
@@ -786,7 +770,6 @@ class GraphSession:
             method=merged.get("method"),
             algorithm=merged.get("algorithm"),
             strategy=merged.get("strategy"),
-            overlay_stats=overlay_stats,
         )
 
     def prepare(
@@ -917,40 +900,43 @@ class GraphSession:
         maintenance strategy (delta vs recompute) and engine come from the
         planner unless forced.
         """
-        plan = self._plan(
-            query,
-            {
-                key: value
-                for key, value in (("strategy", strategy), ("engine", engine))
-                if value is not None
-            },
-        )
-        if plan.kind == "general_rq":
-            raise QueryError(
-                "general-regex queries cannot be watched; incremental "
-                "maintenance exists for F-class RQs and pattern queries"
+        # Under the lock: the maintainer's from-scratch pass must neither
+        # read a batch half-applied nor miss its delta.
+        with self._lock:
+            plan = self._plan(
+                query,
+                {
+                    key: value
+                    for key, value in (("strategy", strategy), ("engine", engine))
+                    if value is not None
+                },
             )
-        if plan.kind == "rq":
-            if query.source == query.target:
+            if plan.kind == "general_rq":
                 raise QueryError(
-                    "cannot watch an RQ whose source and target share a name"
+                    "general-regex queries cannot be watched; incremental "
+                    "maintenance exists for F-class RQs and pattern queries"
                 )
-            pattern = PatternQuery(name=f"watch:{query.source}->{query.target}")
-            pattern.add_node(query.source, query.source_predicate)
-            pattern.add_node(query.target, query.target_predicate)
-            pattern.add_edge(query.source, query.target, query.regex)
-        else:
-            pattern = query
-        maintainer = IncrementalPatternMatcher(
-            pattern,
-            self.graph,
-            engine=plan.engine,
-            cache_capacity=self.cache_capacity,
-            strategy=plan.maintenance,
-        )
-        watch = SessionWatch(self, query, plan.kind, pattern, maintainer)
-        self._watches.append(watch)
-        return watch
+            if plan.kind == "rq":
+                if query.source == query.target:
+                    raise QueryError(
+                        "cannot watch an RQ whose source and target share a name"
+                    )
+                pattern = PatternQuery(name=f"watch:{query.source}->{query.target}")
+                pattern.add_node(query.source, query.source_predicate)
+                pattern.add_node(query.target, query.target_predicate)
+                pattern.add_edge(query.source, query.target, query.regex)
+            else:
+                pattern = query
+            maintainer = IncrementalPatternMatcher(
+                pattern,
+                self.graph,
+                engine=plan.engine,
+                cache_capacity=self.cache_capacity,
+                strategy=plan.maintenance,
+            )
+            watch = SessionWatch(self, query, plan.kind, pattern, maintainer)
+            self._watches.append(watch)
+            return watch
 
     @property
     def watches(self) -> Tuple[SessionWatch, ...]:

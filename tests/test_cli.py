@@ -162,9 +162,15 @@ class TestPlanCommand:
         assert "4 matching pairs" in out.getvalue()
 
     def test_matrix_flag_plans_matrix_method(self, essembly_json):
+        # --matrix is gone: only --method matrix attaches and reads a matrix.
+        with pytest.raises(SystemExit):
+            main(["plan", essembly_json, "--regex", "fa", "--matrix"], out=io.StringIO())
         out = io.StringIO()
-        assert main(["plan", essembly_json, "--regex", "fa", "--matrix"], out=out) == 0
+        assert main(["plan", essembly_json, "--regex", "fa", "--method", "matrix"], out=out) == 0
         assert "algorithm=matrix" in out.getvalue()
+        out = io.StringIO()
+        assert main(["plan", essembly_json, "--regex", "fa"], out=out) == 0
+        assert "algorithm=bidirectional" in out.getvalue()
 
     def test_method_matrix_implies_matrix_attachment(self, essembly_json):
         out = io.StringIO()

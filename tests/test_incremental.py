@@ -314,6 +314,20 @@ class TestBatchUpdates:
         with pytest.raises(ValueError):
             matcher.apply_updates([("upsert", "C1", "B1", "fn")])
 
+    @pytest.mark.parametrize("bad", [("frobnicate", "C1", "C2", "fn"), ("add", "C1", "fn")])
+    def test_malformed_stream_leaves_the_graph_untouched(self, essembly, bad):
+        # Regression: the walk used to create "zz" before reaching ``bad``.
+        matcher = IncrementalPatternMatcher(essembly_query_q2(), essembly)
+        version = essembly.version
+        nodes = set(essembly.nodes())
+        edges = {(e.source, e.target, e.color) for e in essembly.edges()}
+        with pytest.raises(ValueError):
+            matcher.apply_updates([("add", "B1", "zz", "fn"), bad])
+        assert essembly.version == version
+        assert set(essembly.nodes()) == nodes
+        assert {(e.source, e.target, e.color) for e in essembly.edges()} == edges
+        assert matcher.result.as_frozen() == EXPECTED_Q2_RESULT
+
     @pytest.mark.parametrize("engine", ["dict", "csr"])
     def test_random_batches_match_from_scratch(self, engine):
         rng = random.Random(13)

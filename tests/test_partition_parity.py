@@ -267,11 +267,13 @@ class TestSessionSurface:
         assert prepared.execute().answer.pairs == expected
         explain = prepared.explain()
         assert "partitioned" in explain
-        assert "partition layout" in explain
+        assert "partition layout" not in explain  # store state: store_stats()
+        assert not any(key.startswith("partition_") for key in prepared.plan.features)
         stats = session.store_stats()
         assert stats["store"] == "partitioned"
         assert stats["shards"] == 3
         assert stats["parallelism"] == 2
+        assert 0.0 <= stats["boundary_fraction"] <= 1.0
 
     def test_session_rejects_unknown_engine(self, graph):
         from repro.session import GraphSession

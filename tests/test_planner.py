@@ -6,14 +6,21 @@ no graph needs to be built to probe a threshold.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import QueryError
+from repro.graph.data_graph import DataGraph
 from repro.graph.stats import GraphStats
 from repro.matching.general_rq import GeneralReachabilityQuery
 from repro.query.pq import PatternQuery
 from repro.query.rq import ReachabilityQuery
 from repro.session.defaults import SMALL_GRAPH_NODES
 from repro.session.planner import PQ_ALGORITHMS, plan_query
+
+
+#: The one line an unforced plan prints with a fresh matrix attached.
+MATRIX_SEARCH_REASON = "distance matrix attached but searching: only method='matrix' reads it"
 
 
 def stats_for(num_nodes=1000, num_edges=5000, colors=("fa", "fn", "sa")):
@@ -46,12 +53,18 @@ def pattern(edges, predicates=()):
 
 class TestRqPlanning:
     def test_matrix_wins_when_attached_and_graph_fits(self):
-        plan = plan_query(rq(), stats_for(num_nodes=SMALL_GRAPH_NODES - 1), has_matrix=True)
-        assert plan.kind == "rq"
-        assert plan.algorithm == "matrix"
-        assert plan.method == "matrix"
+        # Even where the graph fits, an attached matrix only ties search:
+        # the unforced plan searches and only ``method="matrix"`` reads it.
+        stats = stats_for(num_nodes=SMALL_GRAPH_NODES - 1)
+        plan = plan_query(rq(), stats, has_matrix=True)
+        assert plan.algorithm == plan.method == "bidirectional"
         assert plan.engine == "dict"
-        assert plan.use_matrix
+        assert not plan.use_matrix
+        forced = plan_query(rq(), stats, has_matrix=True, method="matrix")
+        assert forced.kind == "rq"
+        assert forced.algorithm == forced.method == "matrix"
+        assert forced.engine == "dict"
+        assert forced.use_matrix
 
     def test_matrix_skipped_when_graph_too_large(self):
         plan = plan_query(
@@ -59,11 +72,11 @@ class TestRqPlanning:
         )
         assert plan.method == "bidirectional"
         assert not plan.use_matrix
-        assert any("too large" in reason for reason in plan.reasons)
+        assert MATRIX_SEARCH_REASON in plan.reasons
 
     def test_unforced_matrix_engine_reason_is_the_size_rule(self):
         plan = plan_query(rq(), stats_for(num_nodes=SMALL_GRAPH_NODES - 1), has_matrix=True)
-        assert plan.use_matrix
+        assert not plan.use_matrix
         assert any("staying on the dict engine" in reason for reason in plan.reasons)
         assert not any("forced" in reason for reason in plan.reasons)
 
@@ -184,7 +197,7 @@ class TestPqPlanning:
         )
         assert not plan.use_matrix
         assert plan.engine == "csr"
-        assert any("method='matrix' forces it" in reason for reason in plan.reasons)
+        assert MATRIX_SEARCH_REASON in plan.reasons
 
     def test_forced_matrix_mode_on_a_large_graph(self):
         query = pattern([("A", "B", "fa")])
@@ -234,6 +247,61 @@ class TestPqPlanning:
         assert plan.maintenance == "delta"
         with pytest.raises(QueryError):
             plan_query(query, stats_for(), strategy="lazy")
+
+
+def _sparse_graph(num_nodes):
+    """``num_nodes`` nodes, an ``fa`` chain and its ``fn`` reverse over the
+    first 40: any size stays cheap to compile and to build a matrix for."""
+    graph = DataGraph("planner-property")
+    for node in range(num_nodes):
+        graph.add_node(node, tag=node % 3)
+    for node in range(min(num_nodes - 1, 40)):
+        graph.add_edge(node, node + 1, "fa")
+        graph.add_edge(node + 1, node, "fn")
+    return graph
+
+
+PROPERTY_QUERIES = (
+    rq(),
+    rq("fa^2.fn"),
+    pattern([("A", "B", "fa")]),
+    pattern([("A", "B", "fa"), ("B", "C", "fn^+")]),
+)
+
+
+class TestMatrixOnlyWhenForced:
+    """An attached, fresh matrix is read under ``method="matrix"`` alone, on
+    either side of ``SMALL_GRAPH_NODES``, and store state never enters a plan."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(num_nodes=st.integers(1, 5000), query=st.sampled_from(PROPERTY_QUERIES))
+    def test_matrix_is_read_only_when_forced(self, num_nodes, query):
+        stats = stats_for(num_nodes=num_nodes)
+        assert not plan_query(query, stats, has_matrix=True).use_matrix
+        forced = plan_query(query, stats, has_matrix=True, method="matrix")
+        assert forced.use_matrix
+        assert forced.engine == "dict"
+        for engine in ("csr", "partitioned"):
+            with pytest.raises(QueryError):
+                plan_query(query, stats, has_matrix=True, method="matrix", engine=engine)
+
+    # Two nodes at least: growing the overlay without a new node or colour
+    # needs an edge that is not there yet.
+    @settings(max_examples=20, deadline=None)
+    @given(num_nodes=st.integers(2, 5000), query=st.sampled_from(PROPERTY_QUERIES))
+    def test_reasons_ignore_overlay_growth(self, num_nodes, query):
+        from repro.session import GraphSession
+
+        session = GraphSession(_sparse_graph(num_nodes), semantic_cache_capacity=0)
+        session.build_matrix()
+        session.execute(query, engine="csr")  # compiles the overlay base
+        before = session.prepare(query).plan
+        session.apply_updates([("add", node, node, "fa") for node in range(min(num_nodes, 3))])
+        assert session.store_stats()["overlay_edges"] >= 2
+        session.build_matrix()  # the growth staled it: attach a fresh one
+        after = session.prepare(query).plan
+        assert not after.use_matrix
+        assert after.reasons == before.reasons
 
 
 class TestAutoOverrides:
@@ -286,8 +354,8 @@ class TestExplainRendering:
     def test_explain_contains_header_and_reasons(self):
         plan = plan_query(rq(), stats_for(num_nodes=SMALL_GRAPH_NODES - 1), has_matrix=True)
         text = plan.explain()
-        assert text.startswith("plan[rq]: algorithm=matrix engine=dict")
-        assert "matrix lookups" in text
+        assert text.startswith("plan[rq]: algorithm=bidirectional engine=dict")
+        assert text.count("distance matrix attached") == 1
         assert text.count("\n") == len(plan.reasons)
 
     def test_pruned_plans_flag_empty_answer(self):
@@ -319,21 +387,25 @@ class TestStoreResolution:
         assert plan.store == "dict"
 
     def test_overlay_occupancy_surfaced_in_features_and_explain(self):
-        overlay_stats = {
-            "base_edges": 400,
-            "overlay_edges": 12,
-            "overlay_fraction": 0.03,
-            "dirty_colors": 2,
-            "new_nodes": 1,
-            "compactions": 3,
-            "compaction_fraction": 0.25,
-        }
-        plan = plan_query(rq(), stats_for(num_nodes=500), overlay_stats=overlay_stats)
-        assert plan.features["overlay_edges"] == 12
-        assert plan.features["overlay_base_edges"] == 400
-        assert plan.features["overlay_compactions"] == 3
-        assert "overlay occupancy: 12/400 edges" in plan.explain()
-        assert "3 compaction(s)" in plan.explain()
+        # Occupancy is store state, not a plan decision: store_stats()
+        # reports it and the plan leaves it out.
+        from repro.datasets.synthetic import generate_synthetic_graph
+        from repro.session import GraphSession
+
+        graph = generate_synthetic_graph(100, 400, seed=3)
+        colors = sorted(graph.colors)
+        session = GraphSession(graph, engine="csr")
+        query = ReachabilityQuery(None, None, colors[0])
+        session.execute(query)
+        nodes = list(graph.nodes())
+        session.apply_updates([("add", nodes[0], nodes[1], colors[1])])
+        stats = session.store_stats()
+        assert stats["overlay_edges"] == 1
+        assert stats["base_edges"] == graph.num_edges - 1
+        assert stats["dirty_colors"] == 1
+        plan = session.prepare(query).plan
+        assert not any(key.startswith("overlay") for key in plan.features)
+        assert "overlay occupancy" not in plan.explain()
 
     def test_to_dict_is_json_serialisable(self):
         import json

@@ -6,6 +6,8 @@ propagation to multiple watchers, and the default-session registry the free
 functions delegate their warm state to.
 """
 
+import threading
+
 import pytest
 
 from repro import (
@@ -89,7 +91,8 @@ class TestPrepareExecute:
     def test_matrix_plan_executes_through_session_matrix(self, graph, rq):
         session = GraphSession(graph)
         session.build_matrix()
-        prepared = session.prepare(rq)
+        assert not session.prepare(rq).plan.use_matrix  # read only when forced
+        prepared = session.prepare(rq, method="matrix")
         assert prepared.plan.use_matrix
         assert prepared.execute().answer.pairs == evaluate_rq(rq, graph).pairs
 
@@ -168,21 +171,24 @@ class TestResultMemo:
         # the attached matrix describes the pre-mutation topology.
         session = GraphSession(graph)
         session.build_matrix()
-        prepared = session.prepare(rq)
+        prepared = session.prepare(rq, method="matrix")
         assert prepared.plan.use_matrix
         prepared.execute()
         session.apply_updates([("add", "d", "b", "fa")])
-        refreshed = prepared.execute()
-        assert not refreshed.plan.use_matrix  # auto-replanned off the stale matrix
+        with pytest.raises(QueryError, match="no distance matrix"):
+            prepared.execute()  # the forced replan refuses the stale matrix
+        with pytest.raises(QueryError, match="no distance matrix"):
+            session.prepare(rq, method="matrix")
+        # Unforced plans search and see the new edge...
+        refreshed = session.prepare(rq).execute()
+        assert not refreshed.plan.use_matrix
         assert ("d", "b") in refreshed.answer.pairs
         assert refreshed.answer.pairs == evaluate_rq(rq, graph).pairs
-        # Newly prepared queries also avoid the stale matrix...
-        assert not session.prepare(rq).plan.use_matrix
-        # ...until it is rebuilt for the current topology.
+        # ...and the forced plan runs again once the matrix is rebuilt.
         session.build_matrix()
-        rebuilt = session.prepare(rq)
+        rebuilt = prepared.execute()
         assert rebuilt.plan.use_matrix
-        assert rebuilt.execute().answer.pairs == evaluate_rq(rq, graph).pairs
+        assert rebuilt.answer.pairs == evaluate_rq(rq, graph).pairs
 
     def test_unsatisfiable_plan_revives_when_colour_appears(self, graph):
         # Regression: the pruning decision must not outlive the statistics
@@ -231,6 +237,15 @@ class TestQueryResultEnvelope:
         assert data["engine"] == result.engine
         rebuilt = type(result.answer).from_dict(data["answer"])
         assert rebuilt.pairs == result.answer.pairs
+
+
+def _start(call):
+    """``call`` on a new thread whose ``done`` event is set once it returns."""
+    done = threading.Event()
+    worker = threading.Thread(target=lambda: (call(), done.set()), daemon=True)
+    worker.done = done
+    worker.start()
+    return worker
 
 
 class TestWatchAndUpdates:
@@ -298,6 +313,43 @@ class TestWatchAndUpdates:
         assert ("d", "b") in watch.pairs
         session.remove_edge("d", "b", "fa")
         assert ("d", "b") not in watch.pairs
+
+    @pytest.mark.parametrize("bad", [("frobnicate", "a", "c", "r"), ("add", "a", "r")])
+    def test_malformed_stream_leaves_graph_and_watchers_untouched(self, graph, rq, bad):
+        # Regression: the walk used to create "z" before reaching ``bad``.
+        session = GraphSession(graph)
+        watch = session.watch(rq)
+        version = graph.version
+        nodes = set(graph.nodes())
+        edges = {(e.source, e.target, e.color) for e in graph.edges()}
+        with pytest.raises(ValueError):
+            session.apply_updates([("add", "b", "z", "r"), bad])
+        assert graph.version == version
+        assert set(graph.nodes()) == nodes
+        assert {(e.source, e.target, e.color) for e in graph.edges()} == edges
+        assert session.updates_applied == 0
+        assert watch.pairs == evaluate_rq(rq, graph).pairs
+
+    def test_watch_blocks_while_the_session_lock_is_held(self, graph, rq):
+        session = GraphSession(graph)
+        with session._lock:
+            worker = _start(lambda: session.watch(rq))
+            assert not worker.done.wait(0.2)  # waits for the writer
+            assert session.watches == ()
+        worker.join(10)
+        assert worker.done.is_set()
+        assert len(session.watches) == 1
+
+    def test_stop_blocks_while_the_session_lock_is_held(self, graph, rq):
+        session = GraphSession(graph)
+        watch = session.watch(rq)
+        with session._lock:
+            worker = _start(watch.stop)
+            assert not worker.done.wait(0.2)  # waits for the writer
+            assert session.watches == (watch,)
+        worker.join(10)
+        assert worker.done.is_set()
+        assert session.watches == ()
 
     def test_general_rq_watch_rejected(self, graph):
         session = GraphSession(graph)
@@ -454,8 +506,9 @@ class TestSessionStoreIntegration:
         session.apply_updates([("add", nodes[0], nodes[1], colors[1])])
         prepared.execute()  # auto-replans against the mutated graph
         assert prepared.plan.store == "overlay-csr"
-        assert "overlay occupancy" in prepared.explain()
-        assert prepared.plan.features["overlay_edges"] >= 1
+        assert "overlay occupancy" not in prepared.explain()
+        assert "overlay_edges" not in prepared.plan.features
+        assert session.store_stats()["overlay_edges"] >= 1
 
     def test_session_rq_on_csr_keeps_answers_identical_under_updates(self):
         graph = generate_synthetic_graph(120, 500, seed=5)

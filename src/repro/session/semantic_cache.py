@@ -4,7 +4,7 @@ The prepared-query result memo (PR 4) only reuses an answer when the *same*
 ``PreparedQuery`` object re-executes on an unchanged graph.  This module
 generalises that reuse twice, using the Section-3 theory:
 
-* **exact** — entries are keyed on the canonical cache key of
+* **exact** — entries are matched on the canonical cache key of
   :mod:`repro.query.canonical`, so two syntactically different but
   equivalent queries (split colour runs, respelt predicate intervals,
   redundant pattern nodes, renamed pattern variables) resolve to the same
@@ -16,10 +16,19 @@ generalises that reuse twice, using the Section-3 theory:
   whole graph: RQ answers are filtered pair-by-pair, PQ answers seed a
   *restricted* fixpoint over the cached match sets.
 
-Probing walks only the entries of the query's own version and kind, newest
-first, skips each whose signature rules containment out (a necessary
-condition, :func:`~repro.query.containment._may_contain`) and runs at most
-``scan_limit`` full checks on the rest.
+Probing
+-------
+
+A probe reads the signature first: it walks only the entries of the
+query's own version and kind, newest first, and keeps as candidates those
+whose signature does not rule containment out (a necessary condition,
+:func:`~repro.query.containment._may_contain`).  Equal canonical keys imply
+containment both ways, so an exact hit is always a candidate, and a probe
+with none misses without canonicalising anything.  Otherwise the query is
+canonicalised once (Sec. 3, cubic for a PQ), each candidate at most once in
+its lifetime (memoised on the entry), and the first candidate with an equal
+key is the exact hit; failing one, at most ``scan_limit`` candidates get the
+full containment check.  Both run outside the lock.
 
 Every entry is tagged with the graph's ``(topology, attributes)`` version
 pair, so invalidation rides the version counters the repo already maintains:
@@ -56,14 +65,14 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.matching.general_rq import GeneralReachabilityResult
 from repro.matching.naive import collect_result
 from repro.matching.reachability import ReachabilityResult
 from repro.matching.refinement import refine_fixpoint
 from repro.matching.result import PatternMatchResult
-from repro.query.canonical import CanonicalQuery, regex_cache_key
+from repro.query.canonical import CanonicalQuery, canonicalize_query, regex_cache_key
 from repro.query.containment import _may_contain, _signature, pq_containment_mapping, rq_contained_in
 from repro.query.pq import PatternQuery
 from repro.session.defaults import (
@@ -71,20 +80,28 @@ from repro.session.defaults import (
     SEMANTIC_CACHE_SCAN_LIMIT,
     SEMANTIC_CACHE_VERIFY_LIMIT,
 )
+from repro.session.planner import _query_kind
 
 __all__ = ["SemanticCache", "CacheProbe"]
 
 VersionKey = Tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _Entry:
-    """One cached answer: its query, the query's signature, a private result copy."""
+    """One cached answer: its key, its query, the query's signature, a private
+    result copy, and the query's canonical form once a probe has needed it."""
 
-    canonical: CanonicalQuery
+    key: Tuple
     query: Any
     answer: Any
     signature: Tuple
+    canonical: Optional[CanonicalQuery] = None
+
+    def canonical_key(self) -> Tuple:
+        if self.canonical is None:  # a benign race: both threads compute the same form
+            self.canonical = canonicalize_query(self.query)
+        return self.canonical.key
 
 
 @dataclass(frozen=True)
@@ -139,13 +156,9 @@ def _seeded_pq_evaluation(
         if out_edges:
             seed: Optional[set] = None
             for edge in out_edges:
-                covering = mapping[edge.pair]
-                sources = {
-                    source
-                    for source, _ in cached_answer.pairs_of(
-                        covering.source, covering.target
-                    )
-                }
+                # Read the cached match set in place: pairs_of() would copy it.
+                pairs = cached_answer.edge_matches.get(mapping[edge.pair].pair, ())
+                sources = {source for source, _ in pairs}
                 seed = sources if seed is None else seed & sources
             candidates[node] = {
                 value
@@ -204,10 +217,13 @@ class SemanticCache:
         self.capacity = capacity
         self.scan_limit = scan_limit
         self.verify_limit = verify_limit
+        # Keyed by (version_key, kind, insertion serial): canonical forms are computed lazily.
         self._entries: "OrderedDict[Tuple, _Entry]" = OrderedDict()
         # Per (version_key, kind), the same entries in LRU order: a plain dict walks ~3x faster.
         self._buckets: Dict[Tuple, Dict[Tuple, _Entry]] = {}
         self._lock = threading.RLock()
+        # This thread's last probe, (query, signature, kind, canonical), handed on to insert.
+        self._probed = threading.local()
         self.exact_hits = 0
         self.containment_hits = 0
         self.misses = 0
@@ -225,39 +241,44 @@ class SemanticCache:
     # -- probing -----------------------------------------------------------------
 
     def probe(
-        self, version_key: VersionKey, canonical: CanonicalQuery, query: Any
+        self, version_key: VersionKey, canonical: Optional[CanonicalQuery], query: Any
     ) -> CacheProbe:
         """Classify one query against the cache (no counters touched).
 
         ``query`` is the *original* query object — PQ containment witnesses
         and served answers must be shaped for its own node names and edges,
-        not the canonical form's.
+        not the canonical form's.  ``canonical`` is its canonical form, or
+        ``None`` to compute it only if some entry is a signature candidate.
         """
         if not self.enabled:
             return _MISS
-        key = (version_key, canonical.kind, canonical.key)
+        signature, kind = _signature(query), _query_kind(query)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                bucket = self._buckets[key[:2]]
-                bucket[key] = bucket.pop(key)
+            bucket = self._buckets.get((version_key, kind), {})
+            candidates = [
+                entry for entry in reversed(bucket.values())
+                if _may_contain(signature, entry.signature)
+            ]
+        # Canonical forms and containment checks are static query analyses — run them unlocked.
+        if candidates and canonical is None:
+            canonical = canonicalize_query(query)
+        self._probed.last = (query, signature, kind, canonical)
+        if not candidates:
+            return _MISS
+        for entry in candidates:
+            if entry.canonical_key() == canonical.key:
+                with self._lock:
+                    if self._entries.get(entry.key) is entry:  # not evicted meanwhile
+                        self._entries.move_to_end(entry.key)
+                        bucket = self._buckets[entry.key[:2]]
+                        bucket[entry.key] = bucket.pop(entry.key)
                 return CacheProbe(
                     "cache-exact",
                     "semantic-cache: canonical key matches a cached answer "
                     "at this graph version",
                     entry,
                 )
-            signature = _signature(query)
-            candidates: List[_Entry] = []
-            for entry in reversed(self._buckets.get(key[:2], {}).values()):
-                if not _may_contain(signature, entry.signature):
-                    continue
-                candidates.append(entry)
-                if len(candidates) >= self.scan_limit:
-                    break
-        # Containment checks are static query analyses — run them unlocked.
-        for entry in candidates:
+        for entry in candidates[: self.scan_limit]:
             probe = self._containment_probe(canonical, query, entry)
             if probe is not None:
                 return probe
@@ -398,17 +419,31 @@ class SemanticCache:
             self.misses += 1
 
     def insert(
-        self, version_key: VersionKey, canonical: CanonicalQuery, query: Any, answer: Any
+        self,
+        version_key: VersionKey,
+        canonical: Optional[CanonicalQuery],
+        query: Any,
+        answer: Any,
     ) -> None:
-        """Cache one freshly evaluated answer (a private copy is stored)."""
+        """Cache one freshly evaluated answer (a private copy is stored).
+
+        The signature and kind, and a canonical form the caller did not pass,
+        come from this thread's last :meth:`probe` of the same query object.
+        """
         if not self.enabled:
             return
-        key = (version_key, canonical.kind, canonical.key)
-        entry = _Entry(canonical, query, answer.copy(), _signature(query))
+        probed = getattr(self._probed, "last", None)
+        if probed is not None and probed[0] is query:
+            _, signature, kind, probed_canonical = probed
+            canonical = canonical or probed_canonical
+        else:
+            signature, kind = _signature(query), _query_kind(query)
+        answer = answer.copy()
         with self._lock:
-            for table in (self._entries, self._buckets.setdefault(key[:2], {})):
-                table.pop(key, None)
-                table[key] = entry
+            key = (version_key, kind, self.insertions)
+            entry = _Entry(key, query, answer, signature, canonical)
+            self._entries[key] = entry
+            self._buckets.setdefault(key[:2], {})[key] = entry
             self.insertions += 1
             while len(self._entries) > self.capacity:
                 evicted, _ = self._entries.popitem(last=False)

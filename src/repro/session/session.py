@@ -28,6 +28,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter
+from functools import cached_property
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.exceptions import QueryError, SnapshotError
@@ -87,18 +88,22 @@ class PreparedQuery:
         query: Any,
         plan: QueryPlan,
         overrides: Dict[str, Any],
-        canonical: Optional[CanonicalQuery] = None,
     ):
         self.session = session
         self.query = query
         self.plan = plan
-        self.canonical = canonical
         self._overrides = dict(overrides)
         self._plan_key: Tuple[int, int] = session._version_key()
         self._memo_key: Optional[Tuple[int, int]] = None
         self._memo_answer: Optional[Any] = None
         self.executions = 0
         self.result_cache_hits = 0
+
+    @cached_property
+    def canonical(self) -> CanonicalQuery:
+        """The query's Sec. 3 canonical form, computed on first access (the
+        semantic cache computes its own only when some entry could match)."""
+        return canonicalize_query(self.query)
 
     def explain(self) -> str:
         """Render the planner's decision (algorithm, engine, reasons)."""
@@ -156,7 +161,7 @@ class PreparedQuery:
             else:
                 matcher = session.matcher(self.plan.engine)
             result = _run_read_pipeline(
-                self.query, self.plan, self.canonical, matcher, key, session.semantic_cache, started
+                self.query, self.plan, matcher, key, session.semantic_cache, started
             )
             self.plan = result.plan
             return result
@@ -282,7 +287,6 @@ def _evaluate(query: Any, plan: QueryPlan, matcher: PathMatcher) -> Any:
 def _run_read_pipeline(
     query: Any,
     plan: QueryPlan,
-    canonical: Optional[CanonicalQuery],
     matcher: PathMatcher,
     key: Tuple[int, int],
     cache: SemanticCache,
@@ -294,13 +298,13 @@ def _run_read_pipeline(
     evaluators, for live and pinned reads alike.  The caller supplies what
     differs: ``matcher``, the warm matcher over the graph view to read, and
     ``key``, the ``(version, attrs_version)`` pair that view stands at —
-    the only cache entries consulted or written.  ``canonical`` is ``None``
-    for a query the cache cannot key; elapsed time counts from ``started``.
+    the only cache entries consulted or written; the cache canonicalises
+    only where an entry could match.  Elapsed time counts from ``started``.
     """
-    probing = canonical is not None and cache.enabled and not plan.unsatisfiable
+    probing = cache.enabled and not plan.unsatisfiable
     answer, decision, reason = None, "evaluate", None
     if probing:
-        probe = cache.probe(key, canonical, query)
+        probe = cache.probe(key, None, query)
         if probe.decision != "evaluate":
             answer = cache.serve(probe, query, matcher.graph, matcher)
         if answer is None:
@@ -312,7 +316,7 @@ def _run_read_pipeline(
     if probing and decision != "cache-exact":
         # An evaluated answer becomes an entry, and so does one derived by
         # containment: the next equivalent query hits exactly.
-        cache.insert(key, canonical, query, answer)
+        cache.insert(key, None, query, answer)
     if decision != "evaluate" or plan.cache != "evaluate":
         # Also resets a prepare-time annotation that did not hold (entry
         # evicted, graph moved on, or serving declined).
@@ -474,12 +478,6 @@ class SessionSnapshot:
         self.executed_queries += 1
         self.plans_chosen[(plan.kind, plan.algorithm)] += 1
         cache = self.session.semantic_cache
-        canonical: Optional[CanonicalQuery] = None
-        if cache.enabled and not plan.unsatisfiable:
-            try:
-                canonical = canonicalize_query(query)
-            except QueryError:
-                canonical = None
         state = self._state
         # The semantic cache is consulted and written under the *pinned*
         # version pair only: later writer mutations make new keys and can
@@ -487,7 +485,7 @@ class SessionSnapshot:
         key = state.store.version_key
         with state.lock:
             return _run_read_pipeline(
-                query, plan, canonical, state.matcher(plan.engine), key, cache, started
+                query, plan, state.matcher(plan.engine), key, cache, started
             )
 
     def execute_many(self, queries: Iterable[Any], **overrides: Any) -> List[QueryResult]:
@@ -812,24 +810,16 @@ class GraphSession:
             if value is not None
         }
         with self._lock:
-            try:
-                canonical = canonicalize_query(query)
-            except QueryError:
-                # Unplannable objects fall through to the planner, which
-                # raises its own (kind-enumerating) error below.
-                canonical = None
             plan = self._plan(query, overrides)
-            if annotate and canonical is not None and not plan.unsatisfiable:
+            if annotate and not plan.unsatisfiable:
                 # The decision is as volatile as the cache: execution probes
                 # again and relabels the plan with the decision that held.
-                probe = self.semantic_cache.probe(
-                    self._version_key(), canonical, query
-                )
+                probe = self.semantic_cache.probe(self._version_key(), None, query)
                 if probe.decision != "evaluate":
                     plan = with_cache_decision(plan, probe.decision, probe.reason)
             self.prepared_queries += 1
             self.plans_chosen[(plan.kind, plan.algorithm)] += 1
-            return PreparedQuery(self, query, plan, overrides, canonical)
+            return PreparedQuery(self, query, plan, overrides)
 
     def execute(self, query: Any, **overrides: Any) -> QueryResult:
         """Prepare and execute in one call (no prepared-query reuse).

@@ -196,6 +196,18 @@ class TestCiWorkflow:
             assert needle in command
         assert "not slow" not in command
 
+    def test_quick_legs_run_the_cache_decision_suites_whole(self, workflow):
+        # The quick tier-1 run deselects the `slow` semantic-cache and
+        # key-parity properties; every non-primary leg runs those files by
+        # path, unfiltered.
+        job = workflow["jobs"]["test"]
+        steps = [step for step in job["steps"] if "tests/test_semantic_cache.py" in step.get("run", "")]
+        assert len(steps) == 1 and steps[0]["if"] == "matrix.python-version != '3.12'"
+        command = steps[0]["run"]
+        for path in ("tests/test_canonical_parity.py", "tests/test_containment_index.py"):
+            assert path in command
+        assert " -k " not in command and "slow" not in command
+
     def test_benchmark_job_runs_repo_benchmark_smoke(self, workflow):
         # bench/test_smoke.py is outside pytest's testpaths (tier-1 never
         # collects it), so the benchmark job must run it by path.

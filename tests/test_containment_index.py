@@ -16,6 +16,7 @@ built on it:
   keys, in the cache's newest-first LRU order, and ``clear()`` empties them.
 """
 
+import itertools
 import random
 import sys
 import threading
@@ -24,20 +25,25 @@ from decimal import Decimal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph.data_graph import DataGraph
 from repro.matching.general_rq import GeneralReachabilityQuery
 from repro.matching.reachability import ReachabilityResult
-from repro.query.canonical import canonicalize_query
+from repro.query.canonical import _without_node, canonicalize_query
 from repro.query.containment import (
     _may_contain,
     _signature,
     pq_containment_mapping,
     rq_contained_in,
 )
+from repro.query.generator import QueryGenerator
 from repro.query.pq import PatternQuery
 from repro.query.predicates import AtomicCondition, Predicate
 from repro.query.rq import ReachabilityQuery
 from repro.regex.fclass import FRegex, RegexAtom
+from repro.session import semantic_cache
 from repro.session.semantic_cache import SemanticCache
+from repro.session.session import GraphSession
+from test_canonical_parity import GRAPH, _with_twin, generated_patterns
 
 _COLORS = ("a", "b", "c")
 _VALUES = (0, 1, 2, True, 1.0, Decimal(1), "s")
@@ -280,7 +286,9 @@ class TestIndexLifecycle:
         lru_order = [key for key in reversed(cache._entries) if key[:2] == ((1, 0), "rq")]
         bucket_order = list(reversed(cache._buckets[((1, 0), "rq")]))
         assert bucket_order == lru_order
-        assert bucket_order[0] == ((1, 0), "rq", canonicalize_query(queries[0]).key)
+        # Entries are keyed by insertion serial (canonical forms are computed
+        # lazily), so the front is identified by its query.
+        assert cache._buckets[((1, 0), "rq")][bucket_order[0]].query is queries[0]
 
     def test_concurrent_inserts_and_probes_keep_the_index_whole(self):
         """Inserts, probes and evictions from many threads: every bucket
@@ -318,3 +326,240 @@ class TestIndexLifecycle:
         assert errors == []
         assert _bucket_keys(cache) == set(cache._entries)
         assert all(cache._buckets.values()) and len(cache) <= 8
+
+
+# -- equal canonical keys make signature candidates -------------------------------
+
+
+@st.composite
+def respelt_regexes(draw, regex):
+    """``regex`` with each colour run's budget redistributed: a run of ``n``
+    atoms reads ``n`` to ``sum of bounds`` edges (unbounded if any atom is),
+    whatever the order and split of its bounds."""
+    atoms = []
+    for color, run in itertools.groupby(regex.atoms, key=lambda atom: atom.color):
+        bounds = [atom.max_count for atom in run]
+        if None in bounds:
+            spelt = [None] + [draw(st.sampled_from((None, 1, 2))) for _ in bounds[1:]]
+        else:
+            budget, spelt = sum(bounds) - len(bounds), []
+            for _ in bounds[:-1]:
+                extra = draw(st.integers(0, budget))
+                spelt.append(1 + extra)
+                budget -= extra
+            spelt.append(1 + budget)
+        atoms.extend(RegexAtom(color, bound) for bound in draw(st.permutations(spelt)))
+    return FRegex(atoms)
+
+
+@st.composite
+def respelt_predicates(draw, predicate):
+    """``predicate``'s conditions shuffled, one maybe repeated, and an
+    integer bound or equality maybe joined by a looser bound it implies."""
+    conditions = list(predicate.conditions)
+    for condition in predicate.conditions:
+        value = condition.value
+        if type(value) is int and condition.op != "!=" and draw(st.booleans()):
+            looser = (">", value - 1) if condition.op in ("=", ">", ">=") else ("<", value + 1)
+            conditions.append(AtomicCondition(condition.attribute, *looser))
+    if conditions and draw(st.booleans()):
+        conditions.append(draw(st.sampled_from(conditions)))
+    return Predicate(draw(st.permutations(conditions)))
+
+
+@st.composite
+def rq_spellings(draw):
+    query = ReachabilityQuery(draw(predicates), draw(predicates), draw(regexes))
+    return query, ReachabilityQuery(
+        draw(respelt_predicates(query.source_predicate)),
+        draw(respelt_predicates(query.target_predicate)),
+        draw(respelt_regexes(query.regex)),
+    )
+
+
+@st.composite
+def general_spellings(draw):
+    query = GeneralReachabilityQuery(draw(predicates), draw(predicates), draw(_general_text))
+    return query, GeneralReachabilityQuery(
+        draw(respelt_predicates(query.source_predicate)),
+        draw(respelt_predicates(query.target_predicate)),
+        str(query.regex),
+    )
+
+
+def _pq_spellings(pattern):
+    """Other spellings of ``pattern``: its canonical form, its nodes renamed,
+    and — when it carries a bisimilar or absorbable twin — the pattern
+    without the twin."""
+    renamed = PatternQuery(name="renamed")
+    names = {node: f"r{index}" for index, node in enumerate(reversed(list(pattern.nodes())))}
+    for node in names:
+        renamed.add_node(names[node], pattern.predicate(node))
+    for edge in pattern.edges():
+        renamed.add_edge(names[edge.source], names[edge.target], edge.regex)
+    spellings = [canonicalize_query(pattern).query, renamed]
+    spellings += [_without_node(pattern, node) for node in pattern.nodes() if node.endswith("~")]
+    return spellings
+
+
+def _assert_candidates_both_ways(first, second):
+    if canonicalize_query(first).key == canonicalize_query(second).key:
+        assert _may_contain(_signature(first), _signature(second))
+        assert _may_contain(_signature(second), _signature(first))
+
+
+class TestEqualKeysAreSignatureCandidates:
+    """The probe looks for an exact hit among signature candidates only.
+    That is sound because equal canonical keys imply containment both ways,
+    and ``_may_contain`` is necessary for containment."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rq_spellings())
+    def test_rq_respellings(self, pair):
+        _assert_candidates_both_ways(*pair)
+
+    @settings(max_examples=100, deadline=None)
+    @given(generated_patterns())
+    def test_pq_twins_and_renamings(self, pattern):
+        for spelling in _pq_spellings(pattern):
+            _assert_candidates_both_ways(pattern, spelling)
+
+    @settings(max_examples=200, deadline=None)
+    @given(general_spellings())
+    def test_general_rq_respellings(self, pair):
+        _assert_candidates_both_ways(*pair)
+
+    def test_the_properties_see_equal_keys(self):
+        """Spellings of each family that do share a key, so the properties
+        above are not vacuous."""
+        pairs = [
+            (ReachabilityQuery("x = 1", "", "a.b^2.b"), ReachabilityQuery("x > 0 & x = 1", "", "a.b.b^2")),
+            (ReachabilityQuery("", "", "c^3._^+"), ReachabilityQuery("", "", "c._^+")),
+            (GeneralReachabilityQuery("x = 1 & y = 2", "", "(a|b)*.c"),
+             GeneralReachabilityQuery("y = 2 & x = 1", "", "(a|b)*.c")),
+        ]
+        generator = QueryGenerator(GRAPH, seed=7)
+        pattern = generator.pattern_query(3, 3, num_predicates=1)
+        node = sorted(pattern.nodes())[0]
+        pairs += [(_with_twin(pattern, node, pattern.predicate(node)), pattern)]
+        pairs += [(pattern, spelling) for spelling in _pq_spellings(pattern)]
+        for first, second in pairs:
+            assert canonicalize_query(first).key == canonicalize_query(second).key
+            _assert_candidates_both_ways(first, second)
+
+
+# -- canonical forms only for signature candidates --------------------------------
+
+
+def _count_canonicalisations(monkeypatch):
+    calls = []
+    original = semantic_cache.canonicalize_query
+
+    def counting(query):
+        calls.append(query)
+        return original(query)
+
+    monkeypatch.setattr(semantic_cache, "canonicalize_query", counting)
+    return calls
+
+
+class TestCanonicalFormsOnDemand:
+    def test_exact_entry_behind_a_newer_candidate_is_exact_with_scan_limit_1(self):
+        """Every candidate is compared by key before the ``scan_limit``
+        containment checks: the newer ``a._^+`` contains the probe, but the
+        older equal entry is the hit."""
+        cache = SemanticCache(capacity=8, scan_limit=1)
+        equal = ReachabilityQuery("", "", "a.b^2.b")
+        for query in (equal, ReachabilityQuery("", "", "a._^+")):
+            cache.insert((1, 0), None, query, _answer())
+        found = cache.probe((1, 0), None, ReachabilityQuery("", "", "a.b.b^2"))
+        assert found.decision == "cache-exact"
+        assert found.entry.query is equal
+
+    def test_a_candidate_free_probe_canonicalises_nothing(self, monkeypatch):
+        cache = SemanticCache(capacity=8)
+        calls = _count_canonicalisations(monkeypatch)
+        for regex in ("a", "b^2", "c^+"):
+            query = ReachabilityQuery("", "", regex)
+            assert cache.probe((1, 0), None, query).decision == "evaluate"
+            cache.insert((1, 0), None, query, _answer())
+        assert calls == []  # no entry's colours cover another's
+        assert cache.probe((1, 0), None, ReachabilityQuery("", "", "c.a")).decision == "evaluate"
+        assert cache.probe((2, 0), None, ReachabilityQuery("", "", "a")).decision == "evaluate"
+        assert calls == []
+        assert all(entry.canonical is None for entry in cache._entries.values())
+
+    def test_a_cached_entry_is_canonicalised_at_most_once(self, monkeypatch):
+        cache = SemanticCache(capacity=8)
+        cached = ReachabilityQuery("", "", "a._^+")
+        cache.insert((1, 0), None, cached, _answer())
+        calls = _count_canonicalisations(monkeypatch)
+        probes = [ReachabilityQuery("", "", regex) for regex in ("a.b", "a.c^2", "a._^+", "a.a")]
+        decisions = [cache.probe((1, 0), None, probes[step % 4]).decision for step in range(50)]
+        assert sum(query is cached for query in calls) == 1
+        assert set(decisions) == {"cache-exact", "cache-containment"}
+
+    def test_an_explicit_canonical_form_is_used(self, monkeypatch):
+        query = ReachabilityQuery("", "", "a.b")
+        canonical = canonicalize_query(query)
+        cache = SemanticCache(capacity=8)
+        cache.insert((1, 0), canonical, query, _answer())
+        calls = _count_canonicalisations(monkeypatch)
+        assert cache.probe((1, 0), canonical, query).decision == "cache-exact"
+        assert calls == [] and cache._entries[next(iter(cache._entries))].canonical is canonical
+
+    def test_a_miss_computes_the_signature_once(self, monkeypatch):
+        graph = DataGraph(name="signature-once")
+        graph.add_node("s", x=1)
+        graph.add_node("t", x=2)
+        graph.add_edges_from([("s", "t", "a"), ("t", "s", "b")])
+        session = GraphSession(graph)
+        calls = []
+        original = semantic_cache._signature
+
+        def counting(query):
+            calls.append(query)
+            return original(query)
+
+        monkeypatch.setattr(semantic_cache, "_signature", counting)
+        query = ReachabilityQuery("x = 1", "", "a")
+        assert session.execute(query).cache_decision == "evaluate"  # probe, evaluate, insert
+        assert calls == [query] and len(session.semantic_cache) == 1
+
+    def test_concurrent_lazy_probes_and_inserts_keep_each_entry_its_own(self):
+        """Probes and inserts without a canonical form from many threads: what
+        a probe hands its thread's next insert must never reach another
+        query's entry, and a hit's key is the probe's own."""
+        cache = SemanticCache(capacity=8)
+        queries = [ReachabilityQuery("", "", regex) for regex in ("a", "a.b^2.b", "a.b.b^2", "_", "a^+", "c")]
+        keys = {id(query): canonicalize_query(query).key for query in queries}
+        errors = []
+
+        def work(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(300):
+                    query = queries[rng.randrange(len(queries))]
+                    found = cache.probe((rng.randrange(2), 0), None, query)
+                    if found.decision == "cache-exact":
+                        assert found.entry.canonical.key == keys[id(query)]
+                    elif rng.random() < 0.7:
+                        cache.insert((rng.randrange(2), 0), None, query, _answer())
+            except Exception as error:
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for entry in list(cache._entries.values()):
+            assert entry.signature == _signature(entry.query)
+            assert entry.canonical is None or entry.canonical.key == keys[id(entry.query)]

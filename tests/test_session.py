@@ -24,6 +24,10 @@ from repro.datasets.synthetic import generate_synthetic_graph
 from repro.exceptions import QueryError
 from repro.graph.data_graph import DataGraph
 from repro.matching.incremental import coalesce_update_stream
+from repro.query.canonical import canonicalize_query
+from repro.query.generator import QueryGenerator
+from repro.session import semantic_cache
+from repro.session import session as session_module
 
 
 @pytest.fixture
@@ -220,6 +224,78 @@ class TestResultMemo:
         assert [("d", "c") in result.answer.pairs for result in results] == [
             False, True, False,
         ]
+
+
+def _count_canonicalisations(monkeypatch):
+    """Every canonical form the read path builds: the session and the
+    semantic cache each reach the canonicaliser through their own module."""
+    calls = []
+
+    def counting(query):
+        calls.append(query)
+        return canonicalize_query(query)
+
+    for module in (session_module, semantic_cache):
+        monkeypatch.setattr(module, "canonicalize_query", counting)
+    return calls
+
+
+def _generated_reads(count=20):
+    graph = generate_synthetic_graph(40, 120, num_attributes=2, attribute_cardinality=3, seed=4)
+    generator = QueryGenerator(graph, seed=9)
+    queries = [
+        generator.pattern_query(3, 3, 1, 3) if index % 2 else generator.reachability_query(1, 3)
+        for index in range(count)
+    ]
+    return graph, queries
+
+
+class TestCanonicalFormsOnDemand:
+    """Sec. 3 canonicalisation belongs to the semantic cache, which runs it
+    only when some entry could match: reads it cannot serve build none."""
+
+    def test_live_reads_with_the_cache_off_canonicalise_nothing(self, monkeypatch):
+        graph, queries = _generated_reads()
+        session = GraphSession(graph, semantic_cache_capacity=0)
+        calls = _count_canonicalisations(monkeypatch)
+        for query in queries:
+            session.execute(query)
+            session.prepare(query).execute()
+        assert calls == []
+
+    def test_pinned_reads_with_the_cache_off_canonicalise_nothing(self, monkeypatch):
+        graph, queries = _generated_reads()
+        session = GraphSession(graph, semantic_cache_capacity=0)
+        calls = _count_canonicalisations(monkeypatch)
+        with session.pin() as snapshot:
+            for query in queries:
+                snapshot.execute(query)
+        assert calls == []
+
+    def test_unsatisfiable_plans_canonicalise_nothing(self, graph, rq, monkeypatch):
+        session = GraphSession(graph)
+        session.execute(ReachabilityQuery(None, None, "fa^+"))  # a candidate for any RQ on TRUE
+        calls = _count_canonicalisations(monkeypatch)
+        pruned = ReachabilityQuery(None, None, "zz")
+        session.execute(pruned)
+        session.prepare(pruned).execute()
+        with session.pin() as snapshot:
+            assert snapshot.execute(pruned).plan.unsatisfiable
+        assert calls == []
+
+    def test_prepared_canonical_is_computed_on_first_access(self, graph, rq, monkeypatch):
+        calls = _count_canonicalisations(monkeypatch)
+        prepared = GraphSession(graph).prepare(rq)
+        prepared.execute()
+        assert calls == []  # the cache was empty: nothing to compare with
+        assert prepared.canonical.key == canonicalize_query(rq).key
+        assert prepared.canonical is prepared.canonical and calls == [rq]
+
+    def test_an_unplannable_object_gets_the_planners_error(self, graph):
+        session = GraphSession(graph)
+        for read in (session.execute, session.prepare, session.pin().execute):
+            with pytest.raises(QueryError, match="cannot plan 'object'"):
+                read(object())
 
 
 class TestQueryResultEnvelope:

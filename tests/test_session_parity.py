@@ -449,7 +449,7 @@ def test_one_shot_execute_probes_the_semantic_cache_once(monkeypatch):
     original = SemanticCache.probe
 
     def counting(self, *args, **kwargs):
-        probes.append(args[1].kind)
+        probes.append(args[2])  # the query: the session passes no canonical form
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(SemanticCache, "probe", counting)

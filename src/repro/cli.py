@@ -51,8 +51,8 @@ Queries run on one of two evaluation engines, selected with ``--engine``
 * ``partitioned`` — the sharded store of :mod:`repro.storage.partition`:
   per-shard CSR compiles with boundary-frontier exchange (strictly opt-in;
   ``auto`` never resolves to it);
-* ``auto`` (default) — ``csr`` for the search methods, ``dict`` otherwise
-  (the ``matrix`` method always runs on the dict engine).
+* ``auto`` (default) — ``csr`` (the only engine of the ``matrix`` method,
+  whose rows are the CSR layers' distance-labelled closures).
 
 Both engines return identical result pairs; ``--engine`` only changes speed.
 Pattern-query experiments (``exp1``, ``exp4``) and the RQ experiment
@@ -75,6 +75,8 @@ from typing import Optional, Sequence
 from repro.datasets.synthetic import generate_synthetic_graph
 from repro.datasets.terrorism import generate_terrorism_graph
 from repro.datasets.youtube import generate_youtube_graph
+from repro.exceptions import EvaluationError
+from repro.graph.distance import build_distance_matrix
 from repro.graph.io import load_json, save_json
 from repro.graph.stats import compute_stats
 from repro.matching.reachability import evaluate_rq
@@ -346,7 +348,7 @@ def _command_rq_session(args: argparse.Namespace, out) -> int:
             engine=None if args.engine == "auto" else args.engine,
         )
     except QueryError as error:
-        # e.g. --method matrix --engine csr: same clean exit as the classic path.
+        # e.g. --method matrix --engine dict: same clean exit as the classic path.
         return _session_error("rq", error)
     if args.json:
         result = prepared.execute()
@@ -419,23 +421,15 @@ def _command_plan(args: argparse.Namespace, out) -> int:
 def _command_rq(args: argparse.Namespace, out) -> int:
     if args.session:
         return _command_rq_session(args, out)
-    if args.method == "matrix" and args.engine == "csr":
-        print(
-            "repro rq: error: the matrix method runs on the dict engine only "
-            "(drop --engine csr or pick a search method)",
-            file=sys.stderr,
-        )
-        return 2
     graph = load_json(args.graph)
     query = ReachabilityQuery(args.source, args.target, args.regex)
-    distance_matrix = None
-    if args.method == "matrix":
-        from repro.graph.distance import build_distance_matrix
-
-        distance_matrix = build_distance_matrix(graph)
-    result = evaluate_rq(
-        query, graph, distance_matrix=distance_matrix, method=args.method, engine=args.engine
-    )
+    distance_matrix = build_distance_matrix(graph) if args.method == "matrix" else None
+    try:
+        result = evaluate_rq(
+            query, graph, distance_matrix=distance_matrix, method=args.method, engine=args.engine
+        )
+    except EvaluationError as error:  # e.g. --method matrix --engine dict
+        return _session_error("rq", error)
     if args.json:
         return _emit_json(
             {"command": "rq", "session": False, "plan": None, "result": result.to_dict()},

@@ -4,44 +4,43 @@ The matrix-based evaluation methods rely on ``M[v1][v2][c]``: the length of
 the shortest path from ``v1`` to ``v2`` using only edges of colour ``c`` (and
 one extra "colour" for the wildcard, i.e. paths of arbitrary colours).
 
-The matrix is built with one BFS per (node, colour) pair, which gives the
-``O((m+1)|V|² + |V|(|V|+|E|))`` preprocessing cost quoted in the paper, and is
-shared by all queries evaluated against the same graph.
-
-Storage is a dictionary of dictionaries per colour rather than a dense numpy
-cube: real-world colour-restricted reachability is sparse, so this keeps the
-memory footprint proportional to the number of reachable pairs while still
-answering lookups in O(1).
+It keeps no table: row ``v1`` of colour ``c`` is row ``v1`` of the
+distance-labelled closure of ``c``'s CSR layer (:mod:`repro.kernels`; every
+``v2`` sorted by ``(d⁺(v1, v2), v2)``, ``d⁺(v1, v1)`` the shortest cycle), the
+k-hop index of Cheng et al. (PVLDB 2012) that ``method="matrix"`` gathers from
+too.  It reads :func:`~repro.graph.csr.compiled_snapshot`'s layers, so it
+answers for the graph's current version and is never stale.  Cost: up to
+``n²`` pairs per colour; at 1 000 nodes / 3 640 edges (numpy, 2-core x86 VM)
+0.31 s and 852 960 pairs in 4.2 MiB, but a 64 MiB build peak, 98% of the
+pairs in the wildcard layer; the python backend builds the same rows in about
+1 s.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Optional
 
+from repro.graph.csr import compiled_snapshot
 from repro.graph.data_graph import DataGraph
-from repro.graph.traversal import bfs_distances
+from repro.kernels import select_backend
 from repro.regex.fclass import WILDCARD
 
 NodeId = Hashable
 
 
 class DistanceMatrix:
-    """Shortest per-colour distances between all pairs of nodes.
+    """Shortest per-colour distances between all pairs of nodes, read off the
+    layers' closures of the graph's current version.
 
     Use :func:`build_distance_matrix` to construct one; the class itself only
     provides lookups.
     """
 
-    __slots__ = ("_graph_name", "_colors", "_table")
+    __slots__ = ("graph", "_colors")
 
-    def __init__(self, graph_name: str, colors: Iterable[str]):
-        self._graph_name = graph_name
+    def __init__(self, graph: DataGraph, colors: Iterable[str]):
+        self.graph = graph  # whose layers' closures it reads
         self._colors = frozenset(colors) | {WILDCARD}
-        # _table[color][source][target] = shortest distance (>= 1 entries only
-        # except the trivial source==source entry which is omitted).
-        self._table: Dict[str, Dict[NodeId, Dict[NodeId, int]]] = {
-            color: {} for color in self._colors
-        }
 
     @property
     def colors(self) -> frozenset:
@@ -49,14 +48,23 @@ class DistanceMatrix:
 
     @property
     def graph_name(self) -> str:
-        return self._graph_name
+        return self.graph.name
 
-    def _row(self, source: NodeId, color: str) -> Dict[NodeId, int]:
-        return self._table.get(color, {}).get(source, {})
+    def _closure(self, compiled, color: str):
+        """The closure of ``color``'s layer (``WILDCARD``: the any-colour one) in
+        ``compiled``, built on first ask; ``None`` outside the palette or the graph."""
+        color_id = compiled.color_id(None if color == WILDCARD else color) if color in self._colors else None
+        return None if color_id is None else select_backend().closure(compiled.layer(color_id), compiled.num_nodes)
 
-    def set_row(self, source: NodeId, color: str, distances: Dict[NodeId, int]) -> None:
-        """Record the BFS result for one (source, colour) pair."""
-        self._table.setdefault(color, {})[source] = distances
+    def _row(self, source: NodeId, color: Optional[str]) -> Dict[NodeId, int]:
+        """``{target: d⁺(source, target)}`` for one colour (wildcard when ``None``)."""
+        compiled = compiled_snapshot(self.graph)
+        closure = self._closure(compiled, WILDCARD if color is None else color)
+        if closure is None or not compiled.has_node(source):
+            return {}
+        index = compiled.node_index(source)
+        lo, hi = int(closure.starts[index]), int(closure.starts[index + 1])
+        return dict(zip(compiled.ids_of(closure.cols[lo:hi].tolist()), closure.dist[lo:hi].tolist()))
 
     def distance(
         self, source: NodeId, target: NodeId, color: Optional[str] = None
@@ -66,10 +74,9 @@ class DistanceMatrix:
         Returns ``None`` when ``target`` is unreachable from ``source`` using
         only that colour.  The distance from a node to itself is 0.
         """
-        key = WILDCARD if color is None else color
         if source == target:
             return 0
-        return self._row(source, key).get(target)
+        return self._row(source, color).get(target)
 
     def reachable_within(
         self,
@@ -80,36 +87,22 @@ class DistanceMatrix:
     ) -> bool:
         """True if a non-empty path of the given colour exists with at most
         ``max_hops`` edges (``None`` means unbounded).  There is no lower
-        bound: a shortest-distance matrix cannot certify one."""
-        key = WILDCARD if color is None else color
-        if source == target:
-            # A non-empty path from a node to itself requires a cycle; the BFS
-            # rows store only shortest positive distances to *other* nodes, so
-            # we look for a successor that reaches the node back.
-            dist = self._cycle_length(source, key)
-        else:
-            dist = self._row(source, key).get(target)
+        bound: a shortest-distance matrix cannot certify one.  From a node to
+        itself the path is its shortest cycle, ``d⁺(v, v)``."""
+        dist = self._row(source, color).get(target)
         if dist is None:
             return False
         return max_hops is None or dist <= max_hops
 
-    def _cycle_length(self, node: NodeId, color: str) -> Optional[int]:
-        """Length of the shortest non-empty cycle through ``node``.
-
-        Cycle lengths are pre-computed by :func:`build_distance_matrix` and
-        stored as the (otherwise unused) ``node -> node`` entry of each row.
-        """
-        return self._row(node, color).get(node)
-
     def memory_entries(self) -> int:
-        """Number of stored (source, target, colour) distance entries."""
-        return sum(
-            len(row) for rows in self._table.values() for row in rows.values()
-        )
+        """Number of stored (source, target, colour) distance entries: the
+        closures' pairs."""
+        compiled = compiled_snapshot(self.graph)
+        return sum(len(self._closure(compiled, color) or ()) for color in self._colors)
 
     def __repr__(self) -> str:
         return (
-            f"DistanceMatrix(graph={self._graph_name!r}, "
+            f"DistanceMatrix(graph={self.graph_name!r}, "
             f"colors={sorted(self._colors)}, entries={self.memory_entries()})"
         )
 
@@ -117,7 +110,9 @@ class DistanceMatrix:
 def build_distance_matrix(
     graph: DataGraph, colors: Optional[Iterable[str]] = None
 ) -> DistanceMatrix:
-    """Build the per-colour all-pairs shortest-distance matrix of a graph.
+    """Build the per-colour all-pairs shortest-distance matrix of a graph:
+    the closures of the palette's layers and of the wildcard layer, without
+    the kernels' per-edge budget.
 
     Parameters
     ----------
@@ -128,27 +123,6 @@ def build_distance_matrix(
         every colour appearing in the graph.
     """
     palette = frozenset(colors) if colors is not None else graph.colors
-    matrix = DistanceMatrix(graph.name, palette)
-    for node in graph.nodes():
-        for color in palette:
-            matrix.set_row(node, color, _positive_row(graph, node, color))
-        matrix.set_row(node, WILDCARD, _positive_row(graph, node, None))
+    matrix = DistanceMatrix(graph, palette)
+    matrix.memory_entries()  # builds every closure of the palette
     return matrix
-
-
-def _positive_row(graph: DataGraph, node: NodeId, color: Optional[str]) -> Dict[NodeId, int]:
-    """Shortest positive distances from ``node``; the self entry (if any) is the
-    shortest non-empty cycle back to ``node``."""
-    distances = bfs_distances(graph, node, color)
-    distances.pop(node, None)
-    cycle: Optional[int] = None
-    for predecessor in graph.predecessors(node, color):
-        if predecessor == node:
-            cycle = 1
-            break
-        via = distances.get(predecessor)
-        if via is not None and (cycle is None or via + 1 < cycle):
-            cycle = via + 1
-    if cycle is not None:
-        distances[node] = cycle
-    return distances

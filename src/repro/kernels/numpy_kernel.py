@@ -51,6 +51,7 @@ from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.exceptions import GraphError
 from repro.kernels import python_kernel
 
 #: BFS levels with fewer frontier nodes than this, and origin relations of
@@ -352,13 +353,12 @@ def expand_origins(
 CLOSURE_PAIRS_PER_EDGE = 8
 
 
-class _Closure:
-    """A layer's closure labelled by distance: row ``v``, ``cols[starts[v]:starts[v + 1]]``,
-    holds every ``w`` with a non-empty ``v -> w`` path sorted by ``(d⁺(v, w), w)``, ``d⁺``
-    in ``dist``; its row lengths within ``k`` edges are built when ``k`` is first asked.
-    Each array has the narrowest signed type holding it (``np.min_scalar_type(-1 - top)``)."""
+class _Closure(python_kernel.Closure):
+    """:class:`python_kernel.Closure` as numpy arrays, its row lengths within ``k``
+    edges built when ``k`` is first asked.  Each array has the narrowest signed
+    type holding it (``np.min_scalar_type(-1 - top)``)."""
 
-    __slots__ = ("starts", "cols", "dist", "depth", "_counts")
+    __slots__ = ("depth", "_counts")
 
     def __init__(self, num_nodes: int, rows: np.ndarray, cols: np.ndarray, dist: np.ndarray):
         """The pairs ``(rows[i], cols[i])`` at ``dist[i]``, by one sort of ``(row, d⁺, col)`` keys."""
@@ -371,9 +371,6 @@ class _Closure:
         self.cols, self.dist = cols.astype(np.int32), dist.astype(np.min_scalar_type(-1 - self.depth))
         self._counts = {}
 
-    def __len__(self) -> int:
-        return self.cols.size
-
     def counts(self, bound: Optional[int]) -> np.ndarray:
         """Per row, how many of it lie within ``bound`` edges (``None``: all)."""
         bound = self.depth if bound is None else min(bound, self.depth)
@@ -384,19 +381,47 @@ class _Closure:
         return self._counts[bound]
 
 
-def _build_closure(layer, num_nodes: int) -> Union[_Closure, bool]:
+def closure(layer, num_nodes: int) -> _Closure:
+    """The layer's closure without the budget, as the distance matrix reads it:
+    kept, the twin's transposed, or built (over an over-budget mark or a
+    python-built closure); a twin's over-budget mark is dropped, so it
+    transposes this one when first read."""
+    if not isinstance(layer.closure, _Closure):
+        layer.closure = _derived(layer, num_nodes, budgeted=False)
+    if layer.twin is not None and layer.twin.closure is False:
+        layer.twin.closure = None
+    return layer.closure
+
+
+def _derived(layer, num_nodes: int, budgeted: bool = True) -> Union[_Closure, bool]:
+    """The twin's closure transposed, ``(w, v)`` at the label of ``(v, w)``; else
+    ``False`` under the budget where the twin passed it; else built."""
+    twin = None if layer.twin is None else layer.twin.closure
+    if isinstance(twin, _Closure):
+        rows = np.repeat(np.arange(num_nodes), np.diff(twin.starts))
+        return _Closure(num_nodes, twin.cols, rows, twin.dist)
+    if budgeted:
+        return twin is not False and _build_closure(layer, num_nodes)
+    return _build_closure(layer, num_nodes, budgeted=False)
+
+
+def _build_closure(layer, num_nodes: int, budgeted: bool = True) -> Union[_Closure, bool]:
     """The layer's closure by one search on keys from every node at once, the
     starts left unseen so each pair is fresh at its ``d⁺`` — ``False`` once it
-    passes the budget (or its ``(row, d⁺, col)`` keys would pass ``int64``)."""
+    passes the budget, when ``budgeted``."""
     offsets, targets = _layer_arrays(layer)
-    budget = CLOSURE_PAIRS_PER_EDGE * targets.size
+    budget = CLOSURE_PAIRS_PER_EDGE * targets.size if budgeted else None
     live, runs, levels = np.arange(num_nodes, dtype=np.int64) * (num_nodes + 1), [], []
     while live.size:
         node = live % num_nodes
         gathered, counts = _gather_level(offsets, targets, node)
         live = _fresh(_distinct(np.repeat(live - node, counts) + gathered), runs)
         levels.append(live)
-        if sum(map(len, levels)) > budget or num_nodes**2 * len(levels) >= 2**62:
+        if num_nodes**2 * len(levels) >= 2**62:  # (row, d⁺, col) keys would pass int64
+            if not budgeted:
+                raise GraphError(f"a closure over {num_nodes} nodes does not fit int64 keys")
+            return False
+        if budgeted and sum(map(len, levels)) > budget:
             return False
     dist = np.repeat(np.arange(1, len(levels) + 1), [level.size for level in levels])
     return _Closure(num_nodes, *np.divmod(np.concatenate(levels or [_EMPTY]), num_nodes), dist)
@@ -408,15 +433,8 @@ def _block(layer, num_nodes: int, bound: Optional[int], nodes: np.ndarray):
     its closure's rows — or ``None`` where the closure passed the budget."""
     if bound == 1:
         return _gather_level(*_layer_arrays(layer), nodes)
-    if layer.closure is None:
-        twin = None if layer.twin is None else layer.twin.closure
-        if twin is None:
-            layer.closure = _build_closure(layer, num_nodes)
-        elif twin is False:
-            layer.closure = False
-        else:  # the twin's transposed: (w, v) at the label of (v, w)
-            rows = np.repeat(np.arange(num_nodes), np.diff(twin.starts))
-            layer.closure = _Closure(num_nodes, twin.cols, rows, twin.dist)
+    if not isinstance(layer.closure, _Closure) and layer.closure is not False:
+        layer.closure = _derived(layer, num_nodes)
     if layer.closure is False:
         return None
     counts = layer.closure.counts(bound)[nodes]

@@ -249,3 +249,37 @@ def expand_origins(layer, num_nodes: int, relation: Relation, bound: Optional[in
                     advanced.append(nxt)
         frontier = advanced
     return type(relation)(num_nodes, array("q", sorted(reached)))
+
+
+class Closure:
+    """A layer's closure labelled by distance, Sec. 4's distance matrix of its colour:
+    row ``v``, ``cols[starts[v]:starts[v + 1]]``, holds every ``w`` with a non-empty
+    ``v -> w`` path sorted by ``(d⁺(v, w), w)``, ``d⁺`` in ``dist``."""
+
+    __slots__ = ("starts", "cols", "dist")
+
+    def __init__(self, starts: array, cols: array, dist: array):
+        self.starts, self.cols, self.dist = starts, cols, dist
+
+    def __len__(self) -> int:
+        return len(self.cols)
+
+
+def closure(layer, num_nodes: int):
+    """The layer's closure: the one it keeps (either backend's), else built here by
+    one :func:`level` loop per row — this backend's folds keep the level loop."""
+    if layer.closure is None or layer.closure is False:
+        starts, cols, dist = array("q", [0]), array("i"), array("i")
+        for row in range(num_nodes):
+            visited, frontier = seeded(num_nodes, (row,))
+            reached_flags, reached = bytearray(num_nodes), []
+            depth = 0
+            while frontier:
+                depth += 1
+                before = len(reached)
+                frontier = level((layer,), frontier, visited, reached_flags, reached)
+                cols.extend(sorted(reached[before:]))
+                dist.extend([depth] * (len(reached) - before))
+            starts.append(len(cols))
+        layer.closure = Closure(starts, cols, dist)
+    return layer.closure

@@ -46,7 +46,7 @@ def bounded_simulation_match(
     """Evaluate ``pattern`` under bounded-simulation (colour-blind) semantics.
 
     ``engine`` mirrors :func:`repro.matching.join_match.join_match`: on
-    ``"csr"`` (or ``"auto"`` without a matrix) the colour-blind reachability
+    ``"csr"`` (or ``"auto"``, or with a matrix) the colour-blind reachability
     checks run over the compiled snapshot's wildcard layer.
     """
     started = time.perf_counter()

@@ -276,8 +276,8 @@ class IncrementalPatternMatcher:
 
     Notes
     -----
-    The maintainer works in search mode (no distance matrix): a pre-computed
-    matrix would itself need incremental maintenance, which defeats the
+    The maintainer works in search mode (no distance matrix): a matrix's
+    closures would be rebuilt for every touched layer, which defeats the
     purpose for frequently changing graphs — the same argument the paper makes
     for the cache-based RQ strategy on large graphs.
     """

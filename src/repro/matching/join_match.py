@@ -12,9 +12,9 @@ JoinMatch evaluates a PQ by refining per-node candidate match sets:
 4. the per-edge match sets are finally assembled from the stabilised
    candidate sets.
 
-With a distance matrix the per-edge "join" is a row sweep and the whole
-algorithm runs in ``O(|E'_p| |V|²)`` time after preprocessing, matching the
-paper's bound.
+With a distance matrix (on the csr engine, each bounded block one gather over
+its rows) the whole algorithm runs in ``O(|E'_p| |V|²)`` time after
+preprocessing, matching the paper's bound.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ def join_match(
         ``"dict"``, ``"csr"`` or ``"auto"`` for a newly created matcher.
         On ``"csr"`` the refinement fixpoint's set-level frontiers run as
         batched flat-array expansions over the compiled snapshot
-        (:mod:`repro.matching.csr_engine`); ``"auto"`` picks CSR whenever no
-        distance matrix is supplied.  Matches are identical on every engine.
+        (:mod:`repro.matching.csr_engine`); ``"auto"`` picks CSR, the only
+        engine a distance matrix reads on.  Matches are identical on every engine.
     """
     started = time.perf_counter()
     matcher = resolve_matcher(graph, matcher, engine, "join_match", distance_matrix, cache_capacity)

@@ -100,14 +100,15 @@ def naive_match(
 
     ``engine`` selects the path-matching engine (``"dict"``, ``"csr"`` or
     ``"auto"``).  Left unset, a supplied matcher is used as-is and a newly
-    created matcher defaults to the simple dict engine, so the reference
-    evaluator stays the engine-independent yardstick the optimised
-    implementations are validated against.  An explicit value that conflicts
-    with a supplied matcher raises :class:`ValueError`, as in ``join_match``.
+    created matcher defaults to the simple dict engine — or, with a distance
+    matrix, to csr, where its rows are — so the reference evaluator stays the
+    engine-independent yardstick the optimised implementations are validated
+    against.  An explicit value that conflicts with a supplied matcher raises
+    :class:`ValueError`, as in ``join_match``.
     """
     started = time.perf_counter()
     if engine is None:
-        engine = "auto" if matcher is not None else "dict"
+        engine = "dict" if matcher is None and distance_matrix is None else "auto"
     matcher = resolve_matcher(graph, matcher, engine, "naive_match", distance_matrix)
     space = matcher.enter(edge.regex for edge in pattern.edges())
     candidates = initial_candidates(pattern, graph, matcher, space)

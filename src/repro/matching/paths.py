@@ -3,14 +3,11 @@
 Both the RQ evaluators and the PQ algorithms ultimately need to answer one
 question: *does a non-empty path from v1 to v2 exist whose colour string is in
 L(f)?*  :class:`PathMatcher` answers it (and the related "all targets from a
-source" / "all sources of a target" questions) under two regimes:
-
-* **matrix mode** — a pre-computed :class:`~repro.graph.distance.DistanceMatrix`
-  answers per-colour distance lookups in O(1); multi-atom expressions walk the
-  matrix rows atom by atom;
-* **search mode** — no matrix is kept; per-atom frontiers are expanded through
-  the graph's **storage layer** and memoised, mirroring the paper's runtime
-  strategy for graphs too large for a matrix.
+source" / "all sources of a target" questions) by expanding per-atom
+frontiers through the graph's **storage layer**, memoised.  In matrix mode (a
+:class:`~repro.graph.distance.DistanceMatrix` held: labels ``…M``,
+normalisation by default) it reads on ``csr``, each bounded block of a fold
+one gather over the matrix's rows, the CSR layers' closures.
 
 Distances returned for a node to *itself* are the length of its shortest
 non-empty cycle (paths in the paper are required to be non-empty, so the
@@ -37,9 +34,9 @@ graph's per-colour edge version
 :attr:`~repro.graph.data_graph.DataGraph.edges_version`) and a tag mismatch is
 treated as a miss.  One matcher can therefore be safely reused across graph
 mutations — answers are always computed against the current topology, and
-memos of untouched colours stay warm.  (A caller-supplied distance matrix is
-*not* a matcher cache: matrix mode keeps answering from the matrix the caller
-built, mutations notwithstanding.)
+memos of untouched colours stay warm.  That holds in matrix mode too: the
+closures hang off the immutable layers of the current version, so the index
+is never stale.
 """
 
 from __future__ import annotations
@@ -118,7 +115,7 @@ def resolve_matcher(
     and shares its warm, version-aware matcher — answers are identical, the
     caches just stay hot across calls; ``caller`` names the free function in
     the one-shot deprecation warning.  Otherwise a private matcher is built
-    with the requested engine.
+    with the requested engine (``error`` too where it cannot read the matrix).
     """
     if matcher is not None:
         if engine not in (DEFAULT_ENGINE, matcher.engine):
@@ -135,12 +132,10 @@ def resolve_matcher(
 
         warn_free_function(caller)
         return default_session(graph).matcher(resolve_engine(engine))
-    return PathMatcher(
-        graph,
-        distance_matrix=distance_matrix,
-        cache_capacity=cache_capacity,
-        engine=engine,
-    )
+    try:
+        return PathMatcher(graph, distance_matrix=distance_matrix, cache_capacity=cache_capacity, engine=engine)
+    except ValueError as refused:
+        raise error(str(refused)) from refused
 
 
 class PathMatcher:
@@ -151,21 +146,20 @@ class PathMatcher:
     graph:
         The data graph.
     distance_matrix:
-        Optional pre-computed per-colour distance matrix.  When provided the
-        matcher runs in matrix mode.
+        Optional per-colour distance matrix.  When provided the matcher runs
+        in matrix mode, on the ``csr`` engine.
     cache_capacity:
-        Capacity of the LRU caches used in search mode (ignored in matrix
-        mode).  ``None`` makes the caches unbounded.
+        Capacity of the LRU caches.  ``None`` makes the caches unbounded.
     engine:
         ``"dict"`` (default) expands frontiers over the graph's
         authoritative adjacency store; ``"csr"`` expands them through the
         graph's overlay-CSR store (:mod:`repro.storage.overlay`), which is
         considerably faster; ``"partitioned"`` expands them through the
         graph's sharded store (:mod:`repro.storage.partition`) — opt-in,
-        for graphs past the single-CSR scale; ``"auto"`` picks CSR
-        whenever no distance matrix is supplied.  Matrix mode always walks
-        the distance matrix, so combining an explicit ``"csr"`` (or
-        ``"partitioned"``) with a matrix raises :class:`ValueError`.
+        for graphs past the single-CSR scale; ``"auto"`` picks CSR, as does
+        the default with a matrix, whose rows are the CSR layers' closures:
+        an explicit ``"dict"`` (or ``"partitioned"``) with one raises
+        :class:`ValueError`.
         Answers are identical on every engine.
     """
 
@@ -174,11 +168,10 @@ class PathMatcher:
         graph: DataGraph,
         distance_matrix: Optional[DistanceMatrix] = None,
         cache_capacity: Optional[int] = DEFAULT_CACHE_CAPACITY,
-        engine: str = "dict",
+        engine: Optional[str] = None,
     ):
-        if engine not in ENGINES:
+        if engine is not None and engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        # Raises on a store-backed engine with a matrix (a dict-engine index).
         self.engine = resolve_engine(engine, distance_matrix is not None)
         self.graph = graph
         self.matrix = distance_matrix
@@ -263,14 +256,9 @@ class PathMatcher:
         return self._adapter.set_targets(sources, item)
 
     def set_sources(self, targets: Set[NodeId], item) -> Set[NodeId]:
-        """Nodes that reach *any* node of ``targets`` by one atom block.
-
-        In matrix mode this is a single sweep over the graph nodes (checking
-        each forward row against the target set), which avoids the lack of a
-        reverse index in the distance matrix; on the CSR engine it is one
-        batched multi-source reverse BFS; in dict search mode it is the union
-        of cached backward BFS runs.
-        """
+        """Nodes that reach *any* node of ``targets`` by one atom block: on the
+        CSR engine one merged multi-source reverse frontier, on the dict engine
+        the union of cached backward BFS runs."""
         return self._adapter.set_sources(targets, item)
 
     def backward_closure(
@@ -286,8 +274,7 @@ class PathMatcher:
         use of the new edge), so re-admission candidates are confined to the
         closure of ``u`` over the query's relevant colours.  Every engine
         walks its store's current adjacency (the CSR engine the merged
-        overlay reads; never the distance matrix — the closure must reflect
-        the *current* topology).
+        overlay reads).
         """
         return self._adapter.backward_closure(starts, colors)
 
@@ -329,8 +316,8 @@ class PathMatcher:
         """All matching pairs between two candidate lists, one RQ evaluation.
 
         ``method`` is ``"bidirectional"`` (meet in the middle, Section 4) or
-        anything else for the plain forward sweep (the BFS baseline / the
-        matrix method's nested row walks).  This is the bulk entry point
+        anything else for the plain forward sweep (the BFS baseline; on
+        handles of a CSR ``space`` every method is the engine's fold).  This is the bulk entry point
         :func:`~repro.matching.reachability.evaluate_rq` drives; in a CSR
         ``space`` it runs entirely in dense index space, the ids paired up
         once, by :meth:`id_pairs`.
@@ -354,11 +341,8 @@ class PathMatcher:
         atoms = regex.atoms
         if len(atoms) == 1:
             return target in self.atom_targets(source, atoms[0])
-        if self.matrix is not None:
-            # Matrix rows are O(1) to fetch, so a forward sweep is cheapest.
-            return target in self.targets_from(source, regex)
-        # Search mode: meet in the middle to keep the frontiers small, in the
-        # spirit of the paper's bidirectional evaluation.
+        # Meet in the middle to keep the frontiers small, in the spirit of
+        # the paper's bidirectional evaluation.
         middle = len(atoms) // 2
         forward = self.targets_from(source, FRegex(atoms[:middle]))
         if not forward:
@@ -383,7 +367,7 @@ class PathMatcher:
 
     @property
     def cache_stats(self) -> Dict[str, float]:
-        """Hit-rate statistics of the matcher's memos (search mode only).
+        """Hit-rate statistics of the matcher's memos.
 
         ``forward_*`` / ``backward_*`` describe the two version-tagged LRU
         caches (every engine's node-id frontiers).  A lookup that finds an

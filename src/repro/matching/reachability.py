@@ -2,9 +2,9 @@
 
 Two strategies are provided, matching the paper:
 
-* **matrix-based** — the query is decomposed into single-colour sub-queries
-  joined through dummy nodes, and every hop is answered with the pre-computed
-  per-colour distance matrix; quadratic in ``|V|``.
+* **matrix-based** — every atom block is answered from the per-colour
+  distance matrix, read on the CSR engine as one gather over the rows of each
+  layer's distance-labelled closure; up to quadratic in ``|V|``.
 * **bidirectional search** — no matrix is needed; candidate sources and
   targets are expanded towards each other with colour-constrained BFS, with an
   LRU cache of per-(node, colour) searches.  This is the strategy for graphs
@@ -18,13 +18,12 @@ Orthogonally to the strategy, evaluation reads through one
 from ``engine=`` (:func:`~repro.matching.paths.resolve_matcher`) — whose
 storage adapter decides how frontiers expand:
 
-* ``"dict"`` — over the graph's dict-of-set adjacency (also the only engine
-  for the ``"matrix"`` method);
+* ``"dict"`` — over the graph's dict-of-set adjacency;
 * ``"csr"`` — the compiled engine of :mod:`repro.matching.csr_engine` over
-  the graph's overlay-CSR store (flat CSR arrays, integer indices);
+  the graph's overlay-CSR store (flat CSR arrays, integer indices; the only
+  engine for the ``"matrix"`` method);
 * ``"partitioned"`` — opt-in, over the graph's sharded store;
-* ``"auto"`` (default) — the CSR engine for search methods, the dict engine
-  otherwise.
+* ``"auto"`` (default) — the CSR engine.
 
 Every engine returns byte-identical ``pairs`` sets.
 """
@@ -47,7 +46,6 @@ from repro.session.defaults import (
     ENGINES,
     RQ_METHODS as METHODS,
 )
-from repro.storage.adapter import admits_matrix
 
 NodeId = Hashable
 NodePair = Tuple[NodeId, NodeId]
@@ -177,11 +175,10 @@ def evaluate_rq(
         of the snapshot's shared one, preserving the bounded per-call memory
         contract.
     engine:
-        ``"dict"`` (original adjacency-dict evaluation), ``"csr"`` (compiled
-        flat-array engine; search methods only) or ``"auto"`` — CSR for
-        search methods when no matcher is supplied, dict otherwise.  The
-        snapshot is compiled once per graph and cached until the topology
-        changes.
+        ``"dict"`` (original adjacency-dict evaluation; not with the matrix
+        method), ``"csr"`` (compiled flat-array engine) or ``"auto"`` — CSR
+        when no matcher is supplied.  The snapshot is compiled once per graph
+        and cached until the topology changes.
 
     Returns
     -------
@@ -197,18 +194,12 @@ def evaluate_rq(
     if method == "matrix" and distance_matrix is None:
         raise EvaluationError("the matrix method requires a distance matrix")
     if method == "auto":
-        # An explicit CSR (or partitioned) request resolves to a search
-        # method even when a matrix is at hand — the matrix is a
-        # dict-engine index.
-        walks_matrix = distance_matrix is not None and admits_matrix(engine)
-        method = "matrix" if walks_matrix else "bidirectional"
-    elif method == "matrix" and not admits_matrix(engine):
-        raise EvaluationError("the matrix method runs on the dict engine only")
+        method = "bidirectional" if distance_matrix is None else "matrix"
 
     started = time.perf_counter()
     # A supplied matcher drives evaluation as-is; a plain search-mode call
     # shares the warm, version-aware matcher of the graph's default session;
-    # the matrix is handed on only to the method that walks it.
+    # the matrix is handed on only to the method that reads it.
     matcher = resolve_matcher(
         graph,
         matcher,
@@ -225,12 +216,12 @@ def evaluate_rq(
     pairs: Set[NodePair] = set()
     if sources and targets:
         # The matcher's storage adapter picks the evaluation path: dense
-        # index space on a clean CSR base (its indices are the handles),
-        # merged read-through frontiers on a dirty one, dict/matrix
-        # expansion otherwise.  "bidirectional" is
-        # the meet-in-the-middle strategy of Section 4; anything else is the
-        # forward sweep (the matrix method's nested row walks / the plain
-        # BFS baseline of Exp-3).
+        # index space on a clean CSR base (its indices are the handles; the
+        # matrix method gathers each block off the closures' rows there),
+        # merged read-through frontiers on a dirty one, dict expansion
+        # otherwise.  "bidirectional" is the meet-in-the-middle strategy of
+        # Section 4; anything else is the forward sweep (the plain BFS
+        # baseline of Exp-3).
         pairs = matcher.id_pairs(space, matcher.query_pairs(query.regex, sources, targets, method, space))
     elapsed = time.perf_counter() - started
     # A caller-supplied matcher may itself run in csr mode; label honestly.

@@ -61,7 +61,7 @@ DEFAULT_SESSION_REGISTRY_CAPACITY = 8
 
 #: Below this many data nodes the planner stays on the dict engine.  It is
 #: the engine threshold only: an attached distance matrix is read under
-#: ``method="matrix"`` alone, at any size.  Measured on fresh sessions
+#: ``method="matrix"`` alone, at any size, on csr.  Measured on fresh sessions
 #: (first query including the CSR compile, plus 20 more; numpy kernel,
 #: 2-core x86 VM), dict vs csr: 16 nodes 10.6 vs 17.8 ms, 64 nodes 20.0 vs
 #: 23.3, 128 nodes 24.6 vs 25.4, 256 nodes 36.4 vs 34.1, 1 000 nodes 112 vs

@@ -18,7 +18,8 @@ The decision table keeps only the rules a measurement supports:
   consumes at least one edge of its colour), so the plan short-circuits to
   the empty answer;
 * **engine** — dict below :data:`~repro.session.defaults.SMALL_GRAPH_NODES`
-  nodes, CSR otherwise;
+  nodes, CSR otherwise; a forced matrix reads on CSR, the engine whose
+  layers' distance-labelled closures are the matrix's rows;
 * **everything else is the default** — bidirectional search for RQs,
   JoinMatch for PQs, the NFA product for general RQs, delta maintenance.
 
@@ -260,11 +261,11 @@ def _use_matrix(has_matrix, engine, method, reasons) -> bool:
     """Whether the session's distance matrix serves this plan.
 
     Only ``method="matrix"`` reads it, for an RQ or a PQ at any graph size.
-    Measured on warm sessions (20 RQs / 10 PQs per graph), it never beats
-    search: at 16-63 nodes matrix RQs tie dict search (4.4 / 5.2 / 7.8 vs
-    4.4 / 5.1 / 7.2 ms) while matrix PQs run 10-13% slower; at 256 / 1 000 /
-    2 000 nodes csr search is 2.2 / 3.3 / 4.3x faster on RQs and 2.3 / 5.9 /
-    13x on PQs, and the matrix build alone takes 0.1 / 1.6 / 7.7 s.
+    Measured on warm sessions (20 RQs / 10 PQs per graph) with the dense
+    dict-engine matrix the closures replaced, it never beat search: at 16-63
+    nodes matrix RQs tied dict search (4.4 / 5.2 / 7.8 vs 4.4 / 5.1 / 7.2 ms)
+    while matrix PQs ran 10-13% slower; at 256 / 1 000 / 2 000 nodes csr
+    search was 2.2 / 3.3 / 4.3x faster on RQs and 2.3 / 5.9 / 13x on PQs.
     """
     if method != "matrix":
         if has_matrix:
@@ -277,21 +278,16 @@ def _use_matrix(has_matrix, engine, method, reasons) -> bool:
         raise QueryError(
             "method='matrix' forced but the session has no distance matrix attached"
         )
-    if engine in ("csr", "partitioned"):
-        raise QueryError("the matrix method runs on the dict engine only")
+    if engine in ("dict", "partitioned"):
+        raise QueryError("the matrix method runs on the csr engine only")
     reasons.append(_forced("method", method))
     return True
 
 
-def _resolve_engine(
-    engine: Optional[str], stats: GraphStats, reasons, matrix_forced: bool = False
-) -> str:
+def _resolve_engine(engine: Optional[str], stats: GraphStats, reasons) -> str:
     if engine is not None:
         reasons.append(_forced("engine", engine))
         return engine
-    if matrix_forced:
-        reasons.append("method=matrix forced: the matrix is a dict-engine index")
-        return "dict"
     # Measured on fresh sessions (first query including the CSR compile,
     # plus 20 more; numpy kernel, dict vs csr): 16 nodes 10.6 vs 17.8 ms,
     # 64 nodes 20.0 vs 23.3, 128 nodes 24.6 vs 25.4, 256 nodes 36.4 vs 34.1,
@@ -369,7 +365,7 @@ def plan_query(
     """Choose algorithm / engine / method / store / maintenance for one query.
 
     ``stats`` are the statistics of the graph the query will run on;
-    ``has_matrix`` says whether the session has a fresh distance matrix
+    ``has_matrix`` says whether the session has a distance matrix
     attached (read only under ``method="matrix"``).  ``engine`` /
     ``method`` / ``algorithm`` / ``strategy`` force the respective knob
     (``None`` and ``"auto"`` mean "planner's choice").
@@ -424,7 +420,11 @@ def plan_query(
         else:
             chosen = _choose_pq_algorithm(query, algorithm, features, reasons)
 
-    chosen_engine = _resolve_engine(engine, stats, reasons, use_matrix)
+    if use_matrix and engine is None:
+        reasons.append("method=matrix forced: its rows are the csr layers' distance-labelled closures")
+        chosen_engine = "csr"
+    else:
+        chosen_engine = _resolve_engine(engine, stats, reasons)
     return QueryPlan(
         kind=kind,
         algorithm=chosen,

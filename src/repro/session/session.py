@@ -78,7 +78,7 @@ class PreparedQuery:
     (``from_result_cache=True`` in the envelope) without re-evaluating,
     and after a mutation the cost model re-runs automatically before the
     next execution — a decision that no longer holds (an unsatisfiable
-    colour now present, a distance matrix gone stale) is never replayed.
+    colour now present) is never replayed.
     Caller overrides passed to ``prepare`` survive every replan.
     """
 
@@ -156,10 +156,7 @@ class PreparedQuery:
             key = session._version_key()
             if self._plan_key != key:
                 self.replan()
-            if self.plan.use_matrix:
-                matcher = session._matrix_path_matcher()
-            else:
-                matcher = session.matcher(self.plan.engine)
+            matcher = _warm_matcher(session, self.plan.engine, session._matrix if self.plan.use_matrix else None)
             result = _run_read_pipeline(
                 self.query, self.plan, matcher, key, session.semantic_cache, started
             )
@@ -263,11 +260,23 @@ _PQ_ALGORITHMS = {
 }
 
 
+def _warm_matcher(owner, engine: str, matrix: Optional[DistanceMatrix] = None) -> PathMatcher:
+    """The warm matcher for ``engine`` in ``owner``'s table (the session's or a pinned
+    version's read state's); given a distance ``matrix``, the one holding it, under ``"matrix"``."""
+    key = engine if matrix is None else "matrix"
+    matcher = owner._matchers.get(key)
+    if matcher is None:
+        matcher = owner._matchers[key] = PathMatcher(
+            owner.graph, distance_matrix=matrix, cache_capacity=owner.cache_capacity, engine=engine
+        )
+    return matcher
+
+
 def _evaluate(query: Any, plan: QueryPlan, matcher: PathMatcher) -> Any:
     """The one dispatch from a plan to the paper's evaluators (Sections 4-5).
 
     ``matcher`` carries the graph view to read and, for a ``use_matrix``
-    plan, the distance matrix to walk.
+    plan, the distance matrix whose mode it evaluates in.
     """
     if plan.unsatisfiable:
         if plan.kind == "rq":
@@ -354,7 +363,7 @@ class _ReadState:
         self.store = store_snapshot
         self.graph = SnapshotGraph(store_snapshot)
         self.lock = threading.Lock()
-        self._cache_capacity = cache_capacity
+        self.cache_capacity = cache_capacity
         self._matchers: Dict[str, PathMatcher] = {}
 
     def matcher(self, engine: str) -> PathMatcher:
@@ -364,11 +373,7 @@ class _ReadState:
         reads in the pinned base's handle space on the kernels, node-id reads
         as merged frontiers; ``dict`` walks the facade's merged adjacency.
         """
-        matcher = self._matchers.get(engine)
-        if matcher is None:
-            matcher = PathMatcher(self.graph, cache_capacity=self._cache_capacity, engine=engine)
-            self._matchers[engine] = matcher
-        return matcher
+        return _warm_matcher(self, engine)
 
 
 class SessionSnapshot:
@@ -433,11 +438,6 @@ class SessionSnapshot:
         return self._stats
 
     def _plan(self, query: Any, overrides: Dict[str, Any]) -> QueryPlan:
-        if overrides.get("method") == "matrix":
-            raise QueryError(
-                "matrix evaluation is unavailable on a pinned snapshot; "
-                "use a search method"
-            )
         engine = overrides.get("engine")
         if engine == "partitioned":
             raise QueryError(
@@ -445,20 +445,20 @@ class SessionSnapshot:
                 "on the dict or csr engine — drop the engine override"
             )
         substituted = engine is None and self.session.engine == "partitioned"
-        if engine is None:
+        if engine is None and overrides.get("method") != "matrix":
             engine = "dict" if substituted else self.session.engine
         # Planned against the *pinned* statistics (never the live graph's):
         # unsatisfiable pruning must reflect the colours of this version.
         plan = plan_query(
             query,
             self.stats,
-            has_matrix=False,
+            has_matrix=self.session._matrix is not None,
             engine=engine,
             method=overrides.get("method"),
             algorithm=overrides.get("algorithm"),
             strategy=overrides.get("strategy"),
         )
-        if substituted:
+        if substituted and plan.engine == "dict":
             # Nobody forced dict: say why the pin reads through it.
             plan = with_engine_reason(
                 plan,
@@ -483,10 +483,9 @@ class SessionSnapshot:
         # version pair only: later writer mutations make new keys and can
         # never reach these entries, while pins of one version share them.
         key = state.store.version_key
+        matrix = self.session._matrix if plan.use_matrix else None
         with state.lock:
-            return _run_read_pipeline(
-                query, plan, state.matcher(plan.engine), key, cache, started
-            )
+            return _run_read_pipeline(query, plan, _warm_matcher(state, plan.engine, matrix), key, cache, started)
 
     def execute_many(self, queries: Iterable[Any], **overrides: Any) -> List[QueryResult]:
         """Evaluate a batch of queries on the pinned version's warm matchers."""
@@ -556,9 +555,11 @@ class GraphSession:
         Worker-thread count for per-shard kernel dispatch in the
         partitioned store (``1`` = serial, byte-identical answers).
     distance_matrix:
-        Optional pre-computed distance matrix (also attached by
-        :meth:`build_matrix`).  Only ``method="matrix"`` reads it, for an RQ
-        or a PQ at any graph size; unforced plans search.
+        Optional distance matrix of ``graph`` (also attached by
+        :meth:`build_matrix`; one of another graph raises
+        :class:`~repro.exceptions.QueryError`).  Only ``method="matrix"``
+        reads it, for an RQ or a PQ at any graph size, live or pinned;
+        unforced plans search.
     compaction_fraction:
         Overlay-occupancy fraction at which the graph's
         :class:`~repro.storage.overlay.OverlayCsrStore` folds its overlay
@@ -612,10 +613,10 @@ class GraphSession:
         # shared by several threads (the serving layer's writer path), with
         # lock-free concurrent reads going through pin() instead.
         self._lock = threading.RLock()
-        self._matrix = distance_matrix
-        self._matrix_matcher: Optional[PathMatcher] = None
-        self._matrix_edges_version = graph.edges_version
         self._matchers: Dict[str, PathMatcher] = {}
+        self._matrix: Optional[DistanceMatrix] = None
+        if distance_matrix is not None:
+            self.attach_matrix(distance_matrix)
         self._stats: Optional[GraphStats] = None
         self._stats_key: Optional[Tuple[int, int]] = None
         # What pins of the current version share (see pin()): the store
@@ -649,44 +650,34 @@ class GraphSession:
 
     @property
     def distance_matrix(self) -> Optional[DistanceMatrix]:
-        """The attached distance matrix, if any (read under ``method="matrix"``
-        while it is fresh)."""
+        """The attached distance matrix, if any (read under ``method="matrix"``)."""
         return self._matrix
 
     def build_matrix(self) -> DistanceMatrix:
-        """Build (or rebuild) and attach a distance matrix for the current graph.
-
-        Only ``method="matrix"`` reads it, for an RQ or a PQ on any graph;
-        unforced plans search.  Measured, the matrix never beats search: at
-        16-63 nodes matrix RQs tie dict search and matrix PQs run 10-13%
-        slower, while at 256 / 1 000 / 2 000 nodes csr search is 2.2 / 3.3 /
-        4.3x faster on RQs (2.3 / 5.9 / 13x on PQs) and the build itself
-        takes 0.1 / 1.6 / 7.7 s.
+        """Build and attach the graph's distance matrix
+        (:func:`~repro.graph.distance.build_distance_matrix`: every layer's
+        closure, budget-free), which never goes stale.  Only ``method="matrix"``
+        reads it, for an RQ or a PQ on any graph; unforced plans search, which
+        beat the dense matrix this replaced at every size measured.
         """
-        self._matrix = build_distance_matrix(self.graph)
-        self._matrix_matcher = None
-        self._matrix_edges_version = self.graph.edges_version
+        self.attach_matrix(build_distance_matrix(self.graph))
         return self._matrix
 
     def attach_matrix(self, matrix: DistanceMatrix) -> None:
-        """Attach a caller-built distance matrix (assumed current).
+        """Attach a caller-built distance matrix, read only under
+        ``method="matrix"``.
 
-        The matrix is trusted to describe the graph *as it is now*, and is
-        read only under ``method="matrix"``.  After any edge mutation it is
-        stale: ``method="matrix"`` then raises :class:`QueryError` until
-        :meth:`build_matrix` (or a fresh ``attach_matrix``) refreshes it — a
-        session never serves answers from a matrix the graph has drifted
-        away from.
+        The matrix reads the closures of the graph's current layers, so one
+        built before a mutation answers for the graph as it is now; one built
+        from another graph raises :class:`~repro.exceptions.QueryError`.
         """
+        if matrix.graph is not self.graph:
+            raise QueryError(
+                f"the distance matrix is of graph {matrix.graph_name!r}, not of this "
+                "session's graph; build it with build_matrix()"
+            )
         self._matrix = matrix
-        self._matrix_matcher = None
-        self._matrix_edges_version = self.graph.edges_version
-
-    def _matrix_is_fresh(self) -> bool:
-        return (
-            self._matrix is not None
-            and self._matrix_edges_version == self.graph.edges_version
-        )
+        self._matchers.pop("matrix", None)
 
     @property
     def stats(self) -> GraphStats:
@@ -709,29 +700,7 @@ class GraphSession:
             raise QueryError(
                 f"unknown engine {engine!r}; expected 'dict', 'csr' or 'partitioned'"
             )
-        matcher = self._matchers.get(engine)
-        if matcher is None:
-            matcher = PathMatcher(
-                self.graph, cache_capacity=self.cache_capacity, engine=engine
-            )
-            self._matchers[engine] = matcher
-        return matcher
-
-    def _matrix_path_matcher(self) -> PathMatcher:
-        if self._matrix is None:
-            raise QueryError("the session has no distance matrix attached")
-        if not self._matrix_is_fresh():
-            raise QueryError(
-                "the session's distance matrix is stale (edges changed since it "
-                "was built); call build_matrix() to refresh it"
-            )
-        if self._matrix_matcher is None:
-            self._matrix_matcher = PathMatcher(
-                self.graph,
-                distance_matrix=self._matrix,
-                cache_capacity=self.cache_capacity,
-            )
-        return self._matrix_matcher
+        return _warm_matcher(self, engine)
 
     # -- planning and execution --------------------------------------------------
 
@@ -758,12 +727,13 @@ class GraphSession:
 
     def _plan(self, query: Any, overrides: Dict[str, Any]) -> QueryPlan:
         merged = dict(overrides)
-        if "engine" not in merged and self.engine != "auto":
+        # A forced matrix read is on csr whatever engine the session prefers.
+        if "engine" not in merged and self.engine != "auto" and merged.get("method") != "matrix":
             merged["engine"] = self.engine
         return plan_query(
             query,
             self.stats,
-            has_matrix=self._matrix_is_fresh(),
+            has_matrix=self._matrix is not None,
             engine=merged.get("engine"),
             method=merged.get("method"),
             algorithm=merged.get("algorithm"),

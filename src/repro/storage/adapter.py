@@ -12,8 +12,8 @@ matcher's per-node API (``atom_targets`` … ``sources_to``, ``edge_pairs``) is
 spelt there, over these eight, and no adapter has a per-node method.
 
 * :class:`DictEngineAdapter` — expansion over the authoritative
-  :class:`~repro.storage.dict_store.DictStore` (or the caller's distance
-  matrix), with the classic version-tagged BFS memos;
+  :class:`~repro.storage.dict_store.DictStore`, with the classic
+  version-tagged BFS memos;
 * :class:`OverlayCsrAdapter` — expansion through the graph's
   :class:`~repro.storage.overlay.OverlayCsrStore`: a read in the base's
   handle space runs on the flat-array
@@ -51,8 +51,7 @@ the merged store read — node ids are never translated into base indices, clean
 colours or not (only ``product_pairs`` maps ids onto whole layers it recompiled).
 
 Engine *names* are resolved here as well: :func:`resolve_engine` turns an
-``engine=`` request into the adapter that will serve it, and
-:func:`admits_matrix` says which requests a distance matrix can serve.
+``engine=`` request into the adapter that will serve it.
 
 The adapters are deliberately the *only* modules that know both worlds;
 everything under ``matching/`` above them is engine-free and carries handles
@@ -64,30 +63,24 @@ from __future__ import annotations
 from typing import Callable, Dict, Hashable, Iterable, Optional, Set, Tuple
 
 from repro.exceptions import GraphError
+from repro.kernels import active_kernel_name, select_backend
 from repro.storage.base import scan_nodes
 
 NodeId = Hashable
 
 
-def admits_matrix(engine: str) -> bool:
-    """True when an ``engine=`` request can be served from a distance matrix
-    (the matrix is a dict-engine index; the store-backed engines never walk it)."""
-    return engine in ("auto", "dict")
-
-
-def resolve_engine(engine: str, has_matrix: bool = False) -> str:
+def resolve_engine(engine: Optional[str], has_matrix: bool = False) -> str:
     """The concrete engine behind a (validated) ``engine=`` request.
 
-    ``"auto"`` is the CSR engine, unless a distance matrix is at hand, which
-    only the dict engine walks; combining a matrix with an explicit
-    store-backed engine raises :class:`ValueError`.  ``"partitioned"`` is
+    ``"auto"`` is the CSR engine; ``None`` is the dict engine, or the CSR
+    engine when a distance matrix is at hand — its rows are the CSR layers'
+    closures, so combining one with an explicit ``"dict"`` or
+    ``"partitioned"`` raises :class:`ValueError`.  ``"partitioned"`` is
     opt-in only — ``"auto"`` never resolves to it.
     """
-    if has_matrix:
-        if not admits_matrix(engine):
-            raise ValueError(f"engine={engine!r} cannot be combined with a distance matrix")
-        return "dict"
-    return "csr" if engine == "auto" else engine
+    if has_matrix and engine in ("dict", "partitioned"):
+        raise ValueError(f"engine={engine!r} cannot be combined with a distance matrix: it reads on csr")
+    return "csr" if engine == "auto" or has_matrix else engine or "dict"
 
 
 def make_adapter(matcher):
@@ -164,15 +157,12 @@ class _Adapter:
         return {node for node in nodes if graph.has_node(node)}
 
     def _closure(self, start_set: Set[NodeId], colors: Optional[Iterable[str]]) -> Set[NodeId]:
-        # Never the distance matrix — the closure must reflect the *current*
-        # topology, so it walks the store.
         return self.store.closure(start_set, colors, reverse=True) if start_set else set()
 
     def _search_pairs(self, regex, sources, targets, method: str) -> Set[Tuple[NodeId, NodeId]]:
         """One RQ between two candidate lists: ``"bidirectional"`` meets in
         the middle (Section 4); anything else is the plain forward sweep — the
-        BFS baseline of Exp-3 and the PQ algorithms' per-edge result assembly
-        (with a distance matrix, the paper's nested-loop row walks)."""
+        BFS baseline of Exp-3 and the PQ algorithms' per-edge result assembly."""
         from repro.matching.frontiers import forward_sweep, meet_in_the_middle
 
         if method == "bidirectional":
@@ -198,7 +188,7 @@ class _Adapter:
 
 
 class DictEngineAdapter(_Adapter):
-    """Expansion over the adjacency dicts (and the optional distance matrix).
+    """Expansion over the adjacency dicts.
 
     This is the parity reference: every other adapter must return exactly
     these answers.  BFS runs are memoised per ``(start, colour, direction)``
@@ -277,24 +267,15 @@ class DictEngineAdapter(_Adapter):
         cache.put(key, (version, max_depth, distances))
         return distances
 
-    def _matrix_row(self, source: NodeId, color: Optional[str]) -> Dict[NodeId, int]:
-        from repro.regex.fclass import WILDCARD
-
-        key = WILDCARD if color is None else color
-        return self.matcher.matrix._row(source, key)
-
     # -- set-level frontiers -----------------------------------------------------
 
     def _set_frontier(self, nodes: Set[NodeId], item, reverse: bool) -> Set[NodeId]:
-        """The union of the per-start distance maps, cut at the atom's bound
-        (matrix mode: of the matrix rows, forwards only — there is no reverse
-        index, :meth:`set_sources` sweeps instead)."""
+        """The union of the per-start distance maps, cut at the atom's bound."""
         color = None if item.is_wildcard else item.color
         bound = item.max_count
-        in_matrix = self.matcher.matrix is not None
         result: Set[NodeId] = set()
         for node in nodes:
-            row = self._matrix_row(node, color) if in_matrix else self.positive_distances(node, color, bound, reverse)
+            row = self.positive_distances(node, color, bound, reverse)
             result.update(
                 reached for reached, dist in row.items() if dist >= 1 and (bound is None or dist <= bound)
             )
@@ -304,28 +285,7 @@ class DictEngineAdapter(_Adapter):
         return self._set_frontier(sources, item, reverse=False)
 
     def set_sources(self, targets: Set[NodeId], item) -> Set[NodeId]:
-        matcher = self.matcher
-        if matcher.matrix is None:
-            return self._set_frontier(targets, item, reverse=True)
-        if not targets:
-            return set()
-        from repro.regex.fclass import WILDCARD
-
-        color = None if item.is_wildcard else item.color
-        bound = item.max_count
-        key = WILDCARD if color is None else color
-        result = set()
-        for node in matcher.graph.nodes():
-            row = matcher.matrix._row(node, key)
-            if len(row) <= len(targets):
-                hits = (dist for target, dist in row.items() if target in targets)
-            else:
-                hits = (row[target] for target in targets if target in row)
-            for dist in hits:
-                if dist >= 1 and (bound is None or dist <= bound):
-                    result.add(node)
-                    break
-        return result
+        return self._set_frontier(targets, item, reverse=True)
 
     # -- closures and whole expressions ------------------------------------------
 
@@ -464,6 +424,19 @@ class OverlayCsrAdapter(_StoreAdapter):
             raise GraphError("stale handle space: the store changed since enter()")
         return engine
 
+    def _folding(self, space, regex):
+        """The engine for a fold of ``regex`` in ``space``; on numpy, for a matcher
+        holding a distance matrix, each layer a bounded atom reads first gets its
+        closure without the budget, so every block is one gather over its rows."""
+        engine = self._engine_in(space, _traversed(regex))
+        if self.matcher.uses_matrix and active_kernel_name() == "numpy":
+            compiled = engine.compiled
+            for item in regex.atoms:
+                color_id = compiled.color_id(None if item.is_wildcard else item.color)
+                if color_id is not None and item.max_count != 1:
+                    select_backend().closure(compiled.layer(color_id), compiled.num_nodes)
+        return engine
+
     # -- set-level frontiers (node ids: merged store reads) ----------------------
 
     def set_targets(self, sources: Set[NodeId], item) -> Set[NodeId]:
@@ -484,7 +457,7 @@ class OverlayCsrAdapter(_StoreAdapter):
     def backward_reachable(self, targets: Set[NodeId], regex, space=None) -> Set[NodeId]:
         if space is not None:
             # The engine's memoised bitmap itself: callers only read it.
-            return self._engine_in(space, _traversed(regex)).backward_reachable_indices(targets, regex)
+            return self._folding(space, regex).backward_reachable_indices(targets, regex)
         if not targets:
             return set()
         # Node ids: fold the merged set-level frontiers right-to-left,
@@ -507,7 +480,7 @@ class OverlayCsrAdapter(_StoreAdapter):
         memoised per candidate sets, so an unchanged clean query is one hash —
         on node ids a set of id pairs searched over the merged frontiers."""
         if space is not None:
-            return self._engine_in(space, _traversed(regex)).matching_pairs(regex, sources, targets)
+            return self._folding(space, regex).matching_pairs(regex, sources, targets)
         return self._search_pairs(regex, list(sources), targets, method)
 
     def product_pairs(self, regex, sources, targets, space=None):

@@ -196,6 +196,27 @@ class TestCiWorkflow:
             assert needle in command
         assert "not slow" not in command
 
+    def test_no_numpy_leg_runs_distance_matrix_parity(self, workflow):
+        # The matrix's rows are the layers' closures, built in pure Python on
+        # the no-numpy leg; its unit tests and the property holding it to the
+        # paper's definition run there by path.
+        job = workflow["jobs"]["test"]
+        steps = [step for step in job["steps"] if "tests/test_distance_matrix.py" in step.get("run", "")]
+        assert len(steps) == 1 and steps[0]["if"] == "matrix.python-version == '3.9'"
+        assert "tests/test_semantics_properties.py::TestDistanceMatrixAgainstTheDefinition" in steps[0]["run"]
+        assert "slow" not in steps[0]["run"]
+
+    def test_plan_smoke_reads_the_matrix_on_csr(self, workflow):
+        # Both forced-matrix plan runs must report the csr engine, and the
+        # classic `repro rq --method matrix --engine csr` must run (exit 0).
+        job = workflow["jobs"]["benchmark-smoke"]
+        (smoke,) = [step["run"] for step in job["steps"] if step.get("name") == "Session plan smoke"]
+        lines = smoke.splitlines()
+        for report in ("plan-small.txt", "plan-large-matrix.txt"):
+            assert f'grep -q "engine=csr" {report}' in smoke
+            assert any("--method matrix --execute" in line and report in line for line in lines)
+        assert 'repro.cli rq small-graph.json --regex "fr^2.sc" --method matrix --engine csr' in smoke
+
     def test_quick_legs_run_the_cache_decision_suites_whole(self, workflow):
         # The quick tier-1 run deselects the `slow` semantic-cache and
         # key-parity properties; every non-primary leg runs those files by

@@ -88,13 +88,14 @@ class TestRqCommand:
         assert outputs["dict"] == outputs["csr"] == outputs["auto"]
 
     def test_matrix_method_rejects_csr_engine(self, essembly_json, capsys):
+        # The matrix's rows are the csr layers' closures: --engine csr reads
+        # it, and an explicit --engine dict is the one refused.
         out = io.StringIO()
-        code = main(
-            ["rq", essembly_json, "--regex", "fn", "--method", "matrix", "--engine", "csr"],
-            out=out,
-        )
-        assert code == 2
-        assert "dict engine only" in capsys.readouterr().err
+        args = ["rq", essembly_json, "--regex", "fn", "--method", "matrix", "--engine"]
+        assert main([*args, "csr"], out=out) == 0
+        assert "method=matrix, engine=csr" in out.getvalue()
+        assert main([*args, "dict"], out=io.StringIO()) == 2
+        assert "cannot be combined with a distance matrix" in capsys.readouterr().err
 
 
 class TestRqSessionFlag:
@@ -119,13 +120,14 @@ class TestRqSessionFlag:
 
     def test_session_path_rejects_matrix_with_csr_engine_cleanly(self, essembly_json, capsys):
         # Regression: planner QueryErrors must exit 2 with a one-line error,
-        # matching the classic path, not a raw traceback.
-        code = main(
-            ["rq", essembly_json, "--regex", "fa", "--session",
-             "--method", "matrix", "--engine", "csr"],
-        )
-        assert code == 2
-        assert "dict engine only" in capsys.readouterr().err
+        # matching the classic path, not a raw traceback.  The matrix reads
+        # on csr, so it is --engine dict that the planner refuses.
+        args = ["rq", essembly_json, "--regex", "fa", "--session", "--method", "matrix", "--engine"]
+        out = io.StringIO()
+        assert main([*args, "csr"], out=out) == 0
+        assert "engine=csr" in out.getvalue()
+        assert main([*args, "dict"]) == 2
+        assert "csr engine only" in capsys.readouterr().err
 
     def test_session_path_honours_method_override(self, essembly_json):
         out = io.StringIO()
@@ -194,12 +196,13 @@ class TestPlanCommand:
         assert "engine=csr forced by caller" in out.getvalue()
 
     def test_plan_rejects_matrix_with_csr_engine_cleanly(self, essembly_json, capsys):
-        code = main(
-            ["plan", essembly_json, "--regex", "fa", "--method", "matrix",
-             "--engine", "csr"],
-        )
-        assert code == 2
-        assert "dict engine only" in capsys.readouterr().err
+        # The matrix reads on csr; an explicit dict engine is refused.
+        args = ["plan", essembly_json, "--regex", "fa", "--method", "matrix", "--execute", "--engine"]
+        out = io.StringIO()
+        assert main([*args, "csr"], out=out) == 0
+        assert "engine=csr" in out.getvalue()
+        assert main([*args, "dict"]) == 2
+        assert "csr engine only" in capsys.readouterr().err
 
     def test_plan_requires_regex(self, essembly_json):
         with pytest.raises(SystemExit):
@@ -408,7 +411,7 @@ class TestStructuredErrors:
         # triple the service's error envelope carries.
         code = main(
             ["rq", essembly_json, "--regex", "fa", "--session",
-             "--method", "matrix", "--engine", "csr"],
+             "--method", "matrix", "--engine", "dict"],
         )
         assert code == 2
         err = capsys.readouterr().err

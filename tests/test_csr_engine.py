@@ -137,21 +137,27 @@ class TestEnginePairity:
         assert dfa.step(dead, 0) == LazyDfa.DEAD  # chaining without guards is safe
 
     def test_csr_refuses_matrix_method(self, graph):
+        # The matrix's rows are the csr layers' closures: csr reads it, and an
+        # explicit dict engine is the one refused.
         from repro.graph.distance import build_distance_matrix
 
         query = ReachabilityQuery(None, None, "advises")
         matrix = build_distance_matrix(graph)
+        result = evaluate_rq(query, graph, distance_matrix=matrix, method="matrix", engine="csr")
+        assert (result.engine, result.method) == ("csr", "matrix")
+        assert result.pairs == evaluate_rq(query, graph, engine="dict").pairs
         with pytest.raises(EvaluationError):
-            evaluate_rq(query, graph, distance_matrix=matrix, method="matrix", engine="csr")
+            evaluate_rq(query, graph, distance_matrix=matrix, method="matrix", engine="dict")
 
     def test_csr_with_matrix_and_auto_method_runs_search(self, graph):
         from repro.graph.distance import build_distance_matrix
 
         query = ReachabilityQuery(None, None, "advises")
         matrix = build_distance_matrix(graph)
+        # With a matrix at hand "auto" is the matrix method, on csr.
         result = evaluate_rq(query, graph, distance_matrix=matrix, engine="csr")
-        assert result.engine == "csr" and result.method == "bidirectional"
-        assert result.pairs == evaluate_rq(query, graph, distance_matrix=matrix).pairs
+        assert result.engine == "csr" and result.method == "matrix"
+        assert result.pairs == evaluate_rq(query, graph, method="bidirectional", engine="dict").pairs
 
     def test_csr_refuses_explicit_matcher(self, graph):
         query = ReachabilityQuery(None, None, "advises")
@@ -208,10 +214,15 @@ class TestPathMatcherCsrMode:
         graph = DataGraph()
         graph.add_node("a")
         matrix = build_distance_matrix(graph)
-        with pytest.raises(ValueError):
-            PathMatcher(graph, distance_matrix=matrix, engine="csr")
-        # "auto" quietly picks matrix mode (dict), as documented
-        assert PathMatcher(graph, distance_matrix=matrix, engine="auto").engine == "dict"
+        # The matrix reads on csr: an explicit dict or partitioned engine is
+        # refused, and csr, "auto" and the default all resolve to csr.
+        for engine in ("dict", "partitioned"):
+            with pytest.raises(ValueError):
+                PathMatcher(graph, distance_matrix=matrix, engine=engine)
+        for engine in ("csr", "auto"):
+            assert PathMatcher(graph, distance_matrix=matrix, engine=engine).engine == "csr"
+        assert PathMatcher(graph, distance_matrix=matrix).engine == "csr"
+        assert PathMatcher(graph).engine == "dict"
 
     def test_private_engine_tracks_store_base(self):
         graph = DataGraph()

@@ -204,12 +204,15 @@ class TestVersionAwareCaches:
         assert matcher.stale_invalidations >= 1
 
     def test_matrix_mode_keeps_answering_from_the_matrix(self, small_graph):
-        # Documented contract: the matrix is the caller's index, not a cache.
-        matcher = PathMatcher(small_graph, distance_matrix=build_distance_matrix(small_graph))
+        # The matrix is read off the current layers' closures, so matrix mode
+        # tracks mutations like search mode, and never goes stale.
+        matrix = build_distance_matrix(small_graph)
+        matcher = PathMatcher(small_graph, distance_matrix=matrix)
         expr = parse_fregex("red")
         assert matcher.targets_from("a", expr) == {"b"}
         small_graph.add_edge("a", "q", "red")
-        assert matcher.targets_from("a", expr) == {"b"}
+        assert matcher.targets_from("a", expr) == {"b", "q"}
+        assert matrix.distance("a", "q", "red") == 1
 
     def test_csr_matcher_tracks_mutations(self, small_graph):
         matcher = PathMatcher(small_graph, engine="csr")

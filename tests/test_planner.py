@@ -63,7 +63,7 @@ class TestRqPlanning:
         forced = plan_query(rq(), stats, has_matrix=True, method="matrix")
         assert forced.kind == "rq"
         assert forced.algorithm == forced.method == "matrix"
-        assert forced.engine == "dict"
+        assert forced.engine == "csr"  # the matrix's rows are the csr layers' closures
         assert forced.use_matrix
 
     def test_matrix_skipped_when_graph_too_large(self):
@@ -81,13 +81,14 @@ class TestRqPlanning:
         assert not any("forced" in reason for reason in plan.reasons)
 
     def test_forced_matrix_on_a_large_graph_runs_on_dict(self):
+        # The name predates the closures: a forced matrix now reads on csr.
         plan = plan_query(rq(), stats_for(num_nodes=500), has_matrix=True, method="matrix")
         assert plan.method == plan.algorithm == "matrix"
         assert plan.use_matrix
-        assert plan.engine == "dict"
+        assert plan.engine == "csr"
         assert plan.reasons[:2] == (
             "method=matrix forced by caller",
-            "method=matrix forced: the matrix is a dict-engine index",
+            "method=matrix forced: its rows are the csr layers' distance-labelled closures",
         )
 
     def test_search_on_dict_engine_for_tiny_graphs(self):
@@ -115,8 +116,11 @@ class TestRqPlanning:
             plan_query(rq(), stats_for(), method="matrix", has_matrix=False)
 
     def test_forced_matrix_with_csr_engine_rejected(self):
+        # The matrix reads on csr: csr is accepted, dict is the engine refused.
+        plan = plan_query(rq(), stats_for(), has_matrix=True, method="matrix", engine="csr")
+        assert plan.use_matrix and plan.engine == "csr"
         with pytest.raises(QueryError):
-            plan_query(rq(), stats_for(), has_matrix=True, method="matrix", engine="csr")
+            plan_query(rq(), stats_for(), has_matrix=True, method="matrix", engine="dict")
 
     def test_missing_colour_prunes_to_empty(self):
         plan = plan_query(rq("zz.fa"), stats_for())
@@ -187,7 +191,7 @@ class TestPqPlanning:
         assert plan.engine == "dict"
         forced = plan_query(query, stats, has_matrix=True, method="matrix")
         assert forced.use_matrix
-        assert forced.engine == "dict"
+        assert forced.engine == "csr"
         assert "method=matrix forced by caller" in forced.reasons
 
     def test_matrix_mode_skipped_when_graph_too_large(self):
@@ -208,12 +212,12 @@ class TestPqPlanning:
             )
             assert plan.algorithm == algorithm
             assert plan.use_matrix
-            assert plan.engine == "dict"
+            assert plan.engine == "csr"
             assert plan.method == ""
         with pytest.raises(QueryError):
             plan_query(query, stats_for(), method="matrix")
         with pytest.raises(QueryError):
-            plan_query(query, stats_for(), has_matrix=True, method="matrix", engine="csr")
+            plan_query(query, stats_for(), has_matrix=True, method="matrix", engine="dict")
 
     def test_forced_csr_engine_disables_matrix_mode(self):
         query = pattern([("A", "B", "fa")])
@@ -280,8 +284,8 @@ class TestMatrixOnlyWhenForced:
         assert not plan_query(query, stats, has_matrix=True).use_matrix
         forced = plan_query(query, stats, has_matrix=True, method="matrix")
         assert forced.use_matrix
-        assert forced.engine == "dict"
-        for engine in ("csr", "partitioned"):
+        assert forced.engine == "csr"
+        for engine in ("dict", "partitioned"):
             with pytest.raises(QueryError):
                 plan_query(query, stats, has_matrix=True, method="matrix", engine=engine)
 

@@ -205,11 +205,14 @@ class TestEngineArgumentHandling:
 
         graph, pattern = self._fixture()
         matrix = build_distance_matrix(graph)
+        # The matrix reads on csr: an explicit dict engine is refused, and csr
+        # or auto run matrix mode there, as for evaluate_rq.
         with pytest.raises(ValueError):
-            join_match(pattern, graph, distance_matrix=matrix, engine="csr")
-        # auto quietly picks matrix (dict) mode, as for evaluate_rq
-        result = join_match(pattern, graph, distance_matrix=matrix)
-        assert result.engine == "dict" and result.algorithm == "JoinMatchM"
+            join_match(pattern, graph, distance_matrix=matrix, engine="dict")
+        for engine in ("csr", "auto"):
+            result = join_match(pattern, graph, distance_matrix=matrix, engine=engine)
+            assert result.engine == "csr" and result.algorithm == "JoinMatchM"
+            assert result.same_matches(join_match(pattern, graph, engine="dict"))
 
     def test_cache_capacity_defaults_share_the_constant(self):
         import inspect

@@ -8,17 +8,26 @@ These tests tie together components that are individually tested elsewhere:
 * minimization must preserve answers, not just abstract equivalence;
 * the PQ answer is monotone in the data-graph edge set (the property the
   incremental maintainer exploits);
-* normalization (dummy-node decomposition) never changes answers.
+* normalization (dummy-node decomposition) never changes answers;
+* the distance matrix — the CSR layers' distance-labelled closures — answers
+  like Sec. 2's definition on both kernel backends: every RQ method and engine
+  equals the general-regex product search, lookups equal BFS distances, and
+  forced matrix reads stay exact after updates and at a pin's own version.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.datasets.synthetic import generate_synthetic_graph
+from repro.graph.data_graph import DataGraph
 from repro.graph.distance import build_distance_matrix
+from repro.graph.traversal import bfs_distances
+from repro.kernels import KERNEL_ENV_VAR
+from repro.matching.general_rq import regex_reachable_from
 from repro.matching.join_match import join_match
+from repro.matching.paths import PathMatcher
 from repro.matching.reachability import evaluate_rq
 from repro.query.containment import rq_contained_in
 from repro.query.generator import QueryGenerator
@@ -26,6 +35,8 @@ from repro.query.minimization import minimize_pattern_query
 from repro.query.predicates import AtomicCondition, Predicate
 from repro.query.rq import ReachabilityQuery
 from repro.regex.fclass import FRegex, RegexAtom
+from repro.regex.general import GeneralRegex
+from repro.session import GraphSession
 
 ATTRIBUTES = ["a0", "a1"]
 COLORS = ["c0", "c1", "c2", "c3"]
@@ -157,3 +168,112 @@ class TestNormalizationEquivalence:
         with_normalization = join_match(pattern, graph, distance_matrix=matrix, normalize=True)
         without_normalization = join_match(pattern, graph, distance_matrix=matrix, normalize=False)
         assert with_normalization.same_matches(without_normalization)
+
+
+# -- the distance matrix against the paper's definition ------------------------------
+
+MATRIX_COLORS = ["r", "g", "b"]
+
+
+@st.composite
+def small_colored_graph(draw):
+    """Up to 12 nodes with an ``a0`` attribute, self-loops, cycles and isolated nodes."""
+    num_nodes = draw(st.integers(1, 12))
+    graph = DataGraph(name="matrix-property")
+    for node in range(num_nodes):
+        graph.add_node(node, a0=draw(st.integers(0, 3)))
+    edge = st.tuples(st.integers(0, num_nodes - 1), st.integers(0, num_nodes - 1), st.sampled_from(MATRIX_COLORS))
+    for source, target, color in draw(st.lists(edge, max_size=3 * num_nodes)):
+        graph.add_edge(source, target, color)
+    return graph
+
+
+matrix_rq_strategy = st.builds(
+    ReachabilityQuery,
+    source_predicate=st.builds(Predicate, st.lists(st.builds(
+        AtomicCondition, attribute=st.just("a0"), op=st.sampled_from(["=", "<=", ">="]),
+        value=st.integers(0, 3)), max_size=1)),
+    target_predicate=st.builds(Predicate, st.lists(st.builds(
+        AtomicCondition, attribute=st.just("a0"), op=st.sampled_from(["=", "<=", ">="]),
+        value=st.integers(0, 3)), max_size=1)),
+    regex=st.builds(FRegex, st.lists(st.builds(
+        RegexAtom, color=st.sampled_from(MATRIX_COLORS + ["_"]),
+        max_count=st.one_of(st.none(), st.integers(1, 3))), min_size=1, max_size=3)),
+)
+
+
+def _oracle(graph, query):
+    """Sec. 2 straight from the definition: ``{(s, t) : s ≍ u1, t ≍ u2, a non-empty
+    path s -> t whose colour string L(f) accepts}``, by the general-regex product
+    search, which shares no code with the block-semantics evaluators."""
+    regex = GeneralRegex.from_fregex(query.regex)
+    sources = {n for n in graph.nodes() if query.source_predicate.matches(graph.attributes(n))}
+    targets = {n for n in graph.nodes() if query.target_predicate.matches(graph.attributes(n))}
+    return {(s, t) for s in sources for t in regex_reachable_from(graph, s, regex) & targets}
+
+
+def _cycle(graph, node, color):
+    """Length of the shortest non-empty cycle through ``node`` via ``color``."""
+    distances = bfs_distances(graph, node, color)
+    lengths = [distances[p] + 1 for p in graph.predecessors(node, color) if p in distances]
+    return min(lengths, default=None)
+
+
+@pytest.mark.parametrize("kernel", ["numpy", "python"])
+class TestDistanceMatrixAgainstTheDefinition:
+    """The matrix (the CSR layers' distance-labelled closures, on either
+    kernel backend) answers like the paper's definition, live, after updates
+    and pinned at its own version."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(graph=small_colored_graph(), query=matrix_rq_strategy)
+    def test_every_method_and_engine_equals_the_oracle(self, monkeypatch, kernel, graph, query):
+        monkeypatch.setenv(KERNEL_ENV_VAR, kernel)
+        expected = _oracle(graph, query)
+        matrix = build_distance_matrix(graph)
+        assert evaluate_rq(query, graph, distance_matrix=matrix, method="matrix").pairs == expected
+        for engine in ("dict", "csr"):
+            for method in ("bidirectional", "bfs"):
+                result = evaluate_rq(query, graph, method=method, matcher=PathMatcher(graph, engine=engine))
+                assert result.pairs == expected, (engine, method)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(graph=small_colored_graph(), max_hops=st.one_of(st.none(), st.integers(1, 4)))
+    def test_lookups_equal_bfs_distances(self, monkeypatch, kernel, graph, max_hops):
+        monkeypatch.setenv(KERNEL_ENV_VAR, kernel)
+        matrix = build_distance_matrix(graph)
+        for color in MATRIX_COLORS + [None]:
+            for source in graph.nodes():
+                distances = bfs_distances(graph, source, color)
+                for target in graph.nodes():
+                    if target == source:
+                        assert matrix.distance(source, target, color) == 0
+                        shortest = _cycle(graph, source, color)
+                    else:
+                        shortest = distances.get(target)
+                        assert matrix.distance(source, target, color) == shortest
+                    within = shortest is not None and (max_hops is None or shortest <= max_hops)
+                    assert matrix.reachable_within(source, target, color, max_hops) == within
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(graph=small_colored_graph(), query=matrix_rq_strategy, data=st.data())
+    def test_forced_reads_after_updates_and_pinned(self, monkeypatch, kernel, graph, query, data):
+        monkeypatch.setenv(KERNEL_ENV_VAR, kernel)
+        session = GraphSession(graph)
+        session.build_matrix()
+        before = _oracle(graph, query)
+        assert session.execute(query, method="matrix").answer.pairs == before
+        nodes = sorted(graph.nodes())
+        with session.pin() as pinned:
+            for _ in range(data.draw(st.integers(1, 4))):
+                edges = sorted((e.source, e.target, e.color) for e in graph.edges())
+                if edges and data.draw(st.booleans()):
+                    session.apply_updates([("remove", *data.draw(st.sampled_from(edges)))])
+                else:
+                    node = st.sampled_from(nodes)
+                    edge = (data.draw(node), data.draw(node), data.draw(st.sampled_from(MATRIX_COLORS)))
+                    session.apply_updates([("add", *edge)])
+                live = session.execute(query, method="matrix")
+                assert (live.plan.use_matrix or live.plan.unsatisfiable) and live.answer.pairs == _oracle(graph, query)
+            at_pin = pinned.execute(query, method="matrix")
+            assert (at_pin.plan.use_matrix or at_pin.plan.unsatisfiable) and at_pin.answer.pairs == before

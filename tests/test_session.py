@@ -23,6 +23,7 @@ from repro import (
 from repro.datasets.synthetic import generate_synthetic_graph
 from repro.exceptions import QueryError
 from repro.graph.data_graph import DataGraph
+from repro.graph.distance import build_distance_matrix
 from repro.matching.incremental import coalesce_update_stream
 from repro.query.canonical import canonicalize_query
 from repro.query.generator import QueryGenerator
@@ -171,28 +172,22 @@ class TestResultMemo:
         assert refreshed.answer.pairs == evaluate_rq(rq, graph).pairs
 
     def test_matrix_plan_never_serves_stale_distances(self, graph, rq):
-        # Regression: edge mutations must invalidate matrix-based plans —
-        # the attached matrix describes the pre-mutation topology.
+        # The matrix reads the current layers' closures: after an edge
+        # mutation the forced plan answers for the new topology, no rebuild.
         session = GraphSession(graph)
         session.build_matrix()
         prepared = session.prepare(rq, method="matrix")
         assert prepared.plan.use_matrix
         prepared.execute()
         session.apply_updates([("add", "d", "b", "fa")])
-        with pytest.raises(QueryError, match="no distance matrix"):
-            prepared.execute()  # the forced replan refuses the stale matrix
-        with pytest.raises(QueryError, match="no distance matrix"):
-            session.prepare(rq, method="matrix")
-        # Unforced plans search and see the new edge...
+        after = prepared.execute()
+        assert after.plan.use_matrix and after.engine == "csr"
+        assert ("d", "b") in after.answer.pairs
+        assert after.answer.pairs == evaluate_rq(rq, graph).pairs
+        # Unforced plans search and agree.
         refreshed = session.prepare(rq).execute()
         assert not refreshed.plan.use_matrix
-        assert ("d", "b") in refreshed.answer.pairs
-        assert refreshed.answer.pairs == evaluate_rq(rq, graph).pairs
-        # ...and the forced plan runs again once the matrix is rebuilt.
-        session.build_matrix()
-        rebuilt = prepared.execute()
-        assert rebuilt.plan.use_matrix
-        assert rebuilt.answer.pairs == evaluate_rq(rq, graph).pairs
+        assert refreshed.answer.pairs == after.answer.pairs
 
     def test_unsatisfiable_plan_revives_when_colour_appears(self, graph):
         # Regression: the pruning decision must not outlive the statistics
@@ -248,6 +243,63 @@ def _generated_reads(count=20):
         for index in range(count)
     ]
     return graph, queries
+
+
+def _red_chain(*edges):
+    graph = DataGraph(name="red-chain")
+    for source, target in edges:
+        graph.add_edge(source, target, "red")
+    return graph
+
+
+def _without_matrix(graph, query):
+    """The answer of a fresh session that has no matrix (nor a cache to share)."""
+    return GraphSession(graph, semantic_cache_capacity=0).execute(query).answer.pairs
+
+
+class TestMatrixNeverPoisonsTheSemanticCache:
+    """A forced matrix read inserts its answer into the semantic cache under the
+    current version, where unforced reads are served it: the matrix must answer
+    for the graph as it is, and one of another graph is refused."""
+
+    RED3 = ReachabilityQuery(None, None, "red^3")
+
+    def _assert_reads_are_true(self, session, graph):
+        truth = _without_matrix(graph, self.RED3)
+        assert len(truth) == 6
+        forced = session.execute(self.RED3, method="matrix")
+        assert forced.plan.use_matrix and forced.answer.pairs == truth
+        unforced = session.execute(self.RED3)
+        assert not unforced.plan.use_matrix
+        assert unforced.cache_decision == "cache-exact"
+        assert unforced.answer.pairs == truth
+
+    def test_matrix_built_before_a_mutation_then_attached(self):
+        graph = _red_chain(("a", "b"), ("b", "c"))
+        matrix = build_distance_matrix(graph)
+        graph.add_edge("c", "d", "red")
+        session = GraphSession(graph)
+        session.attach_matrix(matrix)
+        self._assert_reads_are_true(session, graph)
+
+    def test_matrix_built_before_a_mutation_then_given_to_the_constructor(self):
+        graph = _red_chain(("a", "b"), ("b", "c"))
+        matrix = build_distance_matrix(graph)
+        graph.add_edge("c", "d", "red")
+        self._assert_reads_are_true(GraphSession(graph, distance_matrix=matrix), graph)
+
+    def test_matrix_of_another_graph_is_refused(self):
+        graph = _red_chain(("a", "b"), ("b", "c"))
+        foreign = build_distance_matrix(_red_chain(("a", "c")))
+        with pytest.raises(QueryError, match="not of this session's graph"):
+            GraphSession(graph, distance_matrix=foreign)
+        session = GraphSession(graph)
+        with pytest.raises(QueryError, match="not of this session's graph"):
+            session.attach_matrix(foreign)
+        red = ReachabilityQuery(None, None, "red")
+        with pytest.raises(QueryError, match="no distance matrix attached"):
+            session.execute(red, method="matrix")
+        assert session.execute(red).answer.pairs == _without_matrix(graph, red) == {("a", "b"), ("b", "c")}
 
 
 class TestCanonicalFormsOnDemand:
@@ -475,10 +527,10 @@ class TestReprsAndAccessors:
         assert watch.statistics()["full_recomputations"] >= 1
         assert watch.pairs  # union of per-edge pairs for PQ watches
 
-    def test_attach_matrix_requires_one_for_matrix_matcher(self, graph):
+    def test_attach_matrix_requires_one_for_matrix_matcher(self, graph, rq):
         session = GraphSession(graph)
-        with pytest.raises(QueryError):
-            session._matrix_path_matcher()
+        with pytest.raises(QueryError, match="no distance matrix attached"):
+            session.execute(rq, method="matrix")
 
     def test_stats_cached_per_version(self, graph):
         session = GraphSession(graph)

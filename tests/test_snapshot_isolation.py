@@ -415,8 +415,13 @@ class TestReadStatePerVersion:
                 assert result.answer.pairs == expected
             with pytest.raises(QueryError, match="partitioned store keeps no snapshots"):
                 snap.execute(RQ, engine="partitioned")
-            with pytest.raises(QueryError, match="matrix evaluation is unavailable"):
+            # A pin reads the session's matrix, which it must have, on csr.
+            with pytest.raises(QueryError, match="no distance matrix attached"):
                 snap.execute(RQ, method="matrix")
+            session.build_matrix()
+            result = snap.execute(RQ, method="matrix")
+            assert (result.engine, result.plan.algorithm) == ("csr", "matrix")
+            assert result.answer.pairs == expected
 
     @pytest.mark.parametrize("engine, expected", [("dict", "dict"), ("partitioned", "dict"), ("csr", "csr")])
     def test_pins_follow_the_sessions_engine_preference(self, engine, expected):

@@ -5,19 +5,20 @@ experiment measures what the delta maintainer buys on a youtube-like graph
 under the update-stream workloads a long-lived server sees:
 
 * ``insert-heavy`` — a stream of edge insertions of colours the query
-  mentions (the case the affected-area delta path exists for);
+  mentions (the case the insertion pass exists for);
 * ``delete-heavy`` — a stream of deletions (dirty-queue refinement from the
   cached candidate sets);
 * ``mixed`` — alternating deletions and re-insertions;
 * ``batch`` — chunk-sized groups of deletions followed by the matching
   re-insertions, delivered through
   :meth:`~repro.matching.incremental.IncrementalPatternMatcher.apply_updates`
-  so each chunk coalesces into one refinement pass with real net changes.
+  so each chunk coalesces into one deletion pass and one insertion pass
+  with real net changes.
 
 Per stream the report times one delta maintainer per requested engine
 (columns ``t_delta_c`` for dict, ``t_delta_csr`` for CSR) against the
 ``strategy="recompute"`` baseline on CSR (``t_recompute_csr`` — a full
-from-scratch fixpoint per relevant update), plus the CSR delta speedup
+from-scratch fixpoint per stream with a relevant change), plus the CSR delta speedup
 (``speedup_csr``).  Every maintainer processes the same logical stream on
 its own graph copy, and all results are asserted identical to the baseline's
 after every update — a mismatch aborts the experiment, mirroring the parity

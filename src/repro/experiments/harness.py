@@ -51,12 +51,14 @@ def build_experiment_session(graph: Any, engines: Iterable[str]) -> Any:
     session's per-engine matchers are reused across every query of an
     experiment, and the one-off CSR snapshot compile happens here — outside
     the caller's timed region.  Experiments run their engine-timed variants
-    as *prepared queries* on this session.
+    as *prepared queries* on this session, with the semantic cache off: each
+    variant of a query evaluates, instead of being served the first one's
+    answer and time.
     """
     from repro.graph.csr import compiled_snapshot
     from repro.session.session import GraphSession
 
-    session = GraphSession(graph)
+    session = GraphSession(graph, semantic_cache_capacity=0)
     for engine in engines:
         session.matcher(engine)
     if "csr" in engines:

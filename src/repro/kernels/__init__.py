@@ -1,10 +1,10 @@
 """Vectorised BFS kernels for the CSR hot paths.
 
 Every query kind in the reproduction — RQ frontier expansion, the
-bounded-simulation refinement fixpoint, the incremental maintainer's
-affected-area closures — bottoms out in multi-source bounded BFS over the
-per-colour CSR layers of a :class:`~repro.graph.csr.CompiledGraph`.  This
-package is the single home of that inner loop:
+bounded-simulation refinement fixpoint, the stores' unbounded closures —
+bottoms out in multi-source bounded BFS over the per-colour CSR layers of a
+:class:`~repro.graph.csr.CompiledGraph`.  This package is the single home
+of that inner loop:
 
 * :mod:`repro.kernels.numpy_kernel` — frontier-as-boolean-vector BFS with
   per-level neighbour gathers via ``offsets``/``targets`` fancy indexing.

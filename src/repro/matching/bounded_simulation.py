@@ -61,7 +61,7 @@ def bounded_simulation_match(
     space = matcher.enter(relaxed.values())
     candidates = initial_candidates(pattern, graph, matcher, space)
     if any(not nodes for nodes in candidates.values()):
-        return PatternMatchResult.empty(algorithm, engine=matcher.engine)
+        return PatternMatchResult.empty(algorithm, engine=matcher.engine, started=started)
 
     # The colour-blind refinement runs on the shared dirty-queue fixpoint
     # (worklist over pattern nodes whose candidate set changed).
@@ -71,6 +71,6 @@ def bounded_simulation_match(
         lambda regex, target_set: matcher.backward_reachable(target_set, regex, space),
     )
     if not survived:
-        return PatternMatchResult.empty(algorithm, engine=matcher.engine)
+        return PatternMatchResult.empty(algorithm, engine=matcher.engine, started=started)
 
     return collect_result(pattern, candidates, matcher, algorithm, started, space, relaxed)

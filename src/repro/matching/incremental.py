@@ -3,28 +3,31 @@
 Section 7 of the paper names incremental evaluation as future work: data
 graphs change frequently and re-running a cubic-time algorithm after every
 update is wasteful.  This module provides a correct incremental maintainer
-built on two observations about the PQ semantics (an extension of graph
-simulation):
+built on one fact about the PQ semantics (an extension of graph simulation):
+the answer relation is **monotone in the edge set** — deleting a data edge can
+only *remove* matches, inserting one can only *add* them.  Each direction of
+change therefore has its own algorithm, as unit deletions and unit insertions
+are separate problems in Fan et al.'s "Incremental Graph Pattern Matching"
+(SIGMOD 2011):
 
-* the answer relation is **monotone in the edge set** — adding a data edge can
-  only *add* matches, deleting one can only *remove* matches;
-* therefore, after a **deletion** the new maximum relation is a subset of the
-  old one, and the refinement fixpoint can be restarted *from the cached
-  candidate sets*, re-checking only the pattern edges whose constraint can
-  traverse the deleted colour;
-* after an **insertion** of a data edge ``(u, v, c)`` every node that newly
-  enters some candidate set must have a directed path to ``u`` (the prefix of
-  its witnessing path before the first use of the new edge; cascaded
-  re-admissions concatenate through it) — so the maintainer re-admits
-  predicate-eligible nodes only inside that **affected area** (one
-  multi-source reverse BFS over the store,
-  :meth:`~repro.matching.paths.PathMatcher.backward_closure`) and
-  re-runs the refinement fixpoint restricted to the dirty pattern nodes,
-  instead of recomputing from scratch.
+* after **deletions** the new maximum relation is a subset of the old one, so
+  the refinement fixpoint restarts *from the cached candidate sets*,
+  re-checking only the pattern edges whose constraint can traverse a deleted
+  colour (the *deletion pass*);
+* after **insertions** every old match survives, and a node can newly enter a
+  candidate set only if its witnessing path can use a new edge ``(u, v, c)``
+  — its source lies in the regex-prefix frontiers behind ``u`` — or through
+  a cascade from such a node, or if it was just created; only those seeds are
+  verified, and the per-edge pairs extended, by small bounded BFS over the
+  adjacency store (the *insertion pass*).
 
-:meth:`IncrementalPatternMatcher.apply_updates` extends this to **batches**:
-a mixed insert/delete stream is coalesced (cancelling add/remove pairs,
-grouping the survivors by colour) into a single delta refinement pass.
+A stream (:meth:`IncrementalPatternMatcher.apply_updates`,
+:meth:`~repro.session.session.GraphSession.apply_updates`) is coalesced —
+add/remove pairs over one edge cancel, duplicate adds and absent removes are
+no-ops — and its net effect applied in two steps: the deletions, followed by
+one deletion pass of every maintainer, then the created nodes and the
+insertions, followed by one insertion pass.  Between the two the graph holds
+exactly the state the deletion pass is exact for.
 
 The maintainer always produces exactly the same answer as evaluating from
 scratch (asserted by the stateful differential suite in
@@ -176,72 +179,69 @@ def coalesce_update_stream(
     first mutation, so a malformed stream raises :class:`ValueError` with
     the graph untouched.
 
-    This is the stream-level half of
-    :meth:`IncrementalPatternMatcher.apply_updates`, shared with
-    :meth:`~repro.session.session.GraphSession.apply_updates` so a session
-    can mutate its graph once and propagate one delta to every watcher
-    (each watcher then filters by its own colour relevance in
-    :meth:`~IncrementalPatternMatcher.maintain_applied`).
+    This is the two-step application behind both ``apply_updates`` methods
+    (:meth:`IncrementalPatternMatcher.apply_updates`,
+    :meth:`~repro.session.session.GraphSession.apply_updates`) with no
+    maintainer to run a pass between the steps.
     """
-    stream = [tuple(op) for op in updates]
-    for op in stream:
+    return _apply_in_two_passes(graph, updates, ())
+
+
+def _apply_in_two_passes(
+    graph: DataGraph,
+    updates: Iterable[Tuple[str, NodeId, NodeId, str]],
+    maintainers: Sequence["IncrementalPatternMatcher"],
+) -> UpdateDelta:
+    """:func:`coalesce_update_stream`, maintaining ``maintainers`` on the way.
+
+    The net deletions are applied first and every maintainer runs its
+    deletion pass; then the created nodes and the net insertions are applied
+    and every maintainer runs its insertion pass.  Nothing is mutated before
+    the whole stream has been read.
+    """
+    initial: Dict[EdgeTriple, bool] = {}
+    presence: Dict[EdgeTriple, bool] = {}
+    new_nodes: Dict[NodeId, None] = {}
+    effective = skipped = 0
+    for op in updates:
+        op = tuple(op)
         if len(op) != 4:
             raise ValueError(f"update {op!r} is not an (op, source, target, color) tuple")
-        if op[0] not in _INSERT_OPS and op[0] not in _DELETE_OPS:
+        kind, source, target, color = op
+        if kind not in _INSERT_OPS and kind not in _DELETE_OPS:
             raise ValueError(
-                f"unknown update operation {op[0]!r}; expected one of "
+                f"unknown update operation {kind!r}; expected one of "
                 f"{sorted(_INSERT_OPS | _DELETE_OPS)}"
             )
-    initial_presence: Dict[EdgeTriple, bool] = {}
-    presence: Dict[EdgeTriple, bool] = {}
-    new_nodes: List[NodeId] = []
-    known_nodes: Set[NodeId] = set()
-    effective = 0
-    skipped = 0
-    for kind, source, target, color in stream:
         key = (source, target, color)
-        if key not in initial_presence:
-            present = graph.has_edge(source, target, color)
-            initial_presence[key] = present
-            presence[key] = present
-        if kind in _INSERT_OPS:
-            if presence[key]:
-                skipped += 1
-                continue
-            presence[key] = True
-            effective += 1
-            for node in (source, target):
-                if node not in known_nodes:
-                    known_nodes.add(node)
-                    if not graph.has_node(node):
-                        # Create the endpoint immediately, exactly as a
-                        # sequential add_edge would — the node outlives
-                        # the edge even when a later removal cancels it.
-                        graph.add_node(node)
-                        new_nodes.append(node)
-        else:
-            if not presence[key]:
-                skipped += 1
-                continue
-            presence[key] = False
-            effective += 1
-
-    inserted: List[EdgeTriple] = []
-    deleted: List[EdgeTriple] = []
-    for key, present in presence.items():
-        if present == initial_presence[key]:
+        if key not in presence:
+            presence[key] = initial[key] = graph.has_edge(source, target, color)
+        adding = kind in _INSERT_OPS
+        if presence[key] == adding:  # a duplicate add or the removal of an absent edge
+            skipped += 1
             continue
-        source, target, color = key
-        if present:
-            graph.add_edge(source, target, color)
-            inserted.append(key)
-        else:
-            graph.remove_edge(source, target, color)
-            deleted.append(key)
+        presence[key] = adding
+        effective += 1
+        if adding:
+            # Created even when a later removal cancels the edge, exactly as
+            # a sequential add_edge would: the node outlives the edge.
+            new_nodes.update((node, None) for node in (source, target) if not graph.has_node(node))
+    inserted = tuple(key for key, present in presence.items() if present and not initial[key])
+    deleted = tuple(key for key, present in presence.items() if initial[key] and not present)
+    created = tuple(new_nodes)
+    for edge in deleted:
+        graph.remove_edge(*edge)
+    removed = [maintainer._deletion_pass(deleted) for maintainer in maintainers]
+    for node in created:
+        graph.add_node(node)
+    for edge in inserted:
+        graph.add_edge(*edge)
+    for maintainer, relevant_removal in zip(maintainers, removed):
+        maintainer._insertion_pass(inserted, created, relevant_removal)
     return UpdateDelta(
-        inserted=tuple(inserted),
-        deleted=tuple(deleted),
-        new_nodes=tuple(new_nodes),
+        inserted=inserted,
+        deleted=deleted,
+        new_nodes=created,
         skipped=skipped,
         coalesced=effective - len(inserted) - len(deleted),
     )
@@ -269,10 +269,10 @@ class IncrementalPatternMatcher:
     cache_capacity:
         LRU capacity of the shared matcher's search caches.
     strategy:
-        ``"delta"`` (default) maintains insertions by growing candidate sets
-        only inside the new edge's affected area; ``"recompute"`` re-runs the
-        full from-scratch fixpoint on every relevant update — the baseline
-        used by ``exp6`` and ``benchmarks/test_bench_incremental.py``.
+        ``"delta"`` (default) runs the deletion and insertion passes;
+        ``"recompute"`` re-runs the full from-scratch fixpoint once per stream
+        with a relevant change — the baseline used by ``exp6`` and
+        ``benchmarks/test_bench_incremental.py``.
 
     Notes
     -----
@@ -340,75 +340,37 @@ class IncrementalPatternMatcher:
         return self.result.matches_of(pattern_node)
 
     def add_edge(self, source: NodeId, target: NodeId, color: str) -> PatternMatchResult:
-        """Insert a data edge and bring the cached answer up to date.
-
-        Inserting an edge that is already present is a counted no-op
-        (``skipped_updates``), as is inserting an edge of a colour the query
-        cannot mention — unless the insertion *created* nodes, which changes
-        the predicate-candidate universe regardless of the edge's colour.
-        """
-        new_nodes = [
-            node for node in dict.fromkeys((source, target)) if not self.graph.has_node(node)
-        ]
-        already_present = self.graph.has_edge(source, target, color)
-        self.graph.add_edge(source, target, color)
-        if already_present:
-            self.skipped_updates += 1
-            return self.result
-        relevant = self._color_is_relevant(color)
-        if not relevant and not new_nodes:
-            self.skipped_updates += 1
-            return self.result
-        if self.strategy == "recompute":
-            self._recompute_from_scratch()
-            return self.result
-        inserted = [(source, target, color)] if relevant else []
-        return self._apply_delta(inserted, [], new_nodes)
+        """Insert one data edge: :meth:`apply_updates` of one ``"add"``."""
+        return self.apply_updates([("add", source, target, color)])
 
     def remove_edge(self, source: NodeId, target: NodeId, color: str) -> PatternMatchResult:
-        """Delete a data edge and bring the cached answer up to date.
-
-        Deleting an edge that does not exist is a counted no-op
-        (``skipped_updates``) — parity with :meth:`add_edge`'s duplicate
-        guard — rather than an error that would invalidate the maintainer.
-        """
-        if not self.graph.has_edge(source, target, color):
-            self.skipped_updates += 1
-            return self.result
-        self.graph.remove_edge(source, target, color)
-        if not self._color_is_relevant(color):
-            self.skipped_updates += 1
-            return self.result
-        if self.strategy == "recompute":
-            self._recompute_from_scratch()
-            return self.result
-        return self._apply_delta([], [(source, target, color)], [])
+        """Delete one data edge: :meth:`apply_updates` of one ``"remove"``."""
+        return self.apply_updates([("remove", source, target, color)])
 
     def apply_updates(
         self, updates: Iterable[Tuple[str, NodeId, NodeId, str]]
     ) -> PatternMatchResult:
-        """Apply a mixed insert/delete batch in one coalesced refinement pass.
+        """Apply an ordered update stream and bring the cached answer up to date.
 
         ``updates`` is an ordered iterable of ``(op, source, target, color)``
         with ``op`` in ``{"add", "insert", "+"}`` or
-        ``{"remove", "delete", "-"}``.  The batch is coalesced before any
+        ``{"remove", "delete", "-"}``.  The stream is coalesced before any
         maintenance work: an add/remove pair over the same edge cancels out
         (``coalesced_updates``; endpoint nodes the insertion would have
         created are still created, since a sequential removal keeps them),
-        duplicate adds and removals of absent edges
-        are counted no-ops (``skipped_updates``), and the surviving net
-        changes are grouped by colour into a *single* delta refinement —
-        one affected-area expansion for all net insertions, one dirty-queue
-        seeding for all net deletions — instead of one pass per update.
+        and duplicate adds, removals of absent edges and changes of colours
+        the query cannot mention are counted no-ops (``skipped_updates``).
+        The net deletions are then applied and maintained by one deletion
+        pass, the created nodes and net insertions by one insertion pass.
 
         The graph ends up exactly as if the operations had been applied one
         by one, and the cached answer matches a from-scratch evaluation of
         the final graph.
         """
-        delta = coalesce_update_stream(self.graph, updates)
+        delta = _apply_in_two_passes(self.graph, updates, (self,))
         self.skipped_updates += delta.skipped
         self.coalesced_updates += delta.coalesced
-        return self.maintain_applied(delta.inserted, delta.deleted, delta.new_nodes)
+        return self.result
 
     def maintain_applied(
         self,
@@ -419,30 +381,20 @@ class IncrementalPatternMatcher:
         """Bring the cached answer up to date for *already-applied* changes.
 
         ``inserted`` / ``deleted`` are net edge changes the caller has
-        already applied to :attr:`graph` (e.g. the
-        :class:`UpdateDelta` of :func:`coalesce_update_stream`), ``new_nodes``
-        the nodes that were created.  This is the maintenance half of
-        :meth:`apply_updates`, exposed so one graph mutation can be
-        propagated to *several* maintainers watching the same graph
-        (:meth:`repro.session.session.GraphSession.apply_updates`): the first
-        watcher must not re-apply the stream the session already committed.
-
-        Changes of colours the query cannot mention are counted as
-        ``skipped_updates`` and otherwise ignored, exactly as in the
-        one-by-one methods.
+        already applied to :attr:`graph`, ``new_nodes`` the nodes that were
+        created (e.g. :meth:`repro.session.session.GraphSession.add_node`).
+        Changes of one direction run that direction's pass.  Both at once
+        leave no graph state between them for the deletion pass to be exact
+        on, so the answer is then recomputed from scratch (counted in
+        ``full_recomputations``); the ``apply_updates`` methods never do
+        that, as they apply a stream's deletions and insertions in two steps.
         """
-        self.batch_updates += 1
-        relevant_inserted = [edge for edge in inserted if self._color_is_relevant(edge[2])]
-        relevant_deleted = [edge for edge in deleted if self._color_is_relevant(edge[2])]
-        self.skipped_updates += (len(inserted) - len(relevant_inserted)) + (
-            len(deleted) - len(relevant_deleted)
-        )
-        if not relevant_inserted and not relevant_deleted and not new_nodes:
-            return self.result
-        if self.strategy == "recompute":
+        if inserted and deleted:
+            self.batch_updates += 1
             self._recompute_from_scratch()
-            return self.result
-        return self._apply_delta(relevant_inserted, relevant_deleted, list(new_nodes))
+        else:
+            self._insertion_pass(inserted, new_nodes, self._deletion_pass(deleted))
+        return self.result
 
     def recompute(self) -> PatternMatchResult:
         """Force a from-scratch recomputation (mainly for testing)."""
@@ -451,8 +403,39 @@ class IncrementalPatternMatcher:
 
     # -- internals ---------------------------------------------------------------
 
-    def _color_is_relevant(self, color: str) -> bool:
-        return self._relevant_colors is None or color in self._relevant_colors
+    def _relevant(self, edges: Sequence[EdgeTriple]) -> List[EdgeTriple]:
+        """The changes of colours the query can mention; the rest are skipped."""
+        colors = self._relevant_colors
+        kept = [edge for edge in edges if colors is None or edge[2] in colors]
+        self.skipped_updates += len(edges) - len(kept)
+        return kept
+
+    def _deletion_pass(self, deleted: Sequence[EdgeTriple]) -> bool:
+        """The first pass of a stream, over its net deletions (applied, the
+        insertions not yet); True when one was relevant.
+
+        Deleting from an empty answer (no verified fixpoint) leaves it empty,
+        so only a ``"delta"`` maintainer at a fixpoint works here.
+        """
+        self.batch_updates += 1
+        relevant = self._relevant(deleted)
+        if relevant and self.strategy == "delta" and self._complete:
+            self._delete_delta(relevant)
+        return bool(relevant)
+
+    def _insertion_pass(
+        self, inserted: Sequence[EdgeTriple], new_nodes: Sequence[NodeId], removed: bool
+    ) -> None:
+        """The second pass of a stream, over its created nodes and net
+        insertions; a ``"recompute"`` maintainer recomputes here, once per
+        stream, when either pass had a relevant change (``removed``)."""
+        relevant = self._relevant(inserted)
+        if not (relevant or new_nodes or (removed and self.strategy == "recompute")):
+            return
+        if self.strategy == "recompute" or not self._complete:
+            self._recompute_from_scratch()
+        else:
+            self._insert_delta(relevant, new_nodes)
 
     def _recompute_from_scratch(self) -> None:
         self.full_recomputations += 1
@@ -466,115 +449,31 @@ class IncrementalPatternMatcher:
         self._candidates = {node: matcher.node_ids(space, nodes) for node, nodes in candidates.items()}
         self._complete = survived
         if not survived:
-            self._result = PatternMatchResult.empty("incremental", engine=matcher.engine)
-            self._result.elapsed_seconds = time.perf_counter() - started
+            self._result = PatternMatchResult.empty("incremental", engine=matcher.engine, started=started)
         else:
             self._result = collect_result(self.pattern, candidates, matcher, "incremental", started, space)
 
-    def _apply_delta(
-        self,
-        inserted: Sequence[EdgeTriple],
-        deleted: Sequence[EdgeTriple],
-        new_nodes: Sequence[NodeId],
-    ) -> PatternMatchResult:
-        """One affected-area maintenance pass for a net set of edge changes.
-
-        Soundness of the seed: relative to the pre-update fixpoint, a node
-        can newly enter a candidate set only if its witnessing path uses an
-        inserted edge (so it reaches that edge's source through the path
-        prefix — cascaded re-admissions concatenate into the same closure)
-        or if it is itself a newly created node admitted by a predicate.
-        Starting the refinement from the old sets plus those re-admissions
-        therefore starts above the true new fixpoint, and the dirty-queue
-        refinement converges exactly to it.
-        """
-        if not self._complete:
-            # The cached sets are not a verified fixpoint (the last
-            # refinement aborted on an emptied set), so there is no sound
-            # state to grow from — fall back to the full fixpoint.
-            self._recompute_from_scratch()
-            return self.result
-        if not deleted:
-            # Pure insertions grow the answer monotonically, which admits a
-            # much cheaper maintenance pass (no snapshot recompile, no
-            # set-level refinement).
-            return self._insert_delta(inserted, new_nodes)
-        matcher = self._matcher
+    def _delete_delta(self, deleted: Sequence[EdgeTriple]) -> None:
+        """The deletion pass: the answer can only shrink, so the dirty-queue
+        refinement restarts from the cached sets — above the new fixpoint —
+        re-checking the pattern edges whose constraint can traverse a deleted
+        colour, and converges exactly to the new fixpoint."""
+        self.incremental_refinements += 1
         started = time.perf_counter()
+        matcher = self._matcher
         candidates = {node: set(matches) for node, matches in self._candidates.items()}
-        changed_colors = {color for _, _, color in inserted}
-        changed_colors |= {color for _, _, color in deleted}
-        dirty: Set[str] = set()
-
-        if inserted or new_nodes:
-            self.delta_refinements += 1
-            area: Set[NodeId] = set(new_nodes)
-            if inserted:
-                # Witnessing-path prefixes only traverse colours some
-                # constraint admits, so the closure is restricted to the
-                # query's relevant colours (all colours for wildcard
-                # queries) — on CSR those reverse layers survive snapshot
-                # recompiles of every other colour.
-                starts = {source for source, _, _ in inserted}
-                area |= starts
-                area |= {target for _, target, _ in inserted}
-                area |= matcher.backward_closure(starts, colors=self._relevant_colors)
-            self.last_affected_area = len(area)
-            self.affected_area_nodes += len(area)
-            # A scan-memoising matcher (the CSR engine's overlay store keeps
-            # per-predicate scans warm on its base snapshot) answers the
-            # predicate-eligible sets for free; otherwise scan only the area.
-            eligible = (
-                initial_candidates(self.pattern, self.graph, matcher=matcher)
-                if matcher.memoises_scans
-                else None
-            )
-            grown: List[str] = []
-            for node in self.pattern.nodes():
-                current = candidates[node]
-                if eligible is not None:
-                    readmitted = (eligible[node] & area) - current
-                else:
-                    predicate = self.pattern.predicate(node)
-                    attributes = self.graph.attributes
-                    readmitted = {
-                        candidate
-                        for candidate in area
-                        if candidate not in current
-                        and predicate.matches(attributes(candidate))
-                    }
-                if readmitted:
-                    current |= readmitted
-                    self.readmitted_candidates += len(readmitted)
-                    grown.append(node)
-            for node in grown:
-                dirty |= self.pattern.successors(node)
-        else:
-            self.incremental_refinements += 1
-
-        if deleted:
-            dirty |= dirty_targets_for_colors(
-                self.pattern, {color for _, _, color in deleted}
-            )
-
-        survived = True
-        if dirty:
-            survived = self._refine(candidates, matcher, dirty=dirty)
+        colors = {color for _, _, color in deleted}
+        dirty = dirty_targets_for_colors(self.pattern, colors)
+        survived = not dirty or self._refine(candidates, matcher, dirty=dirty)
         self._candidates = candidates
         self._complete = survived
         if not survived:
-            self._result = PatternMatchResult.empty("incremental", engine=matcher.engine)
-            self._result.elapsed_seconds = time.perf_counter() - started
-            return self.result
-        self._result = self._collect_delta(candidates, changed_colors, matcher, started)
-        return self.result
+            self._result = PatternMatchResult.empty("incremental", engine=matcher.engine, started=started)
+        else:
+            self._result = self._collect_delta(candidates, colors, matcher, started)
 
-    def _insert_delta(
-        self,
-        inserted: Sequence[EdgeTriple],
-        new_nodes: Sequence[NodeId],
-    ) -> PatternMatchResult:
-        """Maintenance pass for pure insertions, in the affected area only.
+    def _insert_delta(self, inserted: Sequence[EdgeTriple], new_nodes: Sequence[NodeId]) -> None:
+        """The insertion pass, in the affected area only.
 
         Because the answer grows monotonically under insertions, the
         refinement can never remove a pre-update member — only the
@@ -708,8 +607,7 @@ class IncrementalPatternMatcher:
                             pairs.add((hit, node))
             if not pairs:
                 # Unreachable from a verified fixpoint, kept as a safety net.
-                self._recompute_from_scratch()
-                return self.result
+                return self._recompute_from_scratch()
             edge_matches[key] = pairs
 
         elapsed = time.perf_counter() - started
@@ -722,7 +620,6 @@ class IncrementalPatternMatcher:
             elapsed_seconds=elapsed,
             engine=self._matcher.engine,
         )
-        return self.result
 
     def _refine(
         self,
@@ -777,7 +674,7 @@ class IncrementalPatternMatcher:
                     candidates[edge.source], candidates[edge.target], edge.regex
                 )
             if not pairs:
-                return PatternMatchResult.empty("incremental", engine=matcher.engine)
+                return PatternMatchResult.empty("incremental", engine=matcher.engine, started=started)
             edge_matches[key] = pairs
         return PatternMatchResult(
             edge_matches=edge_matches,
@@ -790,12 +687,14 @@ class IncrementalPatternMatcher:
     def statistics(self) -> Dict[str, int]:
         """Counters describing how updates were handled.
 
-        ``delta_refinements`` counts insertion-seeded affected-area passes,
-        ``incremental_refinements`` deletion-only dirty-queue passes, and
+        ``delta_refinements`` counts insertion passes,
+        ``incremental_refinements`` deletion passes, ``batch_updates``
+        streams (and :meth:`maintain_applied` calls), and
         ``full_recomputations`` from-scratch fixpoints (construction,
-        :meth:`recompute`, the ``"recompute"`` strategy, and delta fallbacks
-        from a non-fixpoint state).  ``last_affected_area`` /
-        ``affected_area_nodes`` size the insertion closures,
+        :meth:`recompute`, the ``"recompute"`` strategy, a mixed
+        :meth:`maintain_applied`, and an insertion into an answer that is not
+        a verified fixpoint).  ``last_affected_area`` /
+        ``affected_area_nodes`` size the insertion frontiers,
         ``readmitted_candidates`` the seeds they contributed, and
         ``reused_edge_results`` the per-edge match sets carried over without
         recomputation.

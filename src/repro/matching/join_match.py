@@ -82,11 +82,11 @@ def join_match(
     space = matcher.enter(edge.regex for edge in pattern.edges())
     candidates = initial_candidates(work_pattern, graph, matcher, space)
     if any(not nodes for nodes in candidates.values()):
-        return PatternMatchResult.empty(algorithm, engine=matcher.engine)
+        return PatternMatchResult.empty(algorithm, engine=matcher.engine, started=started)
 
     refined = _refine(work_pattern, candidates, matcher, space)
     if refined is None:
-        return PatternMatchResult.empty(algorithm, engine=matcher.engine)
+        return PatternMatchResult.empty(algorithm, engine=matcher.engine, started=started)
 
     # Report over the original pattern only (dummy nodes introduced by
     # normalisation are internal bookkeeping).

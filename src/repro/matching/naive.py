@@ -70,7 +70,7 @@ def collect_result(
     ``regexes`` (bounded simulation's) replace constraints by ``(source, target)``.
     """
     if any(not nodes for nodes in candidates.values()):
-        return PatternMatchResult.empty(algorithm, engine=matcher.engine)
+        return PatternMatchResult.empty(algorithm, engine=matcher.engine, started=started)
     edge_matches = {}
     for edge in pattern.edges():
         regex = edge.regex if regexes is None else regexes[(edge.source, edge.target)]
@@ -78,7 +78,7 @@ def collect_result(
             space, matcher.edge_pairs(candidates[edge.source], candidates[edge.target], regex, space)
         )
         if not pairs:
-            return PatternMatchResult.empty(algorithm, engine=matcher.engine)
+            return PatternMatchResult.empty(algorithm, engine=matcher.engine, started=started)
         edge_matches[(edge.source, edge.target)] = pairs
     return PatternMatchResult(
         edge_matches=edge_matches,
@@ -113,7 +113,7 @@ def naive_match(
     space = matcher.enter(edge.regex for edge in pattern.edges())
     candidates = initial_candidates(pattern, graph, matcher, space)
     if any(not nodes for nodes in candidates.values()):
-        return PatternMatchResult.empty("naive", engine=matcher.engine)
+        return PatternMatchResult.empty("naive", engine=matcher.engine, started=started)
 
     changed = True
     while changed:
@@ -127,6 +127,6 @@ def naive_match(
                 source_set -= removable
                 changed = True
                 if not source_set:
-                    return PatternMatchResult.empty("naive", engine=matcher.engine)
+                    return PatternMatchResult.empty("naive", engine=matcher.engine, started=started)
 
     return collect_result(pattern, candidates, matcher, "naive", started, space)

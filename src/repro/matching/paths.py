@@ -188,12 +188,6 @@ class PathMatcher:
         return self.matrix is not None
 
     @property
-    def memoises_scans(self) -> bool:
-        """True when :meth:`matching_nodes` is backed by a per-snapshot memo
-        (repeated scans of the same predicate are then effectively free)."""
-        return self._adapter.memoises_scans
-
-    @property
     def _csr_engine(self):
         """The CSR engine over the overlay store's current base snapshot.
 
@@ -260,23 +254,6 @@ class PathMatcher:
         CSR engine one merged multi-source reverse frontier, on the dict engine
         the union of cached backward BFS runs."""
         return self._adapter.set_sources(targets, item)
-
-    def backward_closure(
-        self, starts: Iterable[NodeId], colors: Optional[Iterable[str]] = None
-    ) -> Set[NodeId]:
-        """``starts`` plus every node with a directed path into one of them.
-
-        Unbounded, and colour-agnostic unless ``colors`` restricts the
-        traversable edges.  This is the *affected area* of the incremental
-        maintainer's insertion delta: any node a new edge ``(u, v, c)`` can
-        newly admit into some candidate set must reach ``u`` through edges
-        of colours some constraint admits (the path prefix before the first
-        use of the new edge), so re-admission candidates are confined to the
-        closure of ``u`` over the query's relevant colours.  Every engine
-        walks its store's current adjacency (the CSR engine the merged
-        overlay reads).
-        """
-        return self._adapter.backward_closure(starts, colors)
 
     def backward_reachable(self, targets: Set[NodeId], regex: FRegex, space=None) -> Set[NodeId]:
         """All nodes with a path into ``targets`` matching the full expression.

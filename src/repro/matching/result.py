@@ -8,8 +8,9 @@ convenience accessors used by the experiment harness and tests.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterator, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterator, Optional, Set, Tuple
 
 NodeId = Hashable
 EdgeKey = Tuple[str, str]
@@ -79,9 +80,13 @@ class PatternMatchResult:
         return self.as_frozen() == other.as_frozen()
 
     @classmethod
-    def empty(cls, algorithm: str = "", engine: str = "dict") -> "PatternMatchResult":
-        """The empty result."""
-        return cls(edge_matches={}, node_matches={}, algorithm=algorithm, engine=engine)
+    def empty(
+        cls, algorithm: str = "", engine: str = "dict", started: Optional[float] = None
+    ) -> "PatternMatchResult":
+        """The empty result, stamped with the time since ``started`` (a
+        ``time.perf_counter()`` reading) when an evaluation found it."""
+        elapsed = 0.0 if started is None else time.perf_counter() - started
+        return cls(algorithm=algorithm, elapsed_seconds=elapsed, engine=engine)
 
     # -- ergonomics ------------------------------------------------------------
     #

@@ -127,7 +127,7 @@ def split_match(
     space = matcher.enter(edge.regex for edge in pattern.edges())
     candidates = initial_candidates(work_pattern, graph, matcher, space)
     if any(not nodes for nodes in candidates.values()):
-        return PatternMatchResult.empty(algorithm, engine=matcher.engine)
+        return PatternMatchResult.empty(algorithm, engine=matcher.engine, started=started)
 
     partition = _Partition(candidates)
     worklist = deque(work_pattern.edges())
@@ -138,7 +138,7 @@ def split_match(
         queued.discard((edge.source, edge.target))
         source_set = partition.candidate_set(edge.source)
         if not source_set:
-            return PatternMatchResult.empty(algorithm, engine=matcher.engine)
+            return PatternMatchResult.empty(algorithm, engine=matcher.engine, started=started)
         target_set = partition.candidate_set(edge.target)
         survivors = matcher.backward_reachable(target_set, edge.regex, space)
         removable = source_set - survivors
@@ -146,7 +146,7 @@ def split_match(
             continue
         partition.split_and_detach(edge.source, removable)
         if not partition.rel[edge.source]:
-            return PatternMatchResult.empty(algorithm, engine=matcher.engine)
+            return PatternMatchResult.empty(algorithm, engine=matcher.engine, started=started)
         for incoming in work_pattern.in_edges(edge.source):
             key = (incoming.source, incoming.target)
             if key not in queued:
@@ -157,5 +157,5 @@ def split_match(
         node: partition.candidate_set(node) for node in pattern.nodes()
     }
     if any(not nodes for nodes in final_candidates.values()):
-        return PatternMatchResult.empty(algorithm, engine=matcher.engine)
+        return PatternMatchResult.empty(algorithm, engine=matcher.engine, started=started)
     return collect_result(pattern, final_candidates, matcher, algorithm, started, space)

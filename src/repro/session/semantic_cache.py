@@ -170,7 +170,7 @@ def _seeded_pq_evaluation(
             # answer's source projections — scan its predicate in full.
             candidates[node] = set(matcher.matching_nodes(predicate))
         if not candidates[node]:
-            return PatternMatchResult.empty("semantic-cache", engine=matcher.engine)
+            return PatternMatchResult.empty("semantic-cache", engine=matcher.engine, started=started)
 
     # The greatest fixpoint below the seeds, on the shared dirty-queue worklist.
     survived = refine_fixpoint(
@@ -179,7 +179,7 @@ def _seeded_pq_evaluation(
         lambda regex, target_set: matcher.backward_reachable(target_set, regex),
     )
     if not survived:
-        return PatternMatchResult.empty("semantic-cache", engine=matcher.engine)
+        return PatternMatchResult.empty("semantic-cache", engine=matcher.engine, started=started)
 
     return collect_result(query, candidates, matcher, "semantic-cache", started)
 

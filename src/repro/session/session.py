@@ -13,8 +13,8 @@ A session owns all of it behind one lifecycle:
   version counters, so re-executing on an unchanged graph is O(1);
 * ``session.watch(query)`` registers incremental maintenance (PQs natively;
   RQs through their single-edge pattern encoding) and
-  ``session.apply_updates(stream)`` applies one coalesced graph mutation
-  and propagates a single delta pass to *every* watcher;
+  ``session.apply_updates(stream)`` coalesces a stream once and runs its
+  deletion pass and then its insertion pass on *every* watcher;
 * the classic free functions (``evaluate_rq``, ``join_match``, …) are thin
   shims over a module-level default session (:func:`default_session`):
   plain calls share the per-graph warm matchers and stay byte-identical.
@@ -39,7 +39,7 @@ from repro.matching.bounded_simulation import bounded_simulation_match
 from repro.matching.general_rq import GeneralReachabilityResult, evaluate_general_rq
 from repro.matching.incremental import (
     IncrementalPatternMatcher,
-    coalesce_update_stream,
+    _apply_in_two_passes,
     UpdateDelta,
 )
 from repro.matching.cache import LruCache
@@ -198,8 +198,8 @@ class SessionWatch:
 
     Updates must flow through the session
     (:meth:`GraphSession.apply_updates` / ``add_edge`` / ``remove_edge``),
-    which propagates one coalesced delta pass to every watcher; mutating the
-    graph behind the session's back leaves watchers stale.
+    which runs each stream's deletion and insertion passes on every watcher;
+    mutating the graph behind the session's back leaves watchers stale.
     """
 
     def __init__(self, session: "GraphSession", query: Any, kind: str,
@@ -907,17 +907,14 @@ class GraphSession:
 
         ``updates`` is an ordered iterable of ``(op, source, target, color)``
         (ops as in :meth:`IncrementalPatternMatcher.apply_updates`).  The
-        graph is mutated exactly once; each watcher then runs one delta
-        maintenance pass over the already-applied net changes — the
-        coalescing work is shared instead of repeated per watcher.
+        stream is coalesced once for all watchers and its net effect applied
+        in two steps: the deletions, after which every watcher runs its
+        deletion pass, then the created nodes and the insertions, after which
+        every watcher runs its insertion pass.
         """
         with self._lock:
-            delta = coalesce_update_stream(self.graph, updates)
+            delta = _apply_in_two_passes(self.graph, updates, [watch.maintainer for watch in self._watches])
             self.updates_applied += delta.net_changes
-            for watch in self._watches:
-                watch.maintainer.maintain_applied(
-                    delta.inserted, delta.deleted, delta.new_nodes
-                )
             return delta
 
     def add_edge(self, source: Any, target: Any, color: str) -> UpdateDelta:

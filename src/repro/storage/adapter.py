@@ -1,15 +1,15 @@
 """Storage adapters: the one place that branches on the evaluation backend.
 
 :class:`~repro.matching.paths.PathMatcher` is written once on top of a
-*set-level* expansion surface of eight methods — the handle space of an
+*set-level* expansion surface of seven methods — the handle space of an
 evaluation (``enter``), the predicate scan (``matching_nodes``), one atom block
-from a set of starts (``set_targets`` / ``set_sources``), the closures of the PQ
-fixpoints and the incremental maintainer (``backward_reachable`` /
-``backward_closure``), a whole F-class query between two candidate sets
-(``query_pairs``) and the general-regex product search (``product_pairs``) —
-served by one of three adapters.  A single start is a singleton set: the
-matcher's per-node API (``atom_targets`` … ``sources_to``, ``edge_pairs``) is
-spelt there, over these eight, and no adapter has a per-node method.
+from a set of starts (``set_targets`` / ``set_sources``), the backward closure
+of a whole expression the PQ fixpoints refine with (``backward_reachable``), a
+whole F-class query between two candidate sets (``query_pairs``) and the
+general-regex product search (``product_pairs``) — served by one of three
+adapters.  A single start is a singleton set: the matcher's per-node API
+(``atom_targets`` … ``sources_to``, ``edge_pairs``) is spelt there, over these
+seven, and no adapter has a per-node method.
 
 * :class:`DictEngineAdapter` — expansion over the authoritative
   :class:`~repro.storage.dict_store.DictStore`, with the classic
@@ -111,10 +111,6 @@ def fold_atoms(frontier: Set[NodeId], atoms: Iterable, step: Callable) -> Set[No
 class _Adapter:
     """What every adapter shares, over the matcher's graph and one store."""
 
-    #: No snapshot to memoise predicate scans on: the live attribute table is
-    #: scanned per call, and callers restrict scans to their affected area.
-    memoises_scans = False
-
     def __init__(self, matcher, store):
         self.matcher = matcher
         self.store = store
@@ -150,14 +146,7 @@ class _Adapter:
         cache.put(key, (version, value))
         return value
 
-    # -- closures, whole queries, predicate scans --------------------------------
-
-    def _live_nodes(self, nodes: Iterable[NodeId]) -> Set[NodeId]:
-        graph = self.matcher.graph
-        return {node for node in nodes if graph.has_node(node)}
-
-    def _closure(self, start_set: Set[NodeId], colors: Optional[Iterable[str]]) -> Set[NodeId]:
-        return self.store.closure(start_set, colors, reverse=True) if start_set else set()
+    # -- whole queries, predicate scans -----------------------------------------
 
     def _search_pairs(self, regex, sources, targets, method: str) -> Set[Tuple[NodeId, NodeId]]:
         """One RQ between two candidate lists: ``"bidirectional"`` meets in
@@ -287,12 +276,7 @@ class DictEngineAdapter(_Adapter):
     def set_sources(self, targets: Set[NodeId], item) -> Set[NodeId]:
         return self._set_frontier(targets, item, reverse=True)
 
-    # -- closures and whole expressions ------------------------------------------
-
-    def backward_closure(
-        self, starts: Iterable[NodeId], colors: Optional[Iterable[str]] = None
-    ) -> Set[NodeId]:
-        return self._closure(self._live_nodes(starts), colors)
+    # -- whole expressions -------------------------------------------------------
 
     def enter(self, regexes) -> None:
         return None
@@ -360,9 +344,6 @@ class OverlayCsrAdapter(_StoreAdapter):
     """
 
     engine = "csr"
-    #: Predicate scans run on the base snapshot's memo (plus a live sweep of
-    #: the few nodes created since) — repeated scans are effectively free.
-    memoises_scans = True
 
     def __init__(self, matcher):
         super().__init__(matcher, matcher.graph.overlay_store())
@@ -445,13 +426,6 @@ class OverlayCsrAdapter(_StoreAdapter):
     def set_sources(self, targets: Set[NodeId], item) -> Set[NodeId]:
         return self._set_frontier(targets, item, reverse=True) if targets else set()
 
-    # -- closures ----------------------------------------------------------------
-
-    def backward_closure(
-        self, starts: Iterable[NodeId], colors: Optional[Iterable[str]] = None
-    ) -> Set[NodeId]:
-        return self._closure(self._live_nodes(starts), colors)
-
     # -- whole expressions -------------------------------------------------------
 
     def backward_reachable(self, targets: Set[NodeId], regex, space=None) -> Set[NodeId]:
@@ -533,11 +507,6 @@ class PartitionedAdapter(_StoreAdapter):
 
     def set_sources(self, targets: Set[NodeId], item) -> Set[NodeId]:
         return self._set_frontier(targets, item, reverse=True) if targets else set()
-
-    def backward_closure(
-        self, starts: Iterable[NodeId], colors: Optional[Iterable[str]] = None
-    ) -> Set[NodeId]:
-        return self._closure(self._live_nodes(starts), colors)
 
     def enter(self, regexes) -> None:
         return None

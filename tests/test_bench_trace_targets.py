@@ -144,8 +144,8 @@ def test_pinned_read_on_auto_session_reaches_traced_kernels_and_overlay_adapter(
 #: translating out of it needs no adapter (``PathMatcher.node_ids`` /
 #: ``id_pairs`` ask the token).
 _ADAPTER_SURFACE = {
-    "enter", "matching_nodes", "set_targets", "set_sources", "backward_closure", "backward_reachable",
-    "query_pairs", "product_pairs",
+    "enter", "matching_nodes", "set_targets", "set_sources", "backward_reachable", "query_pairs",
+    "product_pairs",
 }
 #: The one further public function each class defines: the dict engine's BFS
 #: and the overlay adapter's engine accessor (both spans at the parent too).

@@ -229,6 +229,20 @@ class TestCiWorkflow:
             assert path in command
         assert " -k " not in command and "slow" not in command
 
+    def test_quick_legs_run_the_incremental_suites_whole(self, workflow):
+        # The quick tier-1 run deselects the `slow` stateful maintenance
+        # machines; every non-primary leg runs both files by path, unfiltered.
+        job = workflow["jobs"]["test"]
+        steps = [
+            step for step in job["steps"]
+            if step.get("name") == "Incremental maintenance suites whole (quick legs)"
+        ]
+        assert len(steps) == 1 and steps[0]["if"] == "matrix.python-version != '3.12'"
+        command = steps[0]["run"]
+        for path in ("tests/test_incremental.py", "tests/test_incremental_stateful.py"):
+            assert path in command
+        assert " -k " not in command and "slow" not in command
+
     def test_benchmark_job_runs_repo_benchmark_smoke(self, workflow):
         # bench/test_smoke.py is outside pytest's testpaths (tier-1 never
         # collects it), so the benchmark job must run it by path.

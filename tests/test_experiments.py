@@ -23,6 +23,8 @@ from repro.experiments.exp5_synthetic import (
 )
 from repro.experiments.exp6_incremental import STREAM_KINDS, run_update_streams
 from repro.experiments.harness import ExperimentReport, format_table, time_call
+from repro.matching.join_match import join_match
+from repro.matching.split_match import split_match
 from repro.query.generator import QueryGenerator
 
 
@@ -108,8 +110,35 @@ class TestExp3:
             assert row["t_bibfs"] >= 0.0
             assert row["t_bfs"] >= 0.0
 
+    def test_every_timed_read_evaluates(self, tiny_youtube, monkeypatch):
+        # A semantic-cache hit would hand every search column the forced
+        # matrix read's answer and time: each timed read must evaluate.
+        import repro.session.session as session_module
+
+        decisions = []
+        pipeline = session_module._run_read_pipeline
+
+        def recording(*args, **kwargs):
+            result = pipeline(*args, **kwargs)
+            decisions.append(result.cache_decision)
+            return result
+
+        monkeypatch.setattr(session_module, "_run_read_pipeline", recording)
+        run_rq_efficiency(graph=tiny_youtube, num_colors_values=(1, 2), queries_per_point=2, bound=2)
+        assert decisions and set(decisions) == {"evaluate"}
+
 
 class TestExp4:
+    @pytest.mark.parametrize("algorithm", [join_match, split_match])
+    def test_an_empty_answer_reports_its_time(self, algorithm):
+        # Exp-4's generated patterns have empty answers on the 300-node
+        # fixture; the time spent finding that out is still their time.
+        graph = generate_youtube_graph(num_nodes=300, num_edges=1100, seed=7)
+        query = QueryGenerator(graph, seed=41).pattern_query(6, 8, 3, 5, 2)
+        result = algorithm(query, graph)
+        assert result.is_empty
+        assert result.elapsed_seconds > 0.0
+
     def test_sweep_structure(self, tiny_youtube):
         report = run_pq_sweep(
             "num_nodes",

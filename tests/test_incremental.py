@@ -12,6 +12,7 @@ from repro.matching.incremental import IncrementalPatternMatcher
 from repro.matching.join_match import join_match
 from repro.query.generator import QueryGenerator
 from repro.query.pq import PatternQuery
+from repro.session.session import GraphSession
 
 
 @pytest.fixture
@@ -304,9 +305,11 @@ class TestBatchUpdates:
             ]
         )
         stats = matcher.statistics()
-        # Inserts and deletes of one batch share one delta pass.
+        # The batch's deletions share one deletion pass, its insertions one
+        # insertion pass, and nothing is recomputed.
+        assert stats["incremental_refinements"] == 1
         assert stats["delta_refinements"] == 1
-        assert stats["incremental_refinements"] == 0
+        assert stats["full_recomputations"] == 1
         assert matcher.result.same_matches(join_match(query, essembly))
 
     def test_unknown_operation_rejected(self, essembly):
@@ -352,6 +355,43 @@ class TestBatchUpdates:
             matcher.apply_updates(stream)
             expected = join_match(pattern, graph, engine="dict")
             assert matcher.result.same_matches(expected)
+
+
+class TestTwoPassStreams:
+    """A stream's deletions and insertions are maintained by one pass each."""
+
+    _MIXED = [("add", "C1", "B1", "fn"), ("remove", "C3", "B2", "fn")]
+
+    @pytest.mark.parametrize("engine", ["dict", "csr"])
+    def test_session_stream_runs_one_pass_per_direction(self, essembly, engine):
+        query = essembly_query_q2()
+        session = GraphSession(essembly)
+        watch = session.watch(query, engine=engine, strategy="delta")
+        before = watch.maintainer.statistics()
+        session.apply_updates(self._MIXED)
+        after = watch.maintainer.statistics()
+        assert after["incremental_refinements"] == before["incremental_refinements"] + 1
+        assert after["delta_refinements"] == before["delta_refinements"] + 1
+        assert after["full_recomputations"] == before["full_recomputations"]
+        assert after["batch_updates"] == before["batch_updates"] + 1
+        assert watch.result.same_matches(join_match(query, essembly, engine="dict"))
+
+    def test_recompute_strategy_recomputes_once_per_stream(self, essembly):
+        matcher = IncrementalPatternMatcher(essembly_query_q2(), essembly, strategy="recompute")
+        matcher.apply_updates(self._MIXED)
+        assert matcher.statistics()["full_recomputations"] == 2  # construction + the stream
+        assert matcher.result.same_matches(join_match(essembly_query_q2(), essembly))
+
+    def test_mixed_already_applied_changes_recompute(self, essembly):
+        # Both directions already applied leave no state for the deletion
+        # pass to be exact on: the maintainer recomputes, and counts it.
+        query = essembly_query_q2()
+        matcher = IncrementalPatternMatcher(query, essembly)
+        essembly.add_edge("C1", "B1", "fn")
+        essembly.remove_edge("C3", "B2", "fn")
+        matcher.maintain_applied([("C1", "B1", "fn")], [("C3", "B2", "fn")])
+        assert matcher.full_recomputations == 2
+        assert matcher.result.same_matches(join_match(query, essembly))
 
 
 class TestRecomputeStrategy:

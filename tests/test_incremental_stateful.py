@@ -12,6 +12,13 @@ The update universe deliberately includes node ids that do not exist yet
 (insertions create nodes), duplicate insertions and deletions of absent
 edges (both counted no-ops), and irrelevant colours, so every guard of the
 maintenance surface is exercised.
+
+A second machine drives the session's fan-out: one
+:class:`~repro.session.session.GraphSession` over one graph, watched by a
+``dict`` pattern query and a ``csr`` reachability query, through mixed
+``apply_updates`` streams (cancelling pairs included) and ``add_node``
+creations and re-attributions; after every rule each watch must equal a
+from-scratch evaluation.
 """
 
 import pytest
@@ -23,11 +30,15 @@ from repro.graph.data_graph import DataGraph
 from repro.matching.incremental import IncrementalPatternMatcher
 from repro.matching.join_match import join_match
 from repro.query.pq import PatternQuery
+from repro.query.rq import ReachabilityQuery
 from repro.regex.fclass import FRegex, RegexAtom
+from repro.session.session import GraphSession
 
 pytestmark = pytest.mark.slow
 
 _COLORS = ("r", "g", "b")
+#: A colour no generated query names: only a wildcard atom can traverse it.
+_STRAY_COLOR = "y"
 #: Update endpoints; ids at 8+ never exist initially, so inserting an edge on
 #: them exercises the node-creation path of the maintainer.
 _NODE_POOL = tuple(range(10))
@@ -38,9 +49,9 @@ _update = st.tuples(st.sampled_from(("add", "remove")), _node, _node, _color)
 
 
 @st.composite
-def _graph_and_pattern(draw):
+def _graph_and_pattern(draw, min_edges=0, min_pattern_edges=0):
     """A small random data graph plus a random pattern query over it."""
-    num_nodes = draw(st.integers(min_value=1, max_value=8))
+    num_nodes = draw(st.integers(min_value=1 if not min_edges else 3, max_value=8))
     edges = draw(
         st.lists(
             st.tuples(
@@ -48,6 +59,7 @@ def _graph_and_pattern(draw):
                 st.integers(0, num_nodes - 1),
                 st.sampled_from(_COLORS),
             ),
+            min_size=min_edges,
             max_size=20,
         )
     )
@@ -79,6 +91,7 @@ def _graph_and_pattern(draw):
                 st.integers(0, num_pattern_nodes - 1),
                 st.lists(atom, min_size=1, max_size=2),
             ),
+            min_size=min_pattern_edges,
             max_size=4,
         )
     )
@@ -150,3 +163,85 @@ IncrementalDifferentialMachine.TestCase.settings = settings(
 )
 
 TestIncrementalDifferential = IncrementalDifferentialMachine.TestCase
+
+
+_stream_color = st.sampled_from(_COLORS + (_STRAY_COLOR,))
+_stream_update = st.tuples(st.sampled_from(("add", "remove")), _node, _node, _stream_color)
+_rq_regex = st.lists(
+    st.tuples(st.sampled_from(_COLORS + ("_",)), st.one_of(st.none(), st.integers(1, 2))),
+    min_size=1,
+    max_size=2,
+).map(lambda atoms: FRegex([RegexAtom(c, b) for c, b in atoms]))
+_tag_predicate = st.one_of(st.none(), st.integers(0, 2).map(lambda tag: {"tag": tag}))
+
+
+class SessionWatchMachine(RuleBasedStateMachine):
+    """Session-level streams fanned out to a dict PQ watch and a csr RQ watch."""
+
+    def __init__(self):
+        super().__init__()
+        self.session = None
+
+    # Denser graphs and at least one pattern edge: answers are non-empty
+    # often enough for the deletion pass to have something to remove.
+    @initialize(
+        case=_graph_and_pattern(min_edges=8, min_pattern_edges=1),
+        regex=_rq_regex,
+        head=_tag_predicate,
+        tail=_tag_predicate,
+    )
+    def setup(self, case, regex, head, tail):
+        graph, pattern = case
+        self.session = GraphSession(graph)
+        rq = ReachabilityQuery(head, tail, regex)
+        self.watches = [
+            self.session.watch(pattern, engine="dict", strategy="delta"),
+            self.session.watch(rq, engine="csr", strategy="delta"),
+        ]
+
+    @rule(stream=st.lists(_stream_update, min_size=1, max_size=6))
+    def apply_stream(self, stream):
+        self.session.apply_updates(stream)
+
+    @rule(picks=st.lists(st.integers(min_value=0), min_size=1, max_size=3),
+          stream=st.lists(_stream_update, max_size=3))
+    def apply_stream_removing_present_edges(self, picks, stream):
+        # Random removals rarely name a present edge: these always do.
+        present = sorted((e.source, e.target, e.color) for e in self.session.graph.edges())
+        removals = [("remove", *present[pick % len(present)]) for pick in picks] if present else []
+        self.session.apply_updates(removals + list(stream))
+
+    @rule(
+        stream=st.lists(_stream_update, min_size=0, max_size=4),
+        edge=st.tuples(_node, _node, _stream_color),
+        first=st.sampled_from(("add", "remove")),
+        at=st.integers(0, 4),
+    )
+    def apply_cancelling_pair(self, stream, edge, first, at):
+        # One edge added and removed (or the reverse) inside a longer stream.
+        second = "remove" if first == "add" else "add"
+        ops = list(stream)
+        ops.insert(min(at, len(ops)), (first, *edge))
+        ops.append((second, *edge))
+        self.session.apply_updates(ops)
+
+    @rule(node=_node, tag=st.integers(0, 2))
+    def add_node(self, node, tag):
+        # A new node is created; an existing one is re-attributed.
+        self.session.add_node(node, tag=tag)
+
+    @invariant()
+    def watches_match_from_scratch(self):
+        if self.session is None:
+            return
+        graph = self.session.graph
+        for watch in self.watches:
+            fresh = join_match(watch.pattern, graph, engine="dict")
+            assert watch.result.same_matches(fresh), watch.maintainer.engine
+            if not fresh.is_empty:
+                assert watch.result.node_matches == fresh.node_matches, watch.maintainer.engine
+
+
+SessionWatchMachine.TestCase.settings = settings(max_examples=25, stateful_step_count=10, deadline=None)
+
+TestSessionWatchDifferential = SessionWatchMachine.TestCase

@@ -15,9 +15,9 @@ other and to an independent oracle:
   ``bfs_block_frontier``) on hypothesis-generated graphs with cycles
   through starts, duplicate colours, empty layers and bounded depths
   including ``bound=0``;
-* the incremental maintainer's affected-area closure
-  (``PathMatcher.backward_closure`` on ``csr``, a merged store read) must
-  equal the oracle under duplicate colours and walk each colour once;
+* the overlay store's unbounded backward closure (``GraphStore.closure``, a
+  merged store read) must equal the oracle under duplicate colours and walk
+  each colour once;
 * ``repro.kernels.neighbors_of`` must be the oracle's bound-1 frontier,
   sorted, under both ``REPRO_KERNELS`` values;
 * ``expand_origins`` — an origin relation (``repro.kernels.relation``, sorted
@@ -68,7 +68,6 @@ from repro.kernels import (
     select_backend,
 )
 from repro.matching.csr_engine import CsrEngine
-from repro.matching.paths import PathMatcher
 from repro.storage.overlay import OverlayReads
 
 if HAVE_NUMPY:
@@ -548,9 +547,9 @@ def two_color_graph():
 
 
 class TestBackwardClosureColorDedup:
-    """The incremental maintainer's affected-area closure —
-    ``PathMatcher.backward_closure`` on ``csr``, a merged store read — under
-    duplicate colour restrictions: each colour's rows are walked once."""
+    """The overlay store's unbounded backward closure — ``GraphStore.closure``,
+    a merged store read — under duplicate colour restrictions: each colour's
+    rows are walked once."""
 
     @pytest.fixture()
     def walked(self, monkeypatch):
@@ -569,10 +568,10 @@ class TestBackwardClosureColorDedup:
         # Regression: duplicate/overlapping colour restrictions used to rescan
         # the same reverse rows once per duplicate on every hop; results must
         # be identical to the deduplicated list's.
-        matcher = PathMatcher(two_color_graph, engine="csr")
-        deduped = matcher.backward_closure([0, 3], ["r", "g"])
+        store = two_color_graph.overlay_store()
+        deduped = store.closure([0, 3], ["r", "g"])
         del walked[:]
-        noisy = matcher.backward_closure([0, 3], ["r", "r", "g", "r", "g"])
+        noisy = store.closure([0, 3], ["r", "r", "g", "r", "g"])
         assert walked == ["r", "g"]
         compiled = compile_graph(two_color_graph)
         starts = [compiled.node_index(0), compiled.node_index(3)]
@@ -580,13 +579,13 @@ class TestBackwardClosureColorDedup:
         assert noisy == deduped == {0, 3} | set(compiled.ids_of(oracle))
 
     def test_single_duplicated_color_equals_single_color(self, two_color_graph, walked):
-        matcher = PathMatcher(two_color_graph, engine="csr")
-        assert matcher.backward_closure([3], ["g", "g", "g"]) == matcher.backward_closure([3], ["g"]) == {3, 4}
+        store = two_color_graph.overlay_store()
+        assert store.closure([3], ["g", "g", "g"]) == store.closure([3], ["g"]) == {3, 4}
         assert walked == ["g", "g"]
 
     def test_empty_color_list_is_empty_closure(self, two_color_graph, walked):
         # Nothing is traversable: the closure is the starts alone.
-        assert PathMatcher(two_color_graph, engine="csr").backward_closure([0], []) == {0}
+        assert two_color_graph.overlay_store().closure([0], []) == {0}
         assert walked == []
 
 

@@ -275,7 +275,6 @@ class TestMatcherStoreParity:
             return (
                 matcher.backward_reachable(targets, expr),
                 matcher.set_sources(targets, expr.atoms[0]),
-                matcher.backward_closure([1], colors=["r"]),
                 *(matcher.query_pairs(expr, nodes, set(nodes), way) for way in ("bidirectional", "bfs")),
             )
 
@@ -480,7 +479,6 @@ class TestAdapterEdgeCases:
         graph.add_edge("fresh", 0, "r")
         assert matcher.targets_from("fresh", parse_fregex("r^2")) == {0, 1}
         assert matcher.sources_to("fresh", parse_fregex("r")) == set()
-        assert matcher.backward_closure(["fresh"]) == {"fresh"}
 
     def test_backward_reachable_dirty_memo(self, graph):
         matcher = PathMatcher(graph, engine="csr")

@@ -44,8 +44,8 @@ from repro.analysis.findings import Finding
 #: ones there the rule leaves alone.
 ENGINE_MODULES = ("csr_engine.py",)
 
-#: The engine lives in index space; at the seam an evaluation's handles become ids.
-TRANSLATING_MODULES = ENGINE_MODULES + ("paths.py",)
+#: The engine lives in index space; handles become ids at the seam and in its answer views.
+TRANSLATING_MODULES = ENGINE_MODULES + ("paths.py", "result.py")
 #: ``CompiledGraph``'s id <-> index surface.
 TRANSLATIONS = frozenset({"node_index", "node_id", "ids", "ids_of", "indices_of", "positions_of"})
 

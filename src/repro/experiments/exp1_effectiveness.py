@@ -63,6 +63,7 @@ def run_effectiveness(
     ``SubIso``, plus the average elapsed time of each algorithm — i.e. the
     data behind both Fig. 9(b) and Fig. 9(c) — and dict-vs-CSR columns for
     the search variants of the PQ algorithms (``engines`` picks which).
+    ``nonempty`` counts the row's queries with a non-empty ground truth.
     """
     validate_engines(engines)
     if graph is None:
@@ -85,12 +86,13 @@ def run_effectiveness(
             bound=bound,
             max_colors=1,
         )
-        join_f, match_f, iso_f = [], [], []
+        join_f, match_f, iso_f, nonempty = [], [], [], 0
         join_t, split_t, match_t, iso_t = [], [], [], []
         join_search = {engine: [] for engine in engines}
         split_search = {engine: [] for engine in engines}
         for query in queries:
             truth = join_match(query, graph, distance_matrix=matrix)
+            nonempty += not truth.is_empty
             # The PQ algorithms define the ground truth, so their F-measure
             # is 1.0 by construction.
             join_f.append(1.0)
@@ -120,6 +122,7 @@ def run_effectiveness(
 
         row = {
             "query_size": f"({num_query_nodes},{num_query_edges})",
+            "nonempty": nonempty,
             "f_joinmatch": average_seconds(join_f),
             "f_match": average_seconds(match_f),
             "f_subiso": average_seconds(iso_f),

@@ -92,7 +92,7 @@ def run_pq_sweep(
     ``engines`` selects which evaluation engines time the search variants:
     ``"dict"`` fills ``t_joinmatch_c``/``t_splitmatch_c`` and ``"csr"`` adds
     ``t_joinmatch_csr``/``t_splitmatch_csr``.  Every engine's matches are
-    checked against the matrix variant's.
+    checked against the matrix variant's; ``nonempty`` counts non-empty answers.
     """
     if parameter not in DEFAULT_SWEEPS:
         raise ValueError(f"unknown sweep parameter {parameter!r}; expected one of {sorted(DEFAULT_SWEEPS)}")
@@ -116,7 +116,7 @@ def run_pq_sweep(
         settings = dict(DEFAULTS)
         settings[parameter] = value
         settings["num_edges"] = max(settings["num_edges"], settings["num_nodes"] - 1)
-        join_m, split_m = [], []
+        join_m, split_m, nonempty = [], [], 0
         join_c = {engine: [] for engine in engines}
         split_c = {engine: [] for engine in engines}
         for _ in range(queries_per_point):
@@ -129,6 +129,7 @@ def run_pq_sweep(
             )
             join_reference = join_match(query, graph, distance_matrix=matrix)
             join_m.append(join_reference.elapsed_seconds)
+            nonempty += not join_reference.is_empty
             split_reference = split_match(query, graph, distance_matrix=matrix)
             split_m.append(split_reference.elapsed_seconds)
             join_times, split_times = time_pq_search_variants(
@@ -139,6 +140,7 @@ def run_pq_sweep(
                 split_c[engine].append(split_times[engine])
         row = {
             parameter: value,
+            "nonempty": nonempty,
             "t_joinmatch_m": average_seconds(join_m),
             "t_splitmatch_m": average_seconds(split_m),
         }

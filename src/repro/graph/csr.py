@@ -113,6 +113,40 @@ def _build_layer(num_nodes: int, buckets: Dict[int, List[int]], dedup: bool = Fa
     return CsrLayer(offsets, targets, mask)
 
 
+class IdSpace:
+    """A compiled graph's ids (index -> id), ``index`` (id -> index) and two tables
+    built on first use and published whole (pins read one base from several threads):
+    ``table`` (:meth:`id_table`) and the wire's ``ranks`` (:mod:`repro.matching.result`).
+    Answers hold this, not the graph; a recompile over the same ids shares it."""
+
+    __slots__ = ("ids", "index", "table", "ranks")
+
+    def __init__(self, ids: Tuple[NodeId, ...]):
+        self.ids = ids
+        self.index: Dict[NodeId, int] = {node: i for i, node in enumerate(ids)}
+        self.table = None
+        self.ranks = None
+
+    def ids_of(self, indices: Iterable[int]) -> List[NodeId]:
+        """Original ids of dense indices, in order: the translation out of index
+        space, one take from :meth:`id_table` for a numpy index array."""
+        if not hasattr(indices, "dtype"):
+            return list(map(self.ids.__getitem__, indices))
+        return self.id_table()[indices].tolist()
+
+    def id_table(self):
+        """``ids`` as a numpy object array, built on first ask."""
+        table = self.table
+        if table is None:
+            import numpy as np
+
+            table = np.empty(len(self.ids), dtype=object)
+            for index, node in enumerate(self.ids):  # element-wise: an id may itself be a tuple
+                table[index] = node
+            self.table = table
+        return table
+
+
 class CompiledGraph:
     """An integer-indexed, frozen CSR view of a :class:`DataGraph`.
 
@@ -129,7 +163,7 @@ class CompiledGraph:
         "source_edges_version",
         "_source_color_versions",
         "_ids",
-        "_id_table",
+        "id_space",
         "_index",
         "_attrs",
         "_colors",
@@ -141,6 +175,7 @@ class CompiledGraph:
         "_num_edges",
         "_scan_cache",
         "_source",
+        "__weakref__",
     )
 
     def __init__(self, graph: DataGraph, reuse_from: Optional["CompiledGraph"] = None):
@@ -149,9 +184,9 @@ class CompiledGraph:
         self.source_attrs_version = graph.attrs_version
         self.source_edges_version = graph.edges_version
         ids: Tuple[NodeId, ...] = tuple(graph.nodes())
-        self._ids = ids
-        self._id_table = None  # ``ids`` as a numpy object array, built by the first array-valued ``ids_of``
-        self._index: Dict[NodeId, int] = {node: i for i, node in enumerate(ids)}
+        same_ids = reuse_from is not None and reuse_from._ids == ids
+        self.id_space = reuse_from.id_space if same_ids else IdSpace(ids)
+        self._ids, self._index = self.id_space.ids, self.id_space.index
         self._attrs: Tuple[Mapping[str, Any], ...] = tuple(graph.attributes(node) for node in ids)
         colors = tuple(sorted(graph.colors))
         self._colors = colors
@@ -170,7 +205,7 @@ class CompiledGraph:
         # node index space is identical — incremental workloads recompile a
         # snapshot per update, but each update only invalidates one colour.
         reused: Dict[str, Tuple[CsrLayer, CsrLayer]] = {}
-        if reuse_from is not None and reuse_from._ids == ids:
+        if same_ids:
             for color in colors:
                 old_id = reuse_from.color_id(color)
                 if old_id is None or old_id == ANY_COLOR:
@@ -214,11 +249,7 @@ class CompiledGraph:
         # The "any colour" layers are built lazily on first wildcard access
         # (from the frozen per-colour layers, so they always reflect this
         # snapshot); an unchanged edge set lets them be adopted directly.
-        if (
-            reuse_from is not None
-            and reuse_from._ids == ids
-            and reuse_from.source_edges_version == self.source_edges_version
-        ):
+        if same_ids and reuse_from.source_edges_version == self.source_edges_version:
             self._fwd_any = reuse_from._fwd_any
             self._rev_any = reuse_from._rev_any
         else:
@@ -230,7 +261,7 @@ class CompiledGraph:
         # memoised scans are valid verbatim; otherwise only its counters carry on.
         if reuse_from is None:
             self._scan_cache = AttributeColumns(self._attrs)
-        elif reuse_from._ids == ids and reuse_from.source_attrs_version == self.source_attrs_version:
+        elif same_ids and reuse_from.source_attrs_version == self.source_attrs_version:
             self._scan_cache = reuse_from._scan_cache
         else:
             self._scan_cache = AttributeColumns(self._attrs, reuse_from._scan_cache.tally)
@@ -302,20 +333,8 @@ class CompiledGraph:
         return list(map(self._index.get, nodes, repeat(-1)))
 
     def ids_of(self, indices: Iterable[int]) -> List[NodeId]:
-        """Original ids of dense indices, in order: the translation out of index
-        space.  A numpy index array (what the numpy kernels hand back) is one
-        take from the id table kept as an object array."""
-        if not hasattr(indices, "dtype"):
-            return list(map(self._ids.__getitem__, indices))
-        table = self._id_table
-        if table is None:
-            import numpy as np
-
-            table = np.empty(len(self._ids), dtype=object)
-            for index, node in enumerate(self._ids):  # element-wise: an id may itself be a tuple
-                table[index] = node
-            self._id_table = table  # published whole: pins read one base from several threads
-        return table[indices].tolist()
+        """Original ids of dense indices, in order (:meth:`IdSpace.ids_of`)."""
+        return self.id_space.ids_of(indices)
 
     def color_id(self, color: Optional[str]) -> Optional[int]:
         """Dense colour id, :data:`ANY_COLOR` for ``None``, ``None`` if unknown."""

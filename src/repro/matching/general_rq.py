@@ -30,6 +30,7 @@ from typing import Callable, Dict, Hashable, Iterator, List, Optional, Set, Tupl
 from repro.exceptions import EvaluationError
 from repro.graph.data_graph import DataGraph
 from repro.matching.paths import PathMatcher, resolve_matcher
+from repro.matching.result import sorted_pairs
 from repro.query.predicates import Predicate
 from repro.query.rq import PredicateLike, coerce_predicate
 from repro.regex.general import GeneralRegex
@@ -96,7 +97,7 @@ class GeneralReachabilityResult:
     def copy(self) -> "GeneralReachabilityResult":
         """An independent copy (mutating it never affects the original)."""
         return GeneralReachabilityResult(
-            pairs=set(self.pairs), elapsed_seconds=self.elapsed_seconds, engine=self.engine
+            pairs=self.pairs.copy(), elapsed_seconds=self.elapsed_seconds, engine=self.engine
         )
 
     def to_dict(self) -> Dict[str, object]:
@@ -105,7 +106,7 @@ class GeneralReachabilityResult:
 
         return stamped(
             {
-                "pairs": sorted((list(pair) for pair in self.pairs), key=repr),
+                "pairs": sorted_pairs(self.pairs),
                 "elapsed_seconds": self.elapsed_seconds,
                 "engine": self.engine,
             }

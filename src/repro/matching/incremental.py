@@ -446,7 +446,7 @@ class IncrementalPatternMatcher:
         space = matcher.enter(edge.regex for edge in self.pattern.edges())
         candidates = initial_candidates(self.pattern, self.graph, matcher, space)
         survived = self._refine(candidates, matcher, space=space)
-        self._candidates = {node: matcher.node_ids(space, nodes) for node, nodes in candidates.items()}
+        self._candidates = {node: set(matcher.node_ids(space, nodes)) for node, nodes in candidates.items()}
         self._complete = survived
         if not survived:
             self._result = PatternMatchResult.empty("incremental", engine=matcher.engine, started=started)

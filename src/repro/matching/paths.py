@@ -25,8 +25,10 @@ reads through the graph's :class:`~repro.storage.overlay.OverlayCsrStore` —
 in a handle space at flat-array speed with memoised set-level chains, in node
 ids as merged read-through frontiers; the overlay is folded back into a fresh
 base when the store compacts.  The matcher is also where an evaluation's node *handles*
-become node ids (:meth:`PathMatcher.enter`, ``node_ids``, ``id_pairs``): once,
-when the result is built, and nowhere else under ``matching/`` (reprolint R006).
+leave it (:meth:`PathMatcher.enter`, ``node_ids``, ``id_pairs``): when the
+result is built, as copy-on-write answer views that become node ids when a
+consumer reads them (:mod:`repro.matching.result`), and nowhere else under
+``matching/`` (reprolint R006).
 
 All search-mode caches are **version-aware**: memos are tagged with the
 graph's per-colour edge version
@@ -45,7 +47,9 @@ from typing import Dict, Hashable, Iterable, Optional, Set, Tuple
 
 from repro.graph.data_graph import DataGraph
 from repro.graph.distance import DistanceMatrix
+from repro.kernels import bitmap
 from repro.matching.cache import LruCache
+from repro.matching.result import _AnswerView
 from repro.regex.fclass import FRegex
 from repro.session.defaults import DEFAULT_CACHE_CAPACITY, DEFAULT_ENGINE, ENGINES
 from repro.storage.adapter import fold_atoms, make_adapter, resolve_engine
@@ -219,19 +223,16 @@ class PathMatcher:
         return set(found) if space is None else found.copy()
 
     def node_ids(self, space, handles: Iterable) -> Set[NodeId]:
-        """The node ids of handles of ``space``, as a new set."""
-        return set(handles) if space is None else set(space.ids_of(handles))
+        """The node ids of handles of ``space``: a new set, in a space a copy-on-write
+        view over a copy of their bitmap (:mod:`repro.matching.result`)."""
+        if space is None:
+            return set(handles)
+        return _AnswerView(space.id_space, bitmap(space.num_nodes, handles).copy())
 
     def id_pairs(self, space, relation) -> Set[Tuple[NodeId, NodeId]]:
-        """The id pairs of what the ``*_pairs`` calls answered in ``space``: there
-        a :func:`repro.kernels.relation`, read out as two parallel index
-        sequences — a bulk take per side, one ``zip``."""
-        if space is None:
-            return relation
-        if not relation:
-            return set()
-        sources, targets = relation.pairs()
-        return set(zip(space.ids_of(sources), space.ids_of(targets)))
+        """The id pairs of what the ``*_pairs`` calls answered in ``space``: there a
+        copy-on-write view over the :func:`repro.kernels.relation` itself."""
+        return relation if space is None else _AnswerView(space.id_space, relation)
 
     # -- one-atom frontiers (a single start is a singleton set) -------------------
 

@@ -38,6 +38,7 @@ from repro.exceptions import EvaluationError
 from repro.graph.data_graph import DataGraph
 from repro.graph.distance import DistanceMatrix
 from repro.matching.paths import PathMatcher, resolve_matcher
+from repro.matching.result import sorted_pairs
 from repro.query.rq import ReachabilityQuery
 from repro.session.defaults import (
     DEFAULT_CACHE_CAPACITY,
@@ -96,7 +97,7 @@ class ReachabilityResult:
     def copy(self) -> "ReachabilityResult":
         """An independent copy (mutating it never affects the original)."""
         return ReachabilityResult(
-            pairs=set(self.pairs),
+            pairs=self.pairs.copy(),
             method=self.method,
             elapsed_seconds=self.elapsed_seconds,
             engine=self.engine,
@@ -113,7 +114,7 @@ class ReachabilityResult:
 
         return stamped(
             {
-                "pairs": sorted((list(pair) for pair in self.pairs), key=repr),
+                "pairs": sorted_pairs(self.pairs),
                 "method": self.method,
                 "elapsed_seconds": self.elapsed_seconds,
                 "engine": self.engine,

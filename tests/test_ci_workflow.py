@@ -229,6 +229,19 @@ class TestCiWorkflow:
             assert path in command
         assert " -k " not in command and "slow" not in command
 
+    def test_quick_legs_run_the_answer_view_suite_whole(self, workflow):
+        # The quick tier-1 run deselects the `slow` answer-view properties;
+        # every non-primary leg runs the file by path, unfiltered, next to the
+        # cache-decision suites.
+        job = workflow["jobs"]["test"]
+        names = [step.get("name") for step in job["steps"]]
+        steps = [step for step in job["steps"] if step.get("name") == "Answer-view suite whole (quick legs)"]
+        assert len(steps) == 1 and steps[0]["if"] == "matrix.python-version != '3.12'"
+        assert names.index(steps[0]["name"]) == names.index("Cache-decision suites whole (quick legs)") + 1
+        command = steps[0]["run"]
+        assert "tests/test_answer_views.py" in command
+        assert " -k " not in command and "slow" not in command
+
     def test_quick_legs_run_the_incremental_suites_whole(self, workflow):
         # The quick tier-1 run deselects the `slow` stateful maintenance
         # machines; every non-primary leg runs both files by path, unfiltered.

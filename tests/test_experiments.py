@@ -26,6 +26,7 @@ from repro.experiments.harness import ExperimentReport, format_table, time_call
 from repro.matching.join_match import join_match
 from repro.matching.split_match import split_match
 from repro.query.generator import QueryGenerator
+from repro.session.session import GraphSession
 
 
 class TestHarness:
@@ -73,6 +74,23 @@ class TestExp1(object):
             # The colour-blind and isomorphism baselines never beat the truth.
             assert row["f_match"] <= 1.0 and row["f_subiso"] <= 1.0
             assert row["t_joinmatch"] >= 0.0
+
+    def test_nonempty_counts_the_queries_with_an_answer(self, tiny_terrorism):
+        # One predicate per pattern node leaves some answers non-empty here.
+        sizes = [(2, 1), (3, 3)]
+        report = run_effectiveness(
+            graph=tiny_terrorism, query_sizes=sizes, queries_per_size=3, num_predicates=1, bound=2
+        )
+        generator = QueryGenerator(tiny_terrorism, seed=11)
+        session = GraphSession(tiny_terrorism.copy())
+        expected = [
+            sum(
+                not session.execute(query).answer.is_empty
+                for query in generator.pattern_queries(3, nodes, edges, num_predicates=1, bound=2, max_colors=1)
+            )
+            for nodes, edges in sizes
+        ]
+        assert report.column("nonempty") == expected and sum(expected) > 0
 
 
 class TestExp2:
@@ -150,6 +168,16 @@ class TestExp4:
         for row in report:
             for column in ("t_joinmatch_m", "t_joinmatch_c", "t_splitmatch_m", "t_splitmatch_c"):
                 assert row[column] >= 0.0
+
+    def test_nonempty_counts_the_queries_with_an_answer(self, tiny_youtube):
+        report = run_pq_sweep("num_predicates", values=(0, 1), graph=tiny_youtube, queries_per_point=3)
+        generator = QueryGenerator(tiny_youtube, seed=41)
+        session = GraphSession(tiny_youtube.copy())
+        expected = []
+        for predicates in (0, 1):
+            queries = [generator.pattern_query(6, 8, predicates, 5, 2) for _ in range(3)]
+            expected.append(sum(not session.execute(query).answer.is_empty for query in queries))
+        assert report.column("nonempty") == expected and sum(expected) > 0
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError):

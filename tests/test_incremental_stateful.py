@@ -3,7 +3,8 @@
 A hypothesis :class:`~hypothesis.stateful.RuleBasedStateMachine` drives one
 :class:`~repro.matching.incremental.IncrementalPatternMatcher` per engine
 (``dict`` and ``csr``) through random interleavings of single-edge updates,
-coalesced batches and forced recomputations, and asserts after **every** rule
+coalesced batches (some removing edges that are present), and forced
+recomputations, and asserts after **every** rule
 that each maintainer's cached answer is exactly what a fresh from-scratch
 evaluation of its current graph produces — the contract the delta
 optimisation must never silently break.
@@ -113,7 +114,10 @@ class IncrementalDifferentialMachine(RuleBasedStateMachine):
         super().__init__()
         self.maintainers = None
 
-    @initialize(case=_graph_and_pattern())
+    # Any small case, or a denser graph with at least one pattern edge (the
+    # session machine's start): its answers are non-empty often enough for
+    # deletions to shrink them.
+    @initialize(case=st.one_of(_graph_and_pattern(), _graph_and_pattern(min_edges=8, min_pattern_edges=1)))
     def setup(self, case):
         graph, pattern = case
         self.pattern = pattern
@@ -139,6 +143,18 @@ class IncrementalDifferentialMachine(RuleBasedStateMachine):
     def apply_batch(self, stream):
         for maintainer in self.maintainers.values():
             maintainer.apply_updates(list(stream))
+
+    @rule(picks=st.lists(st.integers(min_value=0), min_size=1, max_size=3),
+          stream=st.lists(_update, max_size=3))
+    def apply_batch_removing_present_edges(self, picks, stream):
+        # Random triples rarely name a present edge: these removals always do,
+        # so the deletion pass has answers to refine (on csr, answers that are
+        # still index-space views of the last from-scratch evaluation).
+        graph = self.maintainers["dict"].graph
+        present = sorted((e.source, e.target, e.color) for e in graph.edges())
+        removals = [("remove", *present[pick % len(present)]) for pick in picks] if present else []
+        for maintainer in self.maintainers.values():
+            maintainer.apply_updates(removals + list(stream))
 
     @rule()
     def recompute(self):

@@ -756,12 +756,13 @@ def _counting(monkeypatch, owner, name, log):
 
 class TestHandleSpaces:
     def _counted_session(self, monkeypatch):
-        from repro.graph.csr import CompiledGraph
+        from repro.graph.csr import CompiledGraph, IdSpace
 
         session, pattern, query = _handle_space_fixture()
         calls = []
         for owner, names in (
-            (CompiledGraph, ("node_index", "ids_of")),
+            (CompiledGraph, ("node_index",)),
+            (IdSpace, ("ids_of",)),
             (PathMatcher, ("enter", "node_ids", "id_pairs")),
         ):
             for name in names:
@@ -786,15 +787,18 @@ class TestHandleSpaces:
         counts, spaces = tally()
         assert result.engine == "csr" and result.answer.size == 12
         assert spaces == [session.graph.overlay_store().base()]
-        # Three node collections and three relations of two sides each, once
-        # each, and nothing translated on the way in.
-        assert counts == {"enter": 1, "node_ids": 3, "id_pairs": 3, "ids_of": 9}, counts
+        # Three node collections and three relations become answer views, and
+        # nothing is translated on the way in or out: the ids are read out of
+        # the space when a consumer reads the answer.
+        assert counts == {"enter": 1, "node_ids": 3, "id_pairs": 3}, counts
         assert result.answer.same_matches(expected)
+        assert tally()[0] == {"ids_of": 6}  # three relations of two sides each, once each
 
         result = session.execute(ReachabilityQuery("cat = 'Comedy'", "cat = 'Music'", "fc^2.sr"))
         counts, spaces = tally()
         assert result.answer.pairs and spaces[0] is not None
-        assert counts == {"enter": 1, "id_pairs": 1, "ids_of": 2}, counts
+        assert counts == {"enter": 1, "id_pairs": 1}, counts
+        assert set(result.answer.pairs) and tally()[0] == {"ids_of": 2}
 
     def test_a_dirty_colour_reads_in_node_id_space_as_before(self, monkeypatch):
         import repro.matching.csr_engine as csr_engine

@@ -120,7 +120,7 @@ def test_micro_frontier_expansion_csr(benchmark, youtube_graph):
     indices = [compiled.node_index(node) for node in list(youtube_graph.nodes())[:60]]
 
     def run():
-        engine = CsrEngine(compiled, cache_capacity=None)
+        engine = CsrEngine(compiled)
         return [engine.set_frontier_indices([index], atom, reverse=False) for index in indices for atom in atoms]
 
     frontiers = benchmark(run)

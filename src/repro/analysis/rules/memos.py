@@ -8,8 +8,9 @@ the version they were computed at, compared on lookup — see
 ``storage/adapter.py``), *keyed* (the version pair is part of the cache
 key — see the semantic cache), or *bound*: it belongs to an object built
 over one immutable snapshot, whose owner replaces the object — memos and all
-— when the snapshot it holds is a different one (``CsrEngine`` over a
-``CompiledGraph``, replaced by ``OverlayCsrAdapter.engine_handle``).
+— when the snapshot it holds is a different one (until v2.27.0 the
+``CsrEngine``'s memo over a ``CompiledGraph``, replaced by
+``OverlayCsrAdapter.engine_handle``).
 
 The rule approximates that contract structurally: for every attribute
 ``self.X`` with a memo-ish name (``*_memo`` / ``*_cache`` / ``*_memos`` /

@@ -14,11 +14,12 @@ The two search methods additionally run on both evaluation **engines** (the
 original adjacency-dict engine and the compiled CSR engine of
 :mod:`repro.matching.csr_engine`), yielding ``t_bibfs``/``t_bfs`` (dict) and
 ``t_bibfs_csr``/``t_bfs_csr`` columns so the dict-vs-CSR gap is tracked next
-to the paper's own comparison.  The comparison is steady-state and
-symmetric: the dict engine reuses one :class:`PathMatcher` (and its LRU
-caches) across all queries, the CSR engine reuses the shared snapshot
-engine, and the one-off graph compile happens before timing starts — so the
-columns measure per-query evaluation cost on warm caches for both engines.
+to the paper's own comparison.  Both engines reuse one matcher across all
+queries (the dict engine's with its LRU caches), and the one-off graph
+compile happens before timing starts.  The CSR engine keeps no memo, so each
+``_csr`` read is one fold of the query; until v2.27.0 ``t_bfs_csr`` read the
+set-level memo entry the ``bidirectional`` read of the same query had just
+stored (EXPERIMENTS.md).
 All methods and engines must agree on the result pairs; a mismatch aborts
 the experiment.
 """

@@ -4,11 +4,13 @@ Every evaluator of the paper starts by selecting the nodes that satisfy a
 node predicate ``f_u``, a conjunction of atoms ``A op a`` (Section 2: the
 candidate lists of the RQ search, the initial ``mat(u)`` of JoinMatch).
 :class:`AttributeColumns` answers that over one positional attribute table,
-per attribute built on first use: an equality map ``value -> positions`` and,
-per comparability class, the values sorted beside their positions, all
-``array('q')``.  Each atom is one candidate bitmap (``=`` a map lookup, an
-ordering atom one ``bisect``, ``!=`` "has the attribute" minus the equal rows)
-and a conjunction their ``&`` (O'Neil & Quass, SIGMOD 1997).  What a column
+per attribute built on first use: per comparability class, the values
+``<`` orders sorted beside their positions (``array('q')``), and a map
+``value -> positions`` for the few regular values it cannot order (tuples,
+``None``, complex numbers).  Each atom is one candidate bitmap (``=`` the
+bisect range of the constant in every class that can hold an equal value,
+an ordering atom one ``bisect``, ``!=`` "has the attribute" minus the equal
+rows) and a conjunction their ``&`` (O'Neil & Quass, SIGMOD 1997).  What a column
 cannot decide is checked by ``AtomicCondition.matches`` where its flag is still
 set: results are the per-row reference's (``storage.base.scan_nodes``,
 compared in ``tests/test_predicates_properties.py``).
@@ -59,9 +61,16 @@ def _regular(value: Any) -> bool:
     return kind in _HASH_AGREES and value == value
 
 
+#: The order class (``predicates.order_class``) of each type whose values ``<`` orders totally.
+_RUN_CLASS = {bool: bool, int: float, float: float, str: str, bytes: bytes}
+
+#: Per such type, the order classes whose sorted runs can hold a value equal to one of it.
+_EQUAL_RUNS = {bool: (float, bool), int: (float, bool), float: (float, bool), str: (str,), bytes: (bytes,)}
+
+
 def _bisectable(value: Any) -> bool:
     """Exact builtin types, NaN excepted: ``<`` is a total order (a subclass may override it)."""
-    return type(value) in (bool, int, float, str, bytes) and value == value
+    return type(value) in _RUN_CLASS and value == value
 
 
 class _Column:
@@ -73,7 +82,7 @@ class _Column:
         self.order_class = order_class  # ``predicates.order_class``, imported once in ``_found``
         self.present = array("q")  # rows that have the attribute
         self.odd = array("q")  # of those, not ``_regular``: checked per row for every atom
-        self.equal: Dict[Any, array] = defaultdict(partial(array, "q"))  # value -> positions
+        self.equal: Dict[Any, array] = defaultdict(partial(array, "q"))  # unbisectable value -> positions
         self.ordered: Dict[type, Tuple[list, array]] = {}  # order class -> (sorted values, positions)
         self.loose: Dict[type, array] = defaultdict(partial(array, "q"))  # order class -> unbisectable
         pairs: Dict[type, List[Tuple[Any, int]]] = defaultdict(list)
@@ -82,28 +91,40 @@ class _Column:
                 continue
             value = row[name]
             self.present.append(position)
-            kind = type(value)
-            if kind is not str and kind is not int and not _regular(value):
-                self.odd.append(position)
-            else:
+            kind = _RUN_CLASS.get(type(value))
+            if kind is not None and value == value:
+                pairs[kind].append((value, position))
+            elif _regular(value):
                 self.equal[value].append(position)
-                if _bisectable(value):
-                    pairs[order_class(value)].append((value, position))
-                else:
-                    self.loose[order_class(value)].append(position)
+                self.loose[order_class(value)].append(position)
+            else:
+                self.odd.append(position)
         for kind, members in pairs.items():
             members.sort()
             self.ordered[kind] = ([v for v, _ in members], array("q", [p for _, p in members]))
+
+    def _equal_rows(self, value: Any) -> array:
+        """Positions of the regular values ``== value``, a regular constant: its
+        bisect range in every class that can hold an equal value (a number's
+        equals are floats, ints and bools, and a complex number's with no
+        imaginary part its real part's), and the unbisectable values equal to it."""
+        same = self.equal.get(value, _NONE)
+        if type(value) is complex and not value.imag:
+            value = value.real
+        for kind in _EQUAL_RUNS.get(type(value), ()):
+            values, positions = self.ordered.get(kind, ((), _NONE))
+            same = same + positions[bisect_left(values, value):bisect_right(values, value)]
+        return same
 
     def candidates(self, op: str, value: Any, size: int) -> Tuple[Any, array]:
         """``(rows, unsure)``: a bitmap of rows that may satisfy ``attribute op value``; those unsure."""
         if op == "=" or op == "!=":
             if not _regular(value):
                 return bitmap(size, self.present), self.present
-            same = self.equal.get(value, _NONE)
+            same = self._equal_rows(value)
             if op == "=":
                 return bitmap(size, same + self.odd), self.odd
-            return bitmap(size, self.present) - bitmap(size, same), self.odd  # no odd row is in ``equal``
+            return bitmap(size, self.present) - bitmap(size, same), self.odd  # no odd row is in ``same``
         kind = self.order_class(value)
         values, positions = self.ordered.get(kind, ((), _NONE))
         unsure = self.loose.get(kind, _NONE) + self.odd

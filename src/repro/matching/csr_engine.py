@@ -10,8 +10,8 @@ pipeline.  It operates entirely in the dense integer index space of a
   hashing, no per-hop set allocation;
 * a *candidate set* — a scan's answer, ``mat(u)``, a set-level frontier — is
   the kernel layer's bitmap (:func:`repro.kernels.bitmap`) from the scan memo
-  to the answer: the set-level calls take and answer it, their memos are
-  keyed by its bytes, and no Python set of ints is built in between;
+  to the answer: the set-level calls take and answer it, and no Python set of
+  ints is built in between;
 * there is no per-start entry point and no per-start memo: whole queries make
   no single-start call, and ``PathMatcher.atom_targets`` / ``targets_from`` /
   ``sources_to`` speak node ids, so they are merged store reads that never
@@ -23,9 +23,9 @@ pipeline.  It operates entirely in the dense integer index space of a
   advance it for every origin at once (:meth:`CsrEngine._relation_pairs` over
   :func:`repro.kernels.expand_origins`): one kernel pass per atom, not one
   round trip per start node.  The answer is the relation of ``(source,
-  target)`` pairs itself — the form the set-level memo keeps and
-  ``PathMatcher.id_pairs`` reads out.  The set-based drivers of
-  :mod:`repro.matching.frontiers` stay with the dict engine, the oracle;
+  target)`` pairs itself — the form ``PathMatcher.id_pairs`` reads out.  The
+  set-based drivers of :mod:`repro.matching.frontiers` stay with the dict
+  engine, the oracle;
 * *set-level* frontiers (the hot loop of the PQ refinement fixpoint of
   Figs. 7/8) are expanded as one batched multi-source BFS per atom
   (:meth:`CsrEngine.expand_set`), instead of unioning per-node searches —
@@ -42,12 +42,13 @@ are (any iterable of them is coerced to the bitmap, range-checked, once), or a
 general regex's candidates that the adapter maps onto whole layers — and
 indices go out, to become ids once, at the ``PathMatcher`` seam.
 
-The one memo (``_set_cache``: backward chains and pair relations per candidate
-sets) is valid for one reason: the engine is bound to one immutable
-:class:`~repro.graph.csr.CompiledGraph`, and its owner
-(:meth:`OverlayCsrAdapter.engine_handle`) replaces the engine — memo and all —
-whenever the store's base is a different object.  A compaction therefore
-starts the next engine cold.
+The engine keeps no memo: it holds its :class:`~repro.graph.csr.CompiledGraph`
+and nothing a read leaves behind, so every call folds.  Its candidate sets
+are a scan's bitmaps, whose bytes never repeat across the served and paper
+workloads (ARCHITECTURE.md, "Memo layers": the set-level memo that sat here
+until v2.27.0 was looked up 698 times and hit once).  Its owner
+(:meth:`OverlayCsrAdapter.engine_handle`) replaces it whenever the store's
+base is a different object.
 """
 
 from __future__ import annotations
@@ -59,12 +60,6 @@ from typing import Dict, Iterable, List, Optional
 from repro.graph.csr import CompiledGraph
 from repro.kernels import bitmap, expand_frontier, expand_origins, relation
 from repro.kernels.python_kernel import Bitmap, Relation
-from repro.matching.cache import (
-    DEFAULT_SEARCH_CACHE_CAPACITY,
-    SET_FRONTIER_CACHE_CAPACITY,
-    LruCache,
-)
-from repro.query.canonical import canonical_regex
 from repro.regex.fclass import FRegex, RegexAtom
 from repro.regex.nfa import LazyDfa, Nfa
 
@@ -75,26 +70,13 @@ class CsrEngine:
     Parameters
     ----------
     compiled:
-        The compiled CSR snapshot to evaluate against.
-    cache_capacity:
-        The caller's LRU capacity: an upper bound on the set-level memo's
-        (``None`` = :data:`SET_FRONTIER_CACHE_CAPACITY`).
+        The compiled CSR snapshot to evaluate against — all the engine holds.
     """
 
-    def __init__(
-        self,
-        compiled: CompiledGraph,
-        cache_capacity: Optional[int] = DEFAULT_SEARCH_CACHE_CAPACITY,
-    ):
+    __slots__ = ("compiled",)
+
+    def __init__(self, compiled: CompiledGraph):
         self.compiled = compiled
-        # Set-level memos (backward chains, per-edge pair sets) are keyed by
-        # candidate bitmaps' bytes, num_nodes each, so their LRU bound is much
-        # tighter than a per-node memo's — never looser than the caller's capacity.
-        self._set_cache = LruCache(
-            SET_FRONTIER_CACHE_CAPACITY
-            if cache_capacity is None
-            else min(cache_capacity, SET_FRONTIER_CACHE_CAPACITY)
-        )
 
     # -- batched set-level expansion (the PQ fixpoint's hot loop) ----------------
 
@@ -130,28 +112,15 @@ class CsrEngine:
 
         The CSR counterpart of :meth:`PathMatcher.backward_reachable`: one
         batched reverse expansion per atom, right-to-left, bitmap to bitmap.
-        The full chain is memoised per ``(target set, regex)`` — the refinement
-        fixpoint and the incremental maintainer keep asking for the same
-        stabilised candidate sets, which then cost one hash of the bitmap's
-        bytes instead of a BFS cascade.  Memo keys use the *canonical*
-        expression (:func:`~repro.query.canonical.canonical_regex`), so
-        language-equal spellings share entries.  ``targets`` is coerced (any
-        iterable of indices, each checked to be one); the answer is read-only.
+        ``targets`` is coerced (any iterable of indices, each checked to be
+        one); the answer is read-only.
         """
-        regex = canonical_regex(regex)
-        targets = bitmap(self.compiled.num_nodes, targets)
-        key = ("bwd", regex, bytes(targets.flags))
-        cached = self._set_cache.get(key)
-        if cached is not None:
-            return cached
-        frontier = targets
+        frontier = bitmap(self.compiled.num_nodes, targets)
         for item in reversed(regex.atoms):
             if not frontier:
                 break
             frontier = self.set_frontier_indices(frontier, item, reverse=True)
-        result = bitmap(self.compiled.num_nodes, frontier)  # a colour the base lacks answers ``[]``
-        self._set_cache.put(key, result)
-        return result
+        return bitmap(self.compiled.num_nodes, frontier)  # a colour the base lacks answers ``[]``
 
     # -- full expressions (index space) -----------------------------------------
 
@@ -187,20 +156,12 @@ class CsrEngine:
 
     def matching_pairs(self, regex: FRegex, sources: Iterable[int], targets: Iterable[int]) -> Relation:
         """Pairs ``(s, t)`` of the candidate sets with a path from ``s`` to ``t``
-        matching ``regex`` — an RQ, or a pattern edge's result assembly:
-        :meth:`_relation_pairs` behind the set-level memo, keyed per (canonical
-        regex, the candidate bitmaps' bytes), so language-equal spellings, both
-        search plans of Section 4 and a pattern edge over the same sets share
-        one entry: the relation, not a set of tuples — the caller pairs the
+        matching ``regex`` — an RQ (either search plan of Section 4), or a
+        pattern edge's result assembly: one :meth:`_relation_pairs` fold,
+        answered as the relation, not a set of tuples — the caller pairs the
         ids up.  Both sets are coerced as ``backward_reachable_indices`` does."""
-        regex = canonical_regex(regex)
         sources, targets = (bitmap(self.compiled.num_nodes, handles) for handles in (sources, targets))
-        key = ("pairs", regex, bytes(sources.flags), bytes(targets.flags))
-        cached = self._set_cache.get(key)
-        if cached is None:
-            cached = self._relation_pairs(regex, sources, targets)
-            self._set_cache.put(key, cached)
-        return cached
+        return self._relation_pairs(regex, sources, targets)
 
     # -- NFA product (general expressions) --------------------------------------
 
@@ -252,12 +213,3 @@ class CsrEngine:
         # The answer is what arrived in an accepting state; the seeds only started there.
         seen[LazyDfa.start] = seen[LazyDfa.start] - seeds
         return reduce(or_, (pairs.within(at_target) for state, pairs in seen.items() if accepting[state]), empty)
-
-    @property
-    def cache_stats(self) -> Dict[str, float]:
-        """Hit-rate statistics of the set-level memo, under the keys
-        :attr:`PathMatcher.cache_stats` reports them by."""
-        return {
-            "csr_set_hit_rate": self._set_cache.hit_rate,
-            "csr_set_entries": float(len(self._set_cache)),
-        }

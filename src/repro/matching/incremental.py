@@ -37,9 +37,9 @@ both engines); the benefit is that updates touch only the affected area.
 One :class:`~repro.matching.paths.PathMatcher` is created up front and reused
 across the entire update stream: its caches are version-aware (its node-id
 frontiers, dict or CSR, are tagged with per-colour edge versions; a CSR
-from-scratch pass that could enter a handle space memoises on the engine,
-which lives until the store compacts), so warm state survives every update
-that cannot affect it instead of being rebuilt per update.
+from-scratch pass that could enter a handle space runs on the engine, which
+keeps no memo and lives until the store compacts), so warm state survives
+every update that cannot affect it instead of being rebuilt per update.
 """
 
 from __future__ import annotations
@@ -714,8 +714,7 @@ class IncrementalPatternMatcher:
 
     def cache_statistics(self) -> Dict[str, float]:
         """The shared matcher's cache statistics (hit rates and entry
-        counts of the version-tagged LRUs and the CSR engine's memos, stale
-        invalidations)."""
+        counts of the version-tagged LRUs, stale invalidations)."""
         return self._matcher.cache_stats
 
     def __repr__(self) -> str:

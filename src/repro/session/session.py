@@ -353,7 +353,7 @@ class _ReadState:
     119 warm.
 
     Batches of one version can execute on different worker threads, and the
-    matchers' LRUs and the CSR engine's memos are plain dicts, so
+    matchers' LRUs are plain dicts, so
     :attr:`lock` serialises evaluation on one state (pure-Python evaluation
     does not overlap under the GIL anyway).  No statistics live here: each
     :class:`SessionSnapshot` still computes its own, lazily.
@@ -566,8 +566,8 @@ class GraphSession:
         into a fresh CSR base.  ``None`` keeps the store's policy
         (:data:`~repro.session.defaults.OVERLAY_COMPACTION_FRACTION` for a
         fresh store); an explicit value configures the store eagerly.  Every
-        compaction starts the CSR engine's memos cold, so ``0.0`` (compact on
-        every mutation) re-warms the engine after every mutation.
+        compaction compiles a fresh CSR base, so ``0.0`` (compact on every
+        mutation) recompiles after every mutation.
     semantic_cache_capacity:
         Entry capacity of the session's
         :class:`~repro.session.semantic_cache.SemanticCache` (``0``

@@ -17,9 +17,9 @@ seven, and no adapter has a per-node method.
 * :class:`OverlayCsrAdapter` — expansion through the graph's
   :class:`~repro.storage.overlay.OverlayCsrStore`: a read in the base's
   handle space runs on the flat-array
-  :class:`~repro.matching.csr_engine.CsrEngine` and its set-level memo
-  (replaced by a cold one when the store compacts), a node-id read as
-  merged read-through frontiers with per-colour version-tagged memos;
+  :class:`~repro.matching.csr_engine.CsrEngine`, which keeps no memo
+  (replaced when the store compacts), a node-id read as merged read-through
+  frontiers with per-colour version-tagged memos;
 * :class:`PartitionedAdapter` — expansion through the graph's sharded
   :class:`~repro.storage.partition.PartitionedStore`: every frontier is a
   cross-shard exchange over per-shard CSR kernels, memoised under the same
@@ -114,12 +114,6 @@ class _Adapter:
     def __init__(self, matcher, store):
         self.matcher = matcher
         self.store = store
-
-    @property
-    def engine_stats(self) -> Dict[str, float]:
-        """Memo statistics of the adapter's CSR engine — zeros here, where
-        there is none (a property, so the tracer does not count it a call)."""
-        return {"csr_set_hit_rate": 0.0, "csr_set_entries": 0.0}
 
     # -- the version-tagged memo -------------------------------------------------
 
@@ -335,8 +329,8 @@ class OverlayCsrAdapter(_StoreAdapter):
 
     A read in the handle space :meth:`enter` handed out runs on the
     per-matcher :class:`~repro.matching.csr_engine.CsrEngine` over the store's
-    base snapshot — full flat-array speed, memoised per candidate set, warm
-    until the store compacts (the next engine starts cold).  A read without a
+    base snapshot — full flat-array speed, one fold per call, the engine
+    replaced when the store compacts.  A read without a
     space — node ids, whether its colours are clean or dirty — is the store's
     merged read-through frontier (:class:`_StoreAdapter`), memoised in the
     matcher's LRU caches under the same per-colour version tags the dict
@@ -354,24 +348,17 @@ class OverlayCsrAdapter(_StoreAdapter):
     def engine_handle(self):
         """This matcher's CSR engine over the store's current base.
 
-        The engine's memos are valid because it is bound to one immutable
-        base snapshot; the base only changes when the store compacts, and an
-        engine whose base is no longer the store's is replaced here — memos
-        and all — by a cold one.
+        The engine holds only the base snapshot it was built over; the base
+        only changes when the store compacts, and an engine whose base is no
+        longer the store's is replaced here.
         """
         from repro.matching.csr_engine import CsrEngine
 
         base = self.store.base()
         engine = self._engine
         if engine is None or engine.compiled is not base:
-            engine = self._engine = CsrEngine(base, self.matcher._cache_capacity)
+            engine = self._engine = CsrEngine(base)
         return engine
-
-    @property
-    def engine_stats(self) -> Dict[str, float]:
-        """The current engine's memo statistics (zeros until a read in a
-        handle space has built one — reporting never builds it)."""
-        return super().engine_stats if self._engine is None else self._engine.cache_stats
 
     # -- handle spaces -----------------------------------------------------------
 
@@ -430,7 +417,7 @@ class OverlayCsrAdapter(_StoreAdapter):
 
     def backward_reachable(self, targets: Set[NodeId], regex, space=None) -> Set[NodeId]:
         if space is not None:
-            # The engine's memoised bitmap itself: callers only read it.
+            # The engine's answer bitmap: callers only read it.
             return self._folding(space, regex).backward_reachable_indices(targets, regex)
         if not targets:
             return set()
@@ -450,8 +437,7 @@ class OverlayCsrAdapter(_StoreAdapter):
 
     def query_pairs(self, regex, sources, targets, method: str, space=None):
         """One whole query between two candidate collections: on handles of
-        ``space`` the engine's relation (the matcher pairs the ids up once) —
-        memoised per candidate sets, so an unchanged clean query is one hash —
+        ``space`` the engine's relation (the matcher pairs the ids up once),
         on node ids a set of id pairs searched over the merged frontiers."""
         if space is not None:
             return self._folding(space, regex).matching_pairs(regex, sources, targets)
@@ -471,10 +457,10 @@ class OverlayCsrAdapter(_StoreAdapter):
         if engine.compiled is not compiled:
             # A live overlay with changes pending: the layers are the graph's
             # compiled snapshot the next compaction adopts, not yet the base
-            # this matcher's engine is bound to.  The product keeps no memo.
+            # this matcher's engine is bound to.
             from repro.matching.csr_engine import CsrEngine
 
-            engine = CsrEngine(compiled, self.matcher._cache_capacity)
+            engine = CsrEngine(compiled)
         # Nodes the layers do not hold were created since and have no edges
         # in them: dropping them loses no non-empty path.
         held = ([at for at in compiled.positions_of(group) if at >= 0] for group in (sources, targets))

@@ -173,7 +173,7 @@ class OverlayReads(GraphStore):
 
         A read in the base's handle space is expanded by a
         :class:`~repro.matching.csr_engine.CsrEngine` over :meth:`base`
-        (memoised, index space) by the storage adapter; this method is the
+        (index space) by the storage adapter; this method is the
         read-through path for node ids, valid for any colour: a clean colour
         reads the base rows, a dirty one merges them with the overlay deltas.
         """

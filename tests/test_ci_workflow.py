@@ -256,6 +256,18 @@ class TestCiWorkflow:
             assert path in command
         assert " -k " not in command and "slow" not in command
 
+    def test_quick_legs_run_the_engine_contract_suites(self, workflow):
+        # The quick tier-1 run deselects the `slow` relation-fold and
+        # handle-space properties that hold the memo-free CSR engine to the
+        # generic drivers; every non-primary leg runs the files by path, unfiltered.
+        job = workflow["jobs"]["test"]
+        steps = [step for step in job["steps"] if step.get("name") == "Engine contract suites whole (quick legs)"]
+        assert len(steps) == 1 and steps[0]["if"] == "matrix.python-version != '3.12'"
+        command = steps[0]["run"]
+        for path in ("tests/test_csr_engine.py", "tests/test_paths.py", "tests/test_session_parity.py"):
+            assert path in command
+        assert " -k " not in command and "slow" not in command
+
     def test_benchmark_job_runs_repo_benchmark_smoke(self, workflow):
         # bench/test_smoke.py is outside pytest's testpaths (tier-1 never
         # collects it), so the benchmark job must run it by path.

@@ -6,6 +6,7 @@ asserted on hand-built graphs, on the dataset generators and — via hypothesis
 — on randomly generated graphs and queries.
 """
 
+import gc
 import itertools
 
 import pytest
@@ -120,8 +121,7 @@ class TestEnginePairity:
 
     def test_custom_cache_capacity_uses_private_csr_cache(self, graph):
         query = ReachabilityQuery(None, None, "advises")
-        # auto keeps the fast engine; the capacity sizes a private per-call
-        # cache instead of the snapshot's shared one
+        # auto keeps the fast engine; the capacity sizes the matcher's LRUs
         result = evaluate_rq(query, graph, method="bidirectional", cache_capacity=10)
         assert result.engine == "csr"
         explicit = evaluate_rq(
@@ -233,7 +233,7 @@ class TestPathMatcherCsrMode:
         atom = RegexAtom("c", 1)
         assert matcher.atom_targets("a", atom) == {"b"}
         first_engine = matcher._csr_engine
-        assert first_engine._set_cache.capacity == 7  # honours cache_capacity
+        assert first_engine.compiled is graph.overlay_store().base()  # all it holds
         # A mutation lands in the overlay: the base snapshot (and hence the
         # engine) survives, and the dirty colour is answered read-through.
         graph.add_edge("b", "a", "c")
@@ -244,7 +244,7 @@ class TestPathMatcherCsrMode:
         graph.overlay_store().compact()
         assert matcher.atom_targets("b", atom) == {"a"}
         assert matcher._csr_engine is not first_engine
-        assert matcher._csr_engine._set_cache.capacity == 7
+        assert matcher._csr_engine.compiled is graph.overlay_store().base()
 
 
 class TestGeneralRegexProduct:
@@ -489,20 +489,38 @@ def test_property_relation_fold_matches_generic_drivers(case):
         (ids[a], ids[b]) for a, b in swept
     }
 
-    entries = len(engine._set_cache)
     relation = engine.matching_pairs(regex, source_indices, target_indices)
     assert index_pairs(relation) == swept
     assert len(relation) == len(swept)  # every pair read out once
     by_id = PathMatcher(graph, engine="csr").id_pairs(compiled, relation)  # the seam's translation
     assert by_id == {(ids[a], ids[b]) for a, b in swept}  # ids unchanged
-    assert len(engine._set_cache) == entries + 1  # one fold, one entry
     as_bitmaps = (bitmap(compiled.num_nodes, handles) for handles in (source_indices, target_indices))
     assert index_pairs(engine._relation_pairs(regex, *as_bitmaps)) == swept
-    # Asking again is one hit in the set-level memo, whatever the spelling.
-    hits, entries = engine._set_cache.hits, len(engine._set_cache)
+    # Asking again folds again, whatever the spelling: the engine keeps no memo.
     again = engine.matching_pairs(FRegex(list(regex.atoms)), source_indices, target_indices)
-    assert again is engine.matching_pairs(regex, source_indices, target_indices)
-    assert (engine._set_cache.hits, len(engine._set_cache)) == (hits + 2, entries)
+    assert again is not relation and index_pairs(again) == swept
+
+
+def test_engine_keeps_no_per_read_state():
+    """The engine holds its compiled base and nothing a read leaves behind:
+    after distinct backward and pair reads its one slot is the same object,
+    and no candidate bitmap handed in is referenced from it."""
+    compiled = compile_graph(generate_synthetic_graph(60, 240, seed=5))
+    engine = CsrEngine(compiled)
+    assert CsrEngine.__slots__ == ("compiled",) and not hasattr(engine, "__dict__")
+    colors = sorted(compiled.colors)
+    num_nodes = compiled.num_nodes
+    handed = []
+    for step in range(1, 6):
+        regex = FRegex([RegexAtom(colors[step % len(colors)], step), RegexAtom(colors[0], None)])
+        sources = bitmap(num_nodes, range(0, num_nodes, step + 1))
+        targets = bitmap(num_nodes, range(step, num_nodes, 2))
+        handed += [sources, targets]
+        assert engine.backward_reachable_indices(targets, regex) is not None
+        assert engine.matching_pairs(regex, sources, targets) is not None
+    assert engine.compiled is compiled
+    held = gc.get_referents(engine)
+    assert not any(candidate is reference for candidate in handed for reference in held)
 
 
 _GENERAL_FORMS = (

@@ -145,6 +145,18 @@ class TestExp3:
         run_rq_efficiency(graph=tiny_youtube, num_colors_values=(1, 2), queries_per_point=2, bound=2)
         assert decisions and set(decisions) == {"evaluate"}
 
+    def test_csr_search_columns_evaluate(self, monkeypatch):
+        # ``t_bibfs_csr`` and ``t_bfs_csr`` time one engine read each of the
+        # same query: each must fold, not find what the other left behind.
+        from repro.matching.csr_engine import CsrEngine
+
+        reads, folds = [], []
+        read, fold = CsrEngine.matching_pairs, CsrEngine._relation_pairs
+        monkeypatch.setattr(CsrEngine, "matching_pairs", lambda self, *args: reads.append(args) or read(self, *args))
+        monkeypatch.setattr(CsrEngine, "_relation_pairs", lambda self, *args: folds.append(args) or fold(self, *args))
+        run_rq_efficiency(num_colors_values=(1, 2), queries_per_point=3, num_nodes=300, num_edges=1100)
+        assert len(reads) >= 2 and len(folds) == len(reads)
+
 
 class TestExp4:
     @pytest.mark.parametrize("algorithm", [join_match, split_match])

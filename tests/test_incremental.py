@@ -483,11 +483,13 @@ class TestWarmMatcherReuse:
         assert matcher.engine == "csr"
         path_matcher = matcher.matcher
         # On a clean base the initial fixpoint entered the base's handle space
-        # and ran on the engine's memo alone; a single-start read back from a
-        # target speaks node ids, so it is a merged store read memoised in the
-        # version-tagged LRUs — a hit the second time.
-        assert matcher.cache_statistics()["csr_set_entries"] > 0
-        assert matcher.cache_statistics()["backward_entries"] == 0
+        # and ran on the engine alone, which keeps no memo: no LRU entry; a
+        # single-start read back from a target speaks node ids, so it is a
+        # merged store read memoised in the version-tagged LRUs — a hit the
+        # second time.
+        statistics = matcher.cache_statistics()
+        assert statistics["forward_entries"] == statistics["backward_entries"] == 0
+        assert not any(key.startswith("csr_") for key in statistics)
         backward = path_matcher._backward_cache
         regex = query.regex("C", "D")  # fa^2.sa^2: no fn edge on its paths
         assert "C3" in path_matcher.sources_to("D1", regex)

@@ -118,20 +118,21 @@ class TestModeAgreement:
         matcher.targets_from("a", parse_fregex("red^2"))
         stats = matcher.cache_stats
         assert stats["forward_entries"] >= 1
-        # An adapter without a CSR engine reports the engine's keys as zeros.
-        engine_keys = ("csr_set_hit_rate", "csr_set_entries")
-        assert [stats[key] for key in engine_keys] == [0.0] * 2
+        assert not any(key.startswith("csr_") for key in stats)  # no engine memo to report
 
     def test_cache_stats_report_the_csr_engine_memos(self, small_graph):
         """On ``csr`` a node-id read is a merged store read memoised in the
-        forward/backward LRUs, clean colours or not; the engine's set-level
-        memo serves reads in a handle space only.  ``cache_stats`` must show
-        both, and asking for it must never *build* an engine (or compile a
-        base).  A single start is a singleton set: ``targets_from`` memoises
-        the singleton's frontier, ``sources_to`` its whole backward chain."""
+        forward/backward LRUs, clean colours or not; a read in a handle space
+        runs on the CSR engine, which keeps no memo, so it moves none of the
+        statistics.  ``cache_stats`` has the dict engine's keys, and asking for
+        it must never *build* an engine (or compile a base).  A single start
+        is a singleton set: ``targets_from`` memoises the singleton's
+        frontier, ``sources_to`` its whole backward chain."""
         matcher = PathMatcher(small_graph, engine="csr")
-        assert set(matcher.cache_stats) == set(PathMatcher(small_graph).cache_stats)
-        assert matcher.cache_stats["csr_set_entries"] == 0.0
+        assert set(matcher.cache_stats) == set(PathMatcher(small_graph).cache_stats) == {
+            "forward_hit_rate", "backward_hit_rate", "forward_entries", "backward_entries",
+            "stale_invalidations",
+        }
         assert not small_graph.overlay_store().has_base
         red = parse_fregex("red")
         for _ in range(2):
@@ -140,15 +141,14 @@ class TestModeAgreement:
         stats = matcher.cache_stats
         assert stats["forward_entries"] == stats["backward_entries"] == 1.0
         assert stats["forward_hit_rate"] == stats["backward_hit_rate"] == 0.5
-        assert stats["csr_set_entries"] == 0.0 and stats["stale_invalidations"] == 0.0
+        assert stats["stale_invalidations"] == 0.0
         matcher.sources_to("c", parse_fregex("red^2"))  # the chain of {c} and its one frontier
         assert matcher.cache_stats["backward_entries"] == 3.0
+        before = matcher.cache_stats
         space = matcher.enter([red])
         for _ in range(2):
             matcher.backward_reachable(space.positions_of(["c", "d"]), red, space)
-        stats = matcher.cache_stats
-        assert stats["csr_set_entries"] == 1 == float(len(matcher._csr_engine._set_cache))
-        assert stats["csr_set_hit_rate"] == 0.5 and stats["backward_entries"] == 3.0
+        assert matcher.cache_stats == before
 
 
 class TestVersionAwareCaches:
@@ -290,7 +290,7 @@ class TestVersionAwareCaches:
         assert matcher.atom_targets("c", blue) == {"d"}
         assert matcher._forward_cache.hits == hits + 1
         assert matcher.stale_invalidations == stale + 1
-        assert matcher.cache_stats["csr_set_entries"] == 0.0  # no engine was needed
+        assert getattr(matcher._adapter, "_engine", None) is None  # no engine was needed
 
     def test_csr_touched_color_entries_dropped(self, small_graph):
         matcher = PathMatcher(small_graph, engine="csr")
@@ -337,18 +337,20 @@ class TestVersionAwareCaches:
             csr_matcher.targets_from("x", blue)
 
     def test_set_level_csr_memos_are_tightly_bounded(self, small_graph):
-        from repro.matching.cache import SET_FRONTIER_CACHE_CAPACITY
+        """Set-level reads in a handle space retain nothing: the engine has no
+        memo to bound, whatever the matcher's ``cache_capacity``."""
+        import repro.matching.cache
 
-        matcher = PathMatcher(small_graph, engine="csr")
+        assert not hasattr(repro.matching.cache, "SET_FRONTIER_CACHE_CAPACITY")
         red = parse_fregex("red")
-        space = matcher.enter([red])  # the set-level memo serves reads in a space
-        matcher.backward_reachable(space.positions_of(["c", "d"]), red, space)
-        engine = matcher._csr_engine
-        assert engine._set_cache.capacity <= SET_FRONTIER_CACHE_CAPACITY
-        assert len(engine._set_cache) >= 1
-        tiny = PathMatcher(small_graph, cache_capacity=5, engine="csr")
-        tiny.backward_reachable(space.positions_of(["c", "d"]), red, tiny.enter([red]))
-        assert tiny._csr_engine._set_cache.capacity == 5
+        for capacity in (None, 5):
+            matcher = PathMatcher(small_graph, cache_capacity=capacity, engine="csr")
+            space = matcher.enter([red])
+            answer = matcher.backward_reachable(space.positions_of(["c", "d"]), red, space)
+            assert matcher.node_ids(space, answer) == matcher.backward_reachable({"c", "d"}, red)
+            engine = matcher._csr_engine
+            assert type(engine).__slots__ == ("compiled",) and not hasattr(engine, "__dict__")
+            assert engine.compiled is space
 
 
 class TestRemoveNodeVersionSemantics:

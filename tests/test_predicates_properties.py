@@ -1,12 +1,15 @@
 """Property-based tests for predicate implication and satisfaction."""
 
 import functools
+import os
 from decimal import Decimal
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph.columns import AttributeColumns
+from repro.kernels import HAVE_NUMPY, KERNEL_ENV_VAR
 from repro.query.predicates import AtomicCondition, Predicate
 
 # Heavy hypothesis suite: deselect with -m "not slow" for a quick run.
@@ -326,3 +329,51 @@ def test_session_serves_decimal_bound_its_own_rows(engine, pinned):
 def test_session_tells_order_classes_apart(engine, pinned, values, op, first, second):
     predicates = [_atom("x", op, first), _atom("x", op, second), _atom("x", op, first)]
     _assert_each_query_gets_its_own_rows(values, predicates, engine, pinned)
+
+
+# -- equality atoms on mixed-class columns, under each kernel backend -------------
+#
+# A column answers ``=`` / ``!=`` of an orderable constant by its bisect range in
+# every order class that can hold an equal value (ints, floats and bools for a
+# number; a complex constant with no imaginary part is its real part) and keeps
+# a value map only for the regular values ``<`` cannot order.  Each answer is
+# held to ``AtomicCondition.matches`` row by row, and the rows checked one by one
+# to those no index speaks for: the irregular ones, or every row that has the
+# attribute when the constant is irregular itself.
+
+_BACKENDS = ("numpy", "python") if HAVE_NUMPY else ("python",)
+_REGULAR_VALUES = [
+    0, 1, -1, 2, 1.0, 0.0, -0.0, 0.5, float("inf"), True, False, "a", "", b"a", None,
+    (), (1,), (1.0, "a"), (True,), complex(1, 0), complex(0, 0), complex(1, 1), complex(-0.0, 0.0),
+]
+_IRREGULAR_VALUES = [_NAN, [1], Decimal(1), _Tag(1), _Word("a"), (_NAN,), complex(_NAN, 0)]
+#: ``(constant, regular)``: an irregular constant has every present row checked.
+_EQUALITY_CONSTANTS = [
+    (1, True), (1.0, True), (True, True), (False, True), (0, True), (-0.0, True),
+    (complex(1, 0), True), (complex(1, 1), True), (_NAN, False), (None, True),
+    ((), True), ((1,), True), ((1.0,), True), ((True,), True), ((1.0, "a"), True), ((_NAN,), False),
+]
+_MIXED_ROWS = st.lists(
+    st.dictionaries(st.just("x"), st.sampled_from(_REGULAR_VALUES + _IRREGULAR_VALUES), max_size=1),
+    max_size=16,
+)
+
+
+@given(rows=_MIXED_ROWS)
+@settings(max_examples=300, deadline=None)
+def test_equality_on_mixed_columns_equals_the_per_row_reference(rows):
+    present = [row for row in rows if "x" in row]
+    irregular = sum(any(row["x"] is value for value in _IRREGULAR_VALUES) for row in present)
+    for backend in _BACKENDS:
+        with mock.patch.dict(os.environ, {KERNEL_ENV_VAR: backend}):
+            columns = AttributeColumns(rows)
+            for constant, regular in _EQUALITY_CONSTANTS:
+                for op in ("=", "!="):
+                    condition = AtomicCondition("x", op, constant)
+                    tally = columns.tally
+                    checks, misses = tally.row_checks, tally.memo_misses
+                    found = columns.scan(Predicate([condition]))
+                    assert found == tuple(i for i, row in enumerate(rows) if condition.matches(row)), condition
+                    # ``x = 1`` and ``x = 1.0`` are one predicate: a memo hit checks no row.
+                    expected = (tally.memo_misses - misses) * (irregular if regular else len(present))
+                    assert tally.row_checks - checks == expected, condition

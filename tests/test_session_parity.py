@@ -321,7 +321,6 @@ def _pipeline_queries():
 _CACHE_STATS_KEYS = sorted([
     "forward_hit_rate", "backward_hit_rate", "forward_entries", "backward_entries",
     "stale_invalidations",
-    "csr_set_hit_rate", "csr_set_entries",
 ])
 
 
@@ -379,31 +378,29 @@ def test_live_and_pinned_envelopes_agree_on_the_array_path():
             assert f"engine={expected}" in result.plan.explain()
             assert result.to_dict()["engine"] == expected  # the wire envelope's label
     assert live_views[0]["answer"]  # the ring does have a.b^2.b paths
-    # Same keys as a dict session's; and on the array path the memo that took
-    # the lookups is the engine's, which both sides now report: a whole query
-    # is one set-level entry, computed for all its origins at once ...
+    # Same keys as a dict session's; and on the array path a whole query runs
+    # in the base's handle space on both sides, on the engine, which keeps no
+    # memo: it takes no LRU entry ...
     for result in (live_results[0], pinned_results[0]):
         assert sorted(result.cache_stats) == _CACHE_STATS_KEYS
-        assert result.cache_stats["csr_set_entries"] > 0.0
-        assert result.cache_stats["forward_entries"] == 0.0
+        assert result.cache_stats["forward_entries"] == result.cache_stats["backward_entries"] == 0.0
     # ... while a single-start read of the same matchers speaks node ids, so
     # it is a merged store read on both sides: reading the path back from a
     # reached node adds its chain and the singleton frontier its fold starts
-    # from to the version-tagged backward LRU, and nothing to the engine's memo.
+    # from to the version-tagged backward LRU.
     from_n0 = {target for source, target in live_views[0]["answer"] if source == "n0"}
     assert from_n0  # the g1 nodes (odd indices) among everything n0 reaches
     for reached, entries_added in (_single_start_read(live.matcher("csr")), pinned_single):
         assert {target for target in reached if int(target[1:]) % 2} == from_n0
-        assert entries_added == (2.0, 0.0, 0.0)
+        assert entries_added == (2.0, 0.0)
 
 
 def _single_start_read(matcher):
     """What ``n0`` reaches by ``a.b^2.b``, and what reading the path back from
-    one of those nodes added to ``backward_entries``, ``csr_set_entries`` and
-    ``stale_invalidations``."""
+    one of those nodes added to ``backward_entries`` and ``stale_invalidations``."""
     path = FRegex([RegexAtom("a", 1), RegexAtom("b", 2), RegexAtom("b", 1)])
     reached = matcher.targets_from("n0", path)
-    keys = ("backward_entries", "csr_set_entries", "stale_invalidations")
+    keys = ("backward_entries", "stale_invalidations")
     before = matcher.cache_stats
     assert "n0" in matcher.sources_to(min(reached), path)
     return reached, tuple(matcher.cache_stats[key] - before[key] for key in keys)

@@ -4,7 +4,7 @@ Reachability queries whose constraint is ``c1^b … ci^b`` for ``i`` from 1 to 4
 distinct colours are evaluated on the YouTube-like graph with three methods:
 
 * ``DM`` — the pre-computed distance matrix (matrix lookups, quadratic);
-* ``biBFS`` — bidirectional search with the LRU cache;
+* ``biBFS`` — bidirectional search;
 * ``BFS`` — plain forward search (the baseline the paper plots for contrast).
 
 The paper's shape to reproduce: DM is fastest, biBFS beats BFS and the gap
@@ -15,11 +15,13 @@ original adjacency-dict engine and the compiled CSR engine of
 :mod:`repro.matching.csr_engine`), yielding ``t_bibfs``/``t_bfs`` (dict) and
 ``t_bibfs_csr``/``t_bfs_csr`` columns so the dict-vs-CSR gap is tracked next
 to the paper's own comparison.  Both engines reuse one matcher across all
-queries (the dict engine's with its LRU caches), and the one-off graph
-compile happens before timing starts.  The CSR engine keeps no memo, so each
-``_csr`` read is one fold of the query; until v2.27.0 ``t_bfs_csr`` read the
-set-level memo entry the ``bidirectional`` read of the same query had just
-stored (EXPERIMENTS.md).
+queries, and the one-off graph compile happens before timing starts.  Neither
+memoises what these reads ask: each ``_csr`` read is one fold of the query
+(until v2.27.0 ``t_bfs_csr`` read the set-level memo entry the
+``bidirectional`` read of the same query had just stored), and the dict
+engine keeps no memo (until v2.28.0 ``t_bfs`` partly read the per-start BFS
+entries the ``bidirectional`` read had left in the matcher's LRUs;
+EXPERIMENTS.md).
 All methods and engines must agree on the result pairs; a mismatch aborts
 the experiment.
 """

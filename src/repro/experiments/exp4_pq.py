@@ -9,7 +9,7 @@ paper's defaults (|Vp|=6, |Ep|=8, |pred|=3, b=5, c≤2):
 * Fig. 11(d): the per-colour bound b.
 
 For every point the four algorithm variants are timed — JoinMatchM /
-SplitMatchM (distance matrix) and JoinMatchC / SplitMatchC (LRU-cache search)
+SplitMatchM (distance matrix) and JoinMatchC / SplitMatchC (search)
 — plus the one-off time to build the distance matrix (the ``M-index`` series
 of the figures).  The paper's shape to reproduce: JoinMatch beats SplitMatch,
 and times are more sensitive to |Ep| and |pred| than to |Vp|.  (The paper's

@@ -15,7 +15,7 @@
   subgraph isomorphism);
 * :mod:`~repro.matching.simulation` — classical graph simulation;
 * :mod:`~repro.matching.paths` — the shared regex-constrained path matcher;
-* :mod:`~repro.matching.cache` — the LRU distance cache;
+* :mod:`~repro.matching.cache` — the LRU behind the matcher's search caches;
 * :mod:`~repro.matching.result` — result containers.
 """
 

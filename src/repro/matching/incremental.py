@@ -35,11 +35,12 @@ scratch (asserted by the stateful differential suite in
 both engines); the benefit is that updates touch only the affected area.
 
 One :class:`~repro.matching.paths.PathMatcher` is created up front and reused
-across the entire update stream: its caches are version-aware (its node-id
-frontiers, dict or CSR, are tagged with per-colour edge versions; a CSR
-from-scratch pass that could enter a handle space runs on the engine, which
-keeps no memo and lives until the store compacts), so warm state survives
-every update that cannot affect it instead of being rebuilt per update.
+across the entire update stream.  On ``dict`` it keeps no memo and reads the
+current adjacency; on CSR its node-id frontiers are tagged with per-colour
+edge versions, and a from-scratch pass that could enter a handle space runs
+on the engine, which keeps no memo and lives until the store compacts — so
+warm state survives every update that cannot affect it instead of being
+rebuilt per update.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.data_graph import DataGraph
@@ -67,6 +69,7 @@ from repro.matching.refinement import refine_fixpoint
 from repro.matching.result import PatternMatchResult
 from repro.query.pq import PatternQuery
 from repro.regex.fclass import FRegex, RegexAtom
+from repro.storage.adapter import fold_atoms
 
 NodeId = Hashable
 EdgeTriple = Tuple[NodeId, NodeId, str]
@@ -85,18 +88,6 @@ def _expand_atom(graph: DataGraph, starts: Iterable[NodeId], atom: RegexAtom, re
     """Nodes linked to ``starts`` by one non-empty block matching ``atom``."""
     color = None if atom.is_wildcard else atom.color
     return graph.store.frontier(starts, color, atom.max_count, reverse)
-
-
-def _expand_chain(
-    graph: DataGraph, starts: Iterable[NodeId], atoms: Sequence[RegexAtom], reverse: bool
-) -> Set[NodeId]:
-    """Fold :func:`_expand_atom` over a full atom sequence (one block each)."""
-    frontier = set(starts)
-    for atom in (reversed(atoms) if reverse else atoms):
-        if not frontier:
-            break
-        frontier = _expand_atom(graph, frontier, atom, reverse)
-    return frontier
 
 
 def _partial_block(graph: DataGraph, start: NodeId, atom: RegexAtom, reverse: bool) -> Set[NodeId]:
@@ -127,14 +118,15 @@ def _insertion_backward_frontier(
     """
     result: Set[NodeId] = set()
     atoms = regex.atoms
+    step = partial(_expand_atom, graph, reverse=True)
     for position, atom in enumerate(atoms):
         if not atom.admits_color(color):
             continue
-        partial = _partial_block(graph, source, atom, reverse=True)
+        block = _partial_block(graph, source, atom, reverse=True)
         if position == 0:
-            result |= partial
+            result |= block
         else:
-            result |= _expand_chain(graph, partial, atoms[:position], reverse=True)
+            result |= fold_atoms(block, reversed(atoms[:position]), step)
     return result
 
 #: Operation names accepted by :meth:`IncrementalPatternMatcher.apply_updates`.
@@ -488,6 +480,8 @@ class IncrementalPatternMatcher:
         graph = self.graph
         pattern = self.pattern
         mats = self._candidates
+        forward_step = partial(_expand_atom, graph, reverse=False)
+        backward_step = partial(_expand_atom, graph, reverse=True)
 
         # Per pattern edge: sources whose witnessing path can use a new edge.
         edge_sources: Dict[Tuple[str, str], Set[NodeId]] = {}
@@ -533,7 +527,7 @@ class IncrementalPatternMatcher:
         while pending:
             target_node, fresh = pending.popleft()
             for edge in pattern.in_edges(target_node):
-                candidates_back = _expand_chain(graph, fresh, edge.regex.atoms, reverse=True)
+                candidates_back = fold_atoms(fresh, reversed(edge.regex.atoms), backward_step)
                 if candidates_back:
                     admit(edge.source, candidates_back)
 
@@ -547,7 +541,7 @@ class IncrementalPatternMatcher:
             key = (node, regex)
             targets = forward_memo.get(key)
             if targets is None:
-                targets = _expand_chain(graph, (node,), regex.atoms, reverse=False)
+                targets = fold_atoms({node}, regex.atoms, forward_step)
                 forward_memo[key] = targets
             return targets
 
@@ -602,7 +596,7 @@ class IncrementalPatternMatcher:
                 if delta_targets:
                     source_pool = candidates[edge.source]
                     for node in delta_targets:
-                        backwards = _expand_chain(graph, (node,), edge.regex.atoms, reverse=True)
+                        backwards = fold_atoms({node}, reversed(edge.regex.atoms), backward_step)
                         for hit in backwards & source_pool:
                             pairs.add((hit, node))
             if not pairs:

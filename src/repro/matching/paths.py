@@ -4,7 +4,7 @@ Both the RQ evaluators and the PQ algorithms ultimately need to answer one
 question: *does a non-empty path from v1 to v2 exist whose colour string is in
 L(f)?*  :class:`PathMatcher` answers it (and the related "all targets from a
 source" / "all sources of a target" questions) by expanding per-atom
-frontiers through the graph's **storage layer**, memoised.  In matrix mode (a
+frontiers through the graph's **storage layer**.  In matrix mode (a
 :class:`~repro.graph.distance.DistanceMatrix` held: labels ``…M``,
 normalisation by default) it reads on ``csr``, each bounded block of a fold
 one gather over the matrix's rows, the CSR layers' closures.
@@ -20,25 +20,26 @@ here, each call the set-level read of a singleton: ``atom_targets(v, a)`` is
 ``set_targets({v}, a)``, ``targets_from`` the atom fold over ``set_targets``,
 ``sources_to(t, f)`` is ``backward_reachable({t}, f)``, ``edge_pairs`` is
 ``query_pairs`` by the forward sweep.  The ``dict`` engine expands over the
-authoritative :class:`~repro.storage.dict_store.DictStore`; the ``csr`` engine
-reads through the graph's :class:`~repro.storage.overlay.OverlayCsrStore` —
-in a handle space at flat-array speed with memoised set-level chains, in node
-ids as merged read-through frontiers; the overlay is folded back into a fresh
-base when the store compacts.  The matcher is also where an evaluation's node *handles*
+authoritative :class:`~repro.storage.dict_store.DictStore`, with no memo; the
+``csr`` engine reads through the graph's
+:class:`~repro.storage.overlay.OverlayCsrStore` — in a handle space at
+flat-array speed, one fold per read, in node ids as merged read-through
+frontiers, memoised; the overlay is folded back into a fresh base when the
+store compacts.  The matcher is also where an evaluation's node *handles*
 leave it (:meth:`PathMatcher.enter`, ``node_ids``, ``id_pairs``): when the
 result is built, as copy-on-write answer views that become node ids when a
 consumer reads them (:mod:`repro.matching.result`), and nowhere else under
 ``matching/`` (reprolint R006).
 
-All search-mode caches are **version-aware**: memos are tagged with the
-graph's per-colour edge version
-(:meth:`~repro.graph.data_graph.DataGraph.color_version`; wildcard memos with
-:attr:`~repro.graph.data_graph.DataGraph.edges_version`) and a tag mismatch is
-treated as a miss.  One matcher can therefore be safely reused across graph
-mutations — answers are always computed against the current topology, and
-memos of untouched colours stay warm.  That holds in matrix mode too: the
-closures hang off the immutable layers of the current version, so the index
-is never stale.
+The one memo, the ``csr`` engine's node-id reads', is **version-aware**:
+its entries are tagged with the graph's per-colour edge version
+(:meth:`~repro.graph.data_graph.DataGraph.color_version`; wildcard entries
+with :attr:`~repro.graph.data_graph.DataGraph.edges_version`) and a tag
+mismatch is treated as a miss.  One matcher can therefore be safely reused
+across graph mutations on every engine — answers are always computed against
+the current topology, and memos of untouched colours stay warm.  That holds
+in matrix mode too: the closures hang off the immutable layers of the
+current version, so the index is never stale.
 """
 
 from __future__ import annotations
@@ -116,9 +117,9 @@ def resolve_matcher(
     evaluators, as is an unknown engine name).  A plain search-mode call (no
     matcher, no matrix, default cache capacity) delegates to the graph's
     module-level default session (:func:`repro.session.session.default_session`)
-    and shares its warm, version-aware matcher — answers are identical, the
-    caches just stay hot across calls; ``caller`` names the free function in
-    the one-shot deprecation warning.  Otherwise a private matcher is built
+    and shares its matcher — answers are identical, and on ``csr`` the engine
+    and the node-id memo stay warm across calls; ``caller`` names the free
+    function in the one-shot deprecation warning.  Otherwise a private matcher is built
     with the requested engine (``error`` too where it cannot read the matrix).
     """
     if matcher is not None:
@@ -153,7 +154,8 @@ class PathMatcher:
         Optional per-colour distance matrix.  When provided the matcher runs
         in matrix mode, on the ``csr`` engine.
     cache_capacity:
-        Capacity of the LRU caches.  ``None`` makes the caches unbounded.
+        Capacity of the LRU caches (filled by the ``csr`` engine's node-id
+        reads only).  ``None`` makes the caches unbounded.
     engine:
         ``"dict"`` (default) expands frontiers over the graph's
         authoritative adjacency store; ``"csr"`` expands them through the
@@ -248,9 +250,8 @@ class PathMatcher:
         return self._adapter.set_targets(sources, item)
 
     def set_sources(self, targets: Set[NodeId], item) -> Set[NodeId]:
-        """Nodes that reach *any* node of ``targets`` by one atom block: on the
-        CSR engine one merged multi-source reverse frontier, on the dict engine
-        the union of cached backward BFS runs."""
+        """Nodes that reach *any* node of ``targets`` by one atom block: one
+        multi-source reverse frontier of the engine's store."""
         return self._adapter.set_sources(targets, item)
 
     def backward_reachable(self, targets: Set[NodeId], regex: FRegex, space=None) -> Set[NodeId]:
@@ -258,8 +259,8 @@ class PathMatcher:
 
         This is the per-edge reachability check of the PQ refinement fixpoint
         (Figs. 7/8), one multi-source block per atom.  In a CSR ``space`` the
-        whole chain runs (and is memoised) in dense index space; on node ids
-        it is memoised per target set under the regex's colour versions.
+        whole chain is one fold in dense index space; on node ids the ``csr``
+        engine memoises it per target set under the regex's colour versions.
         """
         return self._adapter.backward_reachable(targets, regex, space)
 
@@ -279,8 +280,8 @@ class PathMatcher:
         """All pairs ``(v1, v2)`` from the candidate sets joined by ``regex``.
 
         The per-edge result-assembly step of the PQ algorithms: :meth:`query_pairs`
-        by the forward sweep.  In a CSR ``space`` it runs (and is memoised) in dense
-        index space, and the answer is for :meth:`id_pairs` to read, nothing else;
+        by the forward sweep.  In a CSR ``space`` it is one fold in dense index
+        space, and the answer is for :meth:`id_pairs` to read, nothing else;
         on node ids it is the classic per-source expansion.
         """
         return self._adapter.query_pairs(regex, sources, targets, "bfs", space)
@@ -345,12 +346,12 @@ class PathMatcher:
         """Hit-rate statistics of the matcher's memos.
 
         ``forward_*`` / ``backward_*`` describe the two version-tagged LRU
-        caches (every engine's node-id frontiers).  A lookup that finds an
-        entry whose version tag is stale still counts as an LRU hit;
-        ``stale_invalidations`` counts how many of those were discarded and
-        recomputed.  A ``csr`` matcher's reads in a handle space take none of
-        these: the CSR engine keeps no memo (its set-level one, reported as
-        ``csr_set_*`` until v2.27.0, hit once in 698 lookups on ``bench/``).
+        caches, which only a ``csr`` matcher's node-id reads fill.  A lookup
+        that finds an entry whose version tag is stale still counts as an LRU
+        hit; ``stale_invalidations`` counts how many of those were discarded
+        and recomputed.  The same five keys are reported on every engine; a
+        ``dict`` or ``partitioned`` matcher keeps no memo, so they stay zero
+        there, and a ``csr`` matcher's reads in a handle space move none.
         """
         return {
             "forward_hit_rate": self._forward_cache.hit_rate,

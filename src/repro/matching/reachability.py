@@ -6,8 +6,9 @@ Two strategies are provided, matching the paper:
   distance matrix, read on the CSR engine as one gather over the rows of each
   layer's distance-labelled closure; up to quadratic in ``|V|``.
 * **bidirectional search** — no matrix is needed; candidate sources and
-  targets are expanded towards each other with colour-constrained BFS, with an
-  LRU cache of per-(node, colour) searches.  This is the strategy for graphs
+  targets are expanded towards each other with colour-constrained BFS (the
+  paper puts an LRU cache of per-(node, colour) searches behind it; here the
+  ``csr`` engine's node-id reads keep one).  This is the strategy for graphs
   too large to hold a distance matrix.
 
 Both are reached through :func:`evaluate_rq`; the strategy is chosen by the
@@ -160,7 +161,7 @@ def evaluate_rq(
         method; when present and ``method="auto"`` the matrix method is used.
     method:
         ``"matrix"``, ``"bidirectional"`` (bidirectional / meet-in-the-middle
-        search with an LRU cache), ``"bfs"`` (plain forward search, used as a
+        search), ``"bfs"`` (plain forward search, used as a
         baseline in Exp-3) or ``"auto"``.
     matcher:
         Optionally reuse an existing :class:`PathMatcher` (and hence its
@@ -171,10 +172,9 @@ def evaluate_rq(
         :class:`~repro.exceptions.EvaluationError`; configure the matcher
         instead.)
     cache_capacity:
-        LRU capacity for the per-call search caches.  A non-default value on
-        the CSR path sizes a private expansion cache for this call instead
-        of the snapshot's shared one, preserving the bounded per-call memory
-        contract.
+        LRU capacity of the matcher's search caches.  A non-default value
+        builds a private matcher for this call instead of sharing the
+        default session's, preserving the bounded per-call memory contract.
     engine:
         ``"dict"`` (original adjacency-dict evaluation; not with the matrix
         method), ``"csr"`` (compiled flat-array engine) or ``"auto"`` — CSR

@@ -42,8 +42,8 @@ STRATEGIES = ("delta", "recompute")
 #: Default maintenance strategy for :class:`IncrementalPatternMatcher`.
 DEFAULT_STRATEGY = "delta"
 
-#: Default LRU capacity of the per-matcher search caches (dict-mode BFS memos
-#: and the CSR engines' expansion caches).  ``None`` means unbounded.
+#: Default LRU capacity of the per-matcher search caches (the csr engine's
+#: node-id frontier memos).  ``None`` means unbounded.
 DEFAULT_CACHE_CAPACITY = 50000
 
 #: How many graphs' default sessions (the warm state behind the classic free

@@ -292,7 +292,8 @@ def _resolve_engine(engine: Optional[str], stats: GraphStats, reasons) -> str:
     # plus 20 more; numpy kernel, dict vs csr): 16 nodes 10.6 vs 17.8 ms,
     # 64 nodes 20.0 vs 23.3, 128 nodes 24.6 vs 25.4, 256 nodes 36.4 vs 34.1,
     # 1 000 nodes 112 vs 76.  The crossover lies between 128 and 256 nodes;
-    # the python kernel ties at 64 (20.0 vs 19.2 ms).
+    # the python kernel ties at 64 (20.0 vs 19.2 ms).  It stayed there on
+    # the memo-free dict engine (ARCHITECTURE.md, the planner's table).
     if stats.num_nodes < SMALL_GRAPH_NODES:
         reasons.append(
             f"graph has {stats.num_nodes} nodes (< {SMALL_GRAPH_NODES}): snapshot "

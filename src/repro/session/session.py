@@ -691,10 +691,10 @@ class GraphSession:
     def matcher(self, engine: str) -> PathMatcher:
         """The session's shared version-aware matcher for one engine.
 
-        One matcher per engine lives for the whole session; its caches are
-        version-aware, so it survives graph mutations and keeps memos of
-        untouched colours warm.  This is the warm state the free-function
-        shims borrow.
+        One matcher per engine lives for the whole session and survives graph
+        mutations: ``dict`` and ``partitioned`` keep no memo, ``csr`` keeps
+        its engine and version-aware node-id memos, untouched colours' warm.
+        This is the warm state the free-function shims borrow.
         """
         if engine not in ("dict", "csr", "partitioned"):
             raise QueryError(

@@ -12,32 +12,32 @@ adapters.  A single start is a singleton set: the matcher's per-node API
 seven, and no adapter has a per-node method.
 
 * :class:`DictEngineAdapter` — expansion over the authoritative
-  :class:`~repro.storage.dict_store.DictStore`, with the classic
-  version-tagged BFS memos;
+  :class:`~repro.storage.dict_store.DictStore`, with no memo: the parity
+  reference, and the engine the benchmark's from-scratch oracle reads on;
 * :class:`OverlayCsrAdapter` — expansion through the graph's
   :class:`~repro.storage.overlay.OverlayCsrStore`: a read in the base's
   handle space runs on the flat-array
   :class:`~repro.matching.csr_engine.CsrEngine`, which keeps no memo
   (replaced when the store compacts), a node-id read as merged read-through
-  frontiers with per-colour version-tagged memos;
+  frontiers with per-colour version-tagged memos — the one memo here, on the
+  adapter whose node-id reads are re-asked (the session's semantic cache
+  serves containment and seeded hits through them);
 * :class:`PartitionedAdapter` — expansion through the graph's sharded
   :class:`~repro.storage.partition.PartitionedStore`: every frontier is a
-  cross-shard exchange over per-shard CSR kernels, memoised under the same
-  per-colour version tags as the dict engine.
+  cross-shard exchange over per-shard CSR kernels, with no memo.
 
-What they share is written once, in two private bases: the version-tagged
-memo, the atom-by-atom fold, the search-method choice and the per-source
-product walk of a general regex (:class:`_Adapter`), and expansion through any
-store's ``frontier``, every start checked to exist (:class:`_StoreAdapter` — all
-of the partitioned adapter, the node-id half of the overlay one).  Each
-public method is still *defined on each adapter class itself*, if only as a
-one-line call of the shared helper: the benchmark's tracer wraps the public
-functions it finds in a class's own ``vars()``.  Every memo here is valid for
-one of two reasons: its version tag is compared on lookup
-(:meth:`_Adapter._tagged`; :meth:`DictEngineAdapter.positive_distances` has
-the depth-reusing variant), or it belongs to a ``CsrEngine`` bound to one
-immutable base, which :meth:`OverlayCsrAdapter.engine_handle` replaces when
-the store's base is a different object.
+What they share is written once, in two private bases: the atom-by-atom
+fold, the search-method choice and the per-source product walk of a general
+regex (:class:`_Adapter`), and the node-id expansion — one store ``frontier``
+per block, every start checked to exist, nothing memoised
+(:class:`_StoreAdapter`, under all three).  Each public method is still
+*defined on each adapter class itself*, if only as a one-line call of the
+shared helper: the benchmark's tracer wraps the public functions it finds in
+a class's own ``vars()``.  The overlay adapter's memo is valid because its
+version tag is compared on lookup (:meth:`OverlayCsrAdapter._tagged`); its
+``CsrEngine`` is bound to one immutable base, which
+:meth:`OverlayCsrAdapter.engine_handle` replaces when the store's base is a
+different object.
 
 An adapter also names the *handle space* of an evaluation (``enter``): node
 ids, or — :class:`OverlayCsrAdapter` on a clean base holding every node — the
@@ -60,7 +60,7 @@ it never translates itself (reprolint R006, ``tests/test_store_parity.py``).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, Optional, Set, Tuple
+from typing import Callable, Hashable, Iterable, Optional, Set, Tuple
 
 from repro.exceptions import GraphError
 from repro.kernels import active_kernel_name, select_backend
@@ -115,31 +115,6 @@ class _Adapter:
         self.matcher = matcher
         self.store = store
 
-    # -- the version-tagged memo -------------------------------------------------
-
-    def _atom_version(self, color: Optional[str]) -> int:
-        graph = self.matcher.graph
-        return graph.edges_version if color is None else graph.color_version(color)
-
-    def _tagged(self, cache, key, version, compute: Callable, on_hit: Callable = lambda: None):
-        """``cache[key]`` while its tag equals ``version`` (``on_hit`` runs first),
-        else recomputed.
-
-        Entries are ``(version, value)``: a tag mismatch means an edge the
-        value depends on changed since, so the entry is counted in
-        ``stale_invalidations`` and overwritten — one matcher therefore
-        survives graph mutations, with memos of untouched colours warm.
-        """
-        cached = cache.get(key)
-        if cached is not None:
-            if cached[0] == version:
-                on_hit()
-                return cached[1]
-            self.matcher.stale_invalidations += 1
-        value = compute()
-        cache.put(key, (version, value))
-        return value
-
     # -- whole queries, predicate scans -----------------------------------------
 
     def _search_pairs(self, regex, sources, targets, method: str) -> Set[Tuple[NodeId, NodeId]]:
@@ -170,134 +145,10 @@ class _Adapter:
         }
 
 
-class DictEngineAdapter(_Adapter):
-    """Expansion over the adjacency dicts.
-
-    This is the parity reference: every other adapter must return exactly
-    these answers.  BFS runs are memoised per ``(start, colour, direction)``
-    in the matcher's LRU caches, tagged with the graph's per-colour edge
-    versions so a mutated graph never serves stale frontiers.
-    """
-
-    engine = "dict"
-
-    def __init__(self, matcher):
-        super().__init__(matcher, matcher.graph.store)
-
-    # -- per-atom distance maps ------------------------------------------------
-
-    def positive_distances(
-        self,
-        start: NodeId,
-        color: Optional[str],
-        max_depth: Optional[int],
-        reverse: bool,
-    ) -> Dict[NodeId, int]:
-        """Shortest *positive* distances from (or to) ``start`` via one colour.
-
-        The entry for ``start`` itself, when present, is the length of the
-        shortest non-empty cycle through it.  Results of BFS runs are memoised
-        per (start, colour, direction); a cached run is reused whenever it was
-        computed with a depth bound at least as large as the requested one
-        *and* no edge of the searched colour changed since it was computed
-        (entries are tagged with the graph's per-colour edge version, so a
-        mutated graph never serves stale reachability answers while memos of
-        untouched colours stay warm).
-        """
-        from collections import deque
-
-        matcher = self.matcher
-        graph = matcher.graph
-        if not graph.has_node(start):
-            # A removed node must fail identically to a fresh matcher (and to
-            # the CSR engine) even when a version-tagged memo for it is still
-            # around — e.g. remove_node only bumps the versions of the
-            # colours it had edges in (plus edges_version).
-            raise GraphError(f"node {start!r} does not exist")
-        cache = matcher._backward_cache if reverse else matcher._forward_cache
-        key = (start, color)
-        version = graph.edges_version if color is None else graph.color_version(color)
-        cached = cache.get(key)
-        if cached is not None:
-            cached_version, cached_depth, distances = cached
-            if cached_version == version:
-                if cached_depth is None or (max_depth is not None and max_depth <= cached_depth):
-                    return distances
-            else:
-                matcher.stale_invalidations += 1
-
-        neighbours = graph.predecessors if reverse else graph.successors
-        seen: Dict[NodeId, int] = {start: 0}
-        cycle_length: Optional[int] = None
-        queue = deque([start])
-        while queue:
-            current = queue.popleft()
-            depth = seen[current]
-            if max_depth is not None and depth >= max_depth:
-                continue
-            for nxt in neighbours(current, color):
-                if nxt == start:
-                    if cycle_length is None:
-                        cycle_length = depth + 1
-                    continue
-                if nxt not in seen:
-                    seen[nxt] = depth + 1
-                    queue.append(nxt)
-
-        distances = {node: dist for node, dist in seen.items() if node != start}
-        if cycle_length is not None:
-            distances[start] = cycle_length
-        cache.put(key, (version, max_depth, distances))
-        return distances
-
-    # -- set-level frontiers -----------------------------------------------------
-
-    def _set_frontier(self, nodes: Set[NodeId], item, reverse: bool) -> Set[NodeId]:
-        """The union of the per-start distance maps, cut at the atom's bound."""
-        color = None if item.is_wildcard else item.color
-        bound = item.max_count
-        result: Set[NodeId] = set()
-        for node in nodes:
-            row = self.positive_distances(node, color, bound, reverse)
-            result.update(
-                reached for reached, dist in row.items() if dist >= 1 and (bound is None or dist <= bound)
-            )
-        return result
-
-    def set_targets(self, sources: Set[NodeId], item) -> Set[NodeId]:
-        return self._set_frontier(sources, item, reverse=False)
-
-    def set_sources(self, targets: Set[NodeId], item) -> Set[NodeId]:
-        return self._set_frontier(targets, item, reverse=True)
-
-    # -- whole expressions -------------------------------------------------------
-
-    def enter(self, regexes) -> None:
-        return None
-
-    def backward_reachable(self, targets: Set[NodeId], regex, space=None) -> Set[NodeId]:
-        return fold_atoms(set(targets), reversed(regex.atoms), self.set_sources)
-
-    def query_pairs(self, regex, sources, targets, method: str, space=None):
-        return self._search_pairs(regex, sources, targets, method)
-
-    def product_pairs(self, regex, sources, targets, space=None) -> Set[Tuple[NodeId, NodeId]]:
-        return self._product_walk(self.matcher.graph, regex, sources, targets)
-
-    # -- predicate scans ---------------------------------------------------------
-
-    def matching_nodes(self, predicate, space=None):
-        return self._scan_live(predicate)
-
-
 class _StoreAdapter(_Adapter):
-    """Expansion through ``self.store.frontier``, for any ``GraphStore``.
-
-    The whole of :class:`PartitionedAdapter` and the node-id half of
-    :class:`OverlayCsrAdapter`: a block is one multi-source store frontier; a
-    singleton's is memoised in the matcher's LRU caches under the exact
-    per-colour version tags the dict engine uses.
-    """
+    """The one node-id expansion: a block is one multi-source
+    ``self.store.frontier`` (:func:`~repro.kernels.bfs_block_frontier`'s
+    semantics on every store), every start checked to exist, nothing memoised."""
 
     def _require_nodes(self, nodes: Iterable[NodeId]) -> None:
         graph = self.matcher.graph
@@ -308,20 +159,49 @@ class _StoreAdapter(_Adapter):
                 raise GraphError(f"node {node!r} does not exist")
 
     def _set_frontier(self, nodes: Set[NodeId], item, reverse: bool) -> Set[NodeId]:
-        matcher = self.matcher
+        if not nodes:
+            return set()
         self._require_nodes(nodes)
-        color = None if item.is_wildcard else item.color
-        if len(nodes) != 1:
-            return self.store.frontier(nodes, color, item.max_count, reverse)
-        # A singleton stays warm across repeated fixpoint sweeps and probes.
-        (node,) = nodes
-        frontier = self._tagged(
-            matcher._backward_cache if reverse else matcher._forward_cache,
-            (node, color, item.max_count),
-            self._atom_version(color),
-            lambda: frozenset(self.store.frontier((node,), color, item.max_count, reverse)),
-        )
-        return set(frontier)
+        return self.store.frontier(nodes, None if item.is_wildcard else item.color, item.max_count, reverse)
+
+    def _backward_fold(self, targets: Iterable[NodeId], regex) -> Set[NodeId]:
+        """The set-level frontiers folded right-to-left from ``targets``."""
+        return fold_atoms(set(targets), reversed(regex.atoms), self.set_sources)
+
+
+class DictEngineAdapter(_StoreAdapter):
+    """Expansion over the adjacency dicts.
+
+    This is the parity reference: every other adapter must return exactly
+    these answers.  It keeps no memo, so a read always walks the current
+    adjacency — the matcher's LRUs stay empty on this engine.
+    """
+
+    engine = "dict"
+
+    def __init__(self, matcher):
+        super().__init__(matcher, matcher.graph.store)
+
+    def set_targets(self, sources: Set[NodeId], item) -> Set[NodeId]:
+        return self._set_frontier(sources, item, reverse=False)
+
+    def set_sources(self, targets: Set[NodeId], item) -> Set[NodeId]:
+        return self._set_frontier(targets, item, reverse=True)
+
+    def enter(self, regexes) -> None:
+        return None
+
+    def backward_reachable(self, targets: Set[NodeId], regex, space=None) -> Set[NodeId]:
+        return self._backward_fold(targets, regex)
+
+    def query_pairs(self, regex, sources, targets, method: str, space=None):
+        return self._search_pairs(regex, sources, targets, method)
+
+    def product_pairs(self, regex, sources, targets, space=None) -> Set[Tuple[NodeId, NodeId]]:
+        return self._product_walk(self.matcher.graph, regex, sources, targets)
+
+    def matching_nodes(self, predicate, space=None):
+        return self._scan_live(predicate)
 
 
 class OverlayCsrAdapter(_StoreAdapter):
@@ -332,9 +212,9 @@ class OverlayCsrAdapter(_StoreAdapter):
     base snapshot — full flat-array speed, one fold per call, the engine
     replaced when the store compacts.  A read without a
     space — node ids, whether its colours are clean or dirty — is the store's
-    merged read-through frontier (:class:`_StoreAdapter`), memoised in the
-    matcher's LRU caches under the same per-colour version tags the dict
-    engine uses, so a clean colour's entries never go stale.
+    merged read-through frontier (:class:`_StoreAdapter`), a singleton's
+    frontier and a whole backward fold memoised in the matcher's LRU caches
+    under per-colour version tags, so a clean colour's entries never go stale.
     """
 
     engine = "csr"
@@ -360,6 +240,52 @@ class OverlayCsrAdapter(_StoreAdapter):
             engine = self._engine = CsrEngine(base)
         return engine
 
+    # -- the version-tagged memo (node-id reads) ---------------------------------
+
+    def _atom_version(self, color: Optional[str]) -> int:
+        graph = self.matcher.graph
+        return graph.edges_version if color is None else graph.color_version(color)
+
+    def _regex_version(self, regex):
+        graph = self.matcher.graph
+        if regex.has_wildcard:
+            return graph.edges_version
+        return tuple(graph.color_version(color) for color in sorted(regex.colors))
+
+    def _tagged(self, cache, key, version, compute: Callable, on_hit: Callable = lambda: None):
+        """``cache[key]`` while its tag equals ``version`` (``on_hit`` runs first),
+        else recomputed.
+
+        Entries are ``(version, value)``: a tag mismatch means an edge the
+        value depends on changed since, so the entry is counted in
+        ``stale_invalidations`` and overwritten — one matcher therefore
+        survives graph mutations, with memos of untouched colours warm.
+        """
+        cached = cache.get(key)
+        if cached is not None:
+            if cached[0] == version:
+                on_hit()
+                return cached[1]
+            self.matcher.stale_invalidations += 1
+        value = compute()
+        cache.put(key, (version, value))
+        return value
+
+    def _set_frontier(self, nodes: Set[NodeId], item, reverse: bool) -> Set[NodeId]:
+        if len(nodes) != 1:
+            return super()._set_frontier(nodes, item, reverse)
+        # A singleton stays warm across repeated fixpoint sweeps and probes.
+        self._require_nodes(nodes)
+        (node,) = nodes
+        color = None if item.is_wildcard else item.color
+        frontier = self._tagged(
+            self.matcher._backward_cache if reverse else self.matcher._forward_cache,
+            (node, color, item.max_count),
+            self._atom_version(color),
+            lambda: frozenset(self.store.frontier((node,), color, item.max_count, reverse)),
+        )
+        return set(frontier)
+
     # -- handle spaces -----------------------------------------------------------
 
     def _clean(self, colors: Optional[Iterable[str]]) -> bool:
@@ -377,12 +303,6 @@ class OverlayCsrAdapter(_StoreAdapter):
         if store.base_holds_every_node() and all(self._clean(_traversed(regex)) for regex in regexes):
             return base
         return None
-
-    def _regex_version(self, regex):
-        graph = self.matcher.graph
-        if regex.has_wildcard:
-            return graph.edges_version
-        return tuple(graph.color_version(color) for color in sorted(regex.colors))
 
     def _engine_in(self, space, colors: Optional[Iterable[str]]):
         """The engine for a read of ``colors`` on handles of ``space``, which
@@ -408,10 +328,10 @@ class OverlayCsrAdapter(_StoreAdapter):
     # -- set-level frontiers (node ids: merged store reads) ----------------------
 
     def set_targets(self, sources: Set[NodeId], item) -> Set[NodeId]:
-        return self._set_frontier(sources, item, reverse=False) if sources else set()
+        return self._set_frontier(sources, item, reverse=False)
 
     def set_sources(self, targets: Set[NodeId], item) -> Set[NodeId]:
-        return self._set_frontier(targets, item, reverse=True) if targets else set()
+        return self._set_frontier(targets, item, reverse=True)
 
     # -- whole expressions -------------------------------------------------------
 
@@ -430,7 +350,7 @@ class OverlayCsrAdapter(_StoreAdapter):
             self.matcher._backward_cache,
             ("bwd", regex, target_set),
             self._regex_version(regex),
-            lambda: frozenset(fold_atoms(set(target_set), reversed(regex.atoms), self.set_sources)),
+            lambda: frozenset(self._backward_fold(target_set, regex)),
             lambda: self._require_nodes(target_set),
         )
         return set(frontier)
@@ -476,11 +396,9 @@ class PartitionedAdapter(_StoreAdapter):
     """Expansion through the graph's sharded :class:`PartitionedStore`.
 
     Every frontier call becomes a boundary exchange over per-shard CSR
-    kernels (see :mod:`repro.storage.partition`); answers are memoised in
-    the matcher's LRU caches under the exact per-colour version tags the
-    dict engine uses (:class:`_StoreAdapter`), so the engine-free fixpoints
-    above see identical staleness behaviour.  Predicate scans walk the live
-    attribute table — shard compiles deliberately carry no attribute copies.
+    kernels (see :mod:`repro.storage.partition`), nothing memoised
+    (:class:`_StoreAdapter`).  Predicate scans walk the live attribute
+    table — shard compiles deliberately carry no attribute copies.
     """
 
     engine = "partitioned"
@@ -489,16 +407,16 @@ class PartitionedAdapter(_StoreAdapter):
         super().__init__(matcher, matcher.graph.partitioned_store())
 
     def set_targets(self, sources: Set[NodeId], item) -> Set[NodeId]:
-        return self._set_frontier(sources, item, reverse=False) if sources else set()
+        return self._set_frontier(sources, item, reverse=False)
 
     def set_sources(self, targets: Set[NodeId], item) -> Set[NodeId]:
-        return self._set_frontier(targets, item, reverse=True) if targets else set()
+        return self._set_frontier(targets, item, reverse=True)
 
     def enter(self, regexes) -> None:
         return None
 
     def backward_reachable(self, targets: Set[NodeId], regex, space=None) -> Set[NodeId]:
-        return fold_atoms(set(targets), reversed(regex.atoms), self.set_sources)
+        return self._backward_fold(targets, regex)
 
     def query_pairs(self, regex, sources, targets, method: str, space=None):
         return self._search_pairs(regex, sources, targets, method)

@@ -12,8 +12,8 @@ base *and* follows mutations at O(delta) cost:
   (:meth:`DataGraph.journal_since`) on :meth:`sync`;
 * reads are **merged**: a colour nobody touched since the base was compiled
   (``is_clean``) is served straight from the base arrays (by the engine, at
-  full CSR speed with warm memos, for a read in the base's handle space;
-  row by row for a node-id read), a dirty colour reads the base row adjusted
+  full CSR speed, for a read in the base's handle space; row by row for a
+  node-id read), a dirty colour reads the base row adjusted
   by the overlay deltas;
 * once the overlay grows past a planner-tunable fraction of the base
   (:data:`~repro.session.defaults.OVERLAY_COMPACTION_FRACTION`), the store

@@ -147,10 +147,11 @@ _ADAPTER_SURFACE = {
     "enter", "matching_nodes", "set_targets", "set_sources", "backward_reachable", "query_pairs",
     "product_pairs",
 }
-#: The one further public function each class defines: the dict engine's BFS
-#: and the overlay adapter's engine accessor (both spans at the parent too).
+#: The further public functions each class defines: only the overlay
+#: adapter's engine accessor (the dict engine reads its store's block BFS,
+#: with no BFS of its own).
 _ADAPTER_EXTRAS = {
-    "DictEngineAdapter": {"positive_distances"},
+    "DictEngineAdapter": set(),
     "OverlayCsrAdapter": {"engine_handle"},
     "PartitionedAdapter": set(),
 }

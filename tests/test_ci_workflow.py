@@ -268,6 +268,18 @@ class TestCiWorkflow:
             assert path in command
         assert " -k " not in command and "slow" not in command
 
+    def test_quick_legs_run_the_store_parity_suite_whole(self, workflow):
+        # The dict and partitioned engines read their store's block BFS with
+        # no memo; the `slow` property that holds them to the per-start BFS
+        # reference lives in the store-parity suite, which the engine
+        # contract step runs by path, unfiltered, on every non-primary leg.
+        job = workflow["jobs"]["test"]
+        steps = [step for step in job["steps"] if step.get("name") == "Engine contract suites whole (quick legs)"]
+        assert len(steps) == 1 and steps[0]["if"] == "matrix.python-version != '3.12'"
+        command = steps[0]["run"]
+        assert "tests/test_store_parity.py" in command.split()
+        assert " -k " not in command and "slow" not in command
+
     def test_benchmark_job_runs_repo_benchmark_smoke(self, workflow):
         # bench/test_smoke.py is outside pytest's testpaths (tier-1 never
         # collects it), so the benchmark job must run it by path.

@@ -157,6 +157,28 @@ class TestExp3:
         run_rq_efficiency(num_colors_values=(1, 2), queries_per_point=3, num_nodes=300, num_edges=1100)
         assert len(reads) >= 2 and len(folds) == len(reads)
 
+    def test_dict_search_columns_evaluate(self, monkeypatch):
+        # ``t_bibfs`` and ``t_bfs`` time one dict read each of the same query:
+        # the second must not read what the first left in the matcher's LRUs.
+        # The dict engine keeps no memo, so every dict read leaves them empty.
+        from repro.matching.paths import PathMatcher
+
+        states = []
+        read = PathMatcher.query_pairs
+
+        def recording(self, regex, sources, targets, method="bidirectional", space=None):
+            answer = read(self, regex, sources, targets, method, space)
+            if self.engine == "dict":
+                caches = (self._forward_cache, self._backward_cache)
+                states.append((method, [(len(cache), cache.hits, cache.misses) for cache in caches]))
+            return answer
+
+        monkeypatch.setattr(PathMatcher, "query_pairs", recording)
+        run_rq_efficiency(num_colors_values=(1, 2), queries_per_point=3, num_nodes=300, num_edges=1100)
+        # A query with no source or no target candidate searches nothing.
+        assert {method for method, _ in states} == {"bidirectional", "bfs"}
+        assert all(state == [(0, 0, 0), (0, 0, 0)] for _, state in states), states
+
 
 class TestExp4:
     @pytest.mark.parametrize("algorithm", [join_match, split_match])

@@ -20,6 +20,31 @@ def small_graph():
     return graph
 
 
+def _memo_free(matcher):
+    """True when ``matcher`` has memoised nothing: its LRUs hold no entry, were
+    never looked up, and nothing went stale — the dict and partitioned
+    adapters' contract."""
+    caches = (matcher._forward_cache, matcher._backward_cache)
+    return (
+        all(len(cache) == cache.hits == cache.misses == 0 for cache in caches)
+        and matcher.stale_invalidations == 0
+    )
+
+
+def _dirtied_csr_matcher(graph, *colors):
+    """A csr matcher over ``graph`` with ``colors`` dirty: the base is compiled,
+    then each colour diverges from it by an edge between two nodes of its own,
+    so that node-id reads of them are merged store reads of a dirty store —
+    what :class:`~repro.storage.adapter.OverlayCsrAdapter` memoises."""
+    store = graph.overlay_store()
+    store.sync()
+    for color in colors:
+        graph.add_edge("x", "y", color)
+    store.sync()
+    assert not any(store.is_clean(color) for color in colors)
+    return PathMatcher(graph, engine="csr")
+
+
 @pytest.fixture(params=["matrix", "search"])
 def matcher(request, small_graph):
     if request.param == "matrix":
@@ -113,12 +138,17 @@ class TestModeAgreement:
                         search_matcher.pair_matches(source, target, expr), (expr, source, target)
 
     def test_cache_stats_exposed(self, small_graph):
+        """The dict engine keeps no memo: its matcher reports csr's five
+        statistics, and repeated reads leave every one of them at zero."""
         matcher = PathMatcher(small_graph)
-        matcher.targets_from("a", parse_fregex("red^2"))
-        matcher.targets_from("a", parse_fregex("red^2"))
+        expr = parse_fregex("red^2")
+        for _ in range(2):
+            assert matcher.targets_from("a", expr) == {"b", "c"}
+            assert matcher.sources_to("c", expr) == {"a", "b"}
         stats = matcher.cache_stats
-        assert stats["forward_entries"] >= 1
-        assert not any(key.startswith("csr_") for key in stats)  # no engine memo to report
+        assert set(stats) == set(PathMatcher(small_graph, engine="csr").cache_stats)
+        assert set(stats.values()) == {0.0}
+        assert _memo_free(matcher)
 
     def test_cache_stats_report_the_csr_engine_memos(self, small_graph):
         """On ``csr`` a node-id read is a merged store read memoised in the
@@ -154,10 +184,12 @@ class TestModeAgreement:
 class TestVersionAwareCaches:
     """A reused matcher must never serve stale answers after graph mutations.
 
-    Before the version-tagging fix, ``_positive_distances`` memoised BFS runs
-    with no notion of graph versions, so every test in this class that
-    mutates the graph through a reused dict-mode matcher failed (the matcher
-    kept answering from the pre-mutation topology).
+    Before the version-tagging fix, the dict engine memoised BFS runs with no
+    notion of graph versions, so every test in this class that mutates the
+    graph through a reused dict-mode matcher failed (the matcher kept
+    answering from the pre-mutation topology).  The dict and partitioned
+    engines now keep no memo at all; the version-tagged memo is the csr
+    engine's, on node-id reads, and is checked here on a dirty store.
     """
 
     def test_added_edge_visible_through_reused_matcher(self, small_graph):
@@ -169,12 +201,16 @@ class TestVersionAwareCaches:
         assert matcher.targets_from("b", expr) == {"c", "e"}
 
     def test_removed_edge_visible_through_reused_matcher(self, small_graph):
+        csr = _dirtied_csr_matcher(small_graph, "red")
         matcher = PathMatcher(small_graph, engine="dict")
         expr = parse_fregex("red^2")
-        assert matcher.targets_from("a", expr) == {"b", "c"}
+        for reader in (matcher, csr):
+            assert reader.targets_from("a", expr) == {"b", "c"}
         small_graph.remove_edge("b", "c", "red")
-        assert matcher.targets_from("a", expr) == {"b"}
-        assert matcher.stale_invalidations >= 1
+        for reader in (matcher, csr):
+            assert reader.targets_from("a", expr) == {"b"}
+        assert _memo_free(matcher)
+        assert csr.stale_invalidations == 1  # the singleton's red frontier
 
     def test_backward_cache_invalidated_too(self, small_graph):
         matcher = PathMatcher(small_graph, engine="dict")
@@ -184,7 +220,7 @@ class TestVersionAwareCaches:
         assert matcher.sources_to("b", expr) == {"a", "e"}
 
     def test_untouched_color_memo_stays_warm(self, small_graph):
-        matcher = PathMatcher(small_graph, engine="dict")
+        matcher = _dirtied_csr_matcher(small_graph, "red", "blue")
         blue = parse_fregex("blue")
         assert matcher.targets_from("c", blue) == {"d"}
         warm_hits = matcher._forward_cache.hits
@@ -192,16 +228,21 @@ class TestVersionAwareCaches:
         # Mutating *red* must not invalidate the memoised *blue* search.
         small_graph.remove_edge("a", "b", "red")
         assert matcher.targets_from("c", blue) == {"d"}
-        assert matcher._forward_cache.hits > warm_hits
+        assert matcher._forward_cache.hits == warm_hits + 1
         assert matcher.stale_invalidations == warm_stale
 
     def test_wildcard_memo_invalidated_by_any_edge_change(self, small_graph):
+        csr = _dirtied_csr_matcher(small_graph, "green")
+        assert not small_graph.overlay_store().is_clean(None)
         matcher = PathMatcher(small_graph, engine="dict")
         wildcard = parse_fregex("_")
-        assert matcher.targets_from("a", wildcard) == {"b"}
-        small_graph.add_edge("a", "z", "purple")
-        assert matcher.targets_from("a", wildcard) == {"b", "z"}
-        assert matcher.stale_invalidations >= 1
+        for reader in (matcher, csr):
+            assert reader.targets_from("a", wildcard) == {"b"}
+        small_graph.add_edge("a", "z", "purple")  # a colour no read names
+        for reader in (matcher, csr):
+            assert reader.targets_from("a", wildcard) == {"b", "z"}
+        assert _memo_free(matcher)
+        assert csr.stale_invalidations == 1
 
     def test_matrix_mode_keeps_answering_from_the_matrix(self, small_graph):
         # The matrix is read off the current layers' closures, so matrix mode
@@ -266,30 +307,29 @@ class TestVersionAwareCaches:
 
     @pytest.mark.parametrize("engine", ["dict", "csr", "partitioned"])
     def test_stale_colour_recomputed_others_hit(self, small_graph, engine):
-        """The one version-tagged lookup behind every engine: after a *red*
-        mutation a memoised red frontier is recomputed and counted stale,
-        while the memo of blue still answers.  (``csr`` memoises this way
-        only for dirty colours, so both are dirtied before the first read.)"""
-        matcher = PathMatcher(small_graph, engine=engine)
-        if engine == "csr":
-            store = small_graph.overlay_store()
-            store.sync()  # compile the base, then diverge from it
-            small_graph.add_edge("x", "y", "red")
-            small_graph.add_edge("x", "y", "blue")
-            store.sync()
-            assert not store.is_clean("red") and not store.is_clean("blue")
+        """The one version-tagged lookup, csr's node-id reads (on a dirty
+        store, as here): after a *red* mutation a memoised red frontier is
+        recomputed and counted stale, while the memo of blue still answers.
+        ``dict`` and ``partitioned`` keep no memo: the same reads answer the
+        mutation and leave their LRUs empty."""
+        memoised = engine == "csr"
+        if memoised:
+            matcher = _dirtied_csr_matcher(small_graph, "red", "blue")
+        else:
+            matcher = PathMatcher(small_graph, engine=engine)
         red, blue = parse_fregex("red").atoms[0], parse_fregex("blue").atoms[0]
         assert matcher.atom_targets("a", red) == {"b"}
         assert matcher.atom_targets("c", blue) == {"d"}
-        assert len(matcher._forward_cache) == 2
+        assert len(matcher._forward_cache) == (2 if memoised else 0)
         stale = matcher.stale_invalidations
         small_graph.add_edge("a", "c", "red")
         assert matcher.atom_targets("a", red) == {"b", "c"}
-        assert matcher.stale_invalidations == stale + 1
+        assert matcher.stale_invalidations == stale + memoised
         hits = matcher._forward_cache.hits
         assert matcher.atom_targets("c", blue) == {"d"}
-        assert matcher._forward_cache.hits == hits + 1
-        assert matcher.stale_invalidations == stale + 1
+        assert matcher._forward_cache.hits == hits + memoised
+        assert matcher.stale_invalidations == stale + memoised
+        assert memoised or _memo_free(matcher)
         assert getattr(matcher._adapter, "_engine", None) is None  # no engine was needed
 
     def test_csr_touched_color_entries_dropped(self, small_graph):

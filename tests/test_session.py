@@ -571,13 +571,24 @@ class TestDefaultSessionRegistry:
         other = graph.copy()
         assert default_session(graph) is not default_session(other)
 
-    def test_free_functions_share_the_default_dict_matcher(self, graph, rq):
+    def test_free_functions_share_the_default_dict_matcher(self, graph, rq, monkeypatch):
+        """The free function reads through the default session's own dict
+        matcher — the one whole-query search goes to that instance — which
+        keeps no memo, so sharing it leaves its LRUs empty."""
         session = default_session(graph)
         matcher = session.matcher("dict")
-        before = matcher.cache_stats["forward_entries"] + matcher.cache_stats["backward_entries"]
-        evaluate_rq(rq, graph, engine="dict")
-        after = matcher.cache_stats["forward_entries"] + matcher.cache_stats["backward_entries"]
-        assert after > before
+        searched = []
+        search = matcher.query_pairs
+
+        def recording(*args, **kwargs):
+            searched.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(matcher, "query_pairs", recording)
+        result = evaluate_rq(rq, graph, engine="dict")
+        assert len(searched) == 1 and session.matcher("dict") is matcher
+        assert result.pairs == GraphSession(graph, engine="dict").execute(rq).answer.pairs
+        assert set(matcher.cache_stats.values()) == {0.0}
 
     def test_registry_is_bounded_and_evicted_graphs_are_collectable(self):
         # Regression: the registry must not retain every graph it ever saw.

@@ -494,11 +494,19 @@ def test_semantic_cache_is_consulted_from_one_place(needle):
 
 def test_read_path_memos_are_validated_in_one_place():
     """The version-tagged lookup (get -> compare tag -> count stale -> compute
-    -> put) has one implementation, plus ``positive_distances``' depth-reusing
-    variant; the overlay merged read has one; and no second validity scheme
-    (the CSR engine's donor generation) has come back beside them."""
+    -> put) has one implementation, on the one adapter that memoises
+    (``OverlayCsrAdapter``'s node-id reads); the overlay merged read has one;
+    and no second validity scheme (the CSR engine's donor generation) has
+    come back beside them."""
+    import ast
+
     stale = _occurrences("stale_invalidations += 1", "storage")
-    assert 1 <= len(stale) <= 2 and {name for name, _ in stale} == {"adapter.py"}, stale
+    assert len(stale) == 1 and stale[0][0] == "adapter.py", stale
+    tree = ast.parse((_SOURCES / "storage" / "adapter.py").read_text(encoding="utf-8"))
+    (overlay,) = [
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "OverlayCsrAdapter"
+    ]
+    assert overlay.lineno <= stale[0][1] <= overlay.end_lineno, stale
     assert len(_occurrences("def merged_neighbors", "storage")) == 1
     assert _occurrences("donor", "matching", "storage/adapter.py") == []
 

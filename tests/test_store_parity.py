@@ -577,6 +577,87 @@ def test_property_single_start_reads_are_singleton_set_reads(backend, edges, upd
                         assert matches == oracle.pair_matches(node, target, regex) == (target in forward), state
 
 
+# -- the memo-free engines against the per-start reference -------------------------
+#
+# The dict engine once read one atom block as the union of per-start BFS
+# distance maps, memoised per start.  It now reads its store's multi-source
+# block BFS (``bfs_block_frontier``) with no memo, like the partitioned
+# engine; the per-start union stays here as the reference both are held to.
+
+
+def _per_start_block(graph, starts, atom, reverse):
+    """The union over ``starts`` of each start's ``bfs_distances`` row cut to
+    ``[1, bound]``; a start itself counts only when re-reached through a
+    cycle of at most ``bound`` edges."""
+    from repro.graph.traversal import bfs_distances
+
+    color = None if atom.is_wildcard else atom.color
+    bound = atom.max_count
+    into = graph.successors if reverse else graph.predecessors
+    reached = set()
+    for start in starts:
+        row = bfs_distances(graph, start, color, reverse, bound)
+        reached.update(node for node, dist in row.items() if dist >= 1)
+        if any(
+            last in row and (bound is None or row[last] + 1 <= bound) for last in into(start, color)
+        ):
+            reached.add(start)
+    return reached
+
+
+def _per_start_fold(graph, starts, atoms, reverse):
+    frontier = set(starts)
+    for atom in atoms:
+        frontier = _per_start_block(graph, frontier, atom, reverse)
+    return frontier
+
+
+@st.composite
+def _cyclic_graphs(draw):
+    """Random edges over nodes 0–5 plus, always, a cycle and a self-loop of
+    drawn colours; nodes 6 and 7 stay isolated."""
+    edges = draw(_initial_edges())
+    length = draw(st.integers(2, 4))
+    cycle_color, loop_color = draw(_color), draw(_color)
+    edges += [(node, (node + 1) % length, cycle_color) for node in range(length)]
+    looped = draw(st.integers(0, 5))
+    edges.append((looped, looped, loop_color))
+    return build_graph(edges, num_nodes=8)
+
+
+@pytest.mark.slow
+@settings(max_examples=40, deadline=None)
+@given(_cyclic_graphs(), st.sets(st.integers(0, 7), max_size=4), _atoms)
+def test_property_memo_free_engines_equal_the_per_start_reference(graph, starts, atoms):
+    """The dict and partitioned engines' set-level reads, whole backward folds
+    and single-start folds answer the per-start reference on graphs with
+    self-loops, cycles and isolated nodes, for wildcard, bounded, unbounded
+    and absent-colour atoms — and keep no memo.  A missing start raises
+    :class:`~repro.exceptions.GraphError` on every engine."""
+    from repro.exceptions import GraphError
+
+    regex = FRegex([RegexAtom(color, bound) for color, bound in atoms])
+    for engine in ("dict", "partitioned"):
+        matcher = PathMatcher(graph, engine=engine)
+        for atom in regex.atoms:
+            assert matcher.set_targets(set(starts), atom) == _per_start_block(graph, starts, atom, False), engine
+            assert matcher.set_sources(set(starts), atom) == _per_start_block(graph, starts, atom, True), engine
+        backward = _per_start_fold(graph, starts, reversed(regex.atoms), True)
+        assert matcher.backward_reachable(set(starts), regex) == backward, engine
+        for node in starts:
+            assert matcher.targets_from(node, regex) == _per_start_fold(graph, {node}, regex.atoms, False), engine
+        stats = matcher.cache_stats
+        assert stats["forward_entries"] == stats["backward_entries"] == stats["stale_invalidations"] == 0
+    for engine in ("dict", "csr", "partitioned"):
+        matcher = PathMatcher(graph, engine=engine)
+        for read, asked in (("set_targets", regex.atoms[0]), ("set_sources", regex.atoms[-1]),
+                            ("backward_reachable", regex)):
+            with pytest.raises(GraphError):
+                getattr(matcher, read)(set(starts) | {"zz"}, asked)
+        with pytest.raises(GraphError):
+            matcher.targets_from("zz", regex)
+
+
 class TestReviewHardening:
     """Regressions for the post-review fixes (journal cost, shared policy)."""
 

@@ -26,6 +26,8 @@ The library provides:
   format (:data:`SCHEMA_VERSION`).
 """
 
+from importlib import import_module
+
 from repro.exceptions import (
     EvaluationError,
     GraphError,
@@ -38,67 +40,68 @@ from repro.exceptions import (
     ServiceError,
     SnapshotError,
 )
-from repro.graph.csr import CompiledGraph, compile_graph, compiled_snapshot
-from repro.graph.data_graph import DataGraph, Edge
-from repro.graph.distance import DistanceMatrix, build_distance_matrix
-from repro.regex.fclass import FRegex, RegexAtom, WILDCARD
-from repro.regex.parser import parse_fregex
-from repro.regex.containment import language_contains, language_equal
-from repro.query.predicates import AtomicCondition, Predicate
-from repro.query.rq import ReachabilityQuery
-from repro.query.pq import PatternEdge, PatternQuery
-from repro.query.containment import (
-    pq_containment_mapping,
-    pq_contained_in,
-    pq_equivalent,
-    rq_contained_in,
-    rq_equivalent,
-)
-from repro.query.minimization import minimize_pattern_query
-from repro.query.canonical import (
-    CanonicalQuery,
-    canonical_pattern_query,
-    canonical_regex,
-    canonicalize_query,
-)
-from repro.query.generator import QueryGenerator
-from repro.matching.reachability import ReachabilityResult, evaluate_rq
-from repro.matching.result import PatternMatchResult
-from repro.matching.join_match import join_match
-from repro.matching.split_match import split_match
-from repro.matching.naive import naive_match
-from repro.matching.bounded_simulation import bounded_simulation_match
-from repro.matching.subgraph_iso import subgraph_isomorphism_match
-from repro.matching.paths import PathMatcher
-from repro.matching.csr_engine import CsrEngine
-from repro.matching.incremental import IncrementalPatternMatcher
-from repro.matching.general_rq import (
-    GeneralReachabilityQuery,
-    evaluate_general_rq,
-)
-from repro.regex.general import GeneralRegex
-from repro.metrics.fmeasure import compute_f_measure
-from repro.storage.base import GraphStore
-from repro.storage.dict_store import DictStore
-from repro.storage.overlay import OverlayCsrStore
-from repro.storage.snapshot import SnapshotGraph, StoreSnapshot
-from repro.session.planner import QueryPlan, plan_query
-from repro.session.result import SCHEMA_VERSION, QueryResult
-from repro.session.semantic_cache import SemanticCache
-from repro.session.session import (
-    GraphSession,
-    PreparedQuery,
-    SessionSnapshot,
-    SessionWatch,
-    default_session,
-)
-from repro.service import (
-    GraphService,
-    ServiceClient,
-    ServiceConfig,
-)
 
-__version__ = "2.28.0"
+#: Exported name -> defining module, imported on first access (PEP 562): ``import
+#: repro.session.session`` loads what a read runs, not the HTTP service or metrics.
+_EXPORTS = {
+    # graph substrate
+    **dict.fromkeys(("DataGraph", "Edge"), "repro.graph.data_graph"),
+    **dict.fromkeys(("CompiledGraph", "compile_graph", "compiled_snapshot"), "repro.graph.csr"),
+    **dict.fromkeys(("DistanceMatrix", "build_distance_matrix"), "repro.graph.distance"),
+    # regular expressions
+    **dict.fromkeys(("FRegex", "RegexAtom", "WILDCARD"), "repro.regex.fclass"),
+    "parse_fregex": "repro.regex.parser",
+    **dict.fromkeys(("language_contains", "language_equal"), "repro.regex.containment"),
+    # queries
+    **dict.fromkeys(("AtomicCondition", "Predicate"), "repro.query.predicates"),
+    "ReachabilityQuery": "repro.query.rq",
+    **dict.fromkeys(("PatternQuery", "PatternEdge"), "repro.query.pq"),
+    "QueryGenerator": "repro.query.generator",
+    # static analyses
+    **dict.fromkeys(
+        ("rq_contained_in", "rq_equivalent", "pq_containment_mapping", "pq_contained_in", "pq_equivalent"),
+        "repro.query.containment",
+    ),
+    "minimize_pattern_query": "repro.query.minimization",
+    **dict.fromkeys(
+        ("CanonicalQuery", "canonical_pattern_query", "canonical_regex", "canonicalize_query"),
+        "repro.query.canonical",
+    ),
+    # evaluation
+    **dict.fromkeys(("evaluate_rq", "ReachabilityResult"), "repro.matching.reachability"),
+    "PatternMatchResult": "repro.matching.result",
+    "join_match": "repro.matching.join_match",
+    "split_match": "repro.matching.split_match",
+    "naive_match": "repro.matching.naive",
+    "bounded_simulation_match": "repro.matching.bounded_simulation",
+    "subgraph_isomorphism_match": "repro.matching.subgraph_iso",
+    "PathMatcher": "repro.matching.paths",
+    "CsrEngine": "repro.matching.csr_engine",
+    # storage layer
+    "GraphStore": "repro.storage.base",
+    "DictStore": "repro.storage.dict_store",
+    "OverlayCsrStore": "repro.storage.overlay",
+    **dict.fromkeys(("StoreSnapshot", "SnapshotGraph"), "repro.storage.snapshot"),
+    # extensions (the paper's future-work items)
+    "IncrementalPatternMatcher": "repro.matching.incremental",
+    "GeneralRegex": "repro.regex.general",
+    **dict.fromkeys(("GeneralReachabilityQuery", "evaluate_general_rq"), "repro.matching.general_rq"),
+    # session facade
+    **dict.fromkeys(
+        ("GraphSession", "PreparedQuery", "SessionSnapshot", "SessionWatch", "default_session"),
+        "repro.session.session",
+    ),
+    **dict.fromkeys(("QueryResult", "SCHEMA_VERSION"), "repro.session.result"),
+    **dict.fromkeys(("QueryPlan", "plan_query"), "repro.session.planner"),
+    "SemanticCache": "repro.session.semantic_cache",
+    # serving layer
+    **dict.fromkeys(("GraphService", "ServiceConfig"), "repro.service.service"),
+    "ServiceClient": "repro.service.client",
+    # metrics
+    "compute_f_measure": "repro.metrics.fmeasure",
+}
+
+__version__ = "2.29.0"
 
 __all__ = [
     # exceptions
@@ -112,76 +115,19 @@ __all__ = [
     "ServiceError",
     "ProtocolError",
     "OverloadedError",
-    # graph substrate
-    "DataGraph",
-    "Edge",
-    "CompiledGraph",
-    "compile_graph",
-    "compiled_snapshot",
-    "DistanceMatrix",
-    "build_distance_matrix",
-    # regular expressions
-    "FRegex",
-    "RegexAtom",
-    "WILDCARD",
-    "parse_fregex",
-    "language_contains",
-    "language_equal",
-    # queries
-    "AtomicCondition",
-    "Predicate",
-    "ReachabilityQuery",
-    "PatternQuery",
-    "PatternEdge",
-    "QueryGenerator",
-    # static analyses
-    "rq_contained_in",
-    "rq_equivalent",
-    "pq_containment_mapping",
-    "pq_contained_in",
-    "pq_equivalent",
-    "minimize_pattern_query",
-    "CanonicalQuery",
-    "canonical_pattern_query",
-    "canonical_regex",
-    "canonicalize_query",
-    # evaluation
-    "evaluate_rq",
-    "ReachabilityResult",
-    "PatternMatchResult",
-    "join_match",
-    "split_match",
-    "naive_match",
-    "bounded_simulation_match",
-    "subgraph_isomorphism_match",
-    "PathMatcher",
-    "CsrEngine",
-    # storage layer
-    "GraphStore",
-    "DictStore",
-    "OverlayCsrStore",
-    "StoreSnapshot",
-    "SnapshotGraph",
-    # extensions (the paper's future-work items)
-    "IncrementalPatternMatcher",
-    "GeneralRegex",
-    "GeneralReachabilityQuery",
-    "evaluate_general_rq",
-    # session facade
-    "GraphSession",
-    "PreparedQuery",
-    "SessionSnapshot",
-    "SessionWatch",
-    "QueryResult",
-    "QueryPlan",
-    "plan_query",
-    "SemanticCache",
-    "default_session",
-    # serving layer
-    "SCHEMA_VERSION",
-    "GraphService",
-    "ServiceConfig",
-    "ServiceClient",
-    # metrics
-    "compute_f_measure",
+    *_EXPORTS,
 ]
+
+
+def __getattr__(name: str):
+    try:
+        module_name = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(module_name), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(__all__)

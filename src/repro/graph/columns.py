@@ -27,7 +27,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from functools import partial
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.kernels import bitmap
 from repro.lru import LruCache
@@ -83,9 +83,13 @@ class _Column:
         self.present = array("q")  # rows that have the attribute
         self.odd = array("q")  # of those, not ``_regular``: checked per row for every atom
         self.equal: Dict[Any, array] = defaultdict(partial(array, "q"))  # unbisectable value -> positions
-        self.ordered: Dict[type, Tuple[list, array]] = {}  # order class -> (sorted values, positions)
+        self.ordered: Dict[type, Tuple[tuple, array]] = {}  # order class -> (sorted values, positions)
         self.loose: Dict[type, array] = defaultdict(partial(array, "q"))  # order class -> unbisectable
-        pairs: Dict[type, List[Tuple[Any, int]]] = defaultdict(list)
+        # Parallel value / position runs per order class, ordered by one key sort
+        # over their indices: stable, so equal values keep ascending positions.
+        # The values are kept as a tuple, which the collector stops tracking.
+        runs: Dict[type, list] = defaultdict(list)
+        run_positions: Dict[type, array] = defaultdict(partial(array, "q"))
         for position, row in enumerate(rows):
             if name not in row:
                 continue
@@ -93,15 +97,19 @@ class _Column:
             self.present.append(position)
             kind = _RUN_CLASS.get(type(value))
             if kind is not None and value == value:
-                pairs[kind].append((value, position))
+                runs[kind].append(value)
+                run_positions[kind].append(position)
             elif _regular(value):
                 self.equal[value].append(position)
                 self.loose[order_class(value)].append(position)
             else:
                 self.odd.append(position)
-        for kind, members in pairs.items():
-            members.sort()
-            self.ordered[kind] = ([v for v, _ in members], array("q", [p for _, p in members]))
+        for kind, values in runs.items():
+            order = sorted(range(len(values)), key=values.__getitem__)
+            self.ordered[kind] = (
+                tuple(map(values.__getitem__, order)),
+                array("q", map(run_positions[kind].__getitem__, order)),
+            )
 
     def _equal_rows(self, value: Any) -> array:
         """Positions of the regular values ``== value``, a regular constant: its

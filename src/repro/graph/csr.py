@@ -27,7 +27,9 @@ graph object) and recompiles automatically when the graph's topology
 from __future__ import annotations
 
 from array import array
-from itertools import repeat
+from collections import Counter
+from itertools import accumulate, chain, repeat
+from operator import add, lt, sub
 from typing import Any, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 from weakref import WeakKeyDictionary, ref
 
@@ -89,28 +91,21 @@ class CsrLayer:
         return len(self.targets)
 
 
-def _build_layer(num_nodes: int, buckets: Dict[int, List[int]], dedup: bool = False) -> CsrLayer:
-    """Pack per-node neighbour lists into a CSR layer (neighbours sorted)."""
-    zero = array("i", [0])
-    offsets = zero * (num_nodes + 1)
-    running = 0
-    for index in range(num_nodes):
-        offsets[index] = running
-        lst = buckets.get(index)
-        if lst:
-            running += len(set(lst)) if dedup else len(lst)
-    offsets[num_nodes] = running
+def _pack(num_nodes: int, keys: List[int]) -> CsrLayer:
+    """The CSR layer of sorted, distinct edge keys ``source * num_nodes + target``:
+    the row lengths are the sources counted, the flat neighbour array the targets
+    in key order."""
+    degrees = Counter(map(num_nodes.__rfloordiv__, keys))
+    offsets = array("i", accumulate(map(degrees.get, range(num_nodes), repeat(0)), initial=0))
+    targets = array("i", [key % num_nodes for key in keys])
+    return CsrLayer(offsets, targets, bytearray(map(lt, offsets, offsets[1:])))
 
-    targets = zero * running
-    mask = bytearray(num_nodes)
-    for index, lst in buckets.items():
-        neighbours = sorted(set(lst)) if dedup else sorted(lst)
-        if not neighbours:
-            continue
-        start = offsets[index]
-        targets[start:start + len(neighbours)] = array("i", neighbours)
-        mask[index] = 1
-    return CsrLayer(offsets, targets, mask)
+
+def _keys(layer: CsrLayer, num_nodes: int) -> Iterator[int]:
+    """A layer's edge keys back out of its rows, in order."""
+    offsets = layer.offsets
+    sources = chain.from_iterable(map(repeat, range(num_nodes), map(sub, offsets[1:], offsets)))
+    return map(add, map(num_nodes.__mul__, sources), layer.targets)
 
 
 class IdSpace:
@@ -216,31 +211,28 @@ class CompiledGraph:
                         reuse_from._rev[old_id],
                     )
 
-        rebuild = {k for k, color in enumerate(colors) if color not in reused}
-        fwd_buckets: Dict[int, Dict[int, List[int]]] = {k: {} for k in rebuild}
-        rev_buckets: Dict[int, Dict[int, List[int]]] = {k: {} for k in rebuild}
-        color_index = self._color_index
-        if rebuild:
+        # One flat list of ``source * n + target`` keys per rebuilt colour,
+        # sorted once: the forward layer, and transposed, the reverse one.
+        keys: Dict[str, List[int]] = {color: [] for color in colors if color not in reused}
+        if keys:
             for source, table in graph.adjacency():
-                u = index[source]
+                row = index[source] * n
                 for color, targets in table.items():
-                    k = color_index[color]
-                    if k not in rebuild:
-                        continue
-                    targets_idx = [index[target] for target in targets]
-                    fwd_buckets[k][u] = targets_idx
-                    bucket = rev_buckets[k]
-                    for v in targets_idx:
-                        bucket.setdefault(v, []).append(u)
+                    bucket = keys.get(color)
+                    if bucket is not None:
+                        for target in targets:
+                            bucket.append(row + index[target])
 
         fwd: List[CsrLayer] = []
         rev: List[CsrLayer] = []
-        for k, color in enumerate(colors):
+        for color in colors:
             if color in reused:
                 fwd_layer, rev_layer = reused[color]
             else:
-                fwd_layer = _build_layer(n, fwd_buckets[k])
-                rev_layer = _build_layer(n, rev_buckets[k])
+                forward = keys[color]
+                forward.sort()
+                fwd_layer = _pack(n, forward)
+                rev_layer = _pack(n, sorted([key % n * n + key // n for key in forward]))
                 fwd_layer.twin, rev_layer.twin = rev_layer, fwd_layer
             fwd.append(fwd_layer)
             rev.append(rev_layer)
@@ -277,15 +269,7 @@ class CompiledGraph:
             return existing
         layers = self._rev if reverse else self._fwd
         n = len(self._ids)
-        buckets: Dict[int, List[int]] = {}
-        for layer in layers:
-            offsets = layer.offsets
-            view = layer._view
-            mask = layer.mask
-            for i in range(n):
-                if mask[i]:
-                    buckets.setdefault(i, []).extend(view[offsets[i]:offsets[i + 1]])
-        built = _build_layer(n, buckets, dedup=True)
+        built = _pack(n, sorted(set(chain.from_iterable(_keys(layer, n) for layer in layers))))
         if reverse:
             self._rev_any = built
         else:

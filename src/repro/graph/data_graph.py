@@ -118,8 +118,10 @@ class DataGraph:
         """Add a directed edge of the given colour, creating nodes as needed."""
         if not isinstance(color, str) or not color:
             raise GraphError(f"edge colour must be a non-empty string, got {color!r}")
-        self.add_node(source)
-        self.add_node(target)
+        if source not in self._attrs:
+            self.add_node(source)
+        if target not in self._attrs:
+            self.add_node(target)
         self._store.add_edge(source, target, color)
         return Edge(source, target, color)
 

@@ -1,4 +1,12 @@
-"""Descriptive statistics of data graphs, used by the experiment harness."""
+"""Descriptive statistics of data graphs.
+
+:func:`compute_stats` is the planner's statistics: ``GraphSession.stats`` computes
+it once per graph version and a pin's ``SessionSnapshot.stats`` once per pin, so
+the first read after a change pays a walk over every edge and node — about 45 ms
+of ``lib_paper``'s first read on the 8 350-node graph.  The experiment harness and
+``repro stats`` print the same figures as a table row.  Taking the walk off the
+read path is ROADMAP item 2, which waits on item 1.
+"""
 
 from __future__ import annotations
 

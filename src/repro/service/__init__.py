@@ -9,31 +9,32 @@ and serves it over asyncio HTTP/JSON: reads pin immutable store snapshots
 load generator that doubles as a snapshot-isolation verifier.
 """
 
-from repro.service.client import ServiceCallError, ServiceClient
-from repro.service.loadgen import build_update_plan, run_load, verify_observations
-from repro.service.service import GraphService, ServiceConfig, ServiceHandle
-from repro.service.wire import (
-    SCHEMA_VERSION,
-    decode_query,
-    decode_result,
-    encode_query,
-    error_envelope,
-    ok_envelope,
-)
+from importlib import import_module
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "GraphService",
-    "ServiceConfig",
-    "ServiceHandle",
-    "ServiceClient",
-    "ServiceCallError",
-    "build_update_plan",
-    "run_load",
-    "verify_observations",
-    "decode_query",
-    "decode_result",
-    "encode_query",
-    "error_envelope",
-    "ok_envelope",
-]
+#: Exported name -> defining module, imported on first access (PEP 562): a
+#: reader of the wire format does not load asyncio and the HTTP server.
+_EXPORTS = {
+    **dict.fromkeys(("ServiceCallError", "ServiceClient"), "repro.service.client"),
+    **dict.fromkeys(("build_update_plan", "run_load", "verify_observations"), "repro.service.loadgen"),
+    **dict.fromkeys(("GraphService", "ServiceConfig", "ServiceHandle"), "repro.service.service"),
+    **dict.fromkeys(
+        ("SCHEMA_VERSION", "decode_query", "decode_result", "encode_query", "error_envelope", "ok_envelope"),
+        "repro.service.wire",
+    ),
+}
+
+__all__ = [*_EXPORTS]
+
+
+def __getattr__(name: str):
+    try:
+        module_name = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(module_name), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(__all__)

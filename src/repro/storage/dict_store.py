@@ -141,11 +141,16 @@ class DictStore(GraphStore):
 
     def add_edge(self, source: NodeId, target: NodeId, color: str) -> bool:
         """Insert one coloured edge; ``False`` if it already existed."""
-        bucket = self._out[source].setdefault(color, set())
-        if target in bucket:
+        bucket = self._out[source].get(color)
+        if bucket is None:
+            bucket = self._out[source][color] = set()
+        elif target in bucket:
             return False
         bucket.add(target)
-        self._in[target].setdefault(color, set()).add(source)
+        sources = self._in[target].get(color)
+        if sources is None:
+            sources = self._in[target][color] = set()
+        sources.add(source)
         self._colors.add(color)
         self._num_edges += 1
         self._version += 1

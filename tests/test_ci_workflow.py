@@ -280,6 +280,17 @@ class TestCiWorkflow:
         assert "tests/test_store_parity.py" in command.split()
         assert " -k " not in command and "slow" not in command
 
+    def test_quick_legs_run_the_cold_start_suite_whole(self, workflow):
+        # The layer-packing and column-order properties are `slow`; every
+        # non-primary leg, the no-numpy one included, runs the file by path,
+        # unfiltered, beside its allocation and import guards.
+        job = workflow["jobs"]["test"]
+        steps = [step for step in job["steps"] if step.get("name") == "Cold-start suite whole (quick legs)"]
+        assert len(steps) == 1 and steps[0]["if"] == "matrix.python-version != '3.12'"
+        command = steps[0]["run"]
+        assert "tests/test_cold_start.py" in command.split()
+        assert " -k " not in command and "slow" not in command
+
     def test_benchmark_job_runs_repo_benchmark_smoke(self, workflow):
         # bench/test_smoke.py is outside pytest's testpaths (tier-1 never
         # collects it), so the benchmark job must run it by path.

@@ -26,7 +26,7 @@ The library provides:
   format (:data:`SCHEMA_VERSION`).
 """
 
-from importlib import import_module
+from repro.lazy import lazy_exports
 
 from repro.exceptions import (
     EvaluationError,
@@ -118,16 +118,4 @@ __all__ = [
     *_EXPORTS,
 ]
 
-
-def __getattr__(name: str):
-    try:
-        module_name = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(import_module(module_name), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(__all__)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

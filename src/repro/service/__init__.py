@@ -9,7 +9,7 @@ and serves it over asyncio HTTP/JSON: reads pin immutable store snapshots
 load generator that doubles as a snapshot-isolation verifier.
 """
 
-from importlib import import_module
+from repro.lazy import lazy_exports
 
 #: Exported name -> defining module, imported on first access (PEP 562): a
 #: reader of the wire format does not load asyncio and the HTTP server.
@@ -25,16 +25,4 @@ _EXPORTS = {
 
 __all__ = [*_EXPORTS]
 
-
-def __getattr__(name: str):
-    try:
-        module_name = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(import_module(module_name), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(__all__)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -31,37 +31,19 @@ stack back) or ``import repro`` would cycle.
 
 from __future__ import annotations
 
+from repro.lazy import lazy_exports
 from repro.session import defaults  # noqa: F401  (leaf module, safe to expose eagerly)
 
-_LAZY = {
-    "GraphSession": ("repro.session.session", "GraphSession"),
-    "PreparedQuery": ("repro.session.session", "PreparedQuery"),
-    "SessionSnapshot": ("repro.session.session", "SessionSnapshot"),
-    "SessionWatch": ("repro.session.session", "SessionWatch"),
-    "default_session": ("repro.session.session", "default_session"),
-    "QueryResult": ("repro.session.result", "QueryResult"),
-    "SemanticCache": ("repro.session.semantic_cache", "SemanticCache"),
-    "QueryPlan": ("repro.session.planner", "QueryPlan"),
-    "plan_query": ("repro.session.planner", "plan_query"),
-    "SCHEMA_VERSION": ("repro.session.result", "SCHEMA_VERSION"),
-    "stamped": ("repro.session.result", "stamped"),
-    "check_schema_version": ("repro.session.result", "check_schema_version"),
+_EXPORTS = {
+    **dict.fromkeys(
+        ("GraphSession", "PreparedQuery", "SessionSnapshot", "SessionWatch", "default_session"),
+        "repro.session.session",
+    ),
+    **dict.fromkeys(("QueryResult", "SCHEMA_VERSION", "stamped", "check_schema_version"), "repro.session.result"),
+    "SemanticCache": "repro.session.semantic_cache",
+    **dict.fromkeys(("QueryPlan", "plan_query"), "repro.session.planner"),
 }
 
-__all__ = ["defaults", *_LAZY]
+__all__ = ["defaults", *_EXPORTS]
 
-
-def __getattr__(name: str):
-    try:
-        module_name, attribute = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), attribute)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(__all__)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

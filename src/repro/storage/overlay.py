@@ -58,17 +58,6 @@ def _default_policy():
     return _DEFAULTS
 
 
-def _put(rows, node: NodeId, color: str, other: NodeId) -> None:
-    """Add ``other`` to ``rows[node][color]``, making the row or bucket only where missing."""
-    row = rows.get(node)
-    if row is None:
-        rows[node] = {color: {other}}
-    elif color in row:
-        row[color].add(other)
-    else:
-        row[color] = {other}
-
-
 class OverlayReads(GraphStore):
     """Merged reads over one ``(base, added, removed, overlay size)`` state.
 
@@ -350,8 +339,8 @@ class OverlayCsrStore(OverlayReads):
             self._color_ops[color] -= 1
             self._overlay_edges -= 1
             return
-        _put(mine[0], source, color, target)
-        _put(mine[1], target, color, source)
+        mine[0].setdefault(source, {}).setdefault(color, set()).add(target)
+        mine[1].setdefault(target, {}).setdefault(color, set()).add(source)
         self._color_ops[color] = self._color_ops.get(color, 0) + 1
         self._overlay_edges += 1
 

@@ -302,6 +302,9 @@ def test_package_roots_resolve_their_names_on_demand():
     assert dir(repro) == sorted(repro.__all__)
     with pytest.raises(AttributeError):
         repro.not_an_export
-    service = importlib.import_module("repro.service")
-    assert dir(service) == sorted(service.__all__)
-    assert all(getattr(service, name) is not None for name in service.__all__)
+    for package in ("repro.service", "repro.session"):
+        root = importlib.import_module(package)
+        assert dir(root) == sorted(root.__all__)
+        assert all(getattr(root, name) is not None for name in root.__all__)
+        with pytest.raises(AttributeError):
+            root.not_an_export

@@ -101,7 +101,7 @@ _EXPORTS = {
     "compute_f_measure": "repro.metrics.fmeasure",
 }
 
-__version__ = "2.29.0"
+__version__ = "2.30.0"
 
 __all__ = [
     # exceptions

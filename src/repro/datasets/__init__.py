@@ -18,17 +18,18 @@ the stand-ins reproduce their schema, edge-colour alphabet, size and skewed
 degree distribution (see DESIGN.md, "Substitution note").
 """
 
-from repro.datasets.essembly import build_essembly_graph, essembly_query_q1, essembly_query_q2
-from repro.datasets.youtube import generate_youtube_graph
-from repro.datasets.terrorism import generate_terrorism_graph
-from repro.datasets.synthetic import generate_synthetic_graph, scale_free_stream
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "build_essembly_graph",
-    "essembly_query_q1",
-    "essembly_query_q2",
-    "generate_youtube_graph",
-    "generate_terrorism_graph",
-    "generate_synthetic_graph",
-    "scale_free_stream",
-]
+#: Exported name -> defining module, imported on first access.
+_EXPORTS = {
+    **dict.fromkeys(
+        ("build_essembly_graph", "essembly_query_q1", "essembly_query_q2"), "repro.datasets.essembly"
+    ),
+    "generate_youtube_graph": "repro.datasets.youtube",
+    "generate_terrorism_graph": "repro.datasets.terrorism",
+    **dict.fromkeys(("generate_synthetic_graph", "scale_free_stream"), "repro.datasets.synthetic"),
+}
+
+__all__ = [*_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -88,7 +88,7 @@ def generate_synthetic_graph(
         target = rng.choice(nodes)
         if source == target:
             continue
-        graph.add_edge(source, target, rng.choice(palette))
+        graph._insert_edge(source, target, rng.choice(palette))
     return graph
 
 

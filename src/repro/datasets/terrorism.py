@@ -115,9 +115,9 @@ def generate_terrorism_graph(
                 continue
             color = "dc" if node_country[hub] == node_country[other] else "ic"
             if rng.random() < 0.5:
-                graph.add_edge(other, hub, color)
+                graph._insert_edge(other, hub, color)
             else:
-                graph.add_edge(hub, other, color)
+                graph._insert_edge(hub, other, color)
 
     attempts = 0
     max_attempts = 40 * num_edges + 1000
@@ -132,5 +132,5 @@ def generate_terrorism_graph(
         if source == target:
             continue
         color = "dc" if node_country[source] == node_country[target] else "ic"
-        graph.add_edge(source, target, color)
+        graph._insert_edge(source, target, color)
     return graph

@@ -109,7 +109,7 @@ def generate_youtube_graph(
             if target == source:
                 continue
             color = rng.choice(YOUTUBE_COLORS)
-            graph.add_edge(source, target, color)
+            graph._insert_edge(source, target, color)
             attractors.append(target)
             edges_added += 1
         attractors.append(source)
@@ -124,5 +124,5 @@ def generate_youtube_graph(
         target = rng.choice(nodes)
         if source == target:
             continue
-        graph.add_edge(source, target, rng.choice(YOUTUBE_COLORS))
+        graph._insert_edge(source, target, rng.choice(YOUTUBE_COLORS))
     return graph

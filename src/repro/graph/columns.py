@@ -15,9 +15,12 @@ cannot decide is checked by ``AtomicCondition.matches`` where its flag is still
 set: results are the per-row reference's (``storage.base.scan_nodes``,
 compared in ``tests/test_predicates_properties.py``).
 
-An instance is *bound* to one attribute-table version: its holder
-(``CompiledGraph``, ``StoreSnapshot``) replaces it — columns, result memo and
-all — when ``attrs_version`` moves.  A memo entry is the bitmap of the rows.
+An instance is *bound* to one attribute-table version: it is the scans of
+one :class:`AttributeTable`, the graph's table of one ``attrs_version``
+(``DataGraph.attribute_table``), which every reader of that version shares —
+the CSR base, the live overlay store and each pin — and which the graph
+replaces, columns, result memo and all, when ``attrs_version`` moves.  A memo
+entry is the bitmap of the rows.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from functools import partial
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 from repro.kernels import bitmap
 from repro.lru import LruCache
@@ -35,14 +38,14 @@ from repro.lru import LruCache
 
 class ScanTally:
     """Lifetime scan counters of one graph, and the lock its scans run under:
-    a holder that replaces its :class:`AttributeColumns` hands the tally on,
+    each :class:`AttributeTable` hands the tally on to the next version's,
     and pins of several versions read one object from different threads."""
 
-    __slots__ = ("lock", "memo_hits", "memo_misses", "columns_built", "row_checks")
+    __slots__ = ("lock", "memo_hits", "memo_misses", "columns_built", "row_checks", "tables_built")
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
-        self.memo_hits = self.memo_misses = self.columns_built = self.row_checks = 0
+        self.memo_hits = self.memo_misses = self.columns_built = self.row_checks = self.tables_built = 0
 
 
 _NONE = array("q")  # no positions: shared, never appended to
@@ -143,12 +146,12 @@ class _Column:
 
 
 class _Found:
-    """A memo entry: the row bitmap and, once asked for, its tuple and ``(index, translated bitmap)``."""
+    """A memo entry: the row bitmap and, once asked for, its tuple."""
 
-    __slots__ = ("rows", "positions", "translated")
+    __slots__ = ("rows", "positions")
 
     def __init__(self, rows):
-        self.rows, self.positions, self.translated = rows, None, None  # each published whole
+        self.rows, self.positions = rows, None  # each published whole
 
 
 class AttributeColumns:
@@ -174,17 +177,10 @@ class AttributeColumns:
                 found.positions = tuple(found.rows)
         return found.positions
 
-    def scan_bitmap(self, predicate: Any, num_nodes: int, index: Optional[Sequence[int]] = None):
-        """:meth:`scan` as the read-only candidate bitmap over ``range(num_nodes)`` of a
-        handle space in which position ``p`` is ``index[p]``: the memo's own bitmap for
-        ``index=None`` (``p`` itself), else translated once while ``index`` is the same table."""
-        found = self._found(predicate)
-        if index is None:
-            return found.rows
-        held = found.translated
-        if held is None or held[0] is not index:
-            held = found.translated = (index, bitmap(num_nodes, map(index.__getitem__, found.rows)))
-        return held[1]
+    def scan_bitmap(self, predicate: Any):
+        """:meth:`scan` as the read-only candidate bitmap of the row positions:
+        the memo's own object."""
+        return self._found(predicate).rows
 
     def _found(self, predicate: Any) -> _Found:
         # Deferred: repro.query pulls in the whole query package; repro.storage imports this module.
@@ -225,3 +221,36 @@ class AttributeColumns:
                     tally.row_checks += 1
                     flags[position] = condition.matches(rows[position])
         return found
+
+
+class AttributeTable:
+    """One version of a graph's attribute table ``f_A``: ``rows`` (node id ->
+    read-only row, in node order), ``ids`` in that order, the graph's
+    :class:`ScanTally`, and :attr:`scans` over the rows, built on first ask.
+
+    Rows are copy-on-write (``DataGraph.add_node`` replaces a row and never
+    edits it), so a table holds references only and stands still while the
+    graph moves on: a pin reads its version's table as it is, with no copy.
+    """
+
+    __slots__ = ("version", "rows", "ids", "tally", "_scans")
+
+    def __init__(self, version: int, rows: Mapping[Hashable, Mapping[str, Any]],
+                 tally: Optional[ScanTally] = None):
+        self.version = version
+        self.rows = dict(rows)
+        self.ids = tuple(self.rows)
+        self.tally = ScanTally() if tally is None else tally
+        self.tally.tables_built += 1
+        self._scans = None
+
+    @property
+    def scans(self) -> AttributeColumns:
+        """The predicate scans of this version (pins read them from several threads)."""
+        scans = self._scans
+        if scans is None:
+            with self.tally.lock:
+                if self._scans is None:
+                    self._scans = AttributeColumns(tuple(self.rows.values()), self.tally)
+                scans = self._scans
+        return scans

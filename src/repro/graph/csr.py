@@ -15,10 +15,13 @@ module freezes a graph into flat integer arrays so the hot evaluation loops
 * one extra pair of layers stores the de-duplicated "any colour" (wildcard)
   adjacency, so ``_``-atoms expand without unioning per-colour sets.
 
-A snapshot is immutable topology-wise but shares the *live* attribute
-dictionaries of its source graph: predicate scans
-(:meth:`CompiledGraph.matching_indices`, indexed by :mod:`repro.graph.columns`
-per ``attrs_version``) always see current attribute values.
+A snapshot is immutable topology-wise and captures its source graph's
+attribute table (:class:`~repro.graph.columns.AttributeTable`, one per
+``attrs_version``, rows by reference) when it is compiled.  Predicate scans
+(:meth:`CompiledGraph.matching_indices`, indexed by :mod:`repro.graph.columns`)
+read the graph's current table while the topology still stands at the
+compiled version — the same nodes in the same order — and the captured one
+once it has moved on, so a stale snapshot answers as of its compile.
 :func:`compiled_snapshot` caches one snapshot per graph (weakly, keyed by the
 graph object) and recompiles automatically when the graph's topology
 ``version`` moves on — this is what ``engine="auto"`` rides on.
@@ -30,11 +33,11 @@ from array import array
 from collections import Counter
 from itertools import accumulate, chain, repeat
 from operator import add, lt, sub
-from typing import Any, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 from weakref import WeakKeyDictionary, ref
 
 from repro.exceptions import GraphError
-from repro.graph.columns import AttributeColumns
+from repro.graph.columns import AttributeTable
 from repro.graph.data_graph import DataGraph
 
 NodeId = Hashable
@@ -154,13 +157,12 @@ class CompiledGraph:
     __slots__ = (
         "name",
         "source_version",
-        "source_attrs_version",
         "source_edges_version",
         "_source_color_versions",
         "_ids",
         "id_space",
         "_index",
-        "_attrs",
+        "_table",
         "_colors",
         "_color_index",
         "_fwd",
@@ -168,7 +170,6 @@ class CompiledGraph:
         "_fwd_any",
         "_rev_any",
         "_num_edges",
-        "_scan_cache",
         "_source",
         "__weakref__",
     )
@@ -176,13 +177,13 @@ class CompiledGraph:
     def __init__(self, graph: DataGraph, reuse_from: Optional["CompiledGraph"] = None):
         self.name = graph.name
         self.source_version = graph.version
-        self.source_attrs_version = graph.attrs_version
         self.source_edges_version = graph.edges_version
-        ids: Tuple[NodeId, ...] = tuple(graph.nodes())
+        # The attribute table at compile time: its ids are the nodes in order.
+        self._table = graph.attribute_table()
+        ids: Tuple[NodeId, ...] = self._table.ids
         same_ids = reuse_from is not None and reuse_from._ids == ids
         self.id_space = reuse_from.id_space if same_ids else IdSpace(ids)
         self._ids, self._index = self.id_space.ids, self.id_space.index
-        self._attrs: Tuple[Mapping[str, Any], ...] = tuple(graph.attributes(node) for node in ids)
         colors = tuple(sorted(graph.colors))
         self._colors = colors
         self._color_index: Dict[str, int] = {color: k for k, color in enumerate(colors)}
@@ -248,18 +249,8 @@ class CompiledGraph:
             self._fwd_any = None
             self._rev_any = None
         self._num_edges = sum(layer.num_edges for layer in self._fwd)
-        # Predicate scans depend on node attributes only, never on edges: with
-        # the node set and attrs_version unchanged the donor's columns and
-        # memoised scans are valid verbatim; otherwise only its counters carry on.
-        if reuse_from is None:
-            self._scan_cache = AttributeColumns(self._attrs)
-        elif same_ids and reuse_from.source_attrs_version == self.source_attrs_version:
-            self._scan_cache = reuse_from._scan_cache
-        else:
-            self._scan_cache = AttributeColumns(self._attrs, reuse_from._scan_cache.tally)
-        # Weak handle on the source graph: lets matching_indices notice
-        # attribute updates (attrs_version) and replace the scans lazily,
-        # for snapshots built via compile_graph and compiled_snapshot alike.
+        # Weak handle on the source graph: lets the scans read its current
+        # attribute table while the topology stands (attribute_table()).
         self._source = ref(graph)
 
     def _any_layer(self, reverse: bool) -> CsrLayer:
@@ -375,10 +366,6 @@ class CompiledGraph:
     def node_ids(self) -> Iterator[NodeId]:
         return iter(self._ids)
 
-    def attributes(self, index: int) -> Mapping[str, Any]:
-        """Attribute mapping of the node at ``index`` (live view)."""
-        return self._attrs[index]
-
     def successors(self, node: NodeId, color: Optional[str] = None) -> Set[NodeId]:
         """Out-neighbours by node id, mirroring :meth:`DataGraph.successors`."""
         return self._neighbor_ids(node, color, reverse=False)
@@ -420,53 +407,25 @@ class CompiledGraph:
         (answered from sorted attribute columns), any object with ``matches``
         or a plain callable over attribute mappings (both walk the rows), or
         ``None`` (all nodes).  Scans for :class:`Predicate` objects are
-        memoised per snapshot — structurally equal predicates are answered
-        once; attribute updates through ``add_node`` bump the graph's
-        ``attrs_version``, which replaces columns and memo on the next scan
-        (no CSR recompile).
+        memoised per attribute-table version — structurally equal predicates
+        are answered once; attribute updates through ``add_node`` move the
+        graph to a new table, read on the next scan (no CSR recompile).
         """
-        return self._current_scans().scan(predicate)
+        return self.attribute_table().scans.scan(predicate)
 
-    def matching_bitmap(self, predicate: Any):
-        """:meth:`matching_indices` as the candidate bitmap of this index space
-        (:func:`repro.kernels.bitmap`) — read-only: the scan memo's own object,
-        built once per predicate and attribute-table version."""
-        return self._current_scans().scan_bitmap(predicate, len(self._ids))
-
-    def _current_scans(self) -> AttributeColumns:
+    def attribute_table(self) -> AttributeTable:
+        """The attribute table the scans read: the graph's current one while its
+        topology version still matches — then its ids are this snapshot's, in
+        order — else the one captured at compile time.  A topology-stale
+        snapshot may hold removed nodes; it answers as of its compile."""
         source = self._source()
-        # Lazy refresh is only sound while the topology version still
-        # matches: then the attribute views are live and a rescan sees the
-        # graph's current values.  On a topology-stale snapshot the captured
-        # views may belong to removed nodes — rescanning them is *not*
-        # equivalent to the live graph, and advancing the version tag here
-        # would let the next recompile wrongly adopt these scans as fresh.
-        if (
-            source is not None
-            and source.attrs_version != self.source_attrs_version
-            and source.version == self.source_version
-        ):
-            self.refresh_attribute_scans(source.attrs_version)
-        return self._scan_cache
+        if source is not None and source.version == self.source_version:
+            return source.attribute_table()
+        return self._table
 
     def matching_ids(self, predicate: Any) -> List[NodeId]:
         """Node ids whose attributes satisfy ``predicate`` (insertion order)."""
         return self.ids_of(self.matching_indices(predicate))
-
-    @property
-    def scans(self) -> AttributeColumns:
-        """The scans of the attribute-table version this snapshot stands at."""
-        return self._scan_cache
-
-    def refresh_attribute_scans(self, attrs_version: int) -> None:
-        """Start the predicate scans over after an attribute-only update.
-
-        The attribute tuples reference the graph's live dictionaries, so the
-        data itself is already fresh — only the columns and memo over the old
-        values are replaced.  Invoked lazily by the scans themselves.
-        """
-        self._scan_cache = AttributeColumns(self._attrs, self._scan_cache.tally)
-        self.source_attrs_version = attrs_version
 
 
 def compile_graph(graph: DataGraph) -> CompiledGraph:
@@ -483,8 +442,8 @@ def compiled_snapshot(graph: DataGraph) -> CompiledGraph:
     One snapshot is kept per live graph object (weakly referenced, so graphs
     are not pinned in memory).  The snapshot is reused while the graph's
     topology :attr:`~repro.graph.data_graph.DataGraph.version` is unchanged;
-    attribute-only updates (``attrs_version``) just replace the snapshot's
-    predicate scans instead of recompiling the CSR arrays.
+    attribute-only updates (``attrs_version``) move its predicate scans to the
+    graph's new attribute table instead of recompiling the CSR arrays.
     """
     cached = _SNAPSHOTS.get(graph)
     if cached is not None and cached.source_version == graph.version:

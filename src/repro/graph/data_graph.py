@@ -14,7 +14,9 @@ Topology lives in the **storage layer**: every graph owns a
 :class:`~repro.storage.dict_store.DictStore` (the authoritative forward and
 reverse adjacency indexed by colour, plus the mutation journal), and this
 class is a thin facade over it — it keeps the attribute table and delegates
-every topology operation.  Derived stores such as
+every topology operation.  Attribute rows are copy-on-write: an update
+replaces a node's row, so :meth:`DataGraph.attribute_table` can hand out one
+table per ``attrs_version`` that holds references only.  Derived stores such as
 :class:`~repro.storage.overlay.OverlayCsrStore` (the array-backed view behind
 the ``csr`` evaluation engine, obtained via :meth:`overlay_store`) replay the
 journal to follow mutations in O(delta) instead of recompiling per update.
@@ -70,52 +72,61 @@ class DataGraph:
     __slots__ = (
         "name",
         "_attrs",
-        "_attr_views",
         "_store",
         "_overlay",
         "_partitioned",
         "_attrs_version",
+        "_table",
         "__weakref__",
     )
 
     def __init__(self, name: str = "graph"):
         self.name = name
-        self._attrs: Dict[NodeId, Dict[str, Any]] = {}
-        # One long-lived read-only proxy per node, returned by attributes();
-        # it tracks the underlying dict, so it is created once, not per call.
-        self._attr_views: Dict[NodeId, Mapping[str, Any]] = {}
+        # One read-only row per node, never edited: an update replaces it.
+        self._attrs: Dict[NodeId, Mapping[str, Any]] = {}
         # The authoritative topology store (adjacency, versions, journal).
         self._store = DictStore()
         # The derived array-backed store, created lazily by overlay_store().
         self._overlay = None
         # The sharded store, created lazily by partitioned_store().
         self._partitioned = None
-        # Bumped on attribute updates to existing nodes; cheaper to react to
-        # than a topology change (snapshots only replace their predicate scans).
+        # Bumped whenever the attribute table changes; cheaper to react to
+        # than a topology change (snapshots only take another attribute table).
         self._attrs_version = 0
+        # The attribute table of the last version asked for (attribute_table()).
+        self._table = None
 
     # -- construction ----------------------------------------------------------
 
     def add_node(self, node: NodeId, **attributes: Any) -> NodeId:
-        """Add a node (or update the attributes of an existing one)."""
-        if node not in self._attrs:
-            attrs: Dict[str, Any] = {}
-            self._attrs[node] = attrs
-            self._attr_views[node] = MappingProxyType(attrs)
+        """Add a node, or update the attributes of an existing one.
+
+        An update replaces the node's row with a new one and never edits it:
+        a view :meth:`attributes` returned earlier keeps the values it had.
+        A new node, or an update, is a new attribute-table version
+        (``attrs_version``): memoised predicate scans must not survive it — a
+        removed-and-re-added node could otherwise resurrect its old
+        attributes in scan results.
+        """
+        row = self._attrs.get(node)
+        if row is None:
             self._store.add_node(node)
-            # A new node is a new attribute row: memoised predicate scans
-            # (and any donor-shared scan cache) must not survive it — a
-            # removed-and-re-added node can otherwise resurrect its old
-            # attributes in scan results.
-            self._attrs_version += 1
-        elif attributes:
-            # Attribute changes invalidate memoised predicate scans only.
-            self._attrs_version += 1
-        self._attrs[node].update(attributes)
+        elif not attributes:
+            return node
+        else:
+            attributes = {**row, **attributes}
+        self._attrs[node] = MappingProxyType(attributes)
+        self._attrs_version += 1
         return node
 
     def add_edge(self, source: NodeId, target: NodeId, color: str) -> Edge:
         """Add a directed edge of the given colour, creating nodes as needed."""
+        self._insert_edge(source, target, color)
+        return Edge(source, target, color)
+
+    def _insert_edge(self, source: NodeId, target: NodeId, color: str) -> None:
+        """:meth:`add_edge` without its return value: the bulk builders'
+        (``add_edges_from``, the dataset generators) insert."""
         if not isinstance(color, str) or not color:
             raise GraphError(f"edge colour must be a non-empty string, got {color!r}")
         if source not in self._attrs:
@@ -123,12 +134,12 @@ class DataGraph:
         if target not in self._attrs:
             self.add_node(target)
         self._store.add_edge(source, target, color)
-        return Edge(source, target, color)
 
     def add_edges_from(self, edges: Iterable[Tuple[NodeId, NodeId, str]]) -> None:
         """Bulk-add ``(source, target, color)`` triples."""
+        insert = self._insert_edge
         for source, target, color in edges:
-            self.add_edge(source, target, color)
+            insert(source, target, color)
 
     def remove_edge(self, source: NodeId, target: NodeId, color: str) -> None:
         """Remove one coloured edge; raises :class:`GraphError` if absent."""
@@ -149,7 +160,6 @@ class DataGraph:
             raise GraphError(f"node {node!r} does not exist")
         self._store.remove_node(node)
         del self._attrs[node]
-        del self._attr_views[node]
         self._attrs_version += 1
 
     # -- storage layer ---------------------------------------------------------
@@ -250,12 +260,27 @@ class DataGraph:
         :meth:`add_node` updating an existing node's attributes, a node being
         created, or a node being removed.
 
-        Snapshots react by replacing their predicate scans (for an
-        attribute-only update, no CSR recompile happens — the topology is
-        untouched).  Mappings returned by :meth:`attributes` are read-only
-        views, so this counter cannot be bypassed.
+        Each value names one :meth:`attribute_table`; compiled and pinned
+        snapshots read their version's (for an attribute-only update, no CSR
+        recompile happens — the topology is untouched).  Mappings returned by
+        :meth:`attributes` are read-only, so this counter cannot be bypassed.
         """
         return self._attrs_version
+
+    def attribute_table(self):
+        """The :class:`~repro.graph.columns.AttributeTable` of the current
+        ``attrs_version``: built on the first ask after the version moves, by
+        reference (rows are copy-on-write), and shared by every reader of
+        that version — the CSR base, the live overlay store and every pin."""
+        table = self._table
+        if table is None or table.version != self._attrs_version:
+            # Imported lazily: the columns pull in the array kernels.
+            from repro.graph.columns import AttributeTable
+
+            table = self._table = AttributeTable(
+                self._attrs_version, self._attrs, None if table is None else table.tally
+            )
+        return table
 
     @property
     def edges_version(self) -> int:
@@ -298,31 +323,20 @@ class DataGraph:
         return self._store.has_edge(source, target, color)
 
     def attributes(self, node: NodeId) -> Mapping[str, Any]:
-        """The attribute tuple ``f_A(node)`` (a read-only live view).
+        """The attribute tuple ``f_A(node)`` as of the call (a read-only row).
 
-        Update attributes through :meth:`add_node` — that keeps the
-        ``attrs_version`` counter honest, which the compiled snapshots rely
-        on to invalidate memoised predicate scans.  Mutating the returned
-        mapping raises ``TypeError``.
+        Update attributes through :meth:`add_node` — it replaces the row and
+        bumps ``attrs_version``, so the view returned here keeps its values
+        and is not a live view.  Mutating the returned mapping raises
+        ``TypeError``.
         """
         try:
-            return self._attr_views[node]
+            return self._attrs[node]
         except KeyError as exc:
             raise GraphError(f"node {node!r} does not exist") from exc
 
     def get_attribute(self, node: NodeId, name: str, default: Any = None) -> Any:
         return self.attributes(node).get(name, default)
-
-    def attribute_views(self) -> Mapping[NodeId, Mapping[str, Any]]:
-        """The whole attribute table as ``{node: read-only view}``.
-
-        The bulk-capture path used by storage snapshots
-        (:mod:`repro.storage.snapshot`): one pass over the live table
-        without per-node :meth:`attributes` lookups.  The returned mapping
-        is a read-only proxy of the live table — snapshot builders copy the
-        rows they capture.
-        """
-        return MappingProxyType(self._attr_views)
 
     def edges(self) -> Iterator[Edge]:
         """Iterate over all edges."""
@@ -390,7 +404,7 @@ class DataGraph:
         """A deep-enough copy (attribute dicts are copied, values shared)."""
         result = DataGraph(name=self.name)
         for node, attrs in self._attrs.items():
-            result.add_node(node, **dict(attrs))
+            result.add_node(node, **attrs)
         for edge in self.edges():
             result.add_edge(edge.source, edge.target, edge.color)
         return result

@@ -332,8 +332,8 @@ class PathMatcher:
         """Node ids whose attributes satisfy ``predicate`` (``None`` = all) —
         in a ``space``, their handles.
 
-        On the CSR engine the scan is answered from sorted attribute columns
-        (nodes created since the base are swept live and appended); the dict
+        On the CSR engine the scan is answered from the sorted attribute
+        columns of the graph's attribute table of this version; the dict
         engine scans the live attribute table.  The ids are identical either
         way, modulo order — callers treat the result as a set.
         """

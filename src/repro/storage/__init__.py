@@ -36,18 +36,19 @@ See ARCHITECTURE.md for the full layer stack and the overlay compaction
 lifecycle.
 """
 
-from repro.storage.base import GraphStore
-from repro.storage.dict_store import JOURNAL_CAPACITY, DictStore
-from repro.storage.overlay import OverlayCsrStore
-from repro.storage.partition import PartitionedStore
-from repro.storage.snapshot import SnapshotGraph, StoreSnapshot
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "GraphStore",
-    "DictStore",
-    "OverlayCsrStore",
-    "PartitionedStore",
-    "StoreSnapshot",
-    "SnapshotGraph",
-    "JOURNAL_CAPACITY",
-]
+#: Exported name -> defining module, imported on first access: a reader of one
+#: store does not load the others (``repro.storage.partition`` above all).
+_EXPORTS = {
+    "GraphStore": "repro.storage.base",
+    "DictStore": "repro.storage.dict_store",
+    "OverlayCsrStore": "repro.storage.overlay",
+    "PartitionedStore": "repro.storage.partition",
+    **dict.fromkeys(("StoreSnapshot", "SnapshotGraph"), "repro.storage.snapshot"),
+    "JOURNAL_CAPACITY": "repro.storage.dict_store",
+}
+
+__all__ = [*_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -21,10 +21,11 @@ base *and* follows mutations at O(delta) cost:
   old one as a donor (untouched per-colour layers are adopted verbatim —
   the PR 2 recompile path), and the overlays reset to empty.
 
-Node *removals* always compact: a removed node's attribute views in the base
-would go stale, and the compaction restores the invariant that every base
-node is live — which is what makes the memoised predicate scans of
-:meth:`matching_nodes` sound between compactions.
+Node *removals* always compact: the compaction restores the invariant that
+every base node is live, so while no node was created since, the graph's
+attribute table lists the base's nodes in the base's order — which is what
+lets :meth:`~OverlayReads.matching_nodes` answer a handle space with the
+table's own scan bitmaps.
 
 One overlay store exists per graph (``graph.overlay_store()``); every
 CSR-engine matcher reads through it, so an interleaved read/write stream
@@ -38,7 +39,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set,
 
 from repro.exceptions import GraphError
 from repro.kernels import active_kernel_name
-from repro.storage.base import GraphStore, NodeId, bfs_block_frontier, scan_nodes
+from repro.storage.base import GraphStore, NodeId, bfs_block_frontier
 
 #: Overlay fraction of the base edge count above which the store compacts.
 #: Imported lazily from session defaults at construction so the storage
@@ -65,9 +66,9 @@ class OverlayReads(GraphStore):
     :class:`OverlayCsrStore` and the pinned
     :class:`~repro.storage.snapshot.StoreSnapshot` — both hold the state it
     reads (``_base``, the ``_added`` / ``_removed`` overlays, ``_color_ops``,
-    ``_overlay_edges``, ``_new_nodes``) and answer :meth:`has_node`; the live
-    store replays the journal in :meth:`sync`, on a snapshot the inherited
-    ``sync`` is a no-op.
+    ``_overlay_edges``, ``_new_nodes``) and answer :meth:`has_node` and
+    ``attribute_table()``; the live store replays the journal in :meth:`sync`,
+    on a snapshot the inherited ``sync`` is a no-op.
     """
 
     # -- the array-path surface (read by OverlayCsrAdapter) ----------------------
@@ -97,6 +98,26 @@ class OverlayReads(GraphStore):
     def base_holds_every_node(self) -> bool:
         """True when no node was created since the base (removals compact): its indices cover the graph."""
         return not self._new_nodes
+
+    # -- predicate scans ---------------------------------------------------------
+
+    def matching_nodes(self, predicate: Any, space=None) -> Sequence[NodeId]:
+        """Node ids whose attributes satisfy ``predicate`` at this store's
+        version — with the base as ``space``, their base indices as its
+        candidate bitmap (the scan memo's own object, read-only).
+
+        Both are read off one attribute table, the graph's of this version.
+        In a handle space the table's positions *are* the base's indices: a
+        space exists only while the base holds every node, and removals
+        compact, so the table lists the base's nodes in the base's order.
+        """
+        self.sync()
+        table = self.attribute_table()
+        if space is None:
+            return list(map(table.ids.__getitem__, table.scans.scan(predicate)))
+        if space is not self._base or not self.base_holds_every_node():
+            raise GraphError("stale handle space: the store changed since enter()")
+        return table.scans.scan_bitmap(predicate)
 
     # -- merged reads ------------------------------------------------------------
 
@@ -277,7 +298,6 @@ class OverlayCsrStore(OverlayReads):
         self.replayed_ops = 0
         self.snapshots_pinned = 0
         self.snapshots_built = 0
-        self.attr_tables_built = 0
 
     # -- properties --------------------------------------------------------------
 
@@ -292,6 +312,10 @@ class OverlayCsrStore(OverlayReads):
 
     def has_node(self, node: NodeId) -> bool:
         return self._graph.has_node(node)
+
+    def attribute_table(self):
+        """The graph's current attribute table (:meth:`DataGraph.attribute_table`)."""
+        return self._graph.attribute_table()
 
     # -- synchronisation ---------------------------------------------------------
 
@@ -402,18 +426,16 @@ class OverlayCsrStore(OverlayReads):
         graph's *current* ``(version, attrs_version)``: pins of the same pair
         share one refcounted snapshot object.  The snapshot's base is held by
         reference — a later compaction rebinds this store's base without
-        touching the pinned object — and its overlay slice and attribute
-        table are private copies, so nothing the store does afterwards can
-        reach a reader.
+        touching the pinned object — as is its attribute table, the graph's of
+        that version (rows are copy-on-write); its overlay slice is a private
+        copy, so nothing the store does afterwards can reach a reader.
 
         ``retained`` is a snapshot this store built earlier that the caller
         kept after its last pin was released (the pin table forgets a
         snapshot at refcount zero).  When nobody else holds a pin and
         ``retained`` still stands at the current pair it is pinned again
-        instead of building — and copying — a new one; from a ``retained`` of
-        an older version the new snapshot still takes the attribute table and
-        its scans, while ``attrs_version`` has not moved since.  The returned
-        snapshot is the one to read and release.
+        instead of building a new one.  The returned snapshot is the one to
+        read and release.
 
         ``version`` may assert the expected version (a reader that planned
         against version *v* can demand exactly *v*); pinning a version other
@@ -440,7 +462,7 @@ class OverlayCsrStore(OverlayReads):
             snapshot = self._pins[key] = retained
             snapshot.pins = 1
         else:
-            snapshot = self._pins[key] = StoreSnapshot(self, retained)
+            snapshot = self._pins[key] = StoreSnapshot(self)
             self.snapshots_built += 1
         self.snapshots_pinned += 1
         return snapshot
@@ -464,8 +486,7 @@ class OverlayCsrStore(OverlayReads):
         # Recompiles go through the shared per-graph snapshot cache, so the
         # store's base and the other snapshot users (whole_layers(), warm-up
         # hooks) compile once between them.  The
-        # retiring snapshot donates its untouched per-colour layers and
-        # (node set and attrs permitting) its predicate-scan memo — the
+        # retiring snapshot donates its untouched per-colour layers — the
         # compaction cost is proportional to the touched colours, not the
         # whole graph.
         self._base = compiled_snapshot(graph)
@@ -488,35 +509,6 @@ class OverlayCsrStore(OverlayReads):
         from repro.graph.csr import compiled_snapshot
 
         return compiled_snapshot(self._graph)
-
-    # -- predicate scans ---------------------------------------------------------
-
-    def matching_nodes(self, predicate: Any, space=None) -> Sequence[NodeId]:
-        """Node ids whose attributes satisfy ``predicate`` — with the base as
-        ``space``, their base indices as its candidate bitmap (the scan memo's
-        own object, read-only).
-
-        Base nodes come from the base snapshot's indexed predicate scan —
-        sound between compactions because node removals always compact, so
-        every base node is live and its captured attribute views track the
-        graph; attribute updates are absorbed by replacing the base's
-        scans.  Nodes created since the base are scanned live and appended.
-        """
-        self.sync()
-        graph = self._graph
-        base = self._base
-        if graph.attrs_version != base.source_attrs_version:
-            # Every base node is live (see above), so the snapshot's lazy
-            # guard against topology-stale rescans does not apply here.
-            base.refresh_attribute_scans(graph.attrs_version)
-        if space is not None:
-            return base.matching_bitmap(predicate)
-        if predicate is None:
-            return list(graph.nodes())
-        result = base.matching_ids(predicate)
-        if self._new_nodes:
-            result.extend(scan_nodes(predicate, self._new_nodes, graph.attributes))
-        return result
 
     # -- bookkeeping -------------------------------------------------------------
 
@@ -552,11 +544,12 @@ class OverlayCsrStore(OverlayReads):
             "pinned_snapshots": len(self._pins),
             "snapshots_pinned": self.snapshots_pinned,
             "snapshots_built": self.snapshots_built,
-            "attr_tables_built": self.attr_tables_built,
         }
-        # One tally per graph: the base's scans and every pinned table's.
+        # One tally per graph, handed from each attribute table to the next.
+        tally = None if base is None else self._graph.attribute_table().tally
+        stats["attr_tables_built"] = 0 if tally is None else tally.tables_built
         for name in ("memo_hits", "memo_misses", "columns_built", "row_checks"):
-            stats[f"scan_{name}"] = 0 if base is None else getattr(base.scans.tally, name)
+            stats[f"scan_{name}"] = 0 if tally is None else getattr(tally, name)
         closures = {} if base is None else base.closure_stats()
         for name in ("kernel_closures", "kernel_closure_pairs", "kernel_closures_over_budget"):
             stats[name] = closures.get(name, 0)

@@ -5,10 +5,12 @@ at a single graph version: the CSR **base by reference** (compaction rebinds
 the store's base to a fresh object and never mutates the old one, so a pinned
 base outlives any number of compactions), a **deep copy of the overlay
 slices** (the store mutates them in place on every sync — the copy is bounded
-by the compaction fraction, so it stays O(delta)), and a **copy of the
-attribute table** (predicate scans must see the pinned attributes, not the
-live ones), taken once per ``attrs_version``: while that stands, a version's
-snapshot adopts table and scans from the one before it.
+by the compaction fraction, so it stays O(delta)), and the graph's
+**attribute table of that version by reference**
+(:class:`~repro.graph.columns.AttributeTable`: rows are copy-on-write, so the
+table stands still while the graph moves on).  Pins of versions that share an
+``attrs_version`` — and the live store while it stands there — read one
+table and one set of scans; nothing is copied.
 
 The snapshot is itself a :class:`~repro.storage.base.GraphStore` — its merged
 reads *are* the live overlay store's
@@ -20,18 +22,16 @@ any number of readers evaluate against their pinned snapshots.
 
 The same base class answers the small surface
 :class:`~repro.storage.adapter.OverlayCsrAdapter` reads a store through
-(``base()``, ``is_clean``, ``base_holds_every_node``, the no-op ``sync``;
-plus :meth:`~StoreSnapshot.matching_nodes` and
-:meth:`~StoreSnapshot.whole_layers` here), so a ``csr``
+(``base()``, ``is_clean``, ``base_holds_every_node``, the no-op ``sync``,
+``matching_nodes``; plus :meth:`~StoreSnapshot.whole_layers` here), so a ``csr``
 :class:`~repro.matching.paths.PathMatcher` evaluates *through the pin*: a read
 whose colours' overlay slices are all empty runs on the array kernels over the
 pinned base, any other as merged frontiers over base and copied overlay, and a general
 regex's NFA product on the pinned base while the whole slice is empty (over
-the merged adjacency otherwise — a pin cannot recompile).  The one thing
-a pinned read must never take from the base is a predicate scan — a
-:class:`~repro.graph.csr.CompiledGraph` shares the *live* attribute views —
-so scans always come from the copied attribute table (its own
-:class:`~repro.graph.columns.AttributeColumns`).
+the merged adjacency otherwise — a pin cannot recompile).  Predicate scans
+come from the pinned attribute table
+(:meth:`~repro.storage.overlay.OverlayReads.matching_nodes`, the live store's
+code): in the pinned base's handle space its positions are base indices.
 
 :class:`SnapshotGraph` wraps a snapshot in a read-only
 :class:`~repro.graph.data_graph.DataGraph` facade (duck-typed: nodes,
@@ -48,17 +48,15 @@ A snapshot is built at most once per ``(version, attrs_version)`` while
 somebody holds on to it: pins of one version share the refcounted object in
 the store's pin table, and a retainer that kept the object after its last pin
 was released hands it back to :meth:`OverlayCsrStore.pin_snapshot` instead of
-paying the copy again.  The thread contract is: pin/release/mutate from the
+building it again.  The thread contract is: pin/release/mutate from the
 owner thread, read from anywhere.
 """
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set
+from typing import Any, Dict, Iterator, List, Optional, Set
 
 from repro.exceptions import GraphError
-from repro.graph.columns import AttributeColumns
 from repro.storage.base import NodeId
 from repro.storage.overlay import OverlayReads
 
@@ -80,13 +78,12 @@ class StoreSnapshot(OverlayReads):
     Built by :meth:`OverlayCsrStore.pin_snapshot` after a sync, so the
     captured state equals the live graph at :attr:`version`.  All reads are
     lock-free (but for the scans' own lock); the object never changes after
-    construction.  If ``previous``, an earlier snapshot of the same store,
-    stands at the graph's ``attrs_version``, its attribute table is adopted.
+    construction.
     """
 
     kind = "overlay-csr-snapshot"
 
-    def __init__(self, store, previous: Optional["StoreSnapshot"] = None):
+    def __init__(self, store):
         graph = store.graph
         # By reference: compaction rebinds the store's base, never mutates it.
         self._base = store._base
@@ -95,25 +92,8 @@ class StoreSnapshot(OverlayReads):
         self._new_nodes = frozenset(store._new_nodes)
         self._overlay_edges = store._overlay_edges
         self._color_ops = dict(store._color_ops)
-        adopted = previous is not None and previous.attrs_version == graph.attrs_version
-        if adopted:
-            self._attr_views, self._ids = previous._attr_views, previous._ids
-            self._scan_cache = previous._scan_cache
-        else:
-            # The attribute table at pin time (values shared, rows copied): the
-            # live table mutates under add_node(**attrs) / remove_node.
-            self._attr_views: Dict[NodeId, Any] = {
-                node: MappingProxyType(dict(view)) for node, view in graph.attribute_views().items()
-            }
-            self._ids = tuple(self._attr_views)
-            self._scan_cache = AttributeColumns(tuple(self._attr_views.values()), self._base.scans.tally)
-            store.attr_tables_built += 1
-        # Table position -> base index (-1: created since).  A table may be adopted and the
-        # base not; with both, the predecessor's list keeps the scans' translated bitmaps valid.
-        if adopted and previous._base is self._base:
-            self._base_index = previous._base_index
-        else:
-            self._base_index = self._base.positions_of(self._ids)
+        # The graph's table of this version, by reference: rows are copy-on-write.
+        self._table = graph.attribute_table()
         self.name = f"{graph.name}@v{graph.version}"
         self.version = graph.version
         self.attrs_version = graph.attrs_version
@@ -131,14 +111,18 @@ class StoreSnapshot(OverlayReads):
     # -- node membership ---------------------------------------------------------
 
     def has_node(self, node: NodeId) -> bool:
-        return node in self._attr_views
+        return node in self._table.rows
 
     def nodes(self) -> Iterator[NodeId]:
-        return iter(self._ids)
+        return iter(self._table.ids)
+
+    def attribute_table(self):
+        """The attribute table of the pinned version."""
+        return self._table
 
     def attributes(self, node: NodeId):
         try:
-            return self._attr_views[node]
+            return self._table.rows[node]
         except KeyError as exc:
             raise GraphError(f"node {node!r} does not exist") from exc
 
@@ -149,17 +133,6 @@ class StoreSnapshot(OverlayReads):
         """The pinned base while the overlay slice is empty — its layers then
         hold every pinned edge — else ``None``: a pin cannot recompile."""
         return self._base if self._overlay_edges == 0 else None
-
-    # -- predicate scans ---------------------------------------------------------
-
-    def matching_nodes(self, predicate: Any, space=None) -> Sequence[NodeId]:
-        """Node ids whose *pinned* attributes satisfy ``predicate`` — with the
-        pinned base as ``space``, their base indices as its candidate bitmap
-        (read-only).  A scan answers in positions of the pin's *own* attribute
-        table, not in base indices: the bitmap is translated once per predicate."""
-        if space is None:
-            return list(map(self._ids.__getitem__, self._scan_cache.scan(predicate)))
-        return self._scan_cache.scan_bitmap(predicate, self._base.num_nodes, self._base_index)
 
     # -- bookkeeping -------------------------------------------------------------
 

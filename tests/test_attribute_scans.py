@@ -1,25 +1,30 @@
-"""Predicate scans on their holders: invalidation, carry-over, counters.
+"""Predicate scans of the graph's attribute tables: sharing, invalidation, counters.
 
 :class:`~repro.graph.columns.AttributeColumns` is bound to one
 attribute-table version (its equivalence with the per-row reference is
-``tests/test_predicates_properties.py``'s business); this file is about the
-objects that hold one and must *replace* it when ``attrs_version`` moves:
+``tests/test_predicates_properties.py``'s business).  The graph owns one
+:class:`~repro.graph.columns.AttributeTable` per ``attrs_version`` — rows are
+copy-on-write, so a table holds references only — and this file is about the
+readers of it:
 
-* the live path — :class:`~repro.graph.csr.CompiledGraph` on its own and as
-  the base of the overlay store, which scans the nodes created since the
-  base per row;
-* the pinned path — :class:`~repro.storage.snapshot.StoreSnapshot`, whose
-  attribute table, views and scans are copied once per ``attrs_version`` and
-  carried from one version's snapshot to the next while that stands.
+* the live path — :class:`~repro.graph.csr.CompiledGraph` on its own (the
+  graph's current table while its topology stands, else the one it captured)
+  and the overlay store, whose scans answer base and new nodes from one table;
+* the pinned path — :class:`~repro.storage.snapshot.StoreSnapshot`, which
+  holds its version's table by reference, so pins of versions sharing an
+  ``attrs_version`` share one table and its scans;
+* a `slow` property interleaving re-attribution, node and edge churn,
+  compactions and pins, holding every live and pinned scan, in a handle
+  space and out of one, to the per-row reference at its version.
 
 The remove-and-re-add cases of ``tests/test_csr.py``
-(``TestScanCacheAfterNodeChurn``) cover the compiled snapshot's donor rule
-from the stale side; they are not repeated here.
+(``TestScanCacheAfterNodeChurn``) cover the compiled snapshot from the stale
+side; they are not repeated here.
 
 A scan is born as a bitmap of row positions: the last section holds the
-memo's two read-outs — the positions tuple and the bitmap, as it is or
-translated through a pin's index table — to each other on both kernel
-backends, and its counters to the ones the set-and-sort scan counted.
+memo's two read-outs — the positions tuple and the bitmap, whose positions a
+table's ids name — to each other on both kernel backends, and its counters to
+the ones the set-and-sort scan counted.
 """
 
 import json
@@ -28,16 +33,18 @@ import sys
 import threading
 from decimal import Decimal
 from pathlib import Path
+from types import MappingProxyType
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.kernels
-from repro.graph.columns import AttributeColumns
+from repro.graph.columns import AttributeColumns, AttributeTable
 from repro.graph.csr import compile_graph, compiled_snapshot
 from repro.graph.data_graph import DataGraph
 from repro.query.predicates import AtomicCondition, Predicate
+from repro.regex.parser import parse_fregex
 from repro.session.session import GraphSession
 
 OLD = Predicate.parse("kind = 'old'")
@@ -54,6 +61,11 @@ def churn_graph():
     return graph
 
 
+def scans(compiled):
+    """The scans a compiled snapshot reads: its attribute table's."""
+    return compiled.attribute_table().scans
+
+
 def reference(graph, predicate):
     return [node for node in graph.nodes() if predicate.matches(graph.attributes(node))]
 
@@ -63,13 +75,13 @@ class TestLiveHolders:
         graph = churn_graph()
         compiled = compiled_snapshot(graph)
         assert compiled.matching_ids(OLD) == ["n0", "n2"]
-        before = compiled.scans
+        before = scans(compiled)
         graph.add_node("n1", kind="old")
         assert compiled_snapshot(graph) is compiled  # no recompile
         assert compiled.matching_ids(OLD) == ["n0", "n1", "n2"]
-        assert compiled.scans is not before
-        assert compiled.scans.tally is before.tally  # the counters run on
-        assert compiled.scans.tally.columns_built == 2  # "kind", twice
+        assert scans(compiled) is not before
+        assert scans(compiled).tally is before.tally  # the counters run on
+        assert scans(compiled).tally.columns_built == 2  # "kind", twice
 
     def test_node_creation_and_removal_start_the_scans_over(self):
         graph = churn_graph()
@@ -88,14 +100,14 @@ class TestLiveHolders:
         first = donor.matching_indices(OLD)
         graph.add_edge("n2", "n3", "a")  # edge-only: ids and attributes stand
         adopted = compiled_snapshot(graph)
-        assert adopted is not donor and adopted.scans is donor.scans
+        assert adopted is not donor and scans(adopted) is scans(donor)
         assert adopted.matching_indices(OLD) is first
         graph.add_node("n3", kind="old")
         graph.add_edge("n3", "n0", "b")
         fresh = compiled_snapshot(graph)
-        assert fresh.scans is not donor.scans and fresh.scans.tally is donor.scans.tally
+        assert scans(fresh) is not scans(donor) and scans(fresh).tally is scans(donor).tally
         assert fresh.matching_ids(OLD) == ["n0", "n2", "n3"]
-        assert compile_graph(graph).scans.tally is not donor.scans.tally  # no donor, own count
+        assert scans(compile_graph(graph)) is scans(fresh)  # one table per version, whoever compiles
 
     def test_overlay_store_scans_base_and_new_nodes(self):
         graph = churn_graph()
@@ -128,8 +140,10 @@ class TestPinnedCarryOver:
         try:
             assert first.version < second.version < third.version
             assert first.store is not second.store is not third.store
-            assert first.store._attr_views is second.store._attr_views is third.store._attr_views
-            assert first.store._scan_cache is third.store._scan_cache
+            table = first.store.attribute_table()
+            assert second.store.attribute_table() is table and third.store.attribute_table() is table
+            assert third.store.attribute_table().scans is table.scans
+            assert store.attribute_table() is table  # the live store reads it too
             assert third.store.matching_nodes(OLD) == ["n0", "n2"]
             stats = store.overlay_stats()
             assert (stats["snapshots_built"], stats["attr_tables_built"]) == (3, 1)
@@ -141,10 +155,10 @@ class TestPinnedCarryOver:
     def test_carry_over_survives_the_release_of_every_pin(self):
         session = GraphSession(churn_graph())
         with session.pin() as first:
-            table = first.store._attr_views
+            table = first.store.attribute_table()
         session.apply_updates([("add", "n2", "n3", "a")])
         with session.pin() as second:
-            assert second.store._attr_views is table
+            assert second.store.attribute_table() is table
         assert session.graph.overlay_store().overlay_stats()["attr_tables_built"] == 1
 
     @pytest.mark.parametrize("change", ["overwrite", "node-creating edge"])
@@ -162,8 +176,8 @@ class TestPinnedCarryOver:
             expected = ["n0", "n2", "created"]
         new_pin = session.pin()
         try:
-            assert new_pin.store._attr_views is not old_pin.store._attr_views
-            assert new_pin.store._scan_cache is not old_pin.store._scan_cache
+            assert new_pin.store.attribute_table() is not old_pin.store.attribute_table()
+            assert new_pin.store.attribute_table().scans is not old_pin.store.attribute_table().scans
             assert new_pin.store.matching_nodes(OLD) == expected
             assert old_pin.store.matching_nodes(OLD) == ["n0", "n2"]  # from its own table
             assert not old_pin.store.has_node("created")
@@ -196,6 +210,90 @@ class TestPinnedCarryOver:
         assert stats["attr_tables_built"] == 1
         assert stats["scan_row_checks"] == 0
         assert stats["scan_memo_misses"] > 0 and stats["scan_columns_built"] <= 6
+
+
+# -- the shared table under churn ----------------------------------------------
+
+_CHURN_PREDICATES = [Predicate.parse(text) for text in ("x = 1", "x < 2", "y != 0", "x >= 1 & y <= 1")]
+_CHURN_REGEX = parse_fregex("a")
+_NODE = st.integers(0, 7)
+_CHURN_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("attribute"), _NODE, st.sampled_from("xy"), st.integers(0, 2)),
+        st.tuples(st.just("node"), _NODE, st.integers(0, 2)),
+        st.tuples(st.just("remove"), _NODE),
+        st.tuples(st.just("edge"), _NODE, _NODE, st.sampled_from("ab")),
+        st.tuples(st.just("compact")),
+        st.tuples(st.just("pin")),
+    ),
+    max_size=30,
+)
+
+
+def _rows_now(graph):
+    """The per-row reference's input: each node's attributes, copied."""
+    return [(node, dict(graph.attributes(node))) for node in graph.nodes()]
+
+
+def _expected(rows):
+    return {predicate: [node for node, row in rows if predicate.matches(row)] for predicate in _CHURN_PREDICATES}
+
+
+def _assert_scans(store, matcher, expected):
+    """Every scan of ``store``, out of a space and (where the matcher can enter
+    one) in its base's space, equals the per-row reference."""
+    space = matcher.enter([_CHURN_REGEX])
+    for predicate, nodes in expected.items():
+        assert store.matching_nodes(predicate) == nodes
+        if space is not None:
+            assert matcher.node_ids(space, matcher.matching_nodes(predicate, space)) == set(nodes)
+
+
+@pytest.mark.slow
+@settings(max_examples=150, deadline=None)
+@given(ops=_CHURN_OPS)
+def test_property_live_and_pinned_scans_follow_the_per_row_reference(ops):
+    """Re-attribution, node creation and removal, edge churn, forced
+    compactions and pins, interleaved: after every step each live and each
+    held pin's scan equals the per-row reference at its version, in a handle
+    space and out of one, and a view taken before an overwrite keeps the
+    values it had."""
+    graph = DataGraph(name="churn")
+    for node in range(4):
+        graph.add_node(node, x=node % 3, y=node % 2)
+    graph.add_edge(0, 1, "a")
+    session = GraphSession(graph, engine="csr")
+    store, live = graph.overlay_store(), session.matcher("csr")
+    pins = []  # (pin, its reference)
+    try:
+        for op in ops:
+            kind = op[0]
+            if kind == "attribute" and graph.has_node(op[1]):
+                view = graph.attributes(op[1])
+                before = dict(view)
+                graph.add_node(op[1], **{op[2]: op[3]})
+                assert dict(view) == before  # copy-on-write: the old row stands
+            elif kind == "node" and not graph.has_node(op[1]):
+                graph.add_node(op[1], x=op[2])
+            elif kind == "remove" and graph.has_node(op[1]):
+                graph.remove_node(op[1])
+            elif kind == "edge":
+                if graph.has_node(op[1]) and graph.has_edge(op[1], op[2], op[3]):
+                    graph.remove_edge(op[1], op[2], op[3])
+                else:
+                    graph.add_edge(op[1], op[2], op[3])
+            elif kind == "compact":
+                store.compact()
+            elif kind == "pin":
+                pins.append((session.pin(), _expected(_rows_now(graph))))
+                if len(pins) > 3:
+                    pins.pop(0)[0].release()
+            _assert_scans(store, live, _expected(_rows_now(graph)))
+            for pinned, expected in pins:
+                _assert_scans(pinned.store, pinned._state.matcher("csr"), expected)
+    finally:
+        for pinned, _ in pins:
+            pinned.release()
 
 
 def test_concurrent_readers_of_one_table_agree_with_the_reference():
@@ -270,31 +368,27 @@ _PREDICATES = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(rows=_ROWS, predicates=st.lists(_PREDICATES, min_size=1, max_size=3), data=st.data())
 def test_scan_bitmap_is_the_bitmap_of_the_scan(rows, predicates, data):
-    """``scan_bitmap(p, n)`` is the bitmap of ``scan(p)``, ``scan_bitmap(p, m,
-    index)`` that of the positions translated through ``index`` (through a
-    later table once one is asked for), and a memo hit answers the very
-    objects of the miss — under each kernel backend."""
+    """``scan_bitmap(p)`` is the bitmap of ``scan(p)``, on an
+    :class:`AttributeTable` its positions name the matching ids through the
+    table's ``ids`` (in node order, not positions), and a memo hit answers the
+    very objects of the miss — under each kernel backend."""
     size = len(rows)
-    width = size + data.draw(st.integers(0, 3), label="extra handles")
-    index = data.draw(st.permutations(range(width)), label="index table")[:size]
-    later = list(reversed(index))  # a pin adopting the table over another base
+    ids = data.draw(st.permutations(range(size + data.draw(st.integers(0, 3), label="extra ids"))), label="ids")[:size]
     for backend in _BACKENDS:
         with mock.patch.dict(os.environ, {repro.kernels.KERNEL_ENV_VAR: backend}):
             columns = AttributeColumns(rows)
+            table = AttributeTable(0, {node: MappingProxyType(row) for node, row in zip(ids, rows)})
             for predicate in predicates:
                 positions = columns.scan(predicate)
                 assert positions == tuple(i for i, row in enumerate(rows) if predicate.matches(row))
-                rows_bitmap = columns.scan_bitmap(predicate, size)
+                rows_bitmap = columns.scan_bitmap(predicate)
                 assert rows_bitmap == repro.kernels.bitmap(size, positions)
-                translated = columns.scan_bitmap(predicate, width, index)
-                assert translated == repro.kernels.bitmap(width, [index[p] for p in positions])
+                named = table.scans.scan_bitmap(predicate)
+                assert [table.ids[p] for p in named] == [ids[p] for p in positions]
                 assert columns.scan(predicate) is positions
-                assert columns.scan_bitmap(predicate, size) is rows_bitmap
-                assert columns.scan_bitmap(predicate, width, index) is translated
+                assert columns.scan_bitmap(predicate) is rows_bitmap
+                assert table.scans.scan_bitmap(predicate) is named
                 assert columns.scan(predicate) is positions and list(rows_bitmap) == list(positions)
-                moved = columns.scan_bitmap(predicate, width, later)
-                assert moved == repro.kernels.bitmap(width, [later[p] for p in positions])
-                assert columns.scan_bitmap(predicate, width, later) is moved
 
 
 def test_scan_counters_on_a_fixed_mixed_table():

@@ -291,6 +291,19 @@ class TestCiWorkflow:
         assert "tests/test_cold_start.py" in command.split()
         assert " -k " not in command and "slow" not in command
 
+    def test_quick_legs_run_the_attribute_table_suite_whole(self, workflow):
+        # Live and pinned scans of the shared attribute table are held to the
+        # per-row reference by `slow` properties; every non-primary leg runs
+        # the file by path, unfiltered, right after the cold-start suite.
+        job = workflow["jobs"]["test"]
+        names = [step.get("name") for step in job["steps"]]
+        steps = [step for step in job["steps"] if step.get("name") == "Attribute-table suite whole (quick legs)"]
+        assert len(steps) == 1 and steps[0]["if"] == "matrix.python-version != '3.12'"
+        assert names.index(steps[0]["name"]) == names.index("Cold-start suite whole (quick legs)") + 1
+        command = steps[0]["run"]
+        assert "tests/test_attribute_scans.py" in command.split()
+        assert " -k " not in command and "slow" not in command
+
     def test_benchmark_job_runs_repo_benchmark_smoke(self, workflow):
         # bench/test_smoke.py is outside pytest's testpaths (tier-1 never
         # collects it), so the benchmark job must run it by path.

@@ -15,7 +15,9 @@ columns ordered by one key sort, and package roots that import on demand.
   runs at most one generation-0 collection (25 before the flat-key build:
   one per 700 surviving buckets and tuples);
 * **imports** — ``import repro.session.session`` loads neither asyncio, the
-  HTTP service nor the metrics, and every name of ``repro.__all__`` resolves.
+  HTTP service nor the metrics, ``import repro.storage.overlay`` leaves the
+  partitioned store unloaded, and every name of each lazy root's ``__all__``
+  resolves.
 """
 
 from __future__ import annotations
@@ -268,8 +270,9 @@ def test_compile_and_columns_run_at_most_one_young_collection():
     gc.callbacks.append(count)
     try:
         compiled = CompiledGraph(graph)
+        rows = tuple(compiled.attribute_table().rows.values())
         for name in names:
-            _Column(name, compiled._attrs, order_class)
+            _Column(name, rows, order_class)
     finally:
         gc.callbacks.remove(count)
         gc.set_threshold(*threshold)
@@ -294,6 +297,22 @@ def test_importing_the_session_loads_no_service_and_no_metrics():
     assert run.stdout.strip() == "[]"
 
 
+def test_importing_the_overlay_store_leaves_the_partitioned_store_unloaded():
+    source_root = str(Path(repro.__file__).resolve().parent.parent)
+    code = (
+        "import sys, repro.storage.overlay\n"
+        "print(sorted(m for m in ('repro.storage.partition', 'repro.datasets.essembly') if m in sys.modules))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": source_root},
+    )
+    assert run.stdout.strip() == "[]"
+
+
 def test_package_roots_resolve_their_names_on_demand():
     from repro import GraphService
     from repro.service.service import GraphService as defined
@@ -302,7 +321,7 @@ def test_package_roots_resolve_their_names_on_demand():
     assert dir(repro) == sorted(repro.__all__)
     with pytest.raises(AttributeError):
         repro.not_an_export
-    for package in ("repro.service", "repro.session"):
+    for package in ("repro.service", "repro.session", "repro.storage", "repro.datasets"):
         root = importlib.import_module(package)
         assert dir(root) == sorted(root.__all__)
         assert all(getattr(root, name) is not None for name in root.__all__)

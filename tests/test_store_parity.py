@@ -966,31 +966,38 @@ class TestHandleSpaces:
                 read()
 
     def test_a_pins_scan_positions_are_translated_not_assumed(self):
-        """A pin scans its own attribute table, whose positions are not base
-        indices: nodes created since the base sit in the table and not in the
-        base, and a table adopted by a later pin may face a new base."""
+        """A pin scans its version's attribute table.  Without a space the
+        positions are translated to ids through the table; with one they are
+        the base's indices only because a space exists only while the base
+        holds every node (removals compact) — a space the pin's table does not
+        list in base order is refused, not assumed."""
+        from repro.exceptions import GraphError
         from repro.session.session import GraphSession
 
         graph = build_graph([(0, 1, "r"), (1, 2, "r"), (2, 3, "g")])
         session = GraphSession(graph, engine="csr")
         session.execute(ReachabilityQuery(None, None, "r"))
         graph.add_node("late", tag=1)
+        tagged = Predicate.parse("tag = 1")
         with session.pin() as pinned:
             store = pinned.store
-            assert store._base_index == [0, 1, 2, 3, 4, 5, -1]
+            assert store.attribute_table().ids == store.base().ids + ("late",)
             assert not store.base_holds_every_node()
             assert pinned._state.matcher("csr").enter([parse_fregex("r")]) is None
+            assert store.matching_nodes(tagged) == [1, 4, "late"]
+            with pytest.raises(GraphError, match="stale handle space"):
+                store.matching_nodes(tagged, store.base())
             graph.overlay_store().compact()
             with session.pin() as later:  # same version, same table; the store's base moved on
                 assert later.store is store
         graph.remove_node(1)
         with session.pin() as rebuilt:
-            assert rebuilt.store._ids == (0, 2, 3, 4, 5, "late")
-            assert rebuilt.store._base_index == [0, 1, 2, 3, 4, 5]
+            assert rebuilt.store.attribute_table().ids == (0, 2, 3, 4, 5, "late")
+            assert rebuilt.store.attribute_table().ids == rebuilt.store.base().ids
             matcher = rebuilt._state.matcher("csr")
             space = matcher.enter([parse_fregex("r")])
             assert space is rebuilt.store.base()
-            handles = matcher.matching_nodes(Predicate.parse("tag = 1"), space)
+            handles = matcher.matching_nodes(tagged, space)
             assert matcher.node_ids(space, handles) == {4, "late"}
 
     @pytest.mark.parametrize("backend", ["numpy", "python"])
@@ -1074,36 +1081,39 @@ class TestHandleSpaces:
             assert join_match(pattern, session.graph, matcher=matcher).same_matches(expected)
 
     def test_bitmap_of_a_pinned_scan_is_translated_once(self):
-        """A pin's scan answers in positions of its own table; the candidate
-        bitmap translates them through ``_base_index`` when it is built, not on
-        every read — and a later pin of the same table and base adopts it."""
+        """A pin's candidate bitmap in its base's space is its attribute
+        table's own scan bitmap: built once per predicate and table version,
+        and the very object a later pin of the same ``attrs_version`` answers —
+        no translation, on the pin or after it."""
+        from repro.graph import columns
         from repro.session.session import GraphSession
-
-        class Counted(list):
-            reads = 0
-
-            def __getitem__(self, position):
-                Counted.reads += 1
-                return super().__getitem__(position)
 
         graph = build_graph([(0, 1, "r"), (1, 2, "r"), (2, 3, "g")])
         session = GraphSession(graph, engine="csr")
         session.execute(ReachabilityQuery(None, None, "r"))
         graph.add_node("late", tag=1)
-        graph.remove_node(1)  # compacts: the base is rebuilt, the pin's table is not its order
+        graph.remove_node(1)  # compacts: the base is rebuilt over the table's nodes
         predicate = Predicate.parse("tag = 1")
-        with session.pin() as pinned:
+        built = []
+        coerce = columns.bitmap
+
+        def counted(num_nodes, handles):
+            built.append(num_nodes)
+            return coerce(num_nodes, handles)
+
+        with mock.patch.object(columns, "bitmap", counted), session.pin() as pinned:
             store = pinned.store
-            store._base_index = Counted(store._base_index)
             matcher = pinned._state.matcher("csr")
             space = matcher.enter([parse_fregex("r")])
             first = matcher.matching_nodes(predicate, space)
-            assert matcher.node_ids(space, first) == {4, "late"} and Counted.reads == 2
-            assert matcher.matching_nodes(predicate, space) is first and Counted.reads == 2
+            assert matcher.node_ids(space, first) == {4, "late"} and built == [6]
+            assert first is store.attribute_table().scans.scan_bitmap(predicate)
+            assert matcher.matching_nodes(predicate, space) is first and built == [6]
             candidates = matcher.candidates(predicate, space)
             assert candidates == first and candidates is not first  # the evaluator's own copy
-            session.apply_updates([("add", 0, 2, "g")])  # an edge: the next pin adopts table and base
+            session.apply_updates([("add", 0, 2, "g")])  # an edge: the next pin reads the same table
             with session.pin() as later:
-                assert later.store is not store and later.store._base_index is store._base_index
+                assert later.store is not store
+                assert later.store.attribute_table() is store.attribute_table()
                 assert later._state.matcher("csr").matching_nodes(predicate, later.store.base()) is first
-                assert Counted.reads == 2
+                assert built == [6]
